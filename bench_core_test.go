@@ -61,7 +61,9 @@ type coreBudget struct {
 
 // coreSweep lists the benchmarked (shape, size) grid. Clique stops at 15
 // relations (Theta(3^n) enumeration) and cycles at 20 for the CPU
-// enumerators (the full-cycle block costs 2^(n-1) real candidate visits);
+// enumerators (sized when MPDP's full-cycle block cost 2^n candidate
+// visits; it walks the block's n(n-1) connected subsets now, and the rows
+// stay so the tracked series does);
 // gpuSizes extends each shape into the GPU backend's band, where costing
 // is output-sensitive and the lockstep volume is modeled (cycle/40 is the
 // tracked headline row — the size the pre-backend router could only serve

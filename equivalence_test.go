@@ -13,9 +13,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bitset"
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/gpusim"
+	"repro/internal/graph"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -135,4 +138,181 @@ func identityPerm(n int) []int {
 		p[i] = i
 	}
 	return p
+}
+
+// edgeQuery builds a query over the given undirected edges with the
+// synthetic workloads' statistics: uniform catalog, PK-FK selectivities,
+// random local selections.
+func edgeQuery(n int, edges [][2]int, rng *rand.Rand) *cost.Query {
+	cat := catalog.UniformCatalog(n)
+	g := graph.New(n)
+	for _, e := range edges {
+		g.AddEdge(e[0], e[1], 1/math.Max(1, math.Min(cat.Rels[e[0]].Rows, cat.Rels[e[1]].Rows)))
+	}
+	for i := range cat.Rels {
+		cat.Rels[i].Rows = math.Max(1, cat.Rels[i].Rows*math.Pow(10, -2*rng.Float64()))
+	}
+	return &cost.Query{Cat: cat, G: g}
+}
+
+// twoCyclesEdges is a cycle of a vertices and a cycle of b vertices sharing
+// vertex 0, their cut vertex: two big blocks, so every set spanning both
+// goes through grow.
+func twoCyclesEdges(a, b int) (n int, edges [][2]int) {
+	for i := 0; i < a; i++ {
+		edges = append(edges, [2]int{i, (i + 1) % a})
+	}
+	// The second cycle is 0, a, a+1, …, a+b-2, back to 0.
+	second := func(i int) int {
+		if i%b == 0 {
+			return 0
+		}
+		return a + i%b - 1
+	}
+	for i := 0; i < b; i++ {
+		edges = append(edges, [2]int{second(i), second(i + 1)})
+	}
+	return a + b - 1, edges
+}
+
+// triangleRingEdges is a cycle of k vertices with an apex over every edge:
+// one block, most of whose connected subsets fall apart into triangles and
+// bridges.
+func triangleRingEdges(k int) (n int, edges [][2]int) {
+	for i := 0; i < k; i++ {
+		j := (i + 1) % k
+		edges = append(edges, [2]int{i, j}, [2]int{i, k + i}, [2]int{j, k + i})
+	}
+	return 2 * k, edges
+}
+
+// gridEdges is the rows × cols lattice, the densest sparse block shape:
+// connected subsets whose complement inside the block is disconnected are
+// common, so the examined count leaves the CCP count.
+func gridEdges(rows, cols int) (n int, edges [][2]int) {
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			if c+1 < cols {
+				edges = append(edges, [2]int{r*cols + c, r*cols + c + 1})
+			}
+			if r+1 < rows {
+				edges = append(edges, [2]int{r*cols + c, (r+1)*cols + c})
+			}
+		}
+	}
+	return rows * cols, edges
+}
+
+// bigBlockQueries are join graphs whose blocks are large enough that
+// walking a block's connected subsets and unranking all of its subsets are
+// different algorithms (a cycle-24 block: 553 against 16.7 M).
+func bigBlockQueries(t *testing.T) map[string]*cost.Query {
+	t.Helper()
+	out := map[string]*cost.Query{}
+	gen := func(kind workload.Kind, sizes ...int) {
+		for _, n := range sizes {
+			q, err := workload.Generate(kind, n, rand.New(rand.NewSource(int64(n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s-%d", kind, n)] = q
+		}
+	}
+	gen(workload.KindCycle, 16, 20, 24)
+	gen(workload.KindMB, 14, 16, 18)
+	rng := rand.New(rand.NewSource(12))
+	n, edges := twoCyclesEdges(8, 9)
+	out["two-cycles-8+9"] = edgeQuery(n, edges, rng)
+	n, edges = triangleRingEdges(7)
+	out["triangle-ring-7"] = edgeQuery(n, edges, rng)
+	n, edges = gridEdges(4, 5)
+	out["grid-4x5"] = edgeQuery(n, edges, rng)
+	return out
+}
+
+// TestMPDPAgreesWithDPCCPOnBigBlocks: on graphs with big blocks the three
+// MPDP drivers return DPCCP's cost, count the same valid pairs and the same
+// lattice, and examine no fewer pairs than are valid and no more than the
+// paper's every-subset-of-every-block census.
+func TestMPDPAgreesWithDPCCPOnBigBlocks(t *testing.T) {
+	for name, q := range bigBlockQueries(t) {
+		name, q := name, q
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			in := dp.Input{Q: q, M: cost.DefaultModel()}
+			ref, refStats, err := dp.DPCCP(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			census, err := dp.Counters(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, alg := range []struct {
+				name string
+				f    dp.Func
+			}{{"MPDP", dp.MPDP}, {"MPDPGeneral", dp.MPDPGeneral}, {"MPDP-CPU", parallel.MPDP}} {
+				p, st, err := alg.f(in)
+				if err != nil {
+					t.Fatalf("%s: %v", alg.name, err)
+				}
+				if !costEq(p.Cost, ref.Cost) {
+					t.Errorf("%s: cost %.10g, DPCCP %.10g", alg.name, p.Cost, ref.Cost)
+				}
+				if st.CCP != refStats.CCP || st.ConnectedSets != refStats.ConnectedSets {
+					t.Errorf("%s: CCP %d over %d sets, DPCCP %d over %d",
+						alg.name, st.CCP, st.ConnectedSets, refStats.CCP, refStats.ConnectedSets)
+				}
+				if st.Evaluated < st.CCP || st.Evaluated > census.MPDPEvaluated {
+					t.Errorf("%s: examined %d pairs, want between CCP %d and census %d",
+						alg.name, st.Evaluated, st.CCP, census.MPDPEvaluated)
+				}
+			}
+		})
+	}
+}
+
+// TestWarmSeededMPDPOnSharedCutVertex: a run seeded with the optimal plans
+// of every connected set inside one of two cycles that share a cut vertex
+// — what the sub-plan memo hands a query overlapping an earlier one — must
+// skip those sets and still return the cold run's cost, on both level
+// drivers.
+func TestWarmSeededMPDPOnSharedCutVertex(t *testing.T) {
+	n, edges := twoCyclesEdges(8, 9)
+	q := edgeQuery(n, edges, rand.New(rand.NewSource(13)))
+	firstCycle := bitset.Full(8)
+	for _, alg := range []struct {
+		name string
+		f    dp.Func
+	}{{"MPDPGeneral", dp.MPDPGeneral}, {"MPDP-CPU", parallel.MPDP}} {
+		var coldTab *plan.Table
+		in := dp.Input{Q: q, M: cost.DefaultModel(), Harvest: func(tab *plan.Table) { coldTab = tab }}
+		cold, coldStats, err := alg.f(in)
+		if err != nil {
+			t.Fatalf("%s cold: %v", alg.name, err)
+		}
+		in.Harvest = nil
+		in.Warm = func(tab *plan.Table, _ [][]bitset.Mask) int {
+			seeded := 0
+			coldTab.Range(func(s bitset.Mask, w plan.Winner) {
+				if s.Count() >= 2 && s.SubsetOf(firstCycle) {
+					tab.Put(s, w)
+					seeded++
+				}
+			})
+			return seeded
+		}
+		warm, warmStats, err := alg.f(in)
+		if err != nil {
+			t.Fatalf("%s warm: %v", alg.name, err)
+		}
+		if warm.Cost != cold.Cost {
+			t.Errorf("%s: warm cost %.10g, cold %.10g", alg.name, warm.Cost, cold.Cost)
+		}
+		if warmStats.WarmSeeded == 0 ||
+			warmStats.ConnectedSets+warmStats.WarmSeeded != coldStats.ConnectedSets ||
+			warmStats.CCP >= coldStats.CCP {
+			t.Errorf("%s: warm run %+v did not skip the seeded sets of cold run %+v", alg.name, warmStats, coldStats)
+		}
+	}
 }

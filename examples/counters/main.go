@@ -25,11 +25,15 @@ func main() {
 
 	opt := optimizer.InProcess()
 	suite := []optimizer.Algorithm{
-		optimizer.AlgDPCCP, optimizer.AlgMPDP, optimizer.AlgDPSub, optimizer.AlgDPSize,
+		optimizer.AlgDPCCP, optimizer.AlgMPDP, optimizer.AlgMPDPGPU, optimizer.AlgDPSub, optimizer.AlgDPSize,
 	}
 
 	// Every exact enumerator reports the paper's two counters in its
-	// Result; DPCCP's EvaluatedCounter equals the CCP lower bound.
+	// Result; DPCCP's EvaluatedCounter equals the CCP lower bound. MPDP
+	// has two rows because it has two counts: mpdp-gpu is the paper's
+	// (Fig. 2) — every proper subset of every block, the volume a device
+	// unranks in lockstep and the GPU model bills — and mpdp is what the
+	// CPU evaluator examines, the connected subsets among those.
 	results := make(map[optimizer.Algorithm]*optimizer.Result, len(suite))
 	var ccp uint64
 	for _, alg := range suite {
@@ -50,4 +54,6 @@ func main() {
 
 	fmt.Println("\nDPCCP meets the bound but is sequential; DPSub/DPSize parallelize but")
 	fmt.Println("waste orders of magnitude of work; MPDP keeps both properties (Fig. 2).")
+	fmt.Println("mpdp-gpu is the paper's MPDP count (the device's unrank volume), mpdp the")
+	fmt.Println("pairs the CPU evaluator examines: only the connected subsets of each block.")
 }

@@ -12,6 +12,12 @@ import (
 // per size), while the MPDP count follows from the per-set block structure;
 // this lets Fig. 2 and Fig. 4 report counters for query sizes where actually
 // executing DPSub or DPSize would take hours.
+//
+// MPDPEvaluated is the paper's count and the GPU kernel's volume: every
+// proper subset of every block (UnrankedPairs), or 2(|S|−1) per set on a
+// tree. A CPU MPDP run reports at most that in Stats.Evaluated — it walks
+// the connected subsets of a block only — and exactly that on trees and
+// cliques.
 type CounterReport struct {
 	// PerSizeConnected[i] is the number of connected subsets of size i.
 	PerSizeConnected []uint64
@@ -56,9 +62,7 @@ func Counters(in Input) (CounterReport, error) {
 			// costed in both orientations.
 			rep.MPDPEvaluated += uint64(2 * (c - 1))
 		} else {
-			for _, b := range g.FindBlocksInto(s, &bsc) {
-				rep.MPDPEvaluated += (uint64(1) << uint(b.Count())) - 2
-			}
+			rep.MPDPEvaluated += UnrankedPairs(g, s, &bsc)
 		}
 		return true
 	})

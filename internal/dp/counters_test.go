@@ -10,6 +10,10 @@ import (
 
 // TestCountersMatchInstrumentedRuns cross-checks the census-based counter
 // report against the counters measured by actually running each algorithm.
+// DPSub and DPSize examine exactly what the census predicts. For MPDP the
+// census is the paper's count, every proper subset of every block, and the
+// run examines only the connected ones among them: never more than the
+// census, never fewer than the valid pairs, and the same valid pairs.
 func TestCountersMatchInstrumentedRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	m := cost.DefaultModel()
@@ -30,12 +34,18 @@ func TestCountersMatchInstrumentedRuns(t *testing.T) {
 		if rep.CCP != subStats.CCP {
 			t.Errorf("trial %d: census CCP=%d, run=%d", trial, rep.CCP, subStats.CCP)
 		}
-		_, mpdpStats, err := MPDP(Input{Q: q, M: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.MPDPEvaluated != mpdpStats.Evaluated {
-			t.Errorf("trial %d: census MPDP=%d, run=%d", trial, rep.MPDPEvaluated, mpdpStats.Evaluated)
+		for _, alg := range []struct {
+			name string
+			f    Func
+		}{{"MPDP", MPDP}, {"MPDPGeneral", MPDPGeneral}} {
+			_, st, err := alg.f(Input{Q: q, M: m})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Evaluated > rep.MPDPEvaluated || st.Evaluated < st.CCP || st.CCP != rep.CCP {
+				t.Errorf("trial %d: %s examined %d pairs (CCP %d), want CCP %d <= examined <= census %d",
+					trial, alg.name, st.Evaluated, st.CCP, rep.CCP, rep.MPDPEvaluated)
+			}
 		}
 		_, sizeStats, err := DPSize(Input{Q: q, M: m})
 		if err != nil {
@@ -43,6 +53,46 @@ func TestCountersMatchInstrumentedRuns(t *testing.T) {
 		}
 		if rep.DPSizeEvaluated != sizeStats.Evaluated {
 			t.Errorf("trial %d: census DPSize=%d, run=%d", trial, rep.DPSizeEvaluated, sizeStats.Evaluated)
+		}
+	}
+}
+
+// TestMPDPEvaluatedOnExtremeShapes pins where the CPU evaluator's count
+// meets the paper's and where it leaves it. On trees every block is a
+// bridge and on cliques every subset of a block is connected, so the run
+// examines exactly the census. On a cycle every connected proper subset of
+// the one big block is a path whose complement is a path too: every pair
+// examined is valid, while the census counts all 2^n − 2 subsets.
+func TestMPDPEvaluatedOnExtremeShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	m := cost.DefaultModel()
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		atCensus bool // run.Evaluated == census MPDPEvaluated
+	}{
+		{"tree-12", graph.RandomTree(12, rng), true},
+		{"star-10", graph.Star(10), true},
+		{"clique-9", graph.Clique(9), true},
+		{"cycle-12", graph.Cycle(12), false},
+	} {
+		in := Input{Q: topoQuery(tc.g, rng), M: m}
+		rep, err := Counters(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, st, err := MPDPGeneral(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.CCP != rep.CCP {
+			t.Errorf("%s: run CCP=%d, census %d", tc.name, st.CCP, rep.CCP)
+		}
+		if (st.Evaluated == rep.MPDPEvaluated) != tc.atCensus || st.Evaluated > rep.MPDPEvaluated {
+			t.Errorf("%s: run examined %d, census %d (want equal: %v)", tc.name, st.Evaluated, rep.MPDPEvaluated, tc.atCensus)
+		}
+		if st.Evaluated != st.CCP {
+			t.Errorf("%s: run examined %d pairs, %d of them valid: want all", tc.name, st.Evaluated, st.CCP)
 		}
 	}
 }

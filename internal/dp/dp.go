@@ -28,7 +28,11 @@ import (
 // Stats carries the instrumentation counters of one optimizer run.
 type Stats struct {
 	// Evaluated is the paper's EvaluatedCounter: the number of join pairs
-	// the algorithm examined, valid or not.
+	// the algorithm examined, valid or not. For CPU MPDP that is the
+	// connected proper subsets of each block, fewer than the
+	// every-subset-of-every-block volume the paper plots and a device
+	// executes; that one is CounterReport.MPDPEvaluated (UnrankedPairs),
+	// and it is what the GPU-model runs report here.
 	Evaluated uint64
 	// CCP is the paper's CCP-Counter: the number of valid join pairs
 	// (connected-subgraph complement pairs), including symmetric ones.
@@ -205,6 +209,8 @@ func (d *Deadline) Err() error {
 type Scratch struct {
 	// Blocks is the DFS scratch of the per-set block decomposition.
 	Blocks graph.BlockScratch
+	// walk is the stack of the per-block connected-subset walk.
+	walk csgWalk
 }
 
 // SetEvaluator computes the best join of one connected set S given the DP

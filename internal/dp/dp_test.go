@@ -328,3 +328,39 @@ func TestConnectedBucketsHonorsDeadline(t *testing.T) {
 		t.Errorf("enumeration ran %v past a 30ms deadline", elapsed)
 	}
 }
+
+// TestCsgWalkVisitsEachConnectedSubsetOnce checks the block-confined walk
+// against the definition: over random graphs and random vertex subsets
+// (connected or not — a walk confined to a disconnected subset must still
+// stay inside each component), next hands out exactly the subsets of
+// within that induce a connected subgraph, each once.
+func TestCsgWalkVisitsEachConnectedSubsetOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	var w csgWalk
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(11)
+		g := graph.RandomConnected(n, rng.Intn(2*n), rng)
+		within := bitset.Mask(rng.Uint64()) & bitset.Full(n)
+		if trial%4 == 0 {
+			within = bitset.Full(n)
+		}
+		seen := map[bitset.Mask]int{}
+		w.start(g, within)
+		for s := w.next(); !s.Empty(); s = w.next() {
+			seen[s]++
+		}
+		want := 0
+		for s := within.LowestBit(); !s.Empty(); s = s.NextSubset(within) {
+			if !g.Connected(s) {
+				continue
+			}
+			want++
+			if seen[s] != 1 {
+				t.Fatalf("trial %d: connected subset %v of %v visited %d times", trial, s, within, seen[s])
+			}
+		}
+		if len(seen) != want {
+			t.Fatalf("trial %d: walk of %v visited %d sets, %d are connected", trial, within, len(seen), want)
+		}
+	}
+}

@@ -6,11 +6,13 @@ import (
 )
 
 // This file implements the Moerkotte–Neumann connected-subgraph enumeration
-// [24] used twice: DPCCP consumes csg-cmp pairs directly, and the
+// [24] used three times: DPCCP consumes csg-cmp pairs directly; the
 // vertex-based algorithms (DPSub, MPDP) use the csg side alone to collect
 // the connected sets S_i of each size without touching the C(n,i)
-// disconnected ones (the GPU model accounts for the unrank+filter cost of
-// those separately; see internal/gpusim).
+// disconnected ones; and MPDP's per-set evaluator walks the connected
+// subsets of each block the same way (csgWalk) instead of unranking all
+// 2^|B| of them. The GPU model accounts for the unrank+filter cost of what
+// the CPU skips separately; see internal/gpusim.
 
 // enumerateCsg calls emit for every connected subset of g exactly once,
 // stopping the whole enumeration as soon as emit returns false — a deadline
@@ -54,6 +56,87 @@ func enumerateCsgRec(g *graph.Graph, s, x bitset.Mask, emit func(bitset.Mask) bo
 		}
 	}
 	return true
+}
+
+// csgWalk is enumerateCsg/enumerateCsgRec confined to a vertex subset and
+// turned inside out: an explicit stack replaces the recursion and next
+// replaces the emit callback, so the MPDP evaluator can walk the connected
+// subsets of a block from its own loop without a closure or an allocation.
+// A set is handed out before its extensions (pre-order) instead of after
+// all its siblings; the collection is the same, each connected subset of
+// within exactly once, and the evaluator reads a finished table, so the
+// order carries no dependency.
+type csgWalk struct {
+	g      *graph.Graph
+	within bitset.Mask // the vertex subset the walk is confined to
+	roots  bitset.Mask // start vertices not yet taken, highest first
+	depth  int
+	// One frame per set under extension. A child strictly contains its
+	// parent and the last set has no frame, so one frame per vertex of the
+	// graph covers every walk; allocated on the first walk and kept.
+	stack []csgFrame
+}
+
+// csgFrame extends the connected set s by the non-empty subsets of nb.
+type csgFrame struct {
+	s   bitset.Mask
+	adj bitset.Mask // every neighbour of s (members of s may appear too)
+	nb  bitset.Mask // neighbourhood of s inside within, outside the exclusion set
+	x   bitset.Mask // exclusion set handed to the children: the frame's own ∪ nb
+	sub bitset.Mask // the subset of nb handed out last
+}
+
+// start points the walk at the connected subsets of the subgraph of g
+// induced by within.
+func (w *csgWalk) start(g *graph.Graph, within bitset.Mask) {
+	if len(w.stack) < g.N {
+		w.stack = make([]csgFrame, g.N)
+	}
+	w.g, w.within, w.roots, w.depth = g, within, within, 0
+}
+
+// next returns the next connected subset, or the empty set once the walk is
+// exhausted.
+//
+//mpdp:hotpath
+func (w *csgWalk) next() bitset.Mask {
+	g := w.g
+	for w.depth > 0 {
+		f := &w.stack[w.depth-1]
+		f.sub = f.sub.NextSubset(f.nb)
+		if f.sub.Empty() {
+			w.depth--
+			continue
+		}
+		// Once the exclusion set covers within, no extension of this
+		// frame's sets can grow: in a clique that is every frame, and the
+		// walk degenerates to the plain subset loop.
+		if open := w.within.Diff(f.x); !open.Empty() {
+			w.push(f.s.Union(f.sub), f.adj.Union(g.NeighborhoodOf(f.sub)), f.x, open)
+		}
+		return f.s.Union(f.sub)
+	}
+	if w.roots.Empty() {
+		return 0
+	}
+	v := w.roots.Highest()
+	w.roots = w.roots.Remove(v)
+	x := bitset.Full(v + 1)
+	w.push(bitset.Single(v), g.AdjMask(v), x, w.within.Diff(x))
+	return bitset.Single(v)
+}
+
+// push opens a frame for s when it has a neighbour among the open vertices
+// (within minus the exclusion set x).
+//
+//mpdp:hotpath
+func (w *csgWalk) push(s, adj, x, open bitset.Mask) {
+	nb := adj.Intersect(open)
+	if nb.Empty() {
+		return
+	}
+	w.stack[w.depth] = csgFrame{s: s, adj: adj, nb: nb, x: x.Union(nb)}
+	w.depth++
 }
 
 // connectedSetsBySize buckets every connected subset of g by cardinality:

@@ -2,6 +2,8 @@ package dp
 
 import (
 	"repro/internal/bitset"
+	"repro/internal/cost"
+	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
@@ -87,16 +89,45 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 // EvaluateSetMPDP performs the per-set body of Algorithm 3 (lines 4-23):
 // block discovery, block-level CCP enumeration, grow-based expansion and
 // join costing. It is shared by the sequential, CPU-parallel and GPU-model
-// variants so their plans and counters agree exactly.
+// variants so their plans agree exactly.
+//
+// Line 6 of the algorithm ranges lb over every proper subset of the block,
+// which is the right shape for a warp that unranks subsets in lockstep and
+// the wrong one for a CPU: here lb ranges over the connected subsets of the
+// block only (csgWalk), so the work per block is csg(B) and not 2^|B| —
+// a cycle-24 block has 553 connected subsets among 16.7 M. A block is
+// connected, so an lb with a non-empty remainder always has an edge to it,
+// and the one test left of the CCP block is whether the remainder is
+// connected, which is a table probe: connected sets of smaller sizes are
+// all stored. Stats.Evaluated counts the pairs examined this way; the
+// unrank volume the device model bills is UnrankedPairs.
 //
 //mpdp:hotpath
 func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
 	var stats Stats
 	g := in.Q.G
 	var bw bestWin
+	w := &sc.walk
 	for _, block := range g.FindBlocksInto(s, &sc.Blocks) {
-		// Proper, non-empty subsets lb ⊂ block (line 6).
-		for lb := block.LowestBit(); !lb.Empty(); lb = lb.NextSubset(block) {
+		if block.Count() == 2 {
+			// A bridge: its two endpoints are the block's only pair, valid
+			// in both orientations, and nothing needs probing — exactly
+			// one tree edge of Algorithm 2.
+			if dl != nil && dl.Expired() {
+				return bw.Winner, stats, dl.Err()
+			}
+			a := block.LowestBit()
+			left := g.Grow(a, s.Diff(block.Diff(a))) // a's side of s once the bridge is cut
+			stats.Evaluated += 2
+			stats.CCP += 2
+			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left))
+			continue
+		}
+		// When the set is a single block the block pair already is the
+		// set-level pair and grow has nothing to add.
+		whole := block == s
+		w.start(g, block)
+		for lb := w.next(); !lb.Empty(); lb = w.next() {
 			rb := block.Diff(lb)
 			if rb.Empty() {
 				continue // lb == block is not a proper subset
@@ -105,33 +136,21 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 				return bw.Winner, stats, dl.Err()
 			}
 			stats.Evaluated++
-			// CCP block at block level (lines 10-14); disjointness holds
-			// by construction. Connectivity of the block sides is a table
-			// probe that also fetches the costing view: connected sets of
-			// smaller sizes are all stored.
-			l, ok := tab.View(lb)
-			if !ok {
-				continue
-			}
 			r, ok := tab.View(rb)
 			if !ok {
 				continue
 			}
-			if !g.ConnectedTo(lb, rb) {
-				continue
-			}
 			stats.CCP++
-			// Expand the block pair to the set-level pair (lines 17-18);
-			// when the set is a single block the block pair already is the
-			// set-level pair and the fetched views are reused as-is.
-			left := g.Grow(lb, s.Diff(rb))
-			right := s.Diff(left)
-			if left != lb {
-				l = tab.MustView(left)
+			// Expand the block pair to the set-level pair (lines 17-18).
+			left, right := lb, rb
+			if !whole {
+				left = g.Grow(lb, s.Diff(rb))
+				right = s.Diff(left)
+				if right != rb {
+					r = tab.MustView(right)
+				}
 			}
-			if right != rb {
-				r = tab.MustView(right)
-			}
+			l := tab.MustView(left)
 			if bw.hopeless(l, r) {
 				continue
 			}
@@ -140,6 +159,41 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 		}
 	}
 	return bw.Winner, stats, nil
+}
+
+// UnrankedPairs is the candidate-pair volume of Algorithm 3, line 6, for
+// the connected set s as the paper counts it (Figs. 2 and 4) and as a
+// device executes it: every proper non-empty subset of every block,
+// Σ 2^|B| − 2. The GPU model bills its evaluate kernel from this and
+// CounterReport.MPDPEvaluated sums it; the CPU evaluator examines only the
+// connected ones among them (Stats.Evaluated).
+func UnrankedPairs(g *graph.Graph, s bitset.Mask, sc *graph.BlockScratch) uint64 {
+	var pairs uint64
+	for _, b := range g.FindBlocksInto(s, sc) {
+		pairs += uint64(1)<<uint(b.Count()) - 2
+	}
+	return pairs
+}
+
+// costBothWays costs the pair (left, right) in both orientations from one
+// cardinality estimate — the unit of work of a tree edge and of a bridge.
+//
+//mpdp:hotpath
+func costBothWays(q *cost.Query, m *cost.Model, tab *plan.Table, bw *bestWin, left, right bitset.Mask) {
+	l, r := tab.MustView(left), tab.MustView(right)
+	h1, h2 := bw.hopeless(l, r), bw.hopeless(r, l)
+	if h1 && h2 {
+		return
+	}
+	rows := l.Rows * r.Rows * q.SelBetween(left, right)
+	if !h1 {
+		op, c := m.JoinEvalEntryRows(q, l, r, rows)
+		bw.offer(left, right, op, rows, c)
+	}
+	if !h2 {
+		op, c := m.JoinEvalEntryRows(q, r, l, rows)
+		bw.offer(right, left, op, rows, c)
+	}
 }
 
 // EvaluateSetMPDPTree performs the per-set body of Algorithm 2: one join
@@ -158,23 +212,9 @@ func EvaluateSetMPDPTree(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline,
 			return bw.Winner, stats, dl.Err()
 		}
 		left := g.Grow(bitset.Single(e.A), s.Remove(e.B))
-		right := s.Diff(left)
 		stats.Evaluated += 2
 		stats.CCP += 2
-		l, r := tab.MustView(left), tab.MustView(right)
-		h1, h2 := bw.hopeless(l, r), bw.hopeless(r, l)
-		if h1 && h2 {
-			continue
-		}
-		rows := l.Rows * r.Rows * in.Q.SelBetween(left, right)
-		if !h1 {
-			op, c := in.M.JoinEvalEntryRows(in.Q, l, r, rows)
-			bw.offer(left, right, op, rows, c)
-		}
-		if !h2 {
-			op, c := in.M.JoinEvalEntryRows(in.Q, r, l, rows)
-			bw.offer(right, left, op, rows, c)
-		}
+		costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left))
 	}
 	return bw.Winner, stats, nil
 }

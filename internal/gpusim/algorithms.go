@@ -3,6 +3,7 @@ package gpusim
 import (
 	"repro/internal/combinat"
 	"repro/internal/dp"
+	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
@@ -77,9 +78,11 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 	// Tree join graphs use the Algorithm 2 evaluator (same plans, same
 	// counters, no block machinery — exactly like the CPU dispatch).
 	evaluate := dp.EvaluateSetMPDP
-	if in.Q.G.IsTree() {
+	isTree := in.Q.G.IsTree()
+	if isTree {
 		evaluate = dp.EvaluateSetMPDPTree
 	}
+	var bsc graph.BlockScratch
 
 	// Per-size connected-set counts, needed by the DPSize pair model.
 	cnt := make([]uint64, n+1)
@@ -129,7 +132,14 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 			levelValid += st.CCP
 			switch algo {
 			case AlgoMPDP:
-				levelCandidates += st.Evaluated
+				// A warp unranks every proper subset of every block in
+				// lockstep, whatever the CPU evaluator skipped to find the
+				// same valid pairs; on a tree the two counts coincide.
+				if isTree {
+					levelCandidates += st.Evaluated
+				} else {
+					levelCandidates += dp.UnrankedPairs(in.Q.G, s, &bsc)
+				}
 				gstats.addCycles(PhaseEvaluate, blockCyclesPerSet) // warp Find-Blocks
 			case AlgoDPSub:
 				levelCandidates += uint64(1) << uint(size)

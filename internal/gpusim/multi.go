@@ -277,7 +277,8 @@ func multiEvaluateTree(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, to
 // output-sensitive CCP stream (children strictly before parents, so no
 // level barrier is needed for correctness) and derives the evaluate
 // kernel's per-level candidate volume arithmetically from each set's
-// block decomposition — the count the real per-set evaluator reports.
+// block decomposition (dp.UnrankedPairs) — the volume the single-device
+// model bills, not the smaller count the CPU evaluator examines.
 func multiEvaluateGeneral(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, totals []levelTotals) error {
 	dl := in.NewDeadline()
 	if _, err := dp.CostCCPStream(in, tab, dl, func(level int) {
@@ -292,9 +293,7 @@ func multiEvaluateGeneral(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask,
 			if dl.Expired() {
 				return dl.Err()
 			}
-			for _, b := range g.FindBlocksInto(s, &bsc) {
-				totals[size].evalCand += (uint64(1) << uint(b.Count())) - 2
-			}
+			totals[size].evalCand += dp.UnrankedPairs(g, s, &bsc)
 		}
 	}
 	return nil

@@ -134,39 +134,56 @@ func TestMultiDeviceMonotonicScaling(t *testing.T) {
 	}
 }
 
-// TestMultiDeviceMatchesSingleDeviceModel: with one device on a tree
-// query — where both paths run the same real Algorithm 2 evaluator — the
-// multi scheduler's totals must agree with the original single-device
-// MPDPGPU, and the sim times must stay within a few percent (only float
-// summation order differs). General graphs are excluded deliberately: the
-// multi path models the evaluate-kernel volume arithmetically and counts
-// CCPs in stream order, so only plan costs (not counters) are comparable
-// there.
+// TestMultiDeviceMatchesSingleDeviceModel: with one device the multi
+// scheduler's totals must agree with the original single-device MPDPGPU,
+// and the sim times must stay within a few percent (only float summation
+// order differs). On a tree both paths run the same real Algorithm 2
+// evaluator. On a cyclic graph the single path costs through the CPU's
+// connected-subset walk and the multi path through the CCP stream, and
+// both bill the evaluate kernel the paper's unrank volume
+// (dp.UnrankedPairs), so the counters agree there too — and exceed what
+// the CPU evaluator examines.
 func TestMultiDeviceMatchesSingleDeviceModel(t *testing.T) {
-	q := multiQuery(t, workload.KindStar, 16, 5)
-	in := dp.Input{Q: q, M: cost.DefaultModel()}
-	pS, stS, gsS, err := MPDPGPU(in, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Devices = 1
-	pM, stM, gsM, err := MPDPGPUMulti(in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relClose(pS.Cost, pM.Cost) {
-		t.Errorf("cost diverges: single %g, multi %g", pS.Cost, pM.Cost)
-	}
-	if stS != stM {
-		t.Errorf("stats diverge: single %+v, multi %+v", stS, stM)
-	}
-	if gsS.CandidatePairs != gsM.CandidatePairs || gsS.ValidPairs != gsM.ValidPairs ||
-		gsS.UnrankedSets != gsM.UnrankedSets || gsS.GlobalWrites != gsM.GlobalWrites {
-		t.Errorf("device work diverges:\nsingle %+v\nmulti  %+v", gsS, gsM.Stats)
-	}
-	if math.Abs(gsS.SimTimeMS-gsM.SimTimeMS) > 0.05*gsS.SimTimeMS {
-		t.Errorf("sim time diverges: single %.4fms, multi(1) %.4fms", gsS.SimTimeMS, gsM.SimTimeMS)
+	for _, tc := range []struct {
+		kind workload.Kind
+		n    int
+	}{{workload.KindStar, 16}, {workload.KindCycle, 14}, {workload.KindMB, 12}} {
+		name := fmt.Sprintf("%s-%d", tc.kind, tc.n)
+		q := multiQuery(t, tc.kind, tc.n, 5)
+		in := dp.Input{Q: q, M: cost.DefaultModel()}
+		pS, stS, gsS, err := MPDPGPU(in, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.Devices = 1
+		pM, stM, gsM, err := MPDPGPUMulti(in, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !relClose(pS.Cost, pM.Cost) {
+			t.Errorf("%s: cost diverges: single %g, multi %g", name, pS.Cost, pM.Cost)
+		}
+		if stS != stM {
+			t.Errorf("%s: stats diverge: single %+v, multi %+v", name, stS, stM)
+		}
+		if gsS.CandidatePairs != gsM.CandidatePairs || gsS.ValidPairs != gsM.ValidPairs ||
+			gsS.UnrankedSets != gsM.UnrankedSets || gsS.GlobalWrites != gsM.GlobalWrites {
+			t.Errorf("%s: device work diverges:\nsingle %+v\nmulti  %+v", name, gsS, gsM.Stats)
+		}
+		if math.Abs(gsS.SimTimeMS-gsM.SimTimeMS) > 0.05*gsS.SimTimeMS {
+			t.Errorf("%s: sim time diverges: single %.4fms, multi(1) %.4fms", name, gsS.SimTimeMS, gsM.SimTimeMS)
+		}
+		if tc.kind == workload.KindCycle {
+			_, cpu, err := dp.MPDPGeneral(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cpu.Evaluated >= stS.Evaluated || cpu.CCP != stS.CCP {
+				t.Errorf("%s: CPU evaluator examined %d pairs (CCP %d), device model bills %d (CCP %d): want fewer pairs, same CCP",
+					name, cpu.Evaluated, cpu.CCP, stS.Evaluated, stS.CCP)
+			}
+		}
 	}
 }
 

@@ -18,17 +18,14 @@ import (
 // heuristic fallback may fire, and the worker pool must stay serviceable.
 //
 // Setup: one worker, a one-deep queue, and a long MaxQueueWait. Request A
-// occupies the worker with an effectively unbounded exact enumeration,
-// request B fills the queue, request C is left blocked on admission — then
-// C hangs up.
+// occupies the worker with an exact enumeration that outlasts the test
+// (wedgeConfig), request B fills the queue, request C is left blocked on
+// admission — then C hangs up.
 func TestShedUnderCancellation(t *testing.T) {
-	svc := service.New(service.Config{
-		Workers:    1,
-		QueueDepth: 1,
-		ExactLimit: 64, // cycle-40+ goes to CPU-parallel MPDP: ~2^40 subsets
-		Timeout:    time.Hour,
-		Admission:  service.Admission{MaxQueueWait: 30 * time.Second},
-	})
+	cfg := wedgeConfig()
+	cfg.QueueDepth = 1
+	cfg.Admission = service.Admission{MaxQueueWait: 30 * time.Second}
+	svc := service.New(cfg)
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(New(ServiceEngine(svc), Options{}).Mux())
 	t.Cleanup(ts.Close)
@@ -36,7 +33,7 @@ func TestShedUnderCancellation(t *testing.T) {
 	launch := func(n int) (cancel context.CancelFunc, done chan error) {
 		ctx, c := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/optimize",
-			strings.NewReader(workload.CycleSQL(n)))
+			strings.NewReader(workload.CliqueSQL(n)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,10 +48,10 @@ func TestShedUnderCancellation(t *testing.T) {
 		return c, done
 	}
 
-	cancelA, doneA := launch(40)
+	cancelA, doneA := launch(workload.WedgeRelations)
 	// Wait until A is on the worker and B is queued: two requests have
 	// entered the queue, one has been popped.
-	cancelB, doneB := launch(41)
+	cancelB, doneB := launch(workload.WedgeRelations + 1)
 	waitFor := func(cond func(service.Snapshot) bool, what string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -70,7 +67,7 @@ func TestShedUnderCancellation(t *testing.T) {
 		"A on the worker and B in the queue")
 
 	// C: the queue is full, so its enqueue parks on admission.
-	cancelC, doneC := launch(42)
+	cancelC, doneC := launch(workload.WedgeRelations + 2)
 	time.Sleep(200 * time.Millisecond) // let C reach the blocked select
 	cancelC()
 	select {

@@ -111,23 +111,37 @@ func contains(ss []string, want string) bool {
 	return false
 }
 
+// wedgeConfig is a one-worker service on which workload.CliqueSQL of
+// workload.WedgeRelations relations is still enumerating, exactly, when a
+// test is over: both CPU exact bands are lifted past the clique (the
+// default router hands cliques beyond 14 relations to a heuristic, which
+// finishes at once), the enumeration is pinned to one thread so that the
+// minute it needs does not shrink with the host's core count, and no
+// budget expires.
+func wedgeConfig() service.Config {
+	return service.Config{
+		Workers:          1,
+		Threads:          1,
+		ExactLimit:       64,
+		CliqueExactLimit: 64,
+		Timeout:          time.Hour,
+	}
+}
+
 // TestClientDisconnectCancelsInFlightOptimization is the satellite
-// regression test: a 40-relation cyclic query forced onto the exact
-// CPU-parallel route would walk a 2^40 subset lattice for hours; aborting
-// the HTTP request must cancel that enumeration promptly, free the worker,
-// and account the cancellation in the counters.
+// regression test: a clique forced onto the exact CPU-parallel route costs
+// 3^20 join pairs; aborting the HTTP request must cancel that enumeration
+// promptly, free the worker, and account the cancellation in the counters.
 func TestClientDisconnectCancelsInFlightOptimization(t *testing.T) {
-	// ExactLimit 64 disables the GPU/heuristic bands: the cycle-40 goes to
-	// CPU-parallel MPDP, whose final level enumerates 2^40 subsets of the
-	// single full-cycle block. One worker, so a leak would wedge the pool.
-	svc := service.New(service.Config{Workers: 1, ExactLimit: 64, Timeout: time.Hour})
+	// One worker, so a leak would wedge the pool.
+	svc := service.New(wedgeConfig())
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(New(ServiceEngine(svc), Options{}).Mux())
 	t.Cleanup(ts.Close)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/optimize",
-		strings.NewReader(workload.CycleSQL(40)))
+		strings.NewReader(workload.CliqueSQL(workload.WedgeRelations)))
 	if err != nil {
 		t.Fatal(err)
 	}

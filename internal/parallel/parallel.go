@@ -7,7 +7,6 @@
 package parallel
 
 import (
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -40,102 +39,14 @@ func MPDP(in dp.Input) (*plan.Node, dp.Stats, error) {
 	return levelParallel(in, dp.EvaluateSetMPDP)
 }
 
-// winnerSlots is the lock-free merge target of one DP level, replacing the
-// old per-worker result slices funneled through a sequential merge. Each
-// level set has one slot: a packed (cost, candidate index) word updated by
-// atomic compare-and-swap, mirroring the atomic-min scatter of the paper's
-// §5 GPU kernels. Winner payloads live in a shared array indexed by a
-// ticket counter, so any number of producers may race on one slot and the
-// slot deterministically converges to the (lowest-cost, lowest-ticket)
-// candidate; under the set-exclusive work stealing of levelParallel each
-// slot sees exactly one producer and every CAS succeeds first try.
-type winnerSlots struct {
-	packed []atomic.Uint64
-	cands  []dp.Winner
-	next   atomic.Int64 // ticket allocator for cands
-}
-
-const (
-	// Packed word layout: cost (top slotCostBits, monotone float encoding,
-	// mantissa-truncated) | candidate ticket (low slotIdxBits). Truncation
-	// can only influence the winner when two racing candidates agree on
-	// the top 26 mantissa bits (relative gap < 2^-26), in which case the
-	// lower ticket wins — deterministic either way.
-	slotIdxBits  = 26 // covers dp's connected-set cap (64 Mi sets)
-	slotIdxMask  = 1<<slotIdxBits - 1
-	slotCostMask = ^uint64(slotIdxMask)
-	slotEmpty    = ^uint64(0)
-)
-
-// packCost maps a non-negative cost to monotone bits, truncated to the
-// packed word's cost field. Plan costs are finite and non-negative, where
-// IEEE-754 bit patterns order like the floats themselves.
-//
-//mpdp:hotpath
-func packCost(cost float64) uint64 {
-	return math.Float64bits(cost) & slotCostMask
-}
-
-func newWinnerSlots(capacity int) *winnerSlots {
-	// The enumeration layer caps a run at 64 Mi connected sets
-	// (dp's maxConnectedSets), so a level can never outgrow the ticket
-	// field; enforce that locally so an overflow is a loud failure instead
-	// of a silently corrupted packed word.
-	if capacity > slotIdxMask+1 {
-		panic("parallel: DP level exceeds the packed winner-slot ticket space")
-	}
-	return &winnerSlots{
-		packed: make([]atomic.Uint64, capacity),
-		cands:  make([]dp.Winner, capacity),
-	}
-}
-
-// reset prepares n slots for the next level.
-//
-//mpdp:hotpath
-func (ws *winnerSlots) reset(n int) {
-	for i := 0; i < n; i++ {
-		ws.packed[i].Store(slotEmpty)
-	}
-	ws.next.Store(0)
-}
-
-// offer merges w into slot i: allocate a ticket, publish the payload, then
-// CAS the packed (cost, ticket) word down to the minimum.
-//
-//mpdp:hotpath
-func (ws *winnerSlots) offer(i int, w dp.Winner) {
-	t := ws.next.Add(1) - 1
-	ws.cands[t] = w
-	word := packCost(w.Cost) | uint64(t)
-	for {
-		cur := ws.packed[i].Load()
-		if cur != slotEmpty && cur <= word {
-			return
-		}
-		if ws.packed[i].CompareAndSwap(cur, word) {
-			return
-		}
-	}
-}
-
-// take returns slot i's winning candidate, if any.
-//
-//mpdp:hotpath
-func (ws *winnerSlots) take(i int) (dp.Winner, bool) {
-	cur := ws.packed[i].Load()
-	if cur == slotEmpty {
-		return dp.Winner{}, false
-	}
-	return ws.cands[cur&slotIdxMask], true
-}
-
 // levelParallel is the shared level-synchronous driver: evaluate is invoked
 // for every connected set of each size, in parallel within the level. Sets
-// are work-stolen (per-set cost varies wildly with block structure), each
-// worker reuses its own evaluator scratch for the whole run, and winners
-// merge through the packed-CAS slots — no per-level result buffers, no
-// funnel, no plan nodes until Finish.
+// are work-stolen (per-set cost varies wildly with block structure), so
+// every set has exactly one producer: the worker that drew its index writes
+// the winner into that index of a plain per-level slice and counts into its
+// own dp.Stats, and the level barrier publishes the slice into the table
+// and folds the workers' counts — no shared word is touched per set except
+// the work-stealing cursor, and no plan node exists until Finish.
 func levelParallel(in dp.Input, evaluate dp.SetEvaluator) (*plan.Node, dp.Stats, error) {
 	var stats dp.Stats
 	prep, err := dp.Prepare(in)
@@ -155,85 +66,85 @@ func levelParallel(in dp.Input, evaluate dp.SetEvaluator) (*plan.Node, dp.Stats,
 		// creation below (same happens-before edge the base seeds use).
 		stats.WarmSeeded = uint64(in.Warm(tab, buckets))
 	}
+	warm := stats.WarmSeeded > 0
 
 	maxLevel := 0
 	for _, b := range buckets {
-		if len(b) > maxLevel {
-			maxLevel = len(b)
-		}
+		maxLevel = max(maxLevel, len(b))
 	}
-	slots := newWinnerSlots(maxLevel)
+	winners := make([]dp.Winner, maxLevel)
 	scratch := make([]dp.Scratch, nWorkers)
+	local := make([]dp.Stats, nWorkers)
 	errs := make([]error, nWorkers)
 
-	var evalCtr, ccpCtr, setCtr atomic.Uint64
-	fail := func(err error) (*plan.Node, dp.Stats, error) {
-		stats.Evaluated = evalCtr.Load()
-		stats.CCP = ccpCtr.Load()
-		stats.ConnectedSets += setCtr.Load()
-		return nil, stats, err
-	}
 	for size := 2; size <= in.Q.N(); size++ {
 		sets := buckets[size]
 		if len(sets) == 0 {
 			continue
 		}
-		slots.reset(len(sets))
-		workers := nWorkers
-		if workers > len(sets) {
-			workers = len(sets)
-		}
+		clear(winners[:len(sets)])
 		var next atomic.Int64
+		workers := min(nWorkers, len(sets))
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				dl := in.NewDeadline()
-				sc := &scratch[w]
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(sets) {
-						return
-					}
-					if stats.WarmSeeded > 0 && tab.Has(sets[i]) {
-						continue // seeded by the warm-start hook
-					}
-					win, st, err := evaluate(in, tab, sets[i], dl, sc)
-					evalCtr.Add(st.Evaluated)
-					ccpCtr.Add(st.CCP)
-					setCtr.Add(1)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if win.Found {
-						slots.offer(i, win)
-					}
-				}
+				local[w], errs[w] = drainLevel(in, evaluate, tab, sets, winners, &next, warm, &scratch[w])
 			}(w)
 		}
 		wg.Wait()
+		// Level barrier: fold the workers' counts and publish this level's
+		// best plans into the table.
+		var failed error
 		for w := 0; w < workers; w++ {
-			if errs[w] != nil {
-				return fail(errs[w])
+			stats.Add(local[w])
+			if failed == nil {
+				failed = errs[w]
 			}
 		}
-		// Level barrier: publish this level's best plans into the table.
+		if failed != nil {
+			return nil, stats, failed
+		}
 		for i, s := range sets {
-			if win, ok := slots.take(i); ok {
-				tab.Put(s, win)
+			if winners[i].Found {
+				tab.Put(s, winners[i])
 			}
 		}
 	}
-	stats.Evaluated = evalCtr.Load()
-	stats.CCP = ccpCtr.Load()
-	stats.ConnectedSets += setCtr.Load()
 	best, st, err := dp.Finish(in, tab, prep.Leaves, &stats)
 	if err == nil && in.Harvest != nil {
 		in.Harvest(tab)
 	}
 	return best, st, err
+}
+
+// drainLevel is one worker's share of a level: it draws set indices from
+// next until none are left, evaluates each set it drew, writes the winner
+// into that set's slot and returns what it counted. Sets already in the
+// table were seeded by the warm-start hook and are skipped.
+//
+//mpdp:hotpath
+func drainLevel(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, sets []bitset.Mask,
+	winners []dp.Winner, next *atomic.Int64, warm bool, sc *dp.Scratch) (dp.Stats, error) {
+	var stats dp.Stats
+	dl := in.NewDeadline()
+	for {
+		i := int(next.Add(1)) - 1
+		if i >= len(sets) {
+			return stats, nil
+		}
+		if warm && tab.Has(sets[i]) {
+			continue
+		}
+		win, st, err := evaluate(in, tab, sets[i], dl, sc)
+		stats.Add(st)
+		stats.ConnectedSets++
+		if err != nil {
+			return stats, err
+		}
+		winners[i] = win
+	}
 }
 
 // DPSubParallel is the CPU-parallel DPSub, provided for completeness (the

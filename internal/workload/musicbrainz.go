@@ -141,3 +141,37 @@ func CycleSQL(n int) string {
 	}
 	return b.String()
 }
+
+// CliqueSQL renders an n-relation clique in the same dialect: n aliases of
+// artist equated pairwise along a chain on one column, which the binder's
+// equivalence-class closure completes to every pair. It is the statement
+// the cancellation tests park on a worker: a clique has 2^n connected sets
+// and 3^n valid join pairs, and every exact enumerator has to cost each of
+// those pairs, so — unlike a big cycle, which only the subset-unranking
+// enumerators choke on — no exact route finishes it quickly.
+func CliqueSQL(n int) string {
+	var b strings.Builder
+	b.WriteString("SELECT a0.id FROM ")
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "artist a%d", i)
+	}
+	b.WriteString(" WHERE ")
+	for i := 1; i < n; i++ {
+		if i > 1 {
+			b.WriteString(" AND ")
+		}
+		fmt.Fprintf(&b, "a%d.id = a%d.id", i-1, i)
+	}
+	return b.String()
+}
+
+// WedgeRelations is the clique size at which CliqueSQL outlasts any test
+// that cancels it: 3.5 billion pairs, about a minute on one thread (pin
+// the run to one, or the minute shrinks with the host's cores), while the
+// level drivers' pre-sized DP table stays near 130 MB. At 24 relations that
+// table is 2.4 GB, and allocating it is the one stretch of a run that does
+// not poll for cancellation.
+const WedgeRelations = 20

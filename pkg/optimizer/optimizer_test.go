@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/httpapi"
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 // newRemoteOverService spins an httptest server over a fresh service and
@@ -205,9 +206,18 @@ func TestServerRoutedRejectsAlgorithm(t *testing.T) {
 // TestCancelInFlightExactOptimization is the acceptance criterion at SDK
 // level: cancelling the context of an in-flight exact optimization returns
 // promptly — well under the remaining enumeration time — on both local
-// drivers.
+// drivers. The query is the clique of workload.CliqueSQL, which no exact
+// enumerator finishes in under a minute on one thread.
 func TestCancelInFlightExactOptimization(t *testing.T) {
-	q := Cycle(40, 7)
+	const relations = workload.WedgeRelations
+	q, err := CompileSQL(workload.CliqueSQL(relations))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Relations() != relations || q.Joins() != relations*(relations-1)/2 {
+		t.Fatalf("CliqueSQL(%d) bound to %d relations and %d joins, want a clique",
+			relations, q.Relations(), q.Joins())
+	}
 
 	t.Run("inprocess", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -216,8 +226,7 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		// Force the sequential exact route: a 40-cycle's final DP level
-		// enumerates 2^40 subsets of the full-cycle block.
+		// Force the sequential exact route.
 		_, err := InProcess().Optimize(ctx, q, WithAlgorithm(AlgMPDP))
 		elapsed := time.Since(start)
 		if !errors.Is(err, context.Canceled) {
@@ -229,7 +238,9 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 	})
 
 	t.Run("served", func(t *testing.T) {
-		s := Served(ServedConfig{Workers: 1, ExactLimit: 64, Timeout: time.Hour})
+		// ExactLimit 64 keeps the clique on the exact CPU-parallel route;
+		// one thread, so the run does not shorten with the host's cores.
+		s := Served(ServedConfig{Workers: 1, Threads: 1, ExactLimit: 64, Timeout: time.Hour})
 		defer s.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {

@@ -29,8 +29,9 @@ type ServedConfig struct {
 	K int
 	// GPUDevices is the simulated GPU device count (0: 2).
 	GPUDevices int
-	// ExactLimit, when non-zero, overrides the CPU-parallel crossover
-	// (mainly for tests that need to force long exact runs).
+	// ExactLimit, when non-zero, overrides the CPU-parallel crossover for
+	// every shape, cliques included (mainly for tests that need to force
+	// long exact runs).
 	ExactLimit int
 }
 
@@ -46,14 +47,15 @@ type served struct {
 // with ErrServerRouted. Close shuts the worker pool down.
 func Served(cfg ServedConfig) Optimizer {
 	return &served{svc: service.New(service.Config{
-		Workers:       cfg.Workers,
-		CacheCapacity: cfg.CacheCapacity,
-		CacheShards:   cfg.CacheShards,
-		Timeout:       cfg.Timeout,
-		Threads:       cfg.Threads,
-		K:             cfg.K,
-		ExactLimit:    cfg.ExactLimit,
-		GPU:           backend.GPUConfig{Devices: cfg.GPUDevices},
+		Workers:          cfg.Workers,
+		CacheCapacity:    cfg.CacheCapacity,
+		CacheShards:      cfg.CacheShards,
+		Timeout:          cfg.Timeout,
+		Threads:          cfg.Threads,
+		K:                cfg.K,
+		ExactLimit:       cfg.ExactLimit,
+		CliqueExactLimit: cfg.ExactLimit,
+		GPU:              backend.GPUConfig{Devices: cfg.GPUDevices},
 	})}
 }
 
