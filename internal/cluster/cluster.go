@@ -338,7 +338,17 @@ func (c *Cluster) AliveNodes() []string {
 // Cancelling ctx propagates through the transport into the serving node's
 // service, aborting the in-flight optimization; the cancellation is not
 // treated as a node failure. A nil ctx means context.Background().
+//
+// Optimize fingerprints q on every call; callers that ask the same query
+// again should service.Prepare it once and use OptimizePrepared.
 func (c *Cluster) Optimize(ctx context.Context, q *cost.Query) (*Result, error) {
+	return c.OptimizePrepared(ctx, service.Prepare(q))
+}
+
+// OptimizePrepared is Optimize for a query whose fingerprint the caller
+// already holds: the carried key picks the owners and travels on to the
+// serving node, so the request is not canonicalised again anywhere.
+func (c *Cluster) OptimizePrepared(ctx context.Context, p *service.Prepared) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -352,9 +362,9 @@ func (c *Cluster) Optimize(ctx context.Context, q *cost.Query) (*Result, error) 
 		tr = obs.NewTrace("")
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	res, err := c.optimize(ctx, q, tr)
+	res, err := c.optimize(ctx, p, tr)
 	if !errors.Is(err, ErrClosed) {
-		c.observeSlow(tr, q, res, start, err)
+		c.observeSlow(tr, p.Query, res, start, err)
 	}
 	return res, err
 }
@@ -398,9 +408,9 @@ type sweepOutcome struct {
 
 // sweep tries a key's owners in ring order through the guarded call path.
 // force pushes through open breakers — the all-owners-open fallback.
-func (c *Cluster) sweep(ctx context.Context, q *cost.Query, fpKey string, tr *obs.Trace, owners []string, force bool) sweepOutcome {
+func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace, owners []string, force bool) sweepOutcome {
 	var out sweepOutcome
-	req := Request{Kind: ReqOptimize, Query: q}
+	req := Request{Kind: ReqOptimize, Query: p.Query, Fingerprint: &p.Fingerprint}
 	for i, id := range owners {
 		resp, err := c.call(ctx, id, req, force)
 		switch {
@@ -422,7 +432,7 @@ func (c *Cluster) sweep(ctx context.Context, q *cost.Query, fpKey string, tr *ob
 				// lack the entry: push it to the other owners
 				// (replication doubling as read-repair).
 				repDone := tr.StartSpan(obs.PhaseReplicate)
-				c.replicate(fpKey, id, owners)
+				c.replicate(p.Key, id, owners)
 				repDone()
 			}
 			out.res = &Result{Result: resp.Result, Node: id, Failover: i > 0 && out.sawUnreachable}
@@ -466,7 +476,7 @@ func (c *Cluster) sweep(ctx context.Context, q *cost.Query, fpKey string, tr *ob
 
 // optimize is Optimize's body; the wrapper owns the trace and the slow-log
 // observation.
-func (c *Cluster) optimize(ctx context.Context, q *cost.Query, tr *obs.Trace) (*Result, error) {
+func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Trace) (*Result, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -475,7 +485,6 @@ func (c *Cluster) optimize(ctx context.Context, q *cost.Query, tr *obs.Trace) (*
 	c.mu.Unlock()
 	c.counters.requests.add(1)
 
-	fp := service.FingerprintQuery(q)
 	var lastErr error
 	var lastOut sweepOutcome
 	// Each sweep over an all-unreachable owner set adds one failure per
@@ -489,16 +498,16 @@ func (c *Cluster) optimize(ctx context.Context, q *cost.Query, tr *obs.Trace) (*
 		if closed {
 			return nil, ErrClosed
 		}
-		owners := c.Owners(fp.Key)
+		owners := c.Owners(p.Key)
 		if len(owners) == 0 {
 			break
 		}
-		out := c.sweep(ctx, q, fp.Key, tr, owners, false)
+		out := c.sweep(ctx, p, tr, owners, false)
 		if out.res == nil && out.err == nil && out.skipped == len(owners) {
 			// Every owner's breaker is open. Breakers are an optimization —
 			// they may redirect traffic, never refuse it — so force a pass
 			// through them rather than fail the request.
-			out = c.sweep(ctx, q, fp.Key, tr, owners, true)
+			out = c.sweep(ctx, p, tr, owners, true)
 		}
 		if out.res != nil || out.err != nil {
 			return out.res, out.err

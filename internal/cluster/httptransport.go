@@ -25,12 +25,13 @@ const RPCPath = "/cluster/rpc"
 // marshal their native structs — both sides are this repository, there is
 // no cross-version skew to defend against.
 type wireRequest struct {
-	Kind       ReqKind            `json:"kind"`
-	Query      *wire.Query        `json:"query,omitempty"`
-	Key        string             `json:"key,omitempty"`
-	Entries    []service.Entry    `json:"entries,omitempty"`
-	SubEntries []service.SubEntry `json:"sub_entries,omitempty"`
-	TopN       int                `json:"top_n,omitempty"`
+	Kind        ReqKind              `json:"kind"`
+	Query       *wire.Query          `json:"query,omitempty"`
+	Fingerprint *service.Fingerprint `json:"fingerprint,omitempty"`
+	Key         string               `json:"key,omitempty"`
+	Entries     []service.Entry      `json:"entries,omitempty"`
+	SubEntries  []service.SubEntry   `json:"sub_entries,omitempty"`
+	TopN        int                  `json:"top_n,omitempty"`
 }
 
 // wireResponse is the JSON form of a Response or a node-side error.
@@ -116,11 +117,12 @@ func nodeRPCHandler(h handler) http.Handler {
 			return
 		}
 		req := Request{
-			Kind:       wreq.Kind,
-			Key:        wreq.Key,
-			Entries:    wreq.Entries,
-			SubEntries: wreq.SubEntries,
-			TopN:       wreq.TopN,
+			Kind:        wreq.Kind,
+			Fingerprint: wreq.Fingerprint,
+			Key:         wreq.Key,
+			Entries:     wreq.Entries,
+			SubEntries:  wreq.SubEntries,
+			TopN:        wreq.TopN,
 		}
 		if wreq.Query != nil {
 			q, err := wreq.Query.ToQuery(nil)
@@ -129,6 +131,11 @@ func nodeRPCHandler(h handler) http.Handler {
 				return
 			}
 			req.Query = q
+			if req.Fingerprint != nil && !isPermutation(req.Fingerprint.Perm, q.N()) {
+				// Plans are remapped through Perm unchecked; one that does
+				// not fit the query is dropped and the node fingerprints.
+				req.Fingerprint = nil
+			}
 		}
 		resp, err := h.handle(r.Context(), req)
 		if err != nil {
@@ -147,6 +154,21 @@ func nodeRPCHandler(h handler) http.Handler {
 			SubsDropped: resp.SubsDropped,
 		})
 	})
+}
+
+// isPermutation reports whether p is a permutation of 0..n-1.
+func isPermutation(p []int, n int) bool {
+	if len(p) != n {
+		return false
+	}
+	seen := make([]bool, n)
+	for _, v := range p {
+		if v < 0 || v >= n || seen[v] {
+			return false
+		}
+		seen[v] = true
+	}
+	return true
 }
 
 func writeWireResponse(w http.ResponseWriter, resp *wireResponse) {
@@ -302,11 +324,12 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 	}
 
 	wreq := wireRequest{
-		Kind:       req.Kind,
-		Key:        req.Key,
-		Entries:    req.Entries,
-		SubEntries: req.SubEntries,
-		TopN:       req.TopN,
+		Kind:        req.Kind,
+		Fingerprint: req.Fingerprint,
+		Key:         req.Key,
+		Entries:     req.Entries,
+		SubEntries:  req.SubEntries,
+		TopN:        req.TopN,
 	}
 	if req.Query != nil {
 		wreq.Query = wire.FromQuery(req.Query)

@@ -27,7 +27,13 @@ func (n *node) handle(ctx context.Context, req Request) (*Response, error) {
 	case ReqPing:
 		return &Response{}, nil
 	case ReqOptimize:
-		res, err := n.svc.Optimize(ctx, req.Query)
+		var res *service.Result
+		var err error
+		if req.Fingerprint != nil {
+			res, err = n.svc.OptimizePrepared(ctx, &service.Prepared{Query: req.Query, Fingerprint: *req.Fingerprint})
+		} else {
+			res, err = n.svc.Optimize(ctx, req.Query)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -72,10 +72,14 @@ func (k ReqKind) String() string {
 // build when a field is added on one side only, which is how sub-entries
 // and epochs are kept from silently vanishing on the socket path.
 type Request struct {
-	Kind    ReqKind
-	Query   *cost.Query
-	Key     string
-	Entries []service.Entry
+	Kind  ReqKind
+	Query *cost.Query
+	// Fingerprint is Query's canonical fingerprint on ReqOptimize, computed
+	// once at the front door; the node plans under it as given (nil: the
+	// node fingerprints Query itself).
+	Fingerprint *service.Fingerprint
+	Key         string
+	Entries     []service.Entry
 	// SubEntries travel with Entries on import/replication so a peer that
 	// inherits a plan can also warm-start overlapping queries.
 	SubEntries []service.SubEntry

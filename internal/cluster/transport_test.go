@@ -161,6 +161,39 @@ func TestHTTPTransportWireParity(t *testing.T) {
 	}
 }
 
+// TestHTTPTransportChecksCarriedFingerprint covers the socket decoder's guard
+// on the fingerprint a coordinator sends along: plans are remapped through
+// its permutation unchecked, so one that is not a permutation of the query's
+// relations must be dropped (the node then fingerprints for itself) rather
+// than index out of range inside the node.
+func TestHTTPTransportChecksCarriedFingerprint(t *testing.T) {
+	c := New(Config{Nodes: 1, Transport: NewHTTPTransport(), Retry: fastRetry, Service: service.Config{Workers: 2}})
+	defer c.Close()
+	node := c.AliveNodes()[0]
+	q := genQuery(t, workload.KindCycle, 7, 1)
+	want := service.FingerprintQuery(q)
+
+	for name, perm := range map[string][]int{
+		"carried":      want.Perm,
+		"short":        want.Perm[:3],
+		"out of range": {0, 1, 2, 3, 4, 5, 70},
+		"repeated":     {0, 1, 2, 3, 4, 5, 5},
+	} {
+		resp, err := c.Transport().Call(context.Background(), node, Request{
+			Kind: ReqOptimize, Query: q, Fingerprint: &service.Fingerprint{Key: want.Key, Perm: perm},
+		})
+		if err != nil {
+			t.Fatalf("%s permutation: %v", name, err)
+		}
+		if resp.Result.Key != want.Key {
+			t.Errorf("%s permutation: planned under key %q, want %q", name, resp.Result.Key, want.Key)
+		}
+		if err := resp.Result.Plan.Validate([]int{0, 1, 2, 3, 4, 5, 6}); err != nil {
+			t.Errorf("%s permutation: %v", name, err)
+		}
+	}
+}
+
 // TestJoinPeerNodeServer exercises the multi-process shape in one process:
 // a NodeServer on a real listener joins an empty coordinator via JoinPeer,
 // serves traffic, reports its stats through the stats RPC, and leaves

@@ -92,10 +92,12 @@ func requireNonZero(t *testing.T, v reflect.Value, exempt map[string]bool) {
 func TestWireRoundTripAllFields(t *testing.T) {
 	q := genQuery(t, workload.KindChain, 5, 1)
 
+	fp := service.FingerprintQuery(q)
 	req := Request{
-		Kind:  ReqImport,
-		Query: q,
-		Key:   "n5|0:1,1:2;s1",
+		Kind:        ReqImport,
+		Query:       q,
+		Fingerprint: &fp,
+		Key:         "n5|0:1,1:2;s1",
 		Entries: []service.Entry{{
 			Key:       "n5|0:1,1:2;s1",
 			Algorithm: "mpdp",

@@ -12,6 +12,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -31,8 +32,15 @@ type Graph struct {
 	adjList [][]int
 	selList [][]float64   // selList[v][j] is the selectivity of (v, adjList[v][j])
 	adjMask []bitset.Mask // valid only when N <= 64
-	adjSet  []bitset.Set  // adjacency as dynamic sets, built lazily
 	selAt   map[[2]int]float64
+
+	// adjSet is the adjacency as dynamic sets, built on first use under
+	// adjOnce: a finished graph is shared read-only between goroutines (one
+	// compiled query serves concurrent requests), and the first
+	// IsTree/ConnectedSet on a graph of more than 64 vertices may come from
+	// several of them at once.
+	adjOnce sync.Once
+	adjSet  []bitset.Set
 }
 
 // New returns an empty graph on n vertices.
@@ -92,7 +100,10 @@ func (g *Graph) AddEdge(a, b int, sel float64) {
 		g.adjMask[a] = g.adjMask[a].Add(b)
 		g.adjMask[b] = g.adjMask[b].Add(a)
 	}
-	g.adjSet = nil
+	if g.adjSet != nil {
+		// Building is not concurrent with reading: drop the derived sets.
+		g.adjSet, g.adjOnce = nil, sync.Once{}
+	}
 }
 
 // HasEdge reports whether (a, b) is an edge.
@@ -199,19 +210,19 @@ func (g *Graph) ConnectedComponents(s bitset.Mask) []bitset.Mask {
 	return comps
 }
 
-// ensureAdjSet builds the dynamic-set adjacency on demand.
+// ensureAdjSet builds the dynamic-set adjacency on demand, once.
 func (g *Graph) ensureAdjSet() {
-	if g.adjSet != nil {
-		return
-	}
-	g.adjSet = make([]bitset.Set, g.N)
-	for v := 0; v < g.N; v++ {
-		s := bitset.NewSet(g.N)
-		for _, w := range g.adjList[v] {
-			s.Add(w)
+	g.adjOnce.Do(func() {
+		adj := make([]bitset.Set, g.N)
+		for v := 0; v < g.N; v++ {
+			s := bitset.NewSet(g.N)
+			for _, w := range g.adjList[v] {
+				s.Add(w)
+			}
+			adj[v] = s
 		}
-		g.adjSet[v] = s
-	}
+		g.adjSet = adj
+	})
 }
 
 // GrowSet is Grow for dynamic sets (graphs of any size).

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/bitset"
@@ -275,5 +276,46 @@ func TestConnectedComponents(t *testing.T) {
 	comps := g.ConnectedComponents(bitset.Full(6))
 	if len(comps) != 4 {
 		t.Errorf("components = %d, want 4", len(comps))
+	}
+}
+
+// TestSharedQueryGraphConcurrentReads drives the lazily built dynamic-set
+// adjacency of one finished graph of more than 64 vertices from 8 goroutines
+// at once, as concurrent requests for one compiled query do. Run under
+// -race: an unsynchronised first build fails here.
+func TestSharedQueryGraphConcurrentReads(t *testing.T) {
+	const n = 100
+	g := New(n)
+	for v := 1; v < n; v++ {
+		g.AddEdge(v-1, v, 0.5)
+	}
+	full := bitset.NewSet(n)
+	for v := 0; v < n; v++ {
+		full.Add(v)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if !g.IsTree() {
+				t.Error("chain not recognised as a tree")
+			}
+			if !g.ConnectedSet(full) {
+				t.Error("chain not connected")
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	// Adding an edge afterwards rebuilds the derived sets.
+	g.AddEdge(0, n-1, 0.5)
+	if g.IsTree() {
+		t.Error("cycle still reported as a tree")
+	}
+	if got := g.GrowSet(bitset.SetOf(n, 0), bitset.SetOf(n, 0, n-1)); got.Count() != 2 {
+		t.Errorf("GrowSet over the new edge reached %d vertices, want 2", got.Count())
 	}
 }

@@ -123,13 +123,15 @@ func (a *API) handleCatalogStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // updateSchema applies the stats updates copy-on-write: the whole schema
-// map is cloned, mutated, then swapped in, so concurrent binds keep
-// reading an immutable snapshot.
+// map is cloned, mutated, then swapped in inside an empty statement memo, so
+// concurrent binds keep reading an immutable snapshot and every statement
+// prepared under the old one is forgotten with it.
 func (a *API) updateSchema(updates []CatalogRelStats) int {
 	a.schemaMu.Lock()
 	defer a.schemaMu.Unlock()
-	next := make(sql.Schema, len(a.schema)+len(updates))
-	for name, tb := range a.schema {
+	cur := a.stmts.Load().schema
+	next := make(sql.Schema, len(cur)+len(updates))
+	for name, tb := range cur {
 		next[name] = tb
 	}
 	for _, rs := range updates {
@@ -145,7 +147,7 @@ func (a *API) updateSchema(updates []CatalogRelStats) int {
 		// explicit override.
 		tb.Rel = catalog.NewRelation(tb.Rel.Name, tb.Rel.Rows, tb.Rel.Width)
 		if ok {
-			tb.Rel.HasPKIndex = a.schema[rs.Name].Rel.HasPKIndex
+			tb.Rel.HasPKIndex = cur[rs.Name].Rel.HasPKIndex
 		}
 		if rs.Pages > 0 {
 			tb.Rel.Pages = rs.Pages
@@ -165,6 +167,6 @@ func (a *API) updateSchema(updates []CatalogRelStats) int {
 		}
 		next[rs.Name] = tb
 	}
-	a.schema = next
+	a.stmts.Store(newStmtMemo(next))
 	return len(updates)
 }

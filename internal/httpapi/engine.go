@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -33,8 +32,9 @@ type Health struct {
 // its coordinator (mpdp-cluster). Both binaries mount the same API over
 // their engine, which is what keeps the two wire surfaces identical.
 type Engine interface {
-	// Optimize plans q; ctx carries the HTTP client's cancellation.
-	Optimize(ctx context.Context, q *cost.Query) (*Answer, error)
+	// Optimize plans a prepared statement under the fingerprint it carries;
+	// ctx carries the HTTP client's cancellation.
+	Optimize(ctx context.Context, p *service.Prepared) (*Answer, error)
 	// StatsJSON returns the counters snapshot as a JSON object.
 	StatsJSON() string
 	// Health reports liveness for /healthz.
@@ -67,8 +67,8 @@ type serviceEngine struct{ svc *service.Service }
 // ServiceEngine wraps a single-node service as an Engine.
 func ServiceEngine(svc *service.Service) Engine { return serviceEngine{svc: svc} }
 
-func (e serviceEngine) Optimize(ctx context.Context, q *cost.Query) (*Answer, error) {
-	res, err := e.svc.Optimize(ctx, q)
+func (e serviceEngine) Optimize(ctx context.Context, p *service.Prepared) (*Answer, error) {
+	res, err := e.svc.OptimizePrepared(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -101,8 +101,8 @@ type clusterEngine struct{ c *cluster.Cluster }
 // ClusterEngine wraps a cluster coordinator as an Engine.
 func ClusterEngine(c *cluster.Cluster) Engine { return clusterEngine{c: c} }
 
-func (e clusterEngine) Optimize(ctx context.Context, q *cost.Query) (*Answer, error) {
-	res, err := e.c.Optimize(ctx, q)
+func (e clusterEngine) Optimize(ctx context.Context, p *service.Prepared) (*Answer, error) {
+	res, err := e.c.OptimizePrepared(ctx, p)
 	if err != nil {
 		return nil, err
 	}

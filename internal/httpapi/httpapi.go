@@ -81,18 +81,23 @@ type API struct {
 	mux    *http.ServeMux
 	ridSeq atomic.Uint64
 	ridPfx string
-	// schema is the live SQL-binding schema; POST /v1/catalog/stats swaps
-	// in an updated copy (copy-on-write) under schemaMu, so concurrent
-	// binds always read an immutable snapshot.
-	schemaMu sync.RWMutex
-	schema   sql.Schema // guarded by schemaMu
+	// stmts is the live statement memo together with the SQL-binding schema
+	// snapshot it was filled under. POST /v1/catalog/stats swaps in a fresh
+	// memo around an updated copy of the schema (copy-on-write; schemaMu
+	// serialises the updaters), so concurrent binds always read an immutable
+	// snapshot and no statement prepared under the old one is served again.
+	schemaMu sync.Mutex
+	stmts    atomic.Pointer[stmtMemo]
+	// stmtHits and stmtMisses count memo lookups across memo swaps.
+	stmtHits, stmtMisses atomic.Uint64
 }
 
 // New builds the API and its mux with the /v1 endpoints and the legacy
 // aliases registered.
 func New(engine Engine, opts Options) *API {
 	opts = opts.withDefaults()
-	a := &API{engine: engine, opts: opts, schema: opts.Schema, mux: http.NewServeMux()}
+	a := &API{engine: engine, opts: opts, mux: http.NewServeMux()}
+	a.stmts.Store(newStmtMemo(opts.Schema))
 	a.quota = newQuotas(a.opts.Quota)
 	var b [3]byte
 	if _, err := crand.Read(b[:]); err == nil {
@@ -128,13 +133,6 @@ func (a *API) Mux() *http.ServeMux { return a.mux }
 // Handle registers an extra, binary-specific route (the cluster's admin
 // surface) on the shared mux.
 func (a *API) Handle(pattern string, h http.Handler) { a.mux.Handle(pattern, h) }
-
-// currentSchema returns the live binding-schema snapshot.
-func (a *API) currentSchema() sql.Schema {
-	a.schemaMu.RLock()
-	defer a.schemaMu.RUnlock()
-	return a.schema
-}
 
 // requestID returns the inbound X-Request-Id or mints one.
 func (a *API) requestID(r *http.Request) string {
@@ -175,39 +173,62 @@ func (a *API) ok(w http.ResponseWriter, rid string, body any) {
 	w.Write([]byte("\n"))
 }
 
-// readQuery decodes one request body into a WireQuery: JSON bodies are
-// structured wire queries, anything else is SQL text. It returns an
-// error envelope (and HTTP status) on failure.
-func (a *API) readQuery(r *http.Request, rid string) (*WireQuery, *Error, int) {
+// readBody reads one statement-sized request body and reports whether it is
+// a JSON wire query (anything else is SQL text). It returns an error
+// envelope (and HTTP status) on failure.
+func (a *API) readBody(r *http.Request, rid string) (body []byte, isJSON bool, e *Error, status int) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, int64(a.opts.MaxStatementBytes)+1))
 	if err != nil {
-		return nil, &Error{Code: CodeBadRequest, Message: "reading request body", Detail: err.Error(), RequestID: rid}, http.StatusBadRequest
+		return nil, false, &Error{Code: CodeBadRequest, Message: "reading request body", Detail: err.Error(), RequestID: rid}, http.StatusBadRequest
 	}
 	if len(body) > a.opts.MaxStatementBytes {
-		return nil, &Error{Code: CodeTooLarge, Message: fmt.Sprintf("request exceeds %d bytes", a.opts.MaxStatementBytes), RequestID: rid}, http.StatusRequestEntityTooLarge
+		return nil, false, &Error{Code: CodeTooLarge, Message: fmt.Sprintf("request exceeds %d bytes", a.opts.MaxStatementBytes), RequestID: rid}, http.StatusRequestEntityTooLarge
 	}
-	ct := r.Header.Get("Content-Type")
-	if strings.Contains(ct, "json") {
-		var wq WireQuery
-		if err := json.Unmarshal(body, &wq); err != nil {
-			return nil, &Error{Code: CodeBadRequest, Message: "parsing JSON body", Detail: err.Error(), RequestID: rid}, http.StatusBadRequest
-		}
-		return &wq, nil, 0
-	}
-	return &WireQuery{SQL: string(body)}, nil, 0
+	return body, strings.Contains(r.Header.Get("Content-Type"), "json"), nil, 0
 }
 
-// optimizeOne compiles and optimizes one wire query; on failure it returns
-// the envelope and status instead.
-func (a *API) optimizeOne(ctx context.Context, wq *WireQuery, explain bool, rid string) (*Response, *Error, int) {
-	tr := obs.FromContext(ctx)
-	compileDone := tr.StartSpan(obs.PhaseCompile)
-	q, err := wq.ToQuery(a.currentSchema())
-	compileDone()
+// prepare turns one request body into a prepared statement: from the memo
+// when these exact bytes compiled before, otherwise by decoding, compiling
+// and fingerprinting them — the only place a single-statement request pays
+// for any of the three. Bodies that fail are not memoised, so each failure
+// is reported afresh under its own request id.
+func (a *API) prepare(body []byte, isJSON bool, rid string) (*service.Prepared, *Error, int) {
+	memo := a.stmts.Load()
+	if p := memo.get(isJSON, body); p != nil {
+		a.stmtHits.Add(1)
+		return p, nil, 0
+	}
+	a.stmtMisses.Add(1)
+	text := string(body) // the one copy: the memo's key, and the statement when it is SQL
+	wq := &WireQuery{}
+	if isJSON {
+		if err := json.Unmarshal(body, wq); err != nil {
+			return nil, &Error{Code: CodeBadRequest, Message: "parsing JSON body", Detail: err.Error(), RequestID: rid}, http.StatusBadRequest
+		}
+	} else {
+		wq.SQL = text
+	}
+	p, e, status := compile(wq, memo.schema, rid)
+	if e == nil {
+		memo.put(stmtKey{isJSON, text}, p)
+	}
+	return p, e, status
+}
+
+// compile binds one wire query against schema and fingerprints it.
+func compile(wq *WireQuery, schema sql.Schema, rid string) (*service.Prepared, *Error, int) {
+	q, err := wq.ToQuery(schema)
 	if err != nil {
 		return nil, &Error{Code: CodeInvalidQuery, Message: "invalid query", Detail: err.Error(), RequestID: rid}, http.StatusUnprocessableEntity
 	}
-	ans, err := a.engine.Optimize(ctx, q)
+	return service.Prepare(q), nil, 0
+}
+
+// optimizeOne plans one prepared statement and builds its response; on
+// failure it returns the envelope and status instead.
+func (a *API) optimizeOne(ctx context.Context, p *service.Prepared, explain bool, rid string) (*Response, *Error, int) {
+	q := p.Query
+	ans, err := a.engine.Optimize(ctx, p)
 	if err != nil {
 		e, status := classify(err, rid)
 		return nil, e, status
@@ -334,7 +355,7 @@ func (a *API) serveOptimize(w http.ResponseWriter, r *http.Request, explain bool
 			return
 		}
 	}
-	wq, e, status := a.readQuery(r, rid)
+	body, isJSON, e, status := a.readBody(r, rid)
 	if e != nil {
 		a.failEnv(w, status, e)
 		return
@@ -343,7 +364,14 @@ func (a *API) serveOptimize(w http.ResponseWriter, r *http.Request, explain bool
 	// engine's slow log — but the spans only travel back on ?trace=1.
 	tr := obs.NewTrace(rid)
 	ctx := obs.WithTrace(r.Context(), tr)
-	resp, e, status := a.optimizeOne(ctx, wq, explain, rid)
+	compileDone := tr.StartSpan(obs.PhaseCompile)
+	p, e, status := a.prepare(body, isJSON, rid)
+	compileDone()
+	if e != nil {
+		a.failEnv(w, status, e)
+		return
+	}
+	resp, e, status := a.optimizeOne(ctx, p, explain, rid)
 	if e != nil {
 		a.failEnv(w, status, e)
 		return
@@ -405,6 +433,9 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wqs = append(wqs, &req.Queries[i])
 	}
 	out := BatchResponse{Results: make([]BatchItem, total)}
+	// Batch items arrive decoded, without bytes of their own to key the
+	// statement memo by: each compiles here, against one schema snapshot.
+	schema := a.stmts.Load().schema
 	var wg sync.WaitGroup
 	for i, wq := range wqs {
 		if len(wq.SQL) > a.opts.MaxStatementBytes {
@@ -421,13 +452,15 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Each statement gets its own trace: spans from concurrent
 			// statements must not interleave, and the slow log should name
 			// the batch's request id.
-			ictx := obs.WithTrace(r.Context(), obs.NewTrace(rid))
-			resp, e, _ := a.optimizeOne(ictx, wq, req.Explain, rid)
-			if e != nil {
-				out.Results[i] = BatchItem{Error: e}
-				return
+			tr := obs.NewTrace(rid)
+			compileDone := tr.StartSpan(obs.PhaseCompile)
+			p, e, _ := compile(wq, schema, rid)
+			compileDone()
+			var resp *Response
+			if e == nil {
+				resp, e, _ = a.optimizeOne(obs.WithTrace(r.Context(), tr), p, req.Explain, rid)
 			}
-			out.Results[i] = BatchItem{Response: resp}
+			out.Results[i] = BatchItem{Response: resp, Error: e}
 		}(i, wq)
 	}
 	wg.Wait()
@@ -439,21 +472,21 @@ func (a *API) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	if !a.requirePOST(w, r, rid) {
 		return
 	}
-	wq, e, status := a.readQuery(r, rid)
+	body, isJSON, e, status := a.readBody(r, rid)
 	if e != nil {
 		a.failEnv(w, status, e)
 		return
 	}
-	q, err := wq.ToQuery(a.currentSchema())
-	if err != nil {
-		a.fail(w, rid, http.StatusUnprocessableEntity, CodeInvalidQuery, "invalid query", err)
+	p, e, status := a.prepare(body, isJSON, rid)
+	if e != nil {
+		a.failEnv(w, status, e)
 		return
 	}
 	a.ok(w, rid, &FingerprintResponse{
-		Fingerprint: service.FingerprintQuery(q).Key,
-		Relations:   q.N(),
-		Edges:       len(q.G.Edges),
-		Shape:       string(service.DetectShape(q.G)),
+		Fingerprint: p.Key,
+		Relations:   p.Query.N(),
+		Edges:       len(p.Query.G.Edges),
+		Shape:       string(service.DetectShape(p.Query.G)),
 	})
 }
 
@@ -508,6 +541,12 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// just comes up short and the scraper's up-metric flags it.
 		return
 	}
+	// The front door's own families follow the engine's. hits/(hits+misses)
+	// is the share of traffic that re-asked a statement byte for byte.
+	mw := obs.NewMetricsWriter(w)
+	mw.Counter("mpdp_httpapi_stmt_memo_hits_total", "Requests whose body was already prepared in the statement memo.", nil, a.stmtHits.Load())
+	mw.Counter("mpdp_httpapi_stmt_memo_misses_total", "Requests whose body was decoded, compiled and fingerprinted.", nil, a.stmtMisses.Load())
+	mw.Flush() // a short scrape is the scraper's to flag, as above
 }
 
 // SlowResponse is the body of GET /v1/debug/slow: the engine's slowest

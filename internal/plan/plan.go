@@ -5,6 +5,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/bitset"
@@ -127,9 +128,10 @@ func (n *Node) String() string {
 // Explain renders an indented EXPLAIN-style tree using names[i] as the name
 // of relation i (nil names fall back to indices).
 func (n *Node) Explain(names []string) string {
-	var b strings.Builder
-	n.explain(&b, names, 0)
-	return b.String()
+	// One line per node; 64 bytes covers indent, operator and both floats
+	// of all but astronomically costed plans, which merely grow the buffer.
+	buf := make([]byte, 0, 64*(2*n.Size()-1))
+	return string(n.explain(buf, names, 0))
 }
 
 func (n *Node) write(b *strings.Builder, names []string) {
@@ -148,19 +150,34 @@ func (n *Node) write(b *strings.Builder, names []string) {
 	b.WriteByte(')')
 }
 
-func (n *Node) explain(b *strings.Builder, names []string, indent int) {
-	pad := strings.Repeat("  ", indent)
-	if n.IsLeaf() {
-		name := fmt.Sprintf("R%d", n.RelID)
-		if names != nil {
-			name = names[n.RelID]
-		}
-		fmt.Fprintf(b, "%sScan %s  (rows=%.0f cost=%.1f)\n", pad, name, n.Rows, n.Cost)
-		return
+// explain appends n's subtree to buf. It renders with strconv.Append*
+// rather than fmt: Explain runs on every /v1/explain answer, and fmt's
+// boxing of each operand was a tenth of a warm hit's CPU.
+func (n *Node) explain(buf []byte, names []string, indent int) []byte {
+	for i := 0; i < indent; i++ {
+		buf = append(buf, "  "...)
 	}
-	fmt.Fprintf(b, "%s%s  (rows=%.0f cost=%.1f)\n", pad, n.Op, n.Rows, n.Cost)
-	n.Left.explain(b, names, indent+1)
-	n.Right.explain(b, names, indent+1)
+	if n.IsLeaf() {
+		buf = append(buf, "Scan "...)
+		if names != nil {
+			buf = append(buf, names[n.RelID]...)
+		} else {
+			buf = append(buf, 'R')
+			buf = strconv.AppendInt(buf, int64(n.RelID), 10)
+		}
+	} else {
+		buf = append(buf, n.Op.String()...)
+	}
+	buf = append(buf, "  (rows="...)
+	buf = strconv.AppendFloat(buf, n.Rows, 'f', 0, 64)
+	buf = append(buf, " cost="...)
+	buf = strconv.AppendFloat(buf, n.Cost, 'f', 1, 64)
+	buf = append(buf, ")\n"...)
+	if n.IsLeaf() {
+		return buf
+	}
+	buf = n.Left.explain(buf, names, indent+1)
+	return n.Right.explain(buf, names, indent+1)
 }
 
 // Validate checks structural plan invariants against the expected relation

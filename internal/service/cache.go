@@ -2,7 +2,6 @@ package service
 
 import (
 	"container/list"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 
@@ -83,9 +82,7 @@ func NewCache(shards, capacity int) *Cache {
 }
 
 func (c *Cache) shard(key string) *cacheShard {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return c.shards[h.Sum64()&uint64(len(c.shards)-1)]
+	return c.shards[fnvString(key)&uint64(len(c.shards)-1)]
 }
 
 // Get returns the entry for key, promoting it to most-recently-used.
@@ -102,22 +99,26 @@ func (c *Cache) Get(key string) (*cached, bool) {
 }
 
 // Put inserts (or refreshes) an entry, evicting the least-recently-used
-// entry of the shard when it is full.
-func (c *Cache) Put(e *cached) {
+// entries of the shard while it is over capacity. It returns what it
+// evicted, so the owner of a side index over the cache can prune it.
+func (c *Cache) Put(e *cached) (evicted []*cached) {
 	s := c.shard(e.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[e.key]; ok {
 		el.Value = e
 		s.ll.MoveToFront(el)
-		return
+		return nil
 	}
 	s.items[e.key] = s.ll.PushFront(e)
 	for s.ll.Len() > s.cap {
 		back := s.ll.Back()
 		s.ll.Remove(back)
-		delete(s.items, back.Value.(*cached).key)
+		victim := back.Value.(*cached)
+		delete(s.items, victim.key)
+		evicted = append(evicted, victim)
 	}
+	return evicted
 }
 
 // Delete removes the entry for key, reporting whether it was present.

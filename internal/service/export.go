@@ -144,12 +144,7 @@ func (s *Service) Import(e Entry) error {
 		c.epoch = s.StatsEpoch()
 	}
 	c.hits.Store(e.Hits)
-	s.cache.Put(c)
-	if c.structKey != "" {
-		s.structMu.Lock()
-		s.structIdx[c.structKey] = c.key
-		s.structMu.Unlock()
-	}
+	s.store(c)
 	return nil
 }
 

@@ -238,6 +238,17 @@ func fnvU64(h, v uint64) uint64 {
 	return h
 }
 
+// fnvString is FNV-1a over the bytes of s, in place (hash/fnv needs a
+// hasher and a []byte copy of the key for the same 64 bits).
+func fnvString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
+	}
+	return h
+}
+
 // sortU64 and sortSig are insertion sorts: neighbour lists are tiny (at
 // most n-1, usually 2-3), where sort.Slice's reflection swapper costs more
 // than the sort itself.

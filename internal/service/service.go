@@ -390,6 +390,20 @@ func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.
 	return core.AlgUnionDP, backend.Heuristic
 }
 
+// Prepared is a compiled query together with its canonical fingerprint: the
+// form a front door computes once per distinct statement and every layer
+// below takes as given instead of canonicalising again. Both fields are
+// read-only once prepared; one Prepared may serve concurrent requests.
+type Prepared struct {
+	Query *cost.Query
+	Fingerprint
+}
+
+// Prepare fingerprints q.
+func Prepare(q *cost.Query) *Prepared {
+	return &Prepared{Query: q, Fingerprint: FingerprintQuery(q)}
+}
+
 // Optimize plans q, serving from the sharded plan cache when an
 // isomorphic-with-identical-statistics query was planned before, coalescing
 // onto an identical in-flight request otherwise, and finally optimizing on
@@ -401,20 +415,48 @@ func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.
 // caller still waits on it; when the last waiter cancels, the enumeration
 // itself is aborted mid-lattice and the flight completes with the
 // cancellation error. A nil ctx means context.Background().
+//
+// Optimize fingerprints q on every call; callers that ask the same query
+// again should Prepare it once and use OptimizePrepared.
 func (s *Service) Optimize(ctx context.Context, q *cost.Query) (*Result, error) {
 	start := time.Now()
+	if emptyQuery(q) {
+		s.counters.errors.Add(1)
+		return nil, errEmptyQuery
+	}
+	return s.serveRequest(ctx, Prepare(q), start)
+}
+
+// OptimizePrepared is Optimize for a query whose fingerprint the caller
+// already holds.
+func (s *Service) OptimizePrepared(ctx context.Context, p *Prepared) (*Result, error) {
+	start := time.Now()
+	if p == nil || emptyQuery(p.Query) {
+		s.counters.errors.Add(1)
+		return nil, errEmptyQuery
+	}
+	if len(p.Perm) != p.Query.N() {
+		s.counters.errors.Add(1)
+		return nil, fmt.Errorf("service: fingerprint of %d relations on a query of %d", len(p.Perm), p.Query.N())
+	}
+	return s.serveRequest(ctx, p, start)
+}
+
+var errEmptyQuery = errors.New("service: empty query")
+
+func emptyQuery(q *cost.Query) bool { return q == nil || q.G == nil || q.N() == 0 }
+
+// serveRequest owns the in-flight gauge and the slow-log observation around
+// optimize; start is when the caller entered the service.
+func (s *Service) serveRequest(ctx context.Context, p *Prepared, start time.Time) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if q == nil || q.G == nil || q.N() == 0 {
-		s.counters.errors.Add(1)
-		return nil, fmt.Errorf("service: empty query")
-	}
 	s.counters.inflight.Add(1)
-	res, err := s.optimize(ctx, q, start)
+	res, err := s.optimize(ctx, p, start)
 	s.counters.inflight.Add(-1)
 	if !errors.Is(err, ErrClosed) {
-		s.observeSlow(obs.FromContext(ctx), q, res, start, err)
+		s.observeSlow(obs.FromContext(ctx), p.Query, res, start, err)
 	}
 	return res, err
 }
@@ -443,9 +485,9 @@ func (s *Service) observeSlow(tr *obs.Trace, q *cost.Query, res *Result, start t
 // SlowLog returns the service's slow-request ring (never nil).
 func (s *Service) SlowLog() *obs.SlowLog { return s.slog }
 
-// optimize is Optimize's body; the wrapper owns validation, the in-flight
-// gauge and the slow-log observation.
-func (s *Service) optimize(ctx context.Context, q *cost.Query, start time.Time) (*Result, error) {
+// optimize is the body of both entry points: probe, coalesce or enqueue.
+func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*Result, error) {
+	q, fp := p.Query, p.Fingerprint
 	tr := obs.FromContext(ctx)
 	s.counters.requests.Add(1)
 	if s.limiter != nil {
@@ -456,7 +498,6 @@ func (s *Service) optimize(ctx context.Context, q *cost.Query, start time.Time) 
 	}
 
 	probeStart := time.Now()
-	fp := FingerprintQuery(q)
 	inv := invert(fp.Perm)
 
 	var fl *flight
@@ -464,8 +505,8 @@ func (s *Service) optimize(ctx context.Context, q *cost.Query, start time.Time) 
 	for {
 		e, ok := s.cache.Get(fp.Key)
 		if !probed {
-			// The probe span covers fingerprinting plus the first cache
-			// lookup; retries after a dying flight are coalesce territory.
+			// The probe span covers the first cache lookup; retries after
+			// a dying flight are coalesce territory.
 			tr.ObserveSince(obs.PhaseCacheProbe, probeStart)
 			probed = true
 		}
@@ -804,15 +845,30 @@ func (s *Service) serve(r request, arena *plan.Arena) {
 			structKey: r.sfp.Key,
 			structOf:  structOf,
 		}
-		s.cache.Put(r.fl.entry)
-		s.structMu.Lock()
-		s.structIdx[r.sfp.Key] = r.fp.Key
-		s.structMu.Unlock()
+		s.store(r.fl.entry)
 		matDone()
 	} else {
 		r.fl.err = err
 	}
 	s.finishFlight(r)
+}
+
+// store puts e in the plan cache and keeps the structural index in step:
+// e becomes its structure's most recent entry, and whatever the LRU evicted
+// to make room leaves the index with it. Both happen under structMu, so the
+// index never names a key the cache has dropped.
+func (s *Service) store(e *cached) {
+	s.structMu.Lock()
+	defer s.structMu.Unlock()
+	evicted := s.cache.Put(e)
+	if e.structKey != "" {
+		s.structIdx[e.structKey] = e.key
+	}
+	for _, v := range evicted {
+		if v.structKey != "" && s.structIdx[v.structKey] == v.key {
+			delete(s.structIdx, v.structKey)
+		}
+	}
 }
 
 // costClose reports whether two plan costs agree to relative 1e-9 (the

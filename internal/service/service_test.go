@@ -497,6 +497,41 @@ func TestErrorPaths(t *testing.T) {
 	s.Close() // idempotent
 }
 
+// TestOptimizePreparedSharesOptimizeCache pins the two entry points to one
+// path: a plan cached through either is a hit through the other, under the
+// same key, and a prepared statement is reusable and shareable as is.
+func TestOptimizePreparedSharesOptimizeCache(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	q := genQuery(t, workload.KindCycle, 9, 3)
+	p := Prepare(q)
+	cold, err := s.OptimizePrepared(context.Background(), p)
+	if err != nil || cold.CacheHit {
+		t.Fatalf("first prepared request: hit=%v err=%v", cold != nil && cold.CacheHit, err)
+	}
+	again, err := s.OptimizePrepared(context.Background(), p)
+	if err != nil || !again.CacheHit {
+		t.Fatalf("prepared replay: hit=%v err=%v", again != nil && again.CacheHit, err)
+	}
+	plain, err := s.Optimize(context.Background(), q)
+	if err != nil || !plain.CacheHit || plain.Key != p.Key || plain.Plan.Cost != cold.Plan.Cost {
+		t.Fatalf("Optimize after OptimizePrepared: %+v err=%v, want a hit under %q at cost %v", plain, err, p.Key, cold.Plan.Cost)
+	}
+	if snap := s.Counters().Snapshot(); snap.Requests != 3 || snap.Hits != 2 || snap.Misses != 1 {
+		t.Errorf("counters = %d requests, %d hits, %d misses; want 3, 2, 1", snap.Requests, snap.Hits, snap.Misses)
+	}
+
+	for name, bad := range map[string]*Prepared{
+		"nil":               nil,
+		"no query":          {Fingerprint: p.Fingerprint},
+		"foreign perm size": {Query: q, Fingerprint: FingerprintQuery(genQuery(t, workload.KindChain, 4, 1))},
+	} {
+		if _, err := s.OptimizePrepared(context.Background(), bad); err == nil {
+			t.Errorf("%s: OptimizePrepared accepted it", name)
+		}
+	}
+}
+
 // TestWarmCacheSpeedup is the acceptance check behind the throughput
 // benchmark: repeated 20-relation queries must be served far faster from
 // the cache than by re-optimizing. The benchmark reports the full ratio;

@@ -95,6 +95,14 @@ func (wq *Query) ToQuery(schema sql.Schema) (*cost.Query, error) {
 		}
 		g.AddEdge(e.A, e.B, e.Sel)
 	}
+	// Parallel edges merged by multiplication: a product that underflowed
+	// is a predicate nothing satisfies, and would not re-encode as a valid
+	// wire query on its way to another node.
+	for _, e := range g.Edges {
+		if e.Sel <= 0 {
+			return nil, fmt.Errorf("edges (%d,%d) multiply to a non-positive selectivity", e.A, e.B)
+		}
+	}
 	return &cost.Query{Cat: cat, G: g}, nil
 }
 

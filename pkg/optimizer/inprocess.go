@@ -46,7 +46,7 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		Cost:        res.Plan.Cost,
 		Rows:        res.Plan.Rows,
 		Algorithm:   o.algorithm,
-		Fingerprint: service.FingerprintQuery(q.q).Key,
+		Fingerprint: q.prepared().Key,
 		Shape:       string(service.DetectShape(q.q.G)),
 		Elapsed:     time.Since(start),
 		Evaluated:   res.Stats.Evaluated,

@@ -15,7 +15,10 @@
 //
 // Queries are built with NewQueryBuilder (or a shared Catalog), compiled
 // from SQL with CompileSQL, or generated with the workload constructors.
-// Cancelling the context passed to Optimize aborts the in-flight
+// A built Query is immutable, and that is load-bearing: it keeps its
+// canonical fingerprint and encoded wire body after first use, so a caller
+// that holds on to a *Query and asks it again — the serving workload — pays
+// for neither twice, from any number of goroutines. Cancelling the context passed to Optimize aborts the in-flight
 // enumeration promptly on every driver, including across the wire.
 //
 // See API.md for the wire specification and a quickstart.

@@ -1,11 +1,15 @@
 package optimizer
 
 import (
+	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/httpapi"
+	"repro/internal/service"
 	"repro/internal/sql"
 )
 
@@ -14,8 +18,33 @@ import (
 // with NewQueryBuilder, Catalog.Query, CompileSQL or the workload
 // constructors; a Query is immutable and safe to share across goroutines
 // and drivers.
+//
+// The immutability is load-bearing: a Query derives its canonical
+// fingerprint and its encoded wire body on first use and keeps them, so
+// asking the same Query again costs a driver neither a canonicalisation nor
+// a JSON encoding. Always handle a Query by pointer; it must not be copied.
 type Query struct {
 	q *cost.Query
+
+	prepOnce sync.Once
+	prep     *service.Prepared
+
+	wireOnce sync.Once
+	wire     []byte
+	wireErr  error
+}
+
+// prepared returns the query with its canonical fingerprint, computed once.
+func (q *Query) prepared() *service.Prepared {
+	q.prepOnce.Do(func() { q.prep = service.Prepare(q.q) })
+	return q.prep
+}
+
+// wireBody returns the query's /v1 request body, encoded once. Callers only
+// read it.
+func (q *Query) wireBody() ([]byte, error) {
+	q.wireOnce.Do(func() { q.wire, q.wireErr = json.Marshal(httpapi.FromQuery(q.q)) })
+	return q.wire, q.wireErr
 }
 
 // Relations returns the number of relations.

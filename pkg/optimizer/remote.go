@@ -109,7 +109,7 @@ func (r *remote) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		ctx, cancel = context.WithTimeout(ctx, o.timeout)
 		defer cancel()
 	}
-	body, err := json.Marshal(httpapi.FromQuery(q.q))
+	body, err := q.wireBody()
 	if err != nil {
 		return nil, err
 	}
@@ -172,13 +172,35 @@ type outcome struct {
 // attempt i-1 has neither answered nor failed within the hedge delay (or
 // immediately when it failed). The first success cancels the rest.
 func (r *remote) hedged(ctx context.Context, path string, body []byte) (*httpapi.Response, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	n := len(r.endpoints)
-	results := make(chan outcome, n)
 	// Rotate the starting endpoint per request to spread load.
 	first := int(r.next.Add(1)-1) % n
+
+	if n == 1 || r.hedge <= 0 {
+		// Nothing can overlap — one endpoint, or endpoints tried only on
+		// failure — so the attempts run on the caller's goroutine, without
+		// the channel, goroutine and cancel context a race needs.
+		var errs []error
+		for i := 0; i < n; i++ {
+			out := r.call(ctx, r.endpoints[(first+i)%n], path, body)
+			if out.err == nil {
+				return out.resp, nil
+			}
+			if ctx.Err() != nil {
+				return nil, context.Cause(ctx)
+			}
+			var re *RemoteError
+			if errors.As(out.err, &re) && re.terminal() {
+				return nil, out.err
+			}
+			errs = append(errs, out.err)
+		}
+		return nil, errors.Join(errs...)
+	}
+
+	hctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	results := make(chan outcome, n)
 
 	launch := func(i int) {
 		ep := r.endpoints[(first+i)%n]
@@ -187,13 +209,8 @@ func (r *remote) hedged(ctx context.Context, path string, body []byte) (*httpapi
 	launch(0)
 	launched, pending := 1, 1
 
-	var timer *time.Timer
-	var hedgeC <-chan time.Time
-	if r.hedge > 0 && n > 1 {
-		timer = time.NewTimer(r.hedge)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
+	timer := time.NewTimer(r.hedge)
+	defer timer.Stop()
 
 	var errs []error
 	for {
@@ -215,7 +232,7 @@ func (r *remote) hedged(ctx context.Context, path string, body []byte) (*httpapi
 			} else if pending == 0 {
 				return nil, errors.Join(errs...)
 			}
-		case <-hedgeC:
+		case <-timer.C:
 			if launched < n {
 				launch(launched)
 				launched++

@@ -82,7 +82,7 @@ func (s *served) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		tr = obs.NewTrace("")
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	res, err := s.svc.Optimize(ctx, q.q)
+	res, err := s.svc.OptimizePrepared(ctx, q.prepared())
 	if err != nil {
 		return nil, err
 	}
