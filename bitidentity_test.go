@@ -1,0 +1,214 @@
+// Bit-identity goldens: the equivalence suite compares enumerators to 1e-9,
+// which a reordered floating-point operand or a tie that flipped passes.
+// This suite pins, for a fixed list of join graphs and every exact
+// enumerator that shares plan.Table, the exact bits of the optimal cost, a
+// digest of the rendered plan, a digest of every node of the tree and the
+// three instrumentation counters. The lines in testdata/bitidentity.golden
+// were generated at the commit before the DP table was rebuilt (PR 17) and
+// must not change when the table, the pruning order or an evaluator does.
+package repro
+
+import (
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/bitset"
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/dp"
+	"repro/internal/parallel"
+	"repro/internal/plan"
+	"repro/internal/workload"
+)
+
+var updateBitIdentity = flag.Bool("update-bitidentity", false, "rewrite testdata/bitidentity.golden from the current enumerators")
+
+// bitIdentityCase is one join graph of the fixed list. baselines marks the
+// graphs on which the two vertex-based baselines are run too: DPSub walks
+// 2^|S| subsets per set and DPSize the cross product of two size classes,
+// which on the larger sparse graphs is minutes of work that pins nothing the
+// smaller ones do not.
+type bitIdentityCase struct {
+	name      string
+	q         *cost.Query
+	baselines bool
+}
+
+func bitIdentityCases(t *testing.T) []bitIdentityCase {
+	t.Helper()
+	var out []bitIdentityCase
+	gen := func(kind workload.Kind, baselines bool, sizes ...int) {
+		for _, n := range sizes {
+			q, err := workload.Generate(kind, n, rand.New(rand.NewSource(int64(1700+n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, bitIdentityCase{fmt.Sprintf("%s-%d", kind, n), q, baselines})
+		}
+	}
+	gen(workload.KindClique, true, 8, 9, 10, 11, 12)
+	gen(workload.KindStar, true, 12, 13, 14)
+	gen(workload.KindStar, false, 15, 16)
+	gen(workload.KindCycle, true, 16)
+	gen(workload.KindChain, false, 25)
+	gen(workload.KindSnowflake, false, 20)
+	gen(workload.KindMB, true, 14, 16)
+	rng := rand.New(rand.NewSource(17))
+	n, edges := gridEdges(4, 4)
+	out = append(out, bitIdentityCase{"grid-4x4", edgeQuery(n, edges, rng), true})
+	n, edges = twoCyclesEdges(8, 9)
+	out = append(out, bitIdentityCase{"two-cycles-8+9", edgeQuery(n, edges, rng), true})
+	n, edges = triangleRingEdges(7)
+	out = append(out, bitIdentityCase{"triangle-ring-7", edgeQuery(n, edges, rng), true})
+	return out
+}
+
+func withThreads(f dp.Func, threads int) dp.Func {
+	return func(in dp.Input) (*plan.Node, dp.Stats, error) {
+		in.Threads = threads
+		return f(in)
+	}
+}
+
+// bitIdentityAlgs: every enumerator that reads and writes plan.Table on the
+// serving path, plus the two vertex-based baselines.
+var bitIdentityAlgs = []struct {
+	name     string
+	f        dp.Func
+	baseline bool
+}{
+	{"DPCCP", dp.DPCCP, false},
+	{"MPDP", dp.MPDP, false},
+	{"MPDP-CPU-1", withThreads(parallel.MPDP, 1), false},
+	{"MPDP-CPU-2", withThreads(parallel.MPDP, 2), false},
+	{"MPDP-GPU", gpuEquiv(1), false},
+	{"DPSub", dp.DPSub, true},
+	{"DPSize", dp.DPSize, true},
+}
+
+// treeDigest hashes every node of the plan in preorder with the exact bits
+// of its cardinality and cost, which the rendered text rounds away.
+func treeDigest(p *plan.Node) uint64 {
+	h := fnv.New64a()
+	var walk func(n *plan.Node)
+	walk = func(n *plan.Node) {
+		fmt.Fprintf(h, "%x/%d/%d/%x/%x;", uint64(n.Set), n.Op, n.RelID, math.Float64bits(n.Rows), math.Float64bits(n.Cost))
+		if !n.IsLeaf() {
+			walk(n.Left)
+			walk(n.Right)
+		}
+	}
+	walk(p)
+	return h.Sum64()
+}
+
+func bitIdentityLine(label, alg string, q *cost.Query, p *plan.Node, st dp.Stats) string {
+	h := fnv.New64a()
+	h.Write([]byte(core.Explain(q, p)))
+	return fmt.Sprintf("%s %s cost=%016x explain=%016x tree=%016x evaluated=%d ccp=%d sets=%d seeded=%d",
+		label, alg, math.Float64bits(p.Cost), h.Sum64(), treeDigest(p), st.Evaluated, st.CCP, st.ConnectedSets, st.WarmSeeded)
+}
+
+func TestBitIdentityAcrossEnumerators(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every enumerator on 20 join graphs")
+	}
+	var lines []string
+	for _, tc := range bitIdentityCases(t) {
+		in := dp.Input{Q: tc.q, M: cost.DefaultModel()}
+		for _, alg := range bitIdentityAlgs {
+			if alg.baseline && !tc.baselines {
+				continue
+			}
+			p, st, err := alg.f(in)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", tc.name, alg.name, err)
+			}
+			lines = append(lines, bitIdentityLine(tc.name, alg.name, tc.q, p, st))
+		}
+	}
+	lines = append(lines, warmSeededLines(t)...)
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+
+	path := filepath.Join("testdata", "bitidentity.golden")
+	if *updateBitIdentity {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%d lines, golden has %d", len(lines), len(wantLines))
+	}
+	for i := range lines {
+		if lines[i] != wantLines[i] {
+			t.Errorf("drifted from the golden:\n got: %s\nwant: %s", lines[i], wantLines[i])
+		}
+	}
+}
+
+// warmSeededLines runs both level drivers on the shared-cut-vertex graph
+// cold and then seeded with the cold table's winners inside the first cycle
+// — what the sub-plan memo's warmTable does, through Table.Put — and
+// requires seeded ≡ cold bit for bit: same cost bits, same rendered plan,
+// same tree. The seeded run's counters join the goldens.
+func warmSeededLines(t *testing.T) []string {
+	t.Helper()
+	n, edges := twoCyclesEdges(8, 9)
+	q := edgeQuery(n, edges, rand.New(rand.NewSource(13)))
+	firstCycle := bitset.Full(8)
+	var lines []string
+	for _, alg := range []struct {
+		name string
+		f    dp.Func
+	}{{"MPDPGeneral", dp.MPDPGeneral}, {"MPDP-CPU-2", withThreads(parallel.MPDP, 2)}} {
+		var coldTab *plan.Table
+		in := dp.Input{Q: q, M: cost.DefaultModel(), Harvest: func(tab *plan.Table) { coldTab = tab }}
+		cold, _, err := alg.f(in)
+		if err != nil {
+			t.Fatalf("%s cold: %v", alg.name, err)
+		}
+		in.Harvest = nil
+		in.Warm = func(tab *plan.Table, _ [][]bitset.Mask) int {
+			seeded := 0
+			coldTab.Range(func(s bitset.Mask, w plan.Winner) {
+				if s.SubsetOf(firstCycle) {
+					tab.Put(s, w)
+					seeded++
+				}
+			})
+			return seeded
+		}
+		warm, warmStats, err := alg.f(in)
+		if err != nil {
+			t.Fatalf("%s warm: %v", alg.name, err)
+		}
+		if math.Float64bits(warm.Cost) != math.Float64bits(cold.Cost) ||
+			core.Explain(q, warm) != core.Explain(q, cold) || treeDigest(warm) != treeDigest(cold) {
+			t.Errorf("%s: seeded run is not bit-identical to the cold run:\nwarm:\n%scold:\n%s",
+				alg.name, core.Explain(q, warm), core.Explain(q, cold))
+		}
+		if warmStats.WarmSeeded == 0 {
+			t.Errorf("%s: nothing was seeded", alg.name)
+		}
+		lines = append(lines, bitIdentityLine("two-cycles-8+9/warm", alg.name, q, warm, warmStats))
+	}
+	return lines
+}

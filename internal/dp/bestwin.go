@@ -23,23 +23,26 @@ func (b *bestWin) offer(l, r bitset.Mask, op plan.Op, rows, cost float64) {
 	}
 }
 
-// hopeless reports whether the candidate orientation (l, r) provably cannot
-// beat the current winner, before any selectivity or operator costing: every
-// join operator's total cost is bounded below by l.Cost + r.Cost — except
-// the index nested loop, which omits the right child's cost but exists only
-// for leaf right sides, so the bound degrades to l.Cost alone there. All
-// remaining cost terms are non-negative (cardinalities and cost constants
-// are non-negative), and ties never replace the incumbent, so pruning at
+// hopeless reports whether a candidate orientation provably cannot beat the
+// current winner, from the two children's stored costs alone — before any
+// selectivity or operator costing, and before the children's entries are
+// even fetched (the evaluators read the table's cost lane, call this, and
+// view only the survivors): every join operator's total cost is bounded
+// below by lCost + rCost — except the index nested loop, which omits the
+// right child's cost but exists only for leaf right sides (rLeaf:
+// Table.IsLeaf), so the bound degrades to lCost alone there. All remaining
+// cost terms are non-negative (cardinalities and cost constants are
+// non-negative), and ties never replace the incumbent, so pruning at
 // bound >= best leaves the winning plan bit-identical.
 //
 //mpdp:hotpath
-func (b *bestWin) hopeless(l, r plan.Entry) bool {
+func (b *bestWin) hopeless(lCost, rCost float64, rLeaf bool) bool {
 	if !b.Found {
 		return false
 	}
-	bound := l.Cost
-	if !r.Leaf {
-		bound += r.Cost
+	bound := lCost
+	if !rLeaf {
+		bound += rCost
 	}
 	return bound >= b.Cost
 }

@@ -9,9 +9,13 @@
 // same optimal bushy no-cross-product plan, which the test suite enforces.
 //
 // The DP hot path is allocation-free in steady state: the memo is the
-// struct-of-arrays plan.Table (open addressing on Murmur3, the paper's §5
-// memo layout), candidate joins are costed through value-typed entries, and
-// plan trees are materialized only once per run, at Finish, from an arena.
+// struct-of-arrays plan.Table (direct-addressed when the census is dense,
+// the paper's §5 Murmur3 open addressing when it is sparse), and plan trees
+// are materialized only once per run, at Finish, from an arena. Every
+// evaluator prunes before it fetches: a candidate pair reads the two
+// children's costs from the table's cost lane, applies the child-cost bound
+// (bestWin.hopeless), and only a pair that survives it has its entries
+// viewed and costed through value-typed plan.Entry.
 package dp
 
 import (
@@ -132,12 +136,12 @@ type Deadline struct {
 	done <-chan struct{}
 	ctx  context.Context
 	err  error
-	n    uint
+	left int // calls of Expired until the next poll
 }
 
 // NewDeadline wraps at; the zero time means "no deadline".
 func NewDeadline(at time.Time) *Deadline {
-	return &Deadline{at: at}
+	return &Deadline{at: at, left: deadlinePollInterval}
 }
 
 // NewDeadline builds the checker for this input: the wall-clock budget plus
@@ -145,7 +149,7 @@ func NewDeadline(at time.Time) *Deadline {
 // GPU-model) creates its per-worker checkers through this so that caller
 // cancellation reaches every enumeration loop.
 func (in *Input) NewDeadline() *Deadline {
-	d := &Deadline{at: in.Deadline, ctx: in.Ctx}
+	d := &Deadline{at: in.Deadline, ctx: in.Ctx, left: deadlinePollInterval}
 	if in.Ctx != nil {
 		d.done = in.Ctx.Done()
 	}
@@ -156,30 +160,37 @@ const deadlinePollInterval = 8192
 
 // Expired reports whether the budget is exhausted or the caller cancelled,
 // polling sparsely. Once it returns true it keeps returning true and Err
-// returns the cause.
+// returns the cause. The enumerators call it once per candidate pair, so
+// the fast path is one decrement and one branch; whether there is anything
+// to poll at all is the slow path's business.
+//
+//mpdp:hotpath
 func (d *Deadline) Expired() bool {
-	if d.err != nil {
-		return true
-	}
-	if d.at.IsZero() && d.done == nil {
+	d.left--
+	if d.left > 0 {
 		return false
 	}
-	d.n++
-	if d.n%deadlinePollInterval != 0 {
-		return false
-	}
-	if d.done != nil {
+	return d.poll()
+}
+
+// poll is the slow path of Expired, reached every deadlinePollInterval
+// calls, and on every call once tripped.
+func (d *Deadline) poll() bool {
+	if d.err == nil && d.done != nil {
 		select {
 		case <-d.done:
 			d.err = context.Cause(d.ctx)
-			return true
 		default:
 		}
 	}
-	if !d.at.IsZero() && time.Now().After(d.at) {
+	if d.err == nil && !d.at.IsZero() && time.Now().After(d.at) {
 		d.err = ErrTimeout
+	}
+	if d.err != nil {
+		d.left = 0 // the next call polls again: tripped is sticky
 		return true
 	}
+	d.left = deadlinePollInterval
 	return false
 }
 
@@ -242,7 +253,7 @@ func (p *Prepared) Seed(hint int) *plan.Table {
 	if hint < len(p.Leaves) {
 		hint = len(p.Leaves)
 	}
-	tab := plan.NewTable(hint)
+	tab := plan.NewTable(len(p.Leaves), hint)
 	for i, leaf := range p.Leaves {
 		tab.PutBase(bitset.Single(i), leaf)
 	}

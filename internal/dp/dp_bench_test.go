@@ -90,3 +90,50 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 		}
 	}
 }
+
+// TestDPTableBytesBudget gates the bytes one optimization allocates, which
+// on these shapes is the DP table: BENCH_budget.json gates allocs/op only,
+// and the table's over-allocation never showed there (a table four times
+// too large is still three allocations). Ceilings sit a few percent above
+// the measured numbers, so a fourth per-slot array, a hash layout at load
+// 0.25 where direct addressing fits, or a fatter cold record fails here.
+//
+//	                   before PR 17   PR 17      ceiling
+//	DPCCP  clique-12      558 137     231 017    260 000   direct (capped hint, n ≤ 13)
+//	MPDP   star-16      9 325 833   4 091 160  4 194 304   direct (census 32 783 of 65 536)
+//	MPDP   cycle-20       116 000     107 824    112 000   hash (census 401 of 2^20)
+//
+// Before, star-16 took 131 072 hash slots × 64 B = 8.4 MB of table for its
+// 32 783 sets; now 65 536 direct slots × 48 B = 3.1 MB. The hash side pays
+// 56 B/slot where it paid 64: the cost lane is paid for by the right-split
+// array that is no longer stored.
+func TestDPTableBytesBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs three one-second benchmarks")
+	}
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		f       Func
+		ceiling int64
+	}{
+		{"DPCCP/clique-12", graph.Clique(12), DPCCP, 260_000},
+		{"MPDP/star-16", graph.Star(16), MPDP, 4 << 20},
+		{"MPDP/cycle-20", graph.Cycle(20), MPDP, 112_000},
+	} {
+		in := Input{Q: topoQuery(tc.g, rand.New(rand.NewSource(17))), M: cost.DefaultModel()}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := tc.f(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got > tc.ceiling {
+			t.Errorf("%s allocates %d B per run, ceiling %d", tc.name, got, tc.ceiling)
+		} else {
+			t.Logf("%s: %d B per run (ceiling %d)", tc.name, got, tc.ceiling)
+		}
+	}
+}

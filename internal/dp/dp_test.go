@@ -1,6 +1,7 @@
 package dp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -361,6 +362,53 @@ func TestCsgWalkVisitsEachConnectedSubsetOnce(t *testing.T) {
 		}
 		if len(seen) != want {
 			t.Fatalf("trial %d: walk of %v visited %d sets, %d are connected", trial, within, len(seen), want)
+		}
+	}
+}
+
+// TestDeadlinePollsSparselyAndStaysTripped pins Expired's contract around
+// its countdown fast path: nothing is polled before the
+// deadlinePollInterval-th call, a tripped checker answers true on every
+// later call, Err names the cause, and a checker with nothing to watch —
+// the zero value included — never trips.
+func TestDeadlinePollsSparselyAndStaysTripped(t *testing.T) {
+	cause := errors.New("caller went away")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	for _, tc := range []struct {
+		name string
+		dl   *Deadline
+		want error
+	}{
+		{"past wall clock", NewDeadline(timeNowMinusForever()), ErrTimeout},
+		{"cancelled context", (&Input{Ctx: ctx}).NewDeadline(), cause},
+		{"both: the context is asked first", (&Input{Ctx: ctx, Deadline: timeNowMinusForever()}).NewDeadline(), cause},
+	} {
+		for i := 1; i < deadlinePollInterval; i++ {
+			if tc.dl.Expired() {
+				t.Fatalf("%s: tripped at call %d, before the first poll", tc.name, i)
+			}
+		}
+		for i := 0; i < 3; i++ {
+			if !tc.dl.Expired() {
+				t.Fatalf("%s: not tripped %d calls after the first poll", tc.name, i)
+			}
+		}
+		if err := tc.dl.Err(); err != tc.want {
+			t.Errorf("%s: Err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for name, dl := range map[string]*Deadline{
+		"no deadline":  NewDeadline(noDeadline()),
+		"zero value":   {},
+		"live context": (&Input{Ctx: live, Deadline: time.Now().Add(time.Hour)}).NewDeadline(),
+	} {
+		for i := 0; i < 3*deadlinePollInterval; i++ {
+			if dl.Expired() {
+				t.Fatalf("%s: tripped at call %d", name, i)
+			}
 		}
 	}
 }

@@ -46,7 +46,7 @@ func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level in
 		// costed, and both count toward the symmetric CCP counter.
 		stats.Evaluated += 2
 		stats.CCP += 2
-		l, r := tab.MustView(s1), tab.MustView(s2)
+		lc, rc := tab.MustCost(s1), tab.MustCost(s2)
 		union := s1.Union(s2)
 		cur, known := tab.Cost(union)
 		if !known {
@@ -60,10 +60,11 @@ func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level in
 		// operator costing outright — the stored plan cannot change.
 		if known {
 			inc := bestWin{Winner: Winner{Found: true, Cost: cur}}
-			if inc.hopeless(l, r) && inc.hopeless(r, l) {
+			if inc.hopeless(lc, rc, tab.IsLeaf(s2)) && inc.hopeless(rc, lc, tab.IsLeaf(s1)) {
 				return
 			}
 		}
+		l, r := tab.MustView(s1), tab.MustView(s2)
 		rows := l.Rows * r.Rows * in.Q.SelBetween(s1, s2)
 		var bw bestWin
 		op, c := in.M.JoinEvalEntryRows(in.Q, l, r, rows)

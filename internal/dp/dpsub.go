@@ -19,7 +19,8 @@ func DPSub(in Input) (*plan.Node, Stats, error) {
 // exhaustive subset enumeration with the four-condition CCP block. Both
 // sides' connectivity checks are table lookups: every connected set of a
 // smaller size is already stored, so presence doubles as the connectivity
-// test and fetches the entry the costing needs in the same probe.
+// test, and the same cost-lane probe fetches the operand of the child-cost
+// bound; the entries are viewed only for pairs the bound lets through.
 func EvaluateSetDPSub(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, _ *Scratch) (Winner, Stats, error) {
 	var stats Stats
 	g := in.Q.G
@@ -37,11 +38,11 @@ func EvaluateSetDPSub(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, _ 
 		if rb.Empty() {
 			continue
 		}
-		l, ok := tab.View(lb)
+		lc, ok := tab.Cost(lb)
 		if !ok {
 			continue
 		}
-		r, ok := tab.View(rb)
+		rc, ok := tab.Cost(rb)
 		if !ok {
 			continue
 		}
@@ -49,10 +50,10 @@ func EvaluateSetDPSub(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, _ 
 			continue
 		}
 		stats.CCP++
-		if bw.hopeless(l, r) {
+		if bw.hopeless(lc, rc, tab.IsLeaf(rb)) {
 			continue
 		}
-		op, rows, c := in.M.JoinEvalEntry(in.Q, l, r)
+		op, rows, c := in.M.JoinEvalEntry(in.Q, tab.MustView(lb), tab.MustView(rb))
 		bw.offer(lb, rb, op, rows, c)
 	}
 	return bw.Winner, stats, nil

@@ -98,9 +98,12 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 // a cycle-24 block has 553 connected subsets among 16.7 M. A block is
 // connected, so an lb with a non-empty remainder always has an edge to it,
 // and the one test left of the CCP block is whether the remainder is
-// connected, which is a table probe: connected sets of smaller sizes are
-// all stored. Stats.Evaluated counts the pairs examined this way; the
-// unrank volume the device model bills is UnrankedPairs.
+// connected, which is a probe of the table's cost lane: connected sets of
+// smaller sizes are all stored, and the cost it returns is half of the
+// child-cost bound that prunes almost every pair — the entries themselves
+// are viewed only for pairs the bound lets through. Stats.Evaluated counts
+// the pairs examined this way; the unrank volume the device model bills is
+// UnrankedPairs.
 //
 //mpdp:hotpath
 func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
@@ -136,7 +139,7 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 				return bw.Winner, stats, dl.Err()
 			}
 			stats.Evaluated++
-			r, ok := tab.View(rb)
+			rc, ok := tab.Cost(rb)
 			if !ok {
 				continue
 			}
@@ -147,14 +150,13 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 				left = g.Grow(lb, s.Diff(rb))
 				right = s.Diff(left)
 				if right != rb {
-					r = tab.MustView(right)
+					rc = tab.MustCost(right)
 				}
 			}
-			l := tab.MustView(left)
-			if bw.hopeless(l, r) {
+			if bw.hopeless(tab.MustCost(left), rc, tab.IsLeaf(right)) {
 				continue
 			}
-			op, rows, c := in.M.JoinEvalEntry(in.Q, l, r)
+			op, rows, c := in.M.JoinEvalEntry(in.Q, tab.MustView(left), tab.MustView(right))
 			bw.offer(left, right, op, rows, c)
 		}
 	}
@@ -180,11 +182,12 @@ func UnrankedPairs(g *graph.Graph, s bitset.Mask, sc *graph.BlockScratch) uint64
 //
 //mpdp:hotpath
 func costBothWays(q *cost.Query, m *cost.Model, tab *plan.Table, bw *bestWin, left, right bitset.Mask) {
-	l, r := tab.MustView(left), tab.MustView(right)
-	h1, h2 := bw.hopeless(l, r), bw.hopeless(r, l)
+	lc, rc := tab.MustCost(left), tab.MustCost(right)
+	h1, h2 := bw.hopeless(lc, rc, tab.IsLeaf(right)), bw.hopeless(rc, lc, tab.IsLeaf(left))
 	if h1 && h2 {
 		return
 	}
+	l, r := tab.MustView(left), tab.MustView(right)
 	rows := l.Rows * r.Rows * q.SelBetween(left, right)
 	if !h1 {
 		op, c := m.JoinEvalEntryRows(q, l, r, rows)

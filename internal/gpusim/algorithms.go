@@ -68,8 +68,10 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 	if err != nil {
 		return nil, astats, gstats, err
 	}
-	// The simulator shares the CPU enumerators' SoA table, which is itself
-	// the §5 GPU memo layout (open addressing on Murmur3).
+	// The simulator shares the CPU enumerators' SoA table: the §5 GPU memo
+	// layout (open addressing on Murmur3) on sparse censuses, direct
+	// addressing on dense ones. The device model bills the paper's unrank
+	// volume arithmetically and does not see the difference.
 	tab := prep.Seed(dp.BucketCount(buckets))
 	astats.ConnectedSets = uint64(n)
 	dl := in.NewDeadline()

@@ -116,3 +116,51 @@ func TestParallelCustomLeaves(t *testing.T) {
 		t.Errorf("custom-leaf costs differ: %f vs %f", seqPlan.Cost, parPlan.Cost)
 	}
 }
+
+// TestTableLayoutsUnderLevelWorkers runs every parallel driver with four
+// workers on censuses that put the shared plan.Table in each of its
+// regimes — direct-addressed from the start (clique-11, star-13: workers
+// read the cost lane and the presence bitmap with plain loads between the
+// barrier's writes), hashed throughout (cycle-14), and, for the drivers
+// that size from the capped hint, a hash layout that becomes direct at a
+// level barrier (star-14: 8 205 sets outgrow 8 192 slots at load 0.7 and
+// the doubling reaches 2^14). Costs and CCP counts must equal the
+// sequential run's (bit-identity is the root suite's TestBitIdentity…; PDP
+// and DPE merge in map order, so a tie may pick another tree whose cost
+// differs in the last bits); the race suite repeats it under the detector.
+func TestTableLayoutsUnderLevelWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	m := cost.DefaultModel()
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"clique-11", graph.Clique(11)},
+		{"star-13", graph.Star(13)},
+		{"star-14", graph.Star(14)},
+		{"cycle-14", graph.Cycle(14)},
+	} {
+		q := randomQuery(tc.g.N, 0, rng)
+		q.G = graph.New(tc.g.N)
+		for _, e := range tc.g.Edges {
+			q.G.AddEdge(e.A, e.B, math.Pow(10, -1-3*rng.Float64()))
+		}
+		ref, refStats, err := dp.MPDP(dp.Input{Q: q, M: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range parallelAlgorithms {
+			if alg.name == "DPSubParallel" && tc.g.N > 13 {
+				continue // 2^|S| subsets per set: minutes under the detector
+			}
+			p, st, err := alg.f(dp.Input{Q: q, M: m, Threads: 4})
+			if err != nil {
+				t.Fatalf("%s on %s: %v", alg.name, tc.name, err)
+			}
+			if math.Abs(p.Cost-ref.Cost) > 1e-9*math.Max(1, ref.Cost) || st.CCP != refStats.CCP {
+				t.Errorf("%s on %s: cost %v over %d CCP pairs, sequential MPDP %v over %d",
+					alg.name, tc.name, p.Cost, st.CCP, ref.Cost, refStats.CCP)
+			}
+		}
+	}
+}

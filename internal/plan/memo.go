@@ -5,8 +5,8 @@ import "repro/internal/bitset"
 // Memo maps relation sets to their best known sub-plan — the original
 // Go-map dynamic programming table ("BestPlan" in Algorithms 1–3). The DP
 // hot paths have moved to the allocation-free Table; Memo remains as the
-// simple reference implementation the differential tests check Table and
-// HashMemo against.
+// simple reference implementation the differential and property tests
+// check Table against.
 type Memo struct {
 	m map[bitset.Mask]*Node
 }

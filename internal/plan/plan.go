@@ -1,6 +1,8 @@
-// Package plan defines join-tree plans and the memo tables the dynamic
-// programs store their best sub-plans in: a Go-map memo for CPU algorithms
-// and an open-addressing Murmur3 hash table mirroring the GPU memo of §5.
+// Package plan defines join-tree plans and the memo the dynamic programs
+// store their best sub-plans in: Table, a struct-of-arrays DP table that is
+// direct-addressed where the connected-set census is dense and the paper's
+// §5 open-addressing Murmur3 hash table where it is sparse, and Memo, the
+// Go-map reference Table is differentially tested against.
 package plan
 
 import (

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -119,40 +118,6 @@ func TestMemoImprove(t *testing.T) {
 	if m.Len() != 1 {
 		t.Errorf("Len = %d", m.Len())
 	}
-}
-
-func TestHashMemoMatchesMapMemo(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := NewMemo(16)
-	h := NewHashMemo(4) // force growth
-	for i := 0; i < 5000; i++ {
-		s := bitset.Mask(rng.Uint64())
-		if s == 0 {
-			continue
-		}
-		n := &Node{Set: s, Cost: rng.Float64() * 100}
-		m.Improve(s, n)
-		h.Improve(s, n)
-	}
-	for i := 0; i < 5000; i++ {
-		s := bitset.Mask(rng.Uint64())
-		a, b := m.Get(s), h.Get(s)
-		if a != b {
-			t.Fatalf("memo mismatch for %v", s)
-		}
-	}
-	if m.Len() != h.Len() {
-		t.Errorf("Len mismatch: %d vs %d", m.Len(), h.Len())
-	}
-}
-
-func TestHashMemoRejectsEmptySet(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on empty-set key")
-		}
-	}()
-	NewHashMemo(4).Put(0, &Node{})
 }
 
 func TestMurmurFinalizerAvalanche(t *testing.T) {

@@ -2,55 +2,72 @@ package plan
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/bitset"
 )
 
-// Table is the struct-of-arrays DP table used by every CPU enumerator: an
-// open-addressing hash table keyed by relation-set bitmaps with the Murmur3
-// 64-bit finalizer, the scheme the paper's §5 GPU memo uses (previously
-// mirrored only by HashMemo for device-traffic accounting, now promoted to
-// the default plan memo).
+// Table is the struct-of-arrays DP table used by every CPU enumerator. It
+// stores no plan nodes: each set's best cost, best split, operator and
+// cardinality live in flat parallel arrays, so the DP inner loops touch
+// only value types and never call the allocator, and the winning tree is
+// materialized once, at the end of the run (Build), from an Arena.
 //
-// Unlike Memo/HashMemo it stores no plan nodes at all: each set's best
-// cost, best split (left/right masks), operator and cardinality live in
-// flat parallel arrays, so the DP inner loops touch only value types and
-// never call the allocator. The arrays are grouped by access pattern: the
-// probe loop scans only the key array; a hit loads the set's costing
-// payload (rows, cost, memoized log terms, op/leaf meta) from a single
-// cache line; and the split masks — needed only when publishing a winner
-// and when materializing the final tree — stay in their own cold arrays.
-// Plan-tree materialization is deferred to the end of the run (Build),
-// which walks the recorded splits once and materializes exactly the
-// winning tree from an Arena.
+// Addressing follows the density of the run's connected-set census, by one
+// parameter-free rule: a table over n relations whose open-addressing
+// layout would take at least 2^n slots anyway is direct-addressed — the
+// set's bitmap is its slot, with no hash, no key array, no probe chain and
+// no growth, in 2^n slots (never more than the hash layout would have had).
+// That is every census denser than a quarter of the subsets (cliques,
+// stars) and every capped-hint run of at most 13 relations. Sparser runs
+// (cycles, chains, snowflakes, MusicBrainz walks) keep the paper's §5 memo:
+// open addressing on the Murmur3 64-bit finalizer, a zero key marking an
+// empty slot. The rule is evaluated at construction and again whenever the
+// hash layout doubles, so a run that starts on the capped hint lands on
+// direct addressing as soon as doubling reaches 2^n. The paper hashes
+// because a GPU cannot afford 2^n slots for a sparse 30-relation query;
+// where the census is ~2^n the hash only adds misses and bytes.
 //
-// The table never stores the empty set; a zero key marks an empty slot.
-// Concurrent reads (Get/View/Has/Cost) are safe while no writer runs; the
-// level-parallel drivers publish writes only at their level barriers.
+// The arrays are laid out by how often the inner loops read them. The cost
+// lane is all a pruned candidate pair touches (dp's child-cost bound reads
+// two costs and nothing else); rows, the memoized logarithms, operator and
+// left split are one cold record fetched only for pairs that survive the
+// bound. The right split is not stored: every winner ever recorded is a
+// csg-cmp pair of its set, so Right == Set \ Left. Presence is the key
+// array in the hash layout and a bitmap in the direct one — never a
+// sentinel in the cost lane, because every float64 bit pattern (NaN and
+// ±Inf included) is a cost a caller may store and must read back.
+//
+// The table knows n: it never stores the empty set or a set with a
+// relation ≥ n (Put panics), and both probe as absent. Concurrent reads
+// are safe while no writer runs; the level-parallel drivers publish writes
+// only at their level barriers.
 type Table struct {
-	keys  []bitset.Mask
-	vals  []tval        // per-entry costing payload (one cache line)
-	left  []bitset.Mask // left split; zero for base (singleton) entries
-	right []bitset.Mask
+	keys    []bitset.Mask // hash layout only; nil when direct-addressed
+	present []uint64      // direct layout only: bit s set when s is stored
+	cost    []float64     // the hot lane
+	cold    []tcold       // payload of pairs that survive the cost bound
 
+	// leaf holds the relations whose stored base entry is a plain scan: a
+	// set is a leaf when it is one of those singletons.
+	leaf bitset.Mask
+	n    uint
 	used int
-	mask uint64
+	mask uint64 // hash layout: capacity - 1
 }
 
-// tval is the hot per-entry payload: everything a candidate-pair costing
-// touches, packed so one probe hit costs one payload cache line.
-type tval struct {
+// tcold is the per-entry payload behind the cost lane.
+type tcold struct {
 	rows float64
-	cost float64
-	lg   float64 // log2(max(rows, 2)), the merge-join sort term
-	lgi  float64 // log2(rows + 2), the index-nested-loop lookup term
-	meta uint16  // relID (bits 0-7) | op (bits 8-11) | leaf flag (bit 12)
+	lg   float64     // log2(max(rows, 2)), the merge-join sort term
+	lgi  float64     // log2(rows + 2), the index-nested-loop lookup term
+	left bitset.Mask // left split; zero for base (singleton) entries
+	meta uint16      // relID (bits 0-7) | op (bits 8-11)
 }
 
 const (
 	metaRelID uint16 = 0x00ff
 	metaOp    uint16 = 0x0f00
-	metaLeaf  uint16 = 0x1000
 )
 
 // Entry is the value-typed view of one table slot, everything a DP inner
@@ -62,7 +79,7 @@ const (
 type Entry struct {
 	Set     bitset.Mask
 	Left    bitset.Mask // zero for base entries
-	Right   bitset.Mask
+	Right   bitset.Mask // Set \ Left; zero for base entries
 	Rows    float64
 	Cost    float64
 	LogRows float64 // log2(max(Rows, 2))
@@ -74,6 +91,8 @@ type Entry struct {
 
 // Winner is a join candidate that won a per-set evaluation: the split plus
 // its costing, everything needed to record the set's best plan by value.
+// Left and Right partition the set they are recorded for; the table keeps
+// Left and derives Right.
 type Winner struct {
 	Left  bitset.Mask
 	Right bitset.Mask
@@ -91,28 +110,51 @@ func TableSizeHint(n int) int {
 	return 1 << uint(min(n, 12))
 }
 
-// NewTable returns a table with capacity for at least hint entries before
-// growing. Size hint from the run's actual connected-set count when known
-// (dp.ConnectedBuckets) so steady-state runs never rehash.
-func NewTable(hint int) *Table {
+// NewTable returns a table over n relations with capacity for at least hint
+// entries before growing. Size hint from the run's actual connected-set
+// count when known (dp.ConnectedBuckets) so steady-state runs never rehash.
+func NewTable(n, hint int) *Table {
 	capacity := 16
 	for capacity < hint*2 {
 		capacity <<= 1
 	}
-	return &Table{
-		keys:  make([]bitset.Mask, capacity),
-		vals:  make([]tval, capacity),
-		left:  make([]bitset.Mask, capacity),
-		right: make([]bitset.Mask, capacity),
-		mask:  uint64(capacity - 1),
+	t := &Table{n: uint(n)}
+	t.alloc(capacity)
+	return t
+}
+
+// alloc gives the table fresh arrays for a hash layout of capacity slots,
+// or the 2^n direct-addressed slots when capacity is at least that many.
+func (t *Table) alloc(capacity int) {
+	t.used = 0
+	if capacity>>t.n > 0 {
+		capacity = 1 << t.n
+		t.keys, t.mask = nil, 0
+		t.present = make([]uint64, (capacity+63)/64)
+	} else {
+		t.keys, t.mask = make([]bitset.Mask, capacity), uint64(capacity-1)
 	}
+	t.cost = make([]float64, capacity)
+	t.cold = make([]tcold, capacity)
 }
 
 // Len returns the number of stored sets.
 func (t *Table) Len() int { return t.used }
 
+// Murmur3Fmix64 is the 64-bit finalizer of MurmurHash3.
+//
+//mpdp:hotpath
+func Murmur3Fmix64(k uint64) uint64 {
+	k ^= k >> 33
+	k *= 0xff51afd7ed558ccd
+	k ^= k >> 33
+	k *= 0xc4ceb9fe1a85ec53
+	k ^= k >> 33
+	return k
+}
+
 // slot returns the open-addressing slot of s: either the slot holding s or
-// the empty slot where s would be inserted.
+// the empty slot where s would be inserted. Hash layout only.
 //
 //mpdp:hotpath
 func (t *Table) slot(s bitset.Mask) int {
@@ -126,56 +168,78 @@ func (t *Table) slot(s bitset.Mask) int {
 	}
 }
 
+// find returns the slot of s and whether s is stored there. In the direct
+// layout the one compare against the lane's length is the bounds check and
+// the "relation ≥ n" test at once, and the empty set's bit is never set; in
+// the hash layout neither the empty set nor such a set was ever inserted, so
+// their probe chains end on an empty slot.
+//
+//mpdp:hotpath
+func (t *Table) find(s bitset.Mask) (int, bool) {
+	if t.keys != nil {
+		i := t.slot(s)
+		return i, t.keys[i] != 0
+	}
+	if uint64(s) >= uint64(len(t.cost)) {
+		return 0, false
+	}
+	return int(s), t.present[s>>6]>>(s&63)&1 != 0
+}
+
+// single reports whether s names at most one relation.
+func single(s bitset.Mask) bool { return s&(s-1) == 0 }
+
+// IsLeaf reports whether s is a singleton whose stored base plan is a plain
+// relation scan — Entry.Leaf without fetching the entry.
+//
+//mpdp:hotpath
+func (t *Table) IsLeaf(s bitset.Mask) bool {
+	return single(s) && s&t.leaf != 0
+}
+
+// entry assembles the costing view of slot i, which holds s.
+//
+//mpdp:hotpath
+func (t *Table) entry(s bitset.Mask, i int) Entry {
+	c := &t.cold[i]
+	return Entry{
+		Set:     s,
+		Rows:    c.rows,
+		Cost:    t.cost[i],
+		LogRows: c.lg,
+		LogIdx:  c.lgi,
+		Op:      Op(c.meta & metaOp >> 8),
+		Leaf:    t.IsLeaf(s),
+		RelID:   int32(c.meta & metaRelID),
+	}
+}
+
 // Get returns the full entry stored for s by value, split masks included.
 //
 //mpdp:hotpath
 func (t *Table) Get(s bitset.Mask) (Entry, bool) {
-	if s == 0 {
+	i, ok := t.find(s)
+	if !ok {
 		return Entry{}, false
 	}
-	i := t.slot(s)
-	if t.keys[i] == 0 {
-		return Entry{}, false
+	e := t.entry(s, i)
+	if e.Left = t.cold[i].left; e.Left != 0 {
+		e.Right = s.Diff(e.Left)
 	}
-	v := &t.vals[i]
-	return Entry{
-		Set:     s,
-		Left:    t.left[i],
-		Right:   t.right[i],
-		Rows:    v.rows,
-		Cost:    v.cost,
-		LogRows: v.lg,
-		LogIdx:  v.lgi,
-		Op:      Op(v.meta & metaOp >> 8),
-		Leaf:    v.meta&metaLeaf != 0,
-		RelID:   int32(v.meta & metaRelID),
-	}, true
+	return e, true
 }
 
 // View returns the costing view of s: like Get but without the split
-// masks, so a candidate-pair probe touches only the key array and the
-// entry's payload line (the split is only needed when materializing).
+// masks (the split is only needed when materializing). The DP inner loops
+// call it only for candidate pairs that survived the cost-lane bound.
 //
 //mpdp:hotpath
 func (t *Table) View(s bitset.Mask) (Entry, bool) {
-	if s == 0 {
+	i, ok := t.find(s)
+	if !ok {
 		return Entry{}, false
 	}
-	i := t.slot(s)
-	if t.keys[i] == 0 {
-		return Entry{}, false
-	}
-	v := &t.vals[i]
-	return Entry{
-		Set:     s,
-		Rows:    v.rows,
-		Cost:    v.cost,
-		LogRows: v.lg,
-		LogIdx:  v.lgi,
-		Op:      Op(v.meta & metaOp >> 8),
-		Leaf:    v.meta&metaLeaf != 0,
-		RelID:   int32(v.meta & metaRelID),
-	}, true
+	return t.entry(s, i), true
 }
 
 // MustView is View for probes the DP invariant guarantees to hit (every
@@ -198,42 +262,57 @@ func (t *Table) MustView(s bitset.Mask) Entry {
 //
 //mpdp:hotpath
 func (t *Table) Has(s bitset.Mask) bool {
-	return s != 0 && t.keys[t.slot(s)] != 0
+	_, ok := t.find(s)
+	return ok
 }
 
-// Cost returns the stored cost of s, or found = false.
+// Cost returns the stored cost of s, or found = false. It reads the cost
+// lane and the presence of s, nothing else: this is the probe a candidate
+// pair pays before the child-cost bound decides whether it is costed.
 //
 //mpdp:hotpath
 func (t *Table) Cost(s bitset.Mask) (float64, bool) {
-	if s == 0 {
+	i, ok := t.find(s)
+	if !ok {
 		return 0, false
 	}
-	i := t.slot(s)
-	if t.keys[i] == 0 {
-		return 0, false
+	return t.cost[i], true
+}
+
+// MustCost is Cost for probes the DP invariant guarantees to hit; it panics
+// like MustView on a miss.
+//
+//mpdp:hotpath
+func (t *Table) MustCost(s bitset.Mask) float64 {
+	i, ok := t.find(s)
+	if !ok {
+		panic("plan: DP table is missing a connected set the enumeration invariant guarantees")
 	}
-	return t.vals[i].cost, true
+	return t.cost[i]
 }
 
 // PutBase seeds the table entry of singleton set s from its prepared base
 // plan (a relation scan, or a composite plan the heuristic layer passes as
-// a leaf).
+// a leaf). This is the only way a set becomes a leaf.
 //
 //mpdp:hotpath
 func (t *Table) PutBase(s bitset.Mask, n *Node) {
-	m := uint16(n.RelID) & metaRelID
-	m |= uint16(n.Op) << 8 & metaOp
-	if n.IsLeaf() {
-		m |= metaLeaf
+	if !single(s) {
+		panic("plan: a base entry is a single relation")
 	}
-	t.put(s, 0, 0, n.Rows, n.Cost, m)
+	t.setAt(t.insert(s), 0, n.Rows, n.Cost, uint16(n.RelID)&metaRelID|uint16(n.Op)<<8&metaOp)
+	if n.IsLeaf() {
+		t.leaf |= s
+	} else {
+		t.leaf &^= s
+	}
 }
 
 // Put unconditionally records w as the plan for set s.
 //
 //mpdp:hotpath
 func (t *Table) Put(s bitset.Mask, w Winner) {
-	t.put(s, w.Left, w.Right, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
+	t.putAt(t.insert(s), s, w)
 }
 
 // Improve records w for s if it beats the current best; it returns true
@@ -241,87 +320,113 @@ func (t *Table) Put(s bitset.Mask, w Winner) {
 //
 //mpdp:hotpath
 func (t *Table) Improve(s bitset.Mask, w Winner) bool {
-	if s == 0 {
-		panic("plan: Table cannot store the empty set")
-	}
-	i := t.slot(s)
-	if t.keys[i] != 0 {
-		if t.vals[i].cost <= w.Cost {
-			return false
-		}
-		// Overwrite in place: the key exists, so no growth and no second
-		// probe are needed.
-		t.setAt(i, w.Left, w.Right, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
+	i, ok := t.find(s)
+	if !ok {
+		t.Put(s, w)
 		return true
 	}
-	t.Put(s, w)
+	if t.cost[i] <= w.Cost {
+		return false
+	}
+	t.putAt(i, s, w) // the slot is known: no growth and no second probe
 	return true
 }
 
 //mpdp:hotpath
-func (t *Table) put(s, left, right bitset.Mask, rows, cost float64, meta uint16) {
-	if s == 0 {
-		panic("plan: Table cannot store the empty set")
+func (t *Table) putAt(i int, s bitset.Mask, w Winner) {
+	if single(s) {
+		t.leaf &^= s // a joined plan over one relation is not a scan
 	}
-	if 10*(t.used+1) > 7*len(t.keys) {
+	t.setAt(i, w.Left, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
+}
+
+// insert returns the slot of s, claiming it if s is new; the hash layout
+// grows first when that would push it past load 0.7.
+//
+//mpdp:hotpath
+func (t *Table) insert(s bitset.Mask) int {
+	if s == 0 || uint64(s)>>t.n != 0 {
+		panic("plan: Table cannot store the empty set or a relation outside its query")
+	}
+	if t.keys != nil && 10*(t.used+1) > 7*len(t.keys) {
 		t.grow()
+	}
+	if t.keys == nil {
+		w, b := &t.present[s>>6], uint64(1)<<(s&63)
+		if *w&b == 0 {
+			*w |= b
+			t.used++
+		}
+		return int(s)
 	}
 	i := t.slot(s)
 	if t.keys[i] == 0 {
 		t.keys[i] = s
 		t.used++
 	}
-	t.setAt(i, left, right, rows, cost, meta)
+	return i
 }
 
 //mpdp:hotpath
-func (t *Table) setAt(i int, left, right bitset.Mask, rows, cost float64, meta uint16) {
-	t.left[i] = left
-	t.right[i] = right
-	t.vals[i] = tval{
+func (t *Table) setAt(i int, left bitset.Mask, rows, cost float64, meta uint16) {
+	t.cost[i] = cost
+	t.cold[i] = tcold{
 		rows: rows,
-		cost: cost,
 		lg:   math.Log2(math.Max(rows, 2)),
 		lgi:  math.Log2(rows + 2),
+		left: left,
 		meta: meta,
 	}
 }
 
+// grow doubles the hash layout, or moves the table to the direct layout
+// when the doubled one would take at least 2^n slots.
 func (t *Table) grow() {
 	old := *t
-	capacity := len(old.keys) * 2
-	t.keys = make([]bitset.Mask, capacity)
-	t.vals = make([]tval, capacity)
-	t.left = make([]bitset.Mask, capacity)
-	t.right = make([]bitset.Mask, capacity)
-	t.mask = uint64(capacity - 1)
-	t.used = 0
+	t.alloc(len(old.keys) * 2)
 	for i, k := range old.keys {
 		if k != 0 {
-			v := old.vals[i]
-			t.put(k, old.left[i], old.right[i], v.rows, v.cost, v.meta)
+			j := t.insert(k)
+			t.cost[j], t.cold[j] = old.cost[i], old.cold[i]
 		}
 	}
 }
 
 // Range calls f for every interior (joined) set stored in the table, by
 // value. Base (singleton) entries are skipped: they carry no split worth
-// sharing. Iteration order is the table's slot order; f must not mutate
-// the table while ranging.
+// sharing. Iteration order is the table's slot order — hash order in one
+// layout, numeric order of the bitmaps in the other — so two tables holding
+// the same entries may yield them in different orders; callers (the
+// sub-plan harvester) must not depend on it. f must not mutate the table
+// while ranging.
 func (t *Table) Range(f func(s bitset.Mask, w Winner)) {
-	for i, k := range t.keys {
-		if k == 0 || t.left[i] == 0 {
-			continue
+	yield := func(s bitset.Mask, i int) {
+		c := &t.cold[i]
+		if c.left == 0 {
+			return
 		}
-		v := &t.vals[i]
-		f(k, Winner{
-			Left:  t.left[i],
-			Right: t.right[i],
-			Rows:  v.rows,
-			Cost:  v.cost,
-			Op:    Op(v.meta & metaOp >> 8),
+		f(s, Winner{
+			Left:  c.left,
+			Right: s.Diff(c.left),
+			Rows:  c.rows,
+			Cost:  t.cost[i],
+			Op:    Op(c.meta & metaOp >> 8),
 			Found: true,
 		})
+	}
+	if t.keys != nil {
+		for i, k := range t.keys {
+			if k != 0 {
+				yield(k, i)
+			}
+		}
+		return
+	}
+	for wi, w := range t.present {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 | bits.TrailingZeros64(w)
+			yield(bitset.Mask(i), i)
+		}
 	}
 }
 

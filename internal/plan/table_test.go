@@ -9,7 +9,7 @@ import (
 )
 
 func TestTablePutBaseAndView(t *testing.T) {
-	tab := NewTable(8)
+	tab := NewTable(8, 8)
 	tab.PutBase(bitset.Single(3), &Node{Set: bitset.Single(3), RelID: 3, Op: OpScan, Rows: 100, Cost: 7})
 	e, ok := tab.View(bitset.Single(3))
 	if !ok {
@@ -30,7 +30,7 @@ func TestTablePutBaseAndView(t *testing.T) {
 }
 
 func TestTableImproveSemantics(t *testing.T) {
-	tab := NewTable(8)
+	tab := NewTable(8, 8)
 	s := bitset.MaskOf(0, 1)
 	w := Winner{Left: bitset.Single(0), Right: bitset.Single(1), Op: OpHashJoin, Rows: 10, Cost: 9, Found: true}
 	if !tab.Improve(s, w) {
@@ -55,7 +55,7 @@ func TestTableImproveSemantics(t *testing.T) {
 // and checks every entry survives the rehashes.
 func TestTableGrowthAtHighLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	tab := NewTable(2) // minimum capacity, forces repeated growth
+	tab := NewTable(64, 2) // minimum capacity, forces repeated growth
 	want := map[bitset.Mask]float64{}
 	for i := 0; i < 20000; i++ {
 		s := bitset.Mask(rng.Uint64())
@@ -87,7 +87,7 @@ func TestTableGrowthAtHighLoad(t *testing.T) {
 // and membership must agree exactly.
 func TestTableDifferentialAgainstMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	tab := NewTable(4)
+	tab := NewTable(16, 4)
 	memo := NewMemo(8)
 	keys := make([]bitset.Mask, 300)
 	for i := range keys {
@@ -132,7 +132,7 @@ func TestTableBuildDefersMaterialization(t *testing.T) {
 	leaves := []*Node{
 		leaf(0, 10, 1), leaf(1, 20, 2), leaf(2, 30, 3),
 	}
-	tab := NewTable(8)
+	tab := NewTable(3, 8)
 	for i, l := range leaves {
 		tab.PutBase(bitset.Single(i), l)
 	}
@@ -172,7 +172,7 @@ func TestTableRejectsEmptySet(t *testing.T) {
 			t.Error("expected panic on empty-set key")
 		}
 	}()
-	NewTable(4).Put(0, Winner{Found: true})
+	NewTable(4, 4).Put(0, Winner{Found: true})
 }
 
 func TestArenaResetRecyclesChunks(t *testing.T) {
@@ -205,91 +205,294 @@ func TestArenaResetRecyclesChunks(t *testing.T) {
 	}
 }
 
-// TestHashMemoGrowthAtHighLoad drives the open-addressing memo past several
-// resizes and verifies the rehash preserves every key at a legal load.
-func TestHashMemoGrowthAtHighLoad(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	h := NewHashMemo(2)
-	want := map[bitset.Mask]*Node{}
-	for i := 0; i < 20000; i++ {
-		s := bitset.Mask(rng.Uint64())
-		if s == 0 {
-			continue
+// tableModel is the map state the table is checked against: plan.Memo — the
+// reference memo — decides membership, Len and whether an Improve installs;
+// the records beside it hold what Memo's nodes do not (split, leaf-ness).
+type tableModel struct {
+	memo *Memo
+	rec  map[bitset.Mask]modelRec
+}
+
+type modelRec struct {
+	left       bitset.Mask
+	rows, cost float64
+	op         Op
+	leaf       bool
+	relID      int32
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameEntry is == on entries with the floats compared as bits (NaN == NaN).
+func sameEntry(a, b Entry) bool {
+	return a.Set == b.Set && a.Left == b.Left && a.Right == b.Right && a.Op == b.Op && a.Leaf == b.Leaf && a.RelID == b.RelID &&
+		sameBits(a.Rows, b.Rows) && sameBits(a.Cost, b.Cost) && sameBits(a.LogRows, b.LogRows) && sameBits(a.LogIdx, b.LogIdx)
+}
+
+// anyFloat draws from every float64 bit pattern — NaNs, ±Inf, zeros,
+// subnormals and negatives included — with the named ones over-weighted.
+func anyFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(12) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return 0
+	case 4:
+		return math.Copysign(0, -1)
+	case 5:
+		return -rng.Float64() * 1e9
+	case 6:
+		return float64(rng.Intn(4)) // small values collide: Improve sees ties
+	}
+	return math.Float64frombits(rng.Uint64())
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: expected a panic", what)
 		}
-		n := &Node{Set: s}
-		want[s] = n
-		h.Put(s, n)
+	}()
+	f()
+}
+
+// checkEntry compares everything the table says about s with the model.
+func (m *tableModel) checkEntry(t *testing.T, tab *Table, s bitset.Mask) {
+	t.Helper()
+	want, stored := m.rec[s]
+	if (m.memo.Get(s) != nil) != stored {
+		t.Fatalf("model out of step on %v", s)
 	}
-	if h.Len() != len(want) {
-		t.Fatalf("Len = %d, want %d", h.Len(), len(want))
+	e, ok := tab.Get(s)
+	v, vok := tab.View(s)
+	c, cok := tab.Cost(s)
+	if ok != stored || vok != stored || cok != stored || tab.Has(s) != stored {
+		t.Fatalf("%v: Get/View/Cost/Has = %v/%v/%v/%v, stored = %v", s, ok, vok, cok, tab.Has(s), stored)
 	}
-	if 10*h.used > 7*len(h.keys) {
-		t.Errorf("load factor above 0.7 after growth: %d/%d", h.used, len(h.keys))
-	}
-	for s, n := range want {
-		if h.Get(s) != n {
-			t.Fatalf("lost key %v across growth", s)
+	if !stored {
+		if tab.IsLeaf(s) {
+			t.Fatalf("%v: absent set reported as a leaf", s)
 		}
+		mustPanic(t, "MustCost of an absent set", func() { tab.MustCost(s) })
+		mustPanic(t, "MustView of an absent set", func() { tab.MustView(s) })
+		return
+	}
+	wantRight := bitset.Mask(0)
+	if want.left != 0 {
+		wantRight = s.Diff(want.left)
+	}
+	if e.Set != s || e.Left != want.left || e.Right != wantRight {
+		t.Fatalf("%v: split %v|%v, want %v|%v", s, e.Left, e.Right, want.left, wantRight)
+	}
+	if !sameBits(e.Cost, want.cost) || !sameBits(c, want.cost) || !sameBits(tab.MustCost(s), want.cost) {
+		t.Fatalf("%v: cost bits %x / %x, want %x", s, math.Float64bits(e.Cost), math.Float64bits(c), math.Float64bits(want.cost))
+	}
+	if !sameBits(e.Rows, want.rows) ||
+		!sameBits(e.LogRows, math.Log2(math.Max(want.rows, 2))) || !sameBits(e.LogIdx, math.Log2(want.rows+2)) {
+		t.Fatalf("%v: rows %v logs %v %v, want rows %v", s, e.Rows, e.LogRows, e.LogIdx, want.rows)
+	}
+	if e.Op != want.op || e.Leaf != want.leaf || tab.IsLeaf(s) != want.leaf || e.RelID != want.relID {
+		t.Fatalf("%v: op/leaf/rel = %v/%v(%v)/%d, want %v/%v/%d", s, e.Op, e.Leaf, tab.IsLeaf(s), e.RelID, want.op, want.leaf, want.relID)
+	}
+	// The costing view is the entry minus the split.
+	e.Left, e.Right = 0, 0
+	if !sameEntry(v, e) || !sameEntry(tab.MustView(s), e) {
+		t.Fatalf("%v: View %+v / MustView %+v differ from Get %+v", s, v, tab.MustView(s), e)
 	}
 }
 
-// TestHashMemoProbeMonotonicity checks the memory-traffic accounting: every
-// Get/Put inspects at least one slot and the probe counter never decreases,
-// including across table growth.
-func TestHashMemoProbeMonotonicity(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	h := NewHashMemo(2)
-	last := h.Probe
-	for i := 0; i < 5000; i++ {
-		s := bitset.Mask(rng.Uint64())
-		if s == 0 {
-			continue
-		}
-		if rng.Intn(2) == 0 {
-			h.Put(s, &Node{Set: s})
-		} else {
-			h.Get(s)
-		}
-		if h.Probe <= last {
-			t.Fatalf("op %d: probe count %d did not advance past %d", i, h.Probe, last)
-		}
-		last = h.Probe
+// checkAll compares Len, every pool key and the Range set with the model.
+func (m *tableModel) checkAll(t *testing.T, tab *Table, pool []bitset.Mask) map[bitset.Mask]Winner {
+	t.Helper()
+	if tab.Len() != m.memo.Len() || tab.Len() != len(m.rec) {
+		t.Fatalf("Len = %d, model has %d", tab.Len(), len(m.rec))
 	}
+	for _, s := range pool {
+		m.checkEntry(t, tab, s)
+	}
+	var leaves bitset.Mask
+	interior := 0
+	for s, r := range m.rec {
+		if r.leaf {
+			leaves |= s
+		}
+		if r.left != 0 {
+			interior++
+		}
+	}
+	if tab.leaf != leaves {
+		t.Fatalf("leaf mask %v, want %v", tab.leaf, leaves)
+	}
+	ranged := map[bitset.Mask]Winner{}
+	tab.Range(func(s bitset.Mask, w Winner) {
+		if _, dup := ranged[s]; dup {
+			t.Fatalf("Range yielded %v twice", s)
+		}
+		ranged[s] = w
+		r, ok := m.rec[s]
+		if !ok || r.left == 0 {
+			t.Fatalf("Range yielded %v, which the model holds as absent or base", s)
+		}
+		if !w.Found || w.Left != r.left || w.Right != s.Diff(w.Left) || w.Op != r.op ||
+			!sameBits(w.Rows, r.rows) || !sameBits(w.Cost, r.cost) {
+			t.Fatalf("Range(%v) = %+v, want %+v", s, w, r)
+		}
+	})
+	if len(ranged) != interior {
+		t.Fatalf("Range yielded %d sets, model has %d interior", len(ranged), interior)
+	}
+	return ranged
 }
 
-// TestHashMemoDifferentialRandomOps replays a randomized Put/Improve/Get
-// sequence against the reference map memo; results must match op for op.
-func TestHashMemoDifferentialRandomOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	h := NewHashMemo(2)
-	m := NewMemo(8)
-	keys := make([]bitset.Mask, 200)
-	for i := range keys {
-		for keys[i] == 0 {
-			keys[i] = bitset.Mask(rng.Uint64() & 0xfff)
+// runTableOps drives tab and the model through the same random
+// Put/Improve/PutBase sequence over pool, probing as it goes, and returns
+// what Range yields at the end.
+func runTableOps(t *testing.T, tab *Table, n int, pool []bitset.Mask, rng *rand.Rand) map[bitset.Mask]Winner {
+	t.Helper()
+	m := &tableModel{memo: NewMemo(n), rec: map[bitset.Mask]modelRec{}}
+	winner := func(s bitset.Mask) Winner {
+		// A non-empty left side inside s: proper when s has two relations
+		// or more, s itself for the singleton the real drivers never Put.
+		left := s.LowestBit()
+		if sub := bitset.Mask(rng.Uint64()) & s; sub != 0 && sub != s {
+			left = sub
 		}
+		return Winner{Left: left, Right: s.Diff(left), Rows: anyFloat(rng), Cost: anyFloat(rng), Op: Op(1 + rng.Intn(4)), Found: true}
 	}
-	for i := 0; i < 20000; i++ {
-		s := keys[rng.Intn(len(keys))]
-		switch rng.Intn(3) {
-		case 0:
-			n := &Node{Set: s, Cost: rng.Float64() * 100}
-			h.Put(s, n)
-			m.Put(s, n)
-		case 1:
-			n := &Node{Set: s, Cost: rng.Float64() * 100}
-			hi := h.Improve(s, n)
-			mi := m.Improve(s, n)
-			if hi != mi {
-				t.Fatalf("op %d: Improve divergence on %v: hash %v, map %v", i, s, hi, mi)
+	record := func(s bitset.Mask, w Winner) {
+		m.memo.Put(s, &Node{Set: s, Cost: w.Cost})
+		m.rec[s] = modelRec{left: w.Left, rows: w.Rows, cost: w.Cost, op: w.Op}
+	}
+	for op := 0; op < 6000; op++ {
+		s := pool[rng.Intn(len(pool))]
+		wasDirect := tab.keys == nil
+		switch k := rng.Intn(10); {
+		case k < 3:
+			w := winner(s)
+			tab.Put(s, w)
+			record(s, w)
+		case k < 7:
+			w := winner(s)
+			// Memo.Improve is the oracle for "ties keep the incumbent"; its
+			// stored node is rewritten by record when it installs.
+			want := m.memo.Improve(s, &Node{Set: s, Cost: w.Cost})
+			if got := tab.Improve(s, w); got != want {
+				t.Fatalf("op %d: Improve(%v, cost %v) = %v, memo says %v", op, s, w.Cost, got, want)
 			}
+			if want {
+				record(s, w)
+			}
+		case k < 8:
+			s = bitset.Single(rng.Intn(n))
+			node := &Node{Set: s, RelID: rng.Intn(n), Op: OpScan, Rows: anyFloat(rng), Cost: anyFloat(rng)}
+			if rng.Intn(3) == 0 {
+				node.Left, node.Right = &Node{}, &Node{} // a composite plan passed as a leaf
+			}
+			tab.PutBase(s, node)
+			m.memo.Put(s, node)
+			m.rec[s] = modelRec{rows: node.Rows, cost: node.Cost, op: node.Op, leaf: node.IsLeaf(), relID: int32(node.RelID)}
 		default:
-			if h.Get(s) != m.Get(s) {
-				t.Fatalf("op %d: Get divergence on %v", i, s)
+			// A probe of anything: pool keys, absent sets, the empty set
+			// and, when the mask is wider than the query, foreign relations.
+			if rng.Intn(2) == 0 {
+				s = bitset.Mask(rng.Uint64()) >> uint(rng.Intn(64))
 			}
 		}
+		m.checkEntry(t, tab, s)
+		if wasDirect != (tab.keys == nil) || op%1500 == 0 {
+			m.checkAll(t, tab, pool) // in particular right after the layout switch
+		}
 	}
-	if h.Len() != m.Len() {
-		t.Errorf("Len mismatch: %d vs %d", h.Len(), m.Len())
+	return m.checkAll(t, tab, pool)
+}
+
+// TestTablePropertyAllRegimes runs the random operation sequence against the
+// map model in each addressing regime: the hash layout, the direct layout
+// from construction, and a hash layout that grows into the direct one —
+// entries, Len, leaf mask and splits survive the switch. Regimes given the
+// same operations must end with the same Range set.
+func TestTablePropertyAllRegimes(t *testing.T) {
+	type key struct{ n, pool int }
+	final := map[key]map[bitset.Mask]Winner{}
+	for _, tc := range []struct {
+		name                   string
+		n, hint, pool          int
+		startDirect, endDirect bool
+	}{
+		{"hash/n=64", 64, 2, 500, false, false},
+		{"hash/n=40", 40, 2, 500, false, false},
+		{"hash", 10, 2, 300, false, false},
+		{"direct", 10, 1 << 10, 300, true, true},
+		{"direct/dense-hint", 10, 1<<8 + 1, 300, true, true}, // density just over a quarter
+		{"hash-grows-into-direct", 10, 2, 600, false, true},
+		{"direct/full", 10, 1 << 10, 600, true, true},
+		{"direct/n=1", 1, 1, 1, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(1000*tc.n + tc.pool)))
+			space := bitset.Full(tc.n)
+			seen := map[bitset.Mask]bool{}
+			var pool []bitset.Mask
+			for len(pool) < tc.pool {
+				if s := bitset.Mask(rng.Uint64()) & space; s != 0 && !seen[s] {
+					seen[s] = true
+					pool = append(pool, s)
+				}
+			}
+			tab := NewTable(tc.n, tc.hint)
+			if (tab.keys == nil) != tc.startDirect {
+				t.Fatalf("NewTable(%d, %d): direct = %v, want %v", tc.n, tc.hint, tab.keys == nil, tc.startDirect)
+			}
+			slots := len(tab.cost)
+			got := runTableOps(t, tab, tc.n, pool, rng)
+			if (tab.keys == nil) != tc.endDirect {
+				t.Fatalf("ended direct = %v, want %v", tab.keys == nil, tc.endDirect)
+			}
+			if tc.endDirect && len(tab.cost) != 1<<tc.n {
+				t.Errorf("direct layout has %d slots, want 2^%d", len(tab.cost), tc.n)
+			}
+			if tc.startDirect && len(tab.cost) != slots {
+				t.Errorf("direct layout grew: %d -> %d slots", slots, len(tab.cost))
+			}
+			k := key{tc.n, tc.pool}
+			if prev, ok := final[k]; ok {
+				if len(prev) != len(got) {
+					t.Fatalf("Range set has %d entries, the other regime's %d", len(got), len(prev))
+				}
+				for s, w := range got {
+					p := prev[s]
+					if p.Left != w.Left || p.Right != w.Right || p.Op != w.Op || !sameBits(p.Rows, w.Rows) || !sameBits(p.Cost, w.Cost) {
+						t.Fatalf("Range(%v) = %+v, the other regime's %+v", s, w, p)
+					}
+				}
+			}
+			final[k] = got
+		})
+	}
+}
+
+// TestTableRejectsSetsOutsideTheQuery: the table knows n, so a set naming a
+// relation ≥ n is rejected by Put exactly like the empty set, in both
+// layouts, and PutBase takes single relations only.
+func TestTableRejectsSetsOutsideTheQuery(t *testing.T) {
+	w := Winner{Left: 1, Right: 2, Found: true}
+	for _, hint := range []int{2, 1 << 6} { // hash, direct
+		tab := NewTable(6, hint)
+		for _, s := range []bitset.Mask{0, 1 << 6, 1<<6 | 3, 1 << 63, ^bitset.Mask(0)} {
+			if _, ok := tab.Cost(s); ok || tab.Has(s) {
+				t.Errorf("hint %d: %v probes as present", hint, s)
+			}
+			mustPanic(t, "Put outside the query", func() { tab.Put(s, w) })
+			mustPanic(t, "Improve outside the query", func() { tab.Improve(s, w) })
+		}
+		mustPanic(t, "PutBase of two relations", func() { tab.PutBase(3, &Node{}) })
+		if tab.Len() != 0 {
+			t.Errorf("hint %d: rejected sets were counted: Len = %d", hint, tab.Len())
+		}
 	}
 }

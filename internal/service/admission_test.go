@@ -95,8 +95,11 @@ func TestImmediateShedWhenQueueFull(t *testing.T) {
 	})
 	defer svc.Close()
 
+	// A clique-17 holds the worker for seconds (3^17 csg-cmp pairs) until
+	// its context is cancelled; anything costed in milliseconds lets the
+	// queue drain between two polls of this test.
 	big := func(seed int64) func() {
-		q := workload.Cycle(40, rand.New(rand.NewSource(seed)))
+		q := workload.Clique(17, rand.New(rand.NewSource(seed)))
 		ctx, cancel := context.WithCancel(context.Background())
 		go svc.Optimize(ctx, q)
 		return cancel
