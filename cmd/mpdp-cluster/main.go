@@ -23,8 +23,8 @@
 //	  -H 'Content-Type: application/json' localhost:8080/v1/catalog/stats
 //
 // The /v1/cache & /v1/catalog control surface (API.md) acts on every
-// alive node: DELETE /v1/cache/{fingerprint} drops the plan and its
-// subplans wherever replicated, /v1/cache/flush is what /cluster/flush
+// alive node: DELETE /v1/cache/{fingerprint} drops the plan wherever it
+// is replicated, /v1/cache/flush is what /cluster/flush
 // aliases, and a stats update bumps the epoch ring-wide so stale plans
 // re-cost lazily on whichever node serves them next.
 //

@@ -14,7 +14,7 @@
 //	curl localhost:8080/v1/stats
 //	curl localhost:8080/v1/healthz
 //	curl localhost:8080/v1/cache                  # cache summary + hottest entries
-//	curl -X DELETE localhost:8080/v1/cache/$FP    # drop one plan + its subplans
+//	curl -X DELETE localhost:8080/v1/cache/$FP    # drop one plan
 //	curl -X POST localhost:8080/v1/cache/flush
 //	curl -X POST -H 'Content-Type: application/json' \
 //	  -d '{"relations":[{"name":"release","rows":21000000}]}' \

@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/bitset"
 	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -269,50 +268,5 @@ func TestMPDPAgreesWithDPCCPOnBigBlocks(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestWarmSeededMPDPOnSharedCutVertex: a run seeded with the optimal plans
-// of every connected set inside one of two cycles that share a cut vertex
-// — what the sub-plan memo hands a query overlapping an earlier one — must
-// skip those sets and still return the cold run's cost, on both level
-// drivers.
-func TestWarmSeededMPDPOnSharedCutVertex(t *testing.T) {
-	n, edges := twoCyclesEdges(8, 9)
-	q := edgeQuery(n, edges, rand.New(rand.NewSource(13)))
-	firstCycle := bitset.Full(8)
-	for _, alg := range []struct {
-		name string
-		f    dp.Func
-	}{{"MPDPGeneral", dp.MPDPGeneral}, {"MPDP-CPU", parallel.MPDP}} {
-		var coldTab *plan.Table
-		in := dp.Input{Q: q, M: cost.DefaultModel(), Harvest: func(tab *plan.Table) { coldTab = tab }}
-		cold, coldStats, err := alg.f(in)
-		if err != nil {
-			t.Fatalf("%s cold: %v", alg.name, err)
-		}
-		in.Harvest = nil
-		in.Warm = func(tab *plan.Table, _ [][]bitset.Mask) int {
-			seeded := 0
-			coldTab.Range(func(s bitset.Mask, w plan.Winner) {
-				if s.Count() >= 2 && s.SubsetOf(firstCycle) {
-					tab.Put(s, w)
-					seeded++
-				}
-			})
-			return seeded
-		}
-		warm, warmStats, err := alg.f(in)
-		if err != nil {
-			t.Fatalf("%s warm: %v", alg.name, err)
-		}
-		if warm.Cost != cold.Cost {
-			t.Errorf("%s: warm cost %.10g, cold %.10g", alg.name, warm.Cost, cold.Cost)
-		}
-		if warmStats.WarmSeeded == 0 ||
-			warmStats.ConnectedSets+warmStats.WarmSeeded != coldStats.ConnectedSets ||
-			warmStats.CCP >= coldStats.CCP {
-			t.Errorf("%s: warm run %+v did not skip the seeded sets of cold run %+v", alg.name, warmStats, coldStats)
-		}
 	}
 }

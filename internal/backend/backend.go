@@ -16,7 +16,6 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -59,11 +58,6 @@ type Options struct {
 	// Arena, when non-nil, supplies the result's plan nodes for the exact
 	// backends (see core.Options.Arena).
 	Arena *plan.Arena
-	// Warm and Harvest are the subplan-memo hooks threaded to the level
-	// drivers (see dp.Input); backends whose algorithms do not run a level
-	// driver ignore them.
-	Warm    func(tab *plan.Table, buckets [][]bitset.Mask) int
-	Harvest func(tab *plan.Table)
 }
 
 // Result is one backend answer.

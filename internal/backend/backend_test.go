@@ -117,12 +117,27 @@ func TestBackendsCostIdentical(t *testing.T) {
 }
 
 // TestGPUCoalescing: concurrent GPU requests coalesce into shared batches
-// and every caller still gets the right plan for its own query.
+// and every caller still gets the right plan for its own query; a request
+// that finds the device pool idle is a batch of one on every device.
 func TestGPUCoalescing(t *testing.T) {
-	s := NewSet(GPUConfig{Devices: 4, BatchWindow: 2 * time.Millisecond})
+	s := NewSet(GPUConfig{Devices: 4})
 	defer s.Close()
 	gpu := s.Get(GPU)
 	m := cost.DefaultModel()
+
+	lone := genQuery(t, workload.KindChain, 10, 2)
+	res, err := gpu.Optimize(context.Background(), lone, core.AlgMPDPGPU, Options{Model: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GPU == nil || res.GPU.Devices != 4 {
+		t.Fatalf("a lone GPU run should use all 4 devices: %+v", res.GPU)
+	}
+	if ref, _, err := dp.DPCCP(dp.Input{Q: lone, M: m}); err != nil {
+		t.Fatal(err)
+	} else if !relEq(res.Plan.Cost, ref.Cost) {
+		t.Errorf("lone run: cost %g, want %g", res.Plan.Cost, ref.Cost)
+	}
 
 	const callers = 12
 	qs := make([]*cost.Query, callers)
@@ -169,25 +184,35 @@ func TestGPUTimeout(t *testing.T) {
 	}
 }
 
-// TestGPUUnbatchedPath: a negative batch window bypasses the coalescer.
-func TestGPUUnbatchedPath(t *testing.T) {
-	s := NewSet(GPUConfig{Devices: 3, BatchWindow: -1})
-	defer s.Close()
-	q := genQuery(t, workload.KindChain, 10, 2)
-	m := cost.DefaultModel()
-	res, err := s.Get(GPU).Optimize(context.Background(), q, core.AlgMPDPGPU, Options{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU == nil || res.GPU.Devices != 3 {
-		t.Fatalf("unbatched GPU run should use all 3 devices: %+v", res.GPU)
-	}
-	ref, _, err := dp.DPCCP(dp.Input{Q: q, M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !relEq(res.Plan.Cost, ref.Cost) {
-		t.Errorf("cost %g, want %g", res.Plan.Cost, ref.Cost)
+// TestGPUBatchTakesWhatIsQueued: batch formation never waits. With k jobs
+// queued behind the first it takes min(k+1, BatchMax) in arrival order and
+// leaves the rest for the next batch; with none queued the batch is the
+// first job alone.
+func TestGPUBatchTakesWhatIsQueued(t *testing.T) {
+	const batchMax = 4
+	for _, queued := range []int{0, 1, 3, 4, 9} {
+		jobs := make([]*gpuJob, queued+1)
+		for i := range jobs {
+			jobs[i] = &gpuJob{}
+		}
+		ch := make(chan *gpuJob, queued+1)
+		for _, j := range jobs[1:] {
+			ch <- j
+		}
+		// Nothing ever sends on ch again: returning at all is the proof
+		// that formation does not wait for company.
+		batch := takeBatch(jobs[0], ch, batchMax)
+		if want := min(queued+1, batchMax); len(batch) != want {
+			t.Fatalf("%d queued: batch of %d, want %d", queued, len(batch), want)
+		}
+		for i, j := range batch {
+			if j != jobs[i] {
+				t.Errorf("%d queued: batch[%d] is not job %d: arrival order lost", queued, i, i)
+			}
+		}
+		if left := len(ch); left != queued+1-len(batch) {
+			t.Errorf("%d queued: %d left in the queue, want %d", queued, left, queued+1-len(batch))
+		}
 	}
 }
 

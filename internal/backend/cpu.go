@@ -21,8 +21,6 @@ func coreOptimize(ctx context.Context, id ID, q *cost.Query, alg core.Algorithm,
 		K:         opts.K,
 		Seed:      opts.Seed,
 		Arena:     opts.Arena,
-		Warm:      opts.Warm,
-		Harvest:   opts.Harvest,
 	})
 	if err != nil {
 		return nil, err

@@ -20,10 +20,6 @@ type GPUConfig struct {
 	Devices int
 	// Device is the device model (nil: gpusim.GTX1080).
 	Device *gpusim.Device
-	// BatchWindow is how long the batcher holds the first request of a
-	// batch while coalescing more from the worker pool (0: 200µs; negative
-	// disables coalescing — every request runs alone on all devices).
-	BatchWindow time.Duration
 	// BatchMax caps the requests per coalesced batch (0: 2 × Devices).
 	BatchMax int
 }
@@ -34,9 +30,6 @@ func (c GPUConfig) withDefaults() GPUConfig {
 	}
 	if c.Device == nil {
 		c.Device = gpusim.GTX1080()
-	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 200 * time.Microsecond
 	}
 	if c.BatchMax <= 0 {
 		c.BatchMax = 2 * c.Devices
@@ -72,10 +65,12 @@ type gpuJob struct {
 
 // gpuBackend runs MPDP on the multi-device simulated GPU. Concurrent
 // Optimize calls from the service worker pool are coalesced by a single
-// batcher goroutine: the first request of a batch waits at most
-// BatchWindow for company, then the whole batch is scheduled across the
-// device pool at once (gpusim.MPDPGPUBatch), so a burst of cold queries
-// saturates all devices instead of serializing on one.
+// batcher goroutine the way a log groups commits: a batch is whatever is
+// queued when the device pool comes free, so requests that arrive while one
+// batch runs form the next and a request that finds the pool idle runs at
+// once, alone, on every device. The whole batch is scheduled across the
+// pool together (gpusim.MPDPGPUBatch), so a burst of cold queries saturates
+// all devices instead of serializing on one, and nobody waits on a timer.
 type gpuBackend struct {
 	cfg  GPUConfig
 	jobs chan *gpuJob
@@ -90,10 +85,8 @@ func newGPUBackend(cfg GPUConfig) Backend {
 		jobs: make(chan *gpuJob, 64),
 		quit: make(chan struct{}),
 	}
-	if b.cfg.BatchWindow > 0 {
-		b.wg.Add(1)
-		go b.batcher()
-	}
+	b.wg.Add(1)
+	go b.batcher()
 	return b
 }
 
@@ -125,34 +118,30 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 	var br gpusim.BatchResult
 	switch alg {
 	case core.AlgMPDPGPU:
-		if b.cfg.BatchWindow > 0 {
-			// Select against quit on both sides so an Optimize racing
-			// Close fails loudly with ErrGPUClosed instead of hanging on
-			// a job the drained batcher will never service. (The service
-			// layer never races them — workers drain before backends
-			// close — but the Backend interface makes no such promise.)
-			job := &gpuJob{in: in, done: make(chan gpusim.BatchResult, 1)}
-			select {
-			case b.jobs <- job:
-			case <-b.quit:
-				return nil, ErrGPUClosed
-			}
+		// Select against quit on both sides so an Optimize racing Close
+		// fails loudly with ErrGPUClosed instead of hanging on a job the
+		// drained batcher will never service. (The service layer never
+		// races them — workers drain before backends close — but the
+		// Backend interface makes no such promise.)
+		job := &gpuJob{in: in, done: make(chan gpusim.BatchResult, 1)}
+		select {
+		case b.jobs <- job:
+		case <-b.quit:
+			return nil, ErrGPUClosed
+		}
+		select {
+		case br = <-job.done:
+		case <-ctx.Done():
+			// The batch will still run (and abort promptly via in.Ctx);
+			// done is buffered, so the batcher's delivery never blocks.
+			return nil, context.Cause(ctx)
+		case <-b.quit:
+			// The final drain may still have delivered our result.
 			select {
 			case br = <-job.done:
-			case <-ctx.Done():
-				// The batch will still run (and abort promptly via in.Ctx);
-				// done is buffered, so the batcher's delivery never blocks.
-				return nil, context.Cause(ctx)
-			case <-b.quit:
-				// The final drain may still have delivered our result.
-				select {
-				case br = <-job.done:
-				default:
-					return nil, ErrGPUClosed
-				}
+			default:
+				return nil, ErrGPUClosed
 			}
-		} else {
-			br.Plan, br.Stats, br.GPU, br.Err = gpusim.MPDPGPUMulti(in, b.cfg.simConfig())
 		}
 	case core.AlgDPSubGPU, core.AlgDPSizeGPU:
 		// The baseline GPU algorithms stay single-device (the paper ports
@@ -183,11 +172,11 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 	}, nil
 }
 
-// batcher is the single coalescing loop: block for the first job, hold the
-// batch open for BatchWindow (or until BatchMax), run it across the device
-// pool, deliver, repeat. It exits only when quit is closed and no job is
-// pending — the service closes its worker pool before the backends, so no
-// submission can race the shutdown.
+// batcher is the single coalescing loop: block for the first job, take
+// what else is queued, run the batch across the device pool, deliver,
+// repeat. It exits only when quit is closed and no job is pending — the
+// service closes its worker pool before the backends, so no submission can
+// race the shutdown.
 func (b *gpuBackend) batcher() {
 	defer b.wg.Done()
 	for {
@@ -202,19 +191,7 @@ func (b *gpuBackend) batcher() {
 				return
 			}
 		}
-		batch := []*gpuJob{first}
-		timer := time.NewTimer(b.cfg.BatchWindow)
-	collect:
-		for len(batch) < b.cfg.BatchMax {
-			select {
-			case j := <-b.jobs:
-				batch = append(batch, j)
-			case <-timer.C:
-				break collect
-			}
-		}
-		timer.Stop()
-
+		batch := takeBatch(first, b.jobs, b.cfg.BatchMax)
 		ins := make([]dp.Input, len(batch))
 		for i, j := range batch {
 			ins[i] = j.in
@@ -223,6 +200,21 @@ func (b *gpuBackend) batcher() {
 			batch[i].done <- r
 		}
 	}
+}
+
+// takeBatch forms one batch: first plus the jobs already queued, up to max.
+// It never waits — an empty queue yields a batch of one.
+func takeBatch(first *gpuJob, queued <-chan *gpuJob, max int) []*gpuJob {
+	batch := []*gpuJob{first}
+	for len(batch) < max {
+		select {
+		case j := <-queued:
+			batch = append(batch, j)
+		default:
+			return batch
+		}
+	}
+	return batch
 }
 
 func (b *gpuBackend) Close() {

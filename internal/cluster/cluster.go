@@ -551,9 +551,7 @@ func (c *Cluster) replicate(key, from string, owners []string) {
 	if err != nil || len(resp.Entries) == 0 {
 		return
 	}
-	// Sub-entries harvested from the plan ride along, so replica owners can
-	// warm-start overlapping queries too, not just serve exact hits.
-	req := Request{Kind: ReqImport, Entries: resp.Entries, SubEntries: resp.SubEntries}
+	req := Request{Kind: ReqImport, Entries: resp.Entries}
 	for _, id := range owners {
 		if id == from {
 			continue
@@ -669,7 +667,7 @@ func (c *Cluster) RemoveNode(id string) error {
 		c.rebalanceMu.Lock()
 		ctx, cancel := c.maintCtx()
 		if resp, err := c.transport.Call(ctx, id, Request{Kind: ReqExport}); err == nil {
-			c.pushEntries(resp.Entries, resp.SubEntries, id)
+			c.pushEntries(resp.Entries, id)
 		}
 		cancel()
 		c.rebalanceMu.Unlock()
@@ -848,43 +846,32 @@ func (c *Cluster) rebalance() {
 		if err != nil {
 			continue
 		}
-		c.pushEntries(resp.Entries, resp.SubEntries, id)
+		c.pushEntries(resp.Entries, id)
 	}
 }
 
 // pushEntries imports entries into their current owners, batching one
 // ReqImport per destination node. Entries already held by holder are not
-// re-sent to it. Sub-entries follow their origin entry's owners, so a node
-// that inherits a plan inherits the subplans harvested from it.
-func (c *Cluster) pushEntries(entries []service.Entry, subs []service.SubEntry, holder string) {
-	if len(entries) == 0 {
-		return
-	}
-	subsOf := make(map[string][]service.SubEntry)
-	for _, se := range subs {
-		subsOf[se.Origin] = append(subsOf[se.Origin], se)
-	}
+// re-sent to it.
+func (c *Cluster) pushEntries(entries []service.Entry, holder string) {
 	batches := make(map[string][]service.Entry)
-	subBatches := make(map[string][]service.SubEntry)
 	for _, e := range entries {
 		for _, owner := range c.Owners(e.Key) {
 			if owner != holder {
 				batches[owner] = append(batches[owner], e)
-				subBatches[owner] = append(subBatches[owner], subsOf[e.Key]...)
 			}
 		}
 	}
 	for id, batch := range batches {
 		ctx, cancel := c.maintCtx()
-		req := Request{Kind: ReqImport, Entries: batch, SubEntries: subBatches[id]}
-		if _, err := c.transport.Call(ctx, id, req); err == nil {
+		if _, err := c.transport.Call(ctx, id, Request{Kind: ReqImport, Entries: batch}); err == nil {
 			c.counters.rebalanced.add(uint64(len(batch)))
 		}
 		cancel()
 	}
 }
 
-// FlushAll drops every member's plan cache and subgraph memo. It targets
+// FlushAll drops every member's plan cache. It targets
 // all known members, not just ring members, so a node that is
 // dead-but-revivable does not carry pre-flush entries back on rejoin; a
 // node that is partitioned at flush time still misses the call. Prefer
@@ -926,8 +913,8 @@ func (c *Cluster) BumpStatsEpochAll() (old, cur uint64) {
 // CacheInfo aggregates the plan-cache summaries of every alive node:
 // capacities and plan counts sum (replicated entries count once per
 // holder), the stats epoch is the highest observed, and the entry listing
-// merges per-node listings by fingerprint — hits and sub-entry counts sum
-// across holders — truncated to the topN hottest.
+// merges per-node listings by fingerprint — hits sum across holders —
+// truncated to the topN hottest.
 func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 	agg := service.CacheInfo{Entries: []service.CacheEntryInfo{}}
 	byKey := make(map[string]service.CacheEntryInfo)
@@ -942,8 +929,6 @@ func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 		agg.Plans += info.Plans
 		agg.Capacity += info.Capacity
 		agg.Shards += info.Shards
-		agg.SubPlans += info.SubPlans
-		agg.SubCapacity += info.SubCapacity
 		if info.StatsEpoch > agg.StatsEpoch {
 			agg.StatsEpoch = info.StatsEpoch
 		}
@@ -954,7 +939,6 @@ func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 				continue
 			}
 			m.Hits += e.Hits
-			m.SubEntries += e.SubEntries
 			if e.Epoch > m.Epoch {
 				m.Epoch = e.Epoch
 			}
@@ -976,11 +960,9 @@ func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 	return agg
 }
 
-// Invalidate drops the entry under the given canonical fingerprint (plus
-// the sub-entries harvested from it) on every known member, reporting
-// whether any member held it and how many sub-entries were dropped in
-// total.
-func (c *Cluster) Invalidate(key string) (found bool, subsDropped int) {
+// Invalidate drops the entry under the given canonical fingerprint on every
+// known member, reporting whether any member held it.
+func (c *Cluster) Invalidate(key string) (found bool) {
 	for _, id := range c.memberIDs() {
 		ctx, cancel := c.maintCtx()
 		resp, err := c.transport.Call(ctx, id, Request{Kind: ReqInvalidate, Key: key})
@@ -989,9 +971,8 @@ func (c *Cluster) Invalidate(key string) (found bool, subsDropped int) {
 			continue
 		}
 		found = found || resp.Found
-		subsDropped += resp.SubsDropped
 	}
-	return found, subsDropped
+	return found
 }
 
 // StatsEpoch returns the highest catalog stats epoch any alive node
@@ -1123,8 +1104,8 @@ func (c *Cluster) collectStats() (Snapshot, *service.LatencySet) {
 	var hitUS, missUS float64
 	merged := &service.LatencySet{}
 	s.Backends = make(map[string]service.BackendCounts)
-	fold := func(id string, snap service.Snapshot, cacheLen, subLen int, dead bool) {
-		s.PerNode[id] = NodeSnapshot{Snapshot: snap, CacheLen: cacheLen, SubLen: subLen, Dead: dead}
+	fold := func(id string, snap service.Snapshot, cacheLen int, dead bool) {
+		s.PerNode[id] = NodeSnapshot{Snapshot: snap, CacheLen: cacheLen, Dead: dead}
 		if snap.StatsEpoch > s.StatsEpoch {
 			s.StatsEpoch = snap.StatsEpoch
 		}
@@ -1148,7 +1129,7 @@ func (c *Cluster) collectStats() (Snapshot, *service.LatencySet) {
 		}
 	}
 	for id, ref := range refs {
-		fold(id, ref.n.svc.Counters().Snapshot(), ref.n.svc.CacheLen(), ref.n.svc.SubCacheLen(), ref.dead)
+		fold(id, ref.n.svc.Counters().Snapshot(), ref.n.svc.CacheLen(), ref.dead)
 		ref.n.svc.Counters().MergeLatencies(merged)
 	}
 	for _, r := range remotes {
@@ -1159,7 +1140,7 @@ func (c *Cluster) collectStats() (Snapshot, *service.LatencySet) {
 			s.PerNode[r.id] = NodeSnapshot{Dead: r.dead}
 			continue
 		}
-		fold(r.id, st.Snapshot, st.CacheLen, st.SubLen, r.dead)
+		fold(r.id, st.Snapshot, st.CacheLen, r.dead)
 		merged.MergeExport(st.Latencies)
 	}
 	if served > 0 {
@@ -1236,8 +1217,7 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	// dashboards read either binary.
 	var requests, hits, misses, coalesced, fallbacks, errs, canceled uint64
 	var rDPCCP, rMPDP, rGPU, rIDP2, rUnion uint64
-	var warmRuns, warmSeeded, staleProbes, recosted, recostWins, epochBumps uint64
-	cacheSubs := 0
+	var staleProbes, recosted, recostWins, epochBumps uint64
 	for _, ns := range s.PerNode {
 		requests += ns.Requests
 		hits += ns.Hits
@@ -1251,13 +1231,10 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 		rGPU += ns.RouteMPDPGPU
 		rIDP2 += ns.RouteIDP2
 		rUnion += ns.RouteUnionDP
-		warmRuns += ns.WarmStartRuns
-		warmSeeded += ns.WarmStartSeeded
 		staleProbes += ns.StaleProbes
 		recosted += ns.Recosted
 		recostWins += ns.RecostWins
 		epochBumps += ns.EpochBumps
-		cacheSubs += ns.SubLen
 	}
 	mw.Counter("mpdp_requests_total", "Optimize calls accepted for processing (all nodes).", nil, requests)
 	mw.Counter("mpdp_cache_hits_total", "Requests served from a plan cache (all nodes).", nil, hits)
@@ -1271,9 +1248,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied (all nodes).", nil, float64(s.QueueDepth))
 	mw.Gauge("mpdp_inflight", "Node-side requests in progress (all nodes).", nil, float64(s.InFlight))
 	mw.Gauge("mpdp_cache_plans", "Cached plans summed over all nodes.", nil, float64(cachePlans))
-	mw.Gauge("mpdp_cache_sub_entries", "Subgraph-memo entries summed over all nodes.", nil, float64(cacheSubs))
-	mw.Counter("mpdp_cache_warm_start_runs_total", "Optimizations offered a warm start from a subgraph memo (all nodes).", nil, warmRuns)
-	mw.Counter("mpdp_cache_warm_start_seeded_total", "Connected sets seeded from subgraph memos before enumeration (all nodes).", nil, warmSeeded)
 	mw.Counter("mpdp_cache_stale_probes_total", "Cache misses that located a structural twin from an older stats epoch (all nodes).", nil, staleProbes)
 	mw.Counter("mpdp_cache_recost_total", "Stale twin plans re-costed under current statistics (all nodes).", nil, recosted)
 	mw.Counter("mpdp_cache_recost_wins_total", "Re-costed stale plans that matched the freshly enumerated optimum (all nodes).", nil, recostWins)

@@ -50,10 +50,8 @@ type counters struct {
 // (node-mode) peer's instrumentation reaches the coordinator's /v1/stats
 // rollup and /metrics exposition.
 type NodeStats struct {
-	Snapshot service.Snapshot `json:"snapshot"`
-	CacheLen int              `json:"cache_len"`
-	// SubLen is the node's subgraph-memo entry count.
-	SubLen    int                              `json:"sub_len,omitempty"`
+	Snapshot  service.Snapshot                 `json:"snapshot"`
+	CacheLen  int                              `json:"cache_len"`
 	Latencies map[string]obs.HistogramSnapshot `json:"latencies,omitempty"`
 }
 
@@ -62,7 +60,6 @@ type NodeStats struct {
 type NodeSnapshot struct {
 	service.Snapshot
 	CacheLen int  `json:"cache_len"`
-	SubLen   int  `json:"sub_len"`
 	Dead     bool `json:"dead"`
 }
 

@@ -22,30 +22,29 @@ const RPCPath = "/cluster/rpc"
 // wireRequest is the JSON form of a Request. The query rides in the same
 // wire shape the public /v1 API uses (internal/wire), so statistics and
 // fingerprints survive the socket bit-for-bit; cache entries and results
-// marshal their native structs — both sides are this repository, there is
-// no cross-version skew to defend against.
+// marshal their native structs — both sides are this repository. Skew
+// between builds is absorbed by the decoder ignoring keys it does not know:
+// a peer from before the sub-plan memo was removed still sends sub_entries
+// and subs_dropped, and they fall away here.
 type wireRequest struct {
 	Kind        ReqKind              `json:"kind"`
 	Query       *wire.Query          `json:"query,omitempty"`
 	Fingerprint *service.Fingerprint `json:"fingerprint,omitempty"`
 	Key         string               `json:"key,omitempty"`
 	Entries     []service.Entry      `json:"entries,omitempty"`
-	SubEntries  []service.SubEntry   `json:"sub_entries,omitempty"`
 	TopN        int                  `json:"top_n,omitempty"`
 }
 
 // wireResponse is the JSON form of a Response or a node-side error.
 type wireResponse struct {
-	Result      *service.Result    `json:"result,omitempty"`
-	Entries     []service.Entry    `json:"entries,omitempty"`
-	SubEntries  []service.SubEntry `json:"sub_entries,omitempty"`
-	Stats       *NodeStats         `json:"stats,omitempty"`
-	Info        *service.CacheInfo `json:"info,omitempty"`
-	OldEpoch    uint64             `json:"old_epoch,omitempty"`
-	NewEpoch    uint64             `json:"new_epoch,omitempty"`
-	Found       bool               `json:"found,omitempty"`
-	SubsDropped int                `json:"subs_dropped,omitempty"`
-	Err         *wireErr           `json:"err,omitempty"`
+	Result   *service.Result    `json:"result,omitempty"`
+	Entries  []service.Entry    `json:"entries,omitempty"`
+	Stats    *NodeStats         `json:"stats,omitempty"`
+	Info     *service.CacheInfo `json:"info,omitempty"`
+	OldEpoch uint64             `json:"old_epoch,omitempty"`
+	NewEpoch uint64             `json:"new_epoch,omitempty"`
+	Found    bool               `json:"found,omitempty"`
+	Err      *wireErr           `json:"err,omitempty"`
 }
 
 // wireErr carries a node-side error across the socket with enough class
@@ -121,7 +120,6 @@ func nodeRPCHandler(h handler) http.Handler {
 			Fingerprint: wreq.Fingerprint,
 			Key:         wreq.Key,
 			Entries:     wreq.Entries,
-			SubEntries:  wreq.SubEntries,
 			TopN:        wreq.TopN,
 		}
 		if wreq.Query != nil {
@@ -143,15 +141,13 @@ func nodeRPCHandler(h handler) http.Handler {
 			return
 		}
 		writeWireResponse(w, &wireResponse{
-			Result:      resp.Result,
-			Entries:     resp.Entries,
-			SubEntries:  resp.SubEntries,
-			Stats:       resp.Stats,
-			Info:        resp.Info,
-			OldEpoch:    resp.OldEpoch,
-			NewEpoch:    resp.NewEpoch,
-			Found:       resp.Found,
-			SubsDropped: resp.SubsDropped,
+			Result:   resp.Result,
+			Entries:  resp.Entries,
+			Stats:    resp.Stats,
+			Info:     resp.Info,
+			OldEpoch: resp.OldEpoch,
+			NewEpoch: resp.NewEpoch,
+			Found:    resp.Found,
 		})
 	})
 }
@@ -328,7 +324,6 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 		Fingerprint: req.Fingerprint,
 		Key:         req.Key,
 		Entries:     req.Entries,
-		SubEntries:  req.SubEntries,
 		TopN:        req.TopN,
 	}
 	if req.Query != nil {
@@ -382,15 +377,13 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 		return nil, wresp.Err.decode()
 	}
 	return &Response{
-		Result:      wresp.Result,
-		Entries:     wresp.Entries,
-		SubEntries:  wresp.SubEntries,
-		Stats:       wresp.Stats,
-		Info:        wresp.Info,
-		OldEpoch:    wresp.OldEpoch,
-		NewEpoch:    wresp.NewEpoch,
-		Found:       wresp.Found,
-		SubsDropped: wresp.SubsDropped,
+		Result:   wresp.Result,
+		Entries:  wresp.Entries,
+		Stats:    wresp.Stats,
+		Info:     wresp.Info,
+		OldEpoch: wresp.OldEpoch,
+		NewEpoch: wresp.NewEpoch,
+		Found:    wresp.Found,
 	}, nil
 }
 

@@ -41,24 +41,16 @@ func (n *node) handle(ctx context.Context, req Request) (*Response, error) {
 	case ReqExport:
 		if req.Key != "" {
 			if e, ok := n.svc.ExportEntry(req.Key); ok {
-				// Per-key exports carry the sub-entries harvested from that
-				// plan: replication moves warm subplans, not just whole plans.
-				return &Response{
-					Entries:    []service.Entry{e},
-					SubEntries: n.svc.ExportSubsOf(req.Key),
-				}, nil
+				return &Response{Entries: []service.Entry{e}}, nil
 			}
 			return &Response{}, nil
 		}
-		return &Response{Entries: n.svc.Export(), SubEntries: n.svc.ExportSubs()}, nil
+		return &Response{Entries: n.svc.Export()}, nil
 	case ReqImport:
 		for _, e := range req.Entries {
 			if err := n.svc.Import(e); err != nil {
 				return nil, err
 			}
-		}
-		if err := n.svc.ImportSubs(req.SubEntries); err != nil {
-			return nil, err
 		}
 		return &Response{}, nil
 	case ReqFlush:
@@ -71,13 +63,11 @@ func (n *node) handle(ctx context.Context, req Request) (*Response, error) {
 		info := n.svc.CacheInfo(req.TopN)
 		return &Response{Info: &info}, nil
 	case ReqInvalidate:
-		found, subs := n.svc.Invalidate(req.Key)
-		return &Response{Found: found, SubsDropped: subs}, nil
+		return &Response{Found: n.svc.Invalidate(req.Key)}, nil
 	case ReqStats:
 		return &Response{Stats: &NodeStats{
 			Snapshot:  n.svc.Counters().Snapshot(),
 			CacheLen:  n.svc.CacheLen(),
-			SubLen:    n.svc.SubCacheLen(),
 			Latencies: n.svc.Counters().ExportLatencies(),
 		}}, nil
 	}

@@ -36,8 +36,7 @@ const (
 	// ReqCacheInfo returns the node's plan-cache summary with its TopN
 	// hottest entries.
 	ReqCacheInfo
-	// ReqInvalidate drops the entry under Key plus every subgraph-memo
-	// entry harvested from it.
+	// ReqInvalidate drops the entry under Key.
 	ReqInvalidate
 )
 
@@ -69,8 +68,8 @@ func (k ReqKind) String() string {
 //
 // Every field here must also appear in the HTTP transport's wireRequest
 // (httptransport.go) — the wire-parity test in transport_test.go fails the
-// build when a field is added on one side only, which is how sub-entries
-// and epochs are kept from silently vanishing on the socket path.
+// build when a field is added on one side only, which is how epochs are
+// kept from silently vanishing on the socket path.
 type Request struct {
 	Kind  ReqKind
 	Query *cost.Query
@@ -80,9 +79,6 @@ type Request struct {
 	Fingerprint *service.Fingerprint
 	Key         string
 	Entries     []service.Entry
-	// SubEntries travel with Entries on import/replication so a peer that
-	// inherits a plan can also warm-start overlapping queries.
-	SubEntries []service.SubEntry
 	// TopN bounds the entry listing of ReqCacheInfo.
 	TopN int
 }
@@ -92,8 +88,6 @@ type Request struct {
 type Response struct {
 	Result  *service.Result
 	Entries []service.Entry
-	// SubEntries answers ReqExport alongside Entries.
-	SubEntries []service.SubEntry
 	// Stats answers ReqStats.
 	Stats *NodeStats
 	// Info answers ReqCacheInfo.
@@ -101,10 +95,8 @@ type Response struct {
 	// OldEpoch and NewEpoch answer ReqBumpEpoch.
 	OldEpoch uint64
 	NewEpoch uint64
-	// Found and SubsDropped answer ReqInvalidate: whether the whole-query
-	// entry existed and how many sub-entries went with it.
-	Found       bool
-	SubsDropped int
+	// Found answers ReqInvalidate: whether the entry existed.
+	Found bool
 }
 
 // ErrUnreachable is the transport-level failure: the node is partitioned,

@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
-	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -13,7 +17,7 @@ import (
 // These tests are the enforcement half of the comment on Request and
 // Response: the HTTP transport mirrors both structs field-by-field into
 // hand-written wire shapes, and history shows a field added on one side
-// only (sub-entries, epochs) silently vanishes on the socket path while
+// only (epochs, once) silently vanishes on the socket path while
 // the in-process LocalTransport keeps working. Two guards close that gap:
 // TestWireStructFieldParity compares the field sets by reflection, and
 // TestWireRoundTripAllFields pushes a fully-populated Request and Response
@@ -109,54 +113,35 @@ func TestWireRoundTripAllFields(t *testing.T) {
 			StructKey: "s|n5|0:1,1:2",
 			StructOf:  []int{1, 0, 2, 3, 4},
 		}},
-		SubEntries: []service.SubEntry{{
-			Key:    "n3|0:1;s2",
-			Origin: "n5|0:1,1:2;s1",
-			Set:    7,
-			Left:   1,
-			Right:  6,
-			Rows:   128,
-			Cost:   512.5,
-			Op:     plan.OpHashJoin,
-			Verts:  []int{2, 0, 1},
-			Epoch:  3,
-			Inv:    0xdeadbeef,
-		}},
 		TopN: 7,
 	}
 	requireNonZero(t, reflect.ValueOf(req), nil)
 
 	want := &Response{
-		Entries:    req.Entries,
-		SubEntries: req.SubEntries,
+		Entries: req.Entries,
 		Stats: &NodeStats{
 			Snapshot: service.Snapshot{Requests: 11, Hits: 4, StatsEpoch: 3},
 			CacheLen: 2,
-			SubLen:   5,
 		},
 		Info: &service.CacheInfo{
-			Plans:       2,
-			Capacity:    4096,
-			Shards:      16,
-			SubPlans:    5,
-			SubCapacity: 65536,
-			StatsEpoch:  3,
+			Plans:      2,
+			Capacity:   4096,
+			Shards:     16,
+			StatsEpoch: 3,
 			Entries: []service.CacheEntryInfo{{
-				Key:        "n5|0:1,1:2;s1",
-				Shape:      "chain",
-				Algorithm:  "mpdp",
-				Backend:    "cpu-seq",
-				Relations:  5,
-				Hits:       9,
-				Epoch:      3,
-				SubEntries: 5,
-				FellBack:   true,
+				Key:       "n5|0:1,1:2;s1",
+				Shape:     "chain",
+				Algorithm: "mpdp",
+				Backend:   "cpu-seq",
+				Relations: 5,
+				Hits:      9,
+				Epoch:     3,
+				FellBack:  true,
 			}},
 		},
-		OldEpoch:    2,
-		NewEpoch:    3,
-		Found:       true,
-		SubsDropped: 5,
+		OldEpoch: 2,
+		NewEpoch: 3,
+		Found:    true,
 	}
 	// Result's lossless transit is covered end-to-end by
 	// TestHTTPTransportWireParity (plan costs and fingerprints over the
@@ -191,5 +176,50 @@ func TestWireRoundTripAllFields(t *testing.T) {
 	}
 	if !reflect.DeepEqual(resp, want) {
 		t.Errorf("response mutated on the wire:\n got %+v\nwant %+v", resp, want)
+	}
+}
+
+// TestWireIgnoresSubEntriesFromOlderPeer: peers from before the sub-plan
+// memo was removed still put sub_entries on imports and exports and
+// subs_dropped on invalidations. Both decoders must take such a message,
+// drop those keys and deliver the rest — in a rolling upgrade old and new
+// nodes replicate to each other.
+func TestWireIgnoresSubEntriesFromOlderPeer(t *testing.T) {
+	const oldSubs = `"sub_entries":[{"Key":"n3|0:1;s2","Origin":"k","Set":7,"Left":1,"Right":6,"Rows":128,"Cost":512.5,"Op":1,"Verts":[2,0,1],"Epoch":3,"Inv":57005}]`
+
+	// Node side: an old coordinator's import.
+	var got Request
+	node := httptest.NewServer(nodeRPCHandler(handlerFunc(func(_ context.Context, r Request) (*Response, error) {
+		got = r
+		return &Response{}, nil
+	})))
+	defer node.Close()
+	body := `{"kind":` + strconv.Itoa(int(ReqImport)) + `,"entries":[{"Key":"k","Epoch":3}],` + oldSubs + `}`
+	hresp, err := http.Post(node.URL, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("import carrying sub_entries: status %d", hresp.StatusCode)
+	}
+	if got.Kind != ReqImport || len(got.Entries) != 1 || got.Entries[0].Key != "k" {
+		t.Errorf("import carrying sub_entries reached the node as %+v", got)
+	}
+
+	// Coordinator side: an old node's export and invalidate replies.
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		io.WriteString(w, `{"entries":[{"Key":"k","Epoch":3}],`+oldSubs+`,"found":true,"subs_dropped":5}`)
+	}))
+	defer old.Close()
+	tr := NewHTTPTransport()
+	defer tr.Close()
+	tr.SetPeer("old", old.URL)
+	resp, err := tr.Call(context.Background(), "old", Request{Kind: ReqExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Entries) != 1 || resp.Entries[0].Key != "k" || !resp.Found {
+		t.Errorf("reply carrying sub_entries decoded as %+v", resp)
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/gpusim"
@@ -97,10 +96,6 @@ type Options struct {
 	// FallbackLimit is the relation count up to which Auto plans exactly
 	// (0: 25, the paper's raised heuristic-fall-back limit).
 	FallbackLimit int
-	// Warm and Harvest are the subplan-memo hooks (see dp.Input); only the
-	// level drivers (MPDP sequential and CPU-parallel) honour them.
-	Warm    func(tab *plan.Table, buckets [][]bitset.Mask) int
-	Harvest func(tab *plan.Table)
 }
 
 // Result is the outcome of one optimization.
@@ -134,7 +129,7 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 	}
 	in := dp.Input{
 		Q: q, M: m, Ctx: ctx, Arena: opts.Arena, Deadline: deadline,
-		Threads: opts.Threads, Warm: opts.Warm, Harvest: opts.Harvest,
+		Threads: opts.Threads,
 	}
 	hOpt := heuristic.Options{
 		Model: m, K: opts.K, Ctx: ctx, Deadline: deadline, Threads: opts.Threads, Seed: opts.Seed,

@@ -42,12 +42,9 @@ type Stats struct {
 	// (connected-subgraph complement pairs), including symmetric ones.
 	CCP uint64
 	// ConnectedSets is the number of connected subsets the algorithm
-	// materialized (the size of the DP lattice actually visited). Subsets
-	// seeded by a warm-start hook are not walked and count under WarmSeeded
-	// instead, so this remains "lattice actually enumerated".
+	// materialized (the size of the DP lattice actually visited).
 	ConnectedSets uint64
-	// WarmSeeded is the number of connected subsets whose winner was seeded
-	// into the DP table by the Input.Warm hook before enumeration began.
+	// Deprecated: bench-compat; remove with the probes. Always 0.
 	WarmSeeded uint64
 }
 
@@ -56,7 +53,6 @@ func (s *Stats) Add(other Stats) {
 	s.Evaluated += other.Evaluated
 	s.CCP += other.CCP
 	s.ConnectedSets += other.ConnectedSets
-	s.WarmSeeded += other.WarmSeeded
 }
 
 // Errors returned by the optimizers.
@@ -101,23 +97,6 @@ type Input struct {
 	// Threads requests CPU parallelism for the algorithms that support it
 	// (0 means all available cores, 1 means sequential).
 	Threads int
-
-	// Warm, when non-nil, is invoked by the level drivers after the base
-	// relations are seeded and before enumeration: it may Put winners for
-	// connected subsets into tab (remapped from a subplan memo), and returns
-	// how many sets it seeded. Seeded sets are skipped by the enumeration
-	// loops — the caller guarantees every seeded winner is the optimal plan
-	// of its set under this query's statistics, and that its Left/Right
-	// splits are connected sets (so the table stays materializable).
-	// Only the level drivers (MPDP sequential and CPU-parallel) honour the
-	// hook; the other enumerators ignore it and run cold.
-	Warm func(tab *plan.Table, buckets [][]bitset.Mask) int
-
-	// Harvest, when non-nil, receives the completed DP table after the plan
-	// is materialized. The table is function-local to the run — ownership
-	// transfers to the hook, which typically hands it to a background
-	// subplan harvester. Only the level drivers invoke it.
-	Harvest func(tab *plan.Table)
 }
 
 // Func is the common signature of every exact optimizer.

@@ -58,16 +58,10 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 	}
 	tab := prep.Seed(BucketCount(buckets))
 	stats.ConnectedSets = uint64(n)
-	if in.Warm != nil {
-		stats.WarmSeeded = uint64(in.Warm(tab, buckets))
-	}
 
 	var sc Scratch
 	for size := 2; size <= n; size++ {
 		for _, s := range buckets[size] {
-			if stats.WarmSeeded > 0 && tab.Has(s) {
-				continue // seeded by the warm-start hook: already optimal
-			}
 			stats.ConnectedSets++
 			win, st, err := evaluate(in, tab, s, dl, &sc)
 			stats.Add(st)
@@ -79,11 +73,7 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 			}
 		}
 	}
-	best, st, err := Finish(in, tab, prep.Leaves, &stats)
-	if err == nil && in.Harvest != nil {
-		in.Harvest(tab)
-	}
-	return best, st, err
+	return Finish(in, tab, prep.Leaves, &stats)
 }
 
 // EvaluateSetMPDP performs the per-set body of Algorithm 3 (lines 4-23):

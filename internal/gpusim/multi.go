@@ -7,6 +7,7 @@ import (
 	"repro/internal/combinat"
 	"repro/internal/dp"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/plan"
 )
 
@@ -57,13 +58,6 @@ type levelTotals struct {
 	valid      uint64 // costed pairs (both orientations)
 }
 
-// devWinner is one (set, winner) pair buffered during the parallel
-// evaluate phase and published at the level barrier — the scatter kernel.
-type devWinner struct {
-	set bitset.Mask
-	win dp.Winner
-}
-
 // MPDPGPUMulti runs MPDP-GPU across cfg.Devices simulated devices with
 // level-partitioned batch scheduling: within each DP level, every device
 // takes an even share of the level's candidate index space and executes
@@ -76,9 +70,10 @@ type devWinner struct {
 // The two costing paths mirror the CPU dispatch:
 //
 //   - Tree join graphs evaluate each connected set through the real
-//     Algorithm 2 evaluator (output-linear), partitioned across one
-//     goroutine per device — multi-device runs are faster in wall time
-//     too, not only in simulated time.
+//     Algorithm 2 evaluator (output-linear) behind the level barrier the
+//     CPU-parallel driver uses, with up to one worker per device — on
+//     levels thick enough to share, multi-device runs are faster in wall
+//     time too, not only in simulated time.
 //   - General graphs cost the csg-cmp pairs through the output-sensitive
 //     CCP stream (dp.CostCCPStream), while the evaluate kernel's
 //     candidate volume — the quantity a lockstep warp would burn cycles
@@ -221,54 +216,19 @@ func MPDPGPUMulti(in dp.Input, cfg Config) (*plan.Node, dp.Stats, MultiStats, er
 }
 
 // multiEvaluateTree runs the level-synchronous real evaluation for tree
-// join graphs: each level's sets are split into near-equal chunks, one
-// goroutine per device, with winners buffered and scattered at the level
-// barrier (same-level sets only read strictly smaller entries, so the
-// deferred writes preserve the sequential semantics exactly). Counters
-// accumulate into totals.
+// join graphs behind the shared level barrier (parallel.Levels), one worker
+// per device: same-level sets only read strictly smaller entries, so
+// publishing a level's winners at its barrier preserves the sequential
+// semantics exactly. Counters accumulate into totals.
 func multiEvaluateTree(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, totals []levelTotals, ndev int) error {
-	scratch := make([]dp.Scratch, ndev)
-	winners := make([][]devWinner, ndev)
-	errs := make([]error, ndev)
-	counts := make([]dp.Stats, ndev)
-
+	levels := parallel.NewLevels(in, dp.EvaluateSetMPDPTree, tab, buckets, ndev)
 	for size := 2; size <= in.Q.N(); size++ {
-		sets := buckets[size]
-		var wg sync.WaitGroup
-		for d := 0; d < ndev; d++ {
-			lo, hi := chunk(len(sets), ndev, d)
-			wg.Add(1)
-			go func(d, lo, hi int) {
-				defer wg.Done()
-				winners[d] = winners[d][:0]
-				counts[d] = dp.Stats{}
-				errs[d] = nil
-				// Each device polls its own deadline and owns its scratch.
-				dl := in.NewDeadline()
-				for _, s := range sets[lo:hi] {
-					win, st, err := dp.EvaluateSetMPDPTree(in, tab, s, dl, &scratch[d])
-					if err != nil {
-						errs[d] = err
-						return
-					}
-					counts[d].Add(st)
-					if win.Found {
-						winners[d] = append(winners[d], devWinner{set: s, win: win})
-					}
-				}
-			}(d, lo, hi)
+		st, err := levels.Run(size)
+		if err != nil {
+			return err
 		}
-		wg.Wait()
-		for d := 0; d < ndev; d++ {
-			if errs[d] != nil {
-				return errs[d]
-			}
-			totals[size].evalCand += counts[d].Evaluated
-			totals[size].valid += counts[d].CCP
-			for _, w := range winners[d] {
-				tab.Put(w.set, w.win)
-			}
-		}
+		totals[size].evalCand += st.Evaluated
+		totals[size].valid += st.CCP
 	}
 	return nil
 }

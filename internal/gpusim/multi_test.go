@@ -1,6 +1,8 @@
 package gpusim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -259,5 +261,24 @@ func TestBatchBacklogAccumulates(t *testing.T) {
 	if out[1].GPU.SimTimeMS <= out[0].GPU.SimTimeMS {
 		t.Errorf("second query on a shared device simulated %.4fms, want > first's %.4fms (queue wait)",
 			out[1].GPU.SimTimeMS, out[0].GPU.SimTimeMS)
+	}
+}
+
+// TestMultiTreeRunSeesCancellation: the tree path runs behind the level
+// barrier it shares with the CPU-parallel driver, whose workers keep one
+// deadline checker for the run — a chain-40 (the gpu route's everyday
+// query) cancelled before it starts must not return a plan, on one device
+// or several.
+func TestMultiTreeRunSeesCancellation(t *testing.T) {
+	q := multiQuery(t, workload.KindChain, 40, 3)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, devices := range []int{1, 2} {
+		cfg := DefaultConfig()
+		cfg.Devices = devices
+		p, _, _, err := MPDPGPUMulti(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: ctx}, cfg)
+		if !errors.Is(err, context.Canceled) || p != nil {
+			t.Errorf("devices=%d: plan %v, err %v; want no plan and context.Canceled", devices, p != nil, err)
+		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // replacement for ad-hoc admin flushing:
 //
 //	GET    /v1/cache                summary + top entries by hit count
-//	DELETE /v1/cache/{fingerprint}  targeted invalidation incl. sub-entries
+//	DELETE /v1/cache/{fingerprint}  targeted invalidation
 //	POST   /v1/cache/flush          drop everything
 //	POST   /v1/catalog/stats        update relation statistics, bump epoch
 //
@@ -49,7 +49,7 @@ func (a *API) handleCache(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheEntry serves DELETE /v1/cache/{fingerprint}: targeted
-// invalidation of one cached plan and the sub-entries harvested from it.
+// invalidation of one cached plan.
 func (a *API) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 	rid := a.requestID(r)
 	if r.Method != http.MethodDelete {
@@ -57,13 +57,12 @@ func (a *API) handleCacheEntry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fp := r.PathValue("fingerprint")
-	found, subs := a.engine.Invalidate(fp)
-	if !found {
+	if !a.engine.Invalidate(fp) {
 		a.fail(w, rid, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("no cached plan under fingerprint %q", fp), nil)
 		return
 	}
-	a.ok(w, rid, &InvalidateResponse{Fingerprint: fp, SubEntriesDropped: subs})
+	a.ok(w, rid, &InvalidateResponse{Fingerprint: fp})
 }
 
 // handleCacheFlush serves POST /v1/cache/flush.
@@ -74,7 +73,7 @@ func (a *API) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
 	}
 	before := a.engine.CacheInfo(0)
 	a.engine.FlushCache()
-	a.ok(w, rid, &FlushResponse{PlansDropped: before.Plans, SubPlansDropped: before.SubPlans})
+	a.ok(w, rid, &FlushResponse{PlansDropped: before.Plans})
 }
 
 // handleCatalogStats serves POST /v1/catalog/stats: it installs updated

@@ -47,11 +47,10 @@ type Engine interface {
 	// CacheInfo summarizes the engine's plan cache(s), listing the topN
 	// hottest entries. Cluster engines aggregate over alive nodes.
 	CacheInfo(topN int) service.CacheInfo
-	// Invalidate drops the entry under the canonical fingerprint plus the
-	// sub-entries harvested from it, reporting whether it existed and how
-	// many sub-entries went with it.
-	Invalidate(key string) (found bool, subsDropped int)
-	// FlushCache drops every cached plan and subgraph-memo entry.
+	// Invalidate drops the entry under the canonical fingerprint, reporting
+	// whether it existed.
+	Invalidate(key string) (found bool)
+	// FlushCache drops every cached plan.
 	FlushCache()
 	// StatsEpoch returns the current catalog stats epoch.
 	StatsEpoch() uint64
@@ -87,7 +86,7 @@ func (e serviceEngine) SlowLog() *obs.SlowLog { return e.svc.SlowLog() }
 
 func (e serviceEngine) CacheInfo(topN int) service.CacheInfo { return e.svc.CacheInfo(topN) }
 
-func (e serviceEngine) Invalidate(key string) (bool, int) { return e.svc.Invalidate(key) }
+func (e serviceEngine) Invalidate(key string) bool { return e.svc.Invalidate(key) }
 
 func (e serviceEngine) FlushCache() { e.svc.Flush() }
 
@@ -117,7 +116,7 @@ func (e clusterEngine) SlowLog() *obs.SlowLog { return e.c.SlowLog() }
 
 func (e clusterEngine) CacheInfo(topN int) service.CacheInfo { return e.c.CacheInfo(topN) }
 
-func (e clusterEngine) Invalidate(key string) (bool, int) { return e.c.Invalidate(key) }
+func (e clusterEngine) Invalidate(key string) bool { return e.c.Invalidate(key) }
 
 func (e clusterEngine) FlushCache() { e.c.FlushAll() }
 

@@ -251,18 +251,6 @@ func (a *API) optimizeOne(ctx context.Context, p *service.Prepared, explain bool
 		Failover:    ans.Failover,
 	}
 	resp.StatsEpoch = res.Epoch
-	// Warm-start fields describe this request's own enumeration, so they
-	// stay zero on cache hits (whose stored stats describe the original
-	// run). ConnectedSets counts the n base sets plus every enumerated
-	// interior set; seeded sets were skipped, so the fraction is the share
-	// of the walked lattice the memo covered.
-	if !res.CacheHit && !res.Coalesced && res.Stats.WarmSeeded > 0 {
-		resp.WarmStartSeeded = res.Stats.WarmSeeded
-		interior := res.Stats.ConnectedSets - uint64(q.N())
-		if total := res.Stats.WarmSeeded + interior; total > 0 {
-			resp.WarmStartFraction = float64(res.Stats.WarmSeeded) / float64(total)
-		}
-	}
 	if res.GPU != nil {
 		resp.GPUDevices = res.GPU.Devices
 		resp.GPUSimMS = res.GPU.SimTimeMS

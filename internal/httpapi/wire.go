@@ -32,12 +32,6 @@ type Response struct {
 	// Fingerprint is the canonical join-graph fingerprint the plan is
 	// cached under: isomorphic queries with identical statistics share it.
 	Fingerprint string `json:"fingerprint,omitempty"`
-	// WarmStartSeeded counts the connected sets seeded from the subgraph
-	// memo before enumeration; WarmStartFraction is the fraction of the
-	// walked connected-set lattice those seeds covered (the enumeration
-	// skipped them). Both are zero on cache hits and cold runs.
-	WarmStartSeeded   uint64  `json:"warm_start_seeded,omitempty"`
-	WarmStartFraction float64 `json:"warm_start_fraction,omitempty"`
 	// StatsEpoch is the catalog stats epoch the served plan was produced
 	// under (see POST /v1/catalog/stats).
 	StatsEpoch uint64 `json:"stats_epoch,omitempty"`
@@ -150,16 +144,12 @@ type FingerprintResponse struct {
 // DELETE /v1/cache/{fingerprint}.
 type InvalidateResponse struct {
 	Fingerprint string `json:"fingerprint"`
-	// SubEntriesDropped counts the subgraph-memo entries that were
-	// harvested from the invalidated plan and went with it.
-	SubEntriesDropped int `json:"sub_entries_dropped"`
 }
 
 // FlushResponse is the body of POST /v1/cache/flush: what the flush
 // dropped.
 type FlushResponse struct {
-	PlansDropped    int `json:"plans_dropped"`
-	SubPlansDropped int `json:"sub_plans_dropped"`
+	PlansDropped int `json:"plans_dropped"`
 }
 
 // CatalogRelStats is one relation's updated statistics in a

@@ -1,0 +1,146 @@
+package parallel
+
+import (
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/bitset"
+	"repro/internal/dp"
+	"repro/internal/plan"
+)
+
+// minSetsPerWorker is the fewest sets of one level a worker must be handed
+// before it is started for that level. A sparse set costs 1–2 µs to
+// evaluate and a goroutine costs several to start, park and fold, so a
+// cycle-24 (24 sets on each of 23 levels) or a chain runs entirely on the
+// calling goroutine, while the middle levels of a clique, a star or a
+// MusicBrainz walk (hundreds to thousands of sets) fan out. Sized from the
+// benchmark's parallel.speedup probe on a 2-vCPU host: see DESIGN.md, "The
+// level barrier".
+const minSetsPerWorker = 64
+
+// Levels is the level barrier of the level-synchronous drivers — the CPU
+// counterpart of the paper's one-kernel-per-level structure (§5), shared by
+// the CPU-parallel enumerators and the GPU model's tree path. Run evaluates
+// the connected sets of one size and returns once all of them are in the
+// table, so every set of the next size finds its children.
+//
+// Sets are work-stolen (per-set cost varies wildly with block structure),
+// so every set has exactly one producer: the worker that drew its index
+// writes the winner into that index of a per-level slice and counts into
+// its own dp.Stats, and the barrier publishes the slice into the table and
+// folds the counts — no shared word is touched per set except the
+// work-stealing cursor, and no plan node exists until Finish.
+//
+// The calling goroutine is worker 0. Further workers are goroutines started
+// for one level and joined at its barrier, and only for a level with at
+// least minSetsPerWorker sets for each of them. Every worker keeps one
+// evaluator scratch and one dp.Deadline for the whole run, so the deadline
+// poll interval counts candidate pairs across levels.
+type Levels struct {
+	in       dp.Input
+	evaluate dp.SetEvaluator
+	tab      *plan.Table
+	buckets  [][]bitset.Mask
+	winners  []dp.Winner // slot i belongs to set i of the level being run
+	workers  []levelWorker
+	next     atomic.Int64 // work-stealing cursor into the level's sets
+	wg       sync.WaitGroup
+	spawned  int // goroutines started so far
+}
+
+// levelWorker is the state one worker carries from level to level.
+type levelWorker struct {
+	dl    *dp.Deadline
+	sc    dp.Scratch
+	stats dp.Stats // of the level just drained
+	err   error
+}
+
+// NewLevels prepares a run of evaluate over buckets (as returned by
+// dp.ConnectedBuckets) into tab with at most workers concurrent workers.
+func NewLevels(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, buckets [][]bitset.Mask, workers int) *Levels {
+	widest := 0
+	for _, b := range buckets {
+		widest = max(widest, len(b))
+	}
+	l := &Levels{
+		in: in, evaluate: evaluate, tab: tab, buckets: buckets,
+		winners: make([]dp.Winner, widest),
+		workers: make([]levelWorker, max(workers, 1)),
+	}
+	for w := range l.workers {
+		l.workers[w].dl = in.NewDeadline()
+	}
+	return l
+}
+
+// Run evaluates every connected set of the given size, stores the winners
+// in the table and returns the level's folded counters. On error (budget
+// or cancellation) nothing of the level is stored.
+func (l *Levels) Run(size int) (dp.Stats, error) {
+	sets := l.buckets[size]
+	winners := l.winners[:len(sets)]
+	clear(winners)
+	l.next.Store(0)
+	active := min(len(l.workers), max(len(sets)/minSetsPerWorker, 1))
+	l.wg.Add(active - 1)
+	for w := 1; w < active; w++ {
+		go l.drainAndDone(&l.workers[w], sets, winners)
+	}
+	l.spawned += active - 1
+	l.drain(&l.workers[0], sets, winners)
+	l.wg.Wait()
+
+	var stats dp.Stats
+	var failed error
+	for w := range l.workers[:active] {
+		stats.Add(l.workers[w].stats)
+		if failed == nil {
+			failed = l.workers[w].err
+		}
+	}
+	if failed != nil {
+		return stats, failed
+	}
+	for i, s := range sets {
+		if winners[i].Found {
+			l.tab.Put(s, winners[i])
+		}
+	}
+	return stats, nil
+}
+
+// drainAndDone is drain for a worker started as a goroutine.
+func (l *Levels) drainAndDone(w *levelWorker, sets []bitset.Mask, winners []dp.Winner) {
+	defer l.wg.Done()
+	l.drain(w, sets, winners)
+}
+
+// drain is one worker's share of a level: it draws set indices from the
+// cursor until none are left, evaluates each set it drew and writes the
+// winner into that set's slot. A worker whose deadline trips moves the
+// cursor past the end so its siblings stop at their next draw.
+//
+//mpdp:hotpath
+func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, winners []dp.Winner) {
+	// Locals, so that the loop touches nothing of l but the cursor, whose
+	// cache line every draw of every worker writes.
+	in, evaluate, tab := l.in, l.evaluate, l.tab
+	var stats dp.Stats
+	var err error
+	for err == nil {
+		i := int(l.next.Add(1)) - 1
+		if i >= len(sets) {
+			break
+		}
+		var st dp.Stats
+		winners[i], st, err = evaluate(in, tab, sets[i], w.dl, &w.sc)
+		stats.Add(st)
+		stats.ConnectedSets++
+	}
+	if err != nil {
+		l.next.Store(int64(len(sets)))
+	}
+	w.stats, w.err = stats, err
+}

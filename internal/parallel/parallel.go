@@ -39,112 +39,30 @@ func MPDP(in dp.Input) (*plan.Node, dp.Stats, error) {
 	return levelParallel(in, dp.EvaluateSetMPDP)
 }
 
-// levelParallel is the shared level-synchronous driver: evaluate is invoked
-// for every connected set of each size, in parallel within the level. Sets
-// are work-stolen (per-set cost varies wildly with block structure), so
-// every set has exactly one producer: the worker that drew its index writes
-// the winner into that index of a plain per-level slice and counts into its
-// own dp.Stats, and the level barrier publishes the slice into the table
-// and folds the workers' counts — no shared word is touched per set except
-// the work-stealing cursor, and no plan node exists until Finish.
+// levelParallel is the driver of the level-synchronous enumerators:
+// evaluate is invoked for every connected set of each size, the sets of one
+// size in parallel behind the shared level barrier (Levels).
 func levelParallel(in dp.Input, evaluate dp.SetEvaluator) (*plan.Node, dp.Stats, error) {
 	var stats dp.Stats
 	prep, err := dp.Prepare(in)
 	if err != nil {
 		return nil, stats, err
 	}
-	nWorkers := threads(in)
 	buckets, err := dp.ConnectedBuckets(in)
 	if err != nil {
 		return nil, stats, err
 	}
 	tab := prep.Seed(dp.BucketCount(buckets))
 	stats.ConnectedSets = uint64(in.Q.N())
-	if in.Warm != nil {
-		// Warm-start runs before any worker starts: the seeded winners are
-		// plain table writes, published to the workers by the goroutine
-		// creation below (same happens-before edge the base seeds use).
-		stats.WarmSeeded = uint64(in.Warm(tab, buckets))
-	}
-	warm := stats.WarmSeeded > 0
-
-	maxLevel := 0
-	for _, b := range buckets {
-		maxLevel = max(maxLevel, len(b))
-	}
-	winners := make([]dp.Winner, maxLevel)
-	scratch := make([]dp.Scratch, nWorkers)
-	local := make([]dp.Stats, nWorkers)
-	errs := make([]error, nWorkers)
-
+	levels := NewLevels(in, evaluate, tab, buckets, threads(in))
 	for size := 2; size <= in.Q.N(); size++ {
-		sets := buckets[size]
-		if len(sets) == 0 {
-			continue
-		}
-		clear(winners[:len(sets)])
-		var next atomic.Int64
-		workers := min(nWorkers, len(sets))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				local[w], errs[w] = drainLevel(in, evaluate, tab, sets, winners, &next, warm, &scratch[w])
-			}(w)
-		}
-		wg.Wait()
-		// Level barrier: fold the workers' counts and publish this level's
-		// best plans into the table.
-		var failed error
-		for w := 0; w < workers; w++ {
-			stats.Add(local[w])
-			if failed == nil {
-				failed = errs[w]
-			}
-		}
-		if failed != nil {
-			return nil, stats, failed
-		}
-		for i, s := range sets {
-			if winners[i].Found {
-				tab.Put(s, winners[i])
-			}
-		}
-	}
-	best, st, err := dp.Finish(in, tab, prep.Leaves, &stats)
-	if err == nil && in.Harvest != nil {
-		in.Harvest(tab)
-	}
-	return best, st, err
-}
-
-// drainLevel is one worker's share of a level: it draws set indices from
-// next until none are left, evaluates each set it drew, writes the winner
-// into that set's slot and returns what it counted. Sets already in the
-// table were seeded by the warm-start hook and are skipped.
-//
-//mpdp:hotpath
-func drainLevel(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, sets []bitset.Mask,
-	winners []dp.Winner, next *atomic.Int64, warm bool, sc *dp.Scratch) (dp.Stats, error) {
-	var stats dp.Stats
-	dl := in.NewDeadline()
-	for {
-		i := int(next.Add(1)) - 1
-		if i >= len(sets) {
-			return stats, nil
-		}
-		if warm && tab.Has(sets[i]) {
-			continue
-		}
-		win, st, err := evaluate(in, tab, sets[i], dl, sc)
+		st, err := levels.Run(size)
 		stats.Add(st)
-		stats.ConnectedSets++
 		if err != nil {
-			return stats, err
+			return nil, stats, err
 		}
-		winners[i] = win
 	}
+	return dp.Finish(in, tab, prep.Leaves, &stats)
 }
 
 // DPSubParallel is the CPU-parallel DPSub, provided for completeness (the

@@ -140,11 +140,7 @@ func TestTableLayoutsUnderLevelWorkers(t *testing.T) {
 		{"star-14", graph.Star(14)},
 		{"cycle-14", graph.Cycle(14)},
 	} {
-		q := randomQuery(tc.g.N, 0, rng)
-		q.G = graph.New(tc.g.N)
-		for _, e := range tc.g.Edges {
-			q.G.AddEdge(e.A, e.B, math.Pow(10, -1-3*rng.Float64()))
-		}
+		q := shapedQuery(tc.g, rng)
 		ref, refStats, err := dp.MPDP(dp.Input{Q: q, M: m})
 		if err != nil {
 			t.Fatal(err)

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"math"
-	"math/bits"
 
 	"repro/internal/bitset"
 )
@@ -388,44 +387,6 @@ func (t *Table) grow() {
 		if k != 0 {
 			j := t.insert(k)
 			t.cost[j], t.cold[j] = old.cost[i], old.cold[i]
-		}
-	}
-}
-
-// Range calls f for every interior (joined) set stored in the table, by
-// value. Base (singleton) entries are skipped: they carry no split worth
-// sharing. Iteration order is the table's slot order — hash order in one
-// layout, numeric order of the bitmaps in the other — so two tables holding
-// the same entries may yield them in different orders; callers (the
-// sub-plan harvester) must not depend on it. f must not mutate the table
-// while ranging.
-func (t *Table) Range(f func(s bitset.Mask, w Winner)) {
-	yield := func(s bitset.Mask, i int) {
-		c := &t.cold[i]
-		if c.left == 0 {
-			return
-		}
-		f(s, Winner{
-			Left:  c.left,
-			Right: s.Diff(c.left),
-			Rows:  c.rows,
-			Cost:  t.cost[i],
-			Op:    Op(c.meta & metaOp >> 8),
-			Found: true,
-		})
-	}
-	if t.keys != nil {
-		for i, k := range t.keys {
-			if k != 0 {
-				yield(k, i)
-			}
-		}
-		return
-	}
-	for wi, w := range t.present {
-		for ; w != 0; w &= w - 1 {
-			i := wi<<6 | bits.TrailingZeros64(w)
-			yield(bitset.Mask(i), i)
 		}
 	}
 }

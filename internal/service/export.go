@@ -44,34 +44,32 @@ type Entry struct {
 	StructOf  []int
 }
 
-// Flush drops every plan-cache entry, the subgraph memo and the structural
-// index. Prefer BumpStatsEpoch when the statistics behind the cached plans
+// Flush drops every plan-cache entry and the structural index. Prefer BumpStatsEpoch when the statistics behind the cached plans
 // change: a stale plan is still a valid join tree and the epoch machinery
 // re-validates it lazily instead of discarding the work.
 func (s *Service) Flush() {
 	s.cache.Flush()
-	s.submemo.Flush()
 	s.structMu.Lock()
 	s.structIdx = make(map[string]string)
 	s.structMu.Unlock()
 }
 
-// Invalidate removes the entry cached under the given canonical key along
-// with every subgraph-memo entry harvested from it. It reports whether the
-// whole-query entry existed and how many sub-entries were dropped.
-func (s *Service) Invalidate(key string) (bool, int) {
-	found := false
-	if e, ok := s.cache.Get(key); ok {
-		found = s.cache.Delete(key)
-		if e.structKey != "" {
-			s.structMu.Lock()
-			if s.structIdx[e.structKey] == key {
-				delete(s.structIdx, e.structKey)
-			}
-			s.structMu.Unlock()
-		}
+// Invalidate removes the entry cached under the given canonical key and
+// reports whether it existed.
+func (s *Service) Invalidate(key string) bool {
+	e, ok := s.cache.Get(key)
+	if !ok {
+		return false
 	}
-	return found, s.submemo.DeleteOrigin(key)
+	found := s.cache.Delete(key)
+	if e.structKey != "" {
+		s.structMu.Lock()
+		if s.structIdx[e.structKey] == key {
+			delete(s.structIdx, e.structKey)
+		}
+		s.structMu.Unlock()
+	}
+	return found
 }
 
 // ExportEntry returns the cached entry for a canonical key, if present.
@@ -94,27 +92,6 @@ func (s *Service) Export() []Entry {
 		out[i] = exportEntry(e)
 	}
 	return out
-}
-
-// ExportSubs returns every subgraph-memo entry in insertion order, for
-// replication alongside Export.
-func (s *Service) ExportSubs() []SubEntry { return s.submemo.Export() }
-
-// ExportSubsOf returns the subgraph-memo entries harvested from the given
-// whole-query fingerprint, so per-key replication can carry a plan's
-// subplans with it.
-func (s *Service) ExportSubsOf(origin string) []SubEntry { return s.submemo.ExportOrigin(origin) }
-
-// ImportSubs installs exported subgraph-memo entries; entries with an empty
-// key are rejected.
-func (s *Service) ImportSubs(entries []SubEntry) error {
-	for _, e := range entries {
-		if e.Key == "" {
-			return fmt.Errorf("service: import sub-entry with empty key")
-		}
-		s.submemo.Put(e)
-	}
-	return nil
 }
 
 // Import installs an exported entry into the plan cache, overwriting any

@@ -13,7 +13,9 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/graph"
 )
 
 // Fingerprint is the canonical identity of an optimization request. Two
@@ -84,9 +86,9 @@ func FingerprintQuery(q *cost.Query) Fingerprint {
 	}
 
 	// refine runs colour refinement until the partition stops splitting or
-	// becomes discrete. This is the canonicalization hot loop — it runs per
-	// harvested set and per warm-start region probe, so it hashes inline and
-	// sorts without reflection.
+	// becomes discrete. This is the canonicalization hot loop — it runs on
+	// every request the front door has not prepared — so it hashes inline
+	// and sorts without reflection.
 	next := make([]uint64, n)
 	sig := make([][2]uint64, 0, n)
 	classes := countClasses()
@@ -273,4 +275,28 @@ func sigLess(a, b [2]uint64) bool {
 		return a[0] < b[0]
 	}
 	return a[1] < b[1]
+}
+
+// StructuralFingerprint computes the stats-blind canonical fingerprint of q:
+// the same 1-WL + individualization canonicalization run on a copy of the
+// query whose relations all carry identical statistics and whose edges all
+// have selectivity 1. Two queries that differ only in statistics — the
+// before/after of a catalog stats update — share the structural key, which
+// is how a probe locates its stale twin for lazy re-costing. Structural
+// entries are never served directly: the plan they lead to is transplanted
+// and re-costed under the probing query's statistics, then validated against
+// a fresh enumeration.
+func StructuralFingerprint(q *cost.Query) Fingerprint {
+	n := q.N()
+	cat := catalog.Catalog{Rels: make([]catalog.Relation, n)}
+	for i := range cat.Rels {
+		cat.Rels[i] = catalog.Relation{Rows: 1, Pages: 1, Width: 1}
+	}
+	g := graph.New(n)
+	for _, e := range q.G.Edges {
+		g.AddEdge(e.A, e.B, 1)
+	}
+	fp := FingerprintQuery(&cost.Query{Cat: cat, G: g})
+	fp.Key = "s|" + fp.Key
+	return fp
 }

@@ -3,10 +3,8 @@ package service
 import "testing"
 
 // Canonicalization micro-benchmarks. FingerprintQuery runs on every request
-// (exact key), again stats-blind (structural key), once per harvested set
-// and once per matched warm-start region — its constant factor bounds how
-// much overlap the subgraph memo needs before warm starts win wall time, so
-// regressions here show up as the BENCH_subplan.json gate failing.
+// the front door has not prepared (exact key) and again stats-blind on every
+// miss (structural key).
 
 func BenchmarkFingerprintChain20(b *testing.B) {
 	q := newChainUniverse(20, 3).window(0, 20)

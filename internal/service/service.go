@@ -29,11 +29,7 @@ type Config struct {
 	CacheShards int
 	// CacheCapacity is the total number of cached plans (0: 4096).
 	CacheCapacity int
-	// SubCacheCapacity bounds the subgraph memo: the number of cached
-	// connected-subquery winners harvested from completed DP tables and
-	// used to warm-start later enumerations (0: 4096). DP tables with more
-	// interior sets than the capacity are not harvested — they would only
-	// churn the memo.
+	// Deprecated: bench-compat; remove with the probes. Ignored.
 	SubCacheCapacity int
 	// Workers is the optimization worker-pool size (0: GOMAXPROCS).
 	Workers int
@@ -59,8 +55,8 @@ type Config struct {
 	// CliqueExactLimit, when non-zero, overrides Crossover.CliqueCPULimit.
 	CliqueExactLimit int
 	// GPU configures the simulated GPU backend: device model, device
-	// count, and the request-coalescing batch window (zero value: 2 ×
-	// GTX 1080 with a 200µs window).
+	// count and the cap on a coalesced batch (zero value: 2 × GTX 1080,
+	// batches of up to 4).
 	GPU backend.GPUConfig
 	// K is the sub-problem bound for IDP2/UnionDP (0: 15).
 	K int
@@ -86,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 4096
-	}
-	if c.SubCacheCapacity == 0 {
-		c.SubCacheCapacity = 4096
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -151,10 +144,7 @@ type Result struct {
 	Elapsed  time.Duration
 	// Key is the canonical fingerprint the request was cached under.
 	Key string
-	// Epoch is the catalog stats epoch the served plan was produced under;
-	// Stats.WarmSeeded and Stats.ConnectedSets describe the warm start (how
-	// many connected sets the subgraph memo seeded vs how many the
-	// enumeration still walked).
+	// Epoch is the catalog stats epoch the served plan was produced under.
 	Epoch uint64
 }
 
@@ -213,7 +203,6 @@ type Service struct {
 	xover    backend.Crossover
 	backends *backend.Set
 	cache    *Cache
-	submemo  *SubMemo
 	counters Counters
 	slog     *obs.SlowLog
 	// limiter is the node-level admission rate cap (nil: uncapped).
@@ -228,30 +217,10 @@ type Service struct {
 	mu       sync.Mutex
 	inflight map[string]*flight
 
-	// harvestCh feeds completed DP tables to the background harvester that
-	// fingerprints their connected sets into the subgraph memo; pending and
-	// harvestCond let tests and benchmarks wait for quiescence.
-	harvestCh      chan harvestJob
-	harvestOnce    sync.Once
-	harvestWG      sync.WaitGroup
-	harvestMu      sync.Mutex
-	harvestCond    *sync.Cond
-	harvestPending int
-
 	reqs chan request
 	quit chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
-}
-
-// harvestJob is one completed DP table queued for memo harvest. The query
-// is a private deep copy (the caller's query must not be retained) and the
-// table's ownership transfers to the harvester.
-type harvestJob struct {
-	q      *cost.Query
-	tab    *plan.Table
-	origin string
-	epoch  uint64
 }
 
 // New starts a service, its execution backends and its worker pool.
@@ -262,21 +231,16 @@ func New(cfg Config) *Service {
 		xover:     cfg.crossover(),
 		backends:  backend.NewSet(cfg.GPU),
 		cache:     NewCache(cfg.CacheShards, cfg.CacheCapacity),
-		submemo:   NewSubMemo(cfg.SubCacheCapacity),
 		slog:      obs.NewSlowLog(cfg.Slow),
 		structIdx: make(map[string]string),
 		inflight:  make(map[string]*flight),
-		harvestCh: make(chan harvestJob, 16),
 		reqs:      make(chan request, cfg.QueueDepth),
 		quit:      make(chan struct{}),
 	}
 	s.counters.statsEpoch.Store(1)
-	s.harvestCond = sync.NewCond(&s.harvestMu)
 	if cfg.Admission.RatePerSec > 0 {
 		s.limiter = NewTokenBucket(cfg.Admission.RatePerSec, cfg.Admission.Burst)
 	}
-	s.harvestWG.Add(1)
-	go s.harvester()
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -292,10 +256,6 @@ func New(cfg Config) *Service {
 func (s *Service) Close() {
 	s.once.Do(func() { close(s.quit) })
 	s.wg.Wait()
-	// The workers are done, so no further harvests can be enqueued: drain
-	// the harvester before the backends go away.
-	s.harvestOnce.Do(func() { close(s.harvestCh) })
-	s.harvestWG.Wait()
 	s.backends.Close()
 }
 
@@ -308,15 +268,14 @@ func (s *Service) WriteMetrics(w io.Writer) error {
 	mw := obs.NewMetricsWriter(w)
 	s.counters.writeMetrics(mw)
 	mw.Gauge("mpdp_cache_plans", "Plans resident in the cache.", nil, float64(s.cache.Len()))
-	mw.Gauge("mpdp_cache_sub_entries", "Connected-subquery winners resident in the subgraph memo.", nil, float64(s.submemo.Len()))
 	return mw.Flush()
 }
 
 // CacheLen returns the number of cached plans.
 func (s *Service) CacheLen() int { return s.cache.Len() }
 
-// SubCacheLen returns the number of subgraph-memo entries.
-func (s *Service) SubCacheLen() int { return s.submemo.Len() }
+// Deprecated: bench-compat; remove with the probes. Always 0.
+func (s *Service) SubCacheLen() int { return 0 }
 
 // StatsEpoch returns the current catalog stats epoch (starts at 1).
 func (s *Service) StatsEpoch() uint64 { return s.counters.statsEpoch.Load() }
@@ -555,7 +514,7 @@ func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*
 		// The initiator pays for the structural probe: on a miss after a
 		// stats-epoch bump, the stats-blind index can locate a structural
 		// twin whose join order is worth re-validating under the new
-		// statistics alongside the fresh (warm-started) enumeration.
+		// statistics alongside the fresh enumeration.
 		sfp := StructuralFingerprint(q)
 		stale := s.staleCandidate(q, fp, sfp)
 		if err := s.enqueue(ctx, request{q: q, fp: fp, sfp: sfp, stale: stale, fl: fl, tr: tr, arrived: start}); err != nil {
@@ -757,6 +716,22 @@ func (s *Service) staleCandidate(q *cost.Query, fp, sfp Fingerprint) *plan.Node 
 	return remapPlan(e.plan, m)
 }
 
+// recostPlan rebuilds p bottom-up under q's current statistics: scans are
+// re-derived from the catalog and every join is re-costed (and its physical
+// operator re-chosen) by the model. The join order — the tree shape and
+// leaf assignment — is preserved; only cardinalities, costs and operators
+// change. This is the lazy re-validation step for structurally-matched
+// stale cache entries.
+func recostPlan(q *cost.Query, m *cost.Model, p *plan.Node) *plan.Node {
+	if p == nil {
+		return nil
+	}
+	if p.IsLeaf() {
+		return m.Scan(q, p.RelID)
+	}
+	return m.Join(q, recostPlan(q, m, p.Left), recostPlan(q, m, p.Right))
+}
+
 func (s *Service) worker() {
 	defer s.wg.Done()
 	// Each worker owns an arena for the exact optimizers' plan nodes: the
@@ -807,7 +782,7 @@ func (s *Service) serve(r request, arena *plan.Arena) {
 
 	arena.Reset()
 	enumDone := r.tr.StartSpan(obs.PhaseEnumerate)
-	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, r.fp.Key, alg, bid, shape, arena)
+	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, bid, shape, arena)
 	enumDone()
 	if err == nil {
 		s.counters.observeServed(usedBid)
@@ -900,16 +875,13 @@ func (s *Service) finishFlight(r request) {
 // budget is the contract). The fallback is charged to the backend that
 // timed out. Caller cancellation (ctx) aborts outright — a caller that
 // walked away gets no heuristic retry.
-func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, fpKey string, alg core.Algorithm, bid backend.ID, shape Shape, arena *plan.Arena) (*backend.Result, core.Algorithm, backend.ID, error) {
-	warm, harvest := s.memoHooks(q, fpKey)
+func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, bid backend.ID, shape Shape, arena *plan.Arena) (*backend.Result, core.Algorithm, backend.ID, error) {
 	opts := backend.Options{
 		Model:   s.cfg.Model,
 		Timeout: s.cfg.Timeout,
 		Threads: s.cfg.Threads,
 		K:       s.cfg.K,
 		Arena:   arena,
-		Warm:    warm,
-		Harvest: harvest,
 	}
 	res, err := s.backends.Get(bid).Optimize(ctx, q, alg, opts)
 	if err == nil || !errors.Is(err, dp.ErrTimeout) || !alg.IsExact() {

@@ -38,17 +38,12 @@ type Counters struct {
 	routeIDP2    atomic.Uint64
 	routeUnionDP atomic.Uint64
 
-	// Subgraph-memo and stats-epoch instrumentation: warmRuns counts
-	// optimizations whose enumeration was offered a warm start (the memo
-	// had entries), warmSeeded the connected sets seeded from the memo
-	// across all of them; staleProbes counts cache misses that located a
-	// structural twin from an older stats epoch, recosted the twin plans
-	// re-validated under current statistics, recostWins the re-costed
-	// candidates that matched the freshly enumerated optimum; epochBumps
-	// counts stats-epoch advances and statsEpoch holds the current epoch
-	// (starts at 1).
-	warmRuns    atomic.Uint64
-	warmSeeded  atomic.Uint64
+	// Stats-epoch instrumentation: staleProbes counts cache misses that
+	// located a structural twin from an older stats epoch, recosted the
+	// twin plans re-validated under current statistics, recostWins the
+	// re-costed candidates that matched the freshly enumerated optimum;
+	// epochBumps counts stats-epoch advances and statsEpoch holds the
+	// current epoch (starts at 1).
 	staleProbes atomic.Uint64
 	recosted    atomic.Uint64
 	recostWins  atomic.Uint64
@@ -151,18 +146,14 @@ type Snapshot struct {
 	RouteIDP2    uint64 `json:"route_idp2"`
 	RouteUnionDP uint64 `json:"route_uniondp"`
 
-	// WarmStartRuns counts optimizations offered a warm start from the
-	// subgraph memo, WarmStartSeeded the connected sets seeded across them;
 	// StaleProbes/Recosted/RecostWins instrument the lazy re-cost path for
 	// structural twins from older stats epochs; StatsEpoch is the current
 	// catalog stats epoch and EpochBumps how many times it advanced.
-	WarmStartRuns   uint64 `json:"warm_start_runs"`
-	WarmStartSeeded uint64 `json:"warm_start_seeded"`
-	StaleProbes     uint64 `json:"stale_probes"`
-	Recosted        uint64 `json:"recosted"`
-	RecostWins      uint64 `json:"recost_wins"`
-	StatsEpoch      uint64 `json:"stats_epoch"`
-	EpochBumps      uint64 `json:"epoch_bumps"`
+	StaleProbes uint64 `json:"stale_probes"`
+	Recosted    uint64 `json:"recosted"`
+	RecostWins  uint64 `json:"recost_wins"`
+	StatsEpoch  uint64 `json:"stats_epoch"`
+	EpochBumps  uint64 `json:"epoch_bumps"`
 
 	// Backends breaks requests down by execution substrate, keyed by
 	// backend ID (cpu-seq, cpu-parallel, gpu, heuristic).
@@ -199,13 +190,11 @@ func (c *Counters) Snapshot() Snapshot {
 		RouteIDP2:    c.routeIDP2.Load(),
 		RouteUnionDP: c.routeUnionDP.Load(),
 
-		WarmStartRuns:   c.warmRuns.Load(),
-		WarmStartSeeded: c.warmSeeded.Load(),
-		StaleProbes:     c.staleProbes.Load(),
-		Recosted:        c.recosted.Load(),
-		RecostWins:      c.recostWins.Load(),
-		StatsEpoch:      c.statsEpoch.Load(),
-		EpochBumps:      c.epochBumps.Load(),
+		StaleProbes: c.staleProbes.Load(),
+		Recosted:    c.recosted.Load(),
+		RecostWins:  c.recostWins.Load(),
+		StatsEpoch:  c.statsEpoch.Load(),
+		EpochBumps:  c.epochBumps.Load(),
 
 		Backends: make(map[string]BackendCounts, numBackends),
 	}
@@ -316,8 +305,6 @@ func (c *Counters) writeMetrics(mw *obs.MetricsWriter) {
 	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied.", nil, float64(c.queueDepth.Load()))
 	mw.Gauge("mpdp_inflight", "Optimize calls in progress.", nil, float64(c.inflight.Load()))
 
-	mw.Counter("mpdp_cache_warm_start_runs_total", "Optimizations offered a warm start from the subgraph memo.", nil, c.warmRuns.Load())
-	mw.Counter("mpdp_cache_warm_start_seeded_total", "Connected sets seeded from the subgraph memo before enumeration.", nil, c.warmSeeded.Load())
 	mw.Counter("mpdp_cache_stale_probes_total", "Cache misses that located a structural twin from an older stats epoch.", nil, c.staleProbes.Load())
 	mw.Counter("mpdp_cache_recost_total", "Stale twin plans re-costed under current statistics.", nil, c.recosted.Load())
 	mw.Counter("mpdp_cache_recost_wins_total", "Re-costed stale plans that matched the freshly enumerated optimum.", nil, c.recostWins.Load())

@@ -31,23 +31,19 @@ type CacheEntryInfo struct {
 	// Hits counts exact-fingerprint cache hits served from the entry.
 	Hits uint64 `json:"hits"`
 	// Epoch is the catalog stats epoch the plan was costed under.
-	Epoch uint64 `json:"epoch"`
-	// SubEntries counts the subgraph-memo entries harvested from the plan.
-	SubEntries int  `json:"sub_entries"`
-	FellBack   bool `json:"fell_back"`
+	Epoch    uint64 `json:"epoch"`
+	FellBack bool   `json:"fell_back"`
 }
 
-// CacheInfo summarizes a driver's plan cache: whole-plan and subplan
-// counts, the current stats epoch, and the hottest entries. A Remote
+// CacheInfo summarizes a driver's plan cache: plan count and capacity,
+// the current stats epoch, and the hottest entries. A Remote
 // driver pointed at a cluster receives the ring-wide aggregate.
 type CacheInfo struct {
-	Plans       int              `json:"plans"`
-	Capacity    int              `json:"capacity"`
-	Shards      int              `json:"shards"`
-	SubPlans    int              `json:"sub_plans"`
-	SubCapacity int              `json:"sub_capacity"`
-	StatsEpoch  uint64           `json:"stats_epoch"`
-	Entries     []CacheEntryInfo `json:"entries"`
+	Plans      int              `json:"plans"`
+	Capacity   int              `json:"capacity"`
+	Shards     int              `json:"shards"`
+	StatsEpoch uint64           `json:"stats_epoch"`
+	Entries    []CacheEntryInfo `json:"entries"`
 }
 
 // InvalidateResult reports one targeted invalidation.
@@ -55,8 +51,6 @@ type InvalidateResult struct {
 	Fingerprint string
 	// Found reports whether any cache held the plan.
 	Found bool
-	// SubEntriesDropped counts the subgraph-memo entries dropped with it.
-	SubEntriesDropped int
 }
 
 // StatsUpdate carries one relation's new statistics to UpdateStats.
@@ -80,10 +74,9 @@ type CacheController interface {
 	// CacheInfo summarizes the plan cache, listing the topN hottest
 	// entries (0 lists none).
 	CacheInfo(ctx context.Context, topN int) (*CacheInfo, error)
-	// Invalidate drops the plan cached under the canonical fingerprint,
-	// plus every subplan harvested from it.
+	// Invalidate drops the plan cached under the canonical fingerprint.
 	Invalidate(ctx context.Context, fingerprint string) (*InvalidateResult, error)
-	// FlushCache drops every cached plan and subplan. Prefer UpdateStats
+	// FlushCache drops every cached plan. Prefer UpdateStats
 	// when the trigger is a statistics change: stale plans are then
 	// re-costed lazily instead of discarded.
 	FlushCache(ctx context.Context) error
@@ -109,13 +102,11 @@ var (
 
 func cacheInfoFromService(info service.CacheInfo) *CacheInfo {
 	out := &CacheInfo{
-		Plans:       info.Plans,
-		Capacity:    info.Capacity,
-		Shards:      info.Shards,
-		SubPlans:    info.SubPlans,
-		SubCapacity: info.SubCapacity,
-		StatsEpoch:  info.StatsEpoch,
-		Entries:     make([]CacheEntryInfo, len(info.Entries)),
+		Plans:      info.Plans,
+		Capacity:   info.Capacity,
+		Shards:     info.Shards,
+		StatsEpoch: info.StatsEpoch,
+		Entries:    make([]CacheEntryInfo, len(info.Entries)),
 	}
 	for i, e := range info.Entries {
 		out.Entries[i] = CacheEntryInfo{
@@ -126,7 +117,6 @@ func cacheInfoFromService(info service.CacheInfo) *CacheInfo {
 			Relations:   e.Relations,
 			Hits:        e.Hits,
 			Epoch:       e.Epoch,
-			SubEntries:  e.SubEntries,
 			FellBack:    e.FellBack,
 		}
 	}
@@ -142,8 +132,7 @@ func (s *served) CacheInfo(_ context.Context, topN int) (*CacheInfo, error) {
 
 // Invalidate implements CacheController on the in-process service.
 func (s *served) Invalidate(_ context.Context, fingerprint string) (*InvalidateResult, error) {
-	found, subs := s.svc.Invalidate(fingerprint)
-	return &InvalidateResult{Fingerprint: fingerprint, Found: found, SubEntriesDropped: subs}, nil
+	return &InvalidateResult{Fingerprint: fingerprint, Found: s.svc.Invalidate(fingerprint)}, nil
 }
 
 // FlushCache implements CacheController on the in-process service.
@@ -239,9 +228,8 @@ func (r *remote) CacheInfo(ctx context.Context, topN int) (*CacheInfo, error) {
 // Invalidate implements CacheController over DELETE /v1/cache/{fp}. A 404
 // (no cache holds the fingerprint) is not an error: Found is false.
 func (r *remote) Invalidate(ctx context.Context, fingerprint string) (*InvalidateResult, error) {
-	var out httpapi.InvalidateResponse
 	path := "/v1/cache/" + url.PathEscape(fingerprint)
-	err := r.controlRequest(ctx, http.MethodDelete, path, nil, &out)
+	err := r.controlRequest(ctx, http.MethodDelete, path, nil, nil)
 	if err != nil {
 		var re *RemoteError
 		if errors.As(err, &re) && re.Code == httpapi.CodeNotFound {
@@ -249,11 +237,7 @@ func (r *remote) Invalidate(ctx context.Context, fingerprint string) (*Invalidat
 		}
 		return nil, err
 	}
-	return &InvalidateResult{
-		Fingerprint:       fingerprint,
-		Found:             true,
-		SubEntriesDropped: out.SubEntriesDropped,
-	}, nil
+	return &InvalidateResult{Fingerprint: fingerprint, Found: true}, nil
 }
 
 // FlushCache implements CacheController over POST /v1/cache/flush.

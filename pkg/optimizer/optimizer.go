@@ -121,14 +121,9 @@ type Result struct {
 	// GPU backend produced the plan.
 	GPUDevices int
 	GPUSimMS   float64
-	// WarmStartSeeded counts the connected subsets seeded from the serving
-	// layer's subgraph memo before enumeration, and WarmStartFraction the
-	// share of the walked connected-set lattice those seeds covered; both
-	// are zero on cache hits and cold runs. StatsEpoch is the catalog
-	// stats epoch the plan was produced under (serving drivers only).
-	WarmStartSeeded   uint64
-	WarmStartFraction float64
-	StatsEpoch        uint64
+	// StatsEpoch is the catalog stats epoch the plan was produced under
+	// (serving drivers only).
+	StatsEpoch uint64
 	// Node and Failover are set when a Remote driver talked to a cluster.
 	Node     string
 	Failover bool

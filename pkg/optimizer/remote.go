@@ -138,26 +138,24 @@ func (r *remote) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		return nil, err
 	}
 	out := &Result{
-		Cost:              resp.Cost,
-		Rows:              resp.Rows,
-		Algorithm:         Algorithm(resp.Algorithm),
-		Backend:           resp.Backend,
-		Shape:             resp.Shape,
-		Fingerprint:       resp.Fingerprint,
-		CacheHit:          resp.CacheHit,
-		Coalesced:         resp.Coalesced,
-		FellBack:          resp.FellBack,
-		Elapsed:           time.Since(start),
-		Explain:           resp.Plan,
-		GPUDevices:        resp.GPUDevices,
-		GPUSimMS:          resp.GPUSimMS,
-		Node:              resp.Node,
-		Failover:          resp.Failover,
-		WarmStartSeeded:   resp.WarmStartSeeded,
-		WarmStartFraction: resp.WarmStartFraction,
-		StatsEpoch:        resp.StatsEpoch,
-		Trace:             traceSpans(resp.Trace),
-		TraceWallUS:       resp.TraceWallUS,
+		Cost:        resp.Cost,
+		Rows:        resp.Rows,
+		Algorithm:   Algorithm(resp.Algorithm),
+		Backend:     resp.Backend,
+		Shape:       resp.Shape,
+		Fingerprint: resp.Fingerprint,
+		CacheHit:    resp.CacheHit,
+		Coalesced:   resp.Coalesced,
+		FellBack:    resp.FellBack,
+		Elapsed:     time.Since(start),
+		Explain:     resp.Plan,
+		GPUDevices:  resp.GPUDevices,
+		GPUSimMS:    resp.GPUSimMS,
+		Node:        resp.Node,
+		Failover:    resp.Failover,
+		StatsEpoch:  resp.StatsEpoch,
+		Trace:       traceSpans(resp.Trace),
+		TraceWallUS: resp.TraceWallUS,
 	}
 	return out, nil
 }

@@ -101,13 +101,6 @@ func (s *served) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		CCPPairs:    res.Stats.CCP,
 		StatsEpoch:  res.Epoch,
 	}
-	if !res.CacheHit && !res.Coalesced && res.Stats.WarmSeeded > 0 {
-		out.WarmStartSeeded = res.Stats.WarmSeeded
-		interior := res.Stats.ConnectedSets - uint64(q.q.N())
-		if total := res.Stats.WarmSeeded + interior; total > 0 {
-			out.WarmStartFraction = float64(res.Stats.WarmSeeded) / float64(total)
-		}
-	}
 	if res.GPU != nil {
 		out.GPUDevices = res.GPU.Devices
 		out.GPUSimMS = res.GPU.SimTimeMS
