@@ -25,8 +25,8 @@
 // The /v1/cache & /v1/catalog control surface (API.md) acts on every
 // alive node: DELETE /v1/cache/{fingerprint} drops the plan wherever it
 // is replicated, /v1/cache/flush is what /cluster/flush
-// aliases, and a stats update bumps the epoch ring-wide so stale plans
-// re-cost lazily on whichever node serves them next.
+// aliases, and a stats update bumps the epoch ring-wide; nothing is
+// flushed, since a query under the new statistics has a new fingerprint.
 //
 // Transports: by default the coordinator calls its nodes in-process
 // (-transport=local). With -transport=http every node gets a real loopback

@@ -874,9 +874,8 @@ func (c *Cluster) pushEntries(entries []service.Entry, holder string) {
 // FlushAll drops every member's plan cache. It targets
 // all known members, not just ring members, so a node that is
 // dead-but-revivable does not carry pre-flush entries back on rejoin; a
-// node that is partitioned at flush time still misses the call. Prefer
-// BumpStatsEpochAll when the trigger is a statistics change: the epoch
-// machinery re-validates cached plans lazily instead of discarding them.
+// node that is partitioned at flush time still misses the call. A
+// statistics change does not call for it (see BumpStatsEpochAll).
 func (c *Cluster) FlushAll() {
 	for _, id := range c.memberIDs() {
 		ctx, cancel := c.maintCtx()
@@ -886,12 +885,13 @@ func (c *Cluster) FlushAll() {
 }
 
 // BumpStatsEpochAll advances the catalog stats epoch on every known member
-// and returns the lowest old epoch and highest new epoch observed. Entries
-// cached under older epochs are lazily re-costed on their next probe
-// rather than flushed (see service.BumpStatsEpoch). A member unreachable
-// at bump time keeps its old epoch until the next bump reaches it — the
-// same partition caveat FlushAll has, but with a bounded cost: a missed
-// bump means one lazy re-cost more, never a wrong plan.
+// and returns the lowest old epoch and highest new epoch observed. Nothing
+// is flushed: entries cached under older epochs keep answering the queries
+// that still carry their statistics, and a query under the new ones has a
+// new fingerprint (see service.BumpStatsEpoch). A member unreachable at
+// bump time keeps its old epoch until the next bump reaches it — the same
+// partition caveat FlushAll has, but harmless: the epoch is provenance, so
+// a missed bump mislabels that member's next entries, never a plan.
 func (c *Cluster) BumpStatsEpochAll() (old, cur uint64) {
 	for _, id := range c.memberIDs() {
 		ctx, cancel := c.maintCtx()
@@ -1217,7 +1217,7 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	// dashboards read either binary.
 	var requests, hits, misses, coalesced, fallbacks, errs, canceled uint64
 	var rDPCCP, rMPDP, rGPU, rIDP2, rUnion uint64
-	var staleProbes, recosted, recostWins, epochBumps uint64
+	var epochBumps uint64
 	for _, ns := range s.PerNode {
 		requests += ns.Requests
 		hits += ns.Hits
@@ -1231,9 +1231,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 		rGPU += ns.RouteMPDPGPU
 		rIDP2 += ns.RouteIDP2
 		rUnion += ns.RouteUnionDP
-		staleProbes += ns.StaleProbes
-		recosted += ns.Recosted
-		recostWins += ns.RecostWins
 		epochBumps += ns.EpochBumps
 	}
 	mw.Counter("mpdp_requests_total", "Optimize calls accepted for processing (all nodes).", nil, requests)
@@ -1248,9 +1245,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied (all nodes).", nil, float64(s.QueueDepth))
 	mw.Gauge("mpdp_inflight", "Node-side requests in progress (all nodes).", nil, float64(s.InFlight))
 	mw.Gauge("mpdp_cache_plans", "Cached plans summed over all nodes.", nil, float64(cachePlans))
-	mw.Counter("mpdp_cache_stale_probes_total", "Cache misses that located a structural twin from an older stats epoch (all nodes).", nil, staleProbes)
-	mw.Counter("mpdp_cache_recost_total", "Stale twin plans re-costed under current statistics (all nodes).", nil, recosted)
-	mw.Counter("mpdp_cache_recost_wins_total", "Re-costed stale plans that matched the freshly enumerated optimum (all nodes).", nil, recostWins)
 	mw.Counter("mpdp_stats_epoch_bumps_total", "Catalog stats epoch advances (all nodes).", nil, epochBumps)
 	mw.Gauge("mpdp_stats_epoch", "Highest catalog stats epoch any node reports.", nil, float64(s.StatsEpoch))
 	const routeHelp = "Routing decisions by algorithm (all nodes)."

@@ -109,8 +109,8 @@ type Snapshot struct {
 	QueueDepth int64  `json:"queue_depth"`
 	InFlight   int64  `json:"in_flight"`
 
-	// StatsEpoch is the highest catalog stats epoch any node reports; a
-	// node lagging behind re-costs its stale entries lazily.
+	// StatsEpoch is the highest catalog stats epoch any node reports (a
+	// node a bump did not reach lags behind until the next one).
 	StatsEpoch uint64 `json:"stats_epoch"`
 
 	Replicas   int      `json:"replicas"`

@@ -31,7 +31,7 @@ const (
 	// its cluster-wide snapshot and /metrics rollup.
 	ReqStats
 	// ReqBumpEpoch advances the node's catalog stats epoch; cached entries
-	// stamped with older epochs are lazily re-costed, not flushed.
+	// stamped with older epochs are not flushed.
 	ReqBumpEpoch
 	// ReqCacheInfo returns the node's plan-cache summary with its TopN
 	// hottest entries.

@@ -110,8 +110,6 @@ func TestWireRoundTripAllFields(t *testing.T) {
 			FellBack:  true,
 			Epoch:     3,
 			Hits:      9,
-			StructKey: "s|n5|0:1,1:2",
-			StructOf:  []int{1, 0, 2, 3, 4},
 		}},
 		TopN: 7,
 	}
@@ -221,5 +219,31 @@ func TestWireIgnoresSubEntriesFromOlderPeer(t *testing.T) {
 	}
 	if len(resp.Entries) != 1 || resp.Entries[0].Key != "k" || !resp.Found {
 		t.Errorf("reply carrying sub_entries decoded as %+v", resp)
+	}
+}
+
+// TestWireImportsEntryFromStructIndexedPeer: peers from before the stale-twin
+// path was removed put StructKey and StructOf (a second canonical key and a
+// vertex map) on every entry they replicate. A node must take such an
+// import, ignore both keys and cache the plan.
+func TestWireImportsEntryFromStructIndexedPeer(t *testing.T) {
+	n := newNode("n", service.Config{Workers: 1})
+	defer n.close()
+	srv := httptest.NewServer(nodeRPCHandler(n))
+	defer srv.Close()
+	body := `{"kind":` + strconv.Itoa(int(ReqImport)) + `,"entries":[{"Key":"k","Plan":{"RelID":0,"Rows":10,"Cost":1},` +
+		`"Algorithm":"dpccp","Backend":"cpu-seq","Epoch":3,"Hits":2,"StructKey":"s|n1|1,1,1,0","StructOf":[0]}]}`
+	hresp, err := http.Post(srv.URL, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, _ := io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK || strings.Contains(string(reply), `"err"`) {
+		t.Fatalf("import of an entry carrying StructKey/StructOf: status %d, reply %s", hresp.StatusCode, reply)
+	}
+	e, ok := n.svc.ExportEntry("k")
+	if !ok || e.Plan == nil || e.Plan.Rows != 10 || e.Epoch != 3 || e.Hits != 2 {
+		t.Errorf("imported entry = %+v (found %v), want the plan under key k at epoch 3", e, ok)
 	}
 }

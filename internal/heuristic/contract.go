@@ -29,18 +29,14 @@ type contractedProblem struct {
 // crossing base selectivities.
 func newContractedProblem(q *cost.Query, groups []*plan.Node, sets []bitset.Set) *contractedProblem {
 	n := len(groups)
-	owner := make(map[int]int) // base relation -> unit
-	for gi, s := range sets {
-		s.ForEach(func(v int) { owner[v] = gi })
-	}
+	owner := unitOwners(q, sets)
 	lg := graph.New(n)
 	for _, e := range q.G.Edges {
-		ga, okA := owner[e.A]
-		gb, okB := owner[e.B]
-		if !okA || !okB || ga == gb {
+		ga, gb := owner[e.A], owner[e.B]
+		if ga < 0 || gb < 0 || ga == gb {
 			continue
 		}
-		lg.AddEdge(ga, gb, e.Sel) // parallel edges multiply selectivities
+		lg.AddEdge(int(ga), int(gb), e.Sel) // parallel edges multiply selectivities
 	}
 	var cat catalog.Catalog
 	for gi, g := range groups {
@@ -162,15 +158,11 @@ func connectedUnits(q *cost.Query, sets []bitset.Set) bool {
 		return false
 	}
 	uf := graph.NewUnionFind(len(sets))
-	owner := make(map[int]int)
-	for gi, s := range sets {
-		s.ForEach(func(v int) { owner[v] = gi })
-	}
+	owner := unitOwners(q, sets)
 	for _, e := range q.G.Edges {
-		ga, okA := owner[e.A]
-		gb, okB := owner[e.B]
-		if okA && okB && ga != gb {
-			uf.Union(ga, gb)
+		ga, gb := owner[e.A], owner[e.B]
+		if ga >= 0 && gb >= 0 && ga != gb {
+			uf.Union(int(ga), int(gb))
 		}
 	}
 	root := uf.Find(0)
@@ -180,6 +172,19 @@ func connectedUnits(q *cost.Query, sets []bitset.Set) bool {
 		}
 	}
 	return true
+}
+
+// unitOwners maps every base relation of q to the index of the unit whose
+// footprint holds it, or -1 when the units do not cover it.
+func unitOwners(q *cost.Query, sets []bitset.Set) []int32 {
+	owner := make([]int32, q.N())
+	for i := range owner {
+		owner[i] = -1
+	}
+	for gi, s := range sets {
+		s.ForEach(func(v int) { owner[v] = int32(gi) })
+	}
+	return owner
 }
 
 // baseScans builds the initial units: one scan per base relation.

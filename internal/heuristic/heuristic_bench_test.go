@@ -30,11 +30,14 @@ func BenchmarkHeuristics(b *testing.B) {
 		{"IDP2", IDP2},
 		{"UnionDP", UnionDP},
 	}
-	for _, n := range []int{50, 200} {
+	for _, n := range []int{50, 200, 1000} {
 		q := benchSnowflake(n)
 		for _, h := range suite {
 			if h.name == "GEQO" && n > 50 {
 				continue // quadratic fitness; bench at small size only
+			}
+			if n == 1000 && h.name != "GOO" && h.name != "IDP2" && h.name != "UnionDP" {
+				continue // the large-query route: GOO seeds IDP2, UnionDP takes the cyclic ones
 			}
 			b.Run(fmt.Sprintf("%s/n=%d", h.name, n), func(b *testing.B) {
 				b.ReportAllocs()

@@ -161,8 +161,7 @@ func IDP2(q *cost.Query, opt Options) (*plan.Node, error) {
 			subSets[i] = sets[id]
 		}
 		c := newContractedProblem(q, subGroups, subSets)
-		opt2, stats, err := opt.inner()(c, opt)
-		_ = stats
+		opt2, _, err := opt.inner()(c, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -205,18 +204,16 @@ func deepestSmallJoin(root *wnode) *wnode {
 }
 
 // refreshTree recomputes leaf counts and cumulative costs after a subtree
-// replacement (join costs keep their operator shape: only child cost deltas
-// propagate; the final plan is fully re-costed by Recost).
+// replacement: a join's cumulative cost is its children's plus joinWork, an
+// estimate of its own work from its (unchanged) cardinality. These costs
+// only rank subtrees for the next pick; the final plan is fully re-costed
+// by Recost.
 func refreshTree(w *wnode) (cost float64, leaves int) {
 	if w.isLeaf() {
 		return w.cost, 1
 	}
 	lc, ln := refreshTree(w.left)
 	rc, rn := refreshTree(w.right)
-	selfCost := w.cost // previous cumulative cost
-	_ = selfCost
-	// Approximate: the join's own work is unchanged (rows identical), so
-	// cumulative cost = children + (previous cumulative − previous children).
 	w.cost = lc + rc + joinWork(w)
 	w.leaves = ln + rn
 	return w.cost, w.leaves

@@ -89,10 +89,7 @@ func unionDPRec(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.S
 func partitionUnits(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.Set, k int) [][]int {
 	m := opt.model()
 	n := len(groups)
-	owner := make(map[int]int)
-	for gi, s := range sets {
-		s.ForEach(func(v int) { owner[v] = gi })
-	}
+	owner := unitOwners(q, sets)
 	type cEdge struct {
 		a, b   int
 		weight float64
@@ -100,8 +97,8 @@ func partitionUnits(q *cost.Query, opt Options, groups []*plan.Node, sets []bits
 	seen := map[[2]int]*cEdge{}
 	var edges []*cEdge
 	for _, e := range q.G.Edges {
-		ga, gb := owner[e.A], owner[e.B]
-		if ga == gb {
+		ga, gb := int(owner[e.A]), int(owner[e.B])
+		if ga < 0 || gb < 0 || ga == gb {
 			continue
 		}
 		key := [2]int{ga, gb}

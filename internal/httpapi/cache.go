@@ -79,8 +79,8 @@ func (a *API) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
 // handleCatalogStats serves POST /v1/catalog/stats: it installs updated
 // relation statistics into the server's SQL schema (copy-on-write — bound
 // queries in flight keep the snapshot they started with) and bumps the
-// engine's stats epoch. Cached plans from before the bump are lazily
-// re-costed on their next probe; nothing is flushed.
+// engine's stats epoch. Nothing is flushed: a query bound against the new
+// statistics has a new fingerprint and is planned afresh.
 func (a *API) handleCatalogStats(w http.ResponseWriter, r *http.Request) {
 	rid := a.requestID(r)
 	if !a.requirePOST(w, r, rid) {

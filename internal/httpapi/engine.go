@@ -55,8 +55,7 @@ type Engine interface {
 	// StatsEpoch returns the current catalog stats epoch.
 	StatsEpoch() uint64
 	// BumpStatsEpoch advances the catalog stats epoch, returning the epoch
-	// before and after. Cached plans from older epochs are re-costed lazily
-	// on their next probe, not flushed.
+	// before and after. Cached plans from older epochs are not flushed.
 	BumpStatsEpoch() (old, cur uint64)
 }
 

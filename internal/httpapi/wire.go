@@ -176,8 +176,8 @@ type CatalogStatsRequest struct {
 }
 
 // CatalogStatsResponse reports the epoch transition a stats update caused.
-// Cached plans stamped with epochs before NewEpoch are lazily re-costed on
-// their next probe — never flushed.
+// Cached plans stamped with epochs before NewEpoch are not flushed: they
+// stay exact for queries that still carry their statistics.
 type CatalogStatsResponse struct {
 	OldEpoch uint64 `json:"old_epoch"`
 	NewEpoch uint64 `json:"new_epoch"`

@@ -28,17 +28,9 @@ type cached struct {
 
 	// epoch is the catalog stats epoch when the entry was produced. Exact-
 	// key hits are sound at any epoch (the key embeds the statistics); the
-	// epoch exists so the stale-twin path can tell "produced under the
-	// current catalog" from "produced before a stats update", and for the
-	// /v1/cache introspection surface.
+	// epoch is provenance: results carry it and the /v1/cache introspection
+	// surface shows which entries predate the last stats update.
 	epoch uint64
-	// structKey is the stats-blind structural fingerprint of the entry's
-	// query, and structOf maps structural-canonical indices to the entry's
-	// exact-canonical indices (structOf[structCanon] = exactCanon). Together
-	// they let a probing query with updated statistics transplant this
-	// entry's join order into its own index space for lazy re-costing.
-	structKey string
-	structOf  []int
 	// hits counts exact-key cache hits served from this entry.
 	hits atomic.Uint64
 }
@@ -99,26 +91,22 @@ func (c *Cache) Get(key string) (*cached, bool) {
 }
 
 // Put inserts (or refreshes) an entry, evicting the least-recently-used
-// entries of the shard while it is over capacity. It returns what it
-// evicted, so the owner of a side index over the cache can prune it.
-func (c *Cache) Put(e *cached) (evicted []*cached) {
+// entries of the shard while it is over capacity.
+func (c *Cache) Put(e *cached) {
 	s := c.shard(e.key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[e.key]; ok {
 		el.Value = e
 		s.ll.MoveToFront(el)
-		return nil
+		return
 	}
 	s.items[e.key] = s.ll.PushFront(e)
 	for s.ll.Len() > s.cap {
 		back := s.ll.Back()
 		s.ll.Remove(back)
-		victim := back.Value.(*cached)
-		delete(s.items, victim.key)
-		evicted = append(evicted, victim)
+		delete(s.items, back.Value.(*cached).key)
 	}
-	return evicted
 }
 
 // Delete removes the entry for key, reporting whether it was present.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -81,23 +80,6 @@ func TestCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestCachePutReportsEvictions pins what the structural index's pruning
-// relies on: Put returns exactly the entries it pushed out.
-func TestCachePutReportsEvictions(t *testing.T) {
-	c := NewCache(1, 2)
-	if ev := c.Put(&cached{key: "a"}); ev != nil {
-		t.Errorf("first insert evicted %v", ev)
-	}
-	c.Put(&cached{key: "b"})
-	if ev := c.Put(&cached{key: "b"}); ev != nil {
-		t.Errorf("refresh evicted %v", ev)
-	}
-	ev := c.Put(&cached{key: "c"})
-	if len(ev) != 1 || ev[0].key != "a" {
-		t.Errorf("evicted %v, want exactly a", ev)
-	}
-}
-
 // TestCacheProbeDoesNotAllocate guards the in-place shard hash: a probe
 // with a several-hundred-byte fingerprint key allocates nothing, without
 // counting on the compiler to elide a []byte copy of the key for hash/fnv.
@@ -118,40 +100,5 @@ func TestCacheProbeDoesNotAllocate(t *testing.T) {
 	h.Write([]byte(key))
 	if got, want := fnvString(key), h.Sum64(); got != want {
 		t.Errorf("fnvString = %#x, hash/fnv = %#x", got, want)
-	}
-}
-
-// TestStructIdxPrunedOnEviction is the regression test for the structural
-// index leak: cold-only traffic through a small cache must not leave index
-// entries behind for plans the LRU has dropped.
-func TestStructIdxPrunedOnEviction(t *testing.T) {
-	s := New(Config{Workers: 2, CacheCapacity: 8, CacheShards: 1})
-	defer s.Close()
-	idxLen := func() int {
-		s.structMu.Lock()
-		defer s.structMu.Unlock()
-		return len(s.structIdx)
-	}
-	// The index is stats-blind, so only a new shape or size is a new key:
-	// 4 shapes x 10 sizes, five times the cache.
-	kinds := []workload.Kind{workload.KindChain, workload.KindCycle, workload.KindStar, workload.KindClique}
-	for i := 0; i < 40; i++ {
-		q := genQuery(t, kinds[i%len(kinds)], 4+i/len(kinds), int64(i))
-		if _, err := s.Optimize(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-		if idx, plans := idxLen(), s.CacheLen(); idx > plans {
-			t.Fatalf("after %d cold requests the structural index holds %d keys for %d cached plans", i+1, idx, plans)
-		}
-	}
-	if s.CacheLen() != 8 {
-		t.Fatalf("CacheLen = %d, want a full cache of 8 (the test must evict)", s.CacheLen())
-	}
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	for sk, key := range s.structIdx {
-		if _, ok := s.cache.Get(key); !ok {
-			t.Errorf("structural index entry %q names evicted plan %q", sk, key)
-		}
 	}
 }

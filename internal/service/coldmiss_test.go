@@ -4,7 +4,9 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/workload"
@@ -67,4 +69,51 @@ func TestColdMissLeavesNothingRunning(t *testing.T) {
 		t.Errorf("%d cold misses allocated %d B served, %d B enumerating: more than 1.5x", misses, served, enumerated)
 	}
 	t.Logf("%d B per served miss, %d B per enumeration", served/misses, enumerated/misses)
+}
+
+// TestColdMissLargeQueryIsItsHeuristic pins what the service may add to a
+// large query: on a cycle-600 (route uniondp-mpdp) a served miss takes at
+// most twice what core.Optimize(AlgUnionDP) takes on the same query. A miss
+// canonicalises the query once, under its real statistics (under a
+// millisecond here); a second, statistics-blind labelling — on a cycle all
+// symmetry, so individualisation-refinement runs O(n²) — made the served
+// miss 9.6x the heuristic. Both sides are floors of five and the threshold
+// is far from either (about 1.3x now), so the host's noise cannot flip it.
+func TestColdMissLargeQueryIsItsHeuristic(t *testing.T) {
+	const runs = 5
+	qs := make([]*cost.Query, runs)
+	for i := range qs {
+		qs[i] = genQuery(t, workload.KindCycle, 600, int64(700+i))
+	}
+	floor := func(f func(q *cost.Query)) time.Duration {
+		best := time.Duration(-1)
+		for _, q := range qs {
+			start := time.Now()
+			f(q)
+			if d := time.Since(start); best < 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	served := floor(func(q *cost.Query) {
+		res, err := s.Optimize(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheHit || res.Algorithm != core.AlgUnionDP {
+			t.Fatalf("cycle-600 served with hit=%v by %s, want a miss routed to %s", res.CacheHit, res.Algorithm, core.AlgUnionDP)
+		}
+	})
+	alone := floor(func(q *cost.Query) {
+		if _, err := core.Optimize(context.Background(), q, core.Options{Algorithm: core.AlgUnionDP}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if served > 2*alone {
+		t.Errorf("cycle-600 miss served in %v, UnionDP alone %v: more than 2x", served, alone)
+	}
+	t.Logf("served %v, UnionDP alone %v (%.2fx)", served, alone, float64(served)/float64(alone))
 }

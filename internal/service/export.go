@@ -36,41 +36,17 @@ type Entry struct {
 	// replication preserves staleness provenance and popularity.
 	Epoch uint64
 	Hits  uint64
-	// StructKey and StructOf are the stats-blind structural identity (see
-	// StructuralFingerprint and cached.structOf); they travel with the
-	// entry so a peer that imports it can serve the stale-twin re-cost
-	// path for the same queries the origin node could.
-	StructKey string
-	StructOf  []int
 }
 
-// Flush drops every plan-cache entry and the structural index. Prefer BumpStatsEpoch when the statistics behind the cached plans
-// change: a stale plan is still a valid join tree and the epoch machinery
-// re-validates it lazily instead of discarding the work.
-func (s *Service) Flush() {
-	s.cache.Flush()
-	s.structMu.Lock()
-	s.structIdx = make(map[string]string)
-	s.structMu.Unlock()
-}
+// Flush drops every plan-cache entry. A change of statistics does not call
+// for it: BumpStatsEpoch flushes nothing, because an entry's key embeds the
+// statistics it was costed under — queries that still carry them keep
+// hitting soundly, and the rest age out of the LRU.
+func (s *Service) Flush() { s.cache.Flush() }
 
 // Invalidate removes the entry cached under the given canonical key and
 // reports whether it existed.
-func (s *Service) Invalidate(key string) bool {
-	e, ok := s.cache.Get(key)
-	if !ok {
-		return false
-	}
-	found := s.cache.Delete(key)
-	if e.structKey != "" {
-		s.structMu.Lock()
-		if s.structIdx[e.structKey] == key {
-			delete(s.structIdx, e.structKey)
-		}
-		s.structMu.Unlock()
-	}
-	return found
-}
+func (s *Service) Invalidate(key string) bool { return s.cache.Delete(key) }
 
 // ExportEntry returns the cached entry for a canonical key, if present.
 // The lookup counts as a use for the LRU.
@@ -105,23 +81,21 @@ func (s *Service) Import(e Entry) error {
 		return fmt.Errorf("service: import entry %q with nil plan", e.Key)
 	}
 	c := &cached{
-		key:       e.Key,
-		plan:      e.Plan,
-		stats:     e.Stats,
-		alg:       e.Algorithm,
-		backend:   e.Backend,
-		shape:     e.Shape,
-		gpu:       e.GPU,
-		fellBack:  e.FellBack,
-		epoch:     e.Epoch,
-		structKey: e.StructKey,
-		structOf:  e.StructOf,
+		key:      e.Key,
+		plan:     e.Plan,
+		stats:    e.Stats,
+		alg:      e.Algorithm,
+		backend:  e.Backend,
+		shape:    e.Shape,
+		gpu:      e.GPU,
+		fellBack: e.FellBack,
+		epoch:    e.Epoch,
 	}
 	if c.epoch == 0 {
 		c.epoch = s.StatsEpoch()
 	}
 	c.hits.Store(e.Hits)
-	s.store(c)
+	s.cache.Put(c)
 	return nil
 }
 
@@ -137,7 +111,5 @@ func exportEntry(e *cached) Entry {
 		FellBack:  e.fellBack,
 		Epoch:     e.epoch,
 		Hits:      e.hits.Load(),
-		StructKey: e.structKey,
-		StructOf:  e.structOf,
 	}
 }

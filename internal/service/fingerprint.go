@@ -8,14 +8,14 @@
 package service
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
-	"repro/internal/catalog"
 	"repro/internal/cost"
-	"repro/internal/graph"
 )
 
 // Fingerprint is the canonical identity of an optimization request. Two
@@ -126,6 +126,22 @@ func FingerprintQuery(q *cost.Query) Fingerprint {
 	perm := make([]int, n)
 	placed := make([]bool, n)
 	for pos := 0; pos < n; pos++ {
+		if classes == n {
+			// Every class is a singleton (the normal case: distinct
+			// statistics), so no placement from here on can tie or
+			// re-refine, and the remaining minimum scans are one sort.
+			rest := make([]int, 0, n-pos)
+			for v := 0; v < n; v++ {
+				if !placed[v] {
+					rest = append(rest, v)
+				}
+			}
+			slices.SortFunc(rest, func(a, b int) int { return cmp.Compare(colors[a], colors[b]) })
+			for i, v := range rest {
+				perm[v] = pos + i
+			}
+			break
+		}
 		best, bestColor, classSize := -1, uint64(0), 0
 		for v := 0; v < n; v++ {
 			if placed[v] {
@@ -275,28 +291,4 @@ func sigLess(a, b [2]uint64) bool {
 		return a[0] < b[0]
 	}
 	return a[1] < b[1]
-}
-
-// StructuralFingerprint computes the stats-blind canonical fingerprint of q:
-// the same 1-WL + individualization canonicalization run on a copy of the
-// query whose relations all carry identical statistics and whose edges all
-// have selectivity 1. Two queries that differ only in statistics — the
-// before/after of a catalog stats update — share the structural key, which
-// is how a probe locates its stale twin for lazy re-costing. Structural
-// entries are never served directly: the plan they lead to is transplanted
-// and re-costed under the probing query's statistics, then validated against
-// a fresh enumeration.
-func StructuralFingerprint(q *cost.Query) Fingerprint {
-	n := q.N()
-	cat := catalog.Catalog{Rels: make([]catalog.Relation, n)}
-	for i := range cat.Rels {
-		cat.Rels[i] = catalog.Relation{Rows: 1, Pages: 1, Width: 1}
-	}
-	g := graph.New(n)
-	for _, e := range q.G.Edges {
-		g.AddEdge(e.A, e.B, 1)
-	}
-	fp := FingerprintQuery(&cost.Query{Cat: cat, G: g})
-	fp.Key = "s|" + fp.Key
-	return fp
 }

@@ -184,13 +184,6 @@ type request struct {
 	fp Fingerprint
 	fl *flight
 
-	// sfp is the stats-blind structural fingerprint (computed once by the
-	// initiating caller on the miss path); stale, when non-nil, is the plan
-	// of a structural twin from an older stats epoch, already transplanted
-	// into this query's index space and awaiting lazy re-costing.
-	sfp   Fingerprint
-	stale *plan.Node
-
 	tr         *obs.Trace
 	arrived    time.Time
 	enqueuedAt time.Time
@@ -208,12 +201,6 @@ type Service struct {
 	// limiter is the node-level admission rate cap (nil: uncapped).
 	limiter *TokenBucket
 
-	// structIdx maps stats-blind structural fingerprints to the exact key
-	// of the most recent entry with that structure — the secondary index
-	// the stale-twin re-cost path probes after a stats-epoch bump.
-	structMu  sync.Mutex
-	structIdx map[string]string
-
 	mu       sync.Mutex
 	inflight map[string]*flight
 
@@ -227,15 +214,14 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:       cfg,
-		xover:     cfg.crossover(),
-		backends:  backend.NewSet(cfg.GPU),
-		cache:     NewCache(cfg.CacheShards, cfg.CacheCapacity),
-		slog:      obs.NewSlowLog(cfg.Slow),
-		structIdx: make(map[string]string),
-		inflight:  make(map[string]*flight),
-		reqs:      make(chan request, cfg.QueueDepth),
-		quit:      make(chan struct{}),
+		cfg:      cfg,
+		xover:    cfg.crossover(),
+		backends: backend.NewSet(cfg.GPU),
+		cache:    NewCache(cfg.CacheShards, cfg.CacheCapacity),
+		slog:     obs.NewSlowLog(cfg.Slow),
+		inflight: make(map[string]*flight),
+		reqs:     make(chan request, cfg.QueueDepth),
+		quit:     make(chan struct{}),
 	}
 	s.counters.statsEpoch.Store(1)
 	if cfg.Admission.RatePerSec > 0 {
@@ -284,9 +270,9 @@ func (s *Service) StatsEpoch() uint64 { return s.counters.statsEpoch.Load() }
 // new values. Nothing is flushed: cached entries keep serving exact-key
 // hits (their keys embed the statistics they were costed under, so such
 // hits remain sound), while queries carrying the *new* statistics miss the
-// exact key, locate their structural twin through the stats-blind index,
-// and lazily re-cost its join order against a fresh enumeration. Call it
-// whenever relation statistics or selectivities change.
+// exact key and are planned afresh; the entries nobody asks for any more
+// age out of the LRU. Call it whenever relation statistics or selectivities
+// change.
 func (s *Service) BumpStatsEpoch() (old, cur uint64) {
 	cur = s.counters.statsEpoch.Add(1)
 	s.counters.epochBumps.Add(1)
@@ -511,13 +497,7 @@ func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*
 	}
 
 	if !joined {
-		// The initiator pays for the structural probe: on a miss after a
-		// stats-epoch bump, the stats-blind index can locate a structural
-		// twin whose join order is worth re-validating under the new
-		// statistics alongside the fresh enumeration.
-		sfp := StructuralFingerprint(q)
-		stale := s.staleCandidate(q, fp, sfp)
-		if err := s.enqueue(ctx, request{q: q, fp: fp, sfp: sfp, stale: stale, fl: fl, tr: tr, arrived: start}); err != nil {
+		if err := s.enqueue(ctx, request{q: q, fp: fp, fl: fl, tr: tr, arrived: start}); err != nil {
 			return nil, err
 		}
 	}
@@ -689,49 +669,6 @@ func resultFrom(e *cached, inv []int, elapsed time.Duration, hit, coalesced bool
 	}
 }
 
-// staleCandidate probes the structural index for a twin of q cached under
-// an older stats epoch and, when found, transplants its join order into q's
-// index space through the composed structural-canonical correspondence.
-// The returned plan still carries the twin's costs — the serve path re-costs
-// it under current statistics before comparing it with the enumeration.
-func (s *Service) staleCandidate(q *cost.Query, fp, sfp Fingerprint) *plan.Node {
-	s.structMu.Lock()
-	twinKey, ok := s.structIdx[sfp.Key]
-	s.structMu.Unlock()
-	if !ok || twinKey == fp.Key {
-		return nil
-	}
-	e, hit := s.cache.Get(twinKey)
-	if !hit || e.epoch == s.StatsEpoch() || len(e.structOf) != q.N() {
-		return nil
-	}
-	s.counters.staleProbes.Add(1)
-	// Compose: query vertex v → structural canonical sfp.Perm[v] → twin's
-	// exact canonical e.structOf[...]; invert to remap the twin's
-	// canonical-space plan directly into q's index space.
-	m := make([]int, q.N())
-	for v := 0; v < q.N(); v++ {
-		m[e.structOf[sfp.Perm[v]]] = v
-	}
-	return remapPlan(e.plan, m)
-}
-
-// recostPlan rebuilds p bottom-up under q's current statistics: scans are
-// re-derived from the catalog and every join is re-costed (and its physical
-// operator re-chosen) by the model. The join order — the tree shape and
-// leaf assignment — is preserved; only cardinalities, costs and operators
-// change. This is the lazy re-validation step for structurally-matched
-// stale cache entries.
-func recostPlan(q *cost.Query, m *cost.Model, p *plan.Node) *plan.Node {
-	if p == nil {
-		return nil
-	}
-	if p.IsLeaf() {
-		return m.Scan(q, p.RelID)
-	}
-	return m.Join(q, recostPlan(q, m, p.Left), recostPlan(q, m, p.Right))
-}
-
 func (s *Service) worker() {
 	defer s.wg.Done()
 	// Each worker owns an arena for the exact optimizers' plan nodes: the
@@ -786,78 +723,28 @@ func (s *Service) serve(r request, arena *plan.Arena) {
 	enumDone()
 	if err == nil {
 		s.counters.observeServed(usedBid)
-		if r.stale != nil {
-			// Lazy re-validation of the structural twin found on the probe:
-			// re-cost its join order under current statistics and keep it
-			// when it matches or beats what the optimizer produced (it can
-			// genuinely win over a heuristic fallback).
-			s.counters.recosted.Add(1)
-			if cand := recostPlan(r.q, s.cfg.Model, r.stale); cand.Cost <= res.Plan.Cost || costClose(cand.Cost, res.Plan.Cost) {
-				s.counters.recostWins.Add(1)
-				res.Plan = cand
-			}
-		}
 		// The GPU's modeled device time decomposes into Sim spans: launch,
 		// transfer, per-kernel cycles, memory — the paper's per-level cost
 		// breakdown, per request.
 		res.GPU.TraceInto(r.tr, s.cfg.GPU.DeviceModel())
 		matDone := r.tr.StartSpan(obs.PhaseMaterialize)
-		n := r.q.N()
-		structOf := make([]int, n)
-		for v := 0; v < n; v++ {
-			structOf[r.sfp.Perm[v]] = r.fp.Perm[v]
-		}
 		r.fl.entry = &cached{
-			key:       r.fp.Key,
-			plan:      remapPlan(res.Plan, r.fp.Perm),
-			stats:     res.Stats,
-			alg:       usedAlg,
-			backend:   usedBid,
-			shape:     shape,
-			gpu:       res.GPU,
-			fellBack:  usedAlg != alg,
-			epoch:     s.StatsEpoch(),
-			structKey: r.sfp.Key,
-			structOf:  structOf,
+			key:      r.fp.Key,
+			plan:     remapPlan(res.Plan, r.fp.Perm),
+			stats:    res.Stats,
+			alg:      usedAlg,
+			backend:  usedBid,
+			shape:    shape,
+			gpu:      res.GPU,
+			fellBack: usedAlg != alg,
+			epoch:    s.StatsEpoch(),
 		}
-		s.store(r.fl.entry)
+		s.cache.Put(r.fl.entry)
 		matDone()
 	} else {
 		r.fl.err = err
 	}
 	s.finishFlight(r)
-}
-
-// store puts e in the plan cache and keeps the structural index in step:
-// e becomes its structure's most recent entry, and whatever the LRU evicted
-// to make room leaves the index with it. Both happen under structMu, so the
-// index never names a key the cache has dropped.
-func (s *Service) store(e *cached) {
-	s.structMu.Lock()
-	defer s.structMu.Unlock()
-	evicted := s.cache.Put(e)
-	if e.structKey != "" {
-		s.structIdx[e.structKey] = e.key
-	}
-	for _, v := range evicted {
-		if v.structKey != "" && s.structIdx[v.structKey] == v.key {
-			delete(s.structIdx, v.structKey)
-		}
-	}
-}
-
-// costClose reports whether two plan costs agree to relative 1e-9 (the
-// tie tolerance the equivalence suite uses).
-func costClose(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := a
-	if b > a {
-		scale = b
-	}
-	return d <= 1e-9*scale
 }
 
 // finishFlight publishes the flight's outcome and wakes every waiter.

@@ -38,17 +38,10 @@ type Counters struct {
 	routeIDP2    atomic.Uint64
 	routeUnionDP atomic.Uint64
 
-	// Stats-epoch instrumentation: staleProbes counts cache misses that
-	// located a structural twin from an older stats epoch, recosted the
-	// twin plans re-validated under current statistics, recostWins the
-	// re-costed candidates that matched the freshly enumerated optimum;
 	// epochBumps counts stats-epoch advances and statsEpoch holds the
 	// current epoch (starts at 1).
-	staleProbes atomic.Uint64
-	recosted    atomic.Uint64
-	recostWins  atomic.Uint64
-	epochBumps  atomic.Uint64
-	statsEpoch  atomic.Uint64
+	epochBumps atomic.Uint64
+	statsEpoch atomic.Uint64
 
 	// Per-backend accounting, indexed by slot: where the router
 	// sent requests, which substrate actually served them (fallbacks
@@ -146,14 +139,14 @@ type Snapshot struct {
 	RouteIDP2    uint64 `json:"route_idp2"`
 	RouteUnionDP uint64 `json:"route_uniondp"`
 
-	// StaleProbes/Recosted/RecostWins instrument the lazy re-cost path for
-	// structural twins from older stats epochs; StatsEpoch is the current
-	// catalog stats epoch and EpochBumps how many times it advanced.
-	StaleProbes uint64 `json:"stale_probes"`
-	Recosted    uint64 `json:"recosted"`
-	RecostWins  uint64 `json:"recost_wins"`
-	StatsEpoch  uint64 `json:"stats_epoch"`
-	EpochBumps  uint64 `json:"epoch_bumps"`
+	// StatsEpoch is the current catalog stats epoch and EpochBumps how many
+	// times it advanced.
+	StatsEpoch uint64 `json:"stats_epoch"`
+	EpochBumps uint64 `json:"epoch_bumps"`
+	// Deprecated: bench-compat; remove with the probes. Always 0.
+	StaleProbes uint64 `json:"-"`
+	// Deprecated: bench-compat; remove with the probes. Always 0.
+	RecostWins uint64 `json:"-"`
 
 	// Backends breaks requests down by execution substrate, keyed by
 	// backend ID (cpu-seq, cpu-parallel, gpu, heuristic).
@@ -190,11 +183,8 @@ func (c *Counters) Snapshot() Snapshot {
 		RouteIDP2:    c.routeIDP2.Load(),
 		RouteUnionDP: c.routeUnionDP.Load(),
 
-		StaleProbes: c.staleProbes.Load(),
-		Recosted:    c.recosted.Load(),
-		RecostWins:  c.recostWins.Load(),
-		StatsEpoch:  c.statsEpoch.Load(),
-		EpochBumps:  c.epochBumps.Load(),
+		StatsEpoch: c.statsEpoch.Load(),
+		EpochBumps: c.epochBumps.Load(),
 
 		Backends: make(map[string]BackendCounts, numBackends),
 	}
@@ -305,9 +295,6 @@ func (c *Counters) writeMetrics(mw *obs.MetricsWriter) {
 	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied.", nil, float64(c.queueDepth.Load()))
 	mw.Gauge("mpdp_inflight", "Optimize calls in progress.", nil, float64(c.inflight.Load()))
 
-	mw.Counter("mpdp_cache_stale_probes_total", "Cache misses that located a structural twin from an older stats epoch.", nil, c.staleProbes.Load())
-	mw.Counter("mpdp_cache_recost_total", "Stale twin plans re-costed under current statistics.", nil, c.recosted.Load())
-	mw.Counter("mpdp_cache_recost_wins_total", "Re-costed stale plans that matched the freshly enumerated optimum.", nil, c.recostWins.Load())
 	mw.Counter("mpdp_stats_epoch_bumps_total", "Catalog stats epoch advances.", nil, c.epochBumps.Load())
 	mw.Gauge("mpdp_stats_epoch", "Current catalog stats epoch.", nil, float64(c.statsEpoch.Load()))
 

@@ -76,16 +76,16 @@ type CacheController interface {
 	CacheInfo(ctx context.Context, topN int) (*CacheInfo, error)
 	// Invalidate drops the plan cached under the canonical fingerprint.
 	Invalidate(ctx context.Context, fingerprint string) (*InvalidateResult, error)
-	// FlushCache drops every cached plan. Prefer UpdateStats
-	// when the trigger is a statistics change: stale plans are then
-	// re-costed lazily instead of discarded.
+	// FlushCache drops every cached plan. A statistics change does not
+	// call for it: see UpdateStats.
 	FlushCache(ctx context.Context) error
 	// UpdateStats installs updated relation statistics (Remote pushes them
 	// into the server's SQL schema; Served keeps statistics caller-side in
 	// its queries, so updates only signal the change) and bumps the
 	// server's catalog stats epoch, returning the epoch before and after.
-	// Plans cached under the old epoch are lazily re-costed on their next
-	// probe.
+	// Nothing is flushed: plans cached under the old epoch stay exact for
+	// queries that still carry the old statistics, and a query under the
+	// new ones has a new fingerprint and is planned afresh.
 	UpdateStats(ctx context.Context, updates []StatsUpdate) (oldEpoch, newEpoch uint64, err error)
 }
 
