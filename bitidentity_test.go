@@ -118,33 +118,51 @@ func bitIdentityLine(label, alg string, q *cost.Query, p *plan.Node, st dp.Stats
 		label, alg, math.Float64bits(p.Cost), h.Sum64(), treeDigest(p), st.Evaluated, st.CCP, st.ConnectedSets)
 }
 
+// bitIdentityRow is one (join graph, enumerator) line of the golden.
+type bitIdentityRow struct {
+	tc  bitIdentityCase
+	alg int // index into bitIdentityAlgs
+}
+
+// bitIdentityLines runs the rows in the order given, each on ws, and returns
+// their lines sorted, as the golden stores them.
+func bitIdentityLines(t *testing.T, rows []bitIdentityRow, ws *dp.Workspace) []string {
+	t.Helper()
+	lines := make([]string, 0, len(rows))
+	for _, r := range rows {
+		alg := bitIdentityAlgs[r.alg]
+		p, st, err := alg.f(dp.Input{Q: r.tc.q, M: cost.DefaultModel(), Workspace: ws})
+		if err != nil {
+			t.Fatalf("%s: %s: %v", r.tc.name, alg.name, err)
+		}
+		// The line is taken at once: on a workspace the tree dies with the next run.
+		lines = append(lines, bitIdentityLine(r.tc.name, alg.name, r.tc.q, p, st))
+	}
+	sort.Strings(lines)
+	return lines
+}
+
 func TestBitIdentityAcrossEnumerators(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every enumerator on 20 join graphs")
+		t.Skip("runs every enumerator on 20 join graphs, twice")
 	}
-	var lines []string
+	var rows []bitIdentityRow
 	for _, tc := range bitIdentityCases(t) {
-		in := dp.Input{Q: tc.q, M: cost.DefaultModel()}
-		for _, alg := range bitIdentityAlgs {
+		for i, alg := range bitIdentityAlgs {
 			if alg.baseline && !tc.baselines {
 				continue
 			}
-			p, st, err := alg.f(in)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", tc.name, alg.name, err)
-			}
-			lines = append(lines, bitIdentityLine(tc.name, alg.name, tc.q, p, st))
+			rows = append(rows, bitIdentityRow{tc, i})
 		}
 	}
-	sort.Strings(lines)
-	got := strings.Join(lines, "\n") + "\n"
+	lines := bitIdentityLines(t, rows, nil)
 
 	path := filepath.Join("testdata", "bitidentity.golden")
 	if *updateBitIdentity {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -154,12 +172,23 @@ func TestBitIdentityAcrossEnumerators(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-	if len(wantLines) != len(lines) {
-		t.Fatalf("%d lines, golden has %d", len(lines), len(wantLines))
-	}
-	for i := range lines {
-		if lines[i] != wantLines[i] {
-			t.Errorf("drifted from the golden:\n got: %s\nwant: %s", lines[i], wantLines[i])
+	check := func(what string, lines []string) {
+		t.Helper()
+		if len(wantLines) != len(lines) {
+			t.Fatalf("%s: %d lines, golden has %d", what, len(lines), len(wantLines))
+		}
+		for i := range lines {
+			if lines[i] != wantLines[i] {
+				t.Errorf("%s drifted from the golden:\n got: %s\nwant: %s", what, lines[i], wantLines[i])
+			}
 		}
 	}
+	check("a run without a workspace", lines)
+
+	// The same rows once more, shuffled, all on one workspace nobody cleans:
+	// every run finds the table, census, winners, scratch and arena of some
+	// other enumerator on some other graph, sequential after two-threaded
+	// and back. No bit of the golden may depend on that.
+	rand.New(rand.NewSource(20)).Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+	check("a run on a dirty workspace", bitIdentityLines(t, rows, new(dp.Workspace)))
 }

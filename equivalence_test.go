@@ -4,7 +4,9 @@
 // oracles; this suite cross-checks the implementations against each other
 // over a few hundred randomized queries, which is what catches enumerator
 // divergence (a pruned pair one algorithm considers and another silently
-// skips).
+// skips). Every query is then planned a second time by every enumerator in
+// shuffled order on one dp.Workspace per shape that is never cleaned, at one
+// thread or two: borrowed memory must not move a cost either.
 package repro
 
 import (
@@ -68,10 +70,11 @@ func TestExactAlgorithmsAgreeOnRandomizedQueries(t *testing.T) {
 	}
 	span := maxN - minN + 1
 
-	for _, kind := range shapes {
-		kind := kind
+	for si, kind := range shapes {
+		si, kind := si, kind
 		t.Run(string(kind), func(t *testing.T) {
 			t.Parallel()
+			dirty := &dirtyRuns{ws: new(dp.Workspace), rng: rand.New(rand.NewSource(int64(si)))}
 			for i := 0; i < queriesPerShape; i++ {
 				n := minN + i%span
 				if kind == workload.KindClique && n > 11 {
@@ -85,7 +88,7 @@ func TestExactAlgorithmsAgreeOnRandomizedQueries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !checkAgreement(t, q, fmt.Sprintf("%s/n=%d/seed=%d", kind, n, seed)) {
+				if !checkAgreement(t, q, fmt.Sprintf("%s/n=%d/seed=%d", kind, n, seed), dirty) {
 					return // one divergence per shape is enough signal
 				}
 			}
@@ -93,29 +96,48 @@ func TestExactAlgorithmsAgreeOnRandomizedQueries(t *testing.T) {
 	}
 }
 
-func checkAgreement(t *testing.T, q *cost.Query, label string) bool {
+// dirtyRuns is the state of a shape's second pass: the one workspace every
+// enumerator runs on, and the source of the order and thread counts.
+type dirtyRuns struct {
+	ws  *dp.Workspace
+	rng *rand.Rand
+}
+
+func checkAgreement(t *testing.T, q *cost.Query, label string, dirty *dirtyRuns) bool {
 	t.Helper()
 	in := dp.Input{Q: q, M: cost.DefaultModel()}
 	ref := 0.0
 	ok := true
-	for i, alg := range exactAlgs {
-		p, _, err := alg.f(in)
+	check := func(name string, in dp.Input, f dp.Func, first bool) bool {
+		p, _, err := f(in)
 		if err != nil {
-			t.Errorf("%s: %s failed: %v", label, alg.name, err)
+			t.Errorf("%s: %s failed: %v", label, name, err)
 			return false
 		}
 		if err := p.Validate(identityPerm(q.N())); err != nil {
-			t.Errorf("%s: %s produced an invalid plan: %v", label, alg.name, err)
+			t.Errorf("%s: %s produced an invalid plan: %v", label, name, err)
 			ok = false
 		}
-		if i == 0 {
+		if first {
 			ref = p.Cost
-			continue
-		}
-		if !costEq(p.Cost, ref) {
+		} else if !costEq(p.Cost, ref) {
 			t.Errorf("%s: %s cost %.10g != %s cost %.10g",
-				label, alg.name, p.Cost, exactAlgs[0].name, ref)
+				label, name, p.Cost, exactAlgs[0].name, ref)
 			ok = false
+		}
+		return true
+	}
+	for i, alg := range exactAlgs {
+		if !check(alg.name, in, alg.f, i == 0) {
+			return false
+		}
+	}
+	in.Workspace = dirty.ws
+	for _, i := range dirty.rng.Perm(len(exactAlgs)) {
+		in.Threads = 1 + dirty.rng.Intn(2)
+		name := fmt.Sprintf("%s on a dirty workspace, %d threads,", exactAlgs[i].name, in.Threads)
+		if !check(name, in, exactAlgs[i].f, false) {
+			return false
 		}
 	}
 	return ok

@@ -55,9 +55,11 @@ type Options struct {
 	Threads int
 	K       int
 	Seed    int64
-	// Arena, when non-nil, supplies the result's plan nodes for the exact
-	// backends (see core.Options.Arena).
-	Arena *plan.Arena
+	// Workspace, when non-nil, is the memory the run borrows (see
+	// core.Options.Workspace); the caller must not start another run on it
+	// before it is done with Result.Plan. The gpu backend's batched route
+	// runs on workspaces of its own — a batched job can outlive the call.
+	Workspace *dp.Workspace
 }
 
 // Result is one backend answer.

@@ -271,3 +271,39 @@ func TestGPUOptimizeAfterCloseFailsLoudly(t *testing.T) {
 		t.Fatal("Optimize after Close hung")
 	}
 }
+
+// TestGPUPlansSurviveLaterBatches: the batcher runs its jobs on workspaces
+// it rewinds from batch to batch, so the tree it hands out must be a copy.
+// Plans kept from earlier batches still validate and still carry their
+// costs after later batches have run over the same workspaces.
+func TestGPUPlansSurviveLaterBatches(t *testing.T) {
+	s := NewSet(GPUConfig{Devices: 2})
+	defer s.Close()
+	m := cost.DefaultModel()
+	type kept struct {
+		q    *cost.Query
+		res  *Result
+		text string
+	}
+	var plans []kept
+	for i := 0; i < 6; i++ {
+		q := genQuery(t, workload.KindCycle, 8+i, int64(40+i))
+		res, err := s.Get(GPU).Optimize(context.Background(), q, core.AlgMPDPGPU, Options{Model: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, kept{q, res, res.Plan.Explain(nil)})
+	}
+	for i, k := range plans {
+		rels := make([]int, k.q.N())
+		for r := range rels {
+			rels[r] = r
+		}
+		if err := k.res.Plan.Validate(rels); err != nil {
+			t.Errorf("plan %d after %d later batches: %v", i, len(plans)-1-i, err)
+		}
+		if got := k.res.Plan.Explain(nil); got != k.text {
+			t.Errorf("plan %d changed after later batches:\n%s\nwas:\n%s", i, got, k.text)
+		}
+	}
+}

@@ -20,7 +20,7 @@ func coreOptimize(ctx context.Context, id ID, q *cost.Query, alg core.Algorithm,
 		Threads:   threads,
 		K:         opts.K,
 		Seed:      opts.Seed,
-		Arena:     opts.Arena,
+		Workspace: opts.Workspace,
 	})
 	if err != nil {
 		return nil, err

@@ -71,6 +71,12 @@ type gpuJob struct {
 // once, alone, on every device. The whole batch is scheduled across the
 // pool together (gpusim.MPDPGPUBatch), so a burst of cold queries saturates
 // all devices instead of serializing on one, and nobody waits on a timer.
+//
+// A batched job can outlive the Optimize call that queued it — the caller
+// returns on cancellation while the batch still runs — so it never runs on
+// the caller's workspace: the batcher owns the memory of the jobs it runs,
+// one dp.Workspace per slot of a batch, and hands out plan trees detached
+// from them.
 type gpuBackend struct {
 	cfg  GPUConfig
 	jobs chan *gpuJob
@@ -113,7 +119,7 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 	if opts.Timeout > 0 {
 		deadline = start.Add(opts.Timeout)
 	}
-	in := dp.Input{Q: q, M: m, Ctx: ctx, Arena: opts.Arena, Deadline: deadline}
+	in := dp.Input{Q: q, M: m, Ctx: ctx, Deadline: deadline}
 
 	var br gpusim.BatchResult
 	switch alg {
@@ -132,8 +138,9 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 		select {
 		case br = <-job.done:
 		case <-ctx.Done():
-			// The batch will still run (and abort promptly via in.Ctx);
-			// done is buffered, so the batcher's delivery never blocks.
+			// The batch will still run (and abort promptly via in.Ctx), in
+			// the batcher's memory and none of the caller's; done is
+			// buffered, so the batcher's delivery never blocks.
 			return nil, context.Cause(ctx)
 		case <-b.quit:
 			// The final drain may still have delivered our result.
@@ -152,6 +159,7 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 		}
 		cfg := b.cfg.simConfig()
 		cfg.Devices = 1
+		in.Workspace = opts.Workspace // runs to completion on the caller's goroutine
 		var gs gpusim.Stats
 		br.Plan, br.Stats, gs, br.Err = run(in, cfg)
 		br.GPU = gpusim.MultiStats{Stats: gs, Devices: 1, PerDevice: []gpusim.Stats{gs}}
@@ -179,6 +187,7 @@ func (b *gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algor
 // race the shutdown.
 func (b *gpuBackend) batcher() {
 	defer b.wg.Done()
+	var spaces []*dp.Workspace // spaces[i] is slot i's, of every batch
 	for {
 		var first *gpuJob
 		select {
@@ -194,9 +203,14 @@ func (b *gpuBackend) batcher() {
 		batch := takeBatch(first, b.jobs, b.cfg.BatchMax)
 		ins := make([]dp.Input, len(batch))
 		for i, j := range batch {
+			if i == len(spaces) {
+				spaces = append(spaces, new(dp.Workspace))
+			}
 			ins[i] = j.in
+			ins[i].Workspace = spaces[i]
 		}
 		for i, r := range gpusim.MPDPGPUBatch(ins, b.cfg.simConfig()) {
+			r.Plan = r.Plan.Clone() // the next batch rewinds spaces[i]
 			batch[i].done <- r
 		}
 	}

@@ -87,12 +87,12 @@ type Options struct {
 	Seed int64
 	// GPU configures the device model for the *-gpu algorithms.
 	GPU *gpusim.Config
-	// Arena, when non-nil, supplies the plan nodes of the result for the
-	// exact algorithms (heuristics allocate normally). The returned
-	// Result.Plan aliases the arena: callers must copy the tree before
-	// calling Arena.Reset for the next query. Long-lived workers use this
-	// to make steady-state plan materialization allocation-free.
-	Arena *plan.Arena
+	// Workspace, when non-nil, is the memory the enumeration borrows
+	// instead of allocating (dp.Workspace): the exact algorithms run on it,
+	// IDP1/IDP2/UnionDP/LinDP hand it to every inner DP. Result.Plan may
+	// alias it: callers must copy the tree before the workspace's next
+	// optimization. Long-lived workers keep one each; no plan depends on it.
+	Workspace *dp.Workspace
 	// FallbackLimit is the relation count up to which Auto plans exactly
 	// (0: 25, the paper's raised heuristic-fall-back limit).
 	FallbackLimit int
@@ -128,11 +128,12 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		deadline = time.Now().Add(opts.Timeout)
 	}
 	in := dp.Input{
-		Q: q, M: m, Ctx: ctx, Arena: opts.Arena, Deadline: deadline,
+		Q: q, M: m, Ctx: ctx, Workspace: opts.Workspace, Deadline: deadline,
 		Threads: opts.Threads,
 	}
 	hOpt := heuristic.Options{
 		Model: m, K: opts.K, Ctx: ctx, Deadline: deadline, Threads: opts.Threads, Seed: opts.Seed,
+		Workspace: opts.Workspace,
 	}
 	gcfg := gpusim.DefaultConfig()
 	if opts.GPU != nil {

@@ -11,7 +11,9 @@
 // The DP hot path is allocation-free in steady state: the memo is the
 // struct-of-arrays plan.Table (direct-addressed when the census is dense,
 // the paper's §5 Murmur3 open addressing when it is sparse), and plan trees
-// are materialized only once per run, at Finish, from an arena. Every
+// are materialized only once per run, at Finish, from an arena. Table,
+// census and arena are borrowed from the caller's Workspace when it hands
+// one in, so a run that follows another allocates next to nothing. Every
 // evaluator prunes before it fetches: a candidate pair reads the two
 // children's costs from the table's cost lane, applies the child-cost bound
 // (bestWin.hopeless), and only a pair that survives it has its entries
@@ -84,11 +86,12 @@ type Input struct {
 	// singleton.
 	Leaves []*plan.Node
 
-	// Arena, when non-nil, supplies the nodes of the returned plan tree.
-	// Long-lived callers reuse one arena across queries (Reset between
-	// runs) so steady-state plan materialization never hits the allocator.
-	// When nil, each run materializes from a private arena.
-	Arena *plan.Arena
+	// Workspace, when non-nil, is the memory the run borrows: DP table,
+	// census, level winners, evaluator scratch and the arena of the
+	// returned plan tree, which therefore stays valid only until the
+	// workspace's next run begins. Long-lived callers keep one per worker.
+	// When nil the run allocates all of it afresh. No result depends on it.
+	Workspace *Workspace
 
 	// Deadline, when non-zero, bounds the optimization time; algorithms
 	// return ErrTimeout once it passes.
@@ -213,26 +216,32 @@ type SetEvaluator func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, s
 // Prepared holds the common setup of an optimization run.
 type Prepared struct {
 	Leaves []*plan.Node
+	ws     *Workspace
 }
 
 // Prepare validates the input and materializes the per-relation base plans.
-// The DP table itself is created by Seed once the driver knows (or has
-// bounded) the number of connected sets the run will store.
+// It is the first thing every driver calls, so it is also where a run
+// begins on the input's workspace: the previous run's plan tree and census
+// are dead from here on. The DP table itself is created by Seed once the
+// driver knows (or has bounded) the number of connected sets the run will
+// store.
 func Prepare(in Input) (*Prepared, error) {
 	leaves, err := in.leaves()
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{Leaves: leaves}, nil
+	in.Workspace.begin()
+	return &Prepared{Leaves: leaves, ws: in.Workspace}, nil
 }
 
-// Seed creates the struct-of-arrays DP table pre-sized for hint connected
-// sets (including the base relations) and seeds the base entries.
+// Seed returns the run's struct-of-arrays DP table, empty, pre-sized for
+// hint connected sets (including the base relations) and seeded with the
+// base entries.
 func (p *Prepared) Seed(hint int) *plan.Table {
 	if hint < len(p.Leaves) {
 		hint = len(p.Leaves)
 	}
-	tab := plan.NewTable(len(p.Leaves), hint)
+	tab := p.ws.table(len(p.Leaves), hint)
 	for i, leaf := range p.Leaves {
 		tab.PutBase(bitset.Single(i), leaf)
 	}
@@ -242,9 +251,10 @@ func (p *Prepared) Seed(hint int) *plan.Table {
 // ConnectedBuckets enumerates every connected subset of the query graph and
 // buckets them by cardinality (result[i] holds the size-i sets). It returns
 // ErrTimeout (or the context's error) if the budget expires mid-enumeration.
+// The buckets are the workspace's when the input has one.
 func ConnectedBuckets(in Input) ([][]bitset.Mask, error) {
 	dl := in.NewDeadline()
-	buckets := connectedSetsBySize(in.Q.G, dl)
+	buckets := connectedSetsBySize(in.Q.G, dl, in.Workspace)
 	if buckets == nil {
 		return nil, dl.Err()
 	}
@@ -268,9 +278,12 @@ func CCPPairsSeq(g *graph.Graph, dl *Deadline, emit func(s1, s2 bitset.Mask)) bo
 }
 
 // Finish materializes the full-query plan from the recorded splits — the
-// single point where a run's winning tree becomes plan nodes.
+// single point where a run's winning tree becomes plan nodes, and the end of
+// the run: tab and the census are dead when it returns, and a workspace
+// lets go of them if they were larger than it retains.
 func Finish(in Input, tab *plan.Table, leaves []*plan.Node, stats *Stats) (*plan.Node, Stats, error) {
 	best, err := finish(in, tab, leaves)
+	in.Workspace.trim()
 	return best, *stats, err
 }
 
@@ -296,18 +309,10 @@ func (in *Input) leaves() ([]*plan.Node, error) {
 	return out, nil
 }
 
-// arena returns the caller-provided arena or a private one for this run.
-func (in *Input) arena() *plan.Arena {
-	if in.Arena != nil {
-		return in.Arena
-	}
-	return plan.NewArena()
-}
-
 // finish extracts the full-query plan from the table.
 func finish(in Input, tab *plan.Table, leaves []*plan.Node) (*plan.Node, error) {
 	full := bitset.Full(in.Q.N())
-	best := tab.Build(full, leaves, in.arena())
+	best := tab.Build(full, leaves, in.Workspace.arena())
 	if best == nil {
 		return nil, ErrDisconnected
 	}

@@ -141,10 +141,11 @@ func (w *csgWalk) push(s, adj, x, open bitset.Mask) {
 
 // connectedSetsBySize buckets every connected subset of g by cardinality:
 // result[i] holds the connected sets of size i (result[0] is empty). This
-// is the "S_i" collection of Algorithms 1–3. The deadline is polled during
-// enumeration; a nil return signals expiry.
-func connectedSetsBySize(g *graph.Graph, dl *Deadline) [][]bitset.Mask {
-	buckets := make([][]bitset.Mask, g.N+1)
+// is the "S_i" collection of Algorithms 1–3, collected into ws's census
+// buckets. The deadline is polled during enumeration; a nil return signals
+// expiry.
+func connectedSetsBySize(g *graph.Graph, dl *Deadline, ws *Workspace) [][]bitset.Mask {
+	buckets := ws.buckets(g.N)
 	expired := false
 	total := 0
 	enumerateCsg(g, func(s bitset.Mask) bool {

@@ -43,7 +43,7 @@ func MPDPGeneral(in Input) (*plan.Node, Stats, error) {
 // MPDP family: enumerate connected sets bucketed by size, then evaluate each
 // set of each level with the supplied evaluator. The table is pre-sized from
 // the census so it never rehashes, and the single evaluator scratch is
-// reused across every set of the run.
+// reused across every set of the run (and, on a workspace, across runs).
 func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 	var stats Stats
 	prep, err := Prepare(in)
@@ -52,18 +52,18 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 	}
 	n := in.Q.N()
 	dl := in.NewDeadline()
-	buckets := connectedSetsBySize(in.Q.G, dl)
+	buckets := connectedSetsBySize(in.Q.G, dl, in.Workspace)
 	if buckets == nil {
 		return nil, stats, dl.Err()
 	}
 	tab := prep.Seed(BucketCount(buckets))
 	stats.ConnectedSets = uint64(n)
 
-	var sc Scratch
+	sc := in.Workspace.Scratch(0)
 	for size := 2; size <= n; size++ {
 		for _, s := range buckets[size] {
 			stats.ConnectedSets++
-			win, st, err := evaluate(in, tab, s, dl, &sc)
+			win, st, err := evaluate(in, tab, s, dl, sc)
 			stats.Add(st)
 			if err != nil {
 				return nil, stats, err

@@ -8,11 +8,13 @@ import (
 // Partial is the outcome of a bounded MPDP run: the DP table over connected
 // sets of at most maxSize relations plus everything needed to materialize
 // any memoized sub-plan on demand. IDP1 scans costs by value and builds a
-// tree only for the one set it materializes per round.
+// tree only for the one set it materializes per round. Table and trees are
+// the run's workspace's: a Partial is dead once that workspace's next run
+// begins.
 type Partial struct {
-	in     Input
 	tab    *plan.Table
 	leaves []*plan.Node
+	arena  *plan.Arena
 }
 
 // Cost returns the memoized cost of set s, or ok = false when s was not
@@ -21,7 +23,7 @@ func (p *Partial) Cost(s bitset.Mask) (float64, bool) { return p.tab.Cost(s) }
 
 // Build materializes the memoized plan of set s, or nil.
 func (p *Partial) Build(s bitset.Mask) *plan.Node {
-	return p.tab.Build(s, p.leaves, p.in.arena())
+	return p.tab.Build(s, p.leaves, p.arena)
 }
 
 // RunPartial runs the MPDP dynamic program only up to sets of maxSize
@@ -45,11 +47,11 @@ func RunPartial(in Input, maxSize int) (*Partial, [][]bitset.Mask, Stats, error)
 	}
 	tab := prep.Seed(BucketCount(buckets))
 	stats.ConnectedSets = uint64(n)
-	var sc Scratch
+	sc := in.Workspace.Scratch(0)
 	for size := 2; size <= maxSize; size++ {
 		for _, s := range buckets[size] {
 			stats.ConnectedSets++
-			win, st, err := EvaluateSetMPDP(in, tab, s, dl, &sc)
+			win, st, err := EvaluateSetMPDP(in, tab, s, dl, sc)
 			stats.Add(st)
 			if err != nil {
 				return nil, nil, stats, err
@@ -59,7 +61,7 @@ func RunPartial(in Input, maxSize int) (*Partial, [][]bitset.Mask, Stats, error)
 			}
 		}
 	}
-	return &Partial{in: in, tab: tab, leaves: prep.Leaves}, buckets, stats, nil
+	return &Partial{tab: tab, leaves: prep.Leaves, arena: in.Workspace.arena()}, buckets, stats, nil
 }
 
 // boundedConnectedSets enumerates connected sets of at most maxSize
@@ -67,7 +69,7 @@ func RunPartial(in Input, maxSize int) (*Partial, [][]bitset.Mask, Stats, error)
 // bound, keeping IDP1 polynomial for fixed k.
 func boundedConnectedSets(in Input, maxSize int, dl *Deadline) ([][]bitset.Mask, error) {
 	g := in.Q.G
-	buckets := make([][]bitset.Mask, g.N+1)
+	buckets := in.Workspace.buckets(g.N)
 	expired := false
 	var rec func(s, x bitset.Mask)
 	rec = func(s, x bitset.Mask) {

@@ -1,0 +1,147 @@
+package dp
+
+import (
+	"repro/internal/bitset"
+	"repro/internal/plan"
+)
+
+// Workspace is the memory one enumeration borrows instead of allocating:
+// the DP table's arrays, the connected-set census, the level winners, the
+// per-worker evaluator scratch and the arena of the returned plan tree.
+// Whoever runs enumerations one after another — a service worker, a
+// heuristic that calls the exact DP once per sub-problem, the GPU batcher —
+// owns one and hands it to every run through Input.Workspace; the second
+// run then allocates its base plans and little else.
+//
+// A run is everything between one driver's Prepare and its return. What a
+// run hands back aliases the workspace — the plan tree its arena, the
+// buckets of ConnectedBuckets and RunPartial its census — and stays valid
+// until the workspace's next run begins, so an owner copies what it keeps
+// (the heuristics splice, the service remaps, the GPU batcher clones). One
+// run at a time: concurrent runs need a workspace each.
+//
+// No result depends on it. A recycled table is slot for slot the fresh one
+// (plan.Table.Reset), census and winners are rewritten before they are
+// read, and the scratch restarts per set, so a run on a dirty workspace is
+// bit-identical to a run without one. The owner is explicit rather than a
+// sync.Pool so that what a run allocates repeats exactly and does not
+// depend on when the collector last emptied a pool.
+//
+// The zero value is ready to use, and every method takes a nil receiver to
+// mean "no workspace": fresh memory, exactly what the run allocated before
+// workspaces existed.
+type Workspace struct {
+	tab     plan.Table
+	census  [][]bitset.Mask
+	winners []Winner
+	scratch []*Scratch
+	nodes   plan.Arena
+}
+
+// retainSlots bounds what a workspace keeps between runs: at most this many
+// table slots, census masks and level winners. 2^16 slots is every table a
+// k ≤ 16 inner DP or an exact query of at most 16 relations can build — a
+// star-16 direct-addresses exactly that many, 3 MB of lanes, a hashed one
+// 3.7 MB, the census 0.5 MB. A run that needs more lasts tens of
+// milliseconds, allocates as it did without a workspace, and lets go of it
+// as soon as its tree is built (trim): uncapped, six service workers that
+// had each seen one star-18 pinned 12.6 MB apiece (peak heap 67 → 199 MB
+// on the exact-dense workload), and dropping it only when the worker's next
+// request arrived still read 127. A constant, not a knob: no caller has a
+// reason to pick another.
+const retainSlots = 1 << 16
+
+// begin starts a run: the arena is rewound (to one chunk: plan.Arena.Reset)
+// — the previous run's tree dies here — and whatever a run that never
+// reached Finish left above the retention bound is dropped.
+func (w *Workspace) begin() {
+	if w == nil {
+		return
+	}
+	w.trim()
+	w.nodes.Reset()
+}
+
+// trim drops what exceeds the retention bound. Finish calls it once the
+// tree is built, when table, census and winners are dead.
+func (w *Workspace) trim() {
+	if w == nil {
+		return
+	}
+	if w.tab.Cap() > retainSlots {
+		w.tab = plan.Table{}
+	}
+	if censusCap(w.census) > retainSlots {
+		w.census = nil
+	}
+	if cap(w.winners) > retainSlots {
+		w.winners = nil
+	}
+}
+
+func censusCap(buckets [][]bitset.Mask) int {
+	total := 0
+	for _, b := range buckets[:cap(buckets)] {
+		total += cap(b)
+	}
+	return total
+}
+
+// table returns an empty table over n relations sized for hint sets.
+func (w *Workspace) table(n, hint int) *plan.Table {
+	if w == nil {
+		return plan.NewTable(n, hint)
+	}
+	w.tab.Reset(n, hint)
+	return &w.tab
+}
+
+// buckets returns n+1 empty census buckets that keep the capacity earlier
+// runs grew them to.
+func (w *Workspace) buckets(n int) [][]bitset.Mask {
+	if w == nil {
+		return make([][]bitset.Mask, n+1)
+	}
+	if cap(w.census) <= n {
+		grown := make([][]bitset.Mask, n+1)
+		copy(grown, w.census[:cap(w.census)])
+		w.census = grown
+	}
+	w.census = w.census[:n+1]
+	for i := range w.census {
+		w.census[i] = w.census[i][:0]
+	}
+	return w.census
+}
+
+// Winners returns the per-level winner slots of a level-synchronous driver,
+// n of them, contents unspecified.
+func (w *Workspace) Winners(n int) []Winner {
+	if w == nil {
+		return make([]Winner, n)
+	}
+	if cap(w.winners) < n {
+		w.winners = make([]Winner, n)
+	}
+	return w.winners[:n]
+}
+
+// Scratch returns the evaluator scratch of the run's worker-th worker.
+// Fetch it before the worker starts: the call itself is not concurrent.
+func (w *Workspace) Scratch(worker int) *Scratch {
+	if w == nil {
+		return new(Scratch)
+	}
+	for len(w.scratch) <= worker {
+		w.scratch = append(w.scratch, new(Scratch))
+	}
+	return w.scratch[worker]
+}
+
+// arena returns the arena the run's plan tree is materialized from.
+func (w *Workspace) arena() *plan.Arena {
+	if w == nil {
+		return plan.NewArena()
+	}
+	return &w.nodes
+}

@@ -75,7 +75,7 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 	tab := prep.Seed(dp.BucketCount(buckets))
 	astats.ConnectedSets = uint64(n)
 	dl := in.NewDeadline()
-	var sc dp.Scratch
+	sc := in.Workspace.Scratch(0)
 
 	// Tree join graphs use the Algorithm 2 evaluator (same plans, same
 	// counters, no block machinery — exactly like the CPU dispatch).
@@ -127,7 +127,7 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 		var levelValid uint64
 		for _, s := range sets {
 			astats.ConnectedSets++
-			win, st, err := evaluate(in, tab, s, dl, &sc)
+			win, st, err := evaluate(in, tab, s, dl, sc)
 			if err != nil {
 				return nil, astats, gstats, err
 			}

@@ -282,3 +282,59 @@ func TestMultiTreeRunSeesCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkspaceChangesNoDeviceModel: both drivers seed their table from the
+// input's workspace. One workspace under the single-device model of all
+// three algorithms and under the multi-device scheduler, tree and general
+// path, sizes going up and down: plan, counters and every number of the
+// device model are the run's without one.
+func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
+	ws := new(dp.Workspace)
+	for i, tc := range []struct {
+		kind workload.Kind
+		n    int
+	}{
+		{workload.KindStar, 12}, {workload.KindCycle, 14}, {workload.KindChain, 30},
+		{workload.KindClique, 9}, {workload.KindMB, 13}, {workload.KindSnowflake, 16}, {workload.KindChain, 2},
+	} {
+		q := multiQuery(t, tc.kind, tc.n, int64(i))
+		fresh := dp.Input{Q: q, M: cost.DefaultModel()}
+		borrowed := fresh
+		borrowed.Workspace = ws
+		for _, algo := range []Algo{AlgoMPDP, AlgoDPSub, AlgoDPSize} {
+			if algo != AlgoMPDP && tc.n > 16 {
+				continue // the baselines' candidate volume is the point of the paper
+			}
+			want, wantStats, wantGPU, err := run(fresh, DefaultConfig(), algo)
+			if err != nil {
+				t.Fatalf("%s-%d %v: %v", tc.kind, tc.n, algo, err)
+			}
+			got, gotStats, gotGPU, err := run(borrowed, DefaultConfig(), algo)
+			if err != nil {
+				t.Fatalf("%s-%d %v on a workspace: %v", tc.kind, tc.n, algo, err)
+			}
+			if gotStats != wantStats || gotGPU != wantGPU || got.Explain(nil) != want.Explain(nil) ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Errorf("%s-%d %v: on a workspace %+v %+v cost %v, without %+v %+v cost %v",
+					tc.kind, tc.n, algo, gotStats, gotGPU, got.Cost, wantStats, wantGPU, want.Cost)
+			}
+		}
+		for _, devices := range []int{1, 3} {
+			cfg := DefaultConfig()
+			cfg.Devices = devices
+			want, wantStats, wantGPU, err := MPDPGPUMulti(fresh, cfg)
+			if err != nil {
+				t.Fatalf("%s-%d on %d devices: %v", tc.kind, tc.n, devices, err)
+			}
+			got, gotStats, gotGPU, err := MPDPGPUMulti(borrowed, cfg)
+			if err != nil {
+				t.Fatalf("%s-%d on %d devices, on a workspace: %v", tc.kind, tc.n, devices, err)
+			}
+			if gotStats != wantStats || gotGPU.Stats != wantGPU.Stats || got.Explain(nil) != want.Explain(nil) ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Errorf("%s-%d on %d devices: on a workspace %+v %+v cost %v, without %+v %+v cost %v",
+					tc.kind, tc.n, devices, gotStats, gotGPU.Stats, got.Cost, wantStats, wantGPU.Stats, want.Cost)
+			}
+		}
+	}
+}

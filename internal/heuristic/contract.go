@@ -1,8 +1,6 @@
 package heuristic
 
 import (
-	"fmt"
-
 	"repro/internal/bitset"
 	"repro/internal/catalog"
 	"repro/internal/cost"
@@ -38,21 +36,17 @@ func newContractedProblem(q *cost.Query, groups []*plan.Node, sets []bitset.Set)
 		}
 		lg.AddEdge(int(ga), int(gb), e.Sel) // parallel edges multiply selectivities
 	}
-	var cat catalog.Catalog
+	// Unnamed: nothing reads a unit's name, and a name per unit per inner
+	// DP is a formatted string each.
+	cat := catalog.Catalog{Rels: make([]catalog.Relation, n)}
 	for gi, g := range groups {
-		rows := g.Rows
-		r := catalog.Relation{
-			Name:  fmt.Sprintf("unit_%d", gi),
-			Rows:  rows,
-			Pages: rows / 100,
-			Width: 64,
-		}
+		r := &cat.Rels[gi]
+		r.Rows, r.Pages, r.Width = g.Rows, g.Rows/100, 64
 		// A unit that is a plain base-relation scan keeps its index; a
 		// materialized temporary has none.
 		if g.IsLeaf() && g.Op == plan.OpScan && g.RelID >= 0 {
 			r.HasPKIndex = q.Cat.Rels[g.RelID].HasPKIndex
 		}
-		cat.Add(r)
 	}
 	return &contractedProblem{
 		q:      q,
@@ -73,39 +67,31 @@ func (c *contractedProblem) leafWrappers() []*plan.Node {
 }
 
 // splice replaces the wrapper leaves of an inner-DP plan by the unit plans
-// they stand for, preserving shared subtrees.
+// they stand for. Every interior node is copied, which is also what detaches
+// the result from the inner DP's workspace. A plan over disjoint relation
+// sets is a tree — no node is reached twice — so the copy is a plain
+// recursion.
 func (c *contractedProblem) splice(n *plan.Node) *plan.Node {
-	memo := map[*plan.Node]*plan.Node{}
-	var rec func(*plan.Node) *plan.Node
-	rec = func(m *plan.Node) *plan.Node {
-		if out, ok := memo[m]; ok {
-			return out
-		}
-		var out *plan.Node
-		if m.IsLeaf() {
-			out = c.groups[m.RelID]
-		} else {
-			cp := *m
-			cp.Left = rec(m.Left)
-			cp.Right = rec(m.Right)
-			out = &cp
-		}
-		memo[m] = out
-		return out
+	if n.IsLeaf() {
+		return c.groups[n.RelID]
 	}
-	return rec(n)
+	cp := *n
+	cp.Left = c.splice(n.Left)
+	cp.Right = c.splice(n.Right)
+	return &cp
 }
 
 // innerMPDP is the default InnerDP: the paper's MPDP (CPU-parallel) on the
 // contracted query.
 func innerMPDP(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error) {
 	in := dp.Input{
-		Q:        c.local,
-		M:        opt.model(),
-		Leaves:   c.leafWrappers(),
-		Ctx:      opt.Ctx,
-		Deadline: opt.Deadline,
-		Threads:  opt.Threads,
+		Q:         c.local,
+		M:         opt.model(),
+		Leaves:    c.leafWrappers(),
+		Ctx:       opt.Ctx,
+		Deadline:  opt.Deadline,
+		Threads:   opt.Threads,
+		Workspace: opt.Workspace,
 	}
 	var (
 		p   *plan.Node

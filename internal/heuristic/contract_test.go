@@ -41,7 +41,7 @@ func TestContractedProblemGraph(t *testing.T) {
 	}
 }
 
-func TestSplicePreservesSharedSubtrees(t *testing.T) {
+func TestSpliceSubstitutesUnitPlans(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	q := randomQuery(5, 2, rng)
 	m := cost.DefaultModel()
@@ -55,6 +55,11 @@ func TestSplicePreservesSharedSubtrees(t *testing.T) {
 	out := c.splice(outer)
 	if out.Left.Left != groups[0] || out.Left.Right != groups[1] || out.Right != groups[2] {
 		t.Error("splice did not substitute unit plans")
+	}
+	// The interior nodes are copies: the inner DP's tree lives in a
+	// workspace the next inner DP rewinds.
+	if out == outer || out.Left == inner || out.Cost != 2 || out.Left.Cost != 1 {
+		t.Error("splice must copy the interior nodes of the inner-DP plan")
 	}
 }
 

@@ -136,6 +136,20 @@ func withStats(q *cost.Query, rows func(catalog.Relation) float64, sel func(grap
 	return &cost.Query{Cat: cat, G: g}
 }
 
+// largeQueryFamilies are the shapes and sizes the large-query workloads draw
+// from, down to the degenerate ones.
+var largeQueryFamilies = []struct {
+	kind  workload.Kind
+	sizes []int
+}{
+	{workload.KindChain, []int{2, 3, 15, 60, 250, 1000}},
+	{workload.KindCycle, []int{2, 3, 15, 60, 250, 1000}},
+	{workload.KindStar, []int{2, 3, 15, 60, 250, 1000}},
+	{workload.KindSnowflake, []int{2, 3, 15, 60, 250, 1000}},
+	{workload.KindClique, []int{2, 3, 12}},
+	{workload.KindMB, []int{2, 3, 15, 56}},
+}
+
 // TestGOOMatchesReference: keeping the contracted graph changes no plan. On
 // every family the large-query workloads draw from, GOO returns the tree the
 // rebuild-everything loop returns — under generated statistics, under
@@ -143,18 +157,7 @@ func withStats(q *cost.Query, rows func(catalog.Relation) float64, sel func(grap
 // dimensions tie) and under uniform ones, where every estimate of a round
 // ties and only the base-edge tie-break decides.
 func TestGOOMatchesReference(t *testing.T) {
-	families := []struct {
-		kind  workload.Kind
-		sizes []int
-	}{
-		{workload.KindChain, []int{2, 3, 15, 60, 250, 1000}},
-		{workload.KindCycle, []int{2, 3, 15, 60, 250, 1000}},
-		{workload.KindStar, []int{2, 3, 15, 60, 250, 1000}},
-		{workload.KindSnowflake, []int{2, 3, 15, 60, 250, 1000}},
-		{workload.KindClique, []int{2, 3, 12}},
-		{workload.KindMB, []int{2, 3, 15, 56}},
-	}
-	for _, f := range families {
+	for _, f := range largeQueryFamilies {
 		for _, n := range f.sizes {
 			if n > 250 && testing.Short() {
 				continue

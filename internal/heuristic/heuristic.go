@@ -41,6 +41,11 @@ type Options struct {
 	// sub-problems (default: parallel MPDP). The adaptive LinDP baseline
 	// passes its linearized DP here.
 	Inner InnerDP
+	// Workspace, when non-nil, is the memory every exact inner DP of the
+	// call borrows (dp.Workspace); when nil, IDP1, IDP2 and UnionDP use a
+	// private one for the call, so the second inner DP already runs on
+	// recycled memory. No plan depends on it.
+	Workspace *dp.Workspace
 }
 
 // InnerDP optimizes a contracted sub-problem: groups are the current unit
@@ -94,6 +99,15 @@ func (o Options) expiredErr() error {
 		return ErrTimeout
 	}
 	return nil
+}
+
+// withWorkspace gives the call a private workspace when the caller handed
+// in none.
+func (o Options) withWorkspace() Options {
+	if o.Workspace == nil {
+		o.Workspace = new(dp.Workspace)
+	}
+	return o
 }
 
 func (o Options) inner() InnerDP {

@@ -14,6 +14,7 @@ import (
 // cheapest k-unit plan as a single composite relation, and iterates until
 // one plan covers the query. O(n^k) — only viable for small k (§4.1).
 func IDP1(q *cost.Query, opt Options) (*plan.Node, error) {
+	opt = opt.withWorkspace()
 	m := opt.model()
 	k := opt.k()
 	groups, sets := baseScans(q, m)
@@ -31,7 +32,7 @@ func IDP1(q *cost.Query, opt Options) (*plan.Node, error) {
 			return Recost(q, m, p), nil
 		}
 		// Partial DP up to k units over the contracted query.
-		in := dp.Input{Q: c.local, M: m, Leaves: c.leafWrappers(), Ctx: opt.Ctx, Deadline: opt.Deadline}
+		in := dp.Input{Q: c.local, M: m, Leaves: c.leafWrappers(), Ctx: opt.Ctx, Deadline: opt.Deadline, Workspace: opt.Workspace}
 		part, buckets, _, err := dp.RunPartial(in, k)
 		if err != nil {
 			return nil, err
@@ -89,6 +90,7 @@ func (w *wnode) isLeaf() bool { return w.left == nil && w.right == nil }
 // at most k units with the exact algorithm, replacing it by a temporary
 // table, until the whole query has been re-optimized.
 func IDP2(q *cost.Query, opt Options) (*plan.Node, error) {
+	opt = opt.withWorkspace()
 	m := opt.model()
 	k := opt.k()
 	if k < 2 {

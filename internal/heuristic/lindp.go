@@ -134,6 +134,7 @@ func Adaptive(q *cost.Query, opt Options) (*plan.Node, error) {
 	case n < 14:
 		p, _, err := parallel.MPDP(dp.Input{
 			Q: q, M: opt.model(), Ctx: opt.Ctx, Deadline: opt.Deadline, Threads: opt.Threads,
+			Workspace: opt.Workspace,
 		})
 		return p, err
 	case n <= 100:

@@ -17,6 +17,7 @@ import (
 // node, and recurses on the contracted graph until it fits a single MPDP
 // call. The recursion lets it scale to thousands of relations.
 func UnionDP(q *cost.Query, opt Options) (*plan.Node, error) {
+	opt = opt.withWorkspace()
 	m := opt.model()
 	groups, sets := baseScans(q, m)
 	p, err := unionDPRec(q, opt, groups, sets)

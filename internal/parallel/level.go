@@ -36,7 +36,10 @@ const minSetsPerWorker = 64
 // for one level and joined at its barrier, and only for a level with at
 // least minSetsPerWorker sets for each of them. Every worker keeps one
 // evaluator scratch and one dp.Deadline for the whole run, so the deadline
-// poll interval counts candidate pairs across levels.
+// poll interval counts candidate pairs across levels. The winner slots and
+// the scratches are the input's workspace's (dp.Workspace); Run joins every
+// goroutine it started before it returns, error or not, so once it has
+// returned nothing of the run touches the workspace again.
 type Levels struct {
 	in       dp.Input
 	evaluate dp.SetEvaluator
@@ -52,7 +55,7 @@ type Levels struct {
 // levelWorker is the state one worker carries from level to level.
 type levelWorker struct {
 	dl    *dp.Deadline
-	sc    dp.Scratch
+	sc    *dp.Scratch
 	stats dp.Stats // of the level just drained
 	err   error
 }
@@ -66,11 +69,12 @@ func NewLevels(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, buckets [
 	}
 	l := &Levels{
 		in: in, evaluate: evaluate, tab: tab, buckets: buckets,
-		winners: make([]dp.Winner, widest),
+		winners: in.Workspace.Winners(widest),
 		workers: make([]levelWorker, max(workers, 1)),
 	}
 	for w := range l.workers {
 		l.workers[w].dl = in.NewDeadline()
+		l.workers[w].sc = in.Workspace.Scratch(w)
 	}
 	return l
 }
@@ -135,7 +139,7 @@ func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, winners []dp.Winner) 
 			break
 		}
 		var st dp.Stats
-		winners[i], st, err = evaluate(in, tab, sets[i], w.dl, &w.sc)
+		winners[i], st, err = evaluate(in, tab, sets[i], w.dl, w.sc)
 		stats.Add(st)
 		stats.ConnectedSets++
 	}

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/graph"
+	"repro/internal/plan"
 )
 
 // shapedQuery puts random statistics on the given join graph.
@@ -114,6 +117,111 @@ func TestCancelledContextStopsThinRun(t *testing.T) {
 		p, _, err := MPDP(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: ctx, Threads: threads})
 		if !errors.Is(err, context.Canceled) || p != nil {
 			t.Errorf("threads=%d: plan %v, err %v; want no plan and context.Canceled", threads, p != nil, err)
+		}
+	}
+}
+
+// TestLevelsFailedRunLeavesTheWorkspaceAlone: winner slots and evaluator
+// scratch are the workspace's, so a helper goroutine that outlived a failed
+// Run would write into memory the owner's next run is using. Run joins its
+// helpers before it returns, error or not: a thick level dies on an
+// evaluator error, then on a cancellation noticed mid-level, and in both
+// cases no evaluation starts after Run has returned and the run that
+// follows at once on the same workspace (under the race detector in CI) is
+// the sequential one bit for bit.
+func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	m := cost.DefaultModel()
+	failing := shapedQuery(graph.Star(14), rng) // levels of up to 1 716 sets: every thread gets a share
+	next := shapedQuery(graph.Star(13), rng)
+	want, wantStats, err := dp.MPDP(dp.Input{Q: next, M: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := new(dp.Workspace)
+	boom := errors.New("evaluator failed")
+	for _, mode := range []string{"evaluator error", "cancelled mid-level"} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		var calls, late atomic.Int64
+		var returned atomic.Bool
+		evaluate := func(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
+			if returned.Load() {
+				late.Add(1)
+			}
+			if calls.Add(1) == 2000 {
+				if mode == "evaluator error" {
+					return dp.Winner{}, dp.Stats{}, boom
+				}
+				cancel(boom)
+			}
+			return dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
+		}
+		in := dp.Input{Q: failing, M: m, Ctx: ctx, Threads: 4, Workspace: ws}
+		prep, err := dp.Prepare(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buckets, err := dp.ConnectedBuckets(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := NewLevels(in, evaluate, prep.Seed(dp.BucketCount(buckets)), buckets, threads(in))
+		err = nil
+		for size := 2; size <= failing.N() && err == nil; size++ {
+			_, err = levels.Run(size)
+		}
+		returned.Store(true)
+		if !errors.Is(err, boom) {
+			t.Fatalf("%s: err = %v after %d evaluations, want the injected failure", mode, err, calls.Load())
+		}
+		if levels.spawned == 0 {
+			t.Fatalf("%s: the failed run never left the calling goroutine", mode)
+		}
+
+		got, gotStats, err := MPDP(dp.Input{Q: next, M: m, Threads: 4, Workspace: ws})
+		if err != nil {
+			t.Fatalf("after %s: %v", mode, err)
+		}
+		if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
+			t.Errorf("after %s: %+v cost %v, sequential run without a workspace: %+v cost %v", mode, gotStats, got.Cost, wantStats, want.Cost)
+		}
+		if n := late.Load(); n != 0 {
+			t.Errorf("%s: %d evaluations began after Run had returned its error", mode, n)
+		}
+		cancel(nil)
+	}
+}
+
+// TestWorkspaceUnderLevelWorkers: every CPU-parallel driver on one workspace,
+// layouts and sizes changing under it, against its own run without one.
+// PDP and DPE merge in map order, so they are held to cost and counters;
+// the level-synchronous drivers to the tree.
+func TestWorkspaceUnderLevelWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	m := cost.DefaultModel()
+	ws := new(dp.Workspace)
+	for _, g := range []*graph.Graph{graph.Star(12), graph.Cycle(14), graph.Clique(9), graph.RandomConnected(14, 0, rng), graph.Chain(2), graph.Star(13)} {
+		q := shapedQuery(g, rng)
+		for _, alg := range parallelAlgorithms {
+			if alg.name == "DPSubParallel" && g.N > 13 {
+				continue // 2^|S| subsets per set: minutes under the detector
+			}
+			for _, threads := range []int{1, 2} {
+				want, wantStats, err := alg.f(dp.Input{Q: q, M: m, Threads: threads})
+				if err != nil {
+					t.Fatalf("%s on %d relations: %v", alg.name, g.N, err)
+				}
+				got, gotStats, err := alg.f(dp.Input{Q: q, M: m, Threads: threads, Workspace: ws})
+				if err != nil {
+					t.Fatalf("%s on %d relations, on a workspace: %v", alg.name, g.N, err)
+				}
+				levelSync := alg.name == "MPDPParallel" || alg.name == "DPSubParallel"
+				if gotStats != wantStats || math.Abs(got.Cost-want.Cost) > 1e-9*math.Max(1, want.Cost) ||
+					levelSync && (math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil)) {
+					t.Errorf("%s, %d threads, %d relations: on a workspace %+v cost %v, without %+v cost %v",
+						alg.name, threads, g.N, gotStats, got.Cost, wantStats, want.Cost)
+				}
+			}
 		}
 	}
 }

@@ -7,16 +7,17 @@ import "repro/internal/bitset"
 // node, and a whole query's nodes are freed (or recycled) wholesale.
 //
 // The DP inner loops never materialize nodes at all (they work on the
-// value-typed Table entries); the arena serves the residual materialization
-// points — Table.Build at the end of a run and tree copies on the service
-// warm path. Reset rewinds the arena for the next query while keeping its
-// chunks, so a long-lived worker reaches a steady state where plan
-// materialization performs no heap allocation at all.
+// value-typed Table entries); the arena serves the one materialization
+// point, Table.Build at the end of a run. Reset rewinds the arena while
+// keeping its first chunk — a full plan over 64 relations is 63 join nodes —
+// so materialization on a recycled arena performs no heap allocation at
+// all, and a recycled arena never holds more than that chunk.
 //
-// An Arena is not safe for concurrent use; give each worker its own.
-// Nodes handed out remain valid until Reset, so callers that cache or
-// return arena-built trees across queries must copy them first (the
-// service layer's per-caller remap copy already does this).
+// Nobody outside a dp.Workspace makes one: the arena is part of the memory
+// a run borrows from its owner, rewound when the owner's next run begins.
+// Nodes handed out remain valid until then, so whoever keeps a tree past
+// its run copies it first (the heuristics splice, the service remaps into
+// the cache entry, the GPU batcher clones). Not safe for concurrent use.
 type Arena struct {
 	chunks [][]Node // chunks[i] has len = nodes handed out, cap = chunk size
 	ci     int      // index of the active chunk
@@ -63,13 +64,16 @@ func (a *Arena) NewNode(set bitset.Mask, left, right *Node, op Op, rows, cost fl
 	return n
 }
 
-// Reset rewinds the arena, invalidating every node it has handed out while
-// keeping the underlying chunks for reuse by the next query.
+// Reset rewinds the arena, invalidating every node it has handed out. The
+// first chunk is kept for the next run; chunks a run needed beyond it (only
+// repeated Partial.Build calls get there) are released.
 //
 //mpdp:hotpath
 func (a *Arena) Reset() {
-	for i := range a.chunks {
-		a.chunks[i] = a.chunks[i][:0]
+	if len(a.chunks) > 0 {
+		clear(a.chunks[1:])
+		a.chunks = a.chunks[:1]
+		a.chunks[0] = a.chunks[0][:0]
 	}
 	a.ci = 0
 }

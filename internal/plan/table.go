@@ -43,7 +43,8 @@ import (
 // only at their level barriers.
 type Table struct {
 	keys    []bitset.Mask // hash layout only; nil when direct-addressed
-	present []uint64      // direct layout only: bit s set when s is stored
+	keybuf  []bitset.Mask // the key array, kept across a direct-addressed run
+	present []uint64      // direct layout: bit s set when s is stored
 	cost    []float64     // the hot lane
 	cold    []tcold       // payload of pairs that survive the cost bound
 
@@ -113,29 +114,67 @@ func TableSizeHint(n int) int {
 // entries before growing. Size hint from the run's actual connected-set
 // count when known (dp.ConnectedBuckets) so steady-state runs never rehash.
 func NewTable(n, hint int) *Table {
+	t := new(Table)
+	t.Reset(n, hint)
+	return t
+}
+
+// Reset empties the table and readies it for a run over n relations with
+// capacity for at least hint entries — the one construction path: NewTable
+// is Reset on a zero table, and a recycled table is slot for slot the fresh
+// one, because capacity and the direct-versus-hash rule are evaluated on the
+// requested capacity, never on what the arrays could hold. Arrays that are
+// large enough are kept, and only presence is cleared (the bitmap when
+// direct, the key array when hashed): every read of the cost lane and the
+// cold records is gated by presence and every insert writes both before the
+// slot can be read, so what an earlier run left in the lanes is unreachable.
+func (t *Table) Reset(n, hint int) {
 	capacity := 16
 	for capacity < hint*2 {
 		capacity <<= 1
 	}
-	t := &Table{n: uint(n)}
+	t.n, t.leaf = uint(n), 0
 	t.alloc(capacity)
-	return t
 }
 
-// alloc gives the table fresh arrays for a hash layout of capacity slots,
-// or the 2^n direct-addressed slots when capacity is at least that many.
+// alloc lays the table out empty: a hash layout of capacity slots, or the
+// 2^n direct-addressed slots when capacity is at least that many. Arrays
+// the table already has are re-sliced where they are large enough.
 func (t *Table) alloc(capacity int) {
 	t.used = 0
-	if capacity>>t.n > 0 {
+	direct := capacity>>t.n > 0
+	if direct {
 		capacity = 1 << t.n
-		t.keys, t.mask = nil, 0
-		t.present = make([]uint64, (capacity+63)/64)
-	} else {
-		t.keys, t.mask = make([]bitset.Mask, capacity), uint64(capacity-1)
 	}
-	t.cost = make([]float64, capacity)
-	t.cold = make([]tcold, capacity)
+	if cap(t.cost) < capacity {
+		t.cost = make([]float64, capacity)
+		t.cold = make([]tcold, capacity)
+		t.keybuf, t.present = nil, nil // never larger than the lanes: Cap bounds them all
+	}
+	t.cost, t.cold = t.cost[:capacity], t.cold[:capacity]
+	if direct {
+		t.keys, t.mask = nil, 0
+		t.present = zeroed(t.present, (capacity+63)/64)
+		return
+	}
+	t.keybuf = zeroed(t.keybuf, capacity)
+	t.keys, t.mask = t.keybuf, uint64(capacity-1)
 }
+
+// zeroed returns a zeroed slice of n elements, in s's array when it fits.
+func zeroed[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Cap returns the number of slots the table's arrays can hold, which a
+// Reset to a smaller run keeps: what an owner that recycles tables checks
+// against its retention bound.
+func (t *Table) Cap() int { return cap(t.cost) }
 
 // Len returns the number of stored sets.
 func (t *Table) Len() int { return t.used }
@@ -382,6 +421,8 @@ func (t *Table) setAt(i int, left bitset.Mask, rows, cost float64, meta uint16) 
 // when the doubled one would take at least 2^n slots.
 func (t *Table) grow() {
 	old := *t
+	// The old arrays are read while the new ones fill: nothing to recycle.
+	t.cost, t.cold, t.keybuf, t.present = nil, nil, nil, nil
 	t.alloc(len(old.keys) * 2)
 	for i, k := range old.keys {
 		if k != 0 {

@@ -231,6 +231,9 @@ func TestArenaResetRecyclesChunks(t *testing.T) {
 	if a.Len() != 0 {
 		t.Errorf("Len after Reset = %d", a.Len())
 	}
+	if len(a.chunks) != 1 || cap(a.chunks[0]) != arenaChunk {
+		t.Errorf("Reset kept %d chunks, want the first one only", len(a.chunks))
+	}
 	// After Reset the same chunk memory is handed out again, zeroed.
 	n := a.New()
 	if n != first[0] {
@@ -452,9 +455,30 @@ func runTableOps(t *testing.T, tab *Table, n int, pool []bitset.Mask, rng *rand.
 // from construction, and a hash layout that grows into the direct one —
 // entries, Len, leaf mask and splits survive the switch. Regimes given the
 // same operations must end with the same rangeInterior set.
+//
+// Every regime then runs a second time on one table that is Reset from
+// regime to regime and never replaced — hash to direct and back, n shrinking
+// to 1 and growing again, lanes full of the previous regime's NaNs and
+// infinities. It must start in the layout NewTable picks, hold nothing of
+// what it held before the Reset, pass the same model checks and end with
+// the same rangeInterior set: a recycled table is a fresh one.
 func TestTablePropertyAllRegimes(t *testing.T) {
 	type key struct{ n, pool int }
 	final := map[key]map[bitset.Mask]Winner{}
+	sameInterior := func(t *testing.T, got, prev map[bitset.Mask]Winner, other string) {
+		t.Helper()
+		if len(prev) != len(got) {
+			t.Fatalf("rangeInterior set has %d entries, %s %d", len(got), other, len(prev))
+		}
+		for s, w := range got {
+			p := prev[s]
+			if p.Left != w.Left || p.Right != w.Right || p.Op != w.Op || !sameBits(p.Rows, w.Rows) || !sameBits(p.Cost, w.Cost) {
+				t.Fatalf("rangeInterior(%v) = %+v, %s %+v", s, w, other, p)
+			}
+		}
+	}
+	recycled := new(Table)
+	var stale []bitset.Mask // what recycled was driven over before its last Reset
 	for _, tc := range []struct {
 		name                   string
 		n, hint, pool          int
@@ -468,9 +492,16 @@ func TestTablePropertyAllRegimes(t *testing.T) {
 		{"hash-grows-into-direct", 10, 2, 600, false, true},
 		{"direct/full", 10, 1 << 10, 600, true, true},
 		{"direct/n=1", 1, 1, 1, true, true},
+		// For the recycled table: back up from n = 1, direct to hash, and a
+		// growth that has to leave arrays a Reset kept.
+		{"hash/after-direct", 10, 2, 300, false, false},
+		{"hash-grows-into-direct/again", 10, 2, 600, false, true},
+		{"hash/n=40/again", 40, 2, 500, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(1000*tc.n + tc.pool)))
+			seed := int64(1000*tc.n + tc.pool)
+			rng := rand.New(rand.NewSource(seed))
+			ops := func() *rand.Rand { return rand.New(rand.NewSource(seed + 1)) } // the same operations each time
 			space := bitset.Full(tc.n)
 			seen := map[bitset.Mask]bool{}
 			var pool []bitset.Mask
@@ -485,7 +516,7 @@ func TestTablePropertyAllRegimes(t *testing.T) {
 				t.Fatalf("NewTable(%d, %d): direct = %v, want %v", tc.n, tc.hint, tab.keys == nil, tc.startDirect)
 			}
 			slots := len(tab.cost)
-			got := runTableOps(t, tab, tc.n, pool, rng)
+			got := runTableOps(t, tab, tc.n, pool, ops())
 			if (tab.keys == nil) != tc.endDirect {
 				t.Fatalf("ended direct = %v, want %v", tab.keys == nil, tc.endDirect)
 			}
@@ -497,17 +528,29 @@ func TestTablePropertyAllRegimes(t *testing.T) {
 			}
 			k := key{tc.n, tc.pool}
 			if prev, ok := final[k]; ok {
-				if len(prev) != len(got) {
-					t.Fatalf("rangeInterior set has %d entries, the other regime's %d", len(got), len(prev))
-				}
-				for s, w := range got {
-					p := prev[s]
-					if p.Left != w.Left || p.Right != w.Right || p.Op != w.Op || !sameBits(p.Rows, w.Rows) || !sameBits(p.Cost, w.Cost) {
-						t.Fatalf("rangeInterior(%v) = %+v, the other regime's %+v", s, w, p)
-					}
-				}
+				sameInterior(t, got, prev, "the other regime's")
 			}
 			final[k] = got
+
+			recycled.Reset(tc.n, tc.hint)
+			if (recycled.keys == nil) != tc.startDirect || len(recycled.cost) != slots || recycled.Len() != 0 || recycled.leaf != 0 {
+				t.Fatalf("Reset(%d, %d): direct = %v with %d slots, Len %d, leaf mask %v; NewTable starts direct = %v with %d, empty",
+					tc.n, tc.hint, recycled.keys == nil, len(recycled.cost), recycled.Len(), recycled.leaf, tc.startDirect, slots)
+			}
+			for _, s := range stale {
+				if _, ok := recycled.Cost(s); ok || recycled.Has(s) {
+					t.Fatalf("%v was stored before the Reset and still probes as present", s)
+				}
+				if _, ok := recycled.Get(s); ok {
+					t.Fatalf("%v was stored before the Reset and Get still finds it", s)
+				}
+			}
+			sameInterior(t, runTableOps(t, recycled, tc.n, pool, ops()), got, "a fresh table's")
+			if (recycled.keys == nil) != (tab.keys == nil) || len(recycled.cost) != len(tab.cost) {
+				t.Fatalf("recycled table ended direct = %v with %d slots, the fresh one direct = %v with %d",
+					recycled.keys == nil, len(recycled.cost), tab.keys == nil, len(tab.cost))
+			}
+			stale = pool
 		})
 	}
 }

@@ -671,11 +671,12 @@ func resultFrom(e *cached, inv []int, elapsed time.Duration, hit, coalesced bool
 
 func (s *Service) worker() {
 	defer s.wg.Done()
-	// Each worker owns an arena for the exact optimizers' plan nodes: the
-	// tree is dead once serve has copied it into the cache (remapPlan), so
-	// the arena is rewound per request and reaches a steady state where
-	// cold-path plan materialization performs no heap allocation.
-	arena := plan.NewArena()
+	// Each worker owns the memory its enumerations run in (dp.Workspace):
+	// DP table, census, level winners and the arena of the plan tree are
+	// recycled from one request to the next, and from one inner DP of a
+	// large query to the next. The tree is dead once serve has copied it
+	// into the cache (remapPlan), which is before the worker's next run.
+	ws := new(dp.Workspace)
 	for {
 		// Check quit first: a closed quit and a non-empty queue are both
 		// ready, and a plain select would pick randomly — draining
@@ -690,15 +691,15 @@ func (s *Service) worker() {
 			return
 		case r := <-s.reqs:
 			s.counters.queueDepth.Add(-1)
-			s.serve(r, arena)
+			s.serve(r, ws)
 		}
 	}
 }
 
 // serve runs one optimization, publishes the canonical-space plan to the
 // cache and completes the flight. The optimizer's plan tree lives in the
-// worker's arena; only the remapped copy survives this call.
-func (s *Service) serve(r request, arena *plan.Arena) {
+// worker's workspace; only the remapped copy survives this call.
+func (s *Service) serve(r request, ws *dp.Workspace) {
 	defer r.fl.cancel(nil) // release the flight context's resources
 	if !r.enqueuedAt.IsZero() {
 		s.counters.observeQueueWait(time.Since(r.enqueuedAt))
@@ -717,9 +718,8 @@ func (s *Service) serve(r request, arena *plan.Arena) {
 	s.counters.observeRoute(alg, bid)
 	routeDone()
 
-	arena.Reset()
 	enumDone := r.tr.StartSpan(obs.PhaseEnumerate)
-	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, bid, shape, arena)
+	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, bid, shape, ws)
 	enumDone()
 	if err == nil {
 		s.counters.observeServed(usedBid)
@@ -762,13 +762,13 @@ func (s *Service) finishFlight(r request) {
 // budget is the contract). The fallback is charged to the backend that
 // timed out. Caller cancellation (ctx) aborts outright — a caller that
 // walked away gets no heuristic retry.
-func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, bid backend.ID, shape Shape, arena *plan.Arena) (*backend.Result, core.Algorithm, backend.ID, error) {
+func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, bid backend.ID, shape Shape, ws *dp.Workspace) (*backend.Result, core.Algorithm, backend.ID, error) {
 	opts := backend.Options{
-		Model:   s.cfg.Model,
-		Timeout: s.cfg.Timeout,
-		Threads: s.cfg.Threads,
-		K:       s.cfg.K,
-		Arena:   arena,
+		Model:     s.cfg.Model,
+		Timeout:   s.cfg.Timeout,
+		Threads:   s.cfg.Threads,
+		K:         s.cfg.K,
+		Workspace: ws,
 	}
 	res, err := s.backends.Get(bid).Optimize(ctx, q, alg, opts)
 	if err == nil || !errors.Is(err, dp.ErrTimeout) || !alg.IsExact() {
