@@ -17,16 +17,16 @@
 //	curl -X POST "localhost:8080/cluster/kill?node=node-1"   # crash a node
 //	curl -X POST "localhost:8080/cluster/revive?node=node-1" # bring it back
 //	curl -X POST localhost:8080/cluster/add                  # grow the ring
-//	curl -X POST localhost:8080/cluster/flush                # invalidate all plans
+//	curl -X POST localhost:8080/v1/cache/flush               # invalidate all plans
 //	curl localhost:8080/v1/cache                             # ring-wide cache summary
 //	curl -X POST -d '{"relations":[{"name":"release","rows":21000000}]}' \
 //	  -H 'Content-Type: application/json' localhost:8080/v1/catalog/stats
 //
 // The /v1/cache & /v1/catalog control surface (API.md) acts on every
 // alive node: DELETE /v1/cache/{fingerprint} drops the plan wherever it
-// is replicated, /v1/cache/flush is what /cluster/flush
-// aliases, and a stats update bumps the epoch ring-wide; nothing is
-// flushed, since a query under the new statistics has a new fingerprint.
+// is replicated, /v1/cache/flush empties every node's cache, and a stats
+// update bumps the epoch ring-wide; nothing is flushed, since a query
+// under the new statistics has a new fingerprint.
 //
 // Transports: by default the coordinator calls its nodes in-process
 // (-transport=local). With -transport=http every node gets a real loopback
@@ -183,7 +183,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *httpAddr, Handler: api.Mux()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("mpdp-cluster: %d nodes, %d replicas, %s transport, front door on %s (/v1/* + legacy aliases)",
+	log.Printf("mpdp-cluster: %d nodes, %d replicas, %s transport, front door on %s (/v1/*, /metrics, /cluster/*)",
 		len(c.AliveNodes()), *replicas, *transport, *httpAddr)
 	select {
 	case err := <-errc:

@@ -65,7 +65,7 @@ func TestFrontDoorOptimizeAndFailoverOverHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("kill status = %d", resp.StatusCode)
 	}
-	over := postOptimize(t, ts, "/optimize") // legacy alias: same handler
+	over := postOptimize(t, ts, "/v1/optimize")
 	if over.Node == cold.Node {
 		t.Errorf("request served by killed node %s", cold.Node)
 	}
@@ -96,31 +96,30 @@ func TestClusterV1ErrorEnvelopes(t *testing.T) {
 			t.Errorf("envelope = %+v, want code %q with request id", e, wantCode)
 		}
 	}
-	for _, path := range []string{"/v1/optimize", "/optimize"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(resp, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed)
-
-		resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader("{not json"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(resp, http.StatusBadRequest, httpapi.CodeBadRequest)
-
-		resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader(strings.Repeat("x", 1<<20+1)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(resp, http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge)
-
-		resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader("SELECT FROM WHERE"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(resp, http.StatusUnprocessableEntity, httpapi.CodeInvalidQuery)
+	const path = "/v1/optimize"
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	check(resp, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed)
+
+	resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader("{not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(resp, http.StatusBadRequest, httpapi.CodeBadRequest)
+
+	resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader(strings.Repeat("x", 1<<20+1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(resp, http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge)
+
+	resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader("SELECT FROM WHERE"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(resp, http.StatusUnprocessableEntity, httpapi.CodeInvalidQuery)
 
 	// 503: empty the cluster — no alive node can serve.
 	c := cluster.New(cluster.Config{Nodes: 1, Replicas: 1, Service: service.Config{Workers: 1}})
@@ -132,7 +131,7 @@ func TestClusterV1ErrorEnvelopes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	resp, err := http.Post(ts2.URL+"/v1/optimize", "text/plain", strings.NewReader(testStatement))
+	resp, err = http.Post(ts2.URL+path, "text/plain", strings.NewReader(testStatement))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,21 +180,35 @@ func TestFrontDoorStatsClusterHealthz(t *testing.T) {
 		t.Errorf("/cluster = %+v, want 3 alive nodes, 2 replicas", info)
 	}
 
-	for _, path := range []string{"/v1/healthz", "/healthz"} {
-		resp, err = http.Get(ts.URL + path)
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Status string `json:"status"`
+		Alive  int    `json:"alive_nodes"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatalf("/v1/healthz is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || health.Status != "ok" || health.Alive != 3 {
+		t.Errorf("/v1/healthz = %d %q alive=%d, want 200 ok 3", resp.StatusCode, health.Status, health.Alive)
+	}
+}
+
+// TestPreV1PathsAreGone: the unversioned aliases of the front door were
+// removed, not redirected.
+func TestPreV1PathsAreGone(t *testing.T) {
+	ts := newTestFrontDoor(t)
+	for _, path := range []string{"/optimize", "/stats", "/healthz", "/cluster/flush"} {
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(testStatement))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var health struct {
-			Status string `json:"status"`
-			Alive  int    `json:"alive_nodes"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-			t.Fatalf("%s is not JSON: %v", path, err)
-		}
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || health.Status != "ok" || health.Alive != 3 {
-			t.Errorf("%s = %d %q alive=%d, want 200 ok 3", path, resp.StatusCode, health.Status, health.Alive)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
 }

@@ -20,12 +20,11 @@
 //	  -d '{"relations":[{"name":"release","rows":21000000}]}' \
 //	  localhost:8080/v1/catalog/stats             # bump stats epoch, no flush
 //
-// The pre-versioning endpoints (/optimize, /stats, /healthz) remain as
-// aliases of the same handlers. In stdin mode, lines starting with # are
-// ignored and the directive ".stats" prints the counters. In HTTP mode,
-// SIGINT/SIGTERM shuts down gracefully: in-flight optimizations drain
-// (bounded by -drain) before the service closes, and a client that
-// disconnects mid-request cancels its in-flight optimization.
+// In stdin mode, lines starting with # are ignored and the directive
+// ".stats" prints the counters. In HTTP mode, SIGINT/SIGTERM shuts down
+// gracefully: in-flight optimizations drain (bounded by -drain) before the
+// service closes, and a client that disconnects mid-request cancels its
+// in-flight optimization.
 package main
 
 import (
@@ -209,7 +208,7 @@ func main() {
 	httpSrv := &http.Server{Addr: *httpAddr, Handler: api.Mux()}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("mpdp-serve: listening on %s (POST /v1/optimize /v1/batch /v1/cache/flush /v1/catalog/stats, GET /v1/stats /v1/healthz /v1/cache /metrics /v1/debug/slow, DELETE /v1/cache/{fp}; legacy aliases kept)", *httpAddr)
+	log.Printf("mpdp-serve: listening on %s (POST /v1/optimize /v1/batch /v1/cache/flush /v1/catalog/stats, GET /v1/stats /v1/healthz /v1/cache /metrics /v1/debug/slow, DELETE /v1/cache/{fp})", *httpAddr)
 	select {
 	case err := <-errc:
 		log.Fatal(err)

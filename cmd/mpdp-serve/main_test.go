@@ -53,42 +53,41 @@ func decodeEnvelope(t *testing.T, resp *http.Response, wantStatus int, wantCode 
 }
 
 // TestV1ErrorEnvelopes is the golden error-path suite of the satellite
-// task: every failure class on both /v1/optimize and its legacy alias
-// answers with the structured envelope and the right status.
+// task: every failure class on /v1/optimize answers with the structured
+// envelope and the right status.
 func TestV1ErrorEnvelopes(t *testing.T) {
 	ts := newTestServer(t)
-	for _, path := range []string{"/v1/optimize", "/optimize"} {
-		t.Run(path, func(t *testing.T) {
-			// 405
-			resp, err := http.Get(ts.URL + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decodeEnvelope(t, resp, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed)
+	const path = "/v1/optimize"
+	t.Run(path, func(t *testing.T) {
+		// 405
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeEnvelope(t, resp, http.StatusMethodNotAllowed, httpapi.CodeMethodNotAllowed)
 
-			// 400: malformed JSON body
-			resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader("{not json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decodeEnvelope(t, resp, http.StatusBadRequest, httpapi.CodeBadRequest)
+		// 400: malformed JSON body
+		resp, err = http.Post(ts.URL+path, "application/json", strings.NewReader("{not json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeEnvelope(t, resp, http.StatusBadRequest, httpapi.CodeBadRequest)
 
-			// 413: oversized statement
-			huge := strings.Repeat("x", maxStatementBytes+1)
-			resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader(huge))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decodeEnvelope(t, resp, http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge)
+		// 413: oversized statement
+		huge := strings.Repeat("x", maxStatementBytes+1)
+		resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader(huge))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeEnvelope(t, resp, http.StatusRequestEntityTooLarge, httpapi.CodeTooLarge)
 
-			// 422: parse error
-			resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader("SELECT FROM WHERE"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			decodeEnvelope(t, resp, http.StatusUnprocessableEntity, httpapi.CodeInvalidQuery)
-		})
-	}
+		// 422: parse error
+		resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader("SELECT FROM WHERE"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decodeEnvelope(t, resp, http.StatusUnprocessableEntity, httpapi.CodeInvalidQuery)
+	})
 }
 
 // TestV1ClosedServiceReturns503 covers the unavailable envelope.
@@ -103,49 +102,6 @@ func TestV1ClosedServiceReturns503(t *testing.T) {
 		t.Fatal(err)
 	}
 	decodeEnvelope(t, resp, http.StatusServiceUnavailable, httpapi.CodeUnavailable)
-}
-
-// TestLegacyAliasEquivalence pins the satellite requirement that the
-// legacy endpoints are the same handlers: identical JSON key sets and
-// identical stable field values on /optimize vs /v1/optimize.
-func TestLegacyAliasEquivalence(t *testing.T) {
-	ts := newTestServer(t)
-	post := func(path string) map[string]any {
-		t.Helper()
-		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(testStatement))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
-		}
-		var m map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	legacy := post("/optimize")
-	v1 := post("/v1/optimize")
-	for k := range legacy {
-		if _, ok := v1[k]; !ok {
-			t.Errorf("legacy key %q missing from /v1/optimize", k)
-		}
-	}
-	for k := range v1 {
-		if _, ok := legacy[k]; !ok && k != "cache_hit" {
-			t.Errorf("/v1 key %q missing from legacy response", k)
-		}
-	}
-	for _, k := range []string{"relations", "edges", "cost", "rows", "algorithm", "backend", "shape", "fingerprint"} {
-		if legacy[k] != v1[k] {
-			t.Errorf("field %q: legacy %v != v1 %v", k, legacy[k], v1[k])
-		}
-	}
-	if v1["cache_hit"] != true {
-		t.Errorf("second request through the alias pair missed the cache")
-	}
 }
 
 func TestOptimizeHappyPathJSONShape(t *testing.T) {
@@ -310,39 +266,35 @@ func TestOptimizeExplainIncludesPlan(t *testing.T) {
 
 func TestStatsAndHealthz(t *testing.T) {
 	ts := newTestServer(t)
-	for _, path := range []string{"/v1/stats", "/stats"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var stats map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-			t.Fatalf("%s is not JSON: %v", path, err)
-		}
-		resp.Body.Close()
-		if _, ok := stats["requests"]; !ok {
-			t.Errorf("%s lacks requests: %v", path, stats)
-		}
-		if _, ok := stats["canceled"]; !ok {
-			t.Errorf("%s lacks canceled counter: %v", path, stats)
-		}
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatalf("/v1/stats is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if _, ok := stats["requests"]; !ok {
+		t.Errorf("/v1/stats lacks requests: %v", stats)
+	}
+	if _, ok := stats["canceled"]; !ok {
+		t.Errorf("/v1/stats lacks canceled counter: %v", stats)
 	}
 
-	for _, path := range []string{"/v1/healthz", "/healthz"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var health struct {
-			Status string `json:"status"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-			t.Fatalf("%s is not JSON: %v", path, err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || health.Status != "ok" {
-			t.Errorf("%s = %d %q, want 200 ok", path, resp.StatusCode, health.Status)
-		}
+	resp, err = http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Status string `json:"status"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatalf("/v1/healthz is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || health.Status != "ok" {
+		t.Errorf("/v1/healthz = %d %q, want 200 ok", resp.StatusCode, health.Status)
 	}
 }
 

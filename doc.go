@@ -25,6 +25,7 @@
 //
 // Start with pkg/optimizer and API.md for the public surface, internal/service
 // and SERVICE.md for the serving layer, internal/cluster and CLUSTER.md for
-// the distributed layer, cmd/mpdp-bench for the experiment driver, and
-// DESIGN.md for the system inventory.
+// the distributed layer, bench/README.md for the repository benchmark, and
+// DESIGN.md for the system inventory and the map from the paper's evaluation
+// to the tests and workloads that reproduce it.
 package repro

@@ -123,8 +123,8 @@ func LoadCrossover(path string) (Crossover, error) {
 
 // cpuPairsPerSec is the calibration constant for real per-pair evaluation
 // throughput: candidate joins costed per second per core by the shared
-// set evaluators (measured by BenchmarkCore on the tracked clique rows,
-// rounded down; see BENCH_core.json).
+// set evaluators (the reciprocal of dp.ns_per_ccp_pair on the benchmark's
+// exact-dense workload, rounded down; see bench/README.md).
 const cpuPairsPerSec = 25e6
 
 // DefaultCrossover returns the thresholds calibrated for the paper's

@@ -17,8 +17,8 @@
 //     a storm with real faults must show failovers, retries, overflows or
 //     breaker skips, and a control run with no faults must show none.
 //
-// Schedules are pure data (Schedule, built by MustEvents or the named
-// constructors) and are deterministic given a seed: the same seed yields
+// Schedules are pure data (Schedule, built by the named constructors)
+// and are deterministic given a seed: the same seed yields
 // the same schedule, the same fault decisions inside FaultTransport, and
 // the same offered load mix.
 package chaos
@@ -36,6 +36,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/leaktest"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -142,51 +143,28 @@ func ControlSchedule(seed int64) Schedule {
 	return Schedule{Name: "control", Seed: seed}
 }
 
-// Config sizes one chaos run.
+// Config sizes one chaos run; both fields are required.
 type Config struct {
-	// Nodes and Replicas shape the cluster (defaults 3 and 2).
-	Nodes    int
-	Replicas int
-	// Rate is the offered load in req/s (default 200); Phase is the fault
-	// window (default 1s) — events fire inside it, load runs through it.
-	// After the phase the run heals everything, waits for the ring to
-	// recover, and offers Phase/2 more load to measure the healed state.
+	// Rate is the offered load in req/s; Phase is the fault window — events
+	// fire inside it, load runs through it. After the phase the run heals
+	// everything, waits for the ring to recover, and offers Phase/2 more
+	// load to measure the healed state.
 	Rate  float64
 	Phase time.Duration
-	// PoolSize and PoolSpan shape the warm working set (defaults 6
-	// queries of 6..7 relations).
-	PoolSize int
-	PoolSpan []int
-	// HealthEvery is the health-check cadence during the run (default
-	// 10ms) — the chaos driver plays the role cmd/mpdp-cluster's health
-	// loop plays in production.
-	HealthEvery time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.Nodes == 0 {
-		c.Nodes = 3
-	}
-	if c.Replicas == 0 {
-		c.Replicas = 2
-	}
-	if c.Rate == 0 {
-		c.Rate = 200
-	}
-	if c.Phase == 0 {
-		c.Phase = time.Second
-	}
-	if c.PoolSize == 0 {
-		c.PoolSize = 6
-	}
-	if len(c.PoolSpan) == 0 {
-		c.PoolSpan = []int{6, 7}
-	}
-	if c.HealthEvery == 0 {
-		c.HealthEvery = 10 * time.Millisecond
-	}
-	return c
-}
+// The cluster under test and its working set: three nodes, two replicas,
+// six warm queries of 6..7 relations, and a health check every 10ms — the
+// chaos driver plays the role cmd/mpdp-cluster's health loop plays in
+// production.
+const (
+	nodeCount   = 3
+	replicas    = 2
+	poolSize    = 6
+	healthEvery = 10 * time.Millisecond
+)
+
+var poolSpan = []int{6, 7}
 
 // Report is one chaos run's outcome. Violations() renders the failed
 // invariants; an empty slice means the run held every guarantee.
@@ -202,6 +180,9 @@ type Report struct {
 	Injected   uint64          `json:"faults_injected"`
 	Storm      *loadgen.Result `json:"-"`
 	Healed     *loadgen.Result `json:"-"`
+	// harnessLate: p99 launch lateness of either load phase exceeded the
+	// mean gap 1/Rate — a schedule offered that late was not the schedule.
+	harnessLate bool
 
 	// The request ledger: every offered request must be accounted for in
 	// an allowed class. Unavailable counts ErrNoNodes (503-class);
@@ -246,6 +227,10 @@ func (r *Report) Violations() []string {
 	}
 	if r.Storm.Dropped > 0 || r.Healed.Dropped > 0 {
 		badge("harness saturated: dropped %d storm / %d healed arrivals", r.Storm.Dropped, r.Healed.Dropped)
+	}
+	if r.harnessLate {
+		badge("harness saturated: p99 launch lateness %v storm / %v healed exceeds the mean gap 1/Rate",
+			r.Storm.Late.Quantile(0.99), r.Healed.Late.Quantile(0.99))
 	}
 	if r.OK == 0 {
 		badge("no request succeeded at all")
@@ -294,7 +279,6 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults()
 	rep := &Report{Schedule: sched.Name, Seed: sched.Seed}
 	for _, e := range sched.Events {
 		if e.faulty() {
@@ -307,8 +291,8 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 
 	// The reference optimizer: one plain service, no cluster, no faults.
 	// Every fingerprint the load can offer (pool entries and their
-	// isomorphic twins — ColdFrac is 0) must cost exactly what it says.
-	pool := loadgen.NewPool(cfg.PoolSize, cfg.PoolSpan, sched.Seed)
+	// isomorphic twins) must cost exactly what it says.
+	pool := loadgen.NewPool(poolSize, poolSpan, sched.Seed)
 	refCost := make(map[string]float64, len(pool))
 	ref := service.New(service.Config{Workers: 2})
 	for _, q := range pool {
@@ -325,8 +309,8 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 
 	ft := cluster.NewFaultTransport(cluster.NewLocalTransport(), sched.Seed)
 	c := cluster.New(cluster.Config{
-		Nodes:     cfg.Nodes,
-		Replicas:  cfg.Replicas,
+		Nodes:     nodeCount,
+		Replicas:  replicas,
 		Transport: ft,
 		Seed:      sched.Seed,
 		Retry: cluster.RetryPolicy{
@@ -370,7 +354,7 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 	}
 
 	var unavailable, misErrored, costMismatch atomic.Int64
-	warmHealthy := &loadgen.Hist{}
+	warmHealthy := &obs.Histogram{}
 	target := func(ctx context.Context, q *cost.Query) error {
 		start := time.Now()
 		res, err := c.Optimize(ctx, q)
@@ -417,7 +401,7 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 	go func() {
 		defer player.Done()
 		next := 0
-		tick := time.NewTicker(cfg.HealthEvery)
+		tick := time.NewTicker(healthEvery)
 		defer tick.Stop()
 		for {
 			for next < len(events) && time.Since(phaseStart) >= events[next].At {
@@ -455,8 +439,6 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 		Rate:     cfg.Rate,
 		Duration: cfg.Phase,
 		Pool:     pool,
-		TwinFrac: 0.3,
-		Timeout:  2 * time.Second,
 		Seed:     sched.Seed,
 	})
 
@@ -470,7 +452,7 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 	}
 	healDeadline := time.Now().Add(5 * time.Second)
 	for len(c.AliveNodes()) < len(nodes) && time.Now().Before(healDeadline) {
-		if !sleepCtx(ctx, cfg.HealthEvery) {
+		if !sleepCtx(ctx, healthEvery) {
 			break
 		}
 		c.CheckHealth()
@@ -480,8 +462,6 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 		Rate:     cfg.Rate,
 		Duration: cfg.Phase / 2,
 		Pool:     pool,
-		TwinFrac: 0.3,
-		Timeout:  2 * time.Second,
 		Seed:     sched.Seed + 1,
 	})
 
@@ -503,6 +483,8 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 	}
 
 	rep.Storm, rep.Healed = storm, healed
+	meanGap := time.Duration(float64(time.Second) / cfg.Rate)
+	rep.harnessLate = storm.Late.Quantile(0.99) > meanGap || healed.Late.Quantile(0.99) > meanGap
 	rep.Offered = storm.Offered + healed.Offered
 	rep.OK = storm.OK + healed.OK
 	rep.Shed = storm.Shed + healed.Shed

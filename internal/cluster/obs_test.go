@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/cost"
-	"repro/internal/loadgen"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -15,19 +14,19 @@ import (
 
 // TestClusterStatsLatencyMatchesMeasured is the rollup acceptance test: the
 // quantiles the front door reports in /v1/stats (merged bucket-wise from
-// every node's histograms) must match a client-side, loadgen-measured
+// every node's histograms) must match a client-side measured
 // distribution of the same requests within the histogram's 6.25% relative
 // error bound. The merge is lossless, so counts must agree exactly.
 func TestClusterStatsLatencyMatchesMeasured(t *testing.T) {
 	c := newTestCluster(t, 3, 2)
 	ctx := context.Background()
 
-	// A loadgen-style client-side mirror: one histogram per stats key.
-	measured := make(map[string]*loadgen.Hist)
+	// A client-side mirror: one histogram per stats key.
+	measured := make(map[string]*obs.Histogram)
 	record := func(key string, d time.Duration) {
 		h := measured[key]
 		if h == nil {
-			h = &loadgen.Hist{}
+			h = &obs.Histogram{}
 			measured[key] = h
 		}
 		h.Record(d)

@@ -176,12 +176,6 @@ func TestCout(t *testing.T) {
 	}
 }
 
-func TestEstimatedExecTimePositive(t *testing.T) {
-	if EstimatedExecTimeMS(1000) <= 0 {
-		t.Error("exec time must be positive")
-	}
-}
-
 // entryOf builds the table view of a plan node the way plan.Table stores it,
 // so the node- and entry-based costing paths can be compared head to head.
 func entryOf(n *plan.Node) plan.Entry {

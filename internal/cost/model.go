@@ -207,12 +207,3 @@ func Cout(n *plan.Node) float64 {
 	}
 	return n.Rows + Cout(n.Left) + Cout(n.Right)
 }
-
-// EstimatedExecTimeMS converts a plan's cost into an estimated execution
-// time in milliseconds. PostgreSQL cost units are calibrated so that
-// seq_page_cost=1.0 corresponds to roughly 0.005 ms of work on the paper's
-// hardware class; Fig. 10 uses this conversion (see EXPERIMENTS.md for the
-// substitution note).
-func EstimatedExecTimeMS(planCost float64) float64 {
-	return planCost * 0.005
-}

@@ -13,7 +13,9 @@ import (
 // DPSub and DPSize examine exactly what the census predicts. For MPDP the
 // census is the paper's count, every proper subset of every block, and the
 // run examines only the connected ones among them: never more than the
-// census, never fewer than the valid pairs, and the same valid pairs.
+// census, never fewer than the valid pairs, and the same valid pairs. The
+// census itself is ordered the way Figs. 2 and 4 draw it on every graph:
+// CCP <= MPDP <= DPSub.
 func TestCountersMatchInstrumentedRuns(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	m := cost.DefaultModel()
@@ -33,6 +35,10 @@ func TestCountersMatchInstrumentedRuns(t *testing.T) {
 		}
 		if rep.CCP != subStats.CCP {
 			t.Errorf("trial %d: census CCP=%d, run=%d", trial, rep.CCP, subStats.CCP)
+		}
+		if rep.CCP > rep.MPDPEvaluated || rep.MPDPEvaluated > rep.DPSubEvaluated {
+			t.Errorf("trial %d: census CCP=%d MPDP=%d DPSub=%d, want CCP <= MPDP <= DPSub",
+				trial, rep.CCP, rep.MPDPEvaluated, rep.DPSubEvaluated)
 		}
 		for _, alg := range []struct {
 			name string
@@ -102,6 +108,7 @@ func TestMPDPEvaluatedOnExtremeShapes(t *testing.T) {
 // DPSubEvaluated = Σ C(n-1, i-1)·2^i = 2·3^(n-1) - 2n - ... (computed
 // directly), which is what makes Fig. 4's ratio grow as (3/2)^n.
 func TestCountersStarClosedForm(t *testing.T) {
+	prevRatio := 0.0
 	for _, n := range []int{5, 10, 15} {
 		q := topoQuery(graph.Star(n), rand.New(rand.NewSource(1)))
 		rep, err := Counters(Input{Q: q, M: cost.DefaultModel()})
@@ -133,6 +140,11 @@ func TestCountersStarClosedForm(t *testing.T) {
 		if rep.MPDPEvaluated != ccp {
 			t.Errorf("n=%d: MPDP=%d must meet the CCP bound on trees", n, rep.MPDPEvaluated)
 		}
+		ratio := float64(rep.DPSubEvaluated) / float64(rep.CCP)
+		if ratio <= prevRatio {
+			t.Errorf("n=%d: DPSub/CCP = %.2f, not above the previous size's %.2f", n, ratio, prevRatio)
+		}
+		prevRatio = ratio
 	}
 }
 

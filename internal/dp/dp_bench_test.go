@@ -9,10 +9,11 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
-// Per-algorithm micro-benchmarks on a fixed random cyclic graph; the
-// repository-level bench_test.go sweeps the paper's workloads.
+// Per-algorithm micro-benchmarks on a fixed random cyclic graph; bench/
+// times the paper's workloads end to end.
 func BenchmarkExactAlgorithms(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	q := randomQuery(13, 6, rng)
@@ -92,11 +93,11 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 }
 
 // TestDPTableBytesBudget gates the bytes one optimization allocates, which
-// on these shapes is the DP table: BENCH_budget.json gates allocs/op only,
-// and the table's over-allocation never showed there (a table four times
-// too large is still three allocations). Ceilings sit a few percent above
-// the measured numbers, so a fourth per-slot array, a hash layout at load
-// 0.25 where direct addressing fits, or a fatter cold record fails here.
+// on these shapes is the DP table: an allocation count alone never showed
+// the table's over-allocation (a table four times too large is still three
+// allocations). Ceilings sit a few percent above the measured numbers, so a
+// fourth per-slot array, a hash layout at load 0.25 where direct addressing
+// fits, or a fatter cold record fails here.
 //
 //	                   before PR 17   PR 17      ceiling
 //	DPCCP  clique-12      558 137     231 017    260 000   direct (capped hint, n ≤ 13)
@@ -117,21 +118,53 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 //	DPCCP  clique-12     231 048      976    4 096
 //	MPDP   star-16     4 091 227    1 264    4 096
 //	MPDP   cycle-20      107 888    1 552    4 096
+//
+// The allocs column bounds the number of allocations a fresh run makes, ten
+// percent above the measured count; it is a count, taken over two runs with
+// no timed loop. The clique-15 and MusicBrainz-20 rows gate only that
+// (parallel.MPDP's row is in TestThickLevelsFanOut, the GPU model's in
+// gpusim's TestWorkspaceChangesNoDeviceModel).
 func TestDPTableBytesBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six one-second benchmarks")
 	}
+	topo := func(g *graph.Graph) *cost.Query { return topoQuery(g, rand.New(rand.NewSource(17))) }
+	gen := func(kind workload.Kind, n int) *cost.Query {
+		q, err := workload.Generate(kind, n, rand.New(rand.NewSource(1+int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
 	for _, tc := range []struct {
 		name          string
-		g             *graph.Graph
+		q             *cost.Query
 		f             Func
-		ceiling, warm int64
+		ceiling, warm int64 // bytes; 0: this row gates allocations only
+		allocs        float64
 	}{
-		{"DPCCP/clique-12", graph.Clique(12), DPCCP, 260_000, 4 << 10},
-		{"MPDP/star-16", graph.Star(16), MPDP, 4 << 20, 4 << 10},
-		{"MPDP/cycle-20", graph.Cycle(20), MPDP, 112_000, 4 << 10},
+		{"DPCCP/clique-12", topo(graph.Clique(12)), DPCCP, 260_000, 4 << 10, 23},
+		{"MPDP/star-16", topo(graph.Star(16)), MPDP, 4 << 20, 4 << 10, 221},
+		{"MPDP/cycle-20", topo(graph.Cycle(20)), MPDP, 112_000, 4 << 10, 181},
+		{"DPCCP/clique-15", gen(workload.KindClique, 15), DPCCP, 0, 0, 33},
+		{"MPDP/clique-15", gen(workload.KindClique, 15), MPDP, 0, 0, 231},
+		{"DPCCP/musicbrainz-20", gen(workload.KindMB, 20), DPCCP, 0, 0, 45},
+		{"MPDP/musicbrainz-20", gen(workload.KindMB, 20), MPDP, 0, 0, 319},
 	} {
-		in := Input{Q: topoQuery(tc.g, rand.New(rand.NewSource(17))), M: cost.DefaultModel()}
+		in := Input{Q: tc.q, M: cost.DefaultModel()}
+		got := testing.AllocsPerRun(1, func() {
+			if _, _, err := tc.f(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.allocs {
+			t.Errorf("%s makes %.0f allocations per run, ceiling %.0f", tc.name, got, tc.allocs)
+		} else {
+			t.Logf("%s: %.0f allocations per run (ceiling %.0f)", tc.name, got, tc.allocs)
+		}
+		if tc.ceiling == 0 {
+			continue
+		}
 		for _, row := range []struct {
 			name    string
 			ws      *Workspace

@@ -58,20 +58,6 @@ func GTX1080() *Device {
 	}
 }
 
-// TeslaT4 models the NVIDIA T4 of the AWS g4dn.xlarge instance (Fig. 13).
-func TeslaT4() *Device {
-	return &Device{
-		Name:            "TeslaT4",
-		WarpSize:        32,
-		SMCount:         40,
-		SchedulersPerSM: 4,
-		ClockGHz:        1.59,
-		KernelLaunchUS:  5,
-		LevelTransferUS: 60,
-		GlobalAccessNS:  3,
-	}
-}
-
 // Config selects the device and the §5 implementation enhancements.
 type Config struct {
 	Device *Device

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 func randomQuery(n, extraEdges int, rng *rand.Rand) *cost.Query {
@@ -108,39 +109,48 @@ func TestCandidatePairOrdering(t *testing.T) {
 	}
 }
 
+// TestEnhancementAblation is §7.2.5 as counts: with Collaborative Context
+// Collection off the device never bills fewer warp cycles (the same on a
+// star under MPDP, where every candidate pair is valid), and with the prune
+// kernel unfused it issues more global writes — for the baseline and for
+// MPDP, on a star and on a cycle.
 func TestEnhancementAblation(t *testing.T) {
-	// §7.2.5: fused pruning and CCC each reduce modeled time; CCC matters
-	// most when the valid fraction is low (star topology).
-	rng := rand.New(rand.NewSource(33))
-	q := starQuery(13, rng)
-	m := cost.DefaultModel()
-	in := dp.Input{Q: q, M: m}
-
-	full := Config{Device: GTX1080(), FusedPrune: true, CCC: true}
-	noCCC := Config{Device: GTX1080(), FusedPrune: true, CCC: false}
-	noFuse := Config{Device: GTX1080(), FusedPrune: false, CCC: true}
-
-	_, _, gsFull, err := DPSubGPU(in, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, gsNoCCC, err := DPSubGPU(in, noCCC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, gsNoFuse, err := DPSubGPU(in, noFuse)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gsNoCCC.SimTimeMS <= gsFull.SimTimeMS {
-		t.Errorf("disabling CCC should cost time: %.4f <= %.4f", gsNoCCC.SimTimeMS, gsFull.SimTimeMS)
-	}
-	if gsNoFuse.GlobalWrites <= gsFull.GlobalWrites {
-		t.Errorf("unfused prune should add global writes: %d <= %d", gsNoFuse.GlobalWrites, gsFull.GlobalWrites)
-	}
-	ratio := gsNoCCC.SimTimeMS / gsFull.SimTimeMS
-	if ratio > 3.5 {
-		t.Errorf("CCC speedup %.2f exceeds the paper's ≤3x envelope", ratio)
+	star := starQuery(13, rand.New(rand.NewSource(33)))
+	for _, tc := range []struct {
+		name string
+		algo Algo
+		q    *cost.Query
+	}{
+		{"DPSub-GPU star-13", AlgoDPSub, star},
+		{"MPDP-GPU star-13", AlgoMPDP, star},
+		{"MPDP-GPU cycle-16", AlgoMPDP, multiQuery(t, workload.KindCycle, 16, 33)},
+	} {
+		sim := func(fused, ccc bool) Stats {
+			cfg := Config{Device: GTX1080(), FusedPrune: fused, CCC: ccc}
+			_, _, gs, err := run(dp.Input{Q: tc.q, M: cost.DefaultModel()}, cfg, tc.algo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gs
+		}
+		full, noCCC, noFuse := sim(true, true), sim(true, false), sim(false, true)
+		if noCCC.WarpCycles < full.WarpCycles {
+			t.Errorf("%s: disabling CCC bills fewer cycles: %.0f < %.0f", tc.name, noCCC.WarpCycles, full.WarpCycles)
+		}
+		if noFuse.GlobalWrites <= full.GlobalWrites {
+			t.Errorf("%s: unfused prune should add global writes: %d <= %d", tc.name, noFuse.GlobalWrites, full.GlobalWrites)
+		}
+		if tc.algo != AlgoDPSub {
+			continue
+		}
+		// The baseline on a star is the paper's own row: few candidate
+		// pairs are valid, so CCC pays, by no more than its ≤3x envelope.
+		if noCCC.SimTimeMS <= full.SimTimeMS {
+			t.Errorf("disabling CCC should cost time: %.4f <= %.4f", noCCC.SimTimeMS, full.SimTimeMS)
+		}
+		if ratio := noCCC.SimTimeMS / full.SimTimeMS; ratio > 3.5 {
+			t.Errorf("CCC speedup %.2f exceeds the paper's ≤3x envelope", ratio)
+		}
 	}
 }
 

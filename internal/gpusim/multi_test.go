@@ -287,7 +287,7 @@ func TestMultiTreeRunSeesCancellation(t *testing.T) {
 // input's workspace. One workspace under the single-device model of all
 // three algorithms and under the multi-device scheduler, tree and general
 // path, sizes going up and down: plan, counters and every number of the
-// device model are the run's without one.
+// device model are the run's without one — whose allocations are bounded.
 func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 	ws := new(dp.Workspace)
 	for i, tc := range []struct {
@@ -335,6 +335,25 @@ func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 				t.Errorf("%s-%d on %d devices: on a workspace %+v %+v cost %v, without %+v %+v cost %v",
 					tc.kind, tc.n, devices, gotStats, gotGPU.Stats, got.Cost, wantStats, wantGPU.Stats, want.Cost)
 			}
+		}
+	}
+
+	// How often a run without a workspace allocates is a count as well:
+	// 166 and 348 times measured, ten percent on top.
+	for _, row := range []struct {
+		n       int
+		ceiling float64
+	}{{20, 182}, {40, 382}} {
+		in := dp.Input{Q: multiQuery(t, workload.KindCycle, row.n, 1+int64(row.n)), M: cost.DefaultModel()}
+		cfg := DefaultConfig()
+		cfg.Devices = 2
+		got := testing.AllocsPerRun(5, func() {
+			if _, _, _, err := MPDPGPUMulti(in, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > row.ceiling {
+			t.Errorf("cycle-%d on 2 devices makes %.0f allocations per run, ceiling %.0f", row.n, got, row.ceiling)
 		}
 	}
 }

@@ -64,24 +64,3 @@ func TestDPSizeGPUSkipsUnrankFilter(t *testing.T) {
 		t.Errorf("DPSize-GPU unranked %d sets", gs.UnrankedSets)
 	}
 }
-
-func TestTeslaT4FasterThanGTX1080OnComputeBoundWork(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	q := randomQuery(14, 8, rng) // cyclic: enough evaluate work to matter
-	in := dp.Input{Q: q, M: cost.DefaultModel()}
-	_, _, gs1080, err := MPDPGPU(in, Config{Device: GTX1080(), FusedPrune: true, CCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, gsT4, err := MPDPGPU(in, Config{Device: TeslaT4(), FusedPrune: true, CCC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The T4 has twice the SMs: compute cycles should convert to less time.
-	if gsT4.WarpCycles != gs1080.WarpCycles {
-		t.Errorf("work model must be device-independent: %v vs %v", gsT4.WarpCycles, gs1080.WarpCycles)
-	}
-	if gsT4.SimTimeMS >= gs1080.SimTimeMS {
-		t.Skip("overhead-dominated at this size; compute comparison not meaningful")
-	}
-}

@@ -11,8 +11,8 @@ import (
 // MountClusterAdmin registers the cluster-only membership surface on the
 // shared mux: GET /cluster (membership and ring summary) and the POST
 // admin verbs /cluster/add, /cluster/remove?node=, /cluster/kill?node=,
-// /cluster/revive?node=, /cluster/flush. Both cmd/mpdp-cluster and the
-// examples mount it, so the admin wire surface has one definition too.
+// /cluster/revive?node=. Both cmd/mpdp-cluster and the examples mount it,
+// so the admin wire surface has one definition too.
 func MountClusterAdmin(a *API, c *cluster.Cluster) {
 	needNode := func(node string) error {
 		if node == "" {
@@ -74,9 +74,5 @@ func MountClusterAdmin(a *API, c *cluster.Cluster) {
 		}
 		c.ReviveNode(node)
 		return "revived " + node, nil
-	}))
-	a.Handle("/cluster/flush", op(func(string) (string, error) {
-		c.FlushAll()
-		return "flushed all plan caches", nil
 	}))
 }

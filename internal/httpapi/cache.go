@@ -21,8 +21,7 @@ import (
 //
 // Both binaries serve it through the shared Engine, so mpdp-serve answers
 // for its single service and mpdp-cluster for the whole ring with the same
-// wire shapes. The cluster's legacy /cluster/flush admin verb remains as
-// an alias of the flush semantics (see MountClusterAdmin).
+// wire shapes.
 
 // defaultCacheTopN bounds the GET /v1/cache entry listing when the caller
 // does not pass ?top=.

@@ -37,7 +37,7 @@ type Engine interface {
 	Optimize(ctx context.Context, p *service.Prepared) (*Answer, error)
 	// StatsJSON returns the counters snapshot as a JSON object.
 	StatsJSON() string
-	// Health reports liveness for /healthz.
+	// Health reports liveness for /v1/healthz.
 	Health() Health
 	// WriteMetrics emits the engine's live counters and latency histograms
 	// in Prometheus exposition format (the /metrics body).

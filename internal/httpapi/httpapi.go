@@ -3,8 +3,7 @@
 // answer with byte-identical wire shapes by construction instead of two
 // hand-copied handler sets.
 //
-// Endpoints (all under /v1, with the pre-versioning paths kept as aliases
-// of the same handlers):
+// Endpoints (all under /v1; /metrics is also served unversioned):
 //
 //	POST /v1/optimize     one SQL statement (text) or WireQuery (JSON)
 //	POST /v1/explain      like optimize, with the plan tree rendered
@@ -92,8 +91,7 @@ type API struct {
 	stmtHits, stmtMisses atomic.Uint64
 }
 
-// New builds the API and its mux with the /v1 endpoints and the legacy
-// aliases registered.
+// New builds the API and its mux with the /v1 endpoints registered.
 func New(engine Engine, opts Options) *API {
 	opts = opts.withDefaults()
 	a := &API{engine: engine, opts: opts, mux: http.NewServeMux()}
@@ -117,12 +115,8 @@ func New(engine Engine, opts Options) *API {
 	a.mux.HandleFunc("/v1/healthz", a.handleHealthz)
 	a.mux.HandleFunc("/v1/metrics", a.handleMetrics)
 	a.mux.HandleFunc("/v1/debug/slow", a.handleSlow)
-	// Pre-versioning aliases: same handlers, same shapes. /metrics is the
-	// conventional scrape path, aliased rather than versioned — Prometheus
-	// configs assume it.
-	a.mux.HandleFunc("/optimize", a.handleOptimize)
-	a.mux.HandleFunc("/stats", a.handleStats)
-	a.mux.HandleFunc("/healthz", a.handleHealthz)
+	// /metrics is the conventional scrape path, aliased rather than
+	// versioned — Prometheus configs assume it.
 	a.mux.HandleFunc("/metrics", a.handleMetrics)
 	return a
 }

@@ -62,42 +62,41 @@ func postJSONKeys(t *testing.T, ts *httptest.Server, path, body string) []string
 	return keys
 }
 
-// TestResponseShapeParity is the satellite parity test: the /optimize (and
-// /v1/optimize) JSON of mpdp-serve and mpdp-cluster must use identical
-// field names — the cluster may add exactly node and failover, nothing
-// else, and no shared field may be missing or renamed on either side. Both
-// muxes marshal the shared httpapi.Response, so a drift can only come from
-// a second handler set sneaking back in; this test makes that a CI failure.
+// TestResponseShapeParity is the satellite parity test: the /v1/optimize
+// JSON of mpdp-serve and mpdp-cluster must use identical field names — the
+// cluster may add exactly node and failover, nothing else, and no shared
+// field may be missing or renamed on either side. Both muxes marshal the
+// shared httpapi.Response, so a drift can only come from a second handler
+// set sneaking back in; this test makes that a CI failure.
 func TestResponseShapeParity(t *testing.T) {
 	serveTS := newServiceServer(t, service.Config{})
 	clusterTS := newClusterServer(t)
 
-	for _, path := range []string{"/optimize", "/v1/optimize"} {
-		serveKeys := postJSONKeys(t, serveTS, path, testStatement)
-		clusterKeys := postJSONKeys(t, clusterTS, path, testStatement)
+	const path = "/v1/optimize"
+	serveKeys := postJSONKeys(t, serveTS, path, testStatement)
+	clusterKeys := postJSONKeys(t, clusterTS, path, testStatement)
 
-		clusterOnly := map[string]bool{"node": true, "failover": true}
-		var clusterShared []string
-		for _, k := range clusterKeys {
-			if !clusterOnly[k] {
-				clusterShared = append(clusterShared, k)
-			}
+	clusterOnly := map[string]bool{"node": true, "failover": true}
+	var clusterShared []string
+	for _, k := range clusterKeys {
+		if !clusterOnly[k] {
+			clusterShared = append(clusterShared, k)
 		}
-		if fmt.Sprint(serveKeys) != fmt.Sprint(clusterShared) {
-			t.Errorf("%s shape drift:\n  serve:   %v\n  cluster: %v (minus node/failover)",
-				path, serveKeys, clusterShared)
+	}
+	if fmt.Sprint(serveKeys) != fmt.Sprint(clusterShared) {
+		t.Errorf("%s shape drift:\n  serve:   %v\n  cluster: %v (minus node/failover)",
+			path, serveKeys, clusterShared)
+	}
+	// The GPU fields must be spelled identically when present: force
+	// them with a GPU-routed statement on both.
+	gpuServe := postJSONKeys(t, serveTS, path, workload.CycleSQL(40))
+	gpuCluster := postJSONKeys(t, clusterTS, path, workload.CycleSQL(40))
+	for _, want := range []string{"backend", "gpu_devices", "gpu_sim_ms"} {
+		if !contains(gpuServe, want) {
+			t.Errorf("%s serve GPU response lacks %q: %v", path, want, gpuServe)
 		}
-		// The GPU fields must be spelled identically when present: force
-		// them with a GPU-routed statement on both.
-		gpuServe := postJSONKeys(t, serveTS, path, workload.CycleSQL(40))
-		gpuCluster := postJSONKeys(t, clusterTS, path, workload.CycleSQL(40))
-		for _, want := range []string{"backend", "gpu_devices", "gpu_sim_ms"} {
-			if !contains(gpuServe, want) {
-				t.Errorf("%s serve GPU response lacks %q: %v", path, want, gpuServe)
-			}
-			if !contains(gpuCluster, want) {
-				t.Errorf("%s cluster GPU response lacks %q: %v", path, want, gpuCluster)
-			}
+		if !contains(gpuCluster, want) {
+			t.Errorf("%s cluster GPU response lacks %q: %v", path, want, gpuCluster)
 		}
 	}
 }

@@ -51,8 +51,8 @@ type Response struct {
 	TraceWallUS float64    `json:"trace_wall_us,omitempty"`
 }
 
-// Error is the structured error envelope every /v1 endpoint (and the
-// legacy aliases) returns on failure.
+// Error is the structured error envelope every /v1 endpoint returns on
+// failure.
 type Error struct {
 	// Code is a stable, machine-readable error class (see the Code*
 	// constants).

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,58 +11,74 @@ import (
 	"repro/internal/service"
 )
 
+var poolSizes = []int{8, 10, 12, 14}
+
+func served(context.Context, *cost.Query) error { return nil }
+
 func TestRunMixAndDeterminism(t *testing.T) {
-	pool := NewPool(16, nil, 42)
-	served := func(ctx context.Context, q *cost.Query) error { return nil }
-	cfg := Config{
-		Rate:     2000,
-		Duration: 250 * time.Millisecond,
-		Pool:     pool,
-		ColdFrac: 0.1,
-		TwinFrac: 0.2,
-		Seed:     7,
+	pool := NewPool(16, poolSizes, 42)
+	rank := make(map[*cost.Query]int, len(pool))
+	for i, q := range pool {
+		rank[q] = i
 	}
-	res := Run(context.Background(), served, cfg)
+	// mix counts what one run sent: replays by pool rank, twins (queries
+	// that are no pool entry) in the last slot.
+	run := func() (*Result, []int) {
+		var mu sync.Mutex
+		mix := make([]int, len(pool)+1)
+		res := Run(context.Background(), func(ctx context.Context, q *cost.Query) error {
+			i, ok := rank[q]
+			if !ok {
+				i = len(pool)
+			}
+			mu.Lock()
+			mix[i]++
+			mu.Unlock()
+			return nil
+		}, Config{Rate: 2000, Duration: 250 * time.Millisecond, Pool: pool, Seed: 7})
+		return res, mix
+	}
+	res, mix := run()
 	if res.Offered < 300 {
 		t.Fatalf("offered only %d requests at 2000/s over 250ms", res.Offered)
 	}
 	if res.OK != res.Offered-res.Dropped {
 		t.Fatalf("OK %d != offered %d - dropped %d", res.OK, res.Offered, res.Dropped)
 	}
-	total := res.Cold + res.Twin + res.Replay
-	if total != res.Offered {
-		t.Fatalf("mix %d+%d+%d != offered %d", res.Cold, res.Twin, res.Replay, res.Offered)
+	if got := res.Late.Count(); got != uint64(res.Offered) {
+		t.Fatalf("lateness recorded for %d of %d offered arrivals", got, res.Offered)
 	}
-	// The mix fractions are Bernoulli draws; with 300+ samples a 2x band
-	// around the configured fractions is loose enough to never flake.
-	if f := float64(res.Cold) / float64(total); f < 0.03 || f > 0.25 {
-		t.Errorf("cold fraction %.3f far from configured 0.10", f)
+	// The twin share is a Bernoulli draw; with 300+ samples a band this
+	// wide around 0.3 never flakes.
+	if f := float64(mix[len(pool)]) / float64(res.OK); f < 0.15 || f > 0.5 {
+		t.Errorf("twin fraction %.3f far from %.2f", f, twinFrac)
 	}
-	if f := float64(res.Twin) / float64(total); f < 0.08 || f > 0.40 {
-		t.Errorf("twin fraction %.3f far from configured 0.20", f)
+	if mix[0] <= mix[len(pool)-1] {
+		t.Errorf("rank 0 replayed %d times, rank %d %d: popularity is not skewed", mix[0], len(pool)-1, mix[len(pool)-1])
 	}
 	// Same seed, same schedule: the offered count and mix must reproduce.
-	res2 := Run(context.Background(), served, cfg)
-	if res2.Offered != res.Offered || res2.Cold != res.Cold || res2.Twin != res.Twin {
-		t.Errorf("same seed diverged: offered %d/%d cold %d/%d twin %d/%d",
-			res.Offered, res2.Offered, res.Cold, res2.Cold, res.Twin, res2.Twin)
+	res2, mix2 := run()
+	if res2.Offered != res.Offered {
+		t.Errorf("same seed offered %d then %d", res.Offered, res2.Offered)
+	}
+	for i := range mix {
+		if mix[i] != mix2[i] {
+			t.Errorf("same seed diverged at mix slot %d: %d then %d", i, mix[i], mix2[i])
+		}
 	}
 }
 
 func TestRunCountsShedsSeparately(t *testing.T) {
-	pool := NewPool(4, nil, 42)
-	n := 0
+	pool := NewPool(4, poolSizes, 42)
+	var n atomic.Int64
 	target := func(ctx context.Context, q *cost.Query) error {
-		n++
-		if n%2 == 0 {
+		if n.Add(1)%2 == 0 {
 			return service.ErrOverloaded
 		}
 		return nil
 	}
-	// MaxInFlight 1 serializes the target so the closure needs no lock.
 	res := Run(context.Background(), target, Config{
-		Rate: 500, Duration: 100 * time.Millisecond, Pool: pool,
-		MaxInFlight: 1, Seed: 3,
+		Rate: 500, Duration: 100 * time.Millisecond, Pool: pool, Seed: 3,
 	})
 	if res.Shed == 0 {
 		t.Fatalf("no sheds recorded: %+v", res)
@@ -77,15 +95,16 @@ func TestRunStaysOpenLoop(t *testing.T) {
 	// A closed-loop driver offers fewer requests when the target stalls —
 	// that is the coordinated-omission failure the harness exists to
 	// avoid. The offered count must track rate*duration regardless of the
-	// target: here every request parks until its 50ms deadline.
-	pool := NewPool(2, nil, 42)
+	// target: here every request parks for 50ms and then times out.
+	pool := NewPool(2, poolSizes, 42)
 	stall := func(ctx context.Context, q *cost.Query) error {
+		ctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+		defer cancel()
 		<-ctx.Done()
 		return ctx.Err()
 	}
 	res := Run(context.Background(), stall, Config{
-		Rate: 1000, Duration: 200 * time.Millisecond, Pool: pool,
-		Timeout: 50 * time.Millisecond, Seed: 9,
+		Rate: 1000, Duration: 200 * time.Millisecond, Pool: pool, Seed: 9,
 	})
 	// Poisson noise on ~200 arrivals is ~±30; anything above 120 proves
 	// the generator did not slow down with the target.
@@ -98,5 +117,50 @@ func TestRunStaysOpenLoop(t *testing.T) {
 	}
 	if res.Hist.Count() != 0 {
 		t.Fatalf("no request succeeded but hist holds %d samples", res.Hist.Count())
+	}
+}
+
+// TestRunLaunchesOnTime pins the pacing: the chaos suite offers 150 req/s,
+// and at 200 the generator must launch within 100us of the due time at the
+// median — a plain sleep wakes half a millisecond late, and that
+// lands in every latency the run reports.
+func TestRunLaunchesOnTime(t *testing.T) {
+	pool := NewPool(2, poolSizes, 42)
+	res := Run(context.Background(), served, Config{
+		Rate: 200, Duration: 500 * time.Millisecond, Pool: pool, Seed: 11,
+	})
+	if res.Offered < 50 {
+		t.Fatalf("offered only %d requests at 200/s over 500ms", res.Offered)
+	}
+	p50 := res.Late.Quantile(0.5)
+	t.Logf("launch lateness over %d arrivals: p50 %v p99 %v max %v", res.Offered, p50, res.Late.Quantile(0.99), res.Late.Max())
+	if p50 >= 100*time.Microsecond {
+		t.Errorf("median launch lateness %v, want < 100us", p50)
+	}
+}
+
+// TestRunStopsMidGap: at 1 req/s the generator spends nearly all of its
+// time between arrivals, so a cancel lands mid-gap; Run must come back at
+// once instead of sleeping the gap out.
+func TestRunStopsMidGap(t *testing.T) {
+	pool := NewPool(2, poolSizes, 42)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan *Result, 1)
+	go func() {
+		done <- Run(ctx, served, Config{Rate: 1, Duration: time.Minute, Pool: pool, Seed: 5})
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancelled := time.Now()
+	cancel()
+	select {
+	case res := <-done:
+		if took := time.Since(cancelled); took > 5*time.Millisecond {
+			t.Errorf("Run returned %v after cancel, want within 5ms", took)
+		}
+		if res.Offered > 2 {
+			t.Errorf("offered %d requests in 20ms at 1 req/s", res.Offered)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run ignored the cancel")
 	}
 }

@@ -66,21 +66,35 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelMPDPCountersMatchSequential is the count behind the paper's
+// Fig. 12: adding threads divides the work and never changes it. Every
+// counter of a run is the sequential run's at any worker count, on a tree
+// (Algorithm 2, thick levels), a cycle (one block, thin levels) and a
+// random graph (Algorithm 3 proper).
 func TestParallelMPDPCountersMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := cost.DefaultModel()
-	q := randomQuery(12, 5, rng)
-	_, seq, err := dp.MPDPGeneral(dp.Input{Q: q, M: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, par, err := MPDP(dp.Input{Q: q, M: m, Threads: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Evaluated != seq.Evaluated || par.CCP != seq.CCP {
-		t.Errorf("parallel counters (%d, %d) != sequential (%d, %d)",
-			par.Evaluated, par.CCP, seq.Evaluated, seq.CCP)
+	for _, tc := range []struct {
+		name string
+		q    *cost.Query
+	}{
+		{"random-12", randomQuery(12, 5, rng)},
+		{"star-12", shapedQuery(graph.Star(12), rng)},
+		{"cycle-14", shapedQuery(graph.Cycle(14), rng)},
+	} {
+		_, seq, err := dp.MPDP(dp.Input{Q: tc.q, M: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, threads := range []int{1, 2, 4, 8} {
+			_, par, err := MPDP(dp.Input{Q: tc.q, M: m, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if par != seq {
+				t.Errorf("%s, %d threads: counters %+v != sequential %+v", tc.name, threads, par, seq)
+			}
+		}
 	}
 }
 

@@ -17,18 +17,6 @@ import (
 // rels". Only PK-FK joins are used and the resulting query graph can
 // contain cycles. Relation indices are renumbered to the local query space.
 func MusicBrainzQuery(n int, rng *rand.Rand) *cost.Query {
-	return mbQuery(n, rng, true)
-}
-
-// MusicBrainzNonPKFK generates random-walk queries whose join selectivities
-// model non PK-FK predicates (§7.2.3): selectivities are drawn from the
-// value-overlap model instead of 1/|PK|, which makes intermediate results —
-// and therefore execution times — much larger.
-func MusicBrainzNonPKFK(n int, rng *rand.Rand) *cost.Query {
-	return mbQuery(n, rng, false)
-}
-
-func mbQuery(n int, rng *rand.Rand, pkfk bool) *cost.Query {
 	schema := catalog.MusicBrainz()
 	full := schema.Catalog
 	// Schema join graph over all 56 tables.
@@ -82,16 +70,7 @@ func mbQuery(n int, rng *rand.Rand, pkfk bool) *cost.Query {
 		if !okF || !okT {
 			continue
 		}
-		var sel float64
-		if pkfk {
-			sel = pkSel(cat.Rels[lt].Rows)
-		} else {
-			// Non PK-FK: many-to-many value overlap.
-			distinct := math.Max(10, math.Min(cat.Rels[lf].Rows, cat.Rels[lt].Rows)/
-				math.Pow(10, 1+2*rng.Float64()))
-			sel = 1 / distinct
-		}
-		g.AddEdge(lf, lt, sel)
+		g.AddEdge(lf, lt, pkSel(cat.Rels[lt].Rows))
 	}
 	// Mild random selections, as query predicates would induce.
 	for i := range cat.Rels {

@@ -1,8 +1,7 @@
 // Package workload generates the query suites of the paper's evaluation
 // (§7): synthetic star, snowflake, chain, cycle and clique queries of a
-// given relation count; MusicBrainz random-walk queries over PK-FK (and non
-// PK-FK) joins; and JOB-shaped queries for Fig. 11. Generation is
-// deterministic for a given seed.
+// given relation count, and MusicBrainz random-walk queries over PK-FK
+// joins. Generation is deterministic for a given seed.
 //
 // Join selectivities are derived from the *unfiltered* primary-key
 // cardinality (1/|PK|); local selections then shrink the base relations.
@@ -32,7 +31,6 @@ const (
 	KindCycle     Kind = "cycle"
 	KindClique    Kind = "clique"
 	KindMB        Kind = "musicbrainz"
-	KindJOB       Kind = "job"
 )
 
 // pkSel returns the selectivity of a PK-FK equi-join where the PK side has
@@ -144,8 +142,6 @@ func Generate(kind Kind, n int, rng *rand.Rand) (*cost.Query, error) {
 		return Clique(n, rng), nil
 	case KindMB:
 		return MusicBrainzQuery(n, rng), nil
-	case KindJOB:
-		return nil, fmt.Errorf("workload: JOB queries are indexed, use JOBQueries")
 	}
 	return nil, fmt.Errorf("workload: unknown kind %q", kind)
 }

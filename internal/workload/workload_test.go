@@ -108,48 +108,8 @@ func TestMusicBrainzWalkProducesPKFKSelectivities(t *testing.T) {
 	}
 }
 
-func TestMusicBrainzNonPKFKDiffersFromPKFK(t *testing.T) {
-	pk := MusicBrainzQuery(15, rand.New(rand.NewSource(6)))
-	non := MusicBrainzNonPKFK(15, rand.New(rand.NewSource(6)))
-	if pk.N() != non.N() {
-		t.Fatal("same walk expected for same seed")
-	}
-	same := true
-	for i := range pk.G.Edges {
-		if pk.G.Edges[i].Sel != non.G.Edges[i].Sel {
-			same = false
-		}
-	}
-	if same {
-		t.Error("non PK-FK selectivities identical to PK-FK")
-	}
-}
-
-func TestJOBQueries(t *testing.T) {
-	qs := JOBQueries(1)
-	if len(qs) != 33 {
-		t.Fatalf("JOB has %d query families, want 33", len(qs))
-	}
-	maxRels := 0
-	for _, jq := range qs {
-		checkQuery(t, KindJOB, jq.Query, jq.Rels)
-		if jq.Rels > maxRels {
-			maxRels = jq.Rels
-		}
-		if jq.Rels < 4 {
-			t.Errorf("%s: only %d relations", jq.Name, jq.Rels)
-		}
-	}
-	if maxRels != 17 {
-		t.Errorf("largest JOB query has %d relations, want 17 (§7.2.4)", maxRels)
-	}
-}
-
 func TestGenerateUnknownKind(t *testing.T) {
 	if _, err := Generate("nonsense", 5, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("unknown kind must error")
-	}
-	if _, err := Generate(KindJOB, 5, rand.New(rand.NewSource(1))); err == nil {
-		t.Error("JOB kind must direct callers to JOBQueries")
 	}
 }
