@@ -4,8 +4,10 @@
 // enumerator that shares plan.Table, the exact bits of the optimal cost, a
 // digest of the rendered plan, a digest of every node of the tree and the
 // three instrumentation counters. The lines in testdata/bitidentity.golden
-// were generated at the commit before the DP table was rebuilt (PR 17) and
-// must not change when the table, the pruning order or an evaluator does.
+// were generated at the commit before the DP table was rebuilt (PR 17) — the
+// larger trees and the IDP2 rows at the commit before Algorithm 2's kernel
+// was (PR 22) — and must not change when the table, the pruning order or an
+// evaluator does.
 package repro
 
 import (
@@ -23,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
+	"repro/internal/heuristic"
 	"repro/internal/parallel"
 	"repro/internal/plan"
 	"repro/internal/workload"
@@ -34,23 +37,30 @@ var updateBitIdentity = flag.Bool("update-bitidentity", false, "rewrite testdata
 // graphs on which the two vertex-based baselines are run too: DPSub walks
 // 2^|S| subsets per set and DPSize the cross product of two size classes,
 // which on the larger sparse graphs is minutes of work that pins nothing the
-// smaller ones do not.
+// smaller ones do not. wide marks the graphs run through the multi-device
+// GPU model as well, whose tree path is the level barrier the service's gpu
+// route reaches, and large the ones only a heuristic takes.
 type bitIdentityCase struct {
 	name      string
 	q         *cost.Query
 	baselines bool
+	wide      bool
+	large     bool
 }
 
 func bitIdentityCases(t *testing.T) []bitIdentityCase {
 	t.Helper()
 	var out []bitIdentityCase
+	generate := func(kind workload.Kind, n int) *cost.Query {
+		q, err := workload.Generate(kind, n, rand.New(rand.NewSource(int64(1700+n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
 	gen := func(kind workload.Kind, baselines bool, sizes ...int) {
 		for _, n := range sizes {
-			q, err := workload.Generate(kind, n, rand.New(rand.NewSource(int64(1700+n))))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, bitIdentityCase{fmt.Sprintf("%s-%d", kind, n), q, baselines})
+			out = append(out, bitIdentityCase{name: fmt.Sprintf("%s-%d", kind, n), q: generate(kind, n), baselines: baselines})
 		}
 	}
 	gen(workload.KindClique, true, 8, 9, 10, 11, 12)
@@ -62,12 +72,42 @@ func bitIdentityCases(t *testing.T) []bitIdentityCase {
 	gen(workload.KindMB, true, 14, 16)
 	rng := rand.New(rand.NewSource(17))
 	n, edges := gridEdges(4, 4)
-	out = append(out, bitIdentityCase{"grid-4x4", edgeQuery(n, edges, rng), true})
+	out = append(out, bitIdentityCase{name: "grid-4x4", q: edgeQuery(n, edges, rng), baselines: true})
 	n, edges = twoCyclesEdges(8, 9)
-	out = append(out, bitIdentityCase{"two-cycles-8+9", edgeQuery(n, edges, rng), true})
+	out = append(out, bitIdentityCase{name: "two-cycles-8+9", q: edgeQuery(n, edges, rng), baselines: true})
 	n, edges = triangleRingEdges(7)
-	out = append(out, bitIdentityCase{"triangle-ring-7", edgeQuery(n, edges, rng), true})
+	out = append(out, bitIdentityCase{name: "triangle-ring-7", q: edgeQuery(n, edges, rng), baselines: true})
+
+	// Trees past the sizes above, where Algorithm 2 is the whole run, through
+	// every level driver that reaches it.
+	out = append(out,
+		bitIdentityCase{name: "tree-22", q: edgeQuery(22, randomTreeEdges(22, rand.New(rand.NewSource(22))), rng), wide: true},
+		bitIdentityCase{name: "snowflake-26", q: generate(workload.KindSnowflake, 26), wide: true},
+		bitIdentityCase{name: "chain-40", q: generate(workload.KindChain, 40), wide: true})
+	// IDP2's inner DPs run on composite units handed in as dp.Input.Leaves —
+	// wrapper leaves whose relation id is the unit's, with an index only
+	// where the unit is still a plain scan — which no graph above does.
+	out = append(out,
+		bitIdentityCase{name: "star-60", q: generate(workload.KindStar, 60), large: true},
+		bitIdentityCase{name: "snowflake-60", q: generate(workload.KindSnowflake, 60), large: true})
 	return out
+}
+
+// randomTreeEdges is a random recursive tree under a random relabelling, so
+// that an edge's lower-numbered end is as often the child as the parent.
+func randomTreeEdges(n int, rng *rand.Rand) [][2]int {
+	label := rng.Perm(n)
+	edges := make([][2]int, 0, n-1)
+	for v := 1; v < n; v++ {
+		edges = append(edges, [2]int{label[v], label[rng.Intn(v)]})
+	}
+	return edges
+}
+
+// idp2 is IDP2 as a dp.Func; a heuristic has no counters to report.
+func idp2(in dp.Input) (*plan.Node, dp.Stats, error) {
+	p, err := heuristic.IDP2(in.Q, heuristic.Options{Model: in.M, Threads: in.Threads, Workspace: in.Workspace})
+	return p, dp.Stats{}, err
 }
 
 func withThreads(f dp.Func, threads int) dp.Func {
@@ -78,19 +118,27 @@ func withThreads(f dp.Func, threads int) dp.Func {
 }
 
 // bitIdentityAlgs: every enumerator that reads and writes plan.Table on the
-// serving path, plus the two vertex-based baselines.
+// serving path, plus the two vertex-based baselines. Each runs on the cases
+// of its class: exact ones on every graph of at most 64 relations (the
+// baselines and the multi-device model where the case asks for them), IDP2
+// on the large ones.
 var bitIdentityAlgs = []struct {
 	name     string
 	f        dp.Func
 	baseline bool
+	wide     bool
+	large    bool
 }{
-	{"DPCCP", dp.DPCCP, false},
-	{"MPDP", dp.MPDP, false},
-	{"MPDP-CPU-1", withThreads(parallel.MPDP, 1), false},
-	{"MPDP-CPU-2", withThreads(parallel.MPDP, 2), false},
-	{"MPDP-GPU", gpuEquiv(1), false},
-	{"DPSub", dp.DPSub, true},
-	{"DPSize", dp.DPSize, true},
+	{name: "DPCCP", f: dp.DPCCP},
+	{name: "MPDP", f: dp.MPDP},
+	{name: "MPDP-CPU-1", f: withThreads(parallel.MPDP, 1)},
+	{name: "MPDP-CPU-2", f: withThreads(parallel.MPDP, 2)},
+	{name: "MPDP-GPU", f: gpuEquiv(1)},
+	{name: "MPDP-GPU-2", f: gpuEquiv(2), wide: true},
+	{name: "DPSub", f: dp.DPSub, baseline: true},
+	{name: "DPSize", f: dp.DPSize, baseline: true},
+	{name: "IDP2-1", f: withThreads(idp2, 1), large: true},
+	{name: "IDP2-2", f: withThreads(idp2, 2), large: true},
 }
 
 // treeDigest hashes every node of the plan in preorder with the exact bits
@@ -112,6 +160,9 @@ func treeDigest(p *plan.Node) uint64 {
 func bitIdentityLine(label, alg string, q *cost.Query, p *plan.Node, st dp.Stats) string {
 	h := fnv.New64a()
 	h.Write([]byte(core.Explain(q, p)))
+	if st == (dp.Stats{}) {
+		return fmt.Sprintf("%s %s cost=%016x explain=%016x tree=%016x", label, alg, math.Float64bits(p.Cost), h.Sum64(), treeDigest(p))
+	}
 	// "seeded=0" is what is left of the warm-start column: the golden's cold
 	// lines predate the sub-plan memo's removal and stay byte-identical.
 	return fmt.Sprintf("%s %s cost=%016x explain=%016x tree=%016x evaluated=%d ccp=%d sets=%d seeded=0",
@@ -144,12 +195,12 @@ func bitIdentityLines(t *testing.T, rows []bitIdentityRow, ws *dp.Workspace) []s
 
 func TestBitIdentityAcrossEnumerators(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every enumerator on 20 join graphs, twice")
+		t.Skip("runs every enumerator on 25 join graphs, twice")
 	}
 	var rows []bitIdentityRow
 	for _, tc := range bitIdentityCases(t) {
 		for i, alg := range bitIdentityAlgs {
-			if alg.baseline && !tc.baselines {
+			if alg.baseline && !tc.baselines || alg.wide && !tc.wide || alg.large != tc.large {
 				continue
 			}
 			rows = append(rows, bitIdentityRow{tc, i})
