@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -290,5 +291,23 @@ func TestMPDPAgreesWithDPCCPOnBigBlocks(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTreeDriversRefuseOversizedTrees: Algorithm 2's drivers build a mask
+// index of the tree before anything else; a tree past the mask width is the
+// caller's input, so it is refused as one, by every driver, and not a panic.
+func TestTreeDriversRefuseOversizedTrees(t *testing.T) {
+	q, err := workload.Generate(workload.KindChain, 65, rand.New(rand.NewSource(65)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []struct {
+		name string
+		f    dp.Func
+	}{{"MPDP", dp.MPDP}, {"MPDPTree", dp.MPDPTree}, {"MPDP-CPU", parallel.MPDP}, {"MPDP-GPU", gpuEquiv(1)}, {"MPDP-GPU-2", gpuEquiv(2)}} {
+		if p, _, err := alg.f(dp.Input{Q: q, M: cost.DefaultModel()}); !errors.Is(err, dp.ErrTooLarge) || p != nil {
+			t.Errorf("%s on a chain-65: plan %v, err %v; want dp.ErrTooLarge", alg.name, p != nil, err)
+		}
 	}
 }

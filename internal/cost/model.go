@@ -66,15 +66,16 @@ func (m *Model) joinCostVals(lRows, lCost, rRows, rCost, outRows float64, indexN
 	if indexNL {
 		rLgi = math.Log2(rRows + 2)
 	}
-	return m.joinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows, indexNL)
+	return m.JoinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows, indexNL)
 }
 
-// joinCostCore is the single operator-costing body shared by the node path
-// (logs computed per call) and the Entry path (logs memoized in the table —
-// the same math.Log2 bits either way). lLg/rLg are log2(max(rows, 2)) and
-// are read only when merge joins are enabled; rLgi is log2(rRows + 2) and
-// is read only when indexNL is set.
-func (m *Model) joinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows float64, indexNL bool) (plan.Op, float64) {
+// JoinCostCore is the single operator-costing body shared by the node path
+// (logs computed per call), the Entry path and the MPDP and DPCCP loops,
+// which read the scalars straight from their DP table slots (logs memoized
+// in the table — the same math.Log2 bits either way). lLg/rLg are
+// log2(max(rows, 2)) and are read only when merge joins are enabled; rLgi is
+// log2(rRows + 2) and is read only when indexNL is set.
+func (m *Model) JoinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows float64, indexNL bool) (plan.Op, float64) {
 	childCost := lCost + rCost
 
 	// Hash join: build on the smaller input, probe with the larger.
@@ -168,7 +169,7 @@ func (m *Model) JoinEvalEntryRows(q *Query, l, r plan.Entry, outRows float64) (p
 // memoized log2 terms (computed once per stored sub-plan) feed the same
 // shared arithmetic the node path uses, per candidate pair.
 func (m *Model) joinCostEntries(l, r plan.Entry, outRows float64, indexNL bool) (plan.Op, float64) {
-	return m.joinCostCore(l.Rows, l.Cost, l.LogRows, r.Rows, r.Cost, r.LogRows, r.LogIdx, outRows, indexNL)
+	return m.JoinCostCore(l.Rows, l.Cost, l.LogRows, r.Rows, r.Cost, r.LogRows, r.LogIdx, outRows, indexNL)
 }
 
 // MakeJoin materializes a join node from a JoinEval result.

@@ -14,10 +14,13 @@
 // are materialized only once per run, at Finish, from an arena. Table,
 // census and arena are borrowed from the caller's Workspace when it hands
 // one in, so a run that follows another allocates next to nothing. Every
-// evaluator prunes before it fetches: a candidate pair reads the two
-// children's costs from the table's cost lane, applies the child-cost bound
-// (bestWin.hopeless), and only a pair that survives it has its entries
-// viewed and costed through value-typed plan.Entry.
+// evaluator prunes before it fetches: a candidate pair finds each child's
+// slot once, reads the two costs from the table's cost lane, applies the
+// child-cost bound (bestWin.hopeless), and only a pair that survives it
+// reads the cold records of the same slots and is costed from their
+// scalars (joinCost). On a tree the pair itself costs one AND: Algorithm 2
+// reads an edge index built once per run (Input.ForTree) instead of walking
+// the graph.
 package dp
 
 import (
@@ -100,6 +103,24 @@ type Input struct {
 	// Threads requests CPU parallelism for the algorithms that support it
 	// (0 means all available cores, 1 means sequential).
 	Threads int
+
+	// cuts is Algorithm 2's edge index of Q.G, set by ForTree.
+	cuts []graph.TreeCut
+}
+
+// ForTree returns the input readied for Algorithm 2's evaluator
+// (EvaluateSetMPDPTree): carrying the edge index of its join graph, which
+// must be a tree. Every driver that hands sets to that evaluator calls it
+// once per run. The index is built here, per run, and not cached on the
+// graph, which concurrent requests share; it is the workspace's memory when
+// the input has one, and read-only once built, so the level workers of one
+// run share it. A query past the mask width gets none: Prepare refuses it
+// before any set is evaluated.
+func (in Input) ForTree() Input {
+	if in.Q.N() <= 64 {
+		in.cuts = in.Workspace.treeCuts(in.Q.G)
+	}
+	return in
 }
 
 // Func is the common signature of every exact optimizer.

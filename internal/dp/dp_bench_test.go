@@ -99,15 +99,17 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 // fourth per-slot array, a hash layout at load 0.25 where direct addressing
 // fits, or a fatter cold record fails here.
 //
-//	                   before PR 17   PR 17      ceiling
-//	DPCCP  clique-12      558 137     231 017    260 000   direct (capped hint, n ≤ 13)
-//	MPDP   star-16      9 325 833   4 091 160  4 194 304   direct (census 32 783 of 65 536)
-//	MPDP   cycle-20       116 000     107 824    112 000   hash (census 401 of 2^20)
+//	                   before PR 17   PR 17      PR 22      ceiling
+//	DPCCP  clique-12      558 137     231 017    198 824    208 000   direct (capped hint, n ≤ 13)
+//	MPDP   star-16      9 325 833   4 091 160  3 567 877  3 670 016   direct (census 32 783 of 65 536)
+//	MPDP   cycle-20       116 000     107 824    100 240    104 000   hash (census 401 of 2^20)
 //
-// Before, star-16 took 131 072 hash slots × 64 B = 8.4 MB of table for its
-// 32 783 sets; now 65 536 direct slots × 48 B = 3.1 MB. The hash side pays
-// 56 B/slot where it paid 64: the cost lane is paid for by the right-split
-// array that is no longer stored.
+// Before PR 17, star-16 took 131 072 hash slots × 64 B = 8.4 MB of table
+// for its 32 783 sets; then 65 536 direct slots × 48 B = 3.1 MB, and 40 B
+// = 2.6 MB since PR 22 took log2(rows + 2) out of the cold record (only a
+// leaf's is ever read: plan.Table keeps those 64 apart). The hash side
+// pays 48 B/slot where it paid 64 and then 56: the cost lane is paid for by
+// the right-split array that is no longer stored.
 //
 // The warm rows are the same runs on a workspace that has served one run
 // already: table, census, scratch and arena are borrowed, and what is left
@@ -115,9 +117,9 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 // private arena (28 KiB) fails here.
 //
 //	                   fresh       warm   ceiling
-//	DPCCP  clique-12     231 048      976    4 096
-//	MPDP   star-16     4 091 227    1 264    4 096
-//	MPDP   cycle-20      107 888    1 552    4 096
+//	DPCCP  clique-12     198 824      976    4 096
+//	MPDP   star-16     3 567 877    1 264    4 096
+//	MPDP   cycle-20      100 240    1 552    4 096
 //
 // The allocs column bounds the number of allocations a fresh run makes, ten
 // percent above the measured count; it is a count, taken over two runs with
@@ -143,9 +145,9 @@ func TestDPTableBytesBudget(t *testing.T) {
 		ceiling, warm int64 // bytes; 0: this row gates allocations only
 		allocs        float64
 	}{
-		{"DPCCP/clique-12", topo(graph.Clique(12)), DPCCP, 260_000, 4 << 10, 23},
-		{"MPDP/star-16", topo(graph.Star(16)), MPDP, 4 << 20, 4 << 10, 221},
-		{"MPDP/cycle-20", topo(graph.Cycle(20)), MPDP, 112_000, 4 << 10, 181},
+		{"DPCCP/clique-12", topo(graph.Clique(12)), DPCCP, 208_000, 4 << 10, 23},
+		{"MPDP/star-16", topo(graph.Star(16)), MPDP, 7 << 19, 4 << 10, 221},
+		{"MPDP/cycle-20", topo(graph.Cycle(20)), MPDP, 104_000, 4 << 10, 181},
 		{"DPCCP/clique-15", gen(workload.KindClique, 15), DPCCP, 0, 0, 33},
 		{"MPDP/clique-15", gen(workload.KindClique, 15), MPDP, 0, 0, 231},
 		{"DPCCP/musicbrainz-20", gen(workload.KindMB, 20), DPCCP, 0, 0, 45},

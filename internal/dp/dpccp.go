@@ -46,7 +46,8 @@ func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level in
 		// costed, and both count toward the symmetric CCP counter.
 		stats.Evaluated += 2
 		stats.CCP += 2
-		lc, rc := tab.MustCost(s1), tab.MustCost(s2)
+		i1, i2 := tab.MustSlot(s1), tab.MustSlot(s2)
+		l, r := side{cost: tab.CostAt(i1)}, side{cost: tab.CostAt(i2)}
 		union := s1.Union(s2)
 		cur, known := tab.Cost(union)
 		if !known {
@@ -60,16 +61,17 @@ func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level in
 		// operator costing outright — the stored plan cannot change.
 		if known {
 			inc := bestWin{Winner: Winner{Found: true, Cost: cur}}
-			if inc.hopeless(lc, rc, tab.IsLeaf(s2)) && inc.hopeless(rc, lc, tab.IsLeaf(s1)) {
+			if inc.hopeless(l.cost, r.cost, tab.IsLeaf(s2)) && inc.hopeless(r.cost, l.cost, tab.IsLeaf(s1)) {
 				return
 			}
 		}
-		l, r := tab.MustView(s1), tab.MustView(s2)
-		rows := l.Rows * r.Rows * in.Q.SelBetween(s1, s2)
+		l.rows, l.lg = tab.ScalarsAt(i1)
+		r.rows, r.lg = tab.ScalarsAt(i2)
+		rows := l.rows * r.rows * in.Q.SelBetween(s1, s2)
 		var bw bestWin
-		op, c := in.M.JoinEvalEntryRows(in.Q, l, r, rows)
+		op, c := joinCost(in.Q, in.M, tab, l, r, s2, i2, rows)
 		bw.offer(s1, s2, op, rows, c)
-		op, c = in.M.JoinEvalEntryRows(in.Q, r, l, rows)
+		op, c = joinCost(in.Q, in.M, tab, r, l, s1, i1, rows)
 		bw.offer(s2, s1, op, rows, c)
 		if !known || bw.Cost < cur {
 			tab.Put(union, bw.Winner)

@@ -13,7 +13,7 @@ import (
 // enumerated directly with no CCP checking at all and EvaluatedCounter
 // meets the CCPCounter lower bound (Theorem 3).
 func MPDPTree(in Input) (*plan.Node, Stats, error) {
-	return runLevels(in, EvaluateSetMPDPTree)
+	return runLevels(in.ForTree(), EvaluateSetMPDPTree)
 }
 
 // MPDP is the paper's general algorithm (Algorithm 3): a hybrid of vertex-
@@ -62,12 +62,12 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 	sc := in.Workspace.Scratch(0)
 	for size := 2; size <= n; size++ {
 		for _, s := range buckets[size] {
-			stats.ConnectedSets++
 			win, st, err := evaluate(in, tab, s, dl, sc)
 			stats.Add(st)
 			if err != nil {
 				return nil, stats, err
 			}
+			stats.ConnectedSets++
 			if win.Found {
 				tab.Put(s, win)
 			}
@@ -88,10 +88,10 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 // a cycle-24 block has 553 connected subsets among 16.7 M. A block is
 // connected, so an lb with a non-empty remainder always has an edge to it,
 // and the one test left of the CCP block is whether the remainder is
-// connected, which is a probe of the table's cost lane: connected sets of
-// smaller sizes are all stored, and the cost it returns is half of the
-// child-cost bound that prunes almost every pair — the entries themselves
-// are viewed only for pairs the bound lets through. Stats.Evaluated counts
+// connected, which is a probe of the table: connected sets of smaller sizes
+// are all stored, and the slot it returns serves the cost lane — half of
+// the child-cost bound that prunes almost every pair — and, only for pairs
+// the bound lets through, the cold record. Stats.Evaluated counts
 // the pairs examined this way; the unrank volume the device model bills is
 // UnrankedPairs.
 //
@@ -105,7 +105,8 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 		if block.Count() == 2 {
 			// A bridge: its two endpoints are the block's only pair, valid
 			// in both orientations, and nothing needs probing — exactly
-			// one tree edge of Algorithm 2.
+			// one tree edge of Algorithm 2, and like it the only edge over
+			// its cut, so the cut's selectivity is the edge's.
 			if dl != nil && dl.Expired() {
 				return bw.Winner, stats, dl.Err()
 			}
@@ -113,7 +114,7 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 			left := g.Grow(a, s.Diff(block.Diff(a))) // a's side of s once the bridge is cut
 			stats.Evaluated += 2
 			stats.CCP += 2
-			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left))
+			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), g.AdjSel(a.Lowest(), block.Diff(a).Lowest()))
 			continue
 		}
 		// When the set is a single block the block pair already is the
@@ -129,7 +130,7 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 				return bw.Winner, stats, dl.Err()
 			}
 			stats.Evaluated++
-			rc, ok := tab.Cost(rb)
+			ri, ok := tab.Slot(rb)
 			if !ok {
 				continue
 			}
@@ -140,13 +141,18 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 				left = g.Grow(lb, s.Diff(rb))
 				right = s.Diff(left)
 				if right != rb {
-					rc = tab.MustCost(right)
+					ri = tab.MustSlot(right)
 				}
 			}
-			if bw.hopeless(tab.MustCost(left), rc, tab.IsLeaf(right)) {
+			li := tab.MustSlot(left)
+			l, r := side{cost: tab.CostAt(li)}, side{cost: tab.CostAt(ri)}
+			if bw.hopeless(l.cost, r.cost, tab.IsLeaf(right)) {
 				continue
 			}
-			op, rows, c := in.M.JoinEvalEntry(in.Q, tab.MustView(left), tab.MustView(right))
+			l.rows, l.lg = tab.ScalarsAt(li)
+			r.rows, r.lg = tab.ScalarsAt(ri)
+			rows := l.rows * r.rows * in.Q.SelBetween(left, right)
+			op, c := joinCost(in.Q, in.M, tab, l, r, right, ri, rows)
 			bw.offer(left, right, op, rows, c)
 		}
 	}
@@ -167,47 +173,81 @@ func UnrankedPairs(g *graph.Graph, s bitset.Mask, sc *graph.BlockScratch) uint64
 	return pairs
 }
 
-// costBothWays costs the pair (left, right) in both orientations from one
-// cardinality estimate — the unit of work of a tree edge and of a bridge.
+// side is what one operand of a candidate pair contributes to costing, read
+// by slot from the table: the stored cost off the cost lane — all the
+// child-cost bound looks at — and, only for a pair the bound lets through,
+// the cold record's cardinality and memoized logarithm.
+type side struct{ rows, cost, lg float64 }
+
+// joinCost costs l ⋈ r producing outRows tuples, r being the set right in
+// slot ri: the one pair-costing body of the MPDP evaluators and the CCP
+// stream, from table scalars straight into the cost model's operator
+// arithmetic. An index nested loop needs a plain scan with a primary-key
+// index on the right.
 //
 //mpdp:hotpath
-func costBothWays(q *cost.Query, m *cost.Model, tab *plan.Table, bw *bestWin, left, right bitset.Mask) {
-	lc, rc := tab.MustCost(left), tab.MustCost(right)
-	h1, h2 := bw.hopeless(lc, rc, tab.IsLeaf(right)), bw.hopeless(rc, lc, tab.IsLeaf(left))
+func joinCost(q *cost.Query, m *cost.Model, tab *plan.Table, l, r side, right bitset.Mask, ri int, outRows float64) (plan.Op, float64) {
+	var rLgi float64
+	indexNL := tab.IsLeaf(right) && q.Cat.Rels[tab.RelIDAt(ri)].HasPKIndex
+	if indexNL {
+		rLgi = tab.LeafLogIdx(right)
+	}
+	return m.JoinCostCore(l.rows, l.cost, l.lg, r.rows, r.cost, r.lg, rLgi, outRows, indexNL)
+}
+
+// costBothWays costs the pair (left, right) in both orientations from one
+// cardinality estimate — the unit of work of a tree edge and of a bridge,
+// either the one edge over its cut, whose selectivity sel therefore is the
+// cut's. Each operand is probed once.
+//
+//mpdp:hotpath
+func costBothWays(q *cost.Query, m *cost.Model, tab *plan.Table, bw *bestWin, left, right bitset.Mask, sel float64) {
+	li, ri := tab.MustSlot(left), tab.MustSlot(right)
+	l, r := side{cost: tab.CostAt(li)}, side{cost: tab.CostAt(ri)}
+	h1, h2 := bw.hopeless(l.cost, r.cost, tab.IsLeaf(right)), bw.hopeless(r.cost, l.cost, tab.IsLeaf(left))
 	if h1 && h2 {
 		return
 	}
-	l, r := tab.MustView(left), tab.MustView(right)
-	rows := l.Rows * r.Rows * q.SelBetween(left, right)
+	l.rows, l.lg = tab.ScalarsAt(li)
+	r.rows, r.lg = tab.ScalarsAt(ri)
+	rows := l.rows * r.rows * sel
 	if !h1 {
-		op, c := m.JoinEvalEntryRows(q, l, r, rows)
+		op, c := joinCost(q, m, tab, l, r, right, ri, rows)
 		bw.offer(left, right, op, rows, c)
 	}
 	if !h2 {
-		op, c := m.JoinEvalEntryRows(q, r, l, rows)
+		op, c := joinCost(q, m, tab, r, l, left, li, rows)
 		bw.offer(right, left, op, rows, c)
 	}
 }
 
 // EvaluateSetMPDPTree performs the per-set body of Algorithm 2: one join
-// pair per edge of the tree induced by S, costed in both orientations.
+// pair per edge of the tree induced by S, costed in both orientations. The
+// input must come from Input.ForTree: an edge lies in S when both its ends
+// do, its two sides are S inside and outside one precomputed mask
+// (graph.TreeCut), and its selectivity is the cut's — no walk of the graph
+// per pair. Edges are offered in g.Edges order, A's side on the left first:
+// ties keep the incumbent, so the order is part of the plan.
 //
 //mpdp:hotpath
 func EvaluateSetMPDPTree(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, _ *Scratch) (Winner, Stats, error) {
 	var stats Stats
-	g := in.Q.G
+	if len(in.cuts) != len(in.Q.G.Edges) {
+		panic("dp: EvaluateSetMPDPTree needs the tree index of Input.ForTree")
+	}
 	var bw bestWin
-	for _, e := range g.Edges {
-		if !s.Has(e.A) || !s.Has(e.B) {
+	for i := range in.cuts {
+		c := &in.cuts[i]
+		if s&c.Ends != c.Ends {
 			continue
 		}
 		if dl != nil && dl.Expired() {
 			return bw.Winner, stats, dl.Err()
 		}
-		left := g.Grow(bitset.Single(e.A), s.Remove(e.B))
+		left := s & c.ASide
 		stats.Evaluated += 2
 		stats.CCP += 2
-		costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left))
+		costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), c.Sel)
 	}
 	return bw.Winner, stats, nil
 }

@@ -50,12 +50,12 @@ func RunPartial(in Input, maxSize int) (*Partial, [][]bitset.Mask, Stats, error)
 	sc := in.Workspace.Scratch(0)
 	for size := 2; size <= maxSize; size++ {
 		for _, s := range buckets[size] {
-			stats.ConnectedSets++
 			win, st, err := EvaluateSetMPDP(in, tab, s, dl, sc)
 			stats.Add(st)
 			if err != nil {
 				return nil, nil, stats, err
 			}
+			stats.ConnectedSets++
 			if win.Found {
 				tab.Put(s, win)
 			}

@@ -2,12 +2,14 @@ package dp
 
 import (
 	"repro/internal/bitset"
+	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
 // Workspace is the memory one enumeration borrows instead of allocating:
 // the DP table's arrays, the connected-set census, the level winners, the
-// per-worker evaluator scratch and the arena of the returned plan tree.
+// per-worker evaluator scratch, Algorithm 2's edge index and the arena of
+// the returned plan tree.
 // Whoever runs enumerations one after another — a service worker, a
 // heuristic that calls the exact DP once per sub-problem, the GPU batcher —
 // owns one and hands it to every run through Input.Workspace; the second
@@ -35,14 +37,15 @@ type Workspace struct {
 	census  [][]bitset.Mask
 	winners []Winner
 	scratch []*Scratch
+	cuts    []graph.TreeCut
 	nodes   plan.Arena
 }
 
 // retainSlots bounds what a workspace keeps between runs: at most this many
 // table slots, census masks and level winners. 2^16 slots is every table a
 // k ≤ 16 inner DP or an exact query of at most 16 relations can build — a
-// star-16 direct-addresses exactly that many, 3 MB of lanes, a hashed one
-// 3.7 MB, the census 0.5 MB. A run that needs more lasts tens of
+// star-16 direct-addresses exactly that many, 2.6 MB of lanes, a hashed one
+// 3.1 MB, the census 0.5 MB. A run that needs more lasts tens of
 // milliseconds, allocates as it did without a workspace, and lets go of it
 // as soon as its tree is built (trim): uncapped, six service workers that
 // had each seen one star-18 pinned 12.6 MB apiece (peak heap 67 → 199 MB
@@ -136,6 +139,15 @@ func (w *Workspace) Scratch(worker int) *Scratch {
 		w.scratch = append(w.scratch, new(Scratch))
 	}
 	return w.scratch[worker]
+}
+
+// treeCuts returns Algorithm 2's edge index of the tree g.
+func (w *Workspace) treeCuts(g *graph.Graph) []graph.TreeCut {
+	if w == nil {
+		return g.TreeCuts(nil)
+	}
+	w.cuts = g.TreeCuts(w.cuts[:0])
+	return w.cuts
 }
 
 // arena returns the arena the run's plan tree is materialized from.

@@ -205,7 +205,7 @@ func TestWorkspaceRetentionBound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	big.Ctx = ctx
 	sets := 0
-	_, _, err = runLevels(big, func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
+	_, _, err = runLevels(big.ForTree(), func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
 		if sets++; sets == 40000 {
 			cancel()
 			return Winner{}, Stats{}, context.Cause(ctx)

@@ -82,7 +82,7 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 	evaluate := dp.EvaluateSetMPDP
 	isTree := in.Q.G.IsTree()
 	if isTree {
-		evaluate = dp.EvaluateSetMPDPTree
+		in, evaluate = in.ForTree(), dp.EvaluateSetMPDPTree
 	}
 	var bsc graph.BlockScratch
 
@@ -126,11 +126,11 @@ func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error
 
 		var levelValid uint64
 		for _, s := range sets {
-			astats.ConnectedSets++
 			win, st, err := evaluate(in, tab, s, dl, sc)
 			if err != nil {
 				return nil, astats, gstats, err
 			}
+			astats.ConnectedSets++
 			levelValid += st.CCP
 			switch algo {
 			case AlgoMPDP:

@@ -221,7 +221,7 @@ func MPDPGPUMulti(in dp.Input, cfg Config) (*plan.Node, dp.Stats, MultiStats, er
 // publishing a level's winners at its barrier preserves the sequential
 // semantics exactly. Counters accumulate into totals.
 func multiEvaluateTree(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, totals []levelTotals, ndev int) error {
-	levels := parallel.NewLevels(in, dp.EvaluateSetMPDPTree, tab, buckets, ndev)
+	levels := parallel.NewLevels(in.ForTree(), dp.EvaluateSetMPDPTree, tab, buckets, ndev)
 	for size := 2; size <= in.Q.N(); size++ {
 		st, err := levels.Run(size)
 		if err != nil {

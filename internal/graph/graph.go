@@ -126,6 +126,23 @@ func (g *Graph) EdgeSel(a, b int) float64 {
 	return 1
 }
 
+// AdjSel is EdgeSel read off the shorter of the two adjacency lists instead
+// of the edge map: the DP loops call it once per bridge pair, where a map
+// probe would cost as much as the pair.
+//
+//mpdp:hotpath
+func (g *Graph) AdjSel(a, b int) float64 {
+	if len(g.adjList[b]) < len(g.adjList[a]) {
+		a, b = b, a
+	}
+	for j, w := range g.adjList[a] {
+		if w == b {
+			return g.selList[a][j]
+		}
+	}
+	return 1
+}
+
 // Neighbors returns the adjacency list of v. The caller must not modify it.
 func (g *Graph) Neighbors(v int) []int { return g.adjList[v] }
 

@@ -19,18 +19,40 @@ import (
 // level barrier".
 const minSetsPerWorker = 64
 
+// chunkPairs is the fewest candidate pairs one draw from the level cursor
+// should carry. Every draw of every worker writes the cursor's cache line;
+// a pair costs ~30 ns, so a draw worth 256 of them keeps that line under a
+// hundredth of the level's work where a draw per set (one pair on a star's
+// second level) made it a tenth.
+const chunkPairs = 256
+
+// chunkSets is how many sets of a level one draw hands out. A set of size
+// relations has at least size-1 candidate pairs (exactly that many under
+// Algorithm 2), so the level's volume is known before it runs: a draw is
+// an eighth of one worker's even share of it — the most the slowest worker
+// can trail the others by — but never fewer sets than chunkPairs pairs, and
+// the whole level when there is nobody to share it with.
+func chunkSets(sets, size, active int) int {
+	if active == 1 {
+		return max(sets, 1)
+	}
+	return max(sets/(8*active), (chunkPairs+size-2)/(size-1))
+}
+
 // Levels is the level barrier of the level-synchronous drivers — the CPU
 // counterpart of the paper's one-kernel-per-level structure (§5), shared by
 // the CPU-parallel enumerators and the GPU model's tree path. Run evaluates
 // the connected sets of one size and returns once all of them are in the
 // table, so every set of the next size finds its children.
 //
-// Sets are work-stolen (per-set cost varies wildly with block structure),
-// so every set has exactly one producer: the worker that drew its index
-// writes the winner into that index of a per-level slice and counts into
-// its own dp.Stats, and the barrier publishes the slice into the table and
-// folds the counts — no shared word is touched per set except the
-// work-stealing cursor, and no plan node exists until Finish.
+// Sets are work-stolen (per-set cost varies wildly with block structure) a
+// chunk of consecutive indices at a time (chunkSets), so every set has
+// exactly one producer: the worker that drew its index writes the winner
+// into that index of a per-level slice and counts into its own dp.Stats,
+// and the barrier publishes the slice into the table in set order and folds
+// the counts — plans and counters are the same bits at any worker count, no
+// shared word is touched per set, the work-stealing cursor once per chunk,
+// and no plan node exists until Finish.
 //
 // The calling goroutine is worker 0. Further workers are goroutines started
 // for one level and joined at its barrier, and only for a level with at
@@ -47,7 +69,7 @@ type Levels struct {
 	buckets  [][]bitset.Mask
 	winners  []dp.Winner // slot i belongs to set i of the level being run
 	workers  []levelWorker
-	next     atomic.Int64 // work-stealing cursor into the level's sets
+	next     atomic.Int64 // work-stealing cursor: the first set no draw has handed out
 	wg       sync.WaitGroup
 	spawned  int // goroutines started so far
 }
@@ -81,19 +103,21 @@ func NewLevels(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, buckets [
 
 // Run evaluates every connected set of the given size, stores the winners
 // in the table and returns the level's folded counters. On error (budget
-// or cancellation) nothing of the level is stored.
+// or cancellation) nothing of the level is stored, and the counters are
+// those of the sets whose evaluation finished.
 func (l *Levels) Run(size int) (dp.Stats, error) {
 	sets := l.buckets[size]
 	winners := l.winners[:len(sets)]
 	clear(winners)
 	l.next.Store(0)
 	active := min(len(l.workers), max(len(sets)/minSetsPerWorker, 1))
+	chunk := chunkSets(len(sets), size, active)
 	l.wg.Add(active - 1)
 	for w := 1; w < active; w++ {
-		go l.drainAndDone(&l.workers[w], sets, winners)
+		go l.drainAndDone(&l.workers[w], sets, winners, chunk)
 	}
 	l.spawned += active - 1
-	l.drain(&l.workers[0], sets, winners)
+	l.drain(&l.workers[0], sets, winners, chunk)
 	l.wg.Wait()
 
 	var stats dp.Stats
@@ -116,32 +140,40 @@ func (l *Levels) Run(size int) (dp.Stats, error) {
 }
 
 // drainAndDone is drain for a worker started as a goroutine.
-func (l *Levels) drainAndDone(w *levelWorker, sets []bitset.Mask, winners []dp.Winner) {
+func (l *Levels) drainAndDone(w *levelWorker, sets []bitset.Mask, winners []dp.Winner, chunk int) {
 	defer l.wg.Done()
-	l.drain(w, sets, winners)
+	l.drain(w, sets, winners, chunk)
 }
 
-// drain is one worker's share of a level: it draws set indices from the
-// cursor until none are left, evaluates each set it drew and writes the
-// winner into that set's slot. A worker whose deadline trips moves the
-// cursor past the end so its siblings stop at their next draw.
+// drain is one worker's share of a level: it draws chunks of set indices
+// from the cursor until none are left, evaluates each set it drew and
+// writes the winner into that set's slot. A worker whose evaluation fails
+// (its deadline tripped) stores and counts nothing for that set and moves
+// the cursor past the end, so its siblings stop once the chunk they hold
+// is done.
 //
 //mpdp:hotpath
-func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, winners []dp.Winner) {
-	// Locals, so that the loop touches nothing of l but the cursor, whose
-	// cache line every draw of every worker writes.
+func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, winners []dp.Winner, chunk int) {
+	// Locals, so that the loop touches nothing of l but the cursor.
 	in, evaluate, tab := l.in, l.evaluate, l.tab
 	var stats dp.Stats
 	var err error
 	for err == nil {
-		i := int(l.next.Add(1)) - 1
-		if i >= len(sets) {
+		hi := int(l.next.Add(int64(chunk)))
+		lo := hi - chunk
+		if lo >= len(sets) {
 			break
 		}
-		var st dp.Stats
-		winners[i], st, err = evaluate(in, tab, sets[i], w.dl, w.sc)
-		stats.Add(st)
-		stats.ConnectedSets++
+		for i := lo; i < min(hi, len(sets)) && err == nil; i++ {
+			var win dp.Winner
+			var st dp.Stats
+			win, st, err = evaluate(in, tab, sets[i], w.dl, w.sc)
+			stats.Add(st)
+			if err == nil {
+				winners[i] = win
+				stats.ConnectedSets++
+			}
+		}
 	}
 	if err != nil {
 		l.next.Store(int64(len(sets)))

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -90,7 +91,7 @@ func TestThickLevelsFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels, st := runBarrier(t, in, dp.EvaluateSetMPDPTree)
+	levels, st := runBarrier(t, in.ForTree(), dp.EvaluateSetMPDPTree)
 	if levels.spawned == 0 {
 		t.Errorf("no worker started over %d connected sets", seq.ConnectedSets)
 	}
@@ -124,15 +125,38 @@ func TestThickLevelsFanOut(t *testing.T) {
 // TestCancelledContextStopsThinRun: every level of a chain-64 has far fewer
 // candidate pairs than one poll interval, so a deadline checker minted per
 // level never looked at the context and a run cancelled before it began
-// returned a plan. The checker now lives as long as the run.
+// returned a plan. The checker now lives as long as the run — and the run
+// it stops counts the sets it finished, not the one it was stopped in. A
+// chain's level of size k is 65-k sets of k-1 pairs each and its levels are
+// thin, evaluated in order on the caller at any worker count, so the
+// counters say which set that was: the pairs of the sets counted, plus a
+// part of the next one.
 func TestCancelledContextStopsThinRun(t *testing.T) {
 	q := shapedQuery(graph.Chain(64), rand.New(rand.NewSource(18)))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, threads := range []int{1, 4} {
-		p, _, err := MPDP(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: ctx, Threads: threads})
+	var first dp.Stats
+	for i, threads := range []int{1, 2, 4} {
+		p, st, err := MPDP(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: ctx, Threads: threads})
 		if !errors.Is(err, context.Canceled) || p != nil {
 			t.Errorf("threads=%d: plan %v, err %v; want no plan and context.Canceled", threads, p != nil, err)
+		}
+		if i == 0 {
+			first = st
+		} else if st != first {
+			t.Errorf("threads=%d: counters of the stopped run %+v, with one thread %+v", threads, st, first)
+		}
+		pairs, size, left := 0, 2, 63
+		for finished := int(st.ConnectedSets) - 64; finished > 0; finished-- {
+			pairs += size - 1
+			if left--; left == 0 {
+				size++
+				left = 65 - size
+			}
+		}
+		if partial := int(st.Evaluated)/2 - pairs; st.ConnectedSets <= 64 || partial < 0 || partial >= size-1 {
+			t.Errorf("threads=%d: %d sets counted hold %d pairs, %d examined: stopped %d pairs into a set of %d",
+				threads, st.ConnectedSets-64, pairs, st.Evaluated/2, partial, size-1)
 		}
 	}
 }
@@ -142,9 +166,12 @@ func TestCancelledContextStopsThinRun(t *testing.T) {
 // Run would write into memory the owner's next run is using. Run joins its
 // helpers before it returns, error or not: a thick level dies on an
 // evaluator error, then on a cancellation noticed mid-level, and in both
-// cases no evaluation starts after Run has returned and the run that
-// follows at once on the same workspace (under the race detector in CI) is
-// the sequential one bit for bit.
+// cases no evaluation starts after Run has returned, the folded
+// ConnectedSets are the evaluations that returned without an error — a
+// worker that trips counts nothing for the set it tripped in, and its
+// siblings stop within the chunk they hold — and the run that follows at
+// once on the same workspace (under the race detector in CI) is the
+// sequential one bit for bit.
 func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	m := cost.DefaultModel()
@@ -156,55 +183,68 @@ func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 	}
 	ws := new(dp.Workspace)
 	boom := errors.New("evaluator failed")
-	for _, mode := range []string{"evaluator error", "cancelled mid-level"} {
-		ctx, cancel := context.WithCancelCause(context.Background())
-		var calls, late atomic.Int64
-		var returned atomic.Bool
-		evaluate := func(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
-			if returned.Load() {
-				late.Add(1)
-			}
-			if calls.Add(1) == 2000 {
-				if mode == "evaluator error" {
-					return dp.Winner{}, dp.Stats{}, boom
+	for _, workers := range []int{1, 2, 4} {
+		for _, mode := range []string{"evaluator error", "cancelled mid-level"} {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			var calls, finished, late atomic.Int64
+			var returned atomic.Bool
+			evaluate := func(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
+				if returned.Load() {
+					late.Add(1)
 				}
-				cancel(boom)
+				if calls.Add(1) == 2000 {
+					if mode == "evaluator error" {
+						return dp.Winner{}, dp.Stats{}, boom
+					}
+					cancel(boom)
+				}
+				win, st, err := dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
+				if err == nil {
+					finished.Add(1)
+				}
+				return win, st, err
 			}
-			return dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
-		}
-		in := dp.Input{Q: failing, M: m, Ctx: ctx, Threads: 4, Workspace: ws}
-		prep, err := dp.Prepare(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buckets, err := dp.ConnectedBuckets(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		levels := NewLevels(in, evaluate, prep.Seed(dp.BucketCount(buckets)), buckets, threads(in))
-		err = nil
-		for size := 2; size <= failing.N() && err == nil; size++ {
-			_, err = levels.Run(size)
-		}
-		returned.Store(true)
-		if !errors.Is(err, boom) {
-			t.Fatalf("%s: err = %v after %d evaluations, want the injected failure", mode, err, calls.Load())
-		}
-		if levels.spawned == 0 {
-			t.Fatalf("%s: the failed run never left the calling goroutine", mode)
-		}
+			in := dp.Input{Q: failing, M: m, Ctx: ctx, Threads: workers, Workspace: ws}.ForTree()
+			prep, err := dp.Prepare(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buckets, err := dp.ConnectedBuckets(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels := NewLevels(in, evaluate, prep.Seed(dp.BucketCount(buckets)), buckets, threads(in))
+			var stats dp.Stats
+			err = nil
+			for size := 2; size <= failing.N() && err == nil; size++ {
+				var st dp.Stats
+				st, err = levels.Run(size)
+				stats.Add(st)
+			}
+			returned.Store(true)
+			what := fmt.Sprintf("%d workers, %s", workers, mode)
+			if !errors.Is(err, boom) {
+				t.Fatalf("%s: err = %v after %d evaluations, want the injected failure", what, err, calls.Load())
+			}
+			if (levels.spawned == 0) != (workers == 1) {
+				t.Fatalf("%s: the failed run started %d goroutines", what, levels.spawned)
+			}
+			if got, evaluated := stats.ConnectedSets, uint64(finished.Load()); got != evaluated {
+				t.Errorf("%s: the failed run counts %d connected sets, %d evaluations finished", what, got, evaluated)
+			}
 
-		got, gotStats, err := MPDP(dp.Input{Q: next, M: m, Threads: 4, Workspace: ws})
-		if err != nil {
-			t.Fatalf("after %s: %v", mode, err)
+			got, gotStats, err := MPDP(dp.Input{Q: next, M: m, Threads: workers, Workspace: ws})
+			if err != nil {
+				t.Fatalf("after %s: %v", what, err)
+			}
+			if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
+				t.Errorf("after %s: %+v cost %v, sequential run without a workspace: %+v cost %v", what, gotStats, got.Cost, wantStats, want.Cost)
+			}
+			if n := late.Load(); n != 0 {
+				t.Errorf("%s: %d evaluations began after Run had returned its error", what, n)
+			}
+			cancel(nil)
 		}
-		if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
-			t.Errorf("after %s: %+v cost %v, sequential run without a workspace: %+v cost %v", mode, gotStats, got.Cost, wantStats, want.Cost)
-		}
-		if n := late.Load(); n != 0 {
-			t.Errorf("%s: %d evaluations began after Run had returned its error", mode, n)
-		}
-		cancel(nil)
 	}
 }
 
@@ -236,6 +276,65 @@ func TestWorkspaceUnderLevelWorkers(t *testing.T) {
 					levelSync && (math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil)) {
 					t.Errorf("%s, %d threads, %d relations: on a workspace %+v cost %v, without %+v cost %v",
 						alg.name, threads, g.N, gotStats, got.Cost, wantStats, want.Cost)
+				}
+			}
+		}
+	}
+}
+
+// TestLevelsHandOutEverySetOnce: the cursor hands out chunks, so an
+// off-by-one at a chunk's edge or past the level's end would skip or repeat
+// a set. Levels of every awkward length, at set sizes whose chunks are one
+// set, a handful and the pair floor, under 1 to 8 workers: each set is
+// evaluated exactly once and counted once.
+func TestLevelsHandOutEverySetOnce(t *testing.T) {
+	q := shapedQuery(graph.Chain(40), rand.New(rand.NewSource(24)))
+	in := dp.Input{Q: q, M: cost.DefaultModel()}
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		for _, size := range []int{2, 3, 9, 40} {
+			for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000, 4099} {
+				hits := make([]atomic.Int32, n)
+				evaluate := func(_ dp.Input, _ *plan.Table, s bitset.Mask, _ *dp.Deadline, _ *dp.Scratch) (dp.Winner, dp.Stats, error) {
+					hits[s-1].Add(1)
+					return dp.Winner{}, dp.Stats{Evaluated: 1}, nil
+				}
+				buckets := make([][]bitset.Mask, size+1)
+				for i := 0; i < n; i++ {
+					buckets[size] = append(buckets[size], bitset.Mask(i+1))
+				}
+				st, err := NewLevels(in, evaluate, plan.NewTable(40, 16), buckets, workers).Run(size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.ConnectedSets != uint64(n) || st.Evaluated != uint64(n) {
+					t.Errorf("%d workers, %d sets of size %d: counted %+v", workers, n, size, st)
+				}
+				for i := range hits {
+					if got := hits[i].Load(); got != 1 {
+						t.Fatalf("%d workers, %d sets of size %d: set %d evaluated %d times", workers, n, size, i, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChunkRule: a draw is never empty, is the whole level for a lone
+// worker, carries chunkPairs pairs where the level has them to give, and
+// leaves every worker at least eight draws of a level thick enough.
+func TestChunkRule(t *testing.T) {
+	for _, size := range []int{2, 3, 15, 40, 64} {
+		for _, sets := range []int{0, 1, 64, 128, 1716, 100000} {
+			if got := chunkSets(sets, size, 1); got < sets || got < 1 {
+				t.Errorf("one worker, %d sets: chunk %d", sets, got)
+			}
+			for _, active := range []int{2, 4, 8} {
+				c := chunkSets(sets, size, active)
+				if c < 1 || c*(size-1) < chunkPairs {
+					t.Errorf("%d sets of size %d, %d workers: a draw of %d sets is %d pairs", sets, size, active, c, c*(size-1))
+				}
+				if floor := (chunkPairs + size - 2) / (size - 1); c > floor && c*8*active > sets {
+					t.Errorf("%d sets of size %d, %d workers: a draw of %d sets leaves a worker fewer than 8", sets, size, active, c)
 				}
 			}
 		}

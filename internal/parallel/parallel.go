@@ -34,7 +34,7 @@ func threads(in dp.Input) int {
 // Tree join graphs dispatch to the Algorithm 2 evaluator, like dp.MPDP.
 func MPDP(in dp.Input) (*plan.Node, dp.Stats, error) {
 	if in.Q.G.IsTree() {
-		return levelParallel(in, dp.EvaluateSetMPDPTree)
+		return levelParallel(in.ForTree(), dp.EvaluateSetMPDPTree)
 	}
 	return levelParallel(in, dp.EvaluateSetMPDP)
 }

@@ -29,13 +29,16 @@ import (
 //
 // The arrays are laid out by how often the inner loops read them. The cost
 // lane is all a pruned candidate pair touches (dp's child-cost bound reads
-// two costs and nothing else); rows, the memoized logarithms, operator and
+// two costs and nothing else); rows, the memoized logarithm, operator and
 // left split are one cold record fetched only for pairs that survive the
-// bound. The right split is not stored: every winner ever recorded is a
-// csg-cmp pair of its set, so Right == Set \ Left. Presence is the key
-// array in the hash layout and a bitmap in the direct one — never a
-// sentinel in the cost lane, because every float64 bit pattern (NaN and
-// ±Inf included) is a cost a caller may store and must read back.
+// bound. The inner loops find an operand's slot once (Slot, MustSlot) and
+// read both by slot, so a pair pays one probe per operand however much of
+// each it ends up reading. The right split is not stored: every winner
+// ever recorded is a csg-cmp pair of its set, so Right == Set \ Left.
+// Presence is the key array in the hash layout and a bitmap in the direct
+// one — never a sentinel in the cost lane, because every float64 bit
+// pattern (NaN and ±Inf included) is a cost a caller may store and must
+// read back.
 //
 // The table knows n: it never stores the empty set or a set with a
 // relation ≥ n (Put panics), and both probe as absent. Concurrent reads
@@ -49,18 +52,21 @@ type Table struct {
 	cold    []tcold       // payload of pairs that survive the cost bound
 
 	// leaf holds the relations whose stored base entry is a plain scan: a
-	// set is a leaf when it is one of those singletons.
-	leaf bitset.Mask
-	n    uint
-	used int
-	mask uint64 // hash layout: capacity - 1
+	// set is a leaf when it is one of those singletons. leafLgi[i] is
+	// log2(rows + 2) of leaf {i}, the index-nested-loop lookup term: only a
+	// leaf can be the inner of an index nested loop, so it is memoized for
+	// the at most 64 of them and not per stored set.
+	leaf    bitset.Mask
+	leafLgi [64]float64
+	n       uint
+	used    int
+	mask    uint64 // hash layout: capacity - 1
 }
 
 // tcold is the per-entry payload behind the cost lane.
 type tcold struct {
 	rows float64
 	lg   float64     // log2(max(rows, 2)), the merge-join sort term
-	lgi  float64     // log2(rows + 2), the index-nested-loop lookup term
 	left bitset.Mask // left split; zero for base (singleton) entries
 	meta uint16      // relID (bits 0-7) | op (bits 8-11)
 }
@@ -75,7 +81,9 @@ const (
 // logarithm fields are memoized at insert time: each stored sub-plan is
 // re-costed against many candidate partners, so computing its log2 terms
 // once per insert instead of twice per pair takes math.Log2 off the hot
-// path entirely (the values are the same math.Log2 bits either way).
+// path entirely (the values are the same math.Log2 bits either way). The
+// MPDP and DPCCP loops read the same scalars by slot and never assemble
+// one; it serves the baselines, Build and the tests.
 type Entry struct {
 	Set     bitset.Mask
 	Left    bitset.Mask // zero for base entries
@@ -83,7 +91,7 @@ type Entry struct {
 	Rows    float64
 	Cost    float64
 	LogRows float64 // log2(max(Rows, 2))
-	LogIdx  float64 // log2(Rows + 2)
+	LogIdx  float64 // log2(Rows + 2) when Leaf — all index-NL costing reads — else 0
 	Op      Op
 	Leaf    bool // the underlying base plan is a plain relation scan
 	RelID   int32
@@ -206,14 +214,17 @@ func (t *Table) slot(s bitset.Mask) int {
 	}
 }
 
-// find returns the slot of s and whether s is stored there. In the direct
-// layout the one compare against the lane's length is the bounds check and
-// the "relation ≥ n" test at once, and the empty set's bit is never set; in
-// the hash layout neither the empty set nor such a set was ever inserted, so
-// their probe chains end on an empty slot.
+// Slot returns the slot of s and whether s is stored there: the one probe
+// an inner loop pays per operand, after which CostAt, ScalarsAt and RelIDAt
+// read it by index. A slot is good until the next insert of a new set (the
+// hash layout may grow). In the direct layout the one compare against the
+// lane's length is the bounds check and the "relation ≥ n" test at once,
+// and the empty set's bit is never set; in the hash layout neither the
+// empty set nor such a set was ever inserted, so their probe chains end on
+// an empty slot.
 //
 //mpdp:hotpath
-func (t *Table) find(s bitset.Mask) (int, bool) {
+func (t *Table) Slot(s bitset.Mask) (int, bool) {
 	if t.keys != nil {
 		i := t.slot(s)
 		return i, t.keys[i] != 0
@@ -235,28 +246,74 @@ func (t *Table) IsLeaf(s bitset.Mask) bool {
 	return single(s) && s&t.leaf != 0
 }
 
+// LeafLogIdx returns log2(rows + 2) of the leaf s (IsLeaf), the lookup term
+// of an index nested loop into it. The mask is the bounds check: a leaf's
+// lowest bit is below 64.
+//
+//mpdp:hotpath
+func (t *Table) LeafLogIdx(s bitset.Mask) float64 {
+	return t.leafLgi[s.Lowest()&63]
+}
+
+// MustSlot is Slot for probes the DP invariant guarantees to hit (every
+// smaller connected set is stored before a level is evaluated): a miss is a
+// broken enumerator, and failing loudly here beats silently costing against
+// a zero entry.
+//
+//mpdp:hotpath
+func (t *Table) MustSlot(s bitset.Mask) int {
+	i, ok := t.Slot(s)
+	if !ok {
+		panic("plan: DP table is missing a connected set the enumeration invariant guarantees")
+	}
+	return i
+}
+
+// CostAt reads the cost lane of slot i — all a candidate pair touches
+// before the child-cost bound decides whether it is costed.
+//
+//mpdp:hotpath
+func (t *Table) CostAt(i int) float64 { return t.cost[i] }
+
+// ScalarsAt reads what costing needs of slot i's cold record: the stored
+// cardinality and log2(max(rows, 2)).
+//
+//mpdp:hotpath
+func (t *Table) ScalarsAt(i int) (rows, logRows float64) {
+	c := &t.cold[i]
+	return c.rows, c.lg
+}
+
+// RelIDAt returns the relation id stored with slot i's base entry.
+//
+//mpdp:hotpath
+func (t *Table) RelIDAt(i int) int { return int(t.cold[i].meta & metaRelID) }
+
 // entry assembles the costing view of slot i, which holds s.
 //
 //mpdp:hotpath
 func (t *Table) entry(s bitset.Mask, i int) Entry {
 	c := &t.cold[i]
-	return Entry{
+	e := Entry{
 		Set:     s,
 		Rows:    c.rows,
 		Cost:    t.cost[i],
 		LogRows: c.lg,
-		LogIdx:  c.lgi,
 		Op:      Op(c.meta & metaOp >> 8),
 		Leaf:    t.IsLeaf(s),
 		RelID:   int32(c.meta & metaRelID),
 	}
+	if e.Leaf {
+		e.LogIdx = t.LeafLogIdx(s)
+	}
+	return e
 }
 
 // Get returns the full entry stored for s by value, split masks included.
 //
 //mpdp:hotpath
 func (t *Table) Get(s bitset.Mask) (Entry, bool) {
-	i, ok := t.find(s)
+	i, ok := t.Slot(s)
 	if !ok {
 		return Entry{}, false
 	}
@@ -273,25 +330,19 @@ func (t *Table) Get(s bitset.Mask) (Entry, bool) {
 //
 //mpdp:hotpath
 func (t *Table) View(s bitset.Mask) (Entry, bool) {
-	i, ok := t.find(s)
+	i, ok := t.Slot(s)
 	if !ok {
 		return Entry{}, false
 	}
 	return t.entry(s, i), true
 }
 
-// MustView is View for probes the DP invariant guarantees to hit (every
-// smaller connected set is stored before a level is evaluated): a miss is a
-// broken enumerator, and failing loudly here beats silently costing against
-// a zero entry.
+// MustView is View for probes the DP invariant guarantees to hit; it panics
+// like MustSlot on a miss.
 //
 //mpdp:hotpath
 func (t *Table) MustView(s bitset.Mask) Entry {
-	e, ok := t.View(s)
-	if !ok {
-		panic("plan: DP table is missing a connected set the enumeration invariant guarantees")
-	}
-	return e
+	return t.entry(s, t.MustSlot(s))
 }
 
 // Has reports whether s is stored. For subsets of a connected set below the
@@ -300,7 +351,7 @@ func (t *Table) MustView(s bitset.Mask) Entry {
 //
 //mpdp:hotpath
 func (t *Table) Has(s bitset.Mask) bool {
-	_, ok := t.find(s)
+	_, ok := t.Slot(s)
 	return ok
 }
 
@@ -310,23 +361,11 @@ func (t *Table) Has(s bitset.Mask) bool {
 //
 //mpdp:hotpath
 func (t *Table) Cost(s bitset.Mask) (float64, bool) {
-	i, ok := t.find(s)
+	i, ok := t.Slot(s)
 	if !ok {
 		return 0, false
 	}
 	return t.cost[i], true
-}
-
-// MustCost is Cost for probes the DP invariant guarantees to hit; it panics
-// like MustView on a miss.
-//
-//mpdp:hotpath
-func (t *Table) MustCost(s bitset.Mask) float64 {
-	i, ok := t.find(s)
-	if !ok {
-		panic("plan: DP table is missing a connected set the enumeration invariant guarantees")
-	}
-	return t.cost[i]
 }
 
 // PutBase seeds the table entry of singleton set s from its prepared base
@@ -341,6 +380,7 @@ func (t *Table) PutBase(s bitset.Mask, n *Node) {
 	t.setAt(t.insert(s), 0, n.Rows, n.Cost, uint16(n.RelID)&metaRelID|uint16(n.Op)<<8&metaOp)
 	if n.IsLeaf() {
 		t.leaf |= s
+		t.leafLgi[s.Lowest()] = math.Log2(n.Rows + 2)
 	} else {
 		t.leaf &^= s
 	}
@@ -358,7 +398,7 @@ func (t *Table) Put(s bitset.Mask, w Winner) {
 //
 //mpdp:hotpath
 func (t *Table) Improve(s bitset.Mask, w Winner) bool {
-	i, ok := t.find(s)
+	i, ok := t.Slot(s)
 	if !ok {
 		t.Put(s, w)
 		return true
@@ -411,7 +451,6 @@ func (t *Table) setAt(i int, left bitset.Mask, rows, cost float64, meta uint16) 
 	t.cold[i] = tcold{
 		rows: rows,
 		lg:   math.Log2(math.Max(rows, 2)),
-		lgi:  math.Log2(rows + 2),
 		left: left,
 		meta: meta,
 	}

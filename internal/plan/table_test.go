@@ -310,14 +310,15 @@ func (m *tableModel) checkEntry(t *testing.T, tab *Table, s bitset.Mask) {
 	e, ok := tab.Get(s)
 	v, vok := tab.View(s)
 	c, cok := tab.Cost(s)
-	if ok != stored || vok != stored || cok != stored || tab.Has(s) != stored {
-		t.Fatalf("%v: Get/View/Cost/Has = %v/%v/%v/%v, stored = %v", s, ok, vok, cok, tab.Has(s), stored)
+	i, iok := tab.Slot(s)
+	if ok != stored || vok != stored || cok != stored || iok != stored || tab.Has(s) != stored {
+		t.Fatalf("%v: Get/View/Cost/Slot/Has = %v/%v/%v/%v/%v, stored = %v", s, ok, vok, cok, iok, tab.Has(s), stored)
 	}
 	if !stored {
 		if tab.IsLeaf(s) {
 			t.Fatalf("%v: absent set reported as a leaf", s)
 		}
-		mustPanic(t, "MustCost of an absent set", func() { tab.MustCost(s) })
+		mustPanic(t, "MustSlot of an absent set", func() { tab.MustSlot(s) })
 		mustPanic(t, "MustView of an absent set", func() { tab.MustView(s) })
 		return
 	}
@@ -328,12 +329,25 @@ func (m *tableModel) checkEntry(t *testing.T, tab *Table, s bitset.Mask) {
 	if e.Set != s || e.Left != want.left || e.Right != wantRight {
 		t.Fatalf("%v: split %v|%v, want %v|%v", s, e.Left, e.Right, want.left, wantRight)
 	}
-	if !sameBits(e.Cost, want.cost) || !sameBits(c, want.cost) || !sameBits(tab.MustCost(s), want.cost) {
+	if !sameBits(e.Cost, want.cost) || !sameBits(c, want.cost) {
 		t.Fatalf("%v: cost bits %x / %x, want %x", s, math.Float64bits(e.Cost), math.Float64bits(c), math.Float64bits(want.cost))
 	}
+	// LogIdx is defined for leaves, the only inner an index nested loop has.
+	wantIdx := 0.0
+	if want.leaf {
+		wantIdx = math.Log2(want.rows + 2)
+		if !sameBits(tab.LeafLogIdx(s), wantIdx) {
+			t.Fatalf("%v: LeafLogIdx %v, want %v", s, tab.LeafLogIdx(s), wantIdx)
+		}
+	}
 	if !sameBits(e.Rows, want.rows) ||
-		!sameBits(e.LogRows, math.Log2(math.Max(want.rows, 2))) || !sameBits(e.LogIdx, math.Log2(want.rows+2)) {
-		t.Fatalf("%v: rows %v logs %v %v, want rows %v", s, e.Rows, e.LogRows, e.LogIdx, want.rows)
+		!sameBits(e.LogRows, math.Log2(math.Max(want.rows, 2))) || !sameBits(e.LogIdx, wantIdx) {
+		t.Fatalf("%v: rows %v logs %v %v, want rows %v (leaf: %v)", s, e.Rows, e.LogRows, e.LogIdx, want.rows, want.leaf)
+	}
+	// What the inner loops read by slot is what the entry says.
+	rows, lg := tab.ScalarsAt(i)
+	if i != tab.MustSlot(s) || !sameBits(tab.CostAt(i), e.Cost) || !sameBits(rows, e.Rows) || !sameBits(lg, e.LogRows) || tab.RelIDAt(i) != int(e.RelID) {
+		t.Fatalf("%v: slot %d reads cost %v rows %v lg %v rel %d, entry %+v", s, i, tab.CostAt(i), rows, lg, tab.RelIDAt(i), e)
 	}
 	if e.Op != want.op || e.Leaf != want.leaf || tab.IsLeaf(s) != want.leaf || e.RelID != want.relID {
 		t.Fatalf("%v: op/leaf/rel = %v/%v(%v)/%d, want %v/%v/%d", s, e.Op, e.Leaf, tab.IsLeaf(s), e.RelID, want.op, want.leaf, want.relID)
