@@ -3,7 +3,6 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -85,18 +84,15 @@ func (a *API) handleCatalogStats(w http.ResponseWriter, r *http.Request) {
 	if !a.requirePOST(w, r, rid) {
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, int64(a.opts.MaxStatementBytes)+1))
-	if err != nil {
-		a.fail(w, rid, http.StatusBadRequest, CodeBadRequest, "reading request body", err)
-		return
-	}
-	if len(body) > a.opts.MaxStatementBytes {
-		a.fail(w, rid, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Sprintf("request exceeds %d bytes", a.opts.MaxStatementBytes), nil)
+	body, e, status := a.readBody(r, rid, int64(a.opts.MaxStatementBytes), "request")
+	if e != nil {
+		a.failEnv(w, status, e)
 		return
 	}
 	var req CatalogStatsRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body.Bytes(), &req)
+	body.Release() // every decoded string is a copy
+	if err != nil {
 		a.fail(w, rid, http.StatusBadRequest, CodeBadRequest, "parsing JSON body", err)
 		return
 	}

@@ -160,25 +160,40 @@ func (a *API) failEnv(w http.ResponseWriter, status int, e *Error) {
 	w.Write([]byte("\n"))
 }
 
+// ok writes a 200 answer: encoding/json's bytes and the closing newline,
+// encoded into a recycled buffer and handed to the connection in one write.
 func (a *API) ok(w http.ResponseWriter, rid string, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Request-Id", rid)
-	w.Write(mustJSON(body))
-	w.Write([]byte("\n"))
+	b := newBody()
+	if err := json.NewEncoder(&b.buf).Encode(body); err != nil {
+		b.buf.Reset()
+		b.buf.WriteString("{}\n")
+	}
+	w.Write(b.Bytes())
+	b.Release()
 }
 
-// readBody reads one statement-sized request body and reports whether it is
-// a JSON wire query (anything else is SQL text). It returns an error
-// envelope (and HTTP status) on failure.
-func (a *API) readBody(r *http.Request, rid string) (body []byte, isJSON bool, e *Error, status int) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, int64(a.opts.MaxStatementBytes)+1))
-	if err != nil {
-		return nil, false, &Error{Code: CodeBadRequest, Message: "reading request body", Detail: err.Error(), RequestID: rid}, http.StatusBadRequest
+// readBody reads a request body of at most limit bytes (what names it in
+// the too_large message). It returns an error envelope (and HTTP status) on
+// failure; on success the caller Releases the body once nothing references
+// its bytes.
+func (a *API) readBody(r *http.Request, rid string, limit int64, what string) (*Body, *Error, int) {
+	body, err := ReadBody(r.Body, r.ContentLength, limit)
+	switch {
+	case errors.Is(err, ErrBodyTooLarge):
+		return nil, &Error{Code: CodeTooLarge, Message: fmt.Sprintf("%s exceeds %d bytes", what, limit), RequestID: rid}, http.StatusRequestEntityTooLarge
+	case err != nil:
+		return nil, &Error{Code: CodeBadRequest, Message: "reading request body", Detail: err.Error(), RequestID: rid}, http.StatusBadRequest
 	}
-	if len(body) > a.opts.MaxStatementBytes {
-		return nil, false, &Error{Code: CodeTooLarge, Message: fmt.Sprintf("request exceeds %d bytes", a.opts.MaxStatementBytes), RequestID: rid}, http.StatusRequestEntityTooLarge
-	}
-	return body, strings.Contains(r.Header.Get("Content-Type"), "json"), nil, 0
+	return body, nil, 0
+}
+
+// readStatement reads one statement-sized body and reports whether it is a
+// JSON wire query (anything else is SQL text).
+func (a *API) readStatement(r *http.Request, rid string) (body *Body, isJSON bool, e *Error, status int) {
+	body, e, status = a.readBody(r, rid, int64(a.opts.MaxStatementBytes), "request")
+	return body, strings.Contains(r.Header.Get("Content-Type"), "json"), e, status
 }
 
 // prepare turns one request body into a prepared statement: from the memo
@@ -337,7 +352,7 @@ func (a *API) serveOptimize(w http.ResponseWriter, r *http.Request, explain bool
 			return
 		}
 	}
-	body, isJSON, e, status := a.readBody(r, rid)
+	body, isJSON, e, status := a.readStatement(r, rid)
 	if e != nil {
 		a.failEnv(w, status, e)
 		return
@@ -347,8 +362,9 @@ func (a *API) serveOptimize(w http.ResponseWriter, r *http.Request, explain bool
 	tr := obs.NewTrace(rid)
 	ctx := obs.WithTrace(r.Context(), tr)
 	compileDone := tr.StartSpan(obs.PhaseCompile)
-	p, e, status := a.prepare(body, isJSON, rid)
+	p, e, status := a.prepare(body.Bytes(), isJSON, rid)
 	compileDone()
+	body.Release() // prepare copied what it kept: the memo's key, the statement's strings
 	if e != nil {
 		a.failEnv(w, status, e)
 		return
@@ -373,18 +389,15 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The per-statement bound applies per statement; the batch body may
 	// hold MaxBatch of them (plus JSON framing slack).
 	maxBody := int64(a.opts.MaxStatementBytes)*int64(a.opts.MaxBatch) + (1 << 20)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
-	if err != nil {
-		a.fail(w, rid, http.StatusBadRequest, CodeBadRequest, "reading request body", err)
-		return
-	}
-	if int64(len(body)) > maxBody {
-		a.fail(w, rid, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Sprintf("batch body exceeds %d bytes", maxBody), nil)
+	body, e, status := a.readBody(r, rid, maxBody, "batch body")
+	if e != nil {
+		a.failEnv(w, status, e)
 		return
 	}
 	var req BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	err := json.Unmarshal(body.Bytes(), &req)
+	body.Release() // every decoded string is a copy
+	if err != nil {
 		a.fail(w, rid, http.StatusBadRequest, CodeBadRequest, "parsing JSON body", err)
 		return
 	}
@@ -454,12 +467,13 @@ func (a *API) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 	if !a.requirePOST(w, r, rid) {
 		return
 	}
-	body, isJSON, e, status := a.readBody(r, rid)
+	body, isJSON, e, status := a.readStatement(r, rid)
 	if e != nil {
 		a.failEnv(w, status, e)
 		return
 	}
-	p, e, status := a.prepare(body, isJSON, rid)
+	p, e, status := a.prepare(body.Bytes(), isJSON, rid)
+	body.Release()
 	if e != nil {
 		a.failEnv(w, status, e)
 		return

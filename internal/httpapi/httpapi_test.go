@@ -1,9 +1,13 @@
 package httpapi
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -325,5 +329,143 @@ func TestRequestIDEcho(t *testing.T) {
 	}
 	if e.RequestID != "trace-me-123" || resp.Header.Get("X-Request-Id") != "trace-me-123" {
 		t.Errorf("request id not echoed: envelope %q header %q", e.RequestID, resp.Header.Get("X-Request-Id"))
+	}
+}
+
+// countingBody is a request body that counts what the server reads of it.
+type countingBody struct {
+	r    io.Reader
+	read int
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.read += n
+	return n, err
+}
+
+// TestBodyLimits pins what the size limits mean on the three endpoints that
+// read a body through API.readBody, for declared (Content-Length) and
+// undeclared (chunked) bodies alike. The statement limit is 256 bytes here,
+// the batch limit 256*2 + 1 MiB of framing slack.
+func TestBodyLimits(t *testing.T) {
+	svc := service.New(service.Config{Workers: 2})
+	defer svc.Close()
+	api := New(ServiceEngine(svc), Options{MaxStatementBytes: 256, MaxBatch: 2})
+	const stmtLimit, batchLimit = 256, 256*2 + 1<<20
+	endpoints := []struct {
+		path  string
+		limit int
+		// emptyStatus is what an empty body answers: an empty statement does
+		// not parse, and empty JSON does not decode.
+		emptyStatus int
+		emptyCode   string
+	}{
+		{"/v1/optimize", stmtLimit, http.StatusUnprocessableEntity, CodeInvalidQuery},
+		{"/v1/batch", batchLimit, http.StatusBadRequest, CodeBadRequest},
+		{"/v1/catalog/stats", stmtLimit, http.StatusBadRequest, CodeBadRequest},
+	}
+	// over stands for "the endpoint's limit plus one", chunked for "no
+	// Content-Length", unread for "not asserted".
+	const over, chunked, unread = -2, -1, -1
+	at := func(v, limit int) int {
+		if v == over {
+			return limit + 1
+		}
+		return v
+	}
+	cases := []struct {
+		name           string
+		sent, declared int // bytes that arrive; the Content-Length
+		status         int // 0: the endpoint's emptyStatus
+		code           string
+		wantRead       int // bytes the server may read of the body
+	}{
+		{"declared one over", over, over, http.StatusRequestEntityTooLarge, CodeTooLarge, 0},
+		{"chunked one over", over, chunked, http.StatusRequestEntityTooLarge, CodeTooLarge, over},
+		{"declared longer than sent", 40, 90, http.StatusBadRequest, CodeBadRequest, 40},
+		{"declared empty", 0, 0, 0, "", unread},
+		{"chunked empty", 0, chunked, 0, "", unread},
+	}
+	for _, ep := range endpoints {
+		for _, tc := range cases {
+			t.Run(ep.path+"/"+tc.name, func(t *testing.T) {
+				misses, memo := api.stmtMisses.Load(), api.memoLen()
+				// A statement-shaped payload: were a truncated body compiled,
+				// its first 40 bytes would at least reach the parser.
+				sent := at(tc.sent, ep.limit)
+				payload := bytes.Repeat([]byte("SELECT r.id FROM release r WHERE r.id=1 "), sent/40+1)[:sent]
+				body := &countingBody{r: bytes.NewReader(payload)}
+				req := httptest.NewRequest(http.MethodPost, ep.path, body)
+				req.ContentLength = int64(at(tc.declared, ep.limit))
+				rec := httptest.NewRecorder()
+				api.Mux().ServeHTTP(rec, req)
+				status, code := tc.status, tc.code
+				if status == 0 {
+					status, code = ep.emptyStatus, ep.emptyCode
+				}
+				var e Error
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+					t.Fatalf("no envelope in %q: %v", rec.Body, err)
+				}
+				if rec.Code != status || e.Code != code {
+					t.Errorf("answered %d %s (%s), want %d %s", rec.Code, e.Code, e.Message, status, code)
+				}
+				if want := at(tc.wantRead, ep.limit); want != unread && body.read != want {
+					t.Errorf("the server read %d bytes of the body, want %d", body.read, want)
+				}
+				// Only the empty statement gets as far as the parser (a memo
+				// miss); nothing refused is ever memoised.
+				if rec.Code != http.StatusUnprocessableEntity && api.stmtMisses.Load() != misses {
+					t.Errorf("a refused body was prepared: memo misses %d -> %d", misses, api.stmtMisses.Load())
+				}
+				if api.memoLen() != memo {
+					t.Errorf("a refused body was memoised: entries %d -> %d", memo, api.memoLen())
+				}
+			})
+		}
+	}
+
+	// A body of exactly the limit passes the size check (and then fails to
+	// parse): the +1 probe tells "at" from "over" without a declared length.
+	for _, declared := range []int64{stmtLimit, -1} {
+		payload := bytes.Repeat([]byte("x"), stmtLimit)
+		req := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(payload))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		api.Mux().ServeHTTP(rec, req)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Errorf("a body of exactly the limit (declared %d) answered %d, want 422", declared, rec.Code)
+		}
+	}
+}
+
+// TestTruncatedBodyOverSocket sends, over a real connection, a Content-Length
+// larger than the bytes that follow: the statement prefix that did arrive
+// parses on its own, and must be neither compiled nor memoised.
+func TestTruncatedBodyOverSocket(t *testing.T) {
+	api, ts := newMemoAPI(t)
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /v1/optimize HTTP/1.1\r\nHost: x\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\r\n%s",
+		len(testStatement)+50, testStatement)
+	conn.(*net.TCPConn).CloseWrite()
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e Error
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Errorf("a truncated body answered %d %s, want 400 %s", resp.StatusCode, e.Code, CodeBadRequest)
+	}
+	if misses, n := api.stmtMisses.Load(), api.memoLen(); misses != 0 || n != 0 {
+		t.Errorf("a truncated body was prepared: %d memo misses, %d entries", misses, n)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/leaktest"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -379,12 +380,17 @@ func TestStmtMemoSharedQueryRace(t *testing.T) {
 // warmHitAllocCeiling bounds the heap allocations of the server side of one
 // replayed /v1/explain whose plan is cached (12 relations, 2-node cluster):
 //
-//	parent commit 379, with the statement memo 62 (69 under -race)
+//	before PR 16: 379; with the statement memo: 62; with the recycled body
+//	and encode buffers and the one-allocation Explain (PR 23): 54
 //
-// The ceiling leaves the race detector's extra and a little toolchain drift;
-// raise it only with a measurement that says why. pkg/optimizer's
-// TestRemoteWarmHitAllocBudget gates the SDK's side of the same round trip.
-const warmHitAllocCeiling = 75
+// The ceiling is the measurement + 10 %. Under the race detector sync.Pool
+// drops a quarter of what it is handed and the count is 64-66: that ceiling
+// is that measurement + 10 %. pkg/optimizer's TestRemoteWarmHitAllocBudget
+// gates the whole round trip, in bytes too.
+const (
+	warmHitAllocCeiling     = 59
+	warmHitAllocCeilingRace = 72
+)
 
 // TestWarmHitAllocBudget replays one 12-relation wire query against
 // /v1/explain on an httptest recorder — the server side of a warm hit and
@@ -404,9 +410,13 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		}
 	}
 	serve() // plan, replicate and memoise
+	ceiling := float64(warmHitAllocCeiling)
+	if leaktest.RaceEnabled() {
+		ceiling = warmHitAllocCeilingRace
+	}
 	allocs := testing.AllocsPerRun(200, serve)
-	t.Logf("replayed /v1/explain: %.0f allocs (ceiling %d)", allocs, warmHitAllocCeiling)
-	if allocs > warmHitAllocCeiling {
-		t.Errorf("a replayed /v1/explain allocates %.0f times, ceiling %d", allocs, warmHitAllocCeiling)
+	t.Logf("replayed /v1/explain: %.0f allocs (ceiling %.0f)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("a replayed /v1/explain allocates %.0f times, ceiling %.0f", allocs, ceiling)
 	}
 }

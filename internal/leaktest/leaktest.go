@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -120,4 +121,20 @@ func Main(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// RaceEnabled reports whether this binary was built with -race. Allocation
+// gates read it: under the detector sync.Pool drops a quarter of what it is
+// handed, on purpose, so a count measured without it does not hold with it.
+func RaceEnabled() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }

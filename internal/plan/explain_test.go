@@ -7,8 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/leaktest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/explain_*.golden from the current renderer")
@@ -105,5 +108,71 @@ func TestExplainMatchesFmtReference(t *testing.T) {
 		if got := p.Explain(nil); got != want.String() {
 			t.Fatalf("plan %d: Explain differs from the fmt reference:\n got:\n%s\nwant:\n%s", i, got, want.String())
 		}
+	}
+}
+
+// TestAppendFixedIsStrconv pins the renderer to strconv byte for byte, for
+// the two precisions Explain uses, on 2 M seeded doubles aimed at where a
+// digit count or a rounding can go wrong.
+func TestAppendFixedIsStrconv(t *testing.T) {
+	var got, want []byte
+	check := func(v float64) {
+		for p := 0; p <= 1; p++ {
+			got, want = appendFixed(got[:0], v, p), strconv.AppendFloat(want[:0], v, 'f', p, 64)
+			if string(got) != string(want) {
+				t.Fatalf("appendFixed(%v [%#x], %d) = %q, strconv says %q", v, math.Float64bits(v), p, got, want)
+			}
+		}
+	}
+	// Every power of ten and its two neighbours, and the values just under a
+	// rounding carry at each magnitude (9.5, 99.95, 999.96, ...).
+	for e := 0; e <= 17; e++ {
+		p := math.Pow(10, float64(e))
+		for _, v := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, math.Inf(1)),
+			p - 0.5, p - 0.05, p - 0.04, p - 0.06, math.Nextafter(p-0.5, 0), math.Nextafter(p-0.05, 0)} {
+			check(v)
+		}
+	}
+	for _, v := range []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -1, -999.96, 0.5, 0.95, 0.96, 1, 9.5, 999.96, 1e16 - 2, 1e16} {
+		check(v)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 800_000; i++ {
+		check(math.Pow(10, rng.Float64()*18-1)) // log-uniform over 1e-1 … 1e17
+	}
+	for i := 0; i < 400_000; i++ {
+		// Integers of every magnitude, at the ties (±0.5, ±0.05) where the two
+		// precisions round and one ulp either side of them.
+		n := math.Floor(math.Pow(10, rng.Float64()*16))
+		v := n + []float64{0.5, -0.5, 0.05, -0.05, 0.25, 0.75}[i%6]
+		check(v)
+		check(math.Nextafter(v, 0))
+		check(math.Nextafter(v, math.Inf(1)))
+	}
+	// Raw bit patterns (NaN payloads, denormals, negatives, 1e300) nearly all
+	// take the fallback, where strconv writes hundreds of digits: few of them.
+	for i := 0; i < 50_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+	}
+}
+
+// TestExplainAllocatesOnlyItsString holds Explain to its result: the render
+// buffer is recycled scratch (2 allocations before: buffer, then string).
+func TestExplainAllocatesOnlyItsString(t *testing.T) {
+	if leaktest.RaceEnabled() {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	p := leaf(0, 1234.5, 99.96)
+	names := []string{"r0"}
+	for i := 1; i < 14; i++ {
+		n := join(p, leaf(i, float64(i)*1e3+0.5, float64(i)*7.77))
+		n.Op, n.Rows, n.Cost = OpHashJoin, float64(i)*3.3e5, float64(i)*1e4+0.05
+		p = n
+		names = append(names, fmt.Sprintf("r%d", i))
+	}
+	p.Explain(names) // fills the pool
+	if got := testing.AllocsPerRun(200, func() { p.Explain(names) }); got > 1 {
+		t.Errorf("Explain of a 14-relation plan allocates %v times, want <= 1", got)
 	}
 }

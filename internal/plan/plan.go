@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/bitset"
 )
@@ -150,11 +151,24 @@ func (n *Node) String() string {
 // Explain renders an indented EXPLAIN-style tree using names[i] as the name
 // of relation i (nil names fall back to indices).
 func (n *Node) Explain(names []string) string {
-	// One line per node; 64 bytes covers indent, operator and both floats
-	// of all but astronomically costed plans, which merely grow the buffer.
-	buf := make([]byte, 0, 64*(2*n.Size()-1))
-	return string(n.explain(buf, names, 0))
+	// Rendered into recycled scratch, so the returned string is the call's
+	// one allocation.
+	sp := explainScratch.Get().(*[]byte)
+	buf := n.explain((*sp)[:0], names, 0)
+	s := string(buf)
+	if cap(buf) <= maxPooledExplain {
+		*sp = buf
+		explainScratch.Put(sp)
+	}
+	return s
 }
+
+// explainScratch recycles Explain's render buffers. One that a 1000-relation
+// plan grew past maxPooledExplain is dropped instead, so a rare huge plan
+// pins nothing.
+var explainScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledExplain = 64 << 10
 
 func (n *Node) write(b *strings.Builder, names []string) {
 	if n.IsLeaf() {
@@ -191,15 +205,61 @@ func (n *Node) explain(buf []byte, names []string, indent int) []byte {
 		buf = append(buf, n.Op.String()...)
 	}
 	buf = append(buf, "  (rows="...)
-	buf = strconv.AppendFloat(buf, n.Rows, 'f', 0, 64)
+	buf = appendFixed(buf, n.Rows, 0)
 	buf = append(buf, " cost="...)
-	buf = strconv.AppendFloat(buf, n.Cost, 'f', 1, 64)
+	buf = appendFixed(buf, n.Cost, 1)
 	buf = append(buf, ")\n"...)
 	if n.IsLeaf() {
 		return buf
 	}
 	buf = n.Left.explain(buf, names, indent+1)
 	return n.Right.explain(buf, names, indent+1)
+}
+
+// pow10 holds the powers of ten appendFixed counts integer digits against;
+// each is exactly representable in a float64.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16}
+
+// appendFixed appends v exactly as strconv.AppendFloat(buf, v, 'f', prec, 64)
+// does, without strconv's arbitrary-precision path: 'f' with a precision
+// never takes the Ryu fast path, 'e' with up to 18 significant digits does.
+// For 1 <= v < 1e16 the comparisons against pow10 give the number nd of
+// integer digits exactly, so 'e' with nd+prec significant digits rounds the
+// same exact value at the same decimal position (10^-prec) under the same
+// rule (strconv's correct rounding, ties to even) — the digits are the
+// same and only the point moves. A rounding that carries into a new leading
+// digit (999.96 -> 1.000e+03) shows as a raised exponent and renders as
+// 10^nd. Everything else (v < 1, v >= 1e16, NaN, ±Inf, -0) takes the 'f'
+// path.
+//
+//mpdp:hotpath
+func appendFixed(buf []byte, v float64, prec int) []byte {
+	if !(v >= 1 && v < 1e16) || prec > 2 {
+		return strconv.AppendFloat(buf, v, 'f', prec, 64)
+	}
+	nd := 1
+	for v >= pow10[nd] {
+		nd++
+	}
+	start := len(buf)
+	buf = strconv.AppendFloat(buf, v, 'e', nd+prec-1, 64)
+	s := buf[start:] // d[.ddd]e+XX, nd+prec digits
+	if exp := int(s[len(s)-2]-'0')*10 + int(s[len(s)-1]-'0'); exp != nd-1 {
+		const zeros = "0000000000000000"
+		buf = append(append(buf[:start], '1'), zeros[:nd]...)
+		if prec > 0 {
+			buf = append(append(buf, '.'), zeros[:prec]...)
+		}
+		return buf
+	}
+	// Move the point from behind the first digit to behind the nd-th; the
+	// fraction digits are already where they belong.
+	copy(s[1:nd], s[2:])
+	if prec == 0 {
+		return buf[:start+nd]
+	}
+	s[nd] = '.'
+	return buf[:start+nd+1+prec]
 }
 
 // Validate checks structural plan invariants against the expected relation

@@ -192,24 +192,15 @@ func (r *remote) controlCall(ctx context.Context, endpoint, method, path string,
 		return fmt.Errorf("optimizer: %s: %w", endpoint, err)
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := readResponse(resp, endpoint)
 	if err != nil {
-		return fmt.Errorf("optimizer: %s: reading response: %w", endpoint, err)
+		return err
 	}
-	if resp.StatusCode != http.StatusOK {
-		re := &RemoteError{Status: resp.StatusCode, Endpoint: endpoint}
-		var env httpapi.Error
-		if json.Unmarshal(raw, &env) == nil && env.Code != "" {
-			re.Code, re.Message, re.Detail = env.Code, env.Message, env.Detail
-		} else {
-			re.Code, re.Message = "http_error", string(raw)
-		}
-		return re
-	}
+	defer raw.Release()
 	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	if err := json.Unmarshal(raw.Bytes(), out); err != nil {
 		return fmt.Errorf("optimizer: %s: decoding response: %w", endpoint, err)
 	}
 	return nil

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -255,23 +254,43 @@ func (r *remote) call(ctx context.Context, endpoint, path string, body []byte) o
 		return outcome{err: fmt.Errorf("optimizer: %s: %w", endpoint, err)}
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	raw, err := readResponse(resp, endpoint)
 	if err != nil {
-		return outcome{err: fmt.Errorf("optimizer: %s: reading response: %w", endpoint, err)}
+		return outcome{err: err}
 	}
-	if resp.StatusCode != http.StatusOK {
-		re := &RemoteError{Status: resp.StatusCode, Endpoint: endpoint}
-		var env httpapi.Error
-		if json.Unmarshal(raw, &env) == nil && env.Code != "" {
-			re.Code, re.Message, re.Detail = env.Code, env.Message, env.Detail
-		} else {
-			re.Code, re.Message = "http_error", strings.TrimSpace(string(raw))
-		}
-		return outcome{err: re}
-	}
+	defer raw.Release() // both decoders copy every string out
+	// The answer crosses the socket on every hit: httpapi's own decoder takes
+	// the bytes httpapi emits and refuses anything else (another server
+	// version's extra field, say), which encoding/json then decodes as ever.
 	var wire httpapi.Response
-	if err := json.Unmarshal(raw, &wire); err != nil {
-		return outcome{err: fmt.Errorf("optimizer: %s: decoding response: %w", endpoint, err)}
+	if !httpapi.DecodeResponse(raw.Bytes(), &wire) {
+		if err := json.Unmarshal(raw.Bytes(), &wire); err != nil {
+			return outcome{err: fmt.Errorf("optimizer: %s: decoding response: %w", endpoint, err)}
+		}
 	}
 	return outcome{resp: &wire}
+}
+
+// maxResponseBytes bounds one response body.
+const maxResponseBytes = 16 << 20
+
+// readResponse reads the body of resp and turns any answer but a 200 into
+// its *RemoteError. The caller Releases the body it gets.
+func readResponse(resp *http.Response, endpoint string) (*httpapi.Body, error) {
+	raw, err := httpapi.ReadBody(resp.Body, resp.ContentLength, maxResponseBytes)
+	if err != nil {
+		return nil, fmt.Errorf("optimizer: %s: reading response: %w", endpoint, err)
+	}
+	if resp.StatusCode == http.StatusOK {
+		return raw, nil
+	}
+	defer raw.Release()
+	re := &RemoteError{Status: resp.StatusCode, Endpoint: endpoint}
+	var env httpapi.Error
+	if json.Unmarshal(raw.Bytes(), &env) == nil && env.Code != "" {
+		re.Code, re.Message, re.Detail = env.Code, env.Message, env.Detail
+	} else {
+		re.Code, re.Message = "http_error", strings.TrimSpace(string(raw.Bytes()))
+	}
+	return nil, re
 }
