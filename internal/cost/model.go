@@ -60,8 +60,8 @@ func (m *Model) JoinCost(l, r *plan.Node, outRows float64, rightIndexed bool) (p
 func (m *Model) joinCostVals(lRows, lCost, rRows, rCost, outRows float64, indexNL bool) (plan.Op, float64) {
 	var lLg, rLg, rLgi float64
 	if !m.DisableMerge {
-		lLg = math.Log2(math.Max(lRows, 2))
-		rLg = math.Log2(math.Max(rRows, 2))
+		lLg = math.Log2(plan.AtLeast(lRows, 2))
+		rLg = math.Log2(plan.AtLeast(rRows, 2))
 	}
 	if indexNL {
 		rLgi = math.Log2(rRows + 2)
@@ -100,7 +100,7 @@ func (m *Model) JoinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows
 			// Index nested loop into the inner PK index.
 			lookups := rLgi * m.CPUIndexTupleCost * 4
 			perMatch := m.RandomPageCost / 2
-			matched := outRows / math.Max(lRows, 1)
+			matched := outRows / plan.AtLeast(lRows, 1)
 			inl := lCost + lRows*(lookups+matched*perMatch) + outRows*m.CPUTupleCost
 			if inl < bestCost {
 				bestOp, bestCost = plan.OpIndexNestLoop, inl
@@ -109,8 +109,8 @@ func (m *Model) JoinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows
 	}
 
 	if !m.DisableMerge {
-		sortL := math.Max(lRows, 2) * lLg * m.CPUOperatorCost * 2
-		sortR := math.Max(rRows, 2) * rLg * m.CPUOperatorCost * 2
+		sortL := plan.AtLeast(lRows, 2) * lLg * m.CPUOperatorCost * 2
+		sortR := plan.AtLeast(rRows, 2) * rLg * m.CPUOperatorCost * 2
 		merge := childCost + sortL + sortR +
 			(lRows+rRows)*m.CPUOperatorCost + outRows*m.CPUTupleCost
 		if merge < bestCost {

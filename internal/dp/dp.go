@@ -90,9 +90,9 @@ type Input struct {
 	Leaves []*plan.Node
 
 	// Workspace, when non-nil, is the memory the run borrows: DP table,
-	// census, level winners, evaluator scratch and the arena of the
-	// returned plan tree, which therefore stays valid only until the
-	// workspace's next run begins. Long-lived callers keep one per worker.
+	// census, evaluator scratch and the arena of the returned plan tree,
+	// which therefore stays valid only until the workspace's next run
+	// begins. Long-lived callers keep one per worker.
 	// When nil the run allocates all of it afresh. No result depends on it.
 	Workspace *Workspace
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"time"
@@ -409,6 +410,55 @@ func TestDeadlinePollsSparselyAndStaysTripped(t *testing.T) {
 			if dl.Expired() {
 				t.Fatalf("%s: tripped at call %d", name, i)
 			}
+		}
+	}
+}
+
+// TestTreeEdgesInMatchesTheEdgeLoop: Algorithm 2's evaluator visits the
+// edges treeEdgesIn marks, lowest bit first. That must be exactly the edges,
+// in exactly the order, of the plain loop over g.Edges that skips every edge
+// with an end outside S — the order breaks ties between equal-cost splits —
+// for any set of any tree up to 64 relations, the 63-edge tree whose vertex
+// 63 puts an end in the mask's top bit included.
+func TestTreeEdgesInMatchesTheEdgeLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for _, n := range []int{2, 3, 5, 17, 31, 32, 33, 62, 63, 64, 64, 64} {
+		label := rng.Perm(n)
+		g := graph.New(n)
+		for v := 1; v < n; v++ {
+			g.AddEdge(label[v], label[rng.Intn(v)], 1)
+		}
+		cuts := g.TreeCuts(nil)
+		full := bitset.Full(n)
+		for i := 0; i < 20000; i++ {
+			var s bitset.Mask
+			switch i % 4 {
+			case 0:
+				s = bitset.Mask(rng.Uint64())
+			case 1:
+				s = bitset.Mask(rng.Uint64() & rng.Uint64())
+			case 2:
+				s = bitset.Mask(rng.Uint64() | rng.Uint64())
+			default:
+				s = full &^ bitset.Single(rng.Intn(n))
+			}
+			s &= full
+			var want []int
+			for e, c := range cuts {
+				if s&c.Ends == c.Ends {
+					want = append(want, e)
+				}
+			}
+			var got []int
+			for m := treeEdgesIn(cuts, s); m != 0; m &= m - 1 {
+				got = append(got, bits.TrailingZeros64(m))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("tree of %d, set %v: visits edges %v, the edge loop %v", n, s, got, want)
+			}
+		}
+		if m := treeEdgesIn(cuts, full); bits.OnesCount64(m) != n-1 {
+			t.Fatalf("tree of %d: the whole set holds %d edges", n, bits.OnesCount64(m))
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package dp
 
 import (
+	"math/bits"
+
 	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/graph"
@@ -227,7 +229,9 @@ func costBothWays(q *cost.Query, m *cost.Model, tab *plan.Table, bw *bestWin, le
 // do, its two sides are S inside and outside one precomputed mask
 // (graph.TreeCut), and its selectivity is the cut's — no walk of the graph
 // per pair. Edges are offered in g.Edges order, A's side on the left first:
-// ties keep the incumbent, so the order is part of the plan.
+// ties keep the incumbent, so the order is part of the plan. Which edges lie
+// in S is one pass without a branch (treeEdgesIn), and the loop visits only
+// those.
 //
 //mpdp:hotpath
 func EvaluateSetMPDPTree(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, _ *Scratch) (Winner, Stats, error) {
@@ -236,11 +240,8 @@ func EvaluateSetMPDPTree(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline,
 		panic("dp: EvaluateSetMPDPTree needs the tree index of Input.ForTree")
 	}
 	var bw bestWin
-	for i := range in.cuts {
-		c := &in.cuts[i]
-		if s&c.Ends != c.Ends {
-			continue
-		}
+	for m := treeEdgesIn(in.cuts, s); m != 0; m &= m - 1 {
+		c := &in.cuts[bits.TrailingZeros64(m)]
 		if dl != nil && dl.Expired() {
 			return bw.Winner, stats, dl.Err()
 		}
@@ -250,4 +251,21 @@ func EvaluateSetMPDPTree(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline,
 		costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), c.Sel)
 	}
 	return bw.Winner, stats, nil
+}
+
+// treeEdgesIn returns the edges of the tree index cuts with both ends in s,
+// bit i for cuts[i] — ascending bits are g.Edges order. A tree over at most
+// 64 relations has at most 63 edges, so one word holds them. An edge lies in
+// s when none of its ends is outside it, and x|-x has its top bit set
+// exactly when x ≠ 0: one AND-NOT, a negation and two shifts an edge, no
+// branch for the predictor to miss.
+//
+//mpdp:hotpath
+func treeEdgesIn(cuts []graph.TreeCut, s bitset.Mask) uint64 {
+	var m uint64
+	for i := range cuts {
+		out := uint64(cuts[i].Ends &^ s)
+		m |= (1 ^ (out|-out)>>63) << (uint(i) & 63)
+	}
+	return m
 }

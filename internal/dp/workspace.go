@@ -7,9 +7,8 @@ import (
 )
 
 // Workspace is the memory one enumeration borrows instead of allocating:
-// the DP table's arrays, the connected-set census, the level winners, the
-// per-worker evaluator scratch, Algorithm 2's edge index and the arena of
-// the returned plan tree.
+// the DP table's arrays, the connected-set census, the per-worker evaluator
+// scratch, Algorithm 2's edge index and the arena of the returned plan tree.
 // Whoever runs enumerations one after another — a service worker, a
 // heuristic that calls the exact DP once per sub-problem, the GPU batcher —
 // owns one and hands it to every run through Input.Workspace; the second
@@ -23,11 +22,11 @@ import (
 // run at a time: concurrent runs need a workspace each.
 //
 // No result depends on it. A recycled table is slot for slot the fresh one
-// (plan.Table.Reset), census and winners are rewritten before they are
-// read, and the scratch restarts per set, so a run on a dirty workspace is
-// bit-identical to a run without one. The owner is explicit rather than a
-// sync.Pool so that what a run allocates repeats exactly and does not
-// depend on when the collector last emptied a pool.
+// (plan.Table.Reset), the census is rewritten before it is read, and the
+// scratch restarts per set, so a run on a dirty workspace is bit-identical
+// to a run without one. The owner is explicit rather than a sync.Pool so
+// that what a run allocates repeats exactly and does not depend on when the
+// collector last emptied a pool.
 //
 // The zero value is ready to use, and every method takes a nil receiver to
 // mean "no workspace": fresh memory, exactly what the run allocated before
@@ -35,23 +34,23 @@ import (
 type Workspace struct {
 	tab     plan.Table
 	census  [][]bitset.Mask
-	winners []Winner
 	scratch []*Scratch
 	cuts    []graph.TreeCut
 	nodes   plan.Arena
 }
 
 // retainSlots bounds what a workspace keeps between runs: at most this many
-// table slots, census masks and level winners. 2^16 slots is every table a
-// k ≤ 16 inner DP or an exact query of at most 16 relations can build — a
-// star-16 direct-addresses exactly that many, 2.6 MB of lanes, a hashed one
-// 3.1 MB, the census 0.5 MB. A run that needs more lasts tens of
-// milliseconds, allocates as it did without a workspace, and lets go of it
-// as soon as its tree is built (trim): uncapped, six service workers that
-// had each seen one star-18 pinned 12.6 MB apiece (peak heap 67 → 199 MB
-// on the exact-dense workload), and dropping it only when the worker's next
-// request arrived still read 127. A constant, not a knob: no caller has a
-// reason to pick another.
+// table slots and census masks (a level's winners take no memory of their
+// own: the level workers write them into the table's slots). 2^16 slots is
+// every table a k ≤ 16 inner DP or an exact query of at most 16 relations
+// can build — a star-16 direct-addresses exactly that many, 2.6 MB of
+// lanes, a hashed one 3.1 MB, the census 0.5 MB. A run that needs more
+// lasts tens of milliseconds, allocates as it did without a workspace, and
+// lets go of it as soon as its tree is built (trim): uncapped, six service
+// workers that had each seen one star-18 pinned 12.6 MB apiece (peak heap
+// 67 → 199 MB on the exact-dense workload), and dropping it only when the
+// worker's next request arrived still read 127. A constant, not a knob: no
+// caller has a reason to pick another.
 const retainSlots = 1 << 16
 
 // begin starts a run: the arena is rewound (to one chunk: plan.Arena.Reset)
@@ -66,7 +65,7 @@ func (w *Workspace) begin() {
 }
 
 // trim drops what exceeds the retention bound. Finish calls it once the
-// tree is built, when table, census and winners are dead.
+// tree is built, when table and census are dead.
 func (w *Workspace) trim() {
 	if w == nil {
 		return
@@ -76,9 +75,6 @@ func (w *Workspace) trim() {
 	}
 	if censusCap(w.census) > retainSlots {
 		w.census = nil
-	}
-	if cap(w.winners) > retainSlots {
-		w.winners = nil
 	}
 }
 
@@ -115,18 +111,6 @@ func (w *Workspace) buckets(n int) [][]bitset.Mask {
 		w.census[i] = w.census[i][:0]
 	}
 	return w.census
-}
-
-// Winners returns the per-level winner slots of a level-synchronous driver,
-// n of them, contents unspecified.
-func (w *Workspace) Winners(n int) []Winner {
-	if w == nil {
-		return make([]Winner, n)
-	}
-	if cap(w.winners) < n {
-		w.winners = make([]Winner, n)
-	}
-	return w.winners[:n]
 }
 
 // Scratch returns the evaluator scratch of the run's worker-th worker.

@@ -156,14 +156,12 @@ func (w *Workspace) retainedBytes() int {
 	slots := w.tab.Cap()
 	return slots*(8+40+8) + slots/8 +
 		censusCap(w.census)*8 +
-		cap(w.winners)*int(unsafe.Sizeof(Winner{})) +
 		512*int(unsafe.Sizeof(plan.Node{}))
 }
 
 // retainBytes is retainedBytes of a workspace at the retention bound.
 const retainBytes = retainSlots*(8+40+8) + retainSlots/8 +
 	retainSlots*8 +
-	retainSlots*int(unsafe.Sizeof(Winner{})) +
 	512*int(unsafe.Sizeof(plan.Node{}))
 
 // TestWorkspaceRetentionBound: a run larger than the retention bound gets

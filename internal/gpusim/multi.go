@@ -27,19 +27,6 @@ type MultiStats struct {
 	PerDevice []Stats
 }
 
-// Utilization returns the mean ratio of device busy time to the run's wall
-// time — 1.0 means every device was busy for the whole run.
-func (m *MultiStats) Utilization() float64 {
-	if m.SimTimeMS <= 0 || len(m.PerDevice) == 0 {
-		return 0
-	}
-	var busy float64
-	for i := range m.PerDevice {
-		busy += m.PerDevice[i].SimTimeMS
-	}
-	return busy / (m.SimTimeMS * float64(len(m.PerDevice)))
-}
-
 // levelSeconds converts one level's work on one device into seconds: its
 // kernel launches, its per-level host↔device round trip, its warp cycles
 // and its global-memory transactions.
@@ -217,9 +204,10 @@ func MPDPGPUMulti(in dp.Input, cfg Config) (*plan.Node, dp.Stats, MultiStats, er
 
 // multiEvaluateTree runs the level-synchronous real evaluation for tree
 // join graphs behind the shared level barrier (parallel.Levels), one worker
-// per device: same-level sets only read strictly smaller entries, so
-// publishing a level's winners at its barrier preserves the sequential
-// semantics exactly. Counters accumulate into totals.
+// per device: same-level sets only read strictly smaller entries, so each
+// worker writing its sets' winners into their own claimed slots as it goes
+// preserves the sequential semantics exactly. Counters accumulate into
+// totals.
 func multiEvaluateTree(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, totals []levelTotals, ndev int) error {
 	levels := parallel.NewLevels(in.ForTree(), dp.EvaluateSetMPDPTree, tab, buckets, ndev)
 	for size := 2; size <= in.Q.N(); size++ {

@@ -45,29 +45,36 @@ func chunkSets(sets, size, active int) int {
 // the connected sets of one size and returns once all of them are in the
 // table, so every set of the next size finds its children.
 //
-// Sets are work-stolen (per-set cost varies wildly with block structure) a
-// chunk of consecutive indices at a time (chunkSets), so every set has
-// exactly one producer: the worker that drew its index writes the winner
-// into that index of a per-level slice and counts into its own dp.Stats,
-// and the barrier publishes the slice into the table in set order and folds
-// the counts — plans and counters are the same bits at any worker count, no
-// shared word is touched per set, the work-stealing cursor once per chunk,
-// and no plan node exists until Finish.
+// Before any worker starts, the caller claims every set of the level in the
+// table (plan.Table.Claim), serially. Sets are then work-stolen (per-set
+// cost varies wildly with block structure) a chunk of consecutive indices
+// at a time (chunkSets), so every set has exactly one producer: the worker
+// that drew it writes its winner straight into the set's own slot
+// (plan.Table.PutAt) and counts into its own dp.Stats, and the barrier only
+// folds the counts. That is race-free without an atomic: a level's
+// evaluators read only strictly smaller sets, stored by earlier levels;
+// keys and presence bits do not change while the workers run, and starting
+// them is the happens-before edge from the claims; a worker writes only the
+// lanes of the slots of the sets it drew; and the table is pre-sized from
+// the census, so no claim grows it (one that did would still finish before
+// any worker probes). Plans and counters
+// are the same bits at any worker count, no shared word is touched per set,
+// the work-stealing cursor once per chunk, and no plan node exists until
+// Finish.
 //
 // The calling goroutine is worker 0. Further workers are goroutines started
 // for one level and joined at its barrier, and only for a level with at
 // least minSetsPerWorker sets for each of them. Every worker keeps one
 // evaluator scratch and one dp.Deadline for the whole run, so the deadline
-// poll interval counts candidate pairs across levels. The winner slots and
-// the scratches are the input's workspace's (dp.Workspace); Run joins every
-// goroutine it started before it returns, error or not, so once it has
-// returned nothing of the run touches the workspace again.
+// poll interval counts candidate pairs across levels. The scratches are the
+// input's workspace's (dp.Workspace); Run joins every goroutine it started
+// before it returns, error or not, so once it has returned nothing of the
+// run touches the workspace again.
 type Levels struct {
 	in       dp.Input
 	evaluate dp.SetEvaluator
 	tab      *plan.Table
 	buckets  [][]bitset.Mask
-	winners  []dp.Winner // slot i belongs to set i of the level being run
 	workers  []levelWorker
 	next     atomic.Int64 // work-stealing cursor: the first set no draw has handed out
 	wg       sync.WaitGroup
@@ -85,13 +92,8 @@ type levelWorker struct {
 // NewLevels prepares a run of evaluate over buckets (as returned by
 // dp.ConnectedBuckets) into tab with at most workers concurrent workers.
 func NewLevels(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, buckets [][]bitset.Mask, workers int) *Levels {
-	widest := 0
-	for _, b := range buckets {
-		widest = max(widest, len(b))
-	}
 	l := &Levels{
 		in: in, evaluate: evaluate, tab: tab, buckets: buckets,
-		winners: in.Workspace.Winners(widest),
 		workers: make([]levelWorker, max(workers, 1)),
 	}
 	for w := range l.workers {
@@ -103,21 +105,24 @@ func NewLevels(in dp.Input, evaluate dp.SetEvaluator, tab *plan.Table, buckets [
 
 // Run evaluates every connected set of the given size, stores the winners
 // in the table and returns the level's folded counters. On error (budget
-// or cancellation) nothing of the level is stored, and the counters are
-// those of the sets whose evaluation finished.
+// or cancellation) the counters are those of the sets whose evaluation
+// finished, and the table is left with the level claimed and only partly
+// written: the run is over, and the table is good for nothing but the
+// Reset of the next one.
 func (l *Levels) Run(size int) (dp.Stats, error) {
 	sets := l.buckets[size]
-	winners := l.winners[:len(sets)]
-	clear(winners)
+	for _, s := range sets {
+		l.tab.Claim(s)
+	}
 	l.next.Store(0)
 	active := min(len(l.workers), max(len(sets)/minSetsPerWorker, 1))
 	chunk := chunkSets(len(sets), size, active)
 	l.wg.Add(active - 1)
 	for w := 1; w < active; w++ {
-		go l.drainAndDone(&l.workers[w], sets, winners, chunk)
+		go l.drainAndDone(&l.workers[w], sets, chunk)
 	}
 	l.spawned += active - 1
-	l.drain(&l.workers[0], sets, winners, chunk)
+	l.drain(&l.workers[0], sets, chunk)
 	l.wg.Wait()
 
 	var stats dp.Stats
@@ -128,32 +133,27 @@ func (l *Levels) Run(size int) (dp.Stats, error) {
 			failed = l.workers[w].err
 		}
 	}
-	if failed != nil {
-		return stats, failed
-	}
-	for i, s := range sets {
-		if winners[i].Found {
-			l.tab.Put(s, winners[i])
-		}
-	}
-	return stats, nil
+	return stats, failed
 }
 
 // drainAndDone is drain for a worker started as a goroutine.
-func (l *Levels) drainAndDone(w *levelWorker, sets []bitset.Mask, winners []dp.Winner, chunk int) {
+func (l *Levels) drainAndDone(w *levelWorker, sets []bitset.Mask, chunk int) {
 	defer l.wg.Done()
-	l.drain(w, sets, winners, chunk)
+	l.drain(w, sets, chunk)
 }
 
 // drain is one worker's share of a level: it draws chunks of set indices
 // from the cursor until none are left, evaluates each set it drew and
-// writes the winner into that set's slot. A worker whose evaluation fails
-// (its deadline tripped) stores and counts nothing for that set and moves
-// the cursor past the end, so its siblings stop once the chunk they hold
-// is done.
+// writes the winner into that set's claimed slot. A worker whose evaluation
+// fails (its deadline tripped) stores and counts nothing for that set and
+// moves the cursor past the end, so its siblings stop once the chunk they
+// hold is done. A set that evaluates without error to no winner is a broken
+// evaluator — a connected set of two relations or more always has a split —
+// and panics, like a missing child does in MustSlot, rather than leave a
+// claimed slot unwritten for the next level to read.
 //
 //mpdp:hotpath
-func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, winners []dp.Winner, chunk int) {
+func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, chunk int) {
 	// Locals, so that the loop touches nothing of l but the cursor.
 	in, evaluate, tab := l.in, l.evaluate, l.tab
 	var stats dp.Stats
@@ -170,7 +170,10 @@ func (l *Levels) drain(w *levelWorker, sets []bitset.Mask, winners []dp.Winner, 
 			win, st, err = evaluate(in, tab, sets[i], w.dl, w.sc)
 			stats.Add(st)
 			if err == nil {
-				winners[i] = win
+				if !win.Found {
+					panic("parallel: a connected set was evaluated to no plan")
+				}
+				tab.PutAt(tab.MustSlot(sets[i]), win)
 				stats.ConnectedSets++
 			}
 		}

@@ -42,8 +42,10 @@ import (
 //
 // The table knows n: it never stores the empty set or a set with a
 // relation ≥ n (Put panics), and both probe as absent. Concurrent reads
-// are safe while no writer runs; the level-parallel drivers publish writes
-// only at their level barriers.
+// are safe while no writer runs. The one concurrent writer is a level of
+// the level-parallel drivers: its sets are claimed first (Claim, serial),
+// then each worker stores its own sets' winners by slot (PutAt), which
+// writes nothing any other worker reads.
 type Table struct {
 	keys    []bitset.Mask // hash layout only; nil when direct-addressed
 	keybuf  []bitset.Mask // the key array, kept across a direct-addressed run
@@ -410,6 +412,31 @@ func (t *Table) Improve(s bitset.Mask, w Winner) bool {
 	return true
 }
 
+// Claim makes s present before its plan is known, so that a level's workers
+// can then store their winners with PutAt and nothing else: on the direct
+// layout it sets s's presence bit, on the hash layout it inserts the key
+// (growing first if need be). Until PutAt fills it the slot's content is
+// unspecified, so a claimed set must not be read before then — the level
+// drivers read only smaller sets. Claims are serial: call it before the
+// workers start, never while one runs. s is a joined set of two relations
+// or more; a base entry is PutBase's.
+func (t *Table) Claim(s bitset.Mask) {
+	if single(s) {
+		panic("plan: only a joined set is claimed")
+	}
+	t.insert(s)
+}
+
+// PutAt records w as the plan of the claimed set in slot i (Slot of the set
+// after its Claim). It writes slot i's lanes and no other word of the table
+// — no key, no presence bit, no count, no leaf mask — so workers storing
+// into distinct claimed slots at once do not race.
+//
+//mpdp:hotpath
+func (t *Table) PutAt(i int, w Winner) {
+	t.setAt(i, w.Left, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
+}
+
 //mpdp:hotpath
 func (t *Table) putAt(i int, s bitset.Mask, w Winner) {
 	if single(s) {
@@ -450,10 +477,26 @@ func (t *Table) setAt(i int, left bitset.Mask, rows, cost float64, meta uint16) 
 	t.cost[i] = cost
 	t.cold[i] = tcold{
 		rows: rows,
-		lg:   math.Log2(math.Max(rows, 2)),
+		lg:   math.Log2(AtLeast(rows, 2)),
 		left: left,
 		meta: meta,
 	}
+}
+
+// AtLeast is math.Max(x, floor) for a positive finite floor, to the bit —
+// +Inf stays +Inf, any NaN becomes math.NaN()'s canonical pattern, ±0 and
+// -Inf become floor — but inlined: math.Max is assembly Go cannot inline,
+// a call per costed pair, and the builtin max keeps a NaN's payload.
+//
+//mpdp:hotpath
+func AtLeast(x, floor float64) float64 {
+	if x >= floor {
+		return x
+	}
+	if x != x {
+		return math.NaN()
+	}
+	return floor
 }
 
 // grow doubles the hash layout, or moves the table to the direct layout

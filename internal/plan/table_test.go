@@ -589,3 +589,81 @@ func TestTableRejectsSetsOutsideTheQuery(t *testing.T) {
 		}
 	}
 }
+
+// TestTableClaimThenPutAtIsPut: what a level's workers do — every set of a
+// level claimed first, then each winner stored by slot, in any order — leaves
+// the table holding exactly what Put in set order leaves, in the hash layout,
+// the direct one and a hash layout the claims grow into the direct one. A
+// claim makes a set present before its winner is stored, and only a joined
+// set of the query can be claimed.
+func TestTableClaimThenPutAtIsPut(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		n, hint int
+		direct  bool // at the end
+	}{{"hash", 40, 600, false}, {"direct", 10, 1 << 10, true}, {"hash-grows-into-direct", 10, 2, true}} {
+		rng := rand.New(rand.NewSource(int64(tc.n + tc.hint)))
+		seen := map[bitset.Mask]bool{}
+		var sets []bitset.Mask
+		var wins []Winner
+		for len(sets) < 600 {
+			s := bitset.Mask(rng.Uint64()) & bitset.Full(tc.n)
+			if single(s) || seen[s] {
+				continue
+			}
+			seen[s] = true
+			left := s.LowestBit()
+			sets = append(sets, s)
+			wins = append(wins, Winner{Left: left, Right: s.Diff(left), Rows: anyFloat(rng), Cost: anyFloat(rng), Op: Op(1 + rng.Intn(4)), Found: true})
+		}
+		want, got := NewTable(tc.n, tc.hint), NewTable(tc.n, tc.hint)
+		for i, s := range sets {
+			want.Put(s, wins[i])
+			got.Claim(s)
+		}
+		for _, i := range rng.Perm(len(sets)) {
+			if !got.Has(sets[i]) {
+				t.Fatalf("%s: claimed %v probes as absent", tc.name, sets[i])
+			}
+			got.PutAt(got.MustSlot(sets[i]), wins[i])
+		}
+		if got.Len() != want.Len() || (got.keys == nil) != tc.direct || (want.keys == nil) != tc.direct {
+			t.Fatalf("%s: %d sets (direct %v), Put gives %d (direct %v)", tc.name, got.Len(), got.keys == nil, want.Len(), want.keys == nil)
+		}
+		for _, s := range sets {
+			g, _ := got.Get(s)
+			w, _ := want.Get(s)
+			if !sameEntry(g, w) || g.Left != w.Left || g.Right != w.Right {
+				t.Fatalf("%s: %v holds %+v, Put gives %+v", tc.name, s, g, w)
+			}
+		}
+		mustPanic(t, tc.name+": Claim of a single relation", func() { got.Claim(bitset.Single(1)) })
+		mustPanic(t, tc.name+": Claim outside the query", func() { got.Claim(bitset.Single(tc.n) | 1) })
+	}
+}
+
+// TestAtLeastIsMathMax: the inlined clamp is math.Max to the bit for both
+// floors the cost model uses, over raw random bit patterns (NaNs with every
+// payload and sign among them) and the values where a hand-written max goes
+// wrong: NaN payloads, ±0, ±Inf, denormals, and the neighbours of 1 and 2.
+func TestAtLeastIsMathMax(t *testing.T) {
+	xs := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFF8000000000000),
+		math.Float64frombits(0x7FFFFFFFFFFFFFFF), math.Float64frombits(0xFFF0000000000001),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000FFFFFFFFFFFFF),
+		math.MaxFloat64, -math.MaxFloat64, 0.5, 1.5, 3}
+	for _, v := range []float64{1, 2} {
+		xs = append(xs, v, -v, math.Nextafter(v, 0), math.Nextafter(v, 3), math.Nextafter(v, math.Inf(1)))
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 1<<20; i++ {
+		xs = append(xs, math.Float64frombits(rng.Uint64()))
+	}
+	for _, floor := range []float64{1, 2} {
+		for _, x := range xs {
+			if got, want := AtLeast(x, floor), math.Max(x, floor); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("AtLeast(%x, %v) = %x, math.Max gives %x", math.Float64bits(x), floor, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}

@@ -672,7 +672,7 @@ func resultFrom(e *cached, inv []int, elapsed time.Duration, hit, coalesced bool
 func (s *Service) worker() {
 	defer s.wg.Done()
 	// Each worker owns the memory its enumerations run in (dp.Workspace):
-	// DP table, census, level winners and the arena of the plan tree are
+	// DP table, census, evaluator scratch and the arena of the plan tree are
 	// recycled from one request to the next, and from one inner DP of a
 	// large query to the next. The tree is dead once serve has copied it
 	// into the cache (remapPlan), which is before the worker's next run.
