@@ -62,7 +62,6 @@ func main() {
 		Timeout:   *timeout,
 		K:         *k,
 		Threads:   *threads,
-		Seed:      *seed,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mpdp-explain:", err)

@@ -53,8 +53,6 @@ var exactAlgs = []struct {
 	{"DPSub", dp.DPSub},
 	{"DPCCP", dp.DPCCP},
 	{"MPDP", dp.MPDP},
-	{"PDP", parallel.PDP},
-	{"DPE", parallel.DPE},
 	{"MPDP-CPU", parallel.MPDP},
 	{"MPDP-GPU", gpuEquiv(1)},
 	{"MPDP-GPU-3dev", gpuEquiv(3)},

@@ -31,14 +31,14 @@ const (
 	// CPUSeq runs the sequential exact enumerators (DPCCP, MPDP, DPSize,
 	// DPSub) on one core.
 	CPUSeq ID = "cpu-seq"
-	// CPUParallel runs the work-stealing CPU-parallel drivers (MPDP-CPU,
-	// PDP, DPE) across all cores.
+	// CPUParallel runs the level-parallel CPU MPDP (MPDP-CPU) across all
+	// cores.
 	CPUParallel ID = "cpu-parallel"
 	// GPU runs MPDP on the multi-device simulated GPU with fused pruning
 	// and CCC, coalescing concurrent requests into device-saturating
 	// batches.
 	GPU ID = "gpu"
-	// Heuristic runs the approximate algorithms (IDP2, UnionDP, GEQO, ...);
+	// Heuristic runs the approximate algorithms (IDP2, UnionDP, GOO, ...);
 	// it is the only backend whose plans are not guaranteed optimal.
 	Heuristic ID = "heuristic"
 )
@@ -54,7 +54,6 @@ type Options struct {
 	Timeout time.Duration
 	Threads int
 	K       int
-	Seed    int64
 	// Workspace, when non-nil, is the memory the run borrows (see
 	// core.Options.Workspace); the caller must not start another run on it
 	// before it is done with Result.Plan. The gpu backend's batched route

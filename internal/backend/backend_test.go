@@ -31,11 +31,18 @@ func relEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestSetDispatch: every registered algorithm resolves to exactly one
-// backend, and the mapping follows the substrate split.
+// TestSetDispatch: every registered algorithm but auto is supported by
+// exactly one backend, and the mapping follows the substrate split. The
+// registry drives the loop, so a name added to or left in core without a
+// backend, or claimed by two, fails here.
 func TestSetDispatch(t *testing.T) {
 	s := NewSet(GPUConfig{})
 	defer s.Close()
+	for _, id := range IDs() {
+		if s.Get(id) == nil {
+			t.Fatalf("Get(%s) = nil", id)
+		}
+	}
 
 	want := map[core.Algorithm]ID{
 		core.AlgDPCCP:        CPUSeq,
@@ -43,32 +50,42 @@ func TestSetDispatch(t *testing.T) {
 		core.AlgDPSize:       CPUSeq,
 		core.AlgDPSub:        CPUSeq,
 		core.AlgMPDPParallel: CPUParallel,
-		core.AlgPDP:          CPUParallel,
-		core.AlgDPE:          CPUParallel,
 		core.AlgMPDPGPU:      GPU,
 		core.AlgDPSubGPU:     GPU,
 		core.AlgDPSizeGPU:    GPU,
+		core.AlgGOO:          Heuristic,
+		core.AlgIKKBZ:        Heuristic,
+		core.AlgLinDP:        Heuristic,
 		core.AlgIDP2:         Heuristic,
 		core.AlgUnionDP:      Heuristic,
-		core.AlgGEQO:         Heuristic,
 	}
-	for alg, id := range want {
-		b := s.For(alg)
-		if b == nil {
-			t.Errorf("%s: no backend", alg)
+	seen := 0
+	for _, alg := range core.Algorithms() {
+		var claimed []ID
+		for _, id := range IDs() {
+			if s.Get(id).Supports(alg) {
+				claimed = append(claimed, id)
+			}
+		}
+		if alg == core.AlgAuto {
+			if len(claimed) != 0 {
+				t.Errorf("auto is a policy, not a backend algorithm; claimed by %v", claimed)
+			}
 			continue
 		}
-		if b.ID() != id {
-			t.Errorf("%s: dispatched to %s, want %s", alg, b.ID(), id)
+		seen++
+		id, ok := want[alg]
+		switch {
+		case !ok:
+			t.Errorf("%s: registered, but this test does not say which backend runs it", alg)
+		case len(claimed) != 1 || claimed[0] != id:
+			t.Errorf("%s: claimed by %v, want exactly %s", alg, claimed, id)
+		case s.For(alg) != s.Get(id):
+			t.Errorf("%s: For resolves to %v, want %s", alg, s.For(alg), id)
 		}
 	}
-	if b := s.For(core.AlgAuto); b != nil {
-		t.Errorf("auto is a policy, not a backend algorithm; got %s", b.ID())
-	}
-	for _, id := range IDs() {
-		if s.Get(id) == nil {
-			t.Errorf("Get(%s) = nil", id)
-		}
+	if seen != len(want) {
+		t.Errorf("%d algorithms registered besides auto, the substrate map names %d", seen, len(want))
 	}
 }
 

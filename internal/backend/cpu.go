@@ -19,7 +19,6 @@ func coreOptimize(ctx context.Context, id ID, q *cost.Query, alg core.Algorithm,
 		Timeout:   opts.Timeout,
 		Threads:   threads,
 		K:         opts.K,
-		Seed:      opts.Seed,
 		Workspace: opts.Workspace,
 	})
 	if err != nil {
@@ -55,7 +54,7 @@ func (cpuSeq) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, o
 
 func (cpuSeq) Close() {}
 
-// cpuParallel executes the work-stealing CPU-parallel drivers.
+// cpuParallel executes the level-parallel CPU MPDP.
 type cpuParallel struct{}
 
 func newCPUParallel() Backend { return cpuParallel{} }
@@ -63,11 +62,7 @@ func newCPUParallel() Backend { return cpuParallel{} }
 func (cpuParallel) ID() ID { return CPUParallel }
 
 func (cpuParallel) Supports(alg core.Algorithm) bool {
-	switch alg {
-	case core.AlgPDP, core.AlgDPE, core.AlgMPDPParallel:
-		return true
-	}
-	return false
+	return alg == core.AlgMPDPParallel
 }
 
 func (cpuParallel) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
@@ -85,8 +80,7 @@ func (heuristicBackend) ID() ID { return Heuristic }
 
 func (heuristicBackend) Supports(alg core.Algorithm) bool {
 	switch alg {
-	case core.AlgGEQO, core.AlgGOO, core.AlgMinSel, core.AlgIKKBZ,
-		core.AlgLinDP, core.AlgIDP1, core.AlgIDP2, core.AlgUnionDP:
+	case core.AlgGOO, core.AlgIKKBZ, core.AlgLinDP, core.AlgIDP2, core.AlgUnionDP:
 		return true
 	}
 	return false

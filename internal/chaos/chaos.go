@@ -169,17 +169,17 @@ var poolSpan = []int{6, 7}
 // Report is one chaos run's outcome. Violations() renders the failed
 // invariants; an empty slice means the run held every guarantee.
 type Report struct {
-	Schedule string `json:"schedule"`
-	Seed     int64  `json:"seed"`
+	Schedule string
+	Seed     int64
 	// Faults counts schedule events that degrade a node; LinkFaults the
 	// subset routed through the fault transport (partitions, slow links),
 	// whose firing shows up in Injected. Kills bypass the transport — the
 	// endpoint just vanishes — so a kill-only schedule has Injected 0.
-	Faults     int             `json:"faults"`
-	LinkFaults int             `json:"link_faults"`
-	Injected   uint64          `json:"faults_injected"`
-	Storm      *loadgen.Result `json:"-"`
-	Healed     *loadgen.Result `json:"-"`
+	Faults     int
+	LinkFaults int
+	Injected   uint64
+	Storm      *loadgen.Result
+	Healed     *loadgen.Result
 	// harnessLate: p99 launch lateness of either load phase exceeded the
 	// mean gap 1/Rate — a schedule offered that late was not the schedule.
 	harnessLate bool
@@ -189,34 +189,34 @@ type Report struct {
 	// MisErrored counts everything outside the allowed classes and must
 	// be zero. Lost is offered minus all accounted classes and must be
 	// zero.
-	Offered     int `json:"offered"`
-	OK          int `json:"ok"`
-	Shed        int `json:"shed"`
-	Timeouts    int `json:"timeouts"`
-	Unavailable int `json:"unavailable"`
-	MisErrored  int `json:"mis_errored"`
-	Lost        int `json:"lost"`
+	Offered     int
+	OK          int
+	Shed        int
+	Timeouts    int
+	Unavailable int
+	MisErrored  int
+	Lost        int
 
 	// CostMismatches counts served plans whose cost differed from the
 	// single-node reference — must be zero: faults may slow answers,
 	// never change them.
-	CostMismatches int `json:"cost_mismatches"`
+	CostMismatches int
 
 	// Goroutine hygiene: the post-heal count must settle back to the
 	// pre-cluster baseline.
-	GoroutinesBefore int `json:"goroutines_before"`
-	GoroutinesAfter  int `json:"goroutines_after"`
+	GoroutinesBefore int
+	GoroutinesAfter  int
 
 	// Latency evidence for the breaker story: p99 of all served requests
 	// during the storm and after heal, and p99 of warm hits served by
 	// healthy nodes during the storm (the population the breaker is
 	// supposed to protect).
-	StormP99       time.Duration `json:"storm_p99_ns"`
-	HealedP99      time.Duration `json:"healed_p99_ns"`
-	WarmHealthyP99 time.Duration `json:"warm_healthy_p99_ns"`
+	StormP99       time.Duration
+	HealedP99      time.Duration
+	WarmHealthyP99 time.Duration
 
 	// Cluster is the final counter snapshot, for reconciliation.
-	Cluster cluster.Snapshot `json:"cluster"`
+	Cluster cluster.Snapshot
 }
 
 // Violations lists every invariant the run broke, empty when none.

@@ -1,11 +1,12 @@
 // Package core is the library's public entry point: a single Optimize call
 // that dispatches to any of the join-order optimizers implemented in
 // this repository — the sequential exact algorithms (DPSize, DPSub, DPCCP,
-// MPDP), the CPU-parallel ones (PDP, DPE, MPDP-parallel), the GPU-model ones
-// (DPSize-GPU, DPSub-GPU, MPDP-GPU) and the heuristics (GEQO, GOO, IKKBZ,
-// LinDP/adaptive, IDP1, IDP2-MPDP, UnionDP-MPDP) — plus the paper's
-// recommended automatic policy (exact MPDP up to the raised fall-back limit
-// of 25 relations, UnionDP beyond it).
+// MPDP), the CPU-parallel MPDP, the GPU-model ones (DPSize-GPU, DPSub-GPU,
+// MPDP-GPU) and the heuristics (GOO, IKKBZ, LinDP/adaptive, IDP2-MPDP,
+// UnionDP-MPDP) — plus the paper's recommended automatic policy (exact MPDP
+// up to the raised fall-back limit of 25 relations, UnionDP beyond it). Each
+// registered algorithm has its reason to exist on file in DESIGN.md's
+// "Experiment index": a router band, an experiment or a test's reference.
 package core
 
 import (
@@ -32,20 +33,15 @@ const (
 	AlgDPCCP  Algorithm = "dpccp"
 	AlgMPDP   Algorithm = "mpdp"
 	// Exact, CPU-parallel.
-	AlgPDP          Algorithm = "pdp"
-	AlgDPE          Algorithm = "dpe"
 	AlgMPDPParallel Algorithm = "mpdp-cpu"
 	// Exact, GPU execution model.
 	AlgDPSizeGPU Algorithm = "dpsize-gpu"
 	AlgDPSubGPU  Algorithm = "dpsub-gpu"
 	AlgMPDPGPU   Algorithm = "mpdp-gpu"
 	// Heuristics.
-	AlgGEQO    Algorithm = "geqo"
 	AlgGOO     Algorithm = "goo"
-	AlgMinSel  Algorithm = "minsel"
 	AlgIKKBZ   Algorithm = "ikkbz"
 	AlgLinDP   Algorithm = "lindp" // adaptive LinDP of Neumann & Radke
-	AlgIDP1    Algorithm = "idp1"
 	AlgIDP2    Algorithm = "idp2-mpdp"
 	AlgUnionDP Algorithm = "uniondp-mpdp"
 	AlgAuto    Algorithm = "auto" // MPDP up to 25 rels, UnionDP beyond
@@ -55,9 +51,9 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		AlgDPSize, AlgDPSub, AlgDPCCP, AlgMPDP,
-		AlgPDP, AlgDPE, AlgMPDPParallel,
+		AlgMPDPParallel,
 		AlgDPSizeGPU, AlgDPSubGPU, AlgMPDPGPU,
-		AlgGEQO, AlgGOO, AlgMinSel, AlgIKKBZ, AlgLinDP, AlgIDP1, AlgIDP2, AlgUnionDP,
+		AlgGOO, AlgIKKBZ, AlgLinDP, AlgIDP2, AlgUnionDP,
 		AlgAuto,
 	}
 }
@@ -65,7 +61,7 @@ func Algorithms() []Algorithm {
 // IsExact reports whether the algorithm guarantees the optimal plan.
 func (a Algorithm) IsExact() bool {
 	switch a {
-	case AlgDPSize, AlgDPSub, AlgDPCCP, AlgMPDP, AlgPDP, AlgDPE,
+	case AlgDPSize, AlgDPSub, AlgDPCCP, AlgMPDP,
 		AlgMPDPParallel, AlgDPSizeGPU, AlgDPSubGPU, AlgMPDPGPU:
 		return true
 	}
@@ -83,13 +79,11 @@ type Options struct {
 	Threads int
 	// K is the sub-problem bound for IDP/UnionDP (0: 15, the paper default).
 	K int
-	// Seed for randomized heuristics.
-	Seed int64
 	// GPU configures the device model for the *-gpu algorithms.
 	GPU *gpusim.Config
 	// Workspace, when non-nil, is the memory the enumeration borrows
 	// instead of allocating (dp.Workspace): the exact algorithms run on it,
-	// IDP1/IDP2/UnionDP/LinDP hand it to every inner DP. Result.Plan may
+	// IDP2/UnionDP/LinDP hand it to every inner DP. Result.Plan may
 	// alias it: callers must copy the tree before the workspace's next
 	// optimization. Long-lived workers keep one each; no plan depends on it.
 	Workspace *dp.Workspace
@@ -132,7 +126,7 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		Threads: opts.Threads,
 	}
 	hOpt := heuristic.Options{
-		Model: m, K: opts.K, Ctx: ctx, Deadline: deadline, Threads: opts.Threads, Seed: opts.Seed,
+		Model: m, K: opts.K, Ctx: ctx, Deadline: deadline, Threads: opts.Threads,
 		Workspace: opts.Workspace,
 	}
 	gcfg := gpusim.DefaultConfig()
@@ -152,10 +146,6 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		res.Plan, res.Stats, err = dp.DPCCP(in)
 	case AlgMPDP:
 		res.Plan, res.Stats, err = dp.MPDP(in)
-	case AlgPDP:
-		res.Plan, res.Stats, err = parallel.PDP(in)
-	case AlgDPE:
-		res.Plan, res.Stats, err = parallel.DPE(in)
 	case AlgMPDPParallel:
 		res.Plan, res.Stats, err = parallel.MPDP(in)
 	case AlgDPSizeGPU:
@@ -164,18 +154,12 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		res.Plan, res.Stats, res.GPU, err = gpuWrap(gpusim.DPSubGPU(in, gcfg))
 	case AlgMPDPGPU:
 		res.Plan, res.Stats, res.GPU, err = gpuWrap(gpusim.MPDPGPU(in, gcfg))
-	case AlgGEQO:
-		res.Plan, err = heuristic.GEQO(q, hOpt)
 	case AlgGOO:
 		res.Plan, err = heuristic.GOO(q, hOpt)
-	case AlgMinSel:
-		res.Plan, err = heuristic.MinSel(q, hOpt)
 	case AlgIKKBZ:
 		res.Plan, err = heuristic.IKKBZ(q, hOpt)
 	case AlgLinDP:
 		res.Plan, err = heuristic.Adaptive(q, hOpt)
-	case AlgIDP1:
-		res.Plan, err = heuristic.IDP1(q, hOpt)
 	case AlgIDP2:
 		res.Plan, err = heuristic.IDP2(q, hOpt)
 	case AlgUnionDP:

@@ -139,37 +139,16 @@ func (m *Model) JoinEval(q *Query, l, r *plan.Node) (plan.Op, float64, float64) 
 	return op, outRows, cost
 }
 
-// JoinEvalRows is JoinEval with a precomputed output cardinality, letting
-// callers that evaluate both orientations of a pair share the selectivity
-// computation.
-func (m *Model) JoinEvalRows(q *Query, l, r *plan.Node, outRows float64) (plan.Op, float64) {
-	rightIndexed := r.IsLeaf() && q.Cat.Rels[r.RelID].HasPKIndex
-	return m.JoinCost(l, r, outRows, rightIndexed)
-}
-
 // JoinEvalEntry is the value-typed JoinEval over DP table entries: it costs
 // l ⋈ r from the (set, rows, cost, leaf) views alone, allocation-free and
-// bit-identical to the node-based path. The Table-backed enumerators call
-// it once per candidate pair.
+// bit-identical to the node-based path. The entries' memoized log2 terms
+// (computed once per stored sub-plan) feed the same shared arithmetic the
+// node path uses. DPSize and DPSub call it once per candidate pair.
 func (m *Model) JoinEvalEntry(q *Query, l, r plan.Entry) (plan.Op, float64, float64) {
 	outRows := l.Rows * r.Rows * q.SelBetween(l.Set, r.Set)
 	indexNL := r.Leaf && q.Cat.Rels[r.RelID].HasPKIndex
-	op, cost := m.joinCostEntries(l, r, outRows, indexNL)
+	op, cost := m.JoinCostCore(l.Rows, l.Cost, l.LogRows, r.Rows, r.Cost, r.LogRows, r.LogIdx, outRows, indexNL)
 	return op, outRows, cost
-}
-
-// JoinEvalEntryRows is JoinEvalEntry with a precomputed output cardinality,
-// for callers costing both orientations of one pair.
-func (m *Model) JoinEvalEntryRows(q *Query, l, r plan.Entry, outRows float64) (plan.Op, float64) {
-	indexNL := r.Leaf && q.Cat.Rels[r.RelID].HasPKIndex
-	return m.joinCostEntries(l, r, outRows, indexNL)
-}
-
-// joinCostEntries is the costing body over table entries: the entries'
-// memoized log2 terms (computed once per stored sub-plan) feed the same
-// shared arithmetic the node path uses, per candidate pair.
-func (m *Model) joinCostEntries(l, r plan.Entry, outRows float64, indexNL bool) (plan.Op, float64) {
-	return m.JoinCostCore(l.Rows, l.Cost, l.LogRows, r.Rows, r.Cost, r.LogRows, r.LogIdx, outRows, indexNL)
 }
 
 // MakeJoin materializes a join node from a JoinEval result.

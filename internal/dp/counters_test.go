@@ -154,76 +154,3 @@ func TestCountersRejectsOversizedQuery(t *testing.T) {
 		t.Errorf("got %v, want ErrTooLarge", err)
 	}
 }
-
-func TestRunPartialFindsOptimalKSubplans(t *testing.T) {
-	rng := rand.New(rand.NewSource(52))
-	m := cost.DefaultModel()
-	for trial := 0; trial < 15; trial++ {
-		n := 6 + rng.Intn(5)
-		k := 3 + rng.Intn(3)
-		q := randomQuery(n, rng.Intn(n), rng)
-		memo, buckets, _, err := RunPartial(Input{Q: q, M: m}, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Every memoized plan of size <= k must equal the optimum for its
-		// set, per the full MPDP memo.
-		fullPlan, _, err := MPDPGeneral(Input{Q: q, M: m})
-		_ = fullPlan
-		if err != nil {
-			t.Fatal(err)
-		}
-		fullMemo, fullBuckets, _, err := RunPartial(Input{Q: q, M: m}, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = fullBuckets
-		for size := 2; size <= k; size++ {
-			for _, s := range buckets[size] {
-				got, gotOK := memo.Cost(s)
-				want, wantOK := fullMemo.Cost(s)
-				if gotOK != wantOK {
-					t.Fatalf("size %d set %v: presence mismatch", size, s)
-				}
-				if gotOK && got != want {
-					t.Errorf("size %d set %v: cost %v, want %v", size, s, got, want)
-				}
-				// Materialization must agree with the memoized cost.
-				if p := memo.Build(s); gotOK && (p == nil || p.Cost != got) {
-					t.Errorf("size %d set %v: Build cost mismatch", size, s)
-				}
-			}
-		}
-		// No bucket may exceed k.
-		for size := k + 1; size <= n; size++ {
-			if len(buckets[size]) > 0 {
-				t.Errorf("RunPartial(k=%d) materialized sets of size %d", k, size)
-			}
-		}
-	}
-}
-
-func TestBoundedConnectedSetsMatchesFullEnumeration(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 20; trial++ {
-		n := 4 + rng.Intn(8)
-		q := randomQuery(n, rng.Intn(n), rng)
-		in := Input{Q: q, M: cost.DefaultModel()}
-		full, err := ConnectedBuckets(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 2; k <= n; k++ {
-			bounded, err := boundedConnectedSets(in, k, NewDeadline(in.Deadline))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for size := 1; size <= k; size++ {
-				if len(bounded[size]) != len(full[size]) {
-					t.Fatalf("n=%d k=%d size=%d: bounded %d sets, full %d",
-						n, k, size, len(bounded[size]), len(full[size]))
-				}
-			}
-		}
-	}
-}

@@ -292,12 +292,6 @@ func BucketCount(buckets [][]bitset.Mask) int {
 	return total
 }
 
-// CCPPairsSeq runs the sequential csg-cmp enumeration, invoking emit once
-// per unordered valid join pair. It returns false when the deadline expired.
-func CCPPairsSeq(g *graph.Graph, dl *Deadline, emit func(s1, s2 bitset.Mask)) bool {
-	return ccpPairs(g, dl, emit)
-}
-
 // Finish materializes the full-query plan from the recorded splits — the
 // single point where a run's winning tree becomes plan nodes, and the end of
 // the run: tab and the census are dead when it returns, and a workspace

@@ -16,10 +16,10 @@ import (
 //
 // A run is everything between one driver's Prepare and its return. What a
 // run hands back aliases the workspace — the plan tree its arena, the
-// buckets of ConnectedBuckets and RunPartial its census — and stays valid
-// until the workspace's next run begins, so an owner copies what it keeps
-// (the heuristics splice, the service remaps, the GPU batcher clones). One
-// run at a time: concurrent runs need a workspace each.
+// buckets of ConnectedBuckets its census — and stays valid until the
+// workspace's next run begins, so an owner copies what it keeps (the
+// heuristics splice, the service remaps, the GPU batcher clones). One run
+// at a time: concurrent runs need a workspace each.
 //
 // No result depends on it. A recycled table is slot for slot the fresh one
 // (plan.Table.Reset), the census is rewritten before it is read, and the

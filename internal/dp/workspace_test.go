@@ -33,9 +33,8 @@ func sameTree(got, want *plan.Node) error {
 	return sameTree(got.Right, want.Right)
 }
 
-// checkAgainstFresh runs every sequential enumerator and a bounded run on q
-// twice, without a workspace and on ws, and wants the same trees, counters
-// and partial memo.
+// checkAgainstFresh runs every sequential enumerator on q twice, without a
+// workspace and on ws, and wants the same trees and counters.
 func checkAgainstFresh(t *testing.T, label string, q *cost.Query, ws *Workspace) {
 	t.Helper()
 	fresh := Input{Q: q, M: cost.DefaultModel()}
@@ -55,36 +54,6 @@ func checkAgainstFresh(t *testing.T, label string, q *cost.Query, ws *Workspace)
 		}
 		if gotStats != wantStats {
 			t.Errorf("%s: %s on a workspace counts %+v, without %+v", label, alg.name, gotStats, wantStats)
-		}
-	}
-	k := 1 + q.N()/2
-	wantPart, wantBuckets, wantStats, err := RunPartial(fresh, k)
-	if err != nil {
-		t.Fatalf("%s: RunPartial: %v", label, err)
-	}
-	gotPart, gotBuckets, gotStats, err := RunPartial(borrowed, k)
-	if err != nil {
-		t.Fatalf("%s: RunPartial on a workspace: %v", label, err)
-	}
-	if gotStats != wantStats || len(gotBuckets) != len(wantBuckets) {
-		t.Fatalf("%s: RunPartial on a workspace: %+v over %d buckets, without %+v over %d",
-			label, gotStats, len(gotBuckets), wantStats, len(wantBuckets))
-	}
-	for size := range wantBuckets {
-		if len(gotBuckets[size]) != len(wantBuckets[size]) {
-			t.Fatalf("%s: RunPartial on a workspace: %d sets of size %d, without %d",
-				label, len(gotBuckets[size]), size, len(wantBuckets[size]))
-		}
-		for i, s := range wantBuckets[size] {
-			if gotBuckets[size][i] != s {
-				t.Fatalf("%s: RunPartial on a workspace: set %d of size %d is %v, without %v", label, i, size, gotBuckets[size][i], s)
-			}
-			if size < 2 {
-				continue
-			}
-			if err := sameTree(gotPart.Build(s), wantPart.Build(s)); err != nil {
-				t.Errorf("%s: RunPartial on a workspace, set %v: %v", label, s, err)
-			}
 		}
 	}
 }

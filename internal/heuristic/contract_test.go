@@ -133,24 +133,6 @@ func TestInnerMPDPMatchesDirectMPDPOnBaseUnits(t *testing.T) {
 	}
 }
 
-func TestIDP1ImprovesWithLargerK(t *testing.T) {
-	rng := rand.New(rand.NewSource(66))
-	sum := map[int]float64{}
-	for trial := 0; trial < 10; trial++ {
-		q := randomQuery(14, 4, rng)
-		for _, k := range []int{3, 14} {
-			p, err := IDP1(q, Options{K: k, Threads: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum[k] += p.Cost
-		}
-	}
-	if sum[14] > sum[3]*1.000001 {
-		t.Errorf("IDP1 with k=n (%.4g) worse than k=3 (%.4g) in aggregate", sum[14], sum[3])
-	}
-}
-
 func TestGOOHandlesTwoRelations(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	q := randomQuery(2, 0, rng)

@@ -1,9 +1,8 @@
 // Package heuristic implements the approximate optimizers for queries beyond
-// the exact-DP limit: the baselines GOO [8], IKKBZ [14, 18], PostgreSQL's
-// genetic GEQO [36] and the adaptive LinDP* of Neumann & Radke [26], plus
-// the paper's heuristic contributions — IDP1/IDP2 (iterative DP [17]) with
-// MPDP as the inner exact algorithm (§4.1), and the novel graph-partitioning
-// UnionDP (§4.2).
+// the exact-DP limit: the baselines GOO [8], IKKBZ [14, 18] and the adaptive
+// LinDP* of Neumann & Radke [26], plus the paper's heuristic contributions —
+// IDP2 (iterative DP [17]) with MPDP as the inner exact algorithm (§4.1), and
+// the novel graph-partitioning UnionDP (§4.2).
 //
 // All heuristics operate on queries of arbitrary size (1000+ relations) via
 // dynamic bitmap sets and a shared "contraction" facility that treats an
@@ -35,14 +34,12 @@ type Options struct {
 	Ctx context.Context
 	// Threads is the CPU parallelism for inner MPDP calls (0 = all cores).
 	Threads int
-	// Seed drives the randomized heuristics (GEQO). Zero means seed 1.
-	Seed int64
 	// Inner optionally overrides the exact algorithm used on contracted
 	// sub-problems (default: parallel MPDP). The adaptive LinDP baseline
 	// passes its linearized DP here.
 	Inner InnerDP
 	// Workspace, when non-nil, is the memory every exact inner DP of the
-	// call borrows (dp.Workspace); when nil, IDP1, IDP2 and UnionDP use a
+	// call borrows (dp.Workspace); when nil, IDP2 and UnionDP use a
 	// private one for the call, so the second inner DP already runs on
 	// recycled memory. No plan depends on it.
 	Workspace *dp.Workspace
@@ -71,13 +68,6 @@ func (o Options) k() int {
 		return o.K
 	}
 	return 15
-}
-
-func (o Options) seed() int64 {
-	if o.Seed != 0 {
-		return o.Seed
-	}
-	return 1
 }
 
 func (o Options) expired() bool {

@@ -1,76 +1,10 @@
 package heuristic
 
 import (
-	"math"
-
 	"repro/internal/bitset"
 	"repro/internal/cost"
-	"repro/internal/dp"
 	"repro/internal/plan"
 )
-
-// IDP1 is the first iterative-DP variant of Kossmann & Stocker [17]: it
-// repeatedly runs the exact DP up to plans of k units, materializes the
-// cheapest k-unit plan as a single composite relation, and iterates until
-// one plan covers the query. O(n^k) — only viable for small k (§4.1).
-func IDP1(q *cost.Query, opt Options) (*plan.Node, error) {
-	opt = opt.withWorkspace()
-	m := opt.model()
-	k := opt.k()
-	groups, sets := baseScans(q, m)
-
-	for len(groups) > 1 {
-		if err := opt.expiredErr(); err != nil {
-			return nil, err
-		}
-		c := newContractedProblem(q, groups, sets)
-		if len(groups) <= k {
-			p, _, err := opt.inner()(c, opt)
-			if err != nil {
-				return nil, err
-			}
-			return Recost(q, m, p), nil
-		}
-		// Partial DP up to k units over the contracted query.
-		in := dp.Input{Q: c.local, M: m, Leaves: c.leafWrappers(), Ctx: opt.Ctx, Deadline: opt.Deadline, Workspace: opt.Workspace}
-		part, buckets, _, err := dp.RunPartial(in, k)
-		if err != nil {
-			return nil, err
-		}
-		// Pick the cheapest plan among the largest reachable size. Costs
-		// are scanned by value; only the winning set is materialized.
-		pick := bitset.Mask(0)
-		bestCost := math.Inf(1)
-		for size := k; size >= 2 && pick == 0; size-- {
-			for _, s := range buckets[size] {
-				if cost, ok := part.Cost(s); ok && cost < bestCost {
-					bestCost = cost
-					pick = s
-				}
-			}
-		}
-		if pick == 0 {
-			return nil, ErrDisconnected
-		}
-		chosen := c.splice(part.Build(pick))
-		// Merge the chosen units into one composite.
-		mergedSet := bitset.NewSet(q.N())
-		var newGroups []*plan.Node
-		var newSets []bitset.Set
-		pick.ForEach(func(gi int) { mergedSet.UnionWith(sets[gi]) })
-		for gi := range groups {
-			if pick.Has(gi) {
-				continue
-			}
-			newGroups = append(newGroups, groups[gi])
-			newSets = append(newSets, sets[gi])
-		}
-		newGroups = append(newGroups, chosen)
-		newSets = append(newSets, mergedSet)
-		groups, sets = newGroups, newSets
-	}
-	return Recost(q, m, groups[0]), nil
-}
 
 // wnode is IDP2's working join tree: leaves reference units (base scans or
 // materialized temporaries); inner nodes mirror the current plan shape.

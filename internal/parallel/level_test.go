@@ -275,9 +275,8 @@ func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 }
 
 // TestWorkspaceUnderLevelWorkers: every CPU-parallel driver on one workspace,
-// layouts and sizes changing under it, against its own run without one.
-// PDP and DPE merge in map order, so they are held to cost and counters;
-// the level-synchronous drivers to the tree.
+// layouts and sizes changing under it, against its own run without one,
+// tree for tree.
 func TestWorkspaceUnderLevelWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := cost.DefaultModel()
@@ -297,9 +296,7 @@ func TestWorkspaceUnderLevelWorkers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on %d relations, on a workspace: %v", alg.name, g.N, err)
 				}
-				levelSync := alg.name == "MPDPParallel" || alg.name == "DPSubParallel"
-				if gotStats != wantStats || math.Abs(got.Cost-want.Cost) > 1e-9*math.Max(1, want.Cost) ||
-					levelSync && (math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil)) {
+				if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
 					t.Errorf("%s, %d threads, %d relations: on a workspace %+v cost %v, without %+v cost %v",
 						alg.name, threads, g.N, gotStats, got.Cost, wantStats, want.Cost)
 				}

@@ -34,8 +34,6 @@ var parallelAlgorithms = []struct {
 }{
 	{"MPDPParallel", MPDP},
 	{"DPSubParallel", DPSubParallel},
-	{"PDP", PDP},
-	{"DPE", DPE},
 }
 
 func TestParallelMatchesSequential(t *testing.T) {
@@ -133,15 +131,12 @@ func TestParallelCustomLeaves(t *testing.T) {
 
 // TestTableLayoutsUnderLevelWorkers runs every parallel driver with four
 // workers on censuses that put the shared plan.Table in each of its
-// regimes — direct-addressed from the start (clique-11, star-13: workers
-// read the cost lane and the presence bitmap with plain loads between the
-// barrier's writes), hashed throughout (cycle-14), and, for the drivers
-// that size from the capped hint, a hash layout that becomes direct at a
-// level barrier (star-14: 8 205 sets outgrow 8 192 slots at load 0.7 and
-// the doubling reaches 2^14). Costs and CCP counts must equal the
-// sequential run's (bit-identity is the root suite's TestBitIdentity…; PDP
-// and DPE merge in map order, so a tie may pick another tree whose cost
-// differs in the last bits); the race suite repeats it under the detector.
+// regimes the level drivers' exact census sizing reaches — direct-addressed
+// (clique-11, star-13, star-14: workers read the cost lane and the presence
+// bitmap with plain loads between the barrier's writes) and hashed
+// (cycle-14). Costs and CCP counts must equal the sequential run's
+// (bit-identity is the root suite's TestBitIdentity…); the race suite
+// repeats it under the detector.
 func TestTableLayoutsUnderLevelWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	m := cost.DefaultModel()

@@ -65,8 +65,8 @@ func (a *Arena) NewNode(set bitset.Mask, left, right *Node, op Op, rows, cost fl
 }
 
 // Reset rewinds the arena, invalidating every node it has handed out. The
-// first chunk is kept for the next run; chunks a run needed beyond it (only
-// repeated Partial.Build calls get there) are released.
+// first chunk is kept for the next run; chunks beyond it (only more than
+// arenaChunk nodes between two resets get there) are released.
 //
 //mpdp:hotpath
 func (a *Arena) Reset() {

@@ -96,18 +96,3 @@ func BenchmarkTableCost(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkTableImprove(b *testing.B) {
-	for _, l := range tableLayouts {
-		b.Run(l.name, func(b *testing.B) {
-			keys := benchKeys(1<<16, l.space)
-			b.ReportAllocs()
-			b.ResetTimer()
-			t := benchTable(b, l.n, keys, l.name == "direct")
-			for i := 0; i < b.N; i++ {
-				k := keys[i&(len(keys)-1)]
-				t.Improve(k, Winner{Left: k.LowestBit(), Right: k.Diff(k.LowestBit()), Cost: float64(i), Found: true})
-			}
-		})
-	}
-}

@@ -392,24 +392,11 @@ func (t *Table) PutBase(s bitset.Mask, n *Node) {
 //
 //mpdp:hotpath
 func (t *Table) Put(s bitset.Mask, w Winner) {
-	t.putAt(t.insert(s), s, w)
-}
-
-// Improve records w for s if it beats the current best; it returns true
-// when w was installed. Ties keep the incumbent, like Memo.Improve.
-//
-//mpdp:hotpath
-func (t *Table) Improve(s bitset.Mask, w Winner) bool {
-	i, ok := t.Slot(s)
-	if !ok {
-		t.Put(s, w)
-		return true
+	i := t.insert(s)
+	if single(s) {
+		t.leaf &^= s // a joined plan over one relation is not a scan
 	}
-	if t.cost[i] <= w.Cost {
-		return false
-	}
-	t.putAt(i, s, w) // the slot is known: no growth and no second probe
-	return true
+	t.setAt(i, w.Left, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
 }
 
 // Claim makes s present before its plan is known, so that a level's workers
@@ -434,14 +421,6 @@ func (t *Table) Claim(s bitset.Mask) {
 //
 //mpdp:hotpath
 func (t *Table) PutAt(i int, w Winner) {
-	t.setAt(i, w.Left, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
-}
-
-//mpdp:hotpath
-func (t *Table) putAt(i int, s bitset.Mask, w Winner) {
-	if single(s) {
-		t.leaf &^= s // a joined plan over one relation is not a scan
-	}
 	t.setAt(i, w.Left, w.Rows, w.Cost, uint16(w.Op)<<8&metaOp)
 }
 

@@ -65,28 +65,6 @@ func TestTablePutBaseAndView(t *testing.T) {
 	}
 }
 
-func TestTableImproveSemantics(t *testing.T) {
-	tab := NewTable(8, 8)
-	s := bitset.MaskOf(0, 1)
-	w := Winner{Left: bitset.Single(0), Right: bitset.Single(1), Op: OpHashJoin, Rows: 10, Cost: 9, Found: true}
-	if !tab.Improve(s, w) {
-		t.Error("first winner must install")
-	}
-	if tab.Improve(s, w) {
-		t.Error("equal-cost winner must not reinstall (ties keep the incumbent)")
-	}
-	w.Cost = 5
-	if !tab.Improve(s, w) {
-		t.Error("cheaper winner must install")
-	}
-	if c, _ := tab.Cost(s); c != 5 {
-		t.Errorf("Cost = %v", c)
-	}
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d", tab.Len())
-	}
-}
-
 // TestTableGrowthAtHighLoad drives the table far past its initial capacity
 // and checks every entry survives the rehashes.
 func TestTableGrowthAtHighLoad(t *testing.T) {
@@ -101,8 +79,8 @@ func TestTableGrowthAtHighLoad(t *testing.T) {
 		c := rng.Float64() * 1e6
 		if cur, ok := want[s]; !ok || c < cur {
 			want[s] = c
+			tab.Put(s, Winner{Left: s.LowestBit(), Right: s.Diff(s.LowestBit()), Cost: c, Found: true})
 		}
-		tab.Improve(s, Winner{Left: s.LowestBit(), Right: s.Diff(s.LowestBit()), Cost: c, Found: true})
 	}
 	if tab.Len() != len(want) {
 		t.Fatalf("Len = %d, want %d", tab.Len(), len(want))
@@ -118,9 +96,10 @@ func TestTableGrowthAtHighLoad(t *testing.T) {
 	}
 }
 
-// TestTableDifferentialAgainstMemo runs the same randomized insert/improve
-// sequence through the SoA table and the reference map memo; stored costs
-// and membership must agree exactly.
+// TestTableDifferentialAgainstMemo runs the same randomized sequence of
+// stores through the SoA table and the reference map memo — unconditional
+// ones and the keep-the-cheaper ones of the DP drivers, which Memo.Improve
+// decides; stored costs and membership must agree exactly.
 func TestTableDifferentialAgainstMemo(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tab := NewTable(16, 4)
@@ -138,12 +117,8 @@ func TestTableDifferentialAgainstMemo(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			tab.Put(s, w)
 			memo.Put(s, &Node{Set: s, Cost: c})
-		} else {
-			ti := tab.Improve(s, w)
-			mi := memo.Improve(s, &Node{Set: s, Cost: c})
-			if ti != mi {
-				t.Fatalf("Improve divergence on %v: table %v, memo %v", s, ti, mi)
-			}
+		} else if memo.Improve(s, &Node{Set: s, Cost: c}) {
+			tab.Put(s, w)
 		}
 	}
 	if tab.Len() != memo.Len() {
@@ -245,8 +220,9 @@ func TestArenaResetRecyclesChunks(t *testing.T) {
 }
 
 // tableModel is the map state the table is checked against: plan.Memo — the
-// reference memo — decides membership, Len and whether an Improve installs;
-// the records beside it hold what Memo's nodes do not (split, leaf-ness).
+// reference memo — decides membership, Len and whether a keep-the-cheaper
+// store installs; the records beside it hold what Memo's nodes do not
+// (split, leaf-ness).
 type tableModel struct {
 	memo *Memo
 	rec  map[bitset.Mask]modelRec
@@ -285,7 +261,7 @@ func anyFloat(rng *rand.Rand) float64 {
 	case 5:
 		return -rng.Float64() * 1e9
 	case 6:
-		return float64(rng.Intn(4)) // small values collide: Improve sees ties
+		return float64(rng.Intn(4)) // small values collide: keep-the-cheaper stores see ties
 	}
 	return math.Float64frombits(rng.Uint64())
 }
@@ -402,9 +378,9 @@ func (m *tableModel) checkAll(t *testing.T, tab *Table, pool []bitset.Mask) map[
 	return ranged
 }
 
-// runTableOps drives tab and the model through the same random
-// Put/Improve/PutBase sequence over pool, probing as it goes, and returns
-// what rangeInterior yields at the end.
+// runTableOps drives tab and the model through the same random sequence of
+// Put, keep-the-cheaper and PutBase over pool, probing as it goes, and
+// returns what rangeInterior yields at the end.
 func runTableOps(t *testing.T, tab *Table, n int, pool []bitset.Mask, rng *rand.Rand) map[bitset.Mask]Winner {
 	t.Helper()
 	m := &tableModel{memo: NewMemo(n), rec: map[bitset.Mask]modelRec{}}
@@ -430,14 +406,12 @@ func runTableOps(t *testing.T, tab *Table, n int, pool []bitset.Mask, rng *rand.
 			tab.Put(s, w)
 			record(s, w)
 		case k < 7:
+			// A keep-the-cheaper store, as the DP drivers make: Memo.Improve
+			// decides (ties keep the incumbent) and the table is Put only
+			// then; record rewrites the memo's node.
 			w := winner(s)
-			// Memo.Improve is the oracle for "ties keep the incumbent"; its
-			// stored node is rewritten by record when it installs.
-			want := m.memo.Improve(s, &Node{Set: s, Cost: w.Cost})
-			if got := tab.Improve(s, w); got != want {
-				t.Fatalf("op %d: Improve(%v, cost %v) = %v, memo says %v", op, s, w.Cost, got, want)
-			}
-			if want {
+			if m.memo.Improve(s, &Node{Set: s, Cost: w.Cost}) {
+				tab.Put(s, w)
 				record(s, w)
 			}
 		case k < 8:
@@ -581,7 +555,6 @@ func TestTableRejectsSetsOutsideTheQuery(t *testing.T) {
 				t.Errorf("hint %d: %v probes as present", hint, s)
 			}
 			mustPanic(t, "Put outside the query", func() { tab.Put(s, w) })
-			mustPanic(t, "Improve outside the query", func() { tab.Improve(s, w) })
 		}
 		mustPanic(t, "PutBase of two relations", func() { tab.PutBase(3, &Node{}) })
 		if tab.Len() != 0 {

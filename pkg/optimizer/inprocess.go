@@ -30,7 +30,6 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		Timeout:   o.timeout,
 		Threads:   o.threads,
 		K:         o.k,
-		Seed:      o.seed,
 	}
 	if o.gpuDev > 0 {
 		cfg := gpusim.DefaultConfig()

@@ -45,20 +45,15 @@ const (
 	AlgDPCCP  Algorithm = "dpccp"
 	AlgMPDP   Algorithm = "mpdp"
 	// Exact, CPU-parallel.
-	AlgPDP          Algorithm = "pdp"
-	AlgDPE          Algorithm = "dpe"
 	AlgMPDPParallel Algorithm = "mpdp-cpu"
 	// Exact, GPU execution model.
 	AlgDPSizeGPU Algorithm = "dpsize-gpu"
 	AlgDPSubGPU  Algorithm = "dpsub-gpu"
 	AlgMPDPGPU   Algorithm = "mpdp-gpu"
 	// Heuristics.
-	AlgGEQO    Algorithm = "geqo"
 	AlgGOO     Algorithm = "goo"
-	AlgMinSel  Algorithm = "minsel"
 	AlgIKKBZ   Algorithm = "ikkbz"
 	AlgLinDP   Algorithm = "lindp"
-	AlgIDP1    Algorithm = "idp1"
 	AlgIDP2    Algorithm = "idp2-mpdp"
 	AlgUnionDP Algorithm = "uniondp-mpdp"
 	// AlgAuto picks the paper's recommended policy for the query size.
@@ -183,7 +178,6 @@ type callOptions struct {
 	timeout   time.Duration
 	threads   int
 	k         int
-	seed      int64
 	explain   bool
 	gpuDev    int
 	trace     bool
@@ -208,9 +202,6 @@ func WithThreads(n int) Option { return func(o *callOptions) { o.threads = n } }
 
 // WithK bounds the sub-problem size of IDP2/UnionDP (0: 15).
 func WithK(k int) Option { return func(o *callOptions) { o.k = k } }
-
-// WithSeed seeds the randomized heuristics.
-func WithSeed(s int64) Option { return func(o *callOptions) { o.seed = s } }
 
 // WithExplain asks for the rendered plan tree in Result.Explain.
 func WithExplain() Option { return func(o *callOptions) { o.explain = true } }
