@@ -35,8 +35,7 @@ const (
 	// cores.
 	CPUParallel ID = "cpu-parallel"
 	// GPU runs MPDP on the multi-device simulated GPU with fused pruning
-	// and CCC, coalescing concurrent requests into device-saturating
-	// batches.
+	// and CCC, one query's levels split across the device pool.
 	GPU ID = "gpu"
 	// Heuristic runs the approximate algorithms (IDP2, UnionDP, GOO, ...);
 	// it is the only backend whose plans are not guaranteed optimal.
@@ -56,8 +55,7 @@ type Options struct {
 	K       int
 	// Workspace, when non-nil, is the memory the run borrows (see
 	// core.Options.Workspace); the caller must not start another run on it
-	// before it is done with Result.Plan. The gpu backend's batched route
-	// runs on workspaces of its own — a batched job can outlive the call.
+	// before it is done with Result.Plan.
 	Workspace *dp.Workspace
 }
 
@@ -82,16 +80,15 @@ type Backend interface {
 	// Supports reports whether the backend can execute alg.
 	Supports(alg core.Algorithm) bool
 	// Optimize plans q with alg. Cancelling ctx aborts the run promptly
-	// with the context's error. Implementations must be safe for
+	// with the context's error. The run happens on the caller's goroutine
+	// and ends before Optimize returns. Implementations must be safe for
 	// concurrent use — the service worker pool calls them from many
 	// goroutines.
 	Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error)
-	// Close releases backend resources (the GPU backend's batcher).
-	Close()
 }
 
-// Set is the full backend lineup one service owns. Create with NewSet,
-// release with Close.
+// Set is the full backend lineup one service owns. Create with NewSet; it
+// holds no resources.
 type Set struct {
 	byID map[ID]Backend
 }
@@ -122,9 +119,5 @@ func (s *Set) For(alg core.Algorithm) Backend {
 	return nil
 }
 
-// Close releases every backend.
-func (s *Set) Close() {
-	for _, b := range s.byID {
-		b.Close()
-	}
-}
+// Deprecated: bench-compat; a Set holds nothing to release. No-op.
+func (s *Set) Close() {}

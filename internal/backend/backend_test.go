@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
+	"repro/internal/gpusim"
 	"repro/internal/workload"
 )
 
@@ -37,7 +38,6 @@ func relEq(a, b float64) bool {
 // backend, or claimed by two, fails here.
 func TestSetDispatch(t *testing.T) {
 	s := NewSet(GPUConfig{})
-	defer s.Close()
 	for _, id := range IDs() {
 		if s.Get(id) == nil {
 			t.Fatalf("Get(%s) = nil", id)
@@ -93,7 +93,6 @@ func TestSetDispatch(t *testing.T) {
 // cost-identical plans, and each result is stamped with its backend.
 func TestBackendsCostIdentical(t *testing.T) {
 	s := NewSet(GPUConfig{Devices: 2})
-	defer s.Close()
 	m := cost.DefaultModel()
 
 	for _, kind := range []workload.Kind{workload.KindCycle, workload.KindStar, workload.KindMB} {
@@ -133,29 +132,55 @@ func TestBackendsCostIdentical(t *testing.T) {
 	}
 }
 
-// TestGPUCoalescing: concurrent GPU requests coalesce into shared batches
-// and every caller still gets the right plan for its own query; a request
-// that finds the device pool idle is a batch of one on every device.
-func TestGPUCoalescing(t *testing.T) {
-	s := NewSet(GPUConfig{Devices: 4})
-	defer s.Close()
-	gpu := s.Get(GPU)
+// TestGPUMatchesDeviceModel: an mpdp-gpu request is one gpusim.MPDPGPUMulti
+// run on the whole device pool, with fused pruning and CCC. At 1, 2 and 4
+// devices, on the gpu route's everyday shapes (a tree, a cycle and a
+// snowflake), the plan, the enumeration counters and every number of the
+// device model — devices, per-device accounting, simulated time, aggregate
+// counts — are the direct call's, so the served gpu_sim_ms is the model's.
+func TestGPUMatchesDeviceModel(t *testing.T) {
 	m := cost.DefaultModel()
+	qs := []*cost.Query{
+		genQuery(t, workload.KindChain, 40, 1),
+		genQuery(t, workload.KindCycle, 40, 1),
+		genQuery(t, workload.KindSnowflake, 26, 1),
+	}
+	for _, devices := range []int{1, 2, 4} {
+		gpu := NewSet(GPUConfig{Devices: devices}).Get(GPU)
+		cfg := gpusim.Config{Device: gpusim.GTX1080(), Devices: devices, FusedPrune: true, CCC: true}
+		for _, q := range qs {
+			res, err := gpu.Optimize(context.Background(), q, core.AlgMPDPGPU, Options{Model: m, Workspace: new(dp.Workspace)})
+			if err != nil {
+				t.Fatalf("%d devices, %d relations: %v", devices, q.N(), err)
+			}
+			want, wantStats, wantGPU, err := gpusim.MPDPGPUMulti(dp.Input{Q: q, M: m}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(res.Plan.Cost) != math.Float64bits(want.Cost) || res.Plan.Explain(nil) != want.Explain(nil) || res.Stats != wantStats {
+				t.Errorf("%d devices, %d relations: cost %v %+v, model %v %+v", devices, q.N(), res.Plan.Cost, res.Stats, want.Cost, wantStats)
+			}
+			got := res.GPU
+			if got.Devices != devices || got.Devices != wantGPU.Devices || got.Stats != wantGPU.Stats || len(got.PerDevice) != len(wantGPU.PerDevice) {
+				t.Fatalf("%d devices, %d relations: served %d devices %+v, model %d devices %+v",
+					devices, q.N(), got.Devices, got.Stats, wantGPU.Devices, wantGPU.Stats)
+			}
+			for d := range got.PerDevice {
+				if got.PerDevice[d] != wantGPU.PerDevice[d] {
+					t.Errorf("%d devices, %d relations: device %d served %+v, model %+v", devices, q.N(), d, got.PerDevice[d], wantGPU.PerDevice[d])
+				}
+			}
+		}
+	}
+}
 
-	lone := genQuery(t, workload.KindChain, 10, 2)
-	res, err := gpu.Optimize(context.Background(), lone, core.AlgMPDPGPU, Options{Model: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU == nil || res.GPU.Devices != 4 {
-		t.Fatalf("a lone GPU run should use all 4 devices: %+v", res.GPU)
-	}
-	if ref, _, err := dp.DPCCP(dp.Input{Q: lone, M: m}); err != nil {
-		t.Fatal(err)
-	} else if !relEq(res.Plan.Cost, ref.Cost) {
-		t.Errorf("lone run: cost %g, want %g", res.Plan.Cost, ref.Cost)
-	}
-
+// TestGPUConcurrentCallers: the gpu backend runs each call on its caller's
+// goroutine and workspace, so concurrent callers — each on a workspace of
+// its own, as the service's workers are — all get the exact plan for their
+// own query.
+func TestGPUConcurrentCallers(t *testing.T) {
+	gpu := NewSet(GPUConfig{Devices: 4}).Get(GPU)
+	m := cost.DefaultModel()
 	const callers = 12
 	qs := make([]*cost.Query, callers)
 	refs := make([]float64, callers)
@@ -175,7 +200,7 @@ func TestGPUCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = gpu.Optimize(context.Background(), qs[i], core.AlgMPDPGPU, Options{Model: m})
+			results[i], errs[i] = gpu.Optimize(context.Background(), qs[i], core.AlgMPDPGPU, Options{Model: m, Workspace: new(dp.Workspace)})
 		}(i)
 	}
 	wg.Wait()
@@ -193,7 +218,6 @@ func TestGPUCoalescing(t *testing.T) {
 // service's fallback path can engage.
 func TestGPUTimeout(t *testing.T) {
 	s := NewSet(GPUConfig{Devices: 2})
-	defer s.Close()
 	q := genQuery(t, workload.KindClique, 17, 1)
 	_, err := s.Get(GPU).Optimize(context.Background(), q, core.AlgMPDPGPU, Options{Model: cost.DefaultModel(), Timeout: time.Nanosecond})
 	if !errors.Is(err, dp.ErrTimeout) {
@@ -201,43 +225,10 @@ func TestGPUTimeout(t *testing.T) {
 	}
 }
 
-// TestGPUBatchTakesWhatIsQueued: batch formation never waits. With k jobs
-// queued behind the first it takes min(k+1, BatchMax) in arrival order and
-// leaves the rest for the next batch; with none queued the batch is the
-// first job alone.
-func TestGPUBatchTakesWhatIsQueued(t *testing.T) {
-	const batchMax = 4
-	for _, queued := range []int{0, 1, 3, 4, 9} {
-		jobs := make([]*gpuJob, queued+1)
-		for i := range jobs {
-			jobs[i] = &gpuJob{}
-		}
-		ch := make(chan *gpuJob, queued+1)
-		for _, j := range jobs[1:] {
-			ch <- j
-		}
-		// Nothing ever sends on ch again: returning at all is the proof
-		// that formation does not wait for company.
-		batch := takeBatch(jobs[0], ch, batchMax)
-		if want := min(queued+1, batchMax); len(batch) != want {
-			t.Fatalf("%d queued: batch of %d, want %d", queued, len(batch), want)
-		}
-		for i, j := range batch {
-			if j != jobs[i] {
-				t.Errorf("%d queued: batch[%d] is not job %d: arrival order lost", queued, i, i)
-			}
-		}
-		if left := len(ch); left != queued+1-len(batch) {
-			t.Errorf("%d queued: %d left in the queue, want %d", queued, left, queued+1-len(batch))
-		}
-	}
-}
-
 // TestGPUBaselineAlgorithms: the DPSub/DPSize GPU baselines run
 // single-device through the same backend.
 func TestGPUBaselineAlgorithms(t *testing.T) {
 	s := NewSet(GPUConfig{Devices: 4})
-	defer s.Close()
 	q := genQuery(t, workload.KindStar, 9, 4)
 	m := cost.DefaultModel()
 	ref, _, err := dp.DPCCP(dp.Input{Q: q, M: m})
@@ -254,73 +245,6 @@ func TestGPUBaselineAlgorithms(t *testing.T) {
 		}
 		if res.GPU == nil || res.GPU.Devices != 1 {
 			t.Errorf("%s: baselines are single-device, got %+v", alg, res.GPU)
-		}
-	}
-}
-
-// TestCloseIdempotent: Set.Close (and the GPU batcher inside it) must be
-// safe to call twice — the service layer closes its backend set on every
-// shutdown path.
-func TestCloseIdempotent(t *testing.T) {
-	s := NewSet(GPUConfig{})
-	s.Close()
-	s.Close()
-}
-
-// TestGPUOptimizeAfterCloseFailsLoudly: an Optimize racing (or following)
-// Close must return ErrGPUClosed, not hang on a job the drained batcher
-// will never service.
-func TestGPUOptimizeAfterCloseFailsLoudly(t *testing.T) {
-	s := NewSet(GPUConfig{Devices: 2})
-	gpu := s.Get(GPU)
-	s.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := gpu.Optimize(context.Background(), genQuery(t, workload.KindChain, 8, 1), core.AlgMPDPGPU, Options{Model: cost.DefaultModel()})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrGPUClosed) {
-			t.Errorf("err = %v, want ErrGPUClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Optimize after Close hung")
-	}
-}
-
-// TestGPUPlansSurviveLaterBatches: the batcher runs its jobs on workspaces
-// it rewinds from batch to batch, so the tree it hands out must be a copy.
-// Plans kept from earlier batches still validate and still carry their
-// costs after later batches have run over the same workspaces.
-func TestGPUPlansSurviveLaterBatches(t *testing.T) {
-	s := NewSet(GPUConfig{Devices: 2})
-	defer s.Close()
-	m := cost.DefaultModel()
-	type kept struct {
-		q    *cost.Query
-		res  *Result
-		text string
-	}
-	var plans []kept
-	for i := 0; i < 6; i++ {
-		q := genQuery(t, workload.KindCycle, 8+i, int64(40+i))
-		res, err := s.Get(GPU).Optimize(context.Background(), q, core.AlgMPDPGPU, Options{Model: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, kept{q, res, res.Plan.Explain(nil)})
-	}
-	for i, k := range plans {
-		rels := make([]int, k.q.N())
-		for r := range rels {
-			rels[r] = r
-		}
-		if err := k.res.Plan.Validate(rels); err != nil {
-			t.Errorf("plan %d after %d later batches: %v", i, len(plans)-1-i, err)
-		}
-		if got := k.res.Plan.Explain(nil); got != k.text {
-			t.Errorf("plan %d changed after later batches:\n%s\nwas:\n%s", i, got, k.text)
 		}
 	}
 }

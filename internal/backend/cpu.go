@@ -52,8 +52,6 @@ func (cpuSeq) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, o
 	return coreOptimize(ctx, CPUSeq, q, alg, opts, 1)
 }
 
-func (cpuSeq) Close() {}
-
 // cpuParallel executes the level-parallel CPU MPDP.
 type cpuParallel struct{}
 
@@ -68,8 +66,6 @@ func (cpuParallel) Supports(alg core.Algorithm) bool {
 func (cpuParallel) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
 	return coreOptimize(ctx, CPUParallel, q, alg, opts, opts.Threads)
 }
-
-func (cpuParallel) Close() {}
 
 // heuristicBackend executes the approximate algorithms.
 type heuristicBackend struct{}
@@ -89,5 +85,3 @@ func (heuristicBackend) Supports(alg core.Algorithm) bool {
 func (heuristicBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
 	return coreOptimize(ctx, Heuristic, q, alg, opts, opts.Threads)
 }
-
-func (heuristicBackend) Close() {}

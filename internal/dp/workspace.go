@@ -10,16 +10,16 @@ import (
 // the DP table's arrays, the connected-set census, the per-worker evaluator
 // scratch, Algorithm 2's edge index and the arena of the returned plan tree.
 // Whoever runs enumerations one after another — a service worker, a
-// heuristic that calls the exact DP once per sub-problem, the GPU batcher —
-// owns one and hands it to every run through Input.Workspace; the second
-// run then allocates its base plans and little else.
+// heuristic that calls the exact DP once per sub-problem — owns one and
+// hands it to every run through Input.Workspace; the second run then
+// allocates its base plans and little else.
 //
 // A run is everything between one driver's Prepare and its return. What a
 // run hands back aliases the workspace — the plan tree its arena, the
 // buckets of ConnectedBuckets its census — and stays valid until the
 // workspace's next run begins, so an owner copies what it keeps (the
-// heuristics splice, the service remaps, the GPU batcher clones). One run
-// at a time: concurrent runs need a workspace each.
+// heuristics splice, the service remaps). One run at a time: concurrent
+// runs need a workspace each.
 //
 // No result depends on it. A recycled table is slot for slot the fresh one
 // (plan.Table.Reset), the census is rewritten before it is read, and the

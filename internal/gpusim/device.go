@@ -62,8 +62,8 @@ func GTX1080() *Device {
 type Config struct {
 	Device *Device
 	// Devices is the simulated device count for the multi-device scheduler
-	// (MPDPGPUMulti/MPDPGPUBatch); 0 and 1 both mean a single device. The
-	// single-device entry points (MPDPGPU etc.) ignore it.
+	// (MPDPGPUMulti); 0 and 1 both mean a single device. The single-device
+	// entry points (MPDPGPU etc.) ignore it.
 	Devices int
 	// FusedPrune prunes in shared memory at the end of the evaluate kernel
 	// (one global write per set); false models the separate prune kernel of

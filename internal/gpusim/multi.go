@@ -1,8 +1,6 @@
 package gpusim
 
 import (
-	"sync"
-
 	"repro/internal/bitset"
 	"repro/internal/combinat"
 	"repro/internal/dp"
@@ -11,12 +9,12 @@ import (
 	"repro/internal/plan"
 )
 
-// MultiStats is the device work model of one optimization (or one batched
-// query) executed across several simulated devices. The aggregate Stats
-// sums the per-device work; its SimTimeMS is the level-synchronous wall
-// time — per level, the devices run concurrently and the level ends when
-// the slowest device finishes, so wall time is the sum over levels of the
-// per-level maximum, not the sum of device busy times.
+// MultiStats is the device work model of one optimization executed across
+// several simulated devices. The aggregate Stats sums the per-device work;
+// its SimTimeMS is the level-synchronous wall time — per level, the devices
+// run concurrently and the level ends when the slowest device finishes, so
+// wall time is the sum over levels of the per-level maximum, not the sum of
+// device busy times.
 type MultiStats struct {
 	Stats
 	// Devices is the number of simulated devices this run was scheduled on.
@@ -247,86 +245,12 @@ func multiEvaluateGeneral(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask,
 	return nil
 }
 
-// chunk returns the [lo, hi) slice bounds of device d's share of n items
-// split near-evenly across ndev devices (first n%ndev chunks are one
-// larger).
-func chunk(n, ndev, d int) (int, int) {
-	base, rem := n/ndev, n%ndev
-	lo := d*base + min(d, rem)
-	hi := lo + base
-	if d < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-// chunkShare splits a work count the same way chunk splits a slice.
+// chunkShare is device d's share of total work items split near-evenly
+// across ndev devices (the first total%ndev devices take one more).
 func chunkShare(total uint64, ndev, d int) uint64 {
 	base, rem := total/uint64(ndev), total%uint64(ndev)
 	if uint64(d) < rem {
 		return base + 1
 	}
 	return base
-}
-
-// BatchResult is one query's outcome within a batched GPU run.
-type BatchResult struct {
-	Plan  *plan.Node
-	Stats dp.Stats
-	GPU   MultiStats
-	Err   error
-}
-
-// MPDPGPUBatch schedules a coalesced batch of independent queries across
-// the configured devices so the batch saturates all of them: with B
-// queries on N devices, the devices are split into B near-equal groups
-// when B < N (each query runs multi-device on its group), and queries
-// round-robin onto single devices when B >= N (queries sharing a device
-// run back-to-back, which their reported sim times reflect). All groups
-// execute concurrently in wall time.
-func MPDPGPUBatch(ins []dp.Input, cfg Config) []BatchResult {
-	out := make([]BatchResult, len(ins))
-	if len(ins) == 0 {
-		return out
-	}
-	ndev := cfg.deviceCount()
-
-	if len(ins) < ndev {
-		// Fewer queries than devices: give each query its own device group.
-		var wg sync.WaitGroup
-		for i := range ins {
-			lo, hi := chunk(ndev, len(ins), i)
-			gcfg := cfg
-			gcfg.Devices = hi - lo
-			wg.Add(1)
-			go func(i int, gcfg Config) {
-				defer wg.Done()
-				out[i].Plan, out[i].Stats, out[i].GPU, out[i].Err = MPDPGPUMulti(ins[i], gcfg)
-			}(i, gcfg)
-		}
-		wg.Wait()
-		return out
-	}
-
-	// More queries than devices: one device per query, one worker goroutine
-	// per device draining its round-robin queue sequentially. Queue wait is
-	// reflected in each query's sim time by accumulating the device's
-	// backlog.
-	gcfg := cfg
-	gcfg.Devices = 1
-	var wg sync.WaitGroup
-	for d := 0; d < ndev; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			backlogMS := 0.0
-			for i := d; i < len(ins); i += ndev {
-				out[i].Plan, out[i].Stats, out[i].GPU, out[i].Err = MPDPGPUMulti(ins[i], gcfg)
-				out[i].GPU.SimTimeMS += backlogMS
-				backlogMS = out[i].GPU.SimTimeMS
-			}
-		}(d)
-	}
-	wg.Wait()
-	return out
 }

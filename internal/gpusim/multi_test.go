@@ -192,81 +192,6 @@ func TestMultiDeviceMatchesSingleDeviceModel(t *testing.T) {
 	}
 }
 
-// TestBatchSaturatesDevices: a batch of B queries on N devices must give
-// every query a device group, return correct plans for all of them, and
-// use all N devices when B < N.
-func TestBatchSaturatesDevices(t *testing.T) {
-	m := cost.DefaultModel()
-	mkBatch := func(b int) []dp.Input {
-		ins := make([]dp.Input, b)
-		for i := range ins {
-			ins[i] = dp.Input{Q: multiQuery(t, workload.KindCycle, 10+i%3, int64(i)), M: m}
-		}
-		return ins
-	}
-
-	for _, tc := range []struct {
-		batch, devices int
-	}{
-		{1, 4}, // one query spreads over all 4 devices
-		{3, 4}, // groups of 2/1/1
-		{8, 4}, // two queries per device, run back-to-back
-	} {
-		t.Run(fmt.Sprintf("b=%d/n=%d", tc.batch, tc.devices), func(t *testing.T) {
-			ins := mkBatch(tc.batch)
-			cfg := DefaultConfig()
-			cfg.Devices = tc.devices
-			out := MPDPGPUBatch(ins, cfg)
-			if len(out) != tc.batch {
-				t.Fatalf("got %d results, want %d", len(out), tc.batch)
-			}
-			groupDevs := 0
-			for i, r := range out {
-				if r.Err != nil {
-					t.Fatalf("query %d: %v", i, r.Err)
-				}
-				ref, _, err := dp.DPCCP(ins[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !relClose(r.Plan.Cost, ref.Cost) {
-					t.Errorf("query %d: cost %g, want %g", i, r.Plan.Cost, ref.Cost)
-				}
-				groupDevs += r.GPU.Devices
-			}
-			if tc.batch < tc.devices && groupDevs != tc.devices {
-				t.Errorf("device groups sum to %d, want all %d devices in use", groupDevs, tc.devices)
-			}
-			if tc.batch >= tc.devices {
-				for i, r := range out {
-					if r.GPU.Devices != 1 {
-						t.Errorf("query %d: got %d devices, want 1 when batch >= devices", i, r.GPU.Devices)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBatchBacklogAccumulates: when queries share one device, the later
-// query's reported sim time includes the earlier one's — the device is
-// busy.
-func TestBatchBacklogAccumulates(t *testing.T) {
-	m := cost.DefaultModel()
-	q := multiQuery(t, workload.KindCycle, 12, 9)
-	ins := []dp.Input{{Q: q, M: m}, {Q: q, M: m}}
-	cfg := DefaultConfig()
-	cfg.Devices = 1
-	out := MPDPGPUBatch(ins, cfg)
-	if out[0].Err != nil || out[1].Err != nil {
-		t.Fatal(out[0].Err, out[1].Err)
-	}
-	if out[1].GPU.SimTimeMS <= out[0].GPU.SimTimeMS {
-		t.Errorf("second query on a shared device simulated %.4fms, want > first's %.4fms (queue wait)",
-			out[1].GPU.SimTimeMS, out[0].GPU.SimTimeMS)
-	}
-}
-
 // TestMultiTreeLevelsBitIdentical: the tree path's level workers, one per
 // device, write winners into claimed slots as they go. On 1 to 4 devices the
 // plan (cost bits and explain bytes) is the sequential enumerator's, and the

@@ -417,9 +417,9 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		a.failEnv(w, http.StatusTooManyRequests, e)
 		return
 	}
-	// One goroutine per statement: concurrent submission is what lets the
-	// service's worker pool and the GPU batcher's coalescing window turn
-	// one HTTP request into device-saturating batches.
+	// One goroutine per statement: concurrent submission lets the
+	// service's worker pool optimize one HTTP request's statements in
+	// parallel.
 	wqs := make([]*WireQuery, 0, total)
 	for i := range req.Statements {
 		wqs = append(wqs, &WireQuery{SQL: req.Statements[i]})

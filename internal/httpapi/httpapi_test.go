@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -123,11 +124,10 @@ func contains(ss []string, want string) bool {
 // budget expires.
 func wedgeConfig() service.Config {
 	return service.Config{
-		Workers:          1,
-		Threads:          1,
-		ExactLimit:       64,
-		CliqueExactLimit: 64,
-		Timeout:          time.Hour,
+		Workers:   1,
+		Threads:   1,
+		Crossover: &backend.Crossover{CPUParallelLimit: 64, CliqueCPULimit: 64},
+		Timeout:   time.Hour,
 	}
 }
 

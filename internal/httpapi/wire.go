@@ -440,8 +440,7 @@ type WireQuery = wire.Query
 func FromQuery(q *cost.Query) *WireQuery { return wire.FromQuery(q) }
 
 // BatchRequest is the body of POST /v1/batch: a set of statements and/or
-// structured queries optimized concurrently, which lets the GPU backend's
-// batcher coalesce them into device-saturating batches within one request.
+// structured queries optimized concurrently on the service's worker pool.
 type BatchRequest struct {
 	// Statements are SQL texts in the internal dialect.
 	Statements []string `json:"statements,omitempty"`

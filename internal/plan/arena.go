@@ -17,7 +17,7 @@ import "repro/internal/bitset"
 // a run borrows from its owner, rewound when the owner's next run begins.
 // Nodes handed out remain valid until then, so whoever keeps a tree past
 // its run copies it first (the heuristics splice, the service remaps into
-// the cache entry, the GPU batcher clones). Not safe for concurrent use.
+// the cache entry). Not safe for concurrent use.
 type Arena struct {
 	chunks [][]Node // chunks[i] has len = nodes handed out, cap = chunk size
 	ci     int      // index of the active chunk

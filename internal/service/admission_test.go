@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/workload"
 )
 
@@ -89,7 +90,7 @@ func TestImmediateShedWhenQueueFull(t *testing.T) {
 	svc := New(Config{
 		Workers:    1,
 		QueueDepth: 1,
-		ExactLimit: 64,
+		Crossover:  &backend.Crossover{CPUParallelLimit: 64},
 		Timeout:    time.Hour,
 		Admission:  Admission{MaxQueueWait: -1},
 	})

@@ -47,16 +47,8 @@ type Config struct {
 	// band empty (e.g. GPULimit < CPUParallelLimit disables the GPU
 	// band).
 	Crossover *backend.Crossover
-	// SmallLimit, when non-zero, overrides Crossover.SmallLimit (kept for
-	// configuration compatibility with the pre-backend router).
-	SmallLimit int
-	// ExactLimit, when non-zero, overrides Crossover.CPUParallelLimit.
-	ExactLimit int
-	// CliqueExactLimit, when non-zero, overrides Crossover.CliqueCPULimit.
-	CliqueExactLimit int
-	// GPU configures the simulated GPU backend: device model, device
-	// count and the cap on a coalesced batch (zero value: 2 × GTX 1080,
-	// batches of up to 4).
+	// GPU configures the simulated GPU backend: device model and device
+	// count (zero value: 2 × GTX 1080).
 	GPU backend.GPUConfig
 	// K is the sub-problem bound for IDP2/UnionDP (0: 15).
 	K int
@@ -99,24 +91,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// crossover resolves the router thresholds: the Crossover field (or the
-// calibrated defaults), with the legacy per-field overrides applied on
-// top.
+// crossover resolves the router thresholds: the Crossover field, or the
+// calibrated defaults.
 func (c Config) crossover() backend.Crossover {
-	x := backend.DefaultCrossover()
 	if c.Crossover != nil {
-		x = c.Crossover.WithDefaults()
+		return c.Crossover.WithDefaults()
 	}
-	if c.SmallLimit != 0 {
-		x.SmallLimit = c.SmallLimit
-	}
-	if c.ExactLimit != 0 {
-		x.CPUParallelLimit = c.ExactLimit
-	}
-	if c.CliqueExactLimit != 0 {
-		x.CliqueCPULimit = c.CliqueExactLimit
-	}
-	return x
+	return backend.DefaultCrossover()
 }
 
 // Result is one service answer. Plan is always a private copy in the
@@ -210,7 +191,7 @@ type Service struct {
 	once sync.Once
 }
 
-// New starts a service, its execution backends and its worker pool.
+// New starts a service and its worker pool.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
@@ -234,15 +215,12 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Close stops the worker pool, then the backends: queued-but-unstarted
-// requests are abandoned (their callers return ErrClosed) and Close waits
-// only for optimizations already running on a worker to finish. The
-// backends close after the workers, so no in-flight optimization can race
-// the GPU batcher's shutdown.
+// Close stops the worker pool: queued-but-unstarted requests are abandoned
+// (their callers return ErrClosed) and Close waits only for optimizations
+// already running on a worker to finish.
 func (s *Service) Close() {
 	s.once.Do(func() { close(s.quit) })
 	s.wg.Wait()
-	s.backends.Close()
 }
 
 // Counters returns the live instrumentation (expvar.Var compatible).

@@ -315,7 +315,7 @@ func TestFallbackOnTimeout(t *testing.T) {
 	}
 	// Force the router to hand a 16-clique to sequential DPCCP with a
 	// budget it cannot meet; the service must fall back to UnionDP.
-	s := New(Config{SmallLimit: 16, Timeout: 150 * time.Millisecond, K: 8})
+	s := New(Config{Crossover: &backend.Crossover{SmallLimit: 16}, Timeout: 150 * time.Millisecond, K: 8})
 	defer s.Close()
 	q := genQuery(t, workload.KindClique, 16, 2)
 	res, err := s.Optimize(context.Background(), q)

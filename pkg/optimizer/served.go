@@ -42,20 +42,20 @@ type served struct {
 
 // Served starts an in-process optimizer service and returns it as an
 // Optimizer: requests gain the canonical-fingerprint plan cache, request
-// coalescing, the adaptive (algorithm, backend) router and the GPU
-// batcher. Algorithm choice is the router's; WithAlgorithm is rejected
-// with ErrServerRouted. Close shuts the worker pool down.
+// coalescing and the adaptive (algorithm, backend) router. Algorithm
+// choice is the router's; WithAlgorithm is rejected with ErrServerRouted.
+// Close shuts the worker pool down.
 func Served(cfg ServedConfig) Optimizer {
 	return &served{svc: service.New(service.Config{
-		Workers:          cfg.Workers,
-		CacheCapacity:    cfg.CacheCapacity,
-		CacheShards:      cfg.CacheShards,
-		Timeout:          cfg.Timeout,
-		Threads:          cfg.Threads,
-		K:                cfg.K,
-		ExactLimit:       cfg.ExactLimit,
-		CliqueExactLimit: cfg.ExactLimit,
-		GPU:              backend.GPUConfig{Devices: cfg.GPUDevices},
+		Workers:       cfg.Workers,
+		CacheCapacity: cfg.CacheCapacity,
+		CacheShards:   cfg.CacheShards,
+		Timeout:       cfg.Timeout,
+		Threads:       cfg.Threads,
+		K:             cfg.K,
+		// Zero limits keep the calibrated defaults.
+		Crossover: &backend.Crossover{CPUParallelLimit: cfg.ExactLimit, CliqueCPULimit: cfg.ExactLimit},
+		GPU:       backend.GPUConfig{Devices: cfg.GPUDevices},
 	})}
 }
 
