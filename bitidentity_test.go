@@ -6,8 +6,14 @@
 // three instrumentation counters. The lines in testdata/bitidentity.golden
 // were generated at the commit before the DP table was rebuilt (PR 17) — the
 // larger trees and the IDP2 rows at the commit before Algorithm 2's kernel
-// was (PR 22) — and must not change when the table, the pruning order or an
-// evaluator does.
+// was rebuilt — and must not change when the table or the pruning order
+// does. An evaluator change may move one field alone, evaluated=, of the
+// rows of the enumerator it changed, and only by examining a different
+// number of candidate pairs: cost, explain, tree, ccp and sets are the plan
+// and the census, and stay byte-identical on every row. The CPU MPDP rows'
+// evaluated= moved once that way, when Algorithm 3 began to find each
+// block pair from one side only (grid-4x4 992 300 → 752 983,
+// triangle-ring-7 76 826 → 53 867, musicbrainz-16 28 132 → 27 628).
 package repro
 
 import (

@@ -27,22 +27,26 @@ func (b *bestWin) offer(l, r bitset.Mask, op plan.Op, rows, cost float64) {
 // current winner, from the two children's stored costs alone — before any
 // selectivity or operator costing, and before the children's entries are
 // even fetched (the evaluators read the table's cost lane, call this, and
-// view only the survivors): every join operator's total cost is bounded
-// below by lCost + rCost — except the index nested loop, which omits the
-// right child's cost but exists only for leaf right sides (rLeaf:
-// Table.IsLeaf), so the bound degrades to lCost alone there. All remaining
-// cost terms are non-negative (cardinalities and cost constants are
-// non-negative), and ties never replace the incumbent, so pruning at
-// bound >= best leaves the winning plan bit-identical.
+// view only the survivors): its cost is at least childBound, and ties never
+// replace the incumbent, so pruning at bound >= best leaves the winning plan
+// bit-identical.
 //
 //mpdp:hotpath
 func (b *bestWin) hopeless(lCost, rCost float64, rLeaf bool) bool {
-	if !b.Found {
-		return false
+	return b.Found && childBound(lCost, rCost, rLeaf) >= b.Cost
+}
+
+// childBound is a lower bound on the cost of joining children of costs lCost
+// and rCost: every join operator's total cost is at least lCost + rCost —
+// except the index nested loop, which omits the right child's cost but
+// exists only for leaf right sides (rLeaf: Table.IsLeaf), so the bound
+// degrades to lCost alone there. All remaining cost terms are non-negative
+// (cardinalities and cost constants are non-negative).
+//
+//mpdp:hotpath
+func childBound(lCost, rCost float64, rLeaf bool) float64 {
+	if rLeaf {
+		return lCost
 	}
-	bound := lCost
-	if !rLeaf {
-		bound += rCost
-	}
-	return bound >= b.Cost
+	return lCost + rCost
 }

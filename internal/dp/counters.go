@@ -16,8 +16,10 @@ import (
 // MPDPEvaluated is the paper's count and the GPU kernel's volume: every
 // proper subset of every block (UnrankedPairs), or 2(|S|−1) per set on a
 // tree. A CPU MPDP run reports at most that in Stats.Evaluated — it walks
-// the connected subsets of a block only — and exactly that on trees and
-// cliques.
+// the connected subsets of a block that lack the block's lowest vertex,
+// counting a valid pair twice and an invalid one once — and exactly that on
+// trees and cliques. The census itself is collected by the walk that
+// buckets the DP's connected sets (csgWalk).
 type CounterReport struct {
 	// PerSizeConnected[i] is the number of connected subsets of size i.
 	PerSizeConnected []uint64
@@ -45,29 +47,24 @@ func Counters(in Input) (CounterReport, error) {
 	isTree := g.IsTree()
 
 	cnt := make([]uint64, n+1)
-	expired := false
 	var bsc graph.BlockScratch
-	enumerateCsg(g, func(s bitset.Mask) bool {
+	var w csgWalk
+	w.start(g, bitset.Full(n))
+	for s := w.next(); !s.Empty(); s = w.next() {
 		if dl.Expired() {
-			expired = true
-			return false
+			return rep, dl.Err()
 		}
 		c := s.Count()
 		cnt[c]++
-		if c < 2 {
-			return true
-		}
-		if isTree {
+		switch {
+		case c < 2:
+		case isTree:
 			// Algorithm 2: one evaluation per edge of the induced tree,
 			// costed in both orientations.
 			rep.MPDPEvaluated += uint64(2 * (c - 1))
-		} else {
+		default:
 			rep.MPDPEvaluated += UnrankedPairs(g, s, &bsc)
 		}
-		return true
-	})
-	if expired {
-		return rep, dl.Err()
 	}
 	rep.PerSizeConnected = cnt
 	for size := 1; size <= n; size++ {

@@ -37,11 +37,14 @@ import (
 // Stats carries the instrumentation counters of one optimizer run.
 type Stats struct {
 	// Evaluated is the paper's EvaluatedCounter: the number of join pairs
-	// the algorithm examined, valid or not. For CPU MPDP that is the
-	// connected proper subsets of each block, fewer than the
-	// every-subset-of-every-block volume the paper plots and a device
-	// executes; that one is CounterReport.MPDPEvaluated (UnrankedPairs),
-	// and it is what the GPU-model runs report here.
+	// the algorithm examined, valid or not. CPU MPDP examines each block
+	// pair once, from its side without the block's lowest vertex: a valid
+	// pair counts twice, once per orientation costed, and one whose other
+	// side is disconnected once. So CCP ≤ Evaluated, with equality on trees,
+	// cycles, cliques and any set whose blocks have no invalid pairs — far
+	// below the every-subset-of-every-block volume the paper plots and a
+	// device executes; that one is CounterReport.MPDPEvaluated
+	// (UnrankedPairs), and it is what the GPU-model runs report here.
 	Evaluated uint64
 	// CCP is the paper's CCP-Counter: the number of valid join pairs
 	// (connected-subgraph complement pairs), including symmetric ones.
@@ -225,6 +228,8 @@ type Scratch struct {
 	Blocks graph.BlockScratch
 	// walk is the stack of the per-block connected-subset walk.
 	walk csgWalk
+	// whole is the block list of a set the Dirac test proves 2-connected.
+	whole [1]bitset.Mask
 }
 
 // SetEvaluator computes the best join of one connected set S given the DP

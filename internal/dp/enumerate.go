@@ -6,34 +6,14 @@ import (
 )
 
 // This file implements the Moerkotte–Neumann connected-subgraph enumeration
-// [24] used three times: DPCCP consumes csg-cmp pairs directly; the
-// vertex-based algorithms (DPSub, MPDP) use the csg side alone to collect
-// the connected sets S_i of each size without touching the C(n,i)
-// disconnected ones; and MPDP's per-set evaluator walks the connected
-// subsets of each block the same way (csgWalk) instead of unranking all
-// 2^|B| of them. The GPU model accounts for the unrank+filter cost of what
-// the CPU skips separately; see internal/gpusim.
-
-// enumerateCsg calls emit for every connected subset of g exactly once,
-// stopping the whole enumeration as soon as emit returns false — a deadline
-// or memo-cap abort must not keep walking a 2^n lattice it can no longer
-// use. Enumeration follows EnumerateCsg/EnumerateCsgRec of [24]: subsets
-// are seeded from each vertex v (excluding all smaller-numbered vertices)
-// and grown through the neighbourhood.
-//
-//mpdp:hotpath
-func enumerateCsg(g *graph.Graph, emit func(s bitset.Mask) bool) {
-	n := g.N
-	for v := n - 1; v >= 0; v-- {
-		s := bitset.Single(v)
-		if !emit(s) {
-			return
-		}
-		if !enumerateCsgRec(g, s, bitset.Full(v+1), emit) {
-			return
-		}
-	}
-}
+// [24] used three times: DPCCP consumes csg-cmp pairs directly
+// (enumerateCsgRec, enumerateCmp); the vertex-based algorithms (DPSub,
+// MPDP) and Counters collect the connected sets S_i of each size without
+// touching the C(n,i) disconnected ones; and MPDP's per-set evaluator walks
+// the connected subsets of each block the same way instead of unranking all
+// 2^|B| of them. The last two share one iterative walk (csgWalk). The GPU
+// model accounts for the unrank+filter cost of what the CPU skips
+// separately; see internal/gpusim.
 
 // enumerateCsgRec grows s by every non-empty subset of its neighbourhood
 // outside the exclusion set x, emitting each grown set and recursing. It
@@ -58,14 +38,16 @@ func enumerateCsgRec(g *graph.Graph, s, x bitset.Mask, emit func(bitset.Mask) bo
 	return true
 }
 
-// csgWalk is enumerateCsg/enumerateCsgRec confined to a vertex subset and
-// turned inside out: an explicit stack replaces the recursion and next
-// replaces the emit callback, so the MPDP evaluator can walk the connected
-// subsets of a block from its own loop without a closure or an allocation.
-// A set is handed out before its extensions (pre-order) instead of after
-// all its siblings; the collection is the same, each connected subset of
-// within exactly once, and the evaluator reads a finished table, so the
-// order carries no dependency.
+// csgWalk is EnumerateCsg/EnumerateCsgRec of [24] confined to a vertex
+// subset and turned inside out: an explicit stack replaces the recursion and
+// next replaces the emit callback, so the census and the MPDP evaluator walk
+// connected subsets from their own loops without a closure or an
+// allocation. Start vertices are taken highest first, each excluding every
+// smaller-numbered vertex, and a set is handed out before its extensions
+// (pre-order) instead of after all its siblings; the collection is that of
+// [24], each connected subset of within exactly once. The census buckets by
+// size and the levels read a finished table, so neither depends on the
+// order; the evaluator's tie rule does, and preorderLess reproduces it.
 type csgWalk struct {
 	g      *graph.Graph
 	within bitset.Mask // the vertex subset the walk is confined to
@@ -93,6 +75,38 @@ func (w *csgWalk) start(g *graph.Graph, within bitset.Mask) {
 		w.stack = make([]csgFrame, g.N)
 	}
 	w.g, w.within, w.roots, w.depth = g, within, within, 0
+}
+
+// startHalf points the walk at the connected subsets of the subgraph induced
+// by within that lack within's lowest vertex v0: the walk of start without
+// its last root, so exactly one side of every bipartition of within.
+func (w *csgWalk) startHalf(g *graph.Graph, within bitset.Mask) {
+	w.start(g, within)
+	w.roots = within.Diff(within.LowestBit())
+}
+
+// preorderLess reports whether the walk of start(g, block) hands out a
+// before b, for two distinct connected subsets of block that both hold its
+// lowest vertex v0 — both under root v0, which the walk takes last. It
+// retraces the frames from {v0} the way push opens them: at each frame the
+// two sets take their parts of the frame's nb, and the first frame where the
+// parts differ decides. A set that takes nothing there is the frame's own
+// set, handed out before every extension; otherwise NextSubset counts
+// upward, so the numerically smaller part comes first.
+func preorderLess(g *graph.Graph, block, a, b bitset.Mask) bool {
+	v0 := block.Lowest()
+	adj, x := g.AdjMask(v0), bitset.Full(v0+1)
+	for {
+		nb := adj.Intersect(block.Diff(x))
+		pa, pb := a.Intersect(nb), b.Intersect(nb)
+		if pa != pb {
+			return pa.Empty() || (!pb.Empty() && pa < pb)
+		}
+		if pa.Empty() {
+			return false // a == b
+		}
+		adj, x = adj.Union(g.NeighborhoodOf(pa)), x.Union(nb)
+	}
 }
 
 // next returns the next connected subset, or the empty set once the walk is
@@ -142,24 +156,20 @@ func (w *csgWalk) push(s, adj, x, open bitset.Mask) {
 // connectedSetsBySize buckets every connected subset of g by cardinality:
 // result[i] holds the connected sets of size i (result[0] is empty). This
 // is the "S_i" collection of Algorithms 1–3, collected into ws's census
-// buckets. The deadline is polled during enumeration; a nil return signals
-// expiry.
+// buckets by ws's walk. On a star or a clique the walk never pushes a frame
+// below a root, so the census is a plain subset loop. The deadline is polled
+// once per set; a nil return signals expiry.
 func connectedSetsBySize(g *graph.Graph, dl *Deadline, ws *Workspace) [][]bitset.Mask {
 	buckets := ws.buckets(g.N)
-	expired := false
+	w := ws.walk()
+	w.start(g, bitset.Full(g.N))
 	total := 0
-	enumerateCsg(g, func(s bitset.Mask) bool {
-		total++
-		if dl.Expired() || total > maxConnectedSets {
-			expired = true
-			return false
+	for s := w.next(); !s.Empty(); s = w.next() {
+		if total++; dl.Expired() || total > maxConnectedSets {
+			return nil
 		}
 		c := s.Count()
 		buckets[c] = append(buckets[c], s)
-		return true
-	})
-	if expired {
-		return nil
 	}
 	return buckets
 }

@@ -83,19 +83,36 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 // join costing. It is shared by the sequential, CPU-parallel and GPU-model
 // variants so their plans agree exactly.
 //
-// Line 6 of the algorithm ranges lb over every proper subset of the block,
-// which is the right shape for a warp that unranks subsets in lockstep and
-// the wrong one for a CPU: here lb ranges over the connected subsets of the
-// block only (csgWalk), so the work per block is csg(B) and not 2^|B| —
-// a cycle-24 block has 553 connected subsets among 16.7 M. A block is
-// connected, so an lb with a non-empty remainder always has an edge to it,
-// and the one test left of the CCP block is whether the remainder is
-// connected, which is a probe of the table: connected sets of smaller sizes
-// are all stored, and the slot it returns serves the cost lane — half of
-// the child-cost bound that prunes almost every pair — and, only for pairs
-// the bound lets through, the cold record. Stats.Evaluated counts
-// the pairs examined this way; the unrank volume the device model bills is
+// Line 4 runs Hopcroft–Tarjan only on a set it cannot settle for free: a
+// set in which every member is adjacent to at least half of it is one block
+// (diracBlock) — every set of a clique, and the dense sets of any graph.
+//
+// Line 6 ranges lb over every proper subset of the block, which is the
+// right shape for a warp that unranks subsets in lockstep and the wrong one
+// for a CPU: here lb ranges over the connected subsets of the block that
+// lack its lowest vertex v0 (csgWalk.startHalf). That is one side of every
+// block pair, so each pair is found once and costed in both orientations
+// from the same two slots, and the work per block is under csg(B), not
+// 2^|B| — a cycle-24 block has 553 connected subsets among 16.7 M. A block
+// is connected, so lb always has an edge to rb = block∖lb, and the one test
+// left of the CCP block is whether rb is connected, which is a probe of the
+// table: connected sets of smaller sizes are all stored, and the slot it
+// returns serves the cost lane — half of the child-cost bound that prunes
+// almost every pair — and, only for pairs the bound lets through, the cold
+// record. Stats.Evaluated counts a valid pair twice, once per orientation,
+// and an invalid one once; the unrank volume the device model bills is
 // UnrankedPairs.
+//
+// Exact ties are common (sub-one-row estimates), and the incumbent keeps
+// them, so the order of offers is part of the plan. The order kept is that
+// of a walk over every connected subset of the block: first each pair with
+// v0 on the right, in this walk's order, then each with v0 on the left, in
+// the pre-order of root v0. The first kind is offered to bw as it comes. The
+// second goes to the block's own sec, which on an equal cost keeps the
+// candidate whose block side comes earlier in that pre-order
+// (preorderLess), and is offered to bw once the block is done. A
+// selectivity multiplies over the smaller side, the first argument's on
+// equal sizes, so each orientation computes its own.
 //
 //mpdp:hotpath
 func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
@@ -103,7 +120,7 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 	g := in.Q.G
 	var bw bestWin
 	w := &sc.walk
-	for _, block := range g.FindBlocksInto(s, &sc.Blocks) {
+	for _, block := range sc.blocks(g, s) {
 		if block.Count() == 2 {
 			// A bridge: its two endpoints are the block's only pair, valid
 			// in both orientations, and nothing needs probing — exactly
@@ -122,21 +139,21 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 		// When the set is a single block the block pair already is the
 		// set-level pair and grow has nothing to add.
 		whole := block == s
-		w.start(g, block)
+		var sec bestWin         // the block's pairs with v0 on the left
+		var secSide bitset.Mask // and the block side of its winner
+		w.startHalf(g, block)
 		for lb := w.next(); !lb.Empty(); lb = w.next() {
-			rb := block.Diff(lb)
-			if rb.Empty() {
-				continue // lb == block is not a proper subset
-			}
 			if dl != nil && dl.Expired() {
 				return bw.Winner, stats, dl.Err()
 			}
+			rb := block.Diff(lb)
 			stats.Evaluated++
 			ri, ok := tab.Slot(rb)
 			if !ok {
 				continue
 			}
-			stats.CCP++
+			stats.Evaluated++
+			stats.CCP += 2
 			// Expand the block pair to the set-level pair (lines 17-18).
 			left, right := lb, rb
 			if !whole {
@@ -148,17 +165,67 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 			}
 			li := tab.MustSlot(left)
 			l, r := side{cost: tab.CostAt(li)}, side{cost: tab.CostAt(ri)}
-			if bw.hopeless(l.cost, r.cost, tab.IsLeaf(right)) {
+			h1 := bw.hopeless(l.cost, r.cost, tab.IsLeaf(right))
+			b2 := childBound(r.cost, l.cost, tab.IsLeaf(left))
+			// Losing to bw or to sec outright; a tie with sec may still win.
+			h2 := bw.Found && b2 >= bw.Cost || sec.Found && b2 > sec.Cost
+			if h1 && h2 {
 				continue
 			}
 			l.rows, l.lg = tab.ScalarsAt(li)
 			r.rows, r.lg = tab.ScalarsAt(ri)
-			rows := l.rows * r.rows * in.Q.SelBetween(left, right)
-			op, c := joinCost(in.Q, in.M, tab, l, r, right, ri, rows)
-			bw.offer(left, right, op, rows, c)
+			if !h1 {
+				rows := l.rows * r.rows * in.Q.SelBetween(left, right)
+				op, c := joinCost(in.Q, in.M, tab, l, r, right, ri, rows)
+				bw.offer(left, right, op, rows, c)
+			}
+			if !h2 {
+				rows := r.rows * l.rows * in.Q.SelBetween(right, left)
+				op, c := joinCost(in.Q, in.M, tab, r, l, left, li, rows)
+				if !sec.Found || c < sec.Cost || c == sec.Cost && preorderLess(g, block, rb, secSide) {
+					sec.Left, sec.Right, sec.Op, sec.Rows, sec.Cost, sec.Found = right, left, op, rows, c, true
+					secSide = rb
+				}
+			}
+		}
+		if sec.Found {
+			bw.offer(sec.Left, sec.Right, sec.Op, sec.Rows, sec.Cost)
 		}
 	}
 	return bw.Winner, stats, nil
+}
+
+// blocks returns the blocks of the subgraph induced by the connected set s
+// (Algorithm 3, line 4): s alone when the Dirac test proves it 2-connected,
+// Hopcroft–Tarjan's answer otherwise. The slice aliases sc.
+//
+//mpdp:hotpath
+func (sc *Scratch) blocks(g *graph.Graph, s bitset.Mask) []bitset.Mask {
+	if diracBlock(g, s) {
+		sc.whole[0] = s
+		return sc.whole[:]
+	}
+	return g.FindBlocksInto(s, &sc.Blocks)
+}
+
+// diracBlock reports whether s, of at least three relations, has every
+// member adjacent to at least ⌈|s|/2⌉ others of s. By Dirac's theorem such a
+// subgraph has a Hamiltonian cycle, so it is 2-connected and its one block is
+// s. A sparse set fails at its first low-degree member.
+//
+//mpdp:hotpath
+func diracBlock(g *graph.Graph, s bitset.Mask) bool {
+	k := s.Count()
+	if k < 3 {
+		return false
+	}
+	half := (k + 1) / 2
+	for m := uint64(s); m != 0; m &= m - 1 {
+		if g.AdjMask(bits.TrailingZeros64(m)).Intersect(s).Count() < half {
+			return false
+		}
+	}
+	return true
 }
 
 // UnrankedPairs is the candidate-pair volume of Algorithm 3, line 6, for

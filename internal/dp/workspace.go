@@ -7,8 +7,9 @@ import (
 )
 
 // Workspace is the memory one enumeration borrows instead of allocating:
-// the DP table's arrays, the connected-set census, the per-worker evaluator
-// scratch, Algorithm 2's edge index and the arena of the returned plan tree.
+// the DP table's arrays, the connected-set census and the frame stack of the
+// walk that fills it, the per-worker evaluator scratch, Algorithm 2's edge
+// index and the arena of the returned plan tree.
 // Whoever runs enumerations one after another — a service worker, a
 // heuristic that calls the exact DP once per sub-problem — owns one and
 // hands it to every run through Input.Workspace; the second run then
@@ -32,11 +33,12 @@ import (
 // mean "no workspace": fresh memory, exactly what the run allocated before
 // workspaces existed.
 type Workspace struct {
-	tab     plan.Table
-	census  [][]bitset.Mask
-	scratch []*Scratch
-	cuts    []graph.TreeCut
-	nodes   plan.Arena
+	tab        plan.Table
+	census     [][]bitset.Mask
+	censusWalk csgWalk
+	scratch    []*Scratch
+	cuts       []graph.TreeCut
+	nodes      plan.Arena
 }
 
 // retainSlots bounds what a workspace keeps between runs: at most this many
@@ -111,6 +113,14 @@ func (w *Workspace) buckets(n int) [][]bitset.Mask {
 		w.census[i] = w.census[i][:0]
 	}
 	return w.census
+}
+
+// walk returns the walk the census is collected by.
+func (w *Workspace) walk() *csgWalk {
+	if w == nil {
+		return new(csgWalk)
+	}
+	return &w.censusWalk
 }
 
 // Scratch returns the evaluator scratch of the run's worker-th worker.

@@ -269,15 +269,19 @@ func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, Shape) {
 func (s *Service) Crossover() backend.Crossover { return s.xover }
 
 // route walks the crossover ladder (see backend.Crossover): sequential
-// DPCCP for small graphs, CPU-parallel MPDP to the paper's fall-back
-// limit, then — where the pre-GPU router gave up and went heuristic —
-// GPU-MPDP with fused pruning and CCC for large trees and sparse cyclic
-// graphs up to the bitset width. Cliques and dense general graphs (whose
-// connected-set space explodes the same way) cap the exact bands early,
-// and everything beyond goes to the shape's heuristic.
+// exact enumeration for small graphs — MPDP for cliques and stars, where
+// every set is one block or a tree, DPCCP for the rest — CPU-parallel MPDP
+// to the paper's fall-back limit, then — where the pre-GPU router gave up
+// and went heuristic — GPU-MPDP with fused pruning and CCC for large trees
+// and sparse cyclic graphs up to the bitset width. Cliques and dense
+// general graphs (whose connected-set space explodes the same way) cap the
+// exact bands early, and everything beyond goes to the shape's heuristic.
 func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.ID) {
 	x := &s.xover
 	if n <= x.SmallLimit && n <= 64 {
+		if shape == ShapeClique || shape == ShapeStar {
+			return core.AlgMPDP, backend.CPUSeq
+		}
 		return core.AlgDPCCP, backend.CPUSeq
 	}
 	// Only literal cliques shrink the CPU-parallel band (its pre-backend

@@ -37,10 +37,12 @@ func dpccpCost(t *testing.T, q *cost.Query) float64 {
 
 // TestRouterMatchesDPCCPSmall is the acceptance criterion: for graphs of
 // at most 12 relations the adaptive router must return plans cost-identical
-// to a direct DPCCP call.
+// to a direct DPCCP call. Graphs detected as cliques or stars are planned
+// by sequential MPDP, every other shape by DPCCP itself.
 func TestRouterMatchesDPCCPSmall(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
+	var mpdp uint64
 	for _, kind := range []workload.Kind{
 		workload.KindChain, workload.KindCycle, workload.KindStar,
 		workload.KindClique, workload.KindSnowflake, workload.KindMB,
@@ -54,13 +56,21 @@ func TestRouterMatchesDPCCPSmall(t *testing.T) {
 			if want := dpccpCost(t, q); !relEq(res.Plan.Cost, want) {
 				t.Errorf("%s/%d: service cost %g, DPCCP cost %g", kind, n, res.Plan.Cost, want)
 			}
-			if res.Algorithm != core.AlgDPCCP {
-				t.Errorf("%s/%d: routed to %s, want dpccp", kind, n, res.Algorithm)
+			want := core.AlgDPCCP
+			if shape := DetectShape(q.G); shape == ShapeClique || shape == ShapeStar {
+				want = core.AlgMPDP // a 4-relation walk may be a star too
+				mpdp++
+			}
+			if res.Algorithm != want {
+				t.Errorf("%s/%d: routed to %s, want %s", kind, n, res.Algorithm, want)
 			}
 			if err := res.Plan.Validate(identity(n)); err != nil {
 				t.Errorf("%s/%d: invalid plan: %v", kind, n, err)
 			}
 		}
+	}
+	if got := s.Counters().Snapshot().RouteMPDPSeq; got != mpdp {
+		t.Errorf("route_mpdp = %d, want %d", got, mpdp)
 	}
 }
 
@@ -74,7 +84,13 @@ func TestRouteThresholds(t *testing.T) {
 		bid  backend.ID
 	}{
 		{workload.KindChain, 8, core.AlgDPCCP, backend.CPUSeq},
-		{workload.KindClique, 12, core.AlgDPCCP, backend.CPUSeq},
+		// In the small band sequential MPDP beats DPCCP on cliques and
+		// stars; DPCCP stays faster on sparse cyclic shapes and walks.
+		{workload.KindClique, 12, core.AlgMPDP, backend.CPUSeq},
+		{workload.KindStar, 12, core.AlgMPDP, backend.CPUSeq},
+		{workload.KindChain, 12, core.AlgDPCCP, backend.CPUSeq},
+		{workload.KindCycle, 12, core.AlgDPCCP, backend.CPUSeq},
+		{workload.KindMB, 12, core.AlgDPCCP, backend.CPUSeq},
 		{workload.KindMB, 20, core.AlgMPDPParallel, backend.CPUParallel},
 		{workload.KindChain, 25, core.AlgMPDPParallel, backend.CPUParallel},
 		// Beyond the CPU clique cap the GPU band picks cliques up, to its
@@ -248,7 +264,7 @@ func TestCoalescingSharesOneOptimization(t *testing.T) {
 	if got := snap.Hits + snap.Misses + snap.Coalesced; got != callers {
 		t.Errorf("hits+misses+coalesced = %d, want %d", got, callers)
 	}
-	if optimized := snap.RouteDPCCP + snap.RouteMPDP + snap.RouteIDP2 + snap.RouteUnionDP; optimized >= callers {
+	if optimized := snap.RouteDPCCP + snap.RouteMPDPSeq + snap.RouteMPDP + snap.RouteIDP2 + snap.RouteUnionDP; optimized >= callers {
 		t.Errorf("ran %d optimizations for %d identical concurrent requests", optimized, callers)
 	}
 }
