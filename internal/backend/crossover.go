@@ -17,8 +17,8 @@ import (
 //
 // The regimes, in increasing query size:
 //
-//	n ≤ SmallLimit                 sequential MPDP on cpu-seq for cliques
-//	                               and stars, sequential DPCCP otherwise
+//	n ≤ SmallLimit                 MPDP on cpu-parallel for cliques and
+//	                               stars, sequential DPCCP otherwise
 //	n ≤ CPUParallelLimit           MPDP on cpu-parallel (clique-shaped
 //	                               graphs capped at CliqueCPULimit)
 //	n ≤ GPULimit                   MPDP on the simulated GPU (clique and
@@ -27,10 +27,10 @@ import (
 //	beyond                         heuristics (IDP2 for trees, UnionDP
 //	                               otherwise)
 type Crossover struct {
-	// SmallLimit routes graphs of at most this many relations to a
-	// sequential exact enumerator on cpu-seq — below it, any parallel
-	// substrate's fixed overhead exceeds the whole optimization. Which one
-	// is the shape's: MPDP for cliques and stars, DPCCP for the rest.
+	// SmallLimit routes graphs of at most this many relations by shape:
+	// cliques and stars, whose levels are thick, to MPDP on cpu-parallel,
+	// and every other shape to sequential DPCCP on cpu-seq — on their thin
+	// levels a parallel substrate has nothing to share.
 	SmallLimit int `json:"small_limit"`
 	// CPUParallelLimit routes graphs of at most this many relations to
 	// CPU-parallel MPDP (the paper's raised fall-back limit of 25).
@@ -147,10 +147,10 @@ func DefaultCrossover() Crossover {
 //     valid pairs are *costed for real* whatever the substrate; the cap is
 //     where real evaluation at cpuPairsPerSec fits the budget.
 //   - SmallLimit and CPUParallelLimit follow the paper's evaluation (12
-//     and 25): below 12 a sequential enumerator wins outright — DPCCP on
-//     sparse shapes (chains, cycles, MusicBrainz walks), MPDP on cliques
-//     and stars, whose every set is one block or a tree — and 25 is the
-//     paper's raised fall-back limit for the CPU-parallel enumerator.
+//     and 25): below 12 sequential DPCCP wins on sparse shapes (chains,
+//     cycles, MusicBrainz walks), while cliques and stars, whose every set
+//     is one block or a tree, already go to CPU-parallel MPDP — and 25 is
+//     the paper's raised fall-back limit for the CPU-parallel enumerator.
 //
 // A faster device raises GPULimit; the budget raises both GPU caps.
 func Calibrate(dev *gpusim.Device, budget time.Duration) Crossover {

@@ -1216,7 +1216,7 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	// Node-level sums under the same names mpdp-serve exposes, so the same
 	// dashboards read either binary.
 	var requests, hits, misses, coalesced, fallbacks, errs, canceled uint64
-	var rDPCCP, rMPDPSeq, rMPDP, rGPU, rIDP2, rUnion uint64
+	var rDPCCP, rMPDP, rGPU, rIDP2, rUnion uint64
 	var epochBumps uint64
 	for _, ns := range s.PerNode {
 		requests += ns.Requests
@@ -1227,7 +1227,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 		errs += ns.Errors
 		canceled += ns.Canceled
 		rDPCCP += ns.RouteDPCCP
-		rMPDPSeq += ns.RouteMPDPSeq
 		rMPDP += ns.RouteMPDP
 		rGPU += ns.RouteMPDPGPU
 		rIDP2 += ns.RouteIDP2
@@ -1250,7 +1249,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	mw.Gauge("mpdp_stats_epoch", "Highest catalog stats epoch any node reports.", nil, float64(s.StatsEpoch))
 	const routeHelp = "Routing decisions by algorithm (all nodes)."
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, rDPCCP)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp"}, rMPDPSeq)
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, rMPDP)
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, rGPU)
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, rIDP2)

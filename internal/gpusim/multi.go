@@ -207,9 +207,10 @@ func MPDPGPUMulti(in dp.Input, cfg Config) (*plan.Node, dp.Stats, MultiStats, er
 // preserves the sequential semantics exactly. Counters accumulate into
 // totals.
 func multiEvaluateTree(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, totals []levelTotals, ndev int) error {
-	levels := parallel.NewLevels(in.ForTree(), dp.EvaluateSetMPDPTree, tab, buckets, ndev)
+	levels := parallel.NewLevels(in.ForTree(), dp.EvaluateSetMPDPTree, buckets, ndev)
+	defer levels.Close()
 	for size := 2; size <= in.Q.N(); size++ {
-		st, err := levels.Run(size)
+		st, err := levels.Run(tab, size)
 		if err != nil {
 			return err
 		}

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -319,6 +322,57 @@ func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 		})
 		if got > row.ceiling {
 			t.Errorf("cycle-%d on 2 devices makes %.0f allocations per run, ceiling %.0f", row.n, got, row.ceiling)
+		}
+	}
+}
+
+// TestMultiTreeJoinsItsHelpers: the tree path runs behind the shared level
+// barrier, whose helpers live for the run and are joined by the Close it
+// defers. On success, on an expired deadline and on a cancelled context, at
+// 1, 2 and 4 devices, no helper goroutine outlives multiEvaluateTree.
+func TestMultiTreeJoinsItsHelpers(t *testing.T) {
+	q := multiQuery(t, workload.KindStar, 14, 27) // levels of up to 1 716 sets
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, devices := range []int{1, 2, 4} {
+		for _, mode := range []string{"success", "deadline", "cancelled"} {
+			in := dp.Input{Q: q, M: cost.DefaultModel()}
+			prep, err := dp.Prepare(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buckets, err := dp.ConnectedBuckets(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab := prep.Seed(dp.BucketCount(buckets))
+			var want error
+			switch mode {
+			case "deadline": // past once the census is taken: a worker's first poll trips it
+				in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
+			case "cancelled":
+				in.Ctx, want = cancelled, context.Canceled
+			}
+			err = multiEvaluateTree(in, tab, buckets, make([]levelTotals, q.N()+1), devices)
+			if !errors.Is(err, want) {
+				t.Errorf("%d devices, %s: err %v, want %v", devices, mode, err, want)
+			}
+			if left := levelHelpers(); left != 0 {
+				t.Errorf("%d devices, %s: %d helpers outlived the run", devices, mode, left)
+			}
+		}
+	}
+}
+
+// levelHelpers counts the goroutines inside parallel.Levels' helper loop,
+// giving one that has just been joined a second to get past its last
+// statement.
+func levelHelpers() int {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "parallel.(*Levels).help(")
+		if n == 0 || time.Now().After(deadline) {
+			return n
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -40,10 +42,12 @@ func runBarrier(t *testing.T, in dp.Input, evaluate dp.SetEvaluator) (*Levels, d
 	if err != nil {
 		t.Fatal(err)
 	}
-	levels := NewLevels(in, evaluate, prep.Seed(dp.BucketCount(buckets)), buckets, threads(in))
+	levels := NewLevels(in, evaluate, buckets, threads(in))
+	defer levels.Close()
+	tab := prep.Seed(dp.BucketCount(buckets))
 	stats := dp.Stats{ConnectedSets: uint64(in.Q.N())}
 	for size := 2; size <= in.Q.N(); size++ {
-		st, err := levels.Run(size)
+		st, err := levels.Run(tab, size)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,8 +113,7 @@ func TestThickLevelsFanOut(t *testing.T) {
 	}
 
 	// Fanning out costs a bounded number of allocations: four workers over
-	// a clique-15's levels of up to 6 435 sets make 277-279, ten percent on
-	// top.
+	// a clique-15's levels of up to 6 435 sets make 217, ten percent on top.
 	if testing.Short() {
 		return
 	}
@@ -119,8 +122,8 @@ func TestThickLevelsFanOut(t *testing.T) {
 		if _, _, err := MPDP(in); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 306 {
-		t.Errorf("parallel.MPDP on clique-15 makes %.0f allocations per run, ceiling 306", got)
+	}); got > 239 {
+		t.Errorf("parallel.MPDP on clique-15 makes %.0f allocations per run, ceiling 239", got)
 	} else {
 		t.Logf("parallel.MPDP on clique-15: %.0f allocations per run", got)
 	}
@@ -236,15 +239,17 @@ func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 				// on one worker), trips it.
 				in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
 			}
-			levels := NewLevels(in, evaluate, prep.Seed(dp.BucketCount(buckets)), buckets, threads(in))
+			levels := NewLevels(in, evaluate, buckets, threads(in))
+			tab := prep.Seed(dp.BucketCount(buckets))
 			var stats dp.Stats
 			err = nil
 			for size := 2; size <= failing.N() && err == nil; size++ {
 				var st dp.Stats
-				st, err = levels.Run(size)
+				st, err = levels.Run(tab, size)
 				stats.Add(st)
 			}
 			returned.Store(true)
+			levels.Close()
 			what := fmt.Sprintf("%d workers, %s", workers, mode)
 			if !errors.Is(err, want) {
 				t.Fatalf("%s: err = %v after %d evaluations, want %v", what, err, calls.Load(), want)
@@ -305,45 +310,102 @@ func TestWorkspaceUnderLevelWorkers(t *testing.T) {
 	}
 }
 
-// TestLevelsHandOutEverySetOnce: the cursor hands out chunks, so an
-// off-by-one at a chunk's edge or past the level's end would skip or repeat
-// a set. Levels of every awkward length, at set sizes whose chunks are one
-// set, a handful and the pair floor, under 1 to 8 workers: each set is
-// evaluated exactly once, counted once and its winner is in its own slot.
+// TestLevelsHandOutEverySetOnce: each worker owns a contiguous share of the
+// level and drains it from its own end while thieves take chunks from the
+// far end, so an off-by-one at a chunk's edge, a share's edge or the level's
+// end would skip or repeat a set. Levels of every awkward length, at set
+// sizes whose chunks are one set, a handful and the pair floor, under 1 to 8
+// workers: each set is evaluated exactly once, counted once and its winner
+// is in its own slot; and in every share the owner's sets are a prefix and
+// the thieves' a suffix. Then, with helpers slowed down, the caller finishes
+// its own share first and must steal from theirs.
 func TestLevelsHandOutEverySetOnce(t *testing.T) {
 	q := shapedQuery(graph.Chain(40), rand.New(rand.NewSource(24)))
-	in := dp.Input{Q: q, M: cost.DefaultModel()}
+	ws := new(dp.Workspace)
+	in := dp.Input{Q: q, M: cost.DefaultModel(), Workspace: ws}
+	// run drives one level of n sets of the given size and returns which
+	// worker evaluated each set, and the level's schedule.
+	run := func(workers, size, n int, slow bool) (by []int, active int) {
+		owner := map[*dp.Scratch]int{}
+		for w := 0; w < workers; w++ {
+			owner[ws.Scratch(w)] = w
+		}
+		hits := make([]atomic.Int32, n)
+		who := make([]atomic.Int32, n)
+		// Set i is {0} ∪ (i+1)<<1: two relations or more, all distinct.
+		evaluate := func(_ dp.Input, _ *plan.Table, s bitset.Mask, _ *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
+			hits[s>>1-1].Add(1)
+			who[s>>1-1].Store(int32(owner[sc]))
+			if slow && owner[sc] != 0 {
+				for start := time.Now(); time.Since(start) < 50*time.Microsecond; {
+				}
+			}
+			return dp.Winner{Left: 1, Right: s &^ 1, Cost: float64(s), Found: true}, dp.Stats{Evaluated: 1}, nil
+		}
+		buckets := make([][]bitset.Mask, size+1)
+		for i := 0; i < n; i++ {
+			buckets[size] = append(buckets[size], bitset.Mask(i+1)<<1|1)
+		}
+		tab := plan.NewTable(40, 16)
+		levels := NewLevels(in, evaluate, buckets, workers)
+		active = 1
+		if levels.spawned > 0 {
+			active, _ = fanOut(n, size-1, workers)
+		}
+		st, err := levels.Run(tab, size)
+		levels.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("%d workers, %d sets of size %d", workers, n, size)
+		if st.ConnectedSets != uint64(n) || st.Evaluated != uint64(n) || tab.Len() != n {
+			t.Errorf("%s: counted %+v, table holds %d", what, st, tab.Len())
+		}
+		by = make([]int, n)
+		for i := range hits {
+			if got := hits[i].Load(); got != 1 {
+				t.Fatalf("%s: set %d evaluated %d times", what, i, got)
+			}
+			s := bitset.Mask(i+1)<<1 | 1
+			if c, ok := tab.Cost(s); !ok || c != float64(s) {
+				t.Fatalf("%s: set %v stored cost %v (%v)", what, s, c, ok)
+			}
+			by[i] = int(who[i].Load())
+		}
+		for w := 0; w < active; w++ {
+			lo, hi := w*n/active, (w+1)*n/active
+			i := lo
+			for i < hi && by[i] == w {
+				i++
+			}
+			for ; i < hi; i++ {
+				if by[i] == w {
+					t.Fatalf("%s: worker %d drew set %d of its share [%d, %d) after a thief took an earlier one", what, w, i, lo, hi)
+				}
+			}
+		}
+		return by, active
+	}
 	for _, workers := range []int{1, 2, 3, 4, 8} {
 		for _, size := range []int{2, 3, 9, 40} {
 			for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 129, 1000, 4099} {
-				hits := make([]atomic.Int32, n)
-				// Set i is {0} ∪ (i+1)<<1: two relations or more, all distinct.
-				evaluate := func(_ dp.Input, _ *plan.Table, s bitset.Mask, _ *dp.Deadline, _ *dp.Scratch) (dp.Winner, dp.Stats, error) {
-					hits[s>>1-1].Add(1)
-					return dp.Winner{Left: 1, Right: s &^ 1, Cost: float64(s), Found: true}, dp.Stats{Evaluated: 1}, nil
-				}
-				buckets := make([][]bitset.Mask, size+1)
-				for i := 0; i < n; i++ {
-					buckets[size] = append(buckets[size], bitset.Mask(i+1)<<1|1)
-				}
-				tab := plan.NewTable(40, 16)
-				st, err := NewLevels(in, evaluate, tab, buckets, workers).Run(size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.ConnectedSets != uint64(n) || st.Evaluated != uint64(n) || tab.Len() != n {
-					t.Errorf("%d workers, %d sets of size %d: counted %+v, table holds %d", workers, n, size, st, tab.Len())
-				}
-				for i := range hits {
-					if got := hits[i].Load(); got != 1 {
-						t.Fatalf("%d workers, %d sets of size %d: set %d evaluated %d times", workers, n, size, i, got)
-					}
-					s := bitset.Mask(i+1)<<1 | 1
-					if c, ok := tab.Cost(s); !ok || c != float64(s) {
-						t.Fatalf("%d workers, %d sets of size %d: set %v stored cost %v (%v)", workers, n, size, s, c, ok)
-					}
-				}
+				run(workers, size, n, false)
 			}
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		by, active := run(workers, 9, 1000, true)
+		if active < 2 {
+			t.Fatalf("%d workers: 1000 sets of 8 pairs stayed on one worker", workers)
+		}
+		stolen := 0
+		for _, w := range by[1000/active:] {
+			if w == 0 {
+				stolen++
+			}
+		}
+		if stolen == 0 {
+			t.Errorf("%d workers with slow helpers: the caller stole no set from their shares", workers)
 		}
 	}
 }
@@ -416,27 +478,197 @@ func TestLevelsPanicOnNoWinner(t *testing.T) {
 			t.Error("a level whose evaluator found no winner returned")
 		}
 	}()
-	_, _ = NewLevels(in, none, tab, buckets, 1).Run(2)
+	_, _ = NewLevels(in, none, buckets, 1).Run(tab, 2)
 }
 
-// TestChunkRule: a draw is never empty, is the whole level for a lone
-// worker, carries chunkPairs pairs where the level has them to give, and
-// leaves every worker at least eight draws of a level thick enough.
+// TestChunkRule: a level fans out on its pair volume. A worker is brought in
+// only with chunkPairs pairs to draw, never beyond the sets or the workers
+// there are, and whenever the volume has that many to give; a draw is never
+// empty, is the whole level for a lone worker, carries chunkPairs pairs
+// where the level has them to give, and leaves every worker at least eight
+// draws of a level thick enough. The top levels of a clique-12 — 66 and 12
+// sets whose pairs per set the level below says are at least 255 and 511 —
+// are shared, which a count of sets kept on one worker.
 func TestChunkRule(t *testing.T) {
-	for _, size := range []int{2, 3, 15, 40, 64} {
-		for _, sets := range []int{0, 1, 64, 128, 1716, 100000} {
-			if got := chunkSets(sets, size, 1); got < sets || got < 1 {
-				t.Errorf("one worker, %d sets: chunk %d", sets, got)
-			}
-			for _, active := range []int{2, 4, 8} {
-				c := chunkSets(sets, size, active)
-				if c < 1 || c*(size-1) < chunkPairs {
-					t.Errorf("%d sets of size %d, %d workers: a draw of %d sets is %d pairs", sets, size, active, c, c*(size-1))
+	for _, pairs := range []int{0, 1, 2, 14, 39, 255, 2047, 1 << 20} {
+		for _, sets := range []int{0, 1, 2, 12, 64, 66, 128, 1716, 100000} {
+			for _, workers := range []int{1, 2, 4, 8} {
+				active, c := fanOut(sets, pairs, workers)
+				p := max(pairs, 1)
+				what := fmt.Sprintf("%d sets of %d pairs, %d workers", sets, pairs, workers)
+				if want := max(min(workers, sets, sets*p/chunkPairs), 1); active != want {
+					t.Errorf("%s: %d active, want %d", what, active, want)
 				}
-				if floor := (chunkPairs + size - 2) / (size - 1); c > floor && c*8*active > sets {
-					t.Errorf("%d sets of size %d, %d workers: a draw of %d sets leaves a worker fewer than 8", sets, size, active, c)
+				if active == 1 {
+					if c < sets || c < 1 {
+						t.Errorf("%s: a lone worker draws %d sets", what, c)
+					}
+					continue
+				}
+				if active*chunkPairs > sets*p {
+					t.Errorf("%s: %d workers share %d pairs", what, active, sets*p)
+				}
+				if c < 1 || c*p < chunkPairs {
+					t.Errorf("%s: a draw of %d sets is %d pairs", what, c, c*p)
+				}
+				if floor := (chunkPairs + p - 1) / p; c > floor && c*8*active > sets {
+					t.Errorf("%s: a draw of %d sets leaves a worker fewer than 8", what, c)
 				}
 			}
 		}
+	}
+	for _, level := range []struct{ sets, pairs int }{{66, 255}, {12, 511}} {
+		if active, c := fanOut(level.sets, level.pairs, 2); active != 2 || c < 1 || c > level.sets/2 {
+			t.Errorf("clique-12, %d sets of %d pairs: %d workers drawing %d sets", level.sets, level.pairs, active, c)
+		}
+	}
+}
+
+// levelHelpers counts the goroutines inside Levels.help, giving one that has
+// just been joined a second to get past its last statement, and returns
+// their stack headers ("goroutine 7 [chan receive]:").
+func levelHelpers(settle time.Duration) (headers []string) {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(settle); ; time.Sleep(time.Millisecond) {
+		headers = headers[:0]
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "parallel.(*Levels).help(") {
+				headers = append(headers, g[:strings.IndexByte(g, '\n')])
+			}
+		}
+		if len(headers) == 0 || time.Now().After(deadline) {
+			return headers
+		}
+	}
+}
+
+// TestHelpersJoinedOnEveryPath: helpers live as long as the run, not as long
+// as a level, and the driver defers Close. On success, on a deadline that
+// expires mid-run and on a context cancelled mid-run, at 1, 2 and 4 workers,
+// no helper goroutine outlives the parallel driver (MPDP is levelParallel
+// with Algorithm 2's evaluator; the wrapper below only stalls or cancels it
+// at its 2 000th set).
+func TestHelpersJoinedOnEveryPath(t *testing.T) {
+	q := shapedQuery(graph.Star(14), rand.New(rand.NewSource(26))) // levels of up to 1 716 sets
+	m := cost.DefaultModel()
+	for _, workers := range []int{1, 2, 4} {
+		for _, mode := range []string{"success", "deadline", "cancelled"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			in := dp.Input{Q: q, M: m, Ctx: ctx, Threads: workers, Deadline: time.Now().Add(time.Minute)}
+			var calls atomic.Int64
+			evaluate := func(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
+				if calls.Add(1) == 2000 {
+					switch mode {
+					case "deadline":
+						time.Sleep(time.Until(in.Deadline) + time.Millisecond)
+					case "cancelled":
+						cancel()
+					}
+				}
+				return dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
+			}
+			want := map[string]error{"success": nil, "deadline": dp.ErrTimeout, "cancelled": context.Canceled}[mode]
+			if mode == "deadline" {
+				in.Deadline = time.Now().Add(200 * time.Millisecond)
+			}
+			p, _, err := levelParallel(in.ForTree(), evaluate)
+			cancel()
+			if !errors.Is(err, want) || (err == nil) != (p != nil) {
+				t.Errorf("%d workers, %s: plan %v, err %v; want %v", workers, mode, p != nil, err, want)
+			}
+			if left := levelHelpers(time.Second); len(left) != 0 {
+				t.Errorf("%d workers, %s: %d helpers outlived the run: %v", workers, mode, len(left), left)
+			}
+		}
+	}
+}
+
+// TestHelpersParkWhenTheCallerStalls: a helper spins for spinBudget between
+// levels and then parks, so a caller held up between levels — by a thin
+// level, or here by sleeping — does not keep a core busy for nothing. After
+// a stall of fifty spin budgets every helper is blocked on its wake channel,
+// not runnable. Opening the next level must wake them: the caller's first
+// set of it waits until a helper has evaluated one (at one P too, since the
+// caller sleeps while it waits). The plan is the sequential enumerator's.
+func TestHelpersParkWhenTheCallerStalls(t *testing.T) {
+	q := shapedQuery(graph.Star(14), rand.New(rand.NewSource(27)))
+	m := cost.DefaultModel()
+	want, wantStats, err := dp.MPDP(dp.Input{Q: q, M: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := new(dp.Workspace)
+	in := dp.Input{Q: q, M: m, Threads: 4, Workspace: ws}.ForTree()
+	prep, err := dp.Prepare(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buckets, err := dp.ConnectedBuckets(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stalled, woken atomic.Bool
+	var helped atomic.Int64
+	caller := ws.Scratch(0)
+	evaluate := func(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
+		if sc != caller {
+			helped.Add(1)
+		} else if stalled.Load() && !woken.Load() {
+			for deadline := time.Now().Add(2 * time.Second); helped.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(100 * time.Microsecond)
+			}
+			woken.Store(true)
+		}
+		return dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
+	}
+	levels := NewLevels(in, evaluate, buckets, 4)
+	defer levels.Close()
+	if levels.spawned != 3 {
+		t.Fatalf("star-14 at 4 workers started %d helpers, want 3", levels.spawned)
+	}
+	tab := prep.Seed(dp.BucketCount(buckets))
+	stats := dp.Stats{ConnectedSets: uint64(q.N())}
+	for size := 2; size <= q.N(); size++ {
+		if size == 7 {
+			time.Sleep(50 * spinBudget)
+			var headers []string
+			for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+				headers = levelHelpers(0)
+				parked := 0
+				for _, h := range headers {
+					if strings.Contains(h, "[chan receive") {
+						parked++
+					}
+				}
+				if parked == 3 || time.Now().After(deadline) {
+					break
+				}
+			}
+			if len(headers) != 3 {
+				t.Fatalf("stalled after level 6: %d helpers alive, want 3: %v", len(headers), headers)
+			}
+			for _, h := range headers {
+				if !strings.Contains(h, "[chan receive") {
+					t.Errorf("stalled for %v between levels, a helper is %s", 50*spinBudget, h)
+				}
+			}
+			helped.Store(0)
+			stalled.Store(true)
+		}
+		st, err := levels.Run(tab, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats.Add(st)
+		if size == 7 && helped.Load() == 0 {
+			t.Errorf("no parked helper woke for the level after the stall")
+		}
+	}
+	got, gotStats, err := dp.Finish(in, tab, prep.Leaves, &stats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
+		t.Errorf("after the stall: %+v cost %v, sequential %+v cost %v", gotStats, got.Cost, wantStats, want.Cost)
 	}
 }

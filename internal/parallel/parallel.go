@@ -22,7 +22,8 @@ func threads(in dp.Input) int {
 }
 
 // MPDP is the CPU-parallel MPDP: within each DP level, the connected sets of
-// that size are work-stolen by the workers, each evaluating its sets
+// that size are shared out among the workers, each draining its own share and
+// stealing from the others' once it runs dry, and each evaluating its sets
 // independently (block discovery, block-level CCP enumeration, grow, and
 // costing all run inside the worker — the whole inner loop is parallel).
 // The per-level barrier mirrors the GPU kernel-per-level structure of §5.
@@ -47,11 +48,12 @@ func levelParallel(in dp.Input, evaluate dp.SetEvaluator) (*plan.Node, dp.Stats,
 	if err != nil {
 		return nil, stats, err
 	}
+	levels := NewLevels(in, evaluate, buckets, threads(in))
+	defer levels.Close()
 	tab := prep.Seed(dp.BucketCount(buckets))
 	stats.ConnectedSets = uint64(in.Q.N())
-	levels := NewLevels(in, evaluate, tab, buckets, threads(in))
 	for size := 2; size <= in.Q.N(); size++ {
-		st, err := levels.Run(size)
+		st, err := levels.Run(tab, size)
 		stats.Add(st)
 		if err != nil {
 			return nil, stats, err

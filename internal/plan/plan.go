@@ -63,26 +63,6 @@ type Node struct {
 // IsLeaf reports whether n scans a base relation.
 func (n *Node) IsLeaf() bool { return n.Left == nil && n.Right == nil }
 
-// Clone returns a copy of the tree under n that shares no node with it, in
-// one allocation. Callers detach a plan with it from an arena that is about
-// to be rewound.
-func (n *Node) Clone() *Node {
-	if n == nil {
-		return nil
-	}
-	slab := make([]Node, 0, 2*n.Size()-1)
-	var walk func(*Node) *Node
-	walk = func(m *Node) *Node {
-		slab = append(slab, *m)
-		out := &slab[len(slab)-1]
-		if !m.IsLeaf() {
-			out.Left, out.Right = walk(m.Left), walk(m.Right)
-		}
-		return out
-	}
-	return walk(n)
-}
-
 // Relations returns the set of base relation ids under n by walking the
 // tree. For DP-produced plans this equals n.Set, but heuristic plans over
 // large graphs rely on this method.

@@ -135,32 +135,3 @@ func TestMurmurFinalizerAvalanche(t *testing.T) {
 		}
 	}
 }
-
-// TestCloneSharesNothing: Clone is how a plan leaves an arena that is about
-// to be rewound, so the copy must be the same tree in other memory — every
-// node, leaves included.
-func TestCloneSharesNothing(t *testing.T) {
-	a := NewArena()
-	l0, l1, l2 := leaf(0, 10, 1), leaf(1, 20, 2), leaf(2, 30, 3)
-	inner := a.NewNode(bitset.MaskOf(0, 1), l0, l1, OpHashJoin, 200, 10)
-	root := a.NewNode(bitset.MaskOf(0, 1, 2), inner, l2, OpMergeJoin, 6000, 42)
-	want := root.Explain(nil)
-
-	c := root.Clone()
-	if c == root || c.Left == inner || c.Right == l2 || c.Left.Left == l0 || c.Left.Right == l1 {
-		t.Fatal("Clone shares a node with its original")
-	}
-	a.Reset()
-	for i := 0; i < 4; i++ {
-		a.NewNode(1, nil, nil, OpScan, -1, -1) // the next run scribbles over the arena
-	}
-	if got := c.Explain(nil); got != want {
-		t.Errorf("clone changed when the arena was reused:\n%s\nwant:\n%s", got, want)
-	}
-	if c.Set != bitset.MaskOf(0, 1, 2) || c.Left.Set != bitset.MaskOf(0, 1) {
-		t.Errorf("clone lost its sets: %v / %v", c.Set, c.Left.Set)
-	}
-	if (*Node)(nil).Clone() != nil {
-		t.Error("Clone of no plan must be no plan")
-	}
-}

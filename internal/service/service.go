@@ -268,19 +268,20 @@ func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, Shape) {
 // Crossover returns the resolved router thresholds.
 func (s *Service) Crossover() backend.Crossover { return s.xover }
 
-// route walks the crossover ladder (see backend.Crossover): sequential
-// exact enumeration for small graphs — MPDP for cliques and stars, where
-// every set is one block or a tree, DPCCP for the rest — CPU-parallel MPDP
-// to the paper's fall-back limit, then — where the pre-GPU router gave up
-// and went heuristic — GPU-MPDP with fused pruning and CCC for large trees
-// and sparse cyclic graphs up to the bitset width. Cliques and dense
-// general graphs (whose connected-set space explodes the same way) cap the
-// exact bands early, and everything beyond goes to the shape's heuristic.
+// route walks the crossover ladder (see backend.Crossover): for small
+// graphs, CPU-parallel MPDP on cliques and stars, where every set is one
+// block or a tree and the levels are thick, and sequential DPCCP on the
+// rest; CPU-parallel MPDP to the paper's fall-back limit, then — where the
+// pre-GPU router gave up and went heuristic — GPU-MPDP with fused pruning
+// and CCC for large trees and sparse cyclic graphs up to the bitset width.
+// Cliques and dense general graphs (whose connected-set space explodes the
+// same way) cap the exact bands early, and everything beyond goes to the
+// shape's heuristic.
 func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.ID) {
 	x := &s.xover
 	if n <= x.SmallLimit && n <= 64 {
 		if shape == ShapeClique || shape == ShapeStar {
-			return core.AlgMPDP, backend.CPUSeq
+			return core.AlgMPDPParallel, backend.CPUParallel
 		}
 		return core.AlgDPCCP, backend.CPUSeq
 	}

@@ -38,7 +38,7 @@ func dpccpCost(t *testing.T, q *cost.Query) float64 {
 // TestRouterMatchesDPCCPSmall is the acceptance criterion: for graphs of
 // at most 12 relations the adaptive router must return plans cost-identical
 // to a direct DPCCP call. Graphs detected as cliques or stars are planned
-// by sequential MPDP, every other shape by DPCCP itself.
+// by CPU-parallel MPDP, every other shape by DPCCP itself.
 func TestRouterMatchesDPCCPSmall(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -58,7 +58,7 @@ func TestRouterMatchesDPCCPSmall(t *testing.T) {
 			}
 			want := core.AlgDPCCP
 			if shape := DetectShape(q.G); shape == ShapeClique || shape == ShapeStar {
-				want = core.AlgMPDP // a 4-relation walk may be a star too
+				want = core.AlgMPDPParallel // a 4-relation walk may be a star too
 				mpdp++
 			}
 			if res.Algorithm != want {
@@ -69,8 +69,8 @@ func TestRouterMatchesDPCCPSmall(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Counters().Snapshot().RouteMPDPSeq; got != mpdp {
-		t.Errorf("route_mpdp = %d, want %d", got, mpdp)
+	if got := s.Counters().Snapshot().RouteMPDP; got != mpdp {
+		t.Errorf("route_mpdp_cpu = %d, want %d", got, mpdp)
 	}
 }
 
@@ -84,10 +84,10 @@ func TestRouteThresholds(t *testing.T) {
 		bid  backend.ID
 	}{
 		{workload.KindChain, 8, core.AlgDPCCP, backend.CPUSeq},
-		// In the small band sequential MPDP beats DPCCP on cliques and
+		// In the small band CPU-parallel MPDP beats DPCCP on cliques and
 		// stars; DPCCP stays faster on sparse cyclic shapes and walks.
-		{workload.KindClique, 12, core.AlgMPDP, backend.CPUSeq},
-		{workload.KindStar, 12, core.AlgMPDP, backend.CPUSeq},
+		{workload.KindClique, 12, core.AlgMPDPParallel, backend.CPUParallel},
+		{workload.KindStar, 12, core.AlgMPDPParallel, backend.CPUParallel},
 		{workload.KindChain, 12, core.AlgDPCCP, backend.CPUSeq},
 		{workload.KindCycle, 12, core.AlgDPCCP, backend.CPUSeq},
 		{workload.KindMB, 12, core.AlgDPCCP, backend.CPUSeq},
@@ -264,7 +264,7 @@ func TestCoalescingSharesOneOptimization(t *testing.T) {
 	if got := snap.Hits + snap.Misses + snap.Coalesced; got != callers {
 		t.Errorf("hits+misses+coalesced = %d, want %d", got, callers)
 	}
-	if optimized := snap.RouteDPCCP + snap.RouteMPDPSeq + snap.RouteMPDP + snap.RouteIDP2 + snap.RouteUnionDP; optimized >= callers {
+	if optimized := snap.RouteDPCCP + snap.RouteMPDP + snap.RouteIDP2 + snap.RouteUnionDP; optimized >= callers {
 		t.Errorf("ran %d optimizations for %d identical concurrent requests", optimized, callers)
 	}
 }

@@ -33,7 +33,6 @@ type Counters struct {
 	inflight   atomic.Int64
 
 	routeDPCCP   atomic.Uint64
-	routeMPDPSeq atomic.Uint64
 	routeMPDP    atomic.Uint64
 	routeMPDPGPU atomic.Uint64
 	routeIDP2    atomic.Uint64
@@ -135,7 +134,6 @@ type Snapshot struct {
 	InFlight   int64  `json:"in_flight"`
 
 	RouteDPCCP   uint64 `json:"route_dpccp"`
-	RouteMPDPSeq uint64 `json:"route_mpdp"`
 	RouteMPDP    uint64 `json:"route_mpdp_cpu"`
 	RouteMPDPGPU uint64 `json:"route_mpdp_gpu"`
 	RouteIDP2    uint64 `json:"route_idp2"`
@@ -180,7 +178,6 @@ func (c *Counters) Snapshot() Snapshot {
 		QueueDepth:   c.queueDepth.Load(),
 		InFlight:     c.inflight.Load(),
 		RouteDPCCP:   c.routeDPCCP.Load(),
-		RouteMPDPSeq: c.routeMPDPSeq.Load(),
 		RouteMPDP:    c.routeMPDP.Load(),
 		RouteMPDPGPU: c.routeMPDPGPU.Load(),
 		RouteIDP2:    c.routeIDP2.Load(),
@@ -268,8 +265,6 @@ func (c *Counters) observeRoute(alg core.Algorithm, id backend.ID) {
 	switch alg {
 	case core.AlgDPCCP:
 		c.routeDPCCP.Add(1)
-	case core.AlgMPDP:
-		c.routeMPDPSeq.Add(1)
 	case core.AlgMPDPParallel:
 		c.routeMPDP.Add(1)
 	case core.AlgMPDPGPU:
@@ -305,7 +300,6 @@ func (c *Counters) writeMetrics(mw *obs.MetricsWriter) {
 
 	const routeHelp = "Routing decisions by algorithm."
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, c.routeDPCCP.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp"}, c.routeMPDPSeq.Load())
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, c.routeMPDP.Load())
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, c.routeMPDPGPU.Load())
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, c.routeIDP2.Load())

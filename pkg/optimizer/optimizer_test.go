@@ -3,6 +3,7 @@ package optimizer
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -143,9 +144,15 @@ func TestBuilderQueryOptimizesAcrossDrivers(t *testing.T) {
 // TestCatalogReuse: two queries drawn from one catalog share statistics.
 func TestCatalogReuse(t *testing.T) {
 	cat := NewCatalog()
-	a := cat.Relation("a", RelStats{Rows: 1000})
-	bb := cat.Relation("b", RelStats{Rows: 2000})
-	c := cat.Relation("c", RelStats{Rows: 3000})
+	var rels [3]Rel
+	for i, rows := range []float64{1000, 2000, 3000} {
+		r, err := cat.Relation(string(rune('a'+i)), RelStats{Rows: rows})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rels[i] = r
+	}
+	a, bb, c := rels[0], rels[1], rels[2]
 
 	q1, err := cat.Query().AddRelation(a).AddRelation(bb).Join(a, bb, 0.001).Build()
 	if err != nil {
@@ -183,6 +190,56 @@ func TestBuilderValidation(t *testing.T) {
 	b2.Join(p, Rel(99), 0.5)
 	if _, err := b2.Build(); err == nil {
 		t.Error("join to unknown relation accepted")
+	}
+}
+
+// TestBuilderRejectsInvalidStatistics: a selectivity outside (0, 1] and rows
+// that are not a finite non-negative number never reach the cost model —
+// NaN included, which fails every comparison a range test can make. The
+// builders surface it at Build, the catalog from Relation and UpdateStats.
+func TestBuilderRejectsInvalidStatistics(t *testing.T) {
+	for _, tc := range []struct {
+		v             float64
+		selOK, rowsOK bool
+	}{
+		{math.NaN(), false, false},
+		{math.Inf(1), false, false},
+		{math.Inf(-1), false, false},
+		{0, false, true},
+		{-1, false, false},
+		{1.5, false, true},
+		{1, true, true},
+	} {
+		b := NewQueryBuilder()
+		x := b.Relation("x", RelStats{Rows: 10})
+		y := b.Relation("y", RelStats{Rows: 10})
+		if _, err := b.Join(x, y, tc.v).Build(); (err == nil) != tc.selOK {
+			t.Errorf("selectivity %g: Build err %v, want accepted=%v", tc.v, err, tc.selOK)
+		}
+
+		b = NewQueryBuilder()
+		x = b.Relation("x", RelStats{Rows: tc.v})
+		y = b.Relation("y", RelStats{Rows: 10})
+		if _, err := b.Join(x, y, 0.5).Build(); (err == nil) != tc.rowsOK {
+			t.Errorf("rows %g: QueryBuilder.Relation then Build err %v, want accepted=%v", tc.v, err, tc.rowsOK)
+		}
+
+		cat := NewCatalog()
+		if _, err := cat.Relation("x", RelStats{Rows: tc.v}); (err == nil) != tc.rowsOK {
+			t.Errorf("rows %g: Catalog.Relation err %v, want accepted=%v", tc.v, err, tc.rowsOK)
+		}
+		r, err := cat.Relation("y", RelStats{Rows: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cat.UpdateStats(r, RelStats{Rows: tc.v}); (err == nil) != tc.rowsOK {
+			t.Errorf("rows %g: Catalog.UpdateStats err %v, want accepted=%v", tc.v, err, tc.rowsOK)
+		}
+		if !tc.rowsOK {
+			if got := cat.cat.Rel(int(r)).Rows; got != 10 {
+				t.Errorf("rows %g: the rejected update left rows %g, want 10", tc.v, got)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/catalog"
@@ -73,6 +74,15 @@ type RelStats struct {
 	PKIndex bool
 }
 
+// validate rejects rows the cost model cannot use: not a number, infinite
+// or negative.
+func (s RelStats) validate(name string) error {
+	if !(s.Rows >= 0 && s.Rows <= math.MaxFloat64) {
+		return fmt.Errorf("optimizer: relation %q: rows %g is not a finite non-negative number", name, s.Rows)
+	}
+	return nil
+}
+
 func (s RelStats) toRelation(name string) catalog.Relation {
 	width := s.Width
 	if width == 0 {
@@ -98,9 +108,13 @@ type Catalog struct {
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog { return &Catalog{} }
 
-// Relation registers a relation and returns its handle.
-func (c *Catalog) Relation(name string, stats RelStats) Rel {
-	return Rel(c.cat.Add(stats.toRelation(name)))
+// Relation registers a relation and returns its handle. Rows that are not
+// a finite non-negative number are an error, and nothing is registered.
+func (c *Catalog) Relation(name string, stats RelStats) (Rel, error) {
+	if err := stats.validate(name); err != nil {
+		return -1, err
+	}
+	return Rel(c.cat.Add(stats.toRelation(name))), nil
 }
 
 // Len returns the number of registered relations.
@@ -117,6 +131,9 @@ func (c *Catalog) UpdateStats(r Rel, stats RelStats) error {
 		return fmt.Errorf("optimizer: unknown relation handle %d", r)
 	}
 	name := c.cat.Rel(int(r)).Name
+	if err := stats.validate(name); err != nil {
+		return err
+	}
 	c.cat.Rels[r] = stats.toRelation(name)
 	return nil
 }
@@ -146,10 +163,15 @@ func NewQueryBuilder() *QueryBuilder {
 }
 
 // Relation adds a relation with its statistics and returns its handle
-// (standalone builders only).
+// (standalone builders only). Rows that are not a finite non-negative
+// number fail the builder.
 func (b *QueryBuilder) Relation(name string, stats RelStats) Rel {
 	if b.from != nil {
 		b.fail(fmt.Errorf("optimizer: Relation on a catalog-backed builder; use AddRelation"))
+		return -1
+	}
+	if err := stats.validate(name); err != nil {
+		b.fail(err)
 		return -1
 	}
 	id := Rel(b.cat.Add(stats.toRelation(name)))
@@ -186,7 +208,7 @@ func (b *QueryBuilder) Join(x, y Rel, sel float64) *QueryBuilder {
 		b.fail(fmt.Errorf("optimizer: join references a relation not in the query"))
 	case ix == iy:
 		b.fail(fmt.Errorf("optimizer: self-join on one relation handle"))
-	case sel <= 0 || sel > 1:
+	case !(sel > 0 && sel <= 1):
 		b.fail(fmt.Errorf("optimizer: join selectivity %g outside (0, 1]", sel))
 	default:
 		b.edges = append(b.edges, graph.Edge{A: ix, B: iy, Sel: sel})
