@@ -79,13 +79,18 @@ func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 }
 
 // EvaluateSetMPDP performs the per-set body of Algorithm 3 (lines 4-23):
-// block discovery, block-level CCP enumeration, grow-based expansion and
-// join costing. It is shared by the sequential, CPU-parallel and GPU-model
-// variants so their plans agree exactly.
+// block discovery, block-level CCP enumeration, expansion along the cut
+// vertices and join costing. It is shared by the sequential, CPU-parallel
+// and GPU-model variants so their plans agree exactly.
 //
 // Line 4 runs Hopcroft–Tarjan only on a set it cannot settle for free: a
 // set in which every member is adjacent to at least half of it is one block
 // (diracBlock) — every set of a clique, and the dense sets of any graph.
+// Lines 17–18 grow a block pair into the set's pair; the DFS of line 4 has
+// already recorded which vertices of s hang from each block vertex, so a
+// side is the OR of its block vertices' (graph.BlockScratch.Side), and a
+// bridge's selectivity is that of the tree edge the DFS crossed (BridgeSel):
+// no sweep of the set per pair.
 //
 // Line 6 ranges lb over every proper subset of the block, which is the
 // right shape for a warp that unranks subsets in lockstep and the wrong one
@@ -119,8 +124,8 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 	var stats Stats
 	g := in.Q.G
 	var bw bestWin
-	w := &sc.walk
-	for _, block := range sc.blocks(g, s) {
+	w, bs := &sc.walk, &sc.Blocks
+	for i, block := range sc.blocks(g, s) {
 		if block.Count() == 2 {
 			// A bridge: its two endpoints are the block's only pair, valid
 			// in both orientations, and nothing needs probing — exactly
@@ -129,15 +134,14 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 			if dl != nil && dl.Expired() {
 				return bw.Winner, stats, dl.Err()
 			}
-			a := block.LowestBit()
-			left := g.Grow(a, s.Diff(block.Diff(a))) // a's side of s once the bridge is cut
+			left := bs.Side(i, block.LowestBit()) // its lower end's side of s once the bridge is cut
 			stats.Evaluated += 2
 			stats.CCP += 2
-			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), g.AdjSel(a.Lowest(), block.Diff(a).Lowest()))
+			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), bs.BridgeSel(i))
 			continue
 		}
 		// When the set is a single block the block pair already is the
-		// set-level pair and grow has nothing to add.
+		// set-level pair and nothing hangs from it.
 		whole := block == s
 		var sec bestWin         // the block's pairs with v0 on the left
 		var secSide bitset.Mask // and the block side of its winner
@@ -157,7 +161,7 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 			// Expand the block pair to the set-level pair (lines 17-18).
 			left, right := lb, rb
 			if !whole {
-				left = g.Grow(lb, s.Diff(rb))
+				left = bs.Side(i, lb)
 				right = s.Diff(left)
 				if right != rb {
 					ri = tab.MustSlot(right)
@@ -197,7 +201,8 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 
 // blocks returns the blocks of the subgraph induced by the connected set s
 // (Algorithm 3, line 4): s alone when the Dirac test proves it 2-connected,
-// Hopcroft–Tarjan's answer otherwise. The slice aliases sc.
+// Hopcroft–Tarjan's answer otherwise, with the sides of each of its blocks
+// in sc.Blocks. The slice aliases sc.
 //
 //mpdp:hotpath
 func (sc *Scratch) blocks(g *graph.Graph, s bitset.Mask) []bitset.Mask {
@@ -233,8 +238,12 @@ func diracBlock(g *graph.Graph, s bitset.Mask) bool {
 // device executes it: every proper non-empty subset of every block,
 // Σ 2^|B| − 2. The GPU model bills its evaluate kernel from this and
 // CounterReport.MPDPEvaluated sums it; the CPU evaluator examines only the
-// connected ones among them (Stats.Evaluated).
+// connected ones among them (Stats.Evaluated). A set the Dirac test settles
+// is one block and billed without a search, as the evaluator settles it.
 func UnrankedPairs(g *graph.Graph, s bitset.Mask, sc *graph.BlockScratch) uint64 {
+	if diracBlock(g, s) {
+		return uint64(1)<<uint(s.Count()) - 2
+	}
 	var pairs uint64
 	for _, b := range g.FindBlocksInto(s, sc) {
 		pairs += uint64(1)<<uint(b.Count()) - 2

@@ -29,7 +29,7 @@ func evaluateSetMPDPFullWalk(in Input, tab *plan.Table, s bitset.Mask, dl *Deadl
 			left := g.Grow(a, s.Diff(block.Diff(a)))
 			stats.Evaluated += 2
 			stats.CCP += 2
-			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), g.AdjSel(a.Lowest(), block.Diff(a).Lowest()))
+			costBothWays(in.Q, in.M, tab, &bw, left, s.Diff(left), g.EdgeSel(a.Lowest(), block.Diff(a).Lowest()))
 			continue
 		}
 		whole := block == s

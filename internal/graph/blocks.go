@@ -1,21 +1,41 @@
 package graph
 
-import "repro/internal/bitset"
+import (
+	"math/bits"
 
-// BlockScratch holds the growable DFS state of FindBlocksInto so the MPDP
-// inner loop (one block decomposition per connected set) reuses the same
-// buffers run after run instead of allocating them per call. The zero value
-// is ready to use; each worker needs its own.
+	"repro/internal/bitset"
+)
+
+// BlockScratch holds the DFS state and the answers of FindBlocksInto: the
+// blocks of the last set it was given, and for each block the two things
+// Algorithm 3 reads off a block pair — which vertices of the set hang from
+// each block vertex (Side) and, for a bridge, its edge's selectivity
+// (BridgeSel). Everything is a fixed-size array over the at most 64
+// vertices of a Mask graph, so a call writes only what it uses and never
+// grows anything. The zero value is ready to use; each worker needs its own.
 type BlockScratch struct {
-	blocks    []bitset.Mask
-	edgeStack [][2]int
-	stack     []blockFrame
+	blocks [64]bitset.Mask
+	// Per block: the vertex its DFS child hangs from (the one block vertex
+	// outside the child's subtree) and that vertex's side, the set minus
+	// the child's subtree.
+	top     [64]uint8
+	topSide [64]bitset.Mask
+	// Per vertex x: the vertices of the set that reach the rest of x's
+	// parent block only through x (x included), and the selectivity of the
+	// tree edge the DFS entered x by.
+	hang [64]bitset.Mask
+	sel  [64]float64
+
+	disc, low [64]int8
+	stack     [64]blockFrame
 }
 
+// blockFrame is one vertex on the DFS stack: the vertices visited before it
+// (so its subtree is what is visited since), its DFS parent and the index
+// of the next adjacency-list entry to try.
 type blockFrame struct {
-	v, parent int
-	nbrs      []int
-	next      int
+	before          bitset.Mask
+	v, parent, next int32
 }
 
 // FindBlocks returns the biconnected components (blocks, §2.4) of the
@@ -24,150 +44,115 @@ type blockFrame struct {
 // form no block. s must induce a graph of at most 64 vertices.
 func (g *Graph) FindBlocks(s bitset.Mask) []bitset.Mask {
 	var sc BlockScratch
-	return g.FindBlocksInto(s, &sc)
+	return append([]bitset.Mask(nil), g.FindBlocksInto(s, &sc)...)
 }
 
-// FindBlocksInto is FindBlocks with caller-supplied scratch buffers; the
-// returned slice aliases sc and is valid only until the next call with the
-// same scratch.
+// FindBlocksInto is FindBlocks with caller-supplied scratch; the returned
+// slice aliases sc and, like Side and BridgeSel, answers for s only until
+// the next call with the same scratch.
 //
-// The implementation is the iterative Hopcroft–Tarjan DFS [12]: vertices are
-// assigned discovery numbers and low-links; when a child subtree cannot reach
-// above its parent, the edges accumulated since the child was entered form a
-// block. MPDP (Alg. 3, line 4) calls this once per connected set S.
+// It is Hopcroft–Tarjan's DFS [12] on masks. Roots are taken lowest first
+// and neighbours in adjacency-list order; a child c of p whose subtree
+// reaches no higher than p closes a block when c is finished. That block is
+// p and the vertices of c's subtree not yet claimed by a block closed
+// inside it, so the vertices still open stand in for the edge stack.
+// MPDP (Alg. 3, line 4) calls this once per connected set S.
+//
+//mpdp:hotpath
 func (g *Graph) FindBlocksInto(s bitset.Mask, sc *BlockScratch) []bitset.Mask {
 	if s.Count() < 2 {
 		return nil
 	}
-
-	// Fixed-size DFS numbering: Mask graphs have at most 64 vertices, so
-	// disc/low live on the stack (this is the hottest loop of MPDP — one
-	// call per connected set).
-	var disc, low [64]int32
-	for i := range disc {
-		disc[i] = -1
-	}
-	time := int32(0)
-	blocks := sc.blocks[:0]
-	edgeStack := sc.edgeStack[:0]
-
-	for root := s; !root.Empty(); {
-		r := root.Lowest()
-		if disc[r] >= 0 {
-			root = root.Remove(r)
-			continue
-		}
-		stack := append(sc.stack[:0], blockFrame{v: r, parent: -1, nbrs: g.adjList[r]})
-		disc[r] = time
-		low[r] = time
-		time++
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
-			for f.next < len(f.nbrs) {
-				w := f.nbrs[f.next]
+	var visited, open bitset.Mask
+	var t int8
+	nb := 0
+	for roots := s; !roots.Empty(); roots = s.Diff(visited) {
+		r := roots.Lowest()
+		first, before := nb, visited
+		visited, open = visited.Add(r), open.Add(r)
+		sc.disc[r], sc.low[r], t = t, t, t+1
+		sc.hang[r] = bitset.Single(r)
+		sc.stack[0] = blockFrame{before: before, v: int32(r), parent: -1}
+		for depth := 1; depth > 0; {
+			f := &sc.stack[depth-1]
+			v := int(f.v)
+			adj := g.adjList[v]
+			descended := false
+			for f.next < int32(len(adj)) {
+				w := adj[f.next]
 				f.next++
-				if !s.Has(w) || w == f.parent {
+				if !s.Has(w) || int32(w) == f.parent {
 					continue
 				}
-				if dw := disc[w]; dw >= 0 {
-					// Back edge.
-					if dw < disc[f.v] {
-						edgeStack = append(edgeStack, [2]int{f.v, w})
-						if dw < low[f.v] {
-							low[f.v] = dw
-						}
+				if visited.Has(w) {
+					// A back edge, or the far end of one already seen.
+					if sc.disc[w] < sc.low[v] {
+						sc.low[v] = sc.disc[w]
 					}
 					continue
 				}
-				// Tree edge: descend.
-				edgeStack = append(edgeStack, [2]int{f.v, w})
-				disc[w] = time
-				low[w] = time
-				time++
-				stack = append(stack, blockFrame{v: w, parent: f.v, nbrs: g.adjList[w]})
-				advanced = true
+				sc.stack[depth] = blockFrame{before: visited, v: int32(w), parent: int32(v)}
+				visited, open = visited.Add(w), open.Add(w)
+				sc.disc[w], sc.low[w], t = t, t, t+1
+				sc.hang[w], sc.sel[w] = bitset.Single(w), g.selList[v][f.next-1]
+				depth++
+				descended = true
 				break
 			}
-			if advanced {
+			if descended {
 				continue
 			}
-			// Done with f.v: propagate low-link and detect block roots.
-			v := f.v
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-				if low[v] >= disc[p.v] {
-					// Pop the edges accumulated since v was entered:
-					// they form one block.
-					var block bitset.Mask
-					for len(edgeStack) > 0 {
-						e := edgeStack[len(edgeStack)-1]
-						edgeStack = edgeStack[:len(edgeStack)-1]
-						block = block.Add(e[0]).Add(e[1])
-						if e[0] == p.v && e[1] == v {
-							break
-						}
-					}
-					if !block.Empty() {
-						blocks = append(blocks, block)
-					}
-				}
+			// v is finished: its subtree is everything visited since.
+			depth--
+			if depth == 0 {
+				break
+			}
+			sub := visited.Diff(f.before)
+			p := int(f.parent)
+			if sc.low[v] < sc.low[p] {
+				sc.low[p] = sc.low[v]
+			}
+			if sc.low[v] < sc.disc[p] {
+				continue // v's subtree reaches above p: p's parent block goes on
+			}
+			sc.blocks[nb] = open.Intersect(sub).Add(p)
+			sc.top[nb], sc.topSide[nb] = uint8(p), s.Diff(sub)
+			sc.hang[p] |= sub
+			open = open.Diff(sub)
+			nb++
+		}
+		if comp := visited.Diff(before); comp != s {
+			// s is not connected: a top's side stays in its component.
+			for i := first; i < nb; i++ {
+				sc.topSide[i] &= comp
 			}
 		}
-		sc.stack = stack // retain any growth for the next call
-		root = root.Remove(r)
 	}
-	sc.blocks = blocks
-	sc.edgeStack = edgeStack
-	return blocks
+	return sc.blocks[:nb]
 }
 
-// CutVertices returns the cut vertices (§2.4) of the subgraph induced by s:
-// vertices whose removal increases the number of connected components.
-func (g *Graph) CutVertices(s bitset.Mask) bitset.Mask {
-	var cuts bitset.Mask
-	blocks := g.FindBlocks(s)
-	// A vertex is a cut vertex of the induced subgraph iff it belongs to at
-	// least two blocks.
-	count := make(map[int]int)
-	for _, b := range blocks {
-		b.ForEach(func(v int) { count[v]++ })
+// Side returns the vertices of the set last passed to FindBlocksInto that
+// stay joined to lb, a subset of its i-th block B, once B∖lb is removed —
+// Grow(lb, S∖(B∖lb)), the set-level side of the block pair (lb, B∖lb)
+// (Alg. 3, lines 17–18) — from what the DFS recorded instead of a sweep.
+//
+//mpdp:hotpath
+func (sc *BlockScratch) Side(i int, lb bitset.Mask) bitset.Mask {
+	var side bitset.Mask
+	if t := int(sc.top[i]); lb.Has(t) {
+		side, lb = sc.topSide[i], lb.Remove(t)
 	}
-	for v, c := range count {
-		if c >= 2 {
-			cuts = cuts.Add(v)
-		}
+	for m := uint64(lb); m != 0; m &= m - 1 {
+		side |= sc.hang[bits.TrailingZeros64(m)]
 	}
-	return cuts
+	return side
 }
 
-// BlockCutTree is the bipartite tree of blocks and cut vertices (§2.4).
-type BlockCutTree struct {
-	Blocks []bitset.Mask // block vertex sets
-	Cuts   []int         // cut vertices
-	// BlockCuts[i] lists indices into Cuts for the cut vertices inside
-	// Blocks[i]; the tree edges are exactly (block i, cut BlockCuts[i][j]).
-	BlockCuts [][]int
-}
-
-// BuildBlockCutTree computes the block-cut tree of the subgraph induced by s.
-func (g *Graph) BuildBlockCutTree(s bitset.Mask) BlockCutTree {
-	blocks := g.FindBlocks(s)
-	cutsMask := g.CutVertices(s)
-	cuts := cutsMask.Elements()
-	cutIndex := make(map[int]int, len(cuts))
-	for i, v := range cuts {
-		cutIndex[v] = i
-	}
-	bc := make([][]int, len(blocks))
-	for i, b := range blocks {
-		b.Intersect(cutsMask).ForEach(func(v int) {
-			bc[i] = append(bc[i], cutIndex[v])
-		})
-	}
-	return BlockCutTree{Blocks: blocks, Cuts: cuts, BlockCuts: bc}
+// BridgeSel returns the selectivity of the edge of the i-th block, a bridge
+// of the set last passed to FindBlocksInto, read off the adjacency list the
+// DFS crossed it by: the same bits EdgeSel returns for its two ends.
+//
+//mpdp:hotpath
+func (sc *BlockScratch) BridgeSel(i int) float64 {
+	return sc.sel[sc.blocks[i].Remove(int(sc.top[i])).Lowest()]
 }

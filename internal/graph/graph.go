@@ -1,8 +1,8 @@
 // Package graph implements the join-graph machinery the optimizers are built
 // on: G(R, E) with relations as vertices and inner-join predicates as edges
 // (§2.1), subset connectivity tests, the grow function (§3.2.1), biconnected
-// components / blocks via Hopcroft–Tarjan (§2.4), the block-cut tree, and a
-// union-find used by the UnionDP partition phase (§4.2).
+// components / blocks via Hopcroft–Tarjan (§2.4) with the side of each block
+// vertex, and a union-find used by the UnionDP partition phase (§4.2).
 //
 // Two vertex-set representations are supported: bitset.Mask for graphs of at
 // most 64 vertices (the exact-DP fast path) and bitset.Set for the large
@@ -122,23 +122,6 @@ func (g *Graph) EdgeSel(a, b int) float64 {
 	}
 	if s, ok := g.selAt[[2]int{a, b}]; ok {
 		return s
-	}
-	return 1
-}
-
-// AdjSel is EdgeSel read off the shorter of the two adjacency lists instead
-// of the edge map: the DP loops call it once per bridge pair, where a map
-// probe would cost as much as the pair.
-//
-//mpdp:hotpath
-func (g *Graph) AdjSel(a, b int) float64 {
-	if len(g.adjList[b]) < len(g.adjList[a]) {
-		a, b = b, a
-	}
-	for j, w := range g.adjList[a] {
-		if w == b {
-			return g.selList[a][j]
-		}
 	}
 	return 1
 }

@@ -80,10 +80,21 @@ func TestFindBlocksPaperExample(t *testing.T) {
 			t.Errorf("unexpected block %v", b)
 		}
 	}
-	cuts := g.CutVertices(bitset.Full(9))
+	cuts := cutVertices(g, bitset.Full(9))
 	if cuts != bitset.MaskOf(3, 4, 8) {
 		t.Errorf("cut vertices = %v, want {3, 4, 8}", cuts)
 	}
+}
+
+// cutVertices returns the vertices of s in two or more of its blocks: the
+// cut vertices (§2.4) of the subgraph induced by s.
+func cutVertices(g *Graph, s bitset.Mask) bitset.Mask {
+	var seen, cuts bitset.Mask
+	for _, b := range g.FindBlocks(s) {
+		cuts |= seen & b
+		seen |= b
+	}
+	return cuts
 }
 
 // naiveCutVertices removes each vertex and counts components.
@@ -105,8 +116,8 @@ func TestCutVerticesMatchNaive(t *testing.T) {
 		n := 4 + rng.Intn(10)
 		g := RandomConnected(n, rng.Intn(n), rng)
 		s := bitset.Full(n)
-		if got, want := g.CutVertices(s), naiveCutVertices(g, s); got != want {
-			t.Fatalf("trial %d: CutVertices = %v, want %v", trial, got, want)
+		if got, want := cutVertices(g, s), naiveCutVertices(g, s); got != want {
+			t.Fatalf("trial %d: cut vertices of the blocks = %v, want %v", trial, got, want)
 		}
 	}
 }
@@ -173,18 +184,19 @@ func TestBlockCutTreeChain(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 3}, {2, 3}, {3, 4}, {4, 8}, {8, 5}, {8, 6}, {5, 6}, {6, 7}, {5, 7}} {
 		g.AddEdge(e[0], e[1], 1)
 	}
-	bct := g.BuildBlockCutTree(bitset.Full(9))
-	if len(bct.Blocks) != 4 || len(bct.Cuts) != 3 {
-		t.Fatalf("block-cut tree: %d blocks, %d cuts", len(bct.Blocks), len(bct.Cuts))
+	s := bitset.Full(9)
+	blocks, cuts := g.FindBlocks(s), cutVertices(g, s)
+	if len(blocks) != 4 || cuts.Count() != 3 {
+		t.Fatalf("block-cut tree: %d blocks, %d cuts", len(blocks), cuts.Count())
 	}
 	// A block-cut tree has |blocks| + |cuts| - 1 edges when the graph is
-	// connected; here every edge list entry is one tree edge.
+	// connected: one per (block, cut vertex inside it).
 	edges := 0
-	for _, bc := range bct.BlockCuts {
-		edges += len(bc)
+	for _, b := range blocks {
+		edges += b.Intersect(cuts).Count()
 	}
-	if edges != len(bct.Blocks)+len(bct.Cuts)-1 {
-		t.Errorf("block-cut tree has %d edges, want %d", edges, len(bct.Blocks)+len(bct.Cuts)-1)
+	if edges != len(blocks)+cuts.Count()-1 {
+		t.Errorf("block-cut tree has %d edges, want %d", edges, len(blocks)+cuts.Count()-1)
 	}
 }
 
