@@ -31,19 +31,15 @@ func gpuEquiv(devices int) dp.Func {
 	cfg := gpusim.DefaultConfig()
 	cfg.Devices = devices
 	return func(in dp.Input) (*plan.Node, dp.Stats, error) {
-		if devices <= 1 {
-			p, st, _, err := gpusim.MPDPGPU(in, cfg)
-			return p, st, err
-		}
-		p, st, _, err := gpusim.MPDPGPUMulti(in, cfg)
+		p, st, _, err := gpusim.Run(in, cfg, gpusim.AlgoMPDP)
 		return p, st, err
 	}
 }
 
 // exactAlgs is the lineup under test; DPSize is the reference. The GPU
-// rows cover both the single-device instrumented model and the
-// multi-device scheduler (whose general-graph costing runs through the
-// CCP stream), so the cross-backend equivalence of the service router's
+// rows run the device model on one device and on three (each level's sets
+// split across the devices' workers behind the level barrier, with MPDP's
+// evaluator), so the cross-backend equivalence of the service router's
 // three exact substrates is enforced here.
 var exactAlgs = []struct {
 	name string

@@ -132,8 +132,8 @@ func TestBackendsCostIdentical(t *testing.T) {
 	}
 }
 
-// TestGPUMatchesDeviceModel: an mpdp-gpu request is one gpusim.MPDPGPUMulti
-// run on the whole device pool, with fused pruning and CCC. At 1, 2 and 4
+// TestGPUMatchesDeviceModel: an mpdp-gpu request is one gpusim.Run of MPDP
+// on the whole device pool, with fused pruning and CCC. At 1, 2 and 4
 // devices, on the gpu route's everyday shapes (a tree, a cycle and a
 // snowflake), the plan, the enumeration counters and every number of the
 // device model — devices, per-device accounting, simulated time, aggregate
@@ -153,7 +153,7 @@ func TestGPUMatchesDeviceModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d devices, %d relations: %v", devices, q.N(), err)
 			}
-			want, wantStats, wantGPU, err := gpusim.MPDPGPUMulti(dp.Input{Q: q, M: m}, cfg)
+			want, wantStats, wantGPU, err := gpusim.Run(dp.Input{Q: q, M: m}, cfg, gpusim.AlgoMPDP)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/gpusim"
-	"repro/internal/plan"
 )
 
 // GPUConfig tunes the simulated GPU backend. The zero value selects the
@@ -47,11 +46,10 @@ func (c GPUConfig) DeviceModel() *gpusim.Device {
 	return gpusim.GTX1080()
 }
 
-// gpuBackend runs MPDP on the multi-device simulated GPU. Each call is one
-// query's run across the whole device pool (gpusim.MPDPGPUMulti: the levels
-// of Algorithm 5 split across the devices), on the caller's goroutine and
-// workspace like every other backend, so it returns only once its run has
-// stopped.
+// gpuBackend runs the *-gpu algorithms on the simulated device pool. Each
+// call is one gpusim.Run — MPDP's levels of Algorithm 5 split across the
+// devices, the baselines on one — on the caller's goroutine and workspace
+// like every other backend, so it returns only once its run has stopped.
 type gpuBackend struct {
 	cfg GPUConfig
 }
@@ -61,11 +59,8 @@ func newGPUBackend(cfg GPUConfig) Backend { return gpuBackend{cfg: cfg.withDefau
 func (gpuBackend) ID() ID { return GPU }
 
 func (gpuBackend) Supports(alg core.Algorithm) bool {
-	switch alg {
-	case core.AlgMPDPGPU, core.AlgDPSubGPU, core.AlgDPSizeGPU:
-		return true
-	}
-	return false
+	_, ok := alg.GPUAlgo()
+	return ok
 }
 
 func (b gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
@@ -80,30 +75,11 @@ func (b gpuBackend) Optimize(ctx context.Context, q *cost.Query, alg core.Algori
 	}
 	in := dp.Input{Q: q, M: m, Ctx: ctx, Deadline: deadline, Workspace: opts.Workspace}
 
-	var (
-		p   *plan.Node
-		st  dp.Stats
-		gpu gpusim.MultiStats
-		err error
-	)
-	switch alg {
-	case core.AlgMPDPGPU:
-		p, st, gpu, err = gpusim.MPDPGPUMulti(in, b.cfg.simConfig())
-	case core.AlgDPSubGPU, core.AlgDPSizeGPU:
-		// The baseline GPU algorithms stay single-device (the paper ports
-		// only MPDP to multi-GPU); wrap their stats in the multi view.
-		run := gpusim.DPSubGPU
-		if alg == core.AlgDPSizeGPU {
-			run = gpusim.DPSizeGPU
-		}
-		cfg := b.cfg.simConfig()
-		cfg.Devices = 1
-		var gs gpusim.Stats
-		p, st, gs, err = run(in, cfg)
-		gpu = gpusim.MultiStats{Stats: gs, Devices: 1, PerDevice: []gpusim.Stats{gs}}
-	default:
+	algo, ok := alg.GPUAlgo()
+	if !ok {
 		return nil, fmt.Errorf("backend: gpu backend does not support %q", alg)
 	}
+	p, st, gpu, err := gpusim.Run(in, b.cfg.simConfig(), algo)
 	if err != nil {
 		return nil, err
 	}

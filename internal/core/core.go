@@ -68,6 +68,20 @@ func (a Algorithm) IsExact() bool {
 	return false
 }
 
+// GPUAlgo returns the device-model algorithm a *-gpu name runs, and false
+// for every other name.
+func (a Algorithm) GPUAlgo() (gpusim.Algo, bool) {
+	switch a {
+	case AlgMPDPGPU:
+		return gpusim.AlgoMPDP, true
+	case AlgDPSubGPU:
+		return gpusim.AlgoDPSub, true
+	case AlgDPSizeGPU:
+		return gpusim.AlgoDPSize, true
+	}
+	return 0, false
+}
+
 // Options configures one optimization.
 type Options struct {
 	Algorithm Algorithm
@@ -79,7 +93,8 @@ type Options struct {
 	Threads int
 	// K is the sub-problem bound for IDP/UnionDP (0: 15, the paper default).
 	K int
-	// GPU configures the device model for the *-gpu algorithms.
+	// GPU configures the device model for the *-gpu algorithms (nil:
+	// gpusim.DefaultConfig, one device).
 	GPU *gpusim.Config
 	// Workspace, when non-nil, is the memory the enumeration borrows
 	// instead of allocating (dp.Workspace): the exact algorithms run on it,
@@ -99,7 +114,7 @@ type Result struct {
 	Elapsed time.Duration
 	// GPU carries the device work model for the *-gpu algorithms;
 	// GPU.SimTimeMS is the modeled device time (see internal/gpusim).
-	GPU *gpusim.Stats
+	GPU *gpusim.MultiStats
 }
 
 // Optimize plans the query with the selected algorithm. The context is
@@ -148,12 +163,9 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		res.Plan, res.Stats, err = dp.MPDP(in)
 	case AlgMPDPParallel:
 		res.Plan, res.Stats, err = parallel.MPDP(in)
-	case AlgDPSizeGPU:
-		res.Plan, res.Stats, res.GPU, err = gpuWrap(gpusim.DPSizeGPU(in, gcfg))
-	case AlgDPSubGPU:
-		res.Plan, res.Stats, res.GPU, err = gpuWrap(gpusim.DPSubGPU(in, gcfg))
-	case AlgMPDPGPU:
-		res.Plan, res.Stats, res.GPU, err = gpuWrap(gpusim.MPDPGPU(in, gcfg))
+	case AlgDPSizeGPU, AlgDPSubGPU, AlgMPDPGPU:
+		algo, _ := opts.Algorithm.GPUAlgo()
+		res.Plan, res.Stats, res.GPU, err = gpuRun(in, gcfg, algo)
 	case AlgGOO:
 		res.Plan, err = heuristic.GOO(q, hOpt)
 	case AlgIKKBZ:
@@ -170,7 +182,7 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 			limit = 25
 		}
 		if q.N() <= limit {
-			res.Plan, res.Stats, res.GPU, err = gpuWrap(gpusim.MPDPGPU(in, gcfg))
+			res.Plan, res.Stats, res.GPU, err = gpuRun(in, gcfg, gpusim.AlgoMPDP)
 		} else {
 			res.Plan, err = heuristic.UnionDP(q, hOpt)
 		}
@@ -184,7 +196,8 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 	return res, nil
 }
 
-func gpuWrap(p *plan.Node, st dp.Stats, gs gpusim.Stats, err error) (*plan.Node, dp.Stats, *gpusim.Stats, error) {
+func gpuRun(in dp.Input, cfg gpusim.Config, algo gpusim.Algo) (*plan.Node, dp.Stats, *gpusim.MultiStats, error) {
+	p, st, gs, err := gpusim.Run(in, cfg, algo)
 	return p, st, &gs, err
 }
 

@@ -23,27 +23,12 @@ func DPCCP(in Input) (*plan.Node, Stats, error) {
 	tab := prep.Seed(plan.TableSizeHint(n))
 	stats.ConnectedSets = uint64(n)
 
-	st, err := CostCCPStream(in, tab, in.NewDeadline(), nil)
-	stats.Add(st)
-	if err != nil {
-		return nil, stats, err
-	}
-	return Finish(in, tab, prep.Leaves, &stats)
-}
-
-// CostCCPStream is the costing core of DPCCP, shared with the GPU-model
-// scheduler (internal/gpusim): it walks the join graph's csg-cmp pairs in
-// the canonical order of [24] — children strictly before parents — costing
-// both orientations of every valid pair into the table. The returned
-// Stats count two evaluations and two CCPs per unordered pair, and one
-// ConnectedSets per newly discovered (non-base) set. onPair, when non-nil,
-// is invoked after each pair with the cardinality of the joined set (the
-// pair's DP level), for per-level accounting.
-func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level int)) (Stats, error) {
-	var stats Stats
+	// Walk the csg-cmp pairs in the canonical order of [24] — children
+	// strictly before parents — costing both orientations of every valid
+	// pair into the table. Each unordered pair is emitted once; both
+	// orientations count toward the symmetric Evaluated and CCP counters.
+	dl := in.NewDeadline()
 	ok := ccpPairs(in.Q.G, dl, func(s1, s2 bitset.Mask) {
-		// Each unordered pair is emitted once; both orientations are
-		// costed, and both count toward the symmetric CCP counter.
 		stats.Evaluated += 2
 		stats.CCP += 2
 		i1, i2 := tab.MustSlot(s1), tab.MustSlot(s2)
@@ -52,9 +37,6 @@ func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level in
 		cur, known := tab.Cost(union)
 		if !known {
 			stats.ConnectedSets++
-		}
-		if onPair != nil {
-			onPair(union.Count())
 		}
 		// Child-cost lower bound: when both orientations provably cost at
 		// least the incumbent (see bestWin.hopeless), skip selectivity and
@@ -78,9 +60,9 @@ func CostCCPStream(in Input, tab *plan.Table, dl *Deadline, onPair func(level in
 		}
 	})
 	if !ok {
-		return stats, dl.Err()
+		return nil, stats, dl.Err()
 	}
-	return stats, nil
+	return Finish(in, tab, prep.Leaves, &stats)
 }
 
 // CCPCount runs only the csg-cmp enumeration and returns the query's

@@ -258,8 +258,8 @@ func UnrankedPairs(g *graph.Graph, s bitset.Mask, sc *graph.BlockScratch) uint64
 type side struct{ rows, cost, lg float64 }
 
 // joinCost costs l ⋈ r producing outRows tuples, r being the set right in
-// slot ri: the one pair-costing body of the MPDP evaluators and the CCP
-// stream, from table scalars straight into the cost model's operator
+// slot ri: the one pair-costing body of the MPDP evaluators and DPCCP,
+// from table scalars straight into the cost model's operator
 // arithmetic. An index nested loop needs a plain scan with a primary-key
 // index on the right.
 //

@@ -1,9 +1,11 @@
 package gpusim
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/combinat"
 	"repro/internal/dp"
 	"repro/internal/graph"
+	"repro/internal/parallel"
 	"repro/internal/plan"
 )
 
@@ -12,9 +14,9 @@ type Algo int
 
 // Supported GPU algorithms.
 const (
-	AlgoMPDP Algo = iota
-	AlgoDPSub
-	AlgoDPSize
+	AlgoMPDP   Algo = iota // MPDP-GPU, with the §5 enhancements
+	AlgoDPSub              // COMB-GPU DPSub of Meister & Saake [23]
+	AlgoDPSize             // H+F-GPU DPSize of Meister & Saake [23]
 )
 
 // String returns the algorithm name as used in the paper's figures.
@@ -30,159 +32,255 @@ func (a Algo) String() string {
 	return "?"
 }
 
-// MPDPGPU runs the paper's MPDP on the simulated device (Algorithm 5 with
-// the §5 enhancements) and returns the optimal plan, the algorithmic
-// counters and the device work model.
-func MPDPGPU(in dp.Input, cfg Config) (*plan.Node, dp.Stats, Stats, error) {
-	return run(in, cfg, AlgoMPDP)
+// MultiStats is the device work model of one optimization on one or more
+// simulated devices. The aggregate Stats sums the per-device work; its
+// SimTimeMS is the level-synchronous wall time — per level, the devices
+// run concurrently and the level ends when the slowest device finishes, so
+// wall time is the sum over levels of the per-level maximum, not the sum of
+// device busy times.
+type MultiStats struct {
+	Stats
+	// Devices is the number of simulated devices this run was scheduled on.
+	Devices int
+	// PerDevice holds each device's own accounting. Each device pays its
+	// own kernel launches and its own per-level host↔device transfer; a
+	// device's SimTimeMS is its busy time summed over the levels.
+	PerDevice []Stats
 }
 
-// DPSubGPU models COMB-GPU DPSub of Meister & Saake [23].
-func DPSubGPU(in dp.Input, cfg Config) (*plan.Node, dp.Stats, Stats, error) {
-	return run(in, cfg, AlgoDPSub)
+// levelTotals is one DP level's work, before it is split across devices.
+type levelTotals struct {
+	sets     uint64 // connected sets of this size
+	unranked uint64 // unrank kernel volume: C(n, size), none for DPSize
+	evalCand uint64 // evaluate kernel candidate volume
+	valid    uint64 // costed pairs (both orientations)
 }
 
-// DPSizeGPU models H+F-GPU DPSize of Meister & Saake [23].
-func DPSizeGPU(in dp.Input, cfg Config) (*plan.Node, dp.Stats, Stats, error) {
-	return run(in, cfg, AlgoDPSize)
-}
-
-// run executes the level-synchronous GPU workflow of Algorithm 5:
-// unrank → filter → evaluate → (prune) → scatter, once per DP level.
-// Valid pairs are costed for real through the shared per-set evaluators, so
-// the returned plan is exactly the optimal plan; the candidate-pair volume
-// of each algorithm (the quantity a physical GPU would burn cycles on) is
-// modeled arithmetically and fed to the device-time model.
-func run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, Stats, error) {
+// Run executes algo on the simulated device pool: the level-synchronous
+// workflow of Algorithm 5, unrank → filter → evaluate → (prune) → scatter
+// once per DP level, with every level's index space split evenly across
+// cfg.Devices devices (§5's multi-GPU MPDP). Each device pays its own kernel
+// launches and its own host↔device transfer per level, and the level
+// completes when the slowest device does. The paper ports only MPDP to
+// multi-GPU, so DPSub and DPSize always run on one device.
+//
+// Every algorithm costs its pairs for real through MPDP's evaluator behind
+// the level barrier (evaluateLevels), so the returned plan is exactly the
+// optimal one, the same bits as dp.MPDP's. The algorithm decides only what
+// the levels are billed — the quantity a lockstep device would burn cycles
+// on, derived arithmetically:
+//
+//   - MPDP unranks and filters the C(n, k) candidate sets of level k, then
+//     a warp runs Find-Blocks on each set and examines every proper subset
+//     of every block (dp.UnrankedPairs; on a tree, the pairs Algorithm 2
+//     examines).
+//   - DPSub unranks and filters the same sets and examines all 2^k subsets
+//     of each.
+//   - DPSize has no unrank or filter kernels: it pairs the memoized plans of
+//     complementary sizes, Σ cnt[i]·cnt[k−i] candidates.
+func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, error) {
 	var astats dp.Stats
-	var gstats Stats
-	dev := cfg.device()
-	warp := float64(dev.WarpSize)
+	ndev := cfg.deviceCount()
+	if algo != AlgoMPDP {
+		ndev = 1
+	}
+	mstats := MultiStats{Devices: ndev, PerDevice: make([]Stats, ndev)}
 
 	prep, err := dp.Prepare(in)
 	if err != nil {
-		return nil, astats, gstats, err
+		return nil, astats, mstats, err
 	}
-	n := in.Q.N()
 	buckets, err := dp.ConnectedBuckets(in)
 	if err != nil {
-		return nil, astats, gstats, err
+		return nil, astats, mstats, err
 	}
 	// The simulator shares the CPU enumerators' SoA table: the §5 GPU memo
 	// layout (open addressing on Murmur3) on sparse censuses, direct
 	// addressing on dense ones. The device model bills the paper's unrank
 	// volume arithmetically and does not see the difference.
 	tab := prep.Seed(dp.BucketCount(buckets))
-	astats.ConnectedSets = uint64(n)
-	dl := in.NewDeadline()
-	sc := in.Workspace.Scratch(0)
+	astats.ConnectedSets = uint64(dp.BucketCount(buckets))
 
-	// Tree join graphs use the Algorithm 2 evaluator (same plans, same
-	// counters, no block machinery — exactly like the CPU dispatch).
-	evaluate := dp.EvaluateSetMPDP
-	isTree := in.Q.G.IsTree()
+	totals, err := evaluateLevels(in, tab, buckets, algo, ndev)
+	if err != nil {
+		return nil, astats, mstats, err
+	}
+	for _, lt := range totals {
+		astats.Evaluated += lt.evalCand
+		astats.CCP += lt.valid
+	}
+	mstats.bill(cfg, algo, totals)
+
+	best, astats, err := dp.Finish(in, tab, prep.Leaves, &astats)
+	return best, astats, mstats, err
+}
+
+// evaluateLevels evaluates every connected set, level by level, behind the
+// level barrier the CPU-parallel driver uses (parallel.Levels), one worker
+// per device: same-level sets only read strictly smaller entries, so each
+// worker writing its sets' winners into their own claimed slots as it goes
+// preserves the sequential semantics exactly. Tree join graphs take the
+// Algorithm 2 evaluator, like the CPU dispatch. It returns each level's
+// work as algo bills it, indexed by set size.
+func evaluateLevels(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, algo Algo, ndev int) ([]levelTotals, error) {
+	n := in.Q.N()
+	evaluate, isTree := dp.EvaluateSetMPDP, in.Q.G.IsTree()
 	if isTree {
 		in, evaluate = in.ForTree(), dp.EvaluateSetMPDPTree
 	}
+	levels := parallel.NewLevels(in, evaluate, buckets, ndev)
+	defer levels.Close()
+	dl := in.NewDeadline()
 	var bsc graph.BlockScratch
 
-	// Per-size connected-set counts, needed by the DPSize pair model.
-	cnt := make([]uint64, n+1)
-	for size := 1; size <= n; size++ {
-		cnt[size] = uint64(len(buckets[size]))
-	}
-
+	totals := make([]levelTotals, n+1)
 	for size := 2; size <= n; size++ {
-		gstats.Levels++
-		sets := buckets[size]
-
+		st, err := levels.Run(tab, size)
+		if err != nil {
+			return nil, err
+		}
+		lt := &totals[size]
+		lt.sets, lt.valid = uint64(len(buckets[size])), st.CCP
 		switch algo {
-		case AlgoMPDP, AlgoDPSub:
-			// Unrank kernel: every C(n, size) candidate set gets a thread.
-			candidates := combinat.Binomial(n, size)
-			gstats.KernelLaunches++
-			gstats.UnrankedSets += candidates
-			gstats.addCycles(PhaseUnrank, float64(candidates)*unrankCyclesPerItem/warp)
-			// Filter kernel (stream compaction of connected sets).
-			gstats.KernelLaunches++
-			gstats.addCycles(PhaseFilter, float64(candidates)*filterCyclesPerItem/warp)
-			gstats.GlobalWrites += uint64(len(sets))
-			gstats.FilteredSets += uint64(len(sets))
+		case AlgoMPDP:
+			lt.unranked = combinat.Binomial(n, size)
+			if isTree {
+				lt.evalCand = st.Evaluated
+				break
+			}
+			// A warp unranks every proper subset of every block in
+			// lockstep, whatever the CPU evaluator skipped to find the
+			// same valid pairs.
+			for _, s := range buckets[size] {
+				if dl.Expired() {
+					return nil, dl.Err()
+				}
+				lt.evalCand += dp.UnrankedPairs(in.Q.G, s, &bsc)
+			}
+		case AlgoDPSub:
+			lt.unranked = combinat.Binomial(n, size)
+			lt.evalCand = lt.sets << uint(size)
 		case AlgoDPSize:
-			// DPSize has no unrank/filter: it pairs memoized plans of
-			// complementary sizes directly.
-			gstats.FilteredSets += uint64(len(sets))
-		}
-
-		// Evaluate kernel: one warp per set (MPDP/DPSub) or a thread per
-		// candidate pair (DPSize).
-		gstats.KernelLaunches++
-		var levelCandidates uint64
-		if algo == AlgoDPSize {
 			for s1 := 1; s1 < size; s1++ {
-				levelCandidates += cnt[s1] * cnt[size-s1]
+				lt.evalCand += uint64(len(buckets[s1])) * uint64(len(buckets[size-s1]))
 			}
 		}
+	}
+	return totals, nil
+}
 
-		var levelValid uint64
-		for _, s := range sets {
-			win, st, err := evaluate(in, tab, s, dl, sc)
-			if err != nil {
-				return nil, astats, gstats, err
+// bill splits every level's index spaces evenly across the devices
+// (candidate unranking is index-addressed, so the scheduler partitions work
+// at candidate granularity, not whole sets), prices each device's share and
+// advances the wall clock by the slowest device.
+func (m *MultiStats) bill(cfg Config, algo Algo, totals []levelTotals) {
+	dev := cfg.device()
+	warp := float64(dev.WarpSize)
+	ndev := m.Devices
+	var wallSec float64
+	for size := 2; size < len(totals); size++ {
+		lt := &totals[size]
+		m.Levels++
+		levelWall := 0.0
+		for d := 0; d < ndev; d++ {
+			ds := &m.PerDevice[d]
+			ds.Levels++
+
+			unrank := chunkShare(lt.unranked, ndev, d)
+			cand := chunkShare(lt.evalCand, ndev, d)
+			valid := chunkShare(lt.valid, ndev, d)
+			sets := chunkShare(lt.sets, ndev, d)
+
+			var launches, writes uint64
+			var cycles float64
+			bill := func(p Phase, c float64) {
+				cycles += c
+				ds.addCycles(p, c)
 			}
-			astats.ConnectedSets++
-			levelValid += st.CCP
-			switch algo {
-			case AlgoMPDP:
-				// A warp unranks every proper subset of every block in
-				// lockstep, whatever the CPU evaluator skipped to find the
-				// same valid pairs; on a tree the two counts coincide.
-				if isTree {
-					levelCandidates += st.Evaluated
-				} else {
-					levelCandidates += dp.UnrankedPairs(in.Q.G, s, &bsc)
-				}
-				gstats.addCycles(PhaseEvaluate, blockCyclesPerSet) // warp Find-Blocks
-			case AlgoDPSub:
-				levelCandidates += uint64(1) << uint(size)
+
+			ds.FilteredSets += sets
+			if algo != AlgoDPSize {
+				// Unrank kernel over this device's candidate share, then
+				// the filter kernel's stream compaction of connected sets.
+				launches += 2
+				ds.UnrankedSets += unrank
+				bill(PhaseUnrank, float64(unrank)*unrankCyclesPerItem/warp)
+				bill(PhaseFilter, float64(unrank)*filterCyclesPerItem/warp)
+				writes += sets
 			}
-			if win.Found {
-				tab.Put(s, win)
-				if cfg.FusedPrune {
-					// In-warp shared-memory prune: one write per set.
-					gstats.GlobalWrites++
-				}
+
+			// Evaluate kernel: one warp per set (MPDP, DPSub) or a thread
+			// per candidate pair (DPSize). In lockstep every candidate
+			// stalls for the valid path unless CCC compacts the work.
+			launches++
+			ds.CandidatePairs += cand
+			ds.ValidPairs += valid
+			if algo == AlgoMPDP {
+				bill(PhaseEvaluate, float64(sets)*blockCyclesPerSet) // warp Find-Blocks
 			}
-		}
-		astats.Evaluated += levelCandidates
-		astats.CCP += levelValid
-		gstats.CandidatePairs += levelCandidates
-		gstats.ValidPairs += levelValid
+			if cfg.CCC {
+				bill(PhaseEvaluate, float64(cand)*checkCyclesPerItem/warp+
+					float64(valid)*costCyclesPerItem/warp)
+			} else {
+				bill(PhaseEvaluate, float64(cand)*(checkCyclesPerItem+costCyclesPerItem)/warp)
+			}
+			if cfg.FusedPrune {
+				// In-warp shared-memory prune: one write per surviving set.
+				writes += sets
+			} else {
+				// Separate prune kernel [23]: every found plan spills to
+				// global memory, then a reduce-by-key keeps the best.
+				launches++
+				writes += valid + sets
+				bill(PhasePrune, float64(valid)*2/warp)
+			}
 
-		// Divergence model: in lockstep, every candidate stalls for the
-		// valid path unless CCC compacts the work.
-		if cfg.CCC {
-			gstats.addCycles(PhaseEvaluate, float64(levelCandidates)*checkCyclesPerItem/warp+
-				float64(levelValid)*costCyclesPerItem/warp)
-		} else {
-			gstats.addCycles(PhaseEvaluate, float64(levelCandidates)*(checkCyclesPerItem+costCyclesPerItem)/warp)
-		}
+			// Scatter kernel: publish this device's share of the level.
+			launches++
+			writes += sets
 
-		if !cfg.FusedPrune {
-			// Separate prune kernel [23]: all found plans spill to global
-			// memory, then a reduce-by-key keeps the best per set.
-			gstats.GlobalWrites += levelValid
-			gstats.KernelLaunches++
-			gstats.addCycles(PhasePrune, float64(levelValid)*2/warp)
-			gstats.GlobalWrites += uint64(len(sets))
+			ds.KernelLaunches += launches
+			ds.GlobalWrites += writes
+			sec := levelSeconds(dev, launches, cycles, writes)
+			ds.SimTimeMS += sec * 1e3
+			levelWall = max(levelWall, sec)
 		}
-
-		// Scatter kernel: publish the level's best plans to the memo table.
-		gstats.KernelLaunches++
-		gstats.GlobalWrites += uint64(len(sets))
+		wallSec += levelWall
 	}
 
-	gstats.finalize(dev)
-	best, astats, err := dp.Finish(in, tab, prep.Leaves, &astats)
-	return best, astats, gstats, err
+	// Fold the per-device totals into the aggregate view.
+	for d := range m.PerDevice {
+		ds := &m.PerDevice[d]
+		m.KernelLaunches += ds.KernelLaunches
+		m.UnrankedSets += ds.UnrankedSets
+		m.FilteredSets += ds.FilteredSets
+		m.CandidatePairs += ds.CandidatePairs
+		m.ValidPairs += ds.ValidPairs
+		m.GlobalWrites += ds.GlobalWrites
+		m.WarpCycles += ds.WarpCycles
+		for p := range m.PhaseCycles {
+			m.PhaseCycles[p] += ds.PhaseCycles[p]
+		}
+	}
+	m.SimTimeMS = wallSec * 1e3
+}
+
+// levelSeconds converts one level's work on one device into seconds: its
+// kernel launches, its per-level host↔device round trip, its warp cycles
+// and its global-memory transactions.
+func levelSeconds(d *Device, launches uint64, cycles float64, writes uint64) float64 {
+	return float64(launches)*d.KernelLaunchUS*1e-6 +
+		d.LevelTransferUS*1e-6 +
+		cycles/d.warpThroughput() +
+		float64(writes)/float64(d.WarpSize)*d.GlobalAccessNS*1e-9
+}
+
+// chunkShare is device d's share of total work items split near-evenly
+// across ndev devices (the first total%ndev devices take one more).
+func chunkShare(total uint64, ndev, d int) uint64 {
+	base, rem := total/uint64(ndev), total%uint64(ndev)
+	if uint64(d) < rem {
+		return base + 1
+	}
+	return base
 }

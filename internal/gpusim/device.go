@@ -9,11 +9,14 @@
 // enhancements, fused pruning (one global write per set instead of one per
 // found plan plus a separate prune kernel) and Collaborative Context
 // Collection (CCC [16], which compacts divergent valid-pair work within the
-// warp). Plans are costed for real — each GPU algorithm returns exactly the
-// optimal plan — while phase work counts are derived either arithmetically
-// (unrank/filter over C(n,i) candidate sets) or from the instrumented
-// per-set evaluators shared with package dp, so the modeled counts equal
-// what the real kernels would execute.
+// warp). One driver, Run, models all three at any device count: the
+// device count only splits each level's index space (§5's multi-GPU MPDP),
+// and the baselines always run on one device. Plans are costed for real —
+// every algorithm returns exactly MPDP's optimal plan — while phase work
+// counts are derived either arithmetically (unrank/filter over C(n,i)
+// candidate sets, each algorithm's candidate pairs) or from the
+// instrumented per-set evaluators shared with package dp, so the modeled
+// counts equal what the real kernels would execute.
 //
 // See DESIGN.md ("Hardware/data substitutions") for why this preserves the
 // paper's observable behaviour: every speedup the paper reports is a ratio
@@ -61,9 +64,9 @@ func GTX1080() *Device {
 // Config selects the device and the §5 implementation enhancements.
 type Config struct {
 	Device *Device
-	// Devices is the simulated device count for the multi-device scheduler
-	// (MPDPGPUMulti); 0 and 1 both mean a single device. The single-device
-	// entry points (MPDPGPU etc.) ignore it.
+	// Devices is the simulated device count each DP level is split across;
+	// 0 and 1 both mean a single device. Run honours it for MPDP and runs
+	// the DPSub and DPSize baselines on one device whatever it says.
 	Devices int
 	// FusedPrune prunes in shared memory at the end of the evaluate kernel
 	// (one global write per set); false models the separate prune kernel of
@@ -162,13 +165,4 @@ func (s *Stats) PhaseMS(d *Device) [5]float64 {
 func (s *Stats) addCycles(p Phase, cycles float64) {
 	s.WarpCycles += cycles
 	s.PhaseCycles[p] += cycles
-}
-
-// finalize converts accumulated work into simulated milliseconds.
-func (s *Stats) finalize(d *Device) {
-	timeSec := float64(s.KernelLaunches)*d.KernelLaunchUS*1e-6 +
-		float64(s.Levels)*d.LevelTransferUS*1e-6 +
-		s.WarpCycles/d.warpThroughput() +
-		float64(s.GlobalWrites)/float64(d.WarpSize)*d.GlobalAccessNS*1e-9
-	s.SimTimeMS = timeSec * 1e3
 }

@@ -51,15 +51,15 @@ func TestGPUAlgorithmsProduceOptimalPlans(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Direct calls (kept simple to avoid interface gymnastics).
-		p1, st1, _, err := MPDPGPU(dp.Input{Q: q, M: m}, DefaultConfig())
+		p1, st1, _, err := Run(dp.Input{Q: q, M: m}, DefaultConfig(), AlgoMPDP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, st2, _, err := DPSubGPU(dp.Input{Q: q, M: m}, DefaultConfig())
+		p2, st2, _, err := Run(dp.Input{Q: q, M: m}, DefaultConfig(), AlgoDPSub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p3, st3, _, err := DPSizeGPU(dp.Input{Q: q, M: m}, DefaultConfig())
+		p3, st3, _, err := Run(dp.Input{Q: q, M: m}, DefaultConfig(), AlgoDPSize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,15 +80,15 @@ func TestCandidatePairOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	q := starQuery(14, rng)
 	m := cost.DefaultModel()
-	_, stM, gsM, err := MPDPGPU(dp.Input{Q: q, M: m}, DefaultConfig())
+	_, stM, gsM, err := Run(dp.Input{Q: q, M: m}, DefaultConfig(), AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stS, gsS, err := DPSubGPU(dp.Input{Q: q, M: m}, DefaultConfig())
+	_, stS, gsS, err := Run(dp.Input{Q: q, M: m}, DefaultConfig(), AlgoDPSub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, gsZ, err := DPSizeGPU(dp.Input{Q: q, M: m}, DefaultConfig())
+	_, _, gsZ, err := Run(dp.Input{Q: q, M: m}, DefaultConfig(), AlgoDPSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestEnhancementAblation(t *testing.T) {
 	} {
 		sim := func(fused, ccc bool) Stats {
 			cfg := Config{Device: GTX1080(), FusedPrune: fused, CCC: ccc}
-			_, _, gs, err := run(dp.Input{Q: tc.q, M: cost.DefaultModel()}, cfg, tc.algo)
+			_, _, gs, err := Run(dp.Input{Q: tc.q, M: cost.DefaultModel()}, cfg, tc.algo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return gs
+			return gs.Stats
 		}
 		full, noCCC, noFuse := sim(true, true), sim(true, false), sim(false, true)
 		if noCCC.WarpCycles < full.WarpCycles {
@@ -159,7 +159,7 @@ func TestSmallQueryTransferOverheadDominates(t *testing.T) {
 	// because of per-level transfers; the model must reflect a time floor.
 	rng := rand.New(rand.NewSource(34))
 	q := starQuery(5, rng)
-	_, _, gs, err := MPDPGPU(dp.Input{Q: q, M: cost.DefaultModel()}, DefaultConfig())
+	_, _, gs, err := Run(dp.Input{Q: q, M: cost.DefaultModel()}, DefaultConfig(), AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package gpusim
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -49,7 +48,7 @@ func TestMultiDeviceCostIdenticalToCPU(t *testing.T) {
 			}
 			cfg := DefaultConfig()
 			cfg.Devices = ndev
-			p, _, _, err := MPDPGPUMulti(in, cfg)
+			p, _, _, err := Run(in, cfg, AlgoMPDP)
 			if err != nil {
 				t.Fatalf("%s/dev=%d: %v", kind, ndev, err)
 			}
@@ -68,13 +67,13 @@ func TestMultiDeviceCountersMatchSingle(t *testing.T) {
 	in := dp.Input{Q: q, M: cost.DefaultModel()}
 	cfg1 := DefaultConfig()
 	cfg1.Devices = 1
-	_, st1, gs1, err := MPDPGPUMulti(in, cfg1)
+	_, st1, gs1, err := Run(in, cfg1, AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg4 := DefaultConfig()
 	cfg4.Devices = 4
-	_, st4, gs4, err := MPDPGPUMulti(in, cfg4)
+	_, st4, gs4, err := Run(in, cfg4, AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestMultiDeviceMonotonicScaling(t *testing.T) {
 		for _, ndev := range []int{1, 2, 4, 8} {
 			cfg := DefaultConfig()
 			cfg.Devices = ndev
-			_, _, gs, err := MPDPGPUMulti(in, cfg)
+			_, _, gs, err := Run(in, cfg, AlgoMPDP)
 			if err != nil {
 				t.Fatalf("%s/%d dev=%d: %v", tc.kind, tc.n, ndev, err)
 			}
@@ -137,59 +136,6 @@ func TestMultiDeviceMonotonicScaling(t *testing.T) {
 				if ds.SimTimeMS <= 0 || ds.SimTimeMS > gs.SimTimeMS*(1+1e-9) {
 					t.Errorf("%s/%d dev=%d: device %d busy %.4fms of a %.4fms run", tc.kind, tc.n, ndev, d, ds.SimTimeMS, gs.SimTimeMS)
 				}
-			}
-		}
-	}
-}
-
-// TestMultiDeviceMatchesSingleDeviceModel: with one device the multi
-// scheduler's totals must agree with the original single-device MPDPGPU,
-// and the sim times must stay within a few percent (only float summation
-// order differs). On a tree both paths run the same real Algorithm 2
-// evaluator. On a cyclic graph the single path costs through the CPU's
-// connected-subset walk and the multi path through the CCP stream, and
-// both bill the evaluate kernel the paper's unrank volume
-// (dp.UnrankedPairs), so the counters agree there too — and exceed what
-// the CPU evaluator examines.
-func TestMultiDeviceMatchesSingleDeviceModel(t *testing.T) {
-	for _, tc := range []struct {
-		kind workload.Kind
-		n    int
-	}{{workload.KindStar, 16}, {workload.KindCycle, 14}, {workload.KindMB, 12}} {
-		name := fmt.Sprintf("%s-%d", tc.kind, tc.n)
-		q := multiQuery(t, tc.kind, tc.n, 5)
-		in := dp.Input{Q: q, M: cost.DefaultModel()}
-		pS, stS, gsS, err := MPDPGPU(in, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.Devices = 1
-		pM, stM, gsM, err := MPDPGPUMulti(in, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relClose(pS.Cost, pM.Cost) {
-			t.Errorf("%s: cost diverges: single %g, multi %g", name, pS.Cost, pM.Cost)
-		}
-		if stS != stM {
-			t.Errorf("%s: stats diverge: single %+v, multi %+v", name, stS, stM)
-		}
-		if gsS.CandidatePairs != gsM.CandidatePairs || gsS.ValidPairs != gsM.ValidPairs ||
-			gsS.UnrankedSets != gsM.UnrankedSets || gsS.GlobalWrites != gsM.GlobalWrites {
-			t.Errorf("%s: device work diverges:\nsingle %+v\nmulti  %+v", name, gsS, gsM.Stats)
-		}
-		if math.Abs(gsS.SimTimeMS-gsM.SimTimeMS) > 0.05*gsS.SimTimeMS {
-			t.Errorf("%s: sim time diverges: single %.4fms, multi(1) %.4fms", name, gsS.SimTimeMS, gsM.SimTimeMS)
-		}
-		if tc.kind == workload.KindCycle {
-			_, cpu, err := dp.MPDPGeneral(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if cpu.Evaluated >= stS.Evaluated || cpu.CCP != stS.CCP {
-				t.Errorf("%s: CPU evaluator examined %d pairs (CCP %d), device model bills %d (CCP %d): want fewer pairs, same CCP",
-					name, cpu.Evaluated, cpu.CCP, stS.Evaluated, stS.CCP)
 			}
 		}
 	}
@@ -215,7 +161,7 @@ func TestMultiTreeLevelsBitIdentical(t *testing.T) {
 		for devices := 1; devices <= 4; devices++ {
 			cfg := DefaultConfig()
 			cfg.Devices = devices
-			got, st, gs, err := MPDPGPUMulti(in, cfg)
+			got, st, gs, err := Run(in, cfg, AlgoMPDP)
 			if err != nil {
 				t.Fatalf("%s-%d on %d devices: %v", tc.kind, tc.n, devices, err)
 			}
@@ -232,30 +178,32 @@ func TestMultiTreeLevelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMultiTreeRunSeesCancellation: the tree path runs behind the level
-// barrier it shares with the CPU-parallel driver, whose workers keep one
-// deadline checker for the run — a chain-40 (the gpu route's everyday
-// query) cancelled before it starts must not return a plan, on one device
-// or several.
-func TestMultiTreeRunSeesCancellation(t *testing.T) {
-	q := multiQuery(t, workload.KindChain, 40, 3)
+// TestMultiRunSeesCancellation: every run is behind the level barrier it
+// shares with the CPU-parallel driver, whose workers keep one deadline
+// checker for the run — a chain-40 (the gpu route's everyday query) and a
+// clique-12 (levels of up to 924 sets, thick enough to start the helpers)
+// cancelled before they start must not return a plan, on one device or
+// several.
+func TestMultiRunSeesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, devices := range []int{1, 2} {
-		cfg := DefaultConfig()
-		cfg.Devices = devices
-		p, _, _, err := MPDPGPUMulti(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: ctx}, cfg)
-		if !errors.Is(err, context.Canceled) || p != nil {
-			t.Errorf("devices=%d: plan %v, err %v; want no plan and context.Canceled", devices, p != nil, err)
+	for _, q := range []*cost.Query{multiQuery(t, workload.KindChain, 40, 3), multiQuery(t, workload.KindClique, 12, 3)} {
+		for _, devices := range []int{1, 2} {
+			cfg := DefaultConfig()
+			cfg.Devices = devices
+			p, _, _, err := Run(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: ctx}, cfg, AlgoMPDP)
+			if !errors.Is(err, context.Canceled) || p != nil {
+				t.Errorf("%d relations, devices=%d: plan %v, err %v; want no plan and context.Canceled", q.N(), devices, p != nil, err)
+			}
 		}
 	}
 }
 
-// TestWorkspaceChangesNoDeviceModel: both drivers seed their table from the
-// input's workspace. One workspace under the single-device model of all
-// three algorithms and under the multi-device scheduler, tree and general
-// path, sizes going up and down: plan, counters and every number of the
-// device model are the run's without one — whose allocations are bounded.
+// TestWorkspaceChangesNoDeviceModel: Run seeds its table from the input's
+// workspace. One workspace under all three algorithms on one device and
+// under MPDP on three, tree and general graphs, sizes going up and down:
+// plan, counters and every number of the device model are the run's
+// without one — whose allocations are bounded.
 func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 	ws := new(dp.Workspace)
 	for i, tc := range []struct {
@@ -273,50 +221,40 @@ func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 			if algo != AlgoMPDP && tc.n > 16 {
 				continue // the baselines' candidate volume is the point of the paper
 			}
-			want, wantStats, wantGPU, err := run(fresh, DefaultConfig(), algo)
-			if err != nil {
-				t.Fatalf("%s-%d %v: %v", tc.kind, tc.n, algo, err)
-			}
-			got, gotStats, gotGPU, err := run(borrowed, DefaultConfig(), algo)
-			if err != nil {
-				t.Fatalf("%s-%d %v on a workspace: %v", tc.kind, tc.n, algo, err)
-			}
-			if gotStats != wantStats || gotGPU != wantGPU || got.Explain(nil) != want.Explain(nil) ||
-				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
-				t.Errorf("%s-%d %v: on a workspace %+v %+v cost %v, without %+v %+v cost %v",
-					tc.kind, tc.n, algo, gotStats, gotGPU, got.Cost, wantStats, wantGPU, want.Cost)
-			}
-		}
-		for _, devices := range []int{1, 3} {
-			cfg := DefaultConfig()
-			cfg.Devices = devices
-			want, wantStats, wantGPU, err := MPDPGPUMulti(fresh, cfg)
-			if err != nil {
-				t.Fatalf("%s-%d on %d devices: %v", tc.kind, tc.n, devices, err)
-			}
-			got, gotStats, gotGPU, err := MPDPGPUMulti(borrowed, cfg)
-			if err != nil {
-				t.Fatalf("%s-%d on %d devices, on a workspace: %v", tc.kind, tc.n, devices, err)
-			}
-			if gotStats != wantStats || gotGPU.Stats != wantGPU.Stats || got.Explain(nil) != want.Explain(nil) ||
-				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
-				t.Errorf("%s-%d on %d devices: on a workspace %+v %+v cost %v, without %+v %+v cost %v",
-					tc.kind, tc.n, devices, gotStats, gotGPU.Stats, got.Cost, wantStats, wantGPU.Stats, want.Cost)
+			for _, devices := range []int{1, 3} {
+				if algo != AlgoMPDP && devices > 1 {
+					continue // the baselines run on one device
+				}
+				cfg := DefaultConfig()
+				cfg.Devices = devices
+				want, wantStats, wantGPU, err := Run(fresh, cfg, algo)
+				if err != nil {
+					t.Fatalf("%s-%d %v on %d devices: %v", tc.kind, tc.n, algo, devices, err)
+				}
+				got, gotStats, gotGPU, err := Run(borrowed, cfg, algo)
+				if err != nil {
+					t.Fatalf("%s-%d %v on %d devices, on a workspace: %v", tc.kind, tc.n, algo, devices, err)
+				}
+				if gotStats != wantStats || gotGPU.Stats != wantGPU.Stats || got.Explain(nil) != want.Explain(nil) ||
+					math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+					t.Errorf("%s-%d %v on %d devices: on a workspace %+v %+v cost %v, without %+v %+v cost %v",
+						tc.kind, tc.n, algo, devices, gotStats, gotGPU.Stats, got.Cost, wantStats, wantGPU.Stats, want.Cost)
+				}
 			}
 		}
 	}
 
 	// How often a run without a workspace allocates is a count as well:
-	// 166 and 348 times measured, ten percent on top.
+	// 156 and 335 times measured, ten percent on top.
 	for _, row := range []struct {
 		n       int
 		ceiling float64
-	}{{20, 182}, {40, 382}} {
+	}{{20, 172}, {40, 369}} {
 		in := dp.Input{Q: multiQuery(t, workload.KindCycle, row.n, 1+int64(row.n)), M: cost.DefaultModel()}
 		cfg := DefaultConfig()
 		cfg.Devices = 2
 		got := testing.AllocsPerRun(5, func() {
-			if _, _, _, err := MPDPGPUMulti(in, cfg); err != nil {
+			if _, _, _, err := Run(in, cfg, AlgoMPDP); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -326,39 +264,42 @@ func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 	}
 }
 
-// TestMultiTreeJoinsItsHelpers: the tree path runs behind the shared level
-// barrier, whose helpers live for the run and are joined by the Close it
-// defers. On success, on an expired deadline and on a cancelled context, at
-// 1, 2 and 4 devices, no helper goroutine outlives multiEvaluateTree.
-func TestMultiTreeJoinsItsHelpers(t *testing.T) {
-	q := multiQuery(t, workload.KindStar, 14, 27) // levels of up to 1 716 sets
+// TestMultiJoinsItsHelpers: every run is behind the shared level barrier,
+// whose helpers live for the run and are joined by the Close
+// evaluateLevels defers. On a tree (star-14, levels of up to 1 716 sets) and
+// a general graph (clique-12, up to 924), on success, on an expired deadline
+// and on a cancelled context, at 1, 2 and 4 devices, no helper goroutine
+// outlives evaluateLevels.
+func TestMultiJoinsItsHelpers(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, devices := range []int{1, 2, 4} {
-		for _, mode := range []string{"success", "deadline", "cancelled"} {
-			in := dp.Input{Q: q, M: cost.DefaultModel()}
-			prep, err := dp.Prepare(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buckets, err := dp.ConnectedBuckets(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tab := prep.Seed(dp.BucketCount(buckets))
-			var want error
-			switch mode {
-			case "deadline": // past once the census is taken: a worker's first poll trips it
-				in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
-			case "cancelled":
-				in.Ctx, want = cancelled, context.Canceled
-			}
-			err = multiEvaluateTree(in, tab, buckets, make([]levelTotals, q.N()+1), devices)
-			if !errors.Is(err, want) {
-				t.Errorf("%d devices, %s: err %v, want %v", devices, mode, err, want)
-			}
-			if left := levelHelpers(); left != 0 {
-				t.Errorf("%d devices, %s: %d helpers outlived the run", devices, mode, left)
+	for _, q := range []*cost.Query{multiQuery(t, workload.KindStar, 14, 27), multiQuery(t, workload.KindClique, 12, 27)} {
+		for _, devices := range []int{1, 2, 4} {
+			for _, mode := range []string{"success", "deadline", "cancelled"} {
+				in := dp.Input{Q: q, M: cost.DefaultModel()}
+				prep, err := dp.Prepare(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buckets, err := dp.ConnectedBuckets(in)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tab := prep.Seed(dp.BucketCount(buckets))
+				var want error
+				switch mode {
+				case "deadline": // past once the census is taken: a worker's first poll trips it
+					in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
+				case "cancelled":
+					in.Ctx, want = cancelled, context.Canceled
+				}
+				_, err = evaluateLevels(in, tab, buckets, AlgoMPDP, devices)
+				if !errors.Is(err, want) {
+					t.Errorf("%d relations, %d devices, %s: err %v, want %v", q.N(), devices, mode, err, want)
+				}
+				if left := levelHelpers(); left != 0 {
+					t.Errorf("%d relations, %d devices, %s: %d helpers outlived the run", q.N(), devices, mode, left)
+				}
 			}
 		}
 	}

@@ -12,7 +12,7 @@ import (
 func TestPhaseBreakdownSumsToTotal(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	q := randomQuery(12, 5, rng)
-	_, _, gs, err := MPDPGPU(dp.Input{Q: q, M: cost.DefaultModel()}, DefaultConfig())
+	_, _, gs, err := Run(dp.Input{Q: q, M: cost.DefaultModel()}, DefaultConfig(), AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +31,8 @@ func TestPhaseBreakdownSumsToTotal(t *testing.T) {
 		t.Error("fused configuration must not accrue a prune phase")
 	}
 	// Unfused configuration does accrue prune time.
-	_, _, gs2, err := MPDPGPU(dp.Input{Q: q, M: cost.DefaultModel()},
-		Config{Device: GTX1080(), FusedPrune: false, CCC: true})
+	_, _, gs2, err := Run(dp.Input{Q: q, M: cost.DefaultModel()},
+		Config{Device: GTX1080(), FusedPrune: false, CCC: true}, AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestPhaseNames(t *testing.T) {
 func TestDPSizeGPUSkipsUnrankFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	q := randomQuery(10, 4, rng)
-	_, _, gs, err := DPSizeGPU(dp.Input{Q: q, M: cost.DefaultModel()}, DefaultConfig())
+	_, _, gs, err := Run(dp.Input{Q: q, M: cost.DefaultModel()}, DefaultConfig(), AlgoDPSize)
 	if err != nil {
 		t.Fatal(err)
 	}

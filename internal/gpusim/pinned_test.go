@@ -14,14 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// deviceModelRow is one configuration of the pinned grid. devices 0 is the
-// run core's *-gpu algorithms make; 1 to 3 are the service's gpu route.
+// deviceModelRow is one configuration of the pinned grid.
 type deviceModelRow struct {
-	kind    workload.Kind
-	n       int
-	algo    Algo
-	cfg     Config
-	devices int
+	kind workload.Kind
+	n    int
+	algo Algo
+	cfg  Config
 }
 
 func (r deviceModelRow) label() string {
@@ -29,8 +27,8 @@ func (r deviceModelRow) label() string {
 	if r.cfg.FusedPrune && r.cfg.CCC {
 		conf = "fused+ccc"
 	}
-	if r.devices > 0 {
-		conf = fmt.Sprintf("devices=%d", r.devices)
+	if r.cfg.Devices > 0 {
+		conf = fmt.Sprintf("devices=%d", r.cfg.Devices)
 	}
 	return fmt.Sprintf("%s-%d %s %s", r.kind, r.n, strings.ReplaceAll(r.algo.String(), " ", ""), conf)
 }
@@ -50,7 +48,7 @@ func deviceModelRows() []deviceModelRow {
 	for _, g := range graphs {
 		for _, algo := range []Algo{AlgoMPDP, AlgoDPSub, AlgoDPSize} {
 			for _, on := range []bool{true, false} {
-				rows = append(rows, deviceModelRow{g.kind, g.n, algo, Config{Device: GTX1080(), FusedPrune: on, CCC: on}, 0})
+				rows = append(rows, deviceModelRow{g.kind, g.n, algo, Config{Device: GTX1080(), FusedPrune: on, CCC: on}})
 			}
 		}
 	}
@@ -61,7 +59,7 @@ func deviceModelRows() []deviceModelRow {
 		for devices := 1; devices <= 3; devices++ {
 			cfg := DefaultConfig()
 			cfg.Devices = devices
-			rows = append(rows, deviceModelRow{g.kind, g.n, AlgoMPDP, cfg, devices})
+			rows = append(rows, deviceModelRow{g.kind, g.n, AlgoMPDP, cfg})
 		}
 	}
 	return rows
@@ -71,14 +69,7 @@ func deviceModelRows() []deviceModelRow {
 func deviceModel(t *testing.T, r deviceModelRow) (dp.Stats, Stats) {
 	t.Helper()
 	in := dp.Input{Q: multiQuery(t, r.kind, r.n, int64(r.n)), M: cost.DefaultModel()}
-	if r.devices == 0 {
-		_, st, gs, err := run(in, r.cfg, r.algo)
-		if err != nil {
-			t.Fatalf("%s: %v", r.label(), err)
-		}
-		return st, gs
-	}
-	_, st, gs, err := MPDPGPUMulti(in, r.cfg)
+	_, st, gs, err := Run(in, r.cfg, r.algo)
 	if err != nil {
 		t.Fatalf("%s: %v", r.label(), err)
 	}

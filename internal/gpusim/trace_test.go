@@ -22,7 +22,7 @@ func TestTraceIntoDecomposesDeviceTime(t *testing.T) {
 	for _, ndev := range []int{1, 3} {
 		cfg := DefaultConfig()
 		cfg.Devices = ndev
-		_, _, gs, err := MPDPGPUMulti(in, cfg)
+		_, _, gs, err := Run(in, cfg, AlgoMPDP)
 		if err != nil {
 			t.Fatal(err)
 		}

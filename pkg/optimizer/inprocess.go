@@ -55,10 +55,7 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		out.Algorithm = AlgAuto
 	}
 	if res.GPU != nil {
-		out.GPUDevices = 1 // core's *-gpu algorithms model a single device
-		if o.gpuDev > 0 {
-			out.GPUDevices = o.gpuDev
-		}
+		out.GPUDevices = res.GPU.Devices
 		out.GPUSimMS = res.GPU.SimTimeMS
 	}
 	if o.explain {

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/httpapi"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -337,5 +339,33 @@ func TestExplainAcrossDrivers(t *testing.T) {
 		if res.Explain == "" {
 			t.Errorf("%s: no explain output", tc.name)
 		}
+	}
+}
+
+// TestInProcessHonoursGPUDevices: WithGPUDevices reaches the device model.
+// mpdp-gpu on two devices is the gpu backend's run on two devices, to the
+// bit of its simulated time, and reports two; dpsub-gpu, a baseline the
+// paper never splits, reports one.
+func TestInProcessHonoursGPUDevices(t *testing.T) {
+	ctx := context.Background()
+	q := Chain(40, 1)
+	got, err := InProcess().Optimize(ctx, q, WithAlgorithm(AlgMPDPGPU), WithGPUDevices(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := backend.NewSet(backend.GPUConfig{Devices: 2}).Get(backend.GPU).Optimize(ctx, q.q, core.AlgMPDPGPU, backend.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.GPUDevices != 2 || math.Float64bits(got.GPUSimMS) != math.Float64bits(want.GPU.SimTimeMS) {
+		t.Errorf("mpdp-gpu on 2 devices: %d devices, %v ms; the gpu backend: %d devices, %v ms",
+			got.GPUDevices, got.GPUSimMS, want.GPU.Devices, want.GPU.SimTimeMS)
+	}
+	got, err = InProcess().Optimize(ctx, Chain(12, 1), WithAlgorithm(AlgDPSubGPU), WithGPUDevices(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.GPUDevices != 1 {
+		t.Errorf("dpsub-gpu with WithGPUDevices(2): %d devices, want 1", got.GPUDevices)
 	}
 }
