@@ -98,8 +98,9 @@ func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, 
 	// layout (open addressing on Murmur3) on sparse censuses, direct
 	// addressing on dense ones. The device model bills the paper's unrank
 	// volume arithmetically and does not see the difference.
-	tab := prep.Seed(dp.BucketCount(buckets))
-	astats.ConnectedSets = uint64(dp.BucketCount(buckets))
+	sets := dp.BucketCount(buckets)
+	tab := prep.Seed(sets)
+	astats.ConnectedSets = uint64(sets)
 
 	totals, err := evaluateLevels(in, tab, buckets, algo, ndev)
 	if err != nil {

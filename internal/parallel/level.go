@@ -54,7 +54,7 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 
 // Levels is the level barrier of the level-synchronous drivers — the CPU
 // counterpart of the paper's one-kernel-per-level structure (§5), shared by
-// the CPU-parallel enumerators and the GPU model's tree path. Run evaluates
+// the CPU-parallel enumerators and the GPU model (gpusim.Run). Run evaluates
 // the connected sets of one size and returns once all of them are in the
 // table, so every set of the next size finds its children.
 //
