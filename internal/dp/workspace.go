@@ -31,7 +31,9 @@ import (
 //
 // The zero value is ready to use, and every method takes a nil receiver to
 // mean "no workspace": fresh memory, exactly what the run allocated before
-// workspaces existed.
+// workspaces existed. NewWarmWorkspace returns the one kind that keeps more
+// between runs (warmRetainSlots instead of retainSlots); nothing else tells
+// the two apart.
 type Workspace struct {
 	tab        plan.Table
 	census     [][]bitset.Mask
@@ -39,6 +41,7 @@ type Workspace struct {
 	scratch    []*Scratch
 	cuts       []graph.TreeCut
 	nodes      plan.Arena
+	warm       bool // keeps up to warmRetainSlots, not retainSlots
 }
 
 // retainSlots bounds what a workspace keeps between runs: at most this many
@@ -51,9 +54,34 @@ type Workspace struct {
 // lets go of it as soon as its tree is built (trim): uncapped, six service
 // workers that had each seen one star-18 pinned 12.6 MB apiece (peak heap
 // 67 → 199 MB on the exact-dense workload), and dropping it only when the
-// worker's next request arrived still read 127. A constant, not a knob: no
-// caller has a reason to pick another.
+// worker's next request arrived still read 127. That failure is one large
+// table per worker; the service's one warm workspace (warmRetainSlots) keeps
+// one large table per service instead. Constants, not knobs: no caller has a
+// reason to pick others.
 const retainSlots = 1 << 16
+
+// warmRetainSlots is the bound of a warm workspace (NewWarmWorkspace):
+// 2^18 table slots and as many census masks, about 15 MB, which is a
+// star-18's direct table or a hashed one of up to 2^17 sets (snowflake-28
+// and -30). A service owns exactly one and lends it to a worker's run
+// whenever no other run has it, so a large exact miss reuses the previous
+// one's table and census instead of allocating them again, while resident
+// memory grows by one such table per service and not one per worker.
+const warmRetainSlots = 1 << 18
+
+// NewWarmWorkspace returns an empty workspace that keeps up to
+// warmRetainSlots table slots and census masks between runs instead of
+// retainSlots. It pins up to 15 MB for as long as it lives, so an owner
+// shares one among its workers rather than giving each one its own.
+func NewWarmWorkspace() *Workspace { return &Workspace{warm: true} }
+
+// retained is w's retention bound in table slots and in census masks.
+func (w *Workspace) retained() int {
+	if w.warm {
+		return warmRetainSlots
+	}
+	return retainSlots
+}
 
 // begin starts a run: the arena is rewound (to one chunk: plan.Arena.Reset)
 // — the previous run's tree dies here — and whatever a run that never
@@ -72,10 +100,10 @@ func (w *Workspace) trim() {
 	if w == nil {
 		return
 	}
-	if w.tab.Cap() > retainSlots {
+	if w.tab.Cap() > w.retained() {
 		w.tab = plan.Table{}
 	}
-	if censusCap(w.census) > retainSlots {
+	if censusCap(w.census) > w.retained() {
 		w.census = nil
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -191,5 +192,140 @@ func TestWorkspaceRetentionBound(t *testing.T) {
 		t.Errorf("%d B retained after the run that followed an aborted star-17 (%d B right after it), bound %d", got, over, retainBytes)
 	} else {
 		t.Logf("retained: %d B after an aborted star-17, %d B once the next run began (bound %d)", over, got, retainBytes)
+	}
+}
+
+// warmRetainBytes is retainedBytes of a warm workspace at its bound.
+const warmRetainBytes = warmRetainSlots*(8+40+8) + warmRetainSlots/8 +
+	warmRetainSlots*8 +
+	512*int(unsafe.Sizeof(plan.Node{}))
+
+// runBytes runs MPDP on in and returns its plan and the bytes it allocated.
+func runBytes(t *testing.T, in Input) (*plan.Node, uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	best, _, err := MPDP(in)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWarmWorkspaceKeepsStar17: a warm workspace keeps a star-17's table
+// (2^17 direct slots) and census when the run has built its tree, so the
+// next star-17, under other statistics, allocates its base plans and little
+// else; a plain workspace lets both go (TestWorkspaceRetentionBound) and the
+// next one allocates them again.
+func TestWarmWorkspaceKeepsStar17(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	m := cost.DefaultModel()
+	warm, plain := NewWarmWorkspace(), new(Workspace)
+	var warmBytes, plainBytes uint64
+	for round := 0; round < 3; round++ {
+		q := topoQuery(graph.Star(17), rng)
+		want, _, err := MPDP(Input{Q: q, M: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ws := range []*Workspace{warm, plain} {
+			got, bytes := runBytes(t, Input{Q: q, M: m, Workspace: ws})
+			if err := sameTree(got, want); err != nil {
+				t.Fatalf("round %d, warm=%v: %v", round, ws.warm, err)
+			}
+			if ws == warm {
+				warmBytes = bytes
+			} else {
+				plainBytes = bytes
+			}
+		}
+		if slots, masks := warm.tab.Cap(), censusCap(warm.census); slots <= retainSlots || masks <= retainSlots {
+			t.Fatalf("round %d: the warm workspace kept %d slots and %d census masks of a star-17, want both above %d", round, slots, masks, retainSlots)
+		}
+		if got := warm.retainedBytes(); got > warmRetainBytes {
+			t.Fatalf("round %d: the warm workspace keeps %d B, bound %d", round, got, warmRetainBytes)
+		}
+	}
+	t.Logf("a star-17 after the first: %d B on a warm workspace, %d B on a plain one", warmBytes, plainBytes)
+	if warmBytes > 64<<10 {
+		t.Errorf("a star-17 on a warm workspace that ran one before allocated %d B, want ≤ 64 KB", warmBytes)
+	}
+	if plainBytes < 4<<20 {
+		t.Errorf("a star-17 on a plain workspace allocated only %d B: the test no longer sees the table regrow", plainBytes)
+	}
+}
+
+// TestWarmWorkspaceDropsStar19: a star-19 direct-addresses 2^19 slots,
+// past the warm bound; the warm workspace lets its table and census go at
+// Finish, as a plain one does past retainSlots.
+func TestWarmWorkspaceDropsStar19(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	in := Input{Q: topoQuery(graph.Star(19), rng), M: cost.DefaultModel()}
+	want, st, err := MPDP(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ConnectedSets <= warmRetainSlots {
+		t.Fatalf("a star-19 has %d connected sets, within the warm bound: the test needs a larger query", st.ConnectedSets)
+	}
+	in.Workspace = NewWarmWorkspace()
+	got, _, err := MPDP(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameTree(got, want); err != nil {
+		t.Errorf("star-19 on a warm workspace: %v", err)
+	}
+	if got := in.Workspace.retainedBytes(); got > warmRetainBytes {
+		t.Errorf("%d B retained when a star-19 has returned, warm bound %d", got, warmRetainBytes)
+	}
+}
+
+// TestWarmWorkspaceAfterCancelledRun: a star-17 cancelled two thirds in
+// leaves a half-written table the warm workspace keeps, since it fits the
+// bound. The runs that follow on it — the same join graph under other
+// statistics, and smaller queries under every sequential enumerator — must
+// be bit-identical to runs on fresh memory.
+func TestWarmWorkspaceAfterCancelledRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	m := cost.DefaultModel()
+	ws := NewWarmWorkspace()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sets := 0
+	_, _, err := runLevels(Input{Q: topoQuery(graph.Star(17), rng), M: m, Ctx: ctx, Workspace: ws}.ForTree(),
+		func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
+			if sets++; sets == 40000 {
+				cancel()
+				return Winner{}, Stats{}, context.Cause(ctx)
+			}
+			return EvaluateSetMPDPTree(in, tab, s, dl, sc)
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the cancellation", err)
+	}
+
+	next := Input{Q: topoQuery(graph.Star(17), rng), M: m}
+	want, wantStats, err := MPDP(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next.Workspace = ws
+	got, gotStats, err := MPDP(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameTree(got, want); err != nil {
+		t.Errorf("star-17 after a cancelled one: %v", err)
+	}
+	if gotStats != wantStats {
+		t.Errorf("star-17 after a cancelled one counts %+v, fresh %+v", gotStats, wantStats)
+	}
+	if ws.tab.Cap() <= retainSlots {
+		t.Fatalf("the warm workspace kept %d slots: the following runs no longer find a large dirty table", ws.tab.Cap())
+	}
+	for _, q := range []*cost.Query{topoQuery(graph.Star(13), rng), topoQuery(graph.Clique(9), rng), randomQuery(12, 6, rng)} {
+		checkAgainstFresh(t, fmt.Sprintf("%d relations after a cancelled star-17", q.N()), q, ws)
 	}
 }

@@ -11,9 +11,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/cost"
 )
@@ -184,25 +182,14 @@ func relStats(q *cost.Query, v int) [4]uint64 {
 }
 
 // canonicalKey serializes the query in canonical vertex order: relation
-// statistics, then edges sorted by endpoints, all floats as exact bits.
+// statistics, then edges sorted by endpoints, all floats as exact bits. It
+// appends every number into one buffer rather than making a string of each:
+// a key is built on every request the front door has not prepared.
 func canonicalKey(q *cost.Query, perm []int) string {
 	n := q.N()
-	var b strings.Builder
-	b.Grow(32 * (n + len(q.G.Edges)))
-	b.WriteString("n")
-	b.WriteString(strconv.Itoa(n))
 	stats := make([][4]uint64, n)
 	for v := 0; v < n; v++ {
 		stats[perm[v]] = relStats(q, v)
-	}
-	for _, st := range stats {
-		b.WriteByte('|')
-		for i, s := range st {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			b.WriteString(strconv.FormatUint(s, 36))
-		}
 	}
 	type cedge struct {
 		a, b int
@@ -210,27 +197,43 @@ func canonicalKey(q *cost.Query, perm []int) string {
 	}
 	edges := make([]cedge, 0, len(q.G.Edges))
 	for _, e := range q.G.Edges {
-		a, bb := perm[e.A], perm[e.B]
-		if a > bb {
-			a, bb = bb, a
+		a, b := perm[e.A], perm[e.B]
+		if a > b {
+			a, b = b, a
 		}
-		edges = append(edges, cedge{a, bb, floatBits(e.Sel)})
+		edges = append(edges, cedge{a, b, floatBits(e.Sel)})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].a != edges[j].a {
-			return edges[i].a < edges[j].a
+	// Endpoint pairs are unique (graph.AddEdge merges parallel edges), so
+	// the order is total and the bytes do not depend on the sort.
+	slices.SortFunc(edges, func(x, y cedge) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
 		}
-		return edges[i].b < edges[j].b
+		return cmp.Compare(x.b, y.b)
 	})
-	for _, e := range edges {
-		b.WriteByte(';')
-		b.WriteString(strconv.Itoa(e.a))
-		b.WriteByte(',')
-		b.WriteString(strconv.Itoa(e.b))
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatUint(e.sel, 36))
+
+	b := make([]byte, 0, 32*(n+len(edges)))
+	b = append(b, 'n')
+	b = strconv.AppendInt(b, int64(n), 10)
+	for _, st := range stats {
+		for i, s := range st {
+			if i == 0 {
+				b = append(b, '|')
+			} else {
+				b = append(b, ',')
+			}
+			b = strconv.AppendUint(b, s, 36)
+		}
 	}
-	return b.String()
+	for _, e := range edges {
+		b = append(b, ';')
+		b = strconv.AppendInt(b, int64(e.a), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(e.b), 10)
+		b = append(b, ':')
+		b = strconv.AppendUint(b, e.sel, 36)
+	}
+	return string(b)
 }
 
 func floatBits(f float64) uint64 {

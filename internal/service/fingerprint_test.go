@@ -3,6 +3,9 @@ package service
 import (
 	"math/rand"
 	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/catalog"
@@ -224,17 +227,6 @@ func fingerprintByScan(q *cost.Query) Fingerprint {
 // everything ties (uniform statistics: a cycle or a star is nothing but
 // symmetry).
 func TestFingerprintSortedPlacementMatchesScan(t *testing.T) {
-	uniform := func(q *cost.Query) *cost.Query {
-		var cat catalog.Catalog
-		for range q.Cat.Rels {
-			cat.Add(catalog.NewRelation("r", 1000, 64))
-		}
-		g := graph.New(q.N())
-		for _, e := range q.G.Edges {
-			g.AddEdge(e.A, e.B, 1e-3)
-		}
-		return &cost.Query{Cat: cat, G: g}
-	}
 	for _, kind := range []workload.Kind{
 		workload.KindChain, workload.KindCycle, workload.KindStar,
 		workload.KindClique, workload.KindSnowflake, workload.KindMB,
@@ -244,7 +236,7 @@ func TestFingerprintSortedPlacementMatchesScan(t *testing.T) {
 				continue // 31k edges: 11 s of individualising the uniform one, no new case
 			}
 			q := genQuery(t, kind, n, int64(n)) // MusicBrainz stops at its 56 tables
-			for name, q := range map[string]*cost.Query{"generated": q, "uniform": uniform(q)} {
+			for name, q := range map[string]*cost.Query{"generated": q, "uniform": uniformStats(q)} {
 				got, want := FingerprintQuery(q), fingerprintByScan(q)
 				if got.Key != want.Key || !slices.Equal(got.Perm, want.Perm) {
 					t.Errorf("%s-%d %s: the sorted placement and the scan disagree", kind, q.N(), name)
@@ -252,6 +244,108 @@ func TestFingerprintSortedPlacementMatchesScan(t *testing.T) {
 			}
 		}
 	}
+}
+
+// canonicalKeyReference is canonicalKey as it was written before it
+// appended into one buffer: one string per number, sort.Slice on the edges.
+// Kept as the reference the key bytes are held to.
+func canonicalKeyReference(q *cost.Query, perm []int) string {
+	n := q.N()
+	var b strings.Builder
+	b.Grow(32 * (n + len(q.G.Edges)))
+	b.WriteString("n")
+	b.WriteString(strconv.Itoa(n))
+	stats := make([][4]uint64, n)
+	for v := 0; v < n; v++ {
+		stats[perm[v]] = relStats(q, v)
+	}
+	for _, st := range stats {
+		b.WriteByte('|')
+		for i, s := range st {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(strconv.FormatUint(s, 36))
+		}
+	}
+	type cedge struct {
+		a, b int
+		sel  uint64
+	}
+	edges := make([]cedge, 0, len(q.G.Edges))
+	for _, e := range q.G.Edges {
+		a, bb := perm[e.A], perm[e.B]
+		if a > bb {
+			a, bb = bb, a
+		}
+		edges = append(edges, cedge{a, bb, floatBits(e.Sel)})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].a != edges[j].a {
+			return edges[i].a < edges[j].a
+		}
+		return edges[i].b < edges[j].b
+	})
+	for _, e := range edges {
+		b.WriteByte(';')
+		b.WriteString(strconv.Itoa(e.a))
+		b.WriteByte(',')
+		b.WriteString(strconv.Itoa(e.b))
+		b.WriteByte(':')
+		b.WriteString(strconv.FormatUint(e.sel, 36))
+	}
+	return b.String()
+}
+
+// TestCanonicalKeyMatchesReference: the key is a cache key and travels
+// between nodes, so building it in one buffer must not change a byte. Every
+// family and size this file generates, as generated and with uniform
+// statistics, under its canonical order and under a random one.
+func TestCanonicalKeyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, kind := range []workload.Kind{
+		workload.KindChain, workload.KindCycle, workload.KindStar,
+		workload.KindClique, workload.KindSnowflake, workload.KindMB,
+	} {
+		for _, n := range []int{2, 4, 9, 13, 14, 60, 250} {
+			if n > 60 && kind == workload.KindClique {
+				continue
+			}
+			q := genQuery(t, kind, n, int64(n))
+			for name, q := range map[string]*cost.Query{"generated": q, "uniform": uniformStats(q)} {
+				for _, perm := range [][]int{FingerprintQuery(q).Perm, randPerm(q.N(), rng)} {
+					if got, want := canonicalKey(q, perm), canonicalKeyReference(q, perm); got != want {
+						t.Fatalf("%s-%d %s: key\n%s\nwant\n%s", kind, q.N(), name, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFingerprintAllocs: a cold cycle-200 fingerprint allocates its
+// colouring and one key buffer, not a string per number.
+func TestFingerprintAllocs(t *testing.T) {
+	q := genQuery(t, workload.KindCycle, 200, 200)
+	got := testing.AllocsPerRun(20, func() { FingerprintQuery(q) })
+	if got > 20 {
+		t.Errorf("FingerprintQuery on a cycle-200: %.0f allocations, ceiling 20", got)
+	}
+	t.Logf("FingerprintQuery on a cycle-200: %.0f allocations", got)
+}
+
+// uniformStats is q's join graph with every relation and every edge given
+// the same statistics: nothing but symmetry to canonicalise.
+func uniformStats(q *cost.Query) *cost.Query {
+	var cat catalog.Catalog
+	for range q.Cat.Rels {
+		cat.Add(catalog.NewRelation("r", 1000, 64))
+	}
+	g := graph.New(q.N())
+	for _, e := range q.G.Edges {
+		g.AddEdge(e.A, e.B, 1e-3)
+	}
+	return &cost.Query{Cat: cat, G: g}
 }
 
 func identity(n int) []int {

@@ -186,6 +186,9 @@ type Service struct {
 	inflight map[string]*flight
 
 	reqs chan request
+	// warm holds the service's one warm workspace (dp.NewWarmWorkspace)
+	// while no worker runs on it; serve borrows it when it is there.
+	warm chan *dp.Workspace
 	quit chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
@@ -202,6 +205,7 @@ func New(cfg Config) *Service {
 		slog:     obs.NewSlowLog(cfg.Slow),
 		inflight: make(map[string]*flight),
 		reqs:     make(chan request, cfg.QueueDepth),
+		warm:     newWarm(),
 		quit:     make(chan struct{}),
 	}
 	s.counters.statsEpoch.Store(1)
@@ -213,6 +217,15 @@ func New(cfg Config) *Service {
 		go s.worker()
 	}
 	return s
+}
+
+// newWarm returns the channel a service keeps its warm workspace in, with
+// the workspace in its one slot: the send finds the slot empty and cannot
+// block.
+func newWarm() chan *dp.Workspace {
+	c := make(chan *dp.Workspace, 1)
+	c <- dp.NewWarmWorkspace()
+	return c
 }
 
 // Close stops the worker pool: queued-but-unstarted requests are abandoned
@@ -659,6 +672,10 @@ func (s *Service) worker() {
 	// recycled from one request to the next, and from one inner DP of a
 	// large query to the next. The tree is dead once serve has copied it
 	// into the cache (remapPlan), which is before the worker's next run.
+	// It keeps at most a 2^16-slot table between runs; the one workspace
+	// that keeps a star-18's (s.warm) is the service's, lent to whichever
+	// worker is idle, so resident memory grows by one large table per
+	// service rather than one per worker.
 	ws := new(dp.Workspace)
 	for {
 		// Check quit first: a closed quit and a non-empty queue are both
@@ -680,9 +697,11 @@ func (s *Service) worker() {
 }
 
 // serve runs one optimization, publishes the canonical-space plan to the
-// cache and completes the flight. The optimizer's plan tree lives in the
-// worker's workspace; only the remapped copy survives this call.
-func (s *Service) serve(r request, ws *dp.Workspace) {
+// cache and completes the flight. The run borrows the service's warm
+// workspace when no other worker has it, and the worker's own otherwise.
+// The optimizer's plan tree lives in that workspace; only the remapped copy
+// survives this call.
+func (s *Service) serve(r request, own *dp.Workspace) {
 	defer r.fl.cancel(nil) // release the flight context's resources
 	if !r.enqueuedAt.IsZero() {
 		s.counters.observeQueueWait(time.Since(r.enqueuedAt))
@@ -701,6 +720,11 @@ func (s *Service) serve(r request, ws *dp.Workspace) {
 	s.counters.observeRoute(alg, bid)
 	routeDone()
 
+	ws := own
+	select {
+	case ws = <-s.warm:
+	default:
+	}
 	enumDone := r.tr.StartSpan(obs.PhaseEnumerate)
 	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, bid, shape, ws)
 	enumDone()
@@ -726,6 +750,11 @@ func (s *Service) serve(r request, ws *dp.Workspace) {
 		matDone()
 	} else {
 		r.fl.err = err
+	}
+	// Handed back before the waiters wake, so a caller's next request
+	// finds the warm workspace idle.
+	if ws != own {
+		s.warm <- ws
 	}
 	s.finishFlight(r)
 }

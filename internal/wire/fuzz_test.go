@@ -36,6 +36,7 @@ func FuzzWireQuery(f *testing.F) {
 		``, `{}`, `null`, `{"relations":`,
 		`{"relations":[{"name":"","rows":1}]}`,
 		`{"relations":[{"name":"a","rows":-1}]}`,
+		`{"relations":[{"name":"a","rows":5,"pages":-3}]}`,
 		`{"relations":[{"name":"a","rows":1e308,"width":2147483647}]}`,
 		`{"relations":[{"name":"a","rows":5,"pages":3},{"name":"b","rows":0}],"edges":[{"a":0,"b":1,"sel":0.5},{"a":1,"b":0,"sel":0.5}]}`,
 		`{"relations":[{"name":"a","rows":5},{"name":"b","rows":6}],"edges":[{"a":0,"b":1,"sel":1e-200},{"a":0,"b":1,"sel":1e-200}]}`,
@@ -55,6 +56,11 @@ func FuzzWireQuery(f *testing.F) {
 		q, err := wq.ToQuery(schema)
 		if err != nil {
 			return
+		}
+		for _, r := range q.Cat.Rels {
+			if !(r.Pages >= 0) {
+				t.Fatalf("relation %q decoded with pages %v: a scan would cost less than nothing", r.Name, r.Pages)
+			}
 		}
 		want := service.FingerprintQuery(q)
 
@@ -76,4 +82,30 @@ func FuzzWireQuery(f *testing.F) {
 			t.Fatalf("fingerprint changed across the wire:\n got %s\nwant %s\n%s", got.Key, want.Key, encoded)
 		}
 	})
+}
+
+// TestToQueryRejectsNegativeStatistics: a negative row or page count would
+// make that relation's scan cost negative, so the decoder refuses both, as
+// it refuses any statistic the cost model cannot use. A zero page count is
+// not negative: it asks for the derived one.
+func TestToQueryRejectsNegativeStatistics(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"relations":[{"name":"a","rows":-1}]}`:           `relation "a" has negative rows`,
+		`{"relations":[{"name":"a","rows":5,"pages":-3}]}`: `relation "a" has negative pages`,
+		`{"relations":[{"name":"a","rows":5,"pages":0}]}`:  ``,
+	} {
+		var wq wire.Query
+		if err := json.Unmarshal([]byte(body), &wq); err != nil {
+			t.Fatal(err)
+		}
+		q, err := wq.ToQuery(nil)
+		switch {
+		case want != "" && (err == nil || err.Error() != want):
+			t.Errorf("%s: err = %v, want %q", body, err, want)
+		case want == "" && err != nil:
+			t.Errorf("%s: %v", body, err)
+		case want == "" && q.Cat.Rels[0].Pages <= 0:
+			t.Errorf("%s: pages %v, want the derived count", body, q.Cat.Rels[0].Pages)
+		}
+	}
 }

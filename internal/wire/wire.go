@@ -69,6 +69,9 @@ func (wq *Query) ToQuery(schema sql.Schema) (*cost.Query, error) {
 		if r.Rows < 0 {
 			return nil, fmt.Errorf("relation %q has negative rows", r.Name)
 		}
+		if r.Pages < 0 {
+			return nil, fmt.Errorf("relation %q has negative pages", r.Name)
+		}
 		rel := catalog.Relation{
 			Name: r.Name, Rows: r.Rows, Pages: r.Pages, Width: r.Width,
 			HasPKIndex: r.PKIndex,
