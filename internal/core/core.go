@@ -89,7 +89,9 @@ type Options struct {
 	Model *cost.Model
 	// Timeout bounds optimization time (0: unlimited).
 	Timeout time.Duration
-	// Threads for CPU-parallel algorithms (0: all cores).
+	// Threads is the worker count of parallel.MPDP: AlgMPDPParallel, and
+	// the inner MPDP runs of AlgIDP2, AlgUnionDP, AlgLinDP and of AlgAuto
+	// past FallbackLimit (0: all cores). The other algorithms ignore it.
 	Threads int
 	// K is the sub-problem bound for IDP/UnionDP (0: 15, the paper default).
 	K int

@@ -103,8 +103,10 @@ type Input struct {
 	// return ErrTimeout once it passes.
 	Deadline time.Time
 
-	// Threads requests CPU parallelism for the algorithms that support it
-	// (0 means all available cores, 1 means sequential).
+	// Threads is the worker count of parallel.MPDP and
+	// parallel.DPSubParallel, which run RunLevels at it (0: GOMAXPROCS).
+	// Nothing in this package reads it — MPDP, DPSub, DPCCP and DPSize are
+	// sequential — and neither does the GPU model (gpusim.Run).
 	Threads int
 
 	// cuts is Algorithm 2's edge index of Q.G, set by ForTree.
@@ -151,9 +153,9 @@ func NewDeadline(at time.Time) *Deadline {
 }
 
 // NewDeadline builds the checker for this input: the wall-clock budget plus
-// the caller's cancellation context. Every driver (sequential, parallel,
-// GPU-model) creates its per-worker checkers through this so that caller
-// cancellation reaches every enumeration loop.
+// the caller's cancellation context. Every driver creates its per-worker
+// checkers through this so that caller cancellation reaches every
+// enumeration loop.
 func (in *Input) NewDeadline() *Deadline {
 	d := &Deadline{at: in.Deadline, ctx: in.Ctx, left: deadlinePollInterval}
 	if in.Ctx != nil {
@@ -234,9 +236,10 @@ type Scratch struct {
 
 // SetEvaluator computes the best join of one connected set S given the DP
 // table holding the best plans of all smaller connected sets. It returns
-// the winning split by value; no plan node is materialized. The parallel
-// and GPU-model drivers share these with the sequential algorithms so that
-// plans and counters agree exactly across variants.
+// the winning split by value; no plan node is materialized. The level
+// barrier (Levels) hands every set to one, at any worker count, for the
+// sequential, CPU-parallel and GPU-model runs alike, so that plans and
+// counters agree exactly across variants.
 type SetEvaluator func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error)
 
 // Prepared holds the common setup of an optimization run.

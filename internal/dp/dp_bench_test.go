@@ -124,7 +124,8 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 // The allocs column bounds the number of allocations a fresh run makes, ten
 // percent above the measured count; it is a count, taken over two runs with
 // no timed loop. The clique-15 and MusicBrainz-20 rows gate only that
-// (parallel.MPDP's row is in TestThickLevelsFanOut, the GPU model's in
+// (the driver at four workers, parallel.MPDP's run, is in
+// TestThickLevelsFanOut, the GPU model's in
 // gpusim's TestWorkspaceChangesNoDeviceModel).
 func TestDPTableBytesBudget(t *testing.T) {
 	if testing.Short() {

@@ -1,6 +1,10 @@
 package dp
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/plan"
+)
 
 // timeNowMinusForever returns a deadline that is already long past.
 func timeNowMinusForever() time.Time {
@@ -9,3 +13,47 @@ func timeNowMinusForever() time.Time {
 
 // noDeadline returns the zero time (no deadline).
 func noDeadline() time.Time { return time.Time{} }
+
+// referenceLevels is the plain per-set loop the level driver (RunLevels)
+// must agree with at any worker count: the census, then every set of every
+// level in census order, evaluated on the calling goroutine and stored with
+// Put, then Finish. It shares nothing with Levels — no claims, no shares, no
+// in-place writes — so it can tell a defect of the driver from one of the
+// evaluators.
+func referenceLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
+	var stats Stats
+	prep, err := Prepare(in)
+	if err != nil {
+		return nil, stats, err
+	}
+	buckets, err := ConnectedBuckets(in)
+	if err != nil {
+		return nil, stats, err
+	}
+	tab := prep.Seed(BucketCount(buckets))
+	stats.ConnectedSets = uint64(in.Q.N())
+	dl, sc := in.NewDeadline(), new(Scratch)
+	for _, sets := range buckets[2:] {
+		for _, s := range sets {
+			win, st, err := evaluate(in, tab, s, dl, sc)
+			stats.Add(st)
+			if err != nil {
+				return nil, stats, err
+			}
+			stats.ConnectedSets++
+			if win.Found {
+				tab.Put(s, win)
+			}
+		}
+	}
+	return Finish(in, tab, prep.Leaves, &stats)
+}
+
+// referenceMPDP is MPDP over referenceLevels, with its own choice of
+// evaluator: Algorithm 2 on a tree, Algorithm 3 otherwise.
+func referenceMPDP(in Input) (*plan.Node, Stats, error) {
+	if in.Q.G.IsTree() {
+		return referenceLevels(in.ForTree(), EvaluateSetMPDPTree)
+	}
+	return referenceLevels(in, EvaluateSetMPDP)
+}

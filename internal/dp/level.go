@@ -1,4 +1,4 @@
-package parallel
+package dp
 
 import (
 	"runtime"
@@ -7,9 +7,49 @@ import (
 	"time"
 
 	"repro/internal/bitset"
-	"repro/internal/dp"
 	"repro/internal/plan"
 )
+
+// RunLevels is the one whole-run driver of the level-synchronous
+// enumerators — MPDP in both of its forms and DPSub — at any worker count:
+// the census, the table seeded from it, every level behind the barrier
+// (Levels) with evaluate and at most workers workers, then Finish. The
+// sequential enumerators of this package run it at one worker, the
+// CPU-parallel ones (package parallel) at Input.Threads; plans and counters
+// are the same bits at any count.
+func RunLevels(in Input, evaluate SetEvaluator, workers int) (*plan.Node, Stats, error) {
+	var stats Stats
+	prep, err := Prepare(in)
+	if err != nil {
+		return nil, stats, err
+	}
+	buckets, err := ConnectedBuckets(in)
+	if err != nil {
+		return nil, stats, err
+	}
+	levels := NewLevels(in, evaluate, buckets, workers)
+	defer levels.Close()
+	tab := prep.Seed(BucketCount(buckets))
+	stats.ConnectedSets = uint64(in.Q.N())
+	for size := 2; size <= in.Q.N(); size++ {
+		st, err := levels.Run(tab, size)
+		stats.Add(st)
+		if err != nil {
+			return nil, stats, err
+		}
+	}
+	return Finish(in, tab, prep.Leaves, &stats)
+}
+
+// MPDPEvaluator is MPDP's choice of set evaluator, made once for every
+// driver: Algorithm 2 (EvaluateSetMPDPTree, on the input readied by ForTree)
+// when the join graph is a tree, Algorithm 3 (EvaluateSetMPDP) otherwise.
+func MPDPEvaluator(in Input) (Input, SetEvaluator) {
+	if in.Q.G.IsTree() {
+		return in.ForTree(), EvaluateSetMPDPTree
+	}
+	return in, EvaluateSetMPDP
+}
 
 // minSetsPerWorker is the no-helpers-yet gate: a run starts its helpers only
 // if some level has at least this many sets for each of two workers. A
@@ -54,9 +94,9 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 
 // Levels is the level barrier of the level-synchronous drivers — the CPU
 // counterpart of the paper's one-kernel-per-level structure (§5), shared by
-// the CPU-parallel enumerators and the GPU model (gpusim.Run). Run evaluates
-// the connected sets of one size and returns once all of them are in the
-// table, so every set of the next size finds its children.
+// RunLevels and the GPU model (gpusim.Run, one worker per device). Run
+// evaluates the connected sets of one size and returns once all of them are
+// in the table, so every set of the next size finds its children.
 //
 // Before any worker joins, the caller claims every set of the level in the
 // table (plan.Table.Claim), serially. Each worker then owns a contiguous
@@ -64,7 +104,7 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 // at a time (fanOut); a worker whose share is empty steals chunks from the
 // far end of another's. Every set has exactly one producer: the worker that
 // drew it writes its winner straight into the set's own slot
-// (plan.Table.PutAt) and counts into its own dp.Stats, and the barrier only
+// (plan.Table.PutAt) and counts into its own Stats, and the barrier only
 // folds the counts. That is race-free without an atomic per set: a level's
 // evaluators read only strictly smaller sets, stored by earlier levels; keys
 // and presence bits do not change while the workers run, and a worker's join
@@ -83,12 +123,12 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 // Helpers are retired after the last level with two sets or more; Close
 // retires them on any other path and joins them, and the callers defer it,
 // so once Close has returned nothing of the run touches the workspace. Every
-// worker keeps one evaluator scratch and one dp.Deadline for the whole run,
+// worker keeps one evaluator scratch and one Deadline for the whole run,
 // so the deadline poll interval counts candidate pairs across levels; the
-// scratches are the input's workspace's (dp.Workspace).
+// scratches are the input's workspace's (Workspace).
 type Levels struct {
-	in       dp.Input
-	evaluate dp.SetEvaluator
+	in       Input
+	evaluate SetEvaluator
 	buckets  [][]bitset.Mask
 	workers  []levelWorker
 	last     int  // the largest size with two sets or more: helpers retire after it
@@ -126,9 +166,9 @@ type levelWorker struct {
 	// owns, packed hi<<32 | lo: the owner draws from lo, thieves from hi.
 	share atomic.Uint64
 
-	dl    *dp.Deadline
-	sc    *dp.Scratch
-	stats dp.Stats // of the level just drained
+	dl    *Deadline
+	sc    *Scratch
+	stats Stats // of the level just drained
 	err   error
 
 	parked atomic.Bool   // a helper blocked on wake
@@ -136,11 +176,11 @@ type levelWorker struct {
 }
 
 // NewLevels prepares a run of evaluate over buckets (as returned by
-// dp.ConnectedBuckets) with at most workers concurrent workers, and starts
+// ConnectedBuckets) with at most workers concurrent workers, and starts
 // the helpers if some level is thick enough to share. Call it right after
 // the census, so that the helpers' first wake overlaps seeding the table,
 // and defer Close.
-func NewLevels(in dp.Input, evaluate dp.SetEvaluator, buckets [][]bitset.Mask, workers int) *Levels {
+func NewLevels(in Input, evaluate SetEvaluator, buckets [][]bitset.Mask, workers int) *Levels {
 	l := &Levels{
 		in: in, evaluate: evaluate, buckets: buckets,
 		workers: make([]levelWorker, max(workers, 1)),
@@ -182,7 +222,7 @@ func (l *Levels) Close() {
 // finished, and the table is left with the level claimed and only partly
 // written: the run is over, and the table is good for nothing but the Reset
 // of the next one.
-func (l *Levels) Run(tab *plan.Table, size int) (dp.Stats, error) {
+func (l *Levels) Run(tab *plan.Table, size int) (Stats, error) {
 	sets := l.buckets[size]
 	for _, s := range sets {
 		tab.Claim(s)
@@ -194,7 +234,7 @@ func (l *Levels) Run(tab *plan.Table, size int) (dp.Stats, error) {
 	l.tab, l.sets, l.chunk, l.active = tab, sets, chunk, active
 	for w := range l.workers[:active] {
 		lw := &l.workers[w]
-		lw.stats, lw.err = dp.Stats{}, nil
+		lw.stats, lw.err = Stats{}, nil
 		lw.share.Store(uint64((w+1)*len(sets)/active)<<32 | uint64(w*len(sets)/active))
 	}
 	if active > 1 {
@@ -205,7 +245,7 @@ func (l *Levels) Run(tab *plan.Table, size int) (dp.Stats, error) {
 		l.close()
 	}
 
-	var stats dp.Stats
+	var stats Stats
 	var failed error
 	for w := range l.workers[:active] {
 		stats.Add(l.workers[w].stats)
@@ -378,7 +418,7 @@ func (l *Levels) drain(w int) {
 	lw := &l.workers[w]
 	// Locals, so that the loop touches nothing of l but the shares.
 	in, evaluate, tab, sets := l.in, l.evaluate, l.tab, l.sets
-	var stats dp.Stats
+	var stats Stats
 	var err error
 	for err == nil {
 		lo, hi := l.draw(w)
@@ -386,13 +426,13 @@ func (l *Levels) drain(w int) {
 			break
 		}
 		for i := lo; i < hi && err == nil; i++ {
-			var win dp.Winner
-			var st dp.Stats
+			var win Winner
+			var st Stats
 			win, st, err = evaluate(in, tab, sets[i], lw.dl, lw.sc)
 			stats.Add(st)
 			if err == nil {
 				if !win.Found {
-					panic("parallel: a connected set was evaluated to no plan")
+					panic("dp: a connected set was evaluated to no plan")
 				}
 				tab.PutAt(tab.MustSlot(sets[i]), win)
 				stats.ConnectedSets++

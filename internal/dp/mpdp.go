@@ -15,7 +15,7 @@ import (
 // enumerated directly with no CCP checking at all and EvaluatedCounter
 // meets the CCPCounter lower bound (Theorem 3).
 func MPDPTree(in Input) (*plan.Node, Stats, error) {
-	return runLevels(in.ForTree(), EvaluateSetMPDPTree)
+	return RunLevels(in.ForTree(), EvaluateSetMPDPTree, 1)
 }
 
 // MPDP is the paper's general algorithm (Algorithm 3): a hybrid of vertex-
@@ -27,55 +27,17 @@ func MPDPTree(in Input) (*plan.Node, Stats, error) {
 // drops from O(2^|S|) to O(B · 2^maxBlock) while the level-synchronous
 // structure keeps DPSub's parallelizability.
 //
-// When the whole join graph is a tree, MPDP dispatches to MPDPTree.
+// When the whole join graph is a tree, MPDP runs Algorithm 2 instead
+// (MPDPEvaluator). It runs the level driver at one worker.
 func MPDP(in Input) (*plan.Node, Stats, error) {
-	if in.Q.G.IsTree() {
-		return MPDPTree(in)
-	}
-	return MPDPGeneral(in)
+	in, evaluate := MPDPEvaluator(in)
+	return RunLevels(in, evaluate, 1)
 }
 
 // MPDPGeneral runs Algorithm 3 regardless of graph shape. Exported so tests
 // and benches can exercise the block machinery on trees too.
 func MPDPGeneral(in Input) (*plan.Node, Stats, error) {
-	return runLevels(in, EvaluateSetMPDP)
-}
-
-// runLevels is the sequential level-by-level driver shared by the DPSub and
-// MPDP family: enumerate connected sets bucketed by size, then evaluate each
-// set of each level with the supplied evaluator. The table is pre-sized from
-// the census so it never rehashes, and the single evaluator scratch is
-// reused across every set of the run (and, on a workspace, across runs).
-func runLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
-	var stats Stats
-	prep, err := Prepare(in)
-	if err != nil {
-		return nil, stats, err
-	}
-	n := in.Q.N()
-	dl := in.NewDeadline()
-	buckets := connectedSetsBySize(in.Q.G, dl, in.Workspace)
-	if buckets == nil {
-		return nil, stats, dl.Err()
-	}
-	tab := prep.Seed(BucketCount(buckets))
-	stats.ConnectedSets = uint64(n)
-
-	sc := in.Workspace.Scratch(0)
-	for size := 2; size <= n; size++ {
-		for _, s := range buckets[size] {
-			win, st, err := evaluate(in, tab, s, dl, sc)
-			stats.Add(st)
-			if err != nil {
-				return nil, stats, err
-			}
-			stats.ConnectedSets++
-			if win.Found {
-				tab.Put(s, win)
-			}
-		}
-	}
-	return Finish(in, tab, prep.Leaves, &stats)
+	return RunLevels(in, EvaluateSetMPDP, 1)
 }
 
 // EvaluateSetMPDP performs the per-set body of Algorithm 3 (lines 4-23):

@@ -199,7 +199,7 @@ func TestTieOrderMatchesFullWalk(t *testing.T) {
 	ref := new(Scratch)
 	for name, q := range cases {
 		var full Stats
-		_, half, err := runLevels(Input{Q: q, M: cost.DefaultModel()},
+		_, half, err := referenceLevels(Input{Q: q, M: cost.DefaultModel()},
 			func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
 				want, wst, _ := evaluateSetMPDPFullWalk(in, tab, s, dl, ref)
 				full.Add(wst)

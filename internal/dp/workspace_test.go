@@ -92,14 +92,14 @@ func TestWorkspaceSurvivesAbortedRun(t *testing.T) {
 		ctx, cancel := context.WithCancelCause(context.Background())
 		stop := errors.New("stop here")
 		sets := 0
-		_, st, err := runLevels(Input{Q: big, M: cost.DefaultModel(), Ctx: ctx, Workspace: ws},
+		_, st, err := RunLevels(Input{Q: big, M: cost.DefaultModel(), Ctx: ctx, Workspace: ws},
 			func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
 				if sets++; sets == 3000 {
 					cancel(stop)
 					return Winner{}, Stats{}, context.Cause(ctx)
 				}
 				return alg(in, tab, s, dl, sc)
-			})
+			}, 1)
 		if !errors.Is(err, stop) || st.ConnectedSets == 0 {
 			t.Fatalf("evaluator %d: err = %v after %d sets, want the cancellation mid-run", i, err, st.ConnectedSets)
 		}
@@ -173,13 +173,13 @@ func TestWorkspaceRetentionBound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	big.Ctx = ctx
 	sets := 0
-	_, _, err = runLevels(big.ForTree(), func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
+	_, _, err = RunLevels(big.ForTree(), func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
 		if sets++; sets == 40000 {
 			cancel()
 			return Winner{}, Stats{}, context.Cause(ctx)
 		}
 		return EvaluateSetMPDPTree(in, tab, s, dl, sc)
-	})
+	}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the cancellation", err)
 	}
@@ -294,14 +294,14 @@ func TestWarmWorkspaceAfterCancelledRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sets := 0
-	_, _, err := runLevels(Input{Q: topoQuery(graph.Star(17), rng), M: m, Ctx: ctx, Workspace: ws}.ForTree(),
+	_, _, err := RunLevels(Input{Q: topoQuery(graph.Star(17), rng), M: m, Ctx: ctx, Workspace: ws}.ForTree(),
 		func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error) {
 			if sets++; sets == 40000 {
 				cancel()
 				return Winner{}, Stats{}, context.Cause(ctx)
 			}
 			return EvaluateSetMPDPTree(in, tab, s, dl, sc)
-		})
+		}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the cancellation", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"repro/internal/combinat"
 	"repro/internal/dp"
 	"repro/internal/graph"
-	"repro/internal/parallel"
 	"repro/internal/plan"
 )
 
@@ -117,19 +116,19 @@ func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, 
 }
 
 // evaluateLevels evaluates every connected set, level by level, behind the
-// level barrier the CPU-parallel driver uses (parallel.Levels), one worker
-// per device: same-level sets only read strictly smaller entries, so each
-// worker writing its sets' winners into their own claimed slots as it goes
-// preserves the sequential semantics exactly. Tree join graphs take the
-// Algorithm 2 evaluator, like the CPU dispatch. It returns each level's
-// work as algo bills it, indexed by set size.
+// level barrier of the CPU enumerators (dp.Levels), one worker per device,
+// with MPDP's evaluator (dp.MPDPEvaluator): same-level sets only read
+// strictly smaller entries, so each worker writing its sets' winners into
+// their own claimed slots as it goes preserves the sequential semantics
+// exactly. It returns each level's work as algo bills it, indexed by set
+// size.
 func evaluateLevels(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, algo Algo, ndev int) ([]levelTotals, error) {
 	n := in.Q.N()
-	evaluate, isTree := dp.EvaluateSetMPDP, in.Q.G.IsTree()
-	if isTree {
-		in, evaluate = in.ForTree(), dp.EvaluateSetMPDPTree
-	}
-	levels := parallel.NewLevels(in, evaluate, buckets, ndev)
+	in, evaluate := dp.MPDPEvaluator(in)
+	// On a tree every block is a bridge, so the evaluator's pairs are the
+	// device's: no block search to bill them by.
+	isTree := in.Q.G.IsTree()
+	levels := dp.NewLevels(in, evaluate, buckets, ndev)
 	defer levels.Close()
 	dl := in.NewDeadline()
 	var bsc graph.BlockScratch

@@ -269,8 +269,26 @@ func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 // evaluateLevels defers. On a tree (star-14, levels of up to 1 716 sets) and
 // a general graph (clique-12, up to 924), on success, on an expired deadline
 // and on a cancelled context, at 1, 2 and 4 devices, no helper goroutine
-// outlives evaluateLevels.
+// outlives evaluateLevels. The count has a positive control: while a thick
+// barrier at two workers is open, its helper is counted, so a helper the
+// count no longer recognises fails the test instead of passing it.
 func TestMultiJoinsItsHelpers(t *testing.T) {
+	star := dp.Input{Q: multiQuery(t, workload.KindStar, 14, 27), M: cost.DefaultModel()}.ForTree()
+	buckets, err := dp.ConnectedBuckets(star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := dp.NewLevels(star, dp.EvaluateSetMPDPTree, buckets, 2)
+	alive := 0
+	// A helper that has not run yet shows only its go statement's wrapper.
+	for deadline := time.Now().Add(time.Second); alive == 0 && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		alive = levelHelpers(0)
+	}
+	open.Close()
+	if alive < 1 {
+		t.Fatalf("a star-14's barrier is open at 2 workers and %d helpers are counted", alive)
+	}
+
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, q := range []*cost.Query{multiQuery(t, workload.KindStar, 14, 27), multiQuery(t, workload.KindClique, 12, 27)} {
@@ -297,7 +315,7 @@ func TestMultiJoinsItsHelpers(t *testing.T) {
 				if !errors.Is(err, want) {
 					t.Errorf("%d relations, %d devices, %s: err %v, want %v", q.N(), devices, mode, err, want)
 				}
-				if left := levelHelpers(); left != 0 {
+				if left := levelHelpers(time.Second); left != 0 {
 					t.Errorf("%d relations, %d devices, %s: %d helpers outlived the run", q.N(), devices, mode, left)
 				}
 			}
@@ -305,13 +323,12 @@ func TestMultiJoinsItsHelpers(t *testing.T) {
 	}
 }
 
-// levelHelpers counts the goroutines inside parallel.Levels' helper loop,
-// giving one that has just been joined a second to get past its last
-// statement.
-func levelHelpers() int {
+// levelHelpers counts the goroutines inside dp.Levels' helper loop, giving
+// one that has just been joined settle to get past its last statement.
+func levelHelpers(settle time.Duration) int {
 	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
-		n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "parallel.(*Levels).help(")
+	for deadline := time.Now().Add(settle); ; time.Sleep(time.Millisecond) {
+		n := strings.Count(string(buf[:runtime.Stack(buf, true)]), "dp.(*Levels).help(")
 		if n == 0 || time.Now().After(deadline) {
 			return n
 		}

@@ -81,8 +81,8 @@ func (c *contractedProblem) splice(n *plan.Node) *plan.Node {
 	return &cp
 }
 
-// innerMPDP is the default InnerDP: the paper's MPDP (CPU-parallel) on the
-// contracted query.
+// innerMPDP is the default InnerDP: the paper's MPDP (CPU-parallel, at
+// Options.Threads workers) on the contracted query.
 func innerMPDP(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error) {
 	in := dp.Input{
 		Q:         c.local,
@@ -93,16 +93,7 @@ func innerMPDP(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error) 
 		Threads:   opt.Threads,
 		Workspace: opt.Workspace,
 	}
-	var (
-		p   *plan.Node
-		st  dp.Stats
-		err error
-	)
-	if opt.Threads == 1 {
-		p, st, err = dp.MPDP(in)
-	} else {
-		p, st, err = parallel.MPDP(in)
-	}
+	p, st, err := parallel.MPDP(in)
 	if err != nil {
 		return nil, st, err
 	}

@@ -110,6 +110,13 @@ func (a *API) handleCatalogStats(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("relation %q: rows must be positive", rs.Name), nil)
 			return
 		}
+		for col, d := range rs.Distinct {
+			if d <= 0 {
+				a.fail(w, rid, http.StatusUnprocessableEntity, CodeInvalidQuery,
+					fmt.Sprintf("relation %q: distinct count of %q must be positive", rs.Name, col), nil)
+				return
+			}
+		}
 	}
 	updated := a.updateSchema(req.Relations)
 	old, cur := a.engine.BumpStatsEpoch()

@@ -19,10 +19,12 @@ type Table struct {
 	Distinct map[string]float64
 }
 
-// distinct returns the estimated distinct count of a column.
+// distinct returns the estimated distinct count of a column. A stated count
+// below one is taken as one, as catalog.NewRelation takes rows, so that no
+// filter divides a relation's rows by a fraction.
 func (t Table) distinct(col string) float64 {
 	if d, ok := t.Distinct[col]; ok {
-		return d
+		return math.Max(d, 1)
 	}
 	if col == t.PK {
 		return t.Rel.Rows
