@@ -18,8 +18,9 @@
 //
 // Scopes map to the directories that register families on that endpoint:
 // "serve" covers internal/service; "cluster" covers internal/cluster, which
-// registers the mpdp_cluster_*, mpdp_transport_*, and rolled-up service
-// families its exposition carries. Positional family names after the URL
+// registers the mpdp_cluster_* and mpdp_transport_* families, plus
+// internal/service, whose writer the cluster calls to emit the rolled-up
+// node families (the latency histograms included). Positional family names after the URL
 // are required in addition to any derived list. -source overrides module
 // root discovery (the default walks up from the working directory to
 // go.mod, so `go run ./cmd/metricscheck` works from a checkout).
@@ -44,7 +45,7 @@ import (
 // module root) whose literal registrations feed that endpoint's exposition.
 var scopeDirs = map[string][]string{
 	"serve":   {"internal/service"},
-	"cluster": {"internal/cluster"},
+	"cluster": {"internal/cluster", "internal/service"},
 }
 
 func main() {

@@ -418,11 +418,11 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 			c.noteSuccess(id)
 			if i > 0 {
 				if out.sawUnreachable {
-					c.counters.failovers.add(1)
+					c.counters.failovers.Add(1)
 				} else if out.sawShed {
 					// Every earlier owner shed: this replica absorbed
 					// overflow from a hot shard, not a failure.
-					c.counters.overflows.add(1)
+					c.counters.overflows.Add(1)
 				}
 				// Owners skipped on an open breaker were already counted
 				// under breaker_skips when the skip happened.
@@ -463,9 +463,9 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 			// cancellation is accounted separately — a disconnecting
 			// client is not a cluster error.
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				c.counters.canceled.add(1)
+				c.counters.canceled.Add(1)
 			} else {
-				c.counters.errors.add(1)
+				c.counters.errors.Add(1)
 			}
 			out.err = err
 			return out
@@ -483,7 +483,7 @@ func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Tra
 		return nil, ErrClosed
 	}
 	c.mu.Unlock()
-	c.counters.requests.add(1)
+	c.counters.requests.Add(1)
 
 	var lastErr error
 	var lastOut sweepOutcome
@@ -530,7 +530,7 @@ func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Tra
 		// the coordinator does not double it as an error.
 		return nil, fmt.Errorf("cluster: all owners overloaded: %w", service.ErrOverloaded)
 	}
-	c.counters.errors.add(1)
+	c.counters.errors.Add(1)
 	if lastErr == nil {
 		return nil, ErrNoNodes
 	}
@@ -558,7 +558,7 @@ func (c *Cluster) replicate(key, from string, owners []string) {
 		}
 		ictx, icancel := c.maintCtx()
 		if _, err := c.transport.Call(ictx, id, req); err == nil {
-			c.counters.replicated.add(1)
+			c.counters.replicated.Add(1)
 		} else if errors.Is(err, ErrUnreachable) {
 			c.noteFailure(id)
 		}
@@ -730,7 +730,7 @@ func (c *Cluster) noteFailure(id string) {
 	st.dead = true
 	st.noteDeath(time.Now(), c.cfg.FlapWindow)
 	c.ring.remove(id)
-	c.counters.deaths.add(1)
+	c.counters.deaths.Add(1)
 	c.mu.Unlock()
 	c.rebalance()
 }
@@ -746,9 +746,9 @@ func (c *Cluster) noteFailure(id string) {
 // probing nodes the request path has written off. The background checker
 // (Config.HealthInterval) calls this on a ticker; tests call it directly.
 func (c *Cluster) CheckHealth() {
-	ids := c.memberIDs()
 	changed := false
-	for _, id := range ids {
+	for _, m := range c.members() {
+		id := m.id
 		ctx, cancel := c.maintCtx()
 		_, err := c.transport.Call(ctx, id, Request{Kind: ReqPing})
 		cancel()
@@ -769,7 +769,7 @@ func (c *Cluster) CheckHealth() {
 				st.dead = true
 				st.noteDeath(time.Now(), c.cfg.FlapWindow)
 				c.ring.remove(id)
-				c.counters.deaths.add(1)
+				c.counters.deaths.Add(1)
 				changed = true
 			}
 		}
@@ -801,7 +801,7 @@ func (c *Cluster) tryRejoin(id string, st *nodeState) bool {
 		st.quarUntil = now.Add(d)
 		st.quarSet = now
 		st.quarLevel++
-		c.counters.quarantined.add(1)
+		c.counters.quarantined.Add(1)
 		return false
 	}
 	st.dead = false
@@ -809,23 +809,30 @@ func (c *Cluster) tryRejoin(id string, st *nodeState) bool {
 		st.quarLevel = 0
 	}
 	c.ring.add(id)
-	c.counters.rejoins.add(1)
+	c.counters.rejoins.Add(1)
 	return true
 }
 
-// memberIDs lists every member, in-process and remote.
-func (c *Cluster) memberIDs() []string {
+// member is one cluster member as the coordinator sees it.
+type member struct {
+	id   string
+	n    *node // the in-process node; nil for a remote peer
+	dead bool
+}
+
+// members lists every member, in-process and remote, sorted by ID.
+func (c *Cluster) members() []member {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.nodes)+len(c.remote))
-	for id := range c.nodes {
-		ids = append(ids, id)
+	ms := make([]member, 0, len(c.nodes)+len(c.remote))
+	for id, n := range c.nodes {
+		ms = append(ms, member{id: id, n: n, dead: c.state[id].dead})
 	}
 	for id := range c.remote {
-		ids = append(ids, id)
+		ms = append(ms, member{id: id, dead: c.state[id].dead})
 	}
-	sort.Strings(ids)
-	return ids
+	sort.Slice(ms, func(i, j int) bool { return ms[i].id < ms[j].id })
+	return ms
 }
 
 // rebalance migrates warm cache entries after a topology change: every
@@ -865,7 +872,7 @@ func (c *Cluster) pushEntries(entries []service.Entry, holder string) {
 	for id, batch := range batches {
 		ctx, cancel := c.maintCtx()
 		if _, err := c.transport.Call(ctx, id, Request{Kind: ReqImport, Entries: batch}); err == nil {
-			c.counters.rebalanced.add(uint64(len(batch)))
+			c.counters.rebalanced.Add(uint64(len(batch)))
 		}
 		cancel()
 	}
@@ -877,9 +884,9 @@ func (c *Cluster) pushEntries(entries []service.Entry, holder string) {
 // node that is partitioned at flush time still misses the call. A
 // statistics change does not call for it (see BumpStatsEpochAll).
 func (c *Cluster) FlushAll() {
-	for _, id := range c.memberIDs() {
+	for _, m := range c.members() {
 		ctx, cancel := c.maintCtx()
-		c.transport.Call(ctx, id, Request{Kind: ReqFlush})
+		c.transport.Call(ctx, m.id, Request{Kind: ReqFlush})
 		cancel()
 	}
 }
@@ -893,9 +900,9 @@ func (c *Cluster) FlushAll() {
 // partition caveat FlushAll has, but harmless: the epoch is provenance, so
 // a missed bump mislabels that member's next entries, never a plan.
 func (c *Cluster) BumpStatsEpochAll() (old, cur uint64) {
-	for _, id := range c.memberIDs() {
+	for _, m := range c.members() {
 		ctx, cancel := c.maintCtx()
-		resp, err := c.transport.Call(ctx, id, Request{Kind: ReqBumpEpoch})
+		resp, err := c.transport.Call(ctx, m.id, Request{Kind: ReqBumpEpoch})
 		cancel()
 		if err != nil {
 			continue
@@ -963,9 +970,9 @@ func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 // Invalidate drops the entry under the given canonical fingerprint on every
 // known member, reporting whether any member held it.
 func (c *Cluster) Invalidate(key string) (found bool) {
-	for _, id := range c.memberIDs() {
+	for _, m := range c.members() {
 		ctx, cancel := c.maintCtx()
-		resp, err := c.transport.Call(ctx, id, Request{Kind: ReqInvalidate, Key: key})
+		resp, err := c.transport.Call(ctx, m.id, Request{Kind: ReqInvalidate, Key: key})
 		cancel()
 		if err != nil {
 			continue
@@ -987,7 +994,7 @@ func (c *Cluster) StatsEpoch() uint64 {
 	return epoch
 }
 
-// statsOf fetches a remote member's stats over the transport.
+// statsOf fetches a member's stats over the transport.
 func (c *Cluster) statsOf(id string) (*NodeStats, error) {
 	ctx, cancel := c.maintCtx()
 	defer cancel()
@@ -1001,25 +1008,21 @@ func (c *Cluster) statsOf(id string) (*NodeStats, error) {
 	return resp.Stats, nil
 }
 
+// memberStats reads a member's stats: an in-process node by a direct call,
+// so a cut node keeps reporting, a remote peer over the transport.
+func (c *Cluster) memberStats(m member) (*NodeStats, error) {
+	if m.n != nil {
+		return m.n.stats(), nil
+	}
+	return c.statsOf(m.id)
+}
+
 // CacheLen sums the cached-plan count over all members (replicated entries
 // count once per holder). Unreachable remote peers contribute zero.
 func (c *Cluster) CacheLen() int {
-	c.mu.Lock()
-	nodes := make([]*node, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
-	remotes := make([]string, 0, len(c.remote))
-	for id := range c.remote {
-		remotes = append(remotes, id)
-	}
-	c.mu.Unlock()
 	total := 0
-	for _, n := range nodes {
-		total += n.svc.CacheLen()
-	}
-	for _, id := range remotes {
-		if st, err := c.statsOf(id); err == nil {
+	for _, m := range c.members() {
+		if st, err := c.memberStats(m); err == nil {
 			total += st.CacheLen
 		}
 	}
@@ -1030,30 +1033,30 @@ func (c *Cluster) CacheLen() int {
 // membership and per-node service counters (remote peers are polled over
 // the transport).
 func (c *Cluster) Snapshot() Snapshot {
-	s, _ := c.collectStats()
+	s, _, _ := c.collectStats()
 	return s
 }
 
-// collectStats builds the snapshot and the cluster-wide merged latency
-// set in one pass over the members, so /metrics polls each remote peer
-// once, not twice.
-func (c *Cluster) collectStats() (Snapshot, *service.LatencySet) {
+// collectStats builds the snapshot, the sum of the node snapshots and the
+// cluster-wide merged latency set in one pass over the members, so
+// /metrics polls each remote peer once, not twice.
+func (c *Cluster) collectStats() (Snapshot, service.Snapshot, *service.LatencySet) {
 	s := Snapshot{
-		Requests:       c.counters.requests.load(),
-		Failovers:      c.counters.failovers.load(),
-		Overflows:      c.counters.overflows.load(),
-		Replicated:     c.counters.replicated.load(),
-		Rebalanced:     c.counters.rebalanced.load(),
-		Deaths:         c.counters.deaths.load(),
-		Rejoins:        c.counters.rejoins.load(),
-		Errors:         c.counters.errors.load(),
-		Canceled:       c.counters.canceled.load(),
-		Retries:        c.counters.retries.load(),
-		TransportCalls: c.counters.transportCalls.load(),
-		TransportFails: c.counters.transportFails.load(),
-		BreakerSkips:   c.counters.breakerSkips.load(),
-		BreakerForced:  c.counters.breakerForced.load(),
-		Quarantined:    c.counters.quarantined.load(),
+		Requests:       c.counters.requests.Load(),
+		Failovers:      c.counters.failovers.Load(),
+		Overflows:      c.counters.overflows.Load(),
+		Replicated:     c.counters.replicated.Load(),
+		Rebalanced:     c.counters.rebalanced.Load(),
+		Deaths:         c.counters.deaths.Load(),
+		Rejoins:        c.counters.rejoins.Load(),
+		Errors:         c.counters.errors.Load(),
+		Canceled:       c.counters.canceled.Load(),
+		Retries:        c.counters.retries.Load(),
+		TransportCalls: c.counters.transportCalls.Load(),
+		TransportFails: c.counters.transportFails.Load(),
+		BreakerSkips:   c.counters.breakerSkips.Load(),
+		BreakerForced:  c.counters.breakerForced.Load(),
+		Quarantined:    c.counters.quarantined.Load(),
 		Replicas:       c.cfg.Replicas,
 		PerNode:        make(map[string]NodeSnapshot),
 	}
@@ -1069,105 +1072,43 @@ func (c *Cluster) collectStats() (Snapshot, *service.LatencySet) {
 	}
 	c.breakersMu.Unlock()
 
-	c.mu.Lock()
-	type nodeRef struct {
-		n    *node
-		dead bool
-	}
-	refs := make(map[string]nodeRef, len(c.nodes))
-	for id, n := range c.nodes {
-		dead := c.state[id].dead
-		refs[id] = nodeRef{n, dead}
-		if dead {
-			s.DeadNodes = append(s.DeadNodes, id)
+	lat := &service.LatencySet{}
+	var snaps []service.Snapshot
+	for _, m := range c.members() {
+		if m.dead {
+			s.DeadNodes = append(s.DeadNodes, m.id)
 		} else {
-			s.AliveNodes = append(s.AliveNodes, id)
+			s.AliveNodes = append(s.AliveNodes, m.id)
 		}
-	}
-	type remoteRef struct {
-		id   string
-		dead bool
-	}
-	remotes := make([]remoteRef, 0, len(c.remote))
-	for id := range c.remote {
-		dead := c.state[id].dead
-		remotes = append(remotes, remoteRef{id, dead})
-		if dead {
-			s.DeadNodes = append(s.DeadNodes, id)
-		} else {
-			s.AliveNodes = append(s.AliveNodes, id)
-		}
-	}
-	c.mu.Unlock()
-
-	var served, warm, hits, misses uint64
-	var hitUS, missUS float64
-	merged := &service.LatencySet{}
-	s.Backends = make(map[string]service.BackendCounts)
-	fold := func(id string, snap service.Snapshot, cacheLen int, dead bool) {
-		s.PerNode[id] = NodeSnapshot{Snapshot: snap, CacheLen: cacheLen, Dead: dead}
-		if snap.StatsEpoch > s.StatsEpoch {
-			s.StatsEpoch = snap.StatsEpoch
-		}
-		served += snap.Hits + snap.Misses + snap.Coalesced
-		warm += snap.Hits + snap.Coalesced
-		hits += snap.Hits
-		misses += snap.Misses
-		hitUS += snap.AvgHitMicros * float64(snap.Hits)
-		missUS += snap.AvgMissMicros * float64(snap.Misses)
-		s.Shed += snap.Shed
-		s.Queued += snap.Queued
-		s.QueueDepth += snap.QueueDepth
-		s.InFlight += snap.InFlight
-		for bid, bc := range snap.Backends {
-			agg := s.Backends[bid]
-			agg.Routed += bc.Routed
-			agg.Served += bc.Served
-			agg.Hits += bc.Hits
-			agg.Fallbacks += bc.Fallbacks
-			s.Backends[bid] = agg
-		}
-	}
-	for id, ref := range refs {
-		fold(id, ref.n.svc.Counters().Snapshot(), ref.n.svc.CacheLen(), ref.dead)
-		ref.n.svc.Counters().MergeLatencies(merged)
-	}
-	for _, r := range remotes {
-		st, err := c.statsOf(r.id)
+		st, err := c.memberStats(m)
 		if err != nil {
 			// Unreachable peer: keep it in the membership view with zero
 			// counters rather than dropping it from the snapshot.
-			s.PerNode[r.id] = NodeSnapshot{Dead: r.dead}
+			s.PerNode[m.id] = NodeSnapshot{Dead: m.dead}
 			continue
 		}
-		fold(r.id, st.Snapshot, st.CacheLen, r.dead)
-		merged.MergeExport(st.Latencies)
+		s.PerNode[m.id] = NodeSnapshot{Snapshot: st.Snapshot, CacheLen: st.CacheLen, Dead: m.dead}
+		snaps = append(snaps, st.Snapshot)
+		lat.MergeExport(st.Latencies)
 	}
-	if served > 0 {
-		s.HitRate = float64(warm) / float64(served)
-	}
-	// Request-weighted cluster means of the per-node service times — the
-	// roll-up of the avg_hit_us/avg_miss_us fields each node reports.
-	if hits > 0 {
-		s.AvgHitMicros = hitUS / float64(hits)
-	}
-	if misses > 0 {
-		s.AvgMissMicros = missUS / float64(misses)
-	}
-	s.Latency = merged.Quantiles()
-	sort.Strings(s.AliveNodes)
-	sort.Strings(s.DeadNodes)
-	return s, merged
+	t := service.SumSnapshots(snaps)
+	s.Shed, s.Queued, s.QueueDepth, s.InFlight = t.Shed, t.Queued, t.QueueDepth, t.InFlight
+	s.StatsEpoch = t.StatsEpoch
+	s.HitRate, s.AvgHitMicros, s.AvgMissMicros = t.HitRate, t.AvgHitMicros, t.AvgMissMicros
+	s.Backends = t.Backends
+	s.Latency = lat.Quantiles()
+	return s, t, lat
 }
 
 // WriteMetrics emits the cluster's live metrics in Prometheus text
 // exposition format: the coordinator's own counters (mpdp_cluster_*), the
 // guarded transport path (mpdp_transport_*: attempts, fails, retries,
-// breaker activity and per-node breaker state), cluster-wide sums of the
-// node counters, and the node latency histograms merged bucket-wise — one
+// breaker activity and per-node breaker state), and every node family
+// through the service's own writer: the node counters summed, the highest
+// stats epoch and the node latency histograms merged bucket-wise — one
 // scrape of the front door answers cluster-wide p50/p95/p99 per backend.
 func (c *Cluster) WriteMetrics(w io.Writer) error {
-	s, merged := c.collectStats()
+	s, nodes, lat := c.collectStats()
 	cachePlans := 0
 	for _, ns := range s.PerNode {
 		cachePlans += ns.CacheLen
@@ -1213,64 +1154,8 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	mw.Histogram("mpdp_transport_attempt_seconds", attemptHelp, obs.Labels{"outcome": "ok"}, &c.callLatOK)
 	mw.Histogram("mpdp_transport_attempt_seconds", attemptHelp, obs.Labels{"outcome": "fail"}, &c.callLatFail)
 
-	// Node-level sums under the same names mpdp-serve exposes, so the same
-	// dashboards read either binary.
-	var requests, hits, misses, coalesced, fallbacks, errs, canceled uint64
-	var rDPCCP, rMPDP, rGPU, rIDP2, rUnion uint64
-	var epochBumps uint64
-	for _, ns := range s.PerNode {
-		requests += ns.Requests
-		hits += ns.Hits
-		misses += ns.Misses
-		coalesced += ns.Coalesced
-		fallbacks += ns.Fallbacks
-		errs += ns.Errors
-		canceled += ns.Canceled
-		rDPCCP += ns.RouteDPCCP
-		rMPDP += ns.RouteMPDP
-		rGPU += ns.RouteMPDPGPU
-		rIDP2 += ns.RouteIDP2
-		rUnion += ns.RouteUnionDP
-		epochBumps += ns.EpochBumps
-	}
-	mw.Counter("mpdp_requests_total", "Optimize calls accepted for processing (all nodes).", nil, requests)
-	mw.Counter("mpdp_cache_hits_total", "Requests served from a plan cache (all nodes).", nil, hits)
-	mw.Counter("mpdp_cache_misses_total", "Requests that ran an optimization (all nodes).", nil, misses)
-	mw.Counter("mpdp_coalesced_total", "Requests coalesced onto an in-flight optimization (all nodes).", nil, coalesced)
-	mw.Counter("mpdp_fallbacks_total", "Heuristic fallbacks after budget overruns (all nodes).", nil, fallbacks)
-	mw.Counter("mpdp_errors_total", "Failed requests (all nodes).", nil, errs)
-	mw.Counter("mpdp_canceled_total", "Cancelled requests (all nodes).", nil, canceled)
-	mw.Counter("mpdp_shed_total", "Requests rejected by admission control (all nodes).", nil, s.Shed)
-	mw.Counter("mpdp_queued_total", "Requests that entered a worker queue (all nodes).", nil, s.Queued)
-	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied (all nodes).", nil, float64(s.QueueDepth))
-	mw.Gauge("mpdp_inflight", "Node-side requests in progress (all nodes).", nil, float64(s.InFlight))
-	mw.Gauge("mpdp_cache_plans", "Cached plans summed over all nodes.", nil, float64(cachePlans))
-	mw.Counter("mpdp_stats_epoch_bumps_total", "Catalog stats epoch advances (all nodes).", nil, epochBumps)
-	mw.Gauge("mpdp_stats_epoch", "Highest catalog stats epoch any node reports.", nil, float64(s.StatsEpoch))
-	const routeHelp = "Routing decisions by algorithm (all nodes)."
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, rDPCCP)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, rMPDP)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, rGPU)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, rIDP2)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "uniondp"}, rUnion)
-
-	// Sort the backend keys: exposition output must be deterministic for
-	// the golden-format tests.
-	const backendHelp = "Per-backend counters summed over all nodes."
-	bids := make([]string, 0, len(s.Backends))
-	for bid := range s.Backends {
-		bids = append(bids, bid)
-	}
-	sort.Strings(bids)
-	for _, bid := range bids {
-		bc := s.Backends[bid]
-		l := obs.Labels{"backend": bid}
-		mw.Counter("mpdp_backend_routed_total", backendHelp, l, bc.Routed)
-		mw.Counter("mpdp_backend_served_total", backendHelp, l, bc.Served)
-		mw.Counter("mpdp_backend_cache_hits_total", backendHelp, l, bc.Hits)
-		mw.Counter("mpdp_backend_fallbacks_total", backendHelp, l, bc.Fallbacks)
-	}
-
-	merged.WriteMetrics(mw)
+	// Node families under the same names and help mpdp-serve exposes, so
+	// the same dashboards read either binary.
+	service.WriteNodeMetrics(mw, nodes, cachePlans, lat)
 	return mw.Flush()
 }

@@ -8,27 +8,20 @@ import (
 	"repro/internal/service"
 )
 
-// atomicCounter is a tiny wrapper so counter structs stay copy-proof and
-// the call sites short.
-type atomicCounter struct{ v atomic.Uint64 }
-
-func (c *atomicCounter) add(n uint64) { c.v.Add(n) }
-func (c *atomicCounter) load() uint64 { return c.v.Load() }
-
 // counters is the coordinator's own instrumentation, distinct from each
 // node's service.Counters: it counts routing-layer events (failovers,
 // replication, rebalancing, membership changes) that no single node can
 // see.
 type counters struct {
-	requests   atomicCounter
-	failovers  atomicCounter
-	overflows  atomicCounter
-	replicated atomicCounter
-	rebalanced atomicCounter
-	deaths     atomicCounter
-	rejoins    atomicCounter
-	errors     atomicCounter
-	canceled   atomicCounter
+	requests   atomic.Uint64
+	failovers  atomic.Uint64
+	overflows  atomic.Uint64
+	replicated atomic.Uint64
+	rebalanced atomic.Uint64
+	deaths     atomic.Uint64
+	rejoins    atomic.Uint64
+	errors     atomic.Uint64
+	canceled   atomic.Uint64
 
 	// The guarded-transport layer: retries counts extra attempts after a
 	// transport fault; breakerSkips counts owners skipped because their
@@ -37,12 +30,12 @@ type counters struct {
 	// open breaker because every owner was open; transportCalls/Fails count
 	// individual attempts and their transport-level failures; quarantined
 	// counts ring re-entries deferred because the node was flapping.
-	retries        atomicCounter
-	breakerSkips   atomicCounter
-	breakerForced  atomicCounter
-	transportCalls atomicCounter
-	transportFails atomicCounter
-	quarantined    atomicCounter
+	retries        atomic.Uint64
+	breakerSkips   atomic.Uint64
+	breakerForced  atomic.Uint64
+	transportCalls atomic.Uint64
+	transportFails atomic.Uint64
+	quarantined    atomic.Uint64
 }
 
 // NodeStats answers the stats RPC: one node's service counters, cache size

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -65,7 +66,7 @@ type FaultTransport struct {
 	rng   *rand.Rand
 	links map[string]*linkFault
 
-	injected atomicCounter // faults actually applied (drops, cuts observed by a call)
+	injected atomic.Uint64 // faults actually applied (drops, cuts observed by a call)
 }
 
 // NewFaultTransport wraps base with a fault model seeded by seed.
@@ -156,7 +157,7 @@ func (f *FaultTransport) ClearAll() {
 // Injected returns how many faults the transport actually applied to
 // calls (cuts observed, requests dropped, replies dropped) — the number
 // chaos reconciliation checks the coordinator's counters against.
-func (f *FaultTransport) Injected() uint64 { return f.injected.load() }
+func (f *FaultTransport) Injected() uint64 { return f.injected.Load() }
 
 // Call applies the link's fault schedule around one dispatch on the base
 // transport. Fault decisions (coin flips, jitter) are drawn under the lock
@@ -185,7 +186,7 @@ func (f *FaultTransport) Call(ctx context.Context, to string, req Request) (*Res
 		return nil, ctx.Err()
 	}
 	if cut || dropReq {
-		f.injected.add(1)
+		f.injected.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s %s)", ErrUnreachable, to, req.Kind,
 			map[bool]string{true: "cut", false: "request dropped"}[cut])
 	}
@@ -199,7 +200,7 @@ func (f *FaultTransport) Call(ctx context.Context, to string, req Request) (*Res
 	}
 	f.mu.Unlock()
 	if err == nil && dropRep {
-		f.injected.add(1)
+		f.injected.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s reply lost)", ErrUnreachable, to, req.Kind)
 	}
 	return resp, err

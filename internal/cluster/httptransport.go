@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/service"
@@ -191,8 +192,8 @@ type HTTPTransport struct {
 
 	client *http.Client
 
-	calls atomicCounter
-	fails atomicCounter
+	calls atomic.Uint64
+	fails atomic.Uint64
 }
 
 // nodeListener is one loopback listener hosting an in-process node.
@@ -261,8 +262,8 @@ func (t *HTTPTransport) Heal(id string) {
 
 // Calls returns how many RPCs were attempted; Fails how many failed at the
 // transport layer.
-func (t *HTTPTransport) Calls() uint64 { return t.calls.load() }
-func (t *HTTPTransport) Fails() uint64 { return t.fails.load() }
+func (t *HTTPTransport) Calls() uint64 { return t.calls.Load() }
+func (t *HTTPTransport) Fails() uint64 { return t.fails.Load() }
 
 // attach implements nodeAttacher: it starts a real TCP listener on
 // loopback serving the node's RPC protocol and registers its address, so
@@ -309,13 +310,13 @@ func (t *HTTPTransport) Close() error {
 
 // Call dispatches one RPC over the wire.
 func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Response, error) {
-	t.calls.add(1)
+	t.calls.Add(1)
 	t.mu.RLock()
 	addr, ok := t.peers[to]
 	down := t.cut[to]
 	t.mu.RUnlock()
 	if !ok || down {
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s)", ErrUnreachable, to, req.Kind)
 	}
 
@@ -346,12 +347,12 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 			// cancellation, not a node fault.
 			return nil, ctx.Err()
 		}
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s: %v)", ErrUnreachable, to, req.Kind, err)
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s: status %d)", ErrUnreachable, to, req.Kind, hresp.StatusCode)
 	}
 	var wresp wireResponse
@@ -359,7 +360,7 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s: decode: %v)", ErrUnreachable, to, req.Kind, err)
 	}
 
@@ -370,7 +371,7 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 	down = t.cut[to]
 	t.mu.RUnlock()
 	if down {
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s reply lost)", ErrUnreachable, to, req.Kind)
 	}
 	if wresp.Err != nil {

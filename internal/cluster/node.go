@@ -22,6 +22,16 @@ func newNode(id string, cfg service.Config) *node {
 
 func (n *node) close() { n.svc.Close() }
 
+// stats builds the node's answer to the stats RPC; the coordinator calls it
+// directly for in-process members.
+func (n *node) stats() *NodeStats {
+	return &NodeStats{
+		Snapshot:  n.svc.Counters().Snapshot(),
+		CacheLen:  n.svc.CacheLen(),
+		Latencies: n.svc.Counters().ExportLatencies(),
+	}
+}
+
 func (n *node) handle(ctx context.Context, req Request) (*Response, error) {
 	switch req.Kind {
 	case ReqPing:
@@ -65,11 +75,7 @@ func (n *node) handle(ctx context.Context, req Request) (*Response, error) {
 	case ReqInvalidate:
 		return &Response{Found: n.svc.Invalidate(req.Key)}, nil
 	case ReqStats:
-		return &Response{Stats: &NodeStats{
-			Snapshot:  n.svc.Counters().Snapshot(),
-			CacheLen:  n.svc.CacheLen(),
-			Latencies: n.svc.Counters().ExportLatencies(),
-		}}, nil
+		return &Response{Stats: n.stats()}, nil
 	}
 	return nil, fmt.Errorf("cluster: node %s: unknown request kind %v", n.id, req.Kind)
 }

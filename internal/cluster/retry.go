@@ -280,24 +280,24 @@ func (c *Cluster) call(ctx context.Context, id string, req Request, force bool) 
 	br := c.breakerFor(id)
 	if !br.allow(time.Now()) {
 		if !force {
-			c.counters.breakerSkips.add(1)
+			c.counters.breakerSkips.Add(1)
 			return nil, fmt.Errorf("%w: %s (%s)", ErrBreakerOpen, id, req.Kind)
 		}
-		c.counters.breakerForced.add(1)
+		c.counters.breakerForced.Add(1)
 	}
 
 	p := c.retry
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			c.counters.retries.add(1)
+			c.counters.retries.Add(1)
 			if !sleepCtx(ctx, p.backoff(c.rng, attempt)) {
 				return nil, ctx.Err()
 			}
 		}
 		actx, cancel := context.WithTimeout(ctx, p.attemptBudget(ctx, attempt))
 		start := time.Now()
-		c.counters.transportCalls.add(1)
+		c.counters.transportCalls.Add(1)
 		resp, err := c.transport.Call(actx, id, req)
 		elapsed := time.Since(start)
 		attemptTimedOut := actx.Err() != nil && ctx.Err() == nil
@@ -320,7 +320,7 @@ func (c *Cluster) call(ctx context.Context, id string, req Request, force bool) 
 		}
 		if errors.Is(err, ErrUnreachable) {
 			c.callLatFail.Record(elapsed)
-			c.counters.transportFails.add(1)
+			c.counters.transportFails.Add(1)
 			br.record(false, time.Now())
 			lastErr = err
 			continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
@@ -169,8 +170,8 @@ type LocalTransport struct {
 	// give deterministic schedules.
 	latency func(to string, kind ReqKind) time.Duration
 
-	calls atomicCounter
-	fails atomicCounter
+	calls atomic.Uint64
+	fails atomic.Uint64
 }
 
 // NewLocalTransport returns an empty transport; nodes register as they
@@ -222,12 +223,12 @@ func (t *LocalTransport) Heal(id string) {
 
 // Calls returns how many RPCs were attempted; Fails how many failed at the
 // transport layer.
-func (t *LocalTransport) Calls() uint64 { return t.calls.load() }
-func (t *LocalTransport) Fails() uint64 { return t.fails.load() }
+func (t *LocalTransport) Calls() uint64 { return t.calls.Load() }
+func (t *LocalTransport) Fails() uint64 { return t.fails.Load() }
 
 // Call dispatches one RPC.
 func (t *LocalTransport) Call(ctx context.Context, to string, req Request) (*Response, error) {
-	t.calls.add(1)
+	t.calls.Add(1)
 	t.mu.RLock()
 	h, ok := t.nodes[to]
 	down := t.cut[to]
@@ -242,7 +243,7 @@ func (t *LocalTransport) Call(ctx context.Context, to string, req Request) (*Res
 		}
 	}
 	if !ok || down {
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s)", ErrUnreachable, to, req.Kind)
 	}
 	resp, err := h.handle(ctx, req)
@@ -251,7 +252,7 @@ func (t *LocalTransport) Call(ctx context.Context, to string, req Request) (*Res
 	down = t.cut[to]
 	t.mu.RUnlock()
 	if down {
-		t.fails.add(1)
+		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s reply lost)", ErrUnreachable, to, req.Kind)
 	}
 	return resp, err

@@ -14,9 +14,9 @@ import (
 // measurement.
 //
 // Because every Histogram uses the same fixed bucket layout, histograms
-// merge losslessly by bucket-wise addition (Merge): the cluster coordinator
-// can sum per-node histograms and report cluster-wide quantiles with the
-// same error bound as any single node's.
+// merge losslessly by bucket-wise addition (MergeSnapshot of an Export):
+// the cluster coordinator can sum per-node histograms and report
+// cluster-wide quantiles with the same error bound as any single node's.
 type Histogram struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
@@ -74,32 +74,6 @@ func (h *Histogram) Record(d time.Duration) {
 	}
 }
 
-// Merge adds other's observations into h, bucket by bucket. Both histograms
-// share the fixed bucket layout, so the merge is lossless: quantiles of the
-// merged histogram equal quantiles of one histogram fed both streams.
-// Merging a histogram that is concurrently recording gives a consistent-
-// enough monitoring view (each bucket is read atomically; the set is not
-// one cut), the same contract as Quantile.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := 0; i < histBuckets; i++ {
-		if c := other.counts[i].Load(); c > 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	v := other.max.Load()
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
@@ -134,8 +108,8 @@ func (h *Histogram) CountBelowBoundary(v int64) uint64 {
 
 // HistogramSnapshot is a histogram's serializable form: the non-empty
 // buckets as a sparse index→count map plus the scalar tallies. Because the
-// bucket layout is fixed and shared, a snapshot merges into any live
-// Histogram as losslessly as Merge — it is how node-mode peers ship their
+// bucket layout is fixed and shared, a snapshot merges losslessly into any
+// live Histogram (MergeSnapshot) — it is how node-mode peers ship their
 // latency distributions to the coordinator's cluster-wide rollup.
 type HistogramSnapshot struct {
 	Buckets map[int]uint64 `json:"buckets,omitempty"`
@@ -144,8 +118,10 @@ type HistogramSnapshot struct {
 	MaxNS   int64          `json:"max_ns"`
 }
 
-// Export copies the histogram into its serializable form. Like Merge, a
-// concurrent snapshot is consistent-enough for monitoring, not one cut.
+// Export copies the histogram into its serializable form. A snapshot of a
+// histogram that is concurrently recording is consistent enough for
+// monitoring (each bucket is read atomically; the set is not one cut), the
+// same contract as Quantile.
 func (h *Histogram) Export() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Count: h.count.Load(),
@@ -164,7 +140,8 @@ func (h *Histogram) Export() HistogramSnapshot {
 }
 
 // MergeSnapshot adds a snapshot's observations into h, bucket by bucket.
-// Out-of-range bucket indexes (a peer from a future layout) clamp into the
+// The merge is lossless: quantiles of the merged histogram equal quantiles
+// of one histogram fed both streams. Out-of-range bucket indexes (a peer from a future layout) clamp into the
 // top bucket rather than being dropped, so counts still reconcile.
 func (h *Histogram) MergeSnapshot(s HistogramSnapshot) {
 	for i, c := range s.Buckets {

@@ -74,8 +74,8 @@ func TestHistMergeMatchesCombinedStream(t *testing.T) {
 	}
 
 	merged := &Histogram{}
-	merged.Merge(a)
-	merged.Merge(b)
+	merged.MergeSnapshot(a.Export())
+	merged.MergeSnapshot(b.Export())
 
 	if merged.Count() != combined.Count() {
 		t.Fatalf("merged count %d != combined %d", merged.Count(), combined.Count())
@@ -109,7 +109,7 @@ func TestHistMergeQuantileWithinErrorBound(t *testing.T) {
 			parts[p].Record(d)
 			exact = append(exact, d)
 		}
-		merged.Merge(parts[p])
+		merged.MergeSnapshot(parts[p].Export())
 	}
 	sortDurations(exact)
 	for _, q := range []float64{0.50, 0.95, 0.99} {
@@ -160,8 +160,8 @@ func TestHistCountBelowBoundary(t *testing.T) {
 func TestHistMergeNil(t *testing.T) {
 	h := &Histogram{}
 	h.Record(time.Millisecond)
-	h.Merge(nil)
-	if h.Count() != 1 {
-		t.Fatalf("merge(nil) changed count: %d", h.Count())
+	h.MergeSnapshot((&Histogram{}).Export())
+	if h.Count() != 1 || h.Max() != time.Millisecond {
+		t.Fatalf("merging an empty histogram changed count %d or max %v", h.Count(), h.Max())
 	}
 }

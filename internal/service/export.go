@@ -72,13 +72,24 @@ func (s *Service) Export() []Entry {
 
 // Import installs an exported entry into the plan cache, overwriting any
 // entry already cached under the same key. Subsequent Optimize calls for
-// queries with that fingerprint are cache hits.
+// queries with that fingerprint are cache hits. Every hit remaps the plan
+// through the query's permutation, so Import refuses a plan unless it is a
+// full binary tree whose leaves are exactly the relations 0..N-1, each
+// once, N being the relation count the key names (the leaf count for a key
+// that names none).
 func (s *Service) Import(e Entry) error {
 	if e.Key == "" {
 		return fmt.Errorf("service: import entry with empty key")
 	}
 	if e.Plan == nil {
 		return fmt.Errorf("service: import entry %q with nil plan", e.Key)
+	}
+	n, ok := keyRelations(e.Key)
+	if !ok {
+		n = e.Plan.Size()
+	}
+	if !validPlan(e.Plan, n) {
+		return fmt.Errorf("service: import entry %q: plan is not a join tree over relations 0..%d", e.Key, n-1)
 	}
 	c := &cached{
 		key:      e.Key,
@@ -97,6 +108,60 @@ func (s *Service) Import(e Entry) error {
 	c.hits.Store(e.Hits)
 	s.cache.Put(c)
 	return nil
+}
+
+// keyRelations reads the relation count N off the "n<N>|" prefix that
+// canonicalKey writes; ok is false when key has no such prefix.
+func keyRelations(key string) (n int, ok bool) {
+	if len(key) < 3 || key[0] != 'n' {
+		return 0, false
+	}
+	for i := 1; i < len(key); i++ {
+		c := key[i]
+		switch {
+		case c == '|' && i > 1:
+			return n, true
+		case c < '0' || c > '9' || n > 1<<20:
+			return 0, false
+		}
+		n = 10*n + int(c-'0')
+	}
+	return 0, false
+}
+
+// validPlan reports whether p is a full binary tree whose leaves are
+// exactly the relations 0..n-1, each once. It allocates nothing for
+// n <= 64: replication imports on the miss path.
+func validPlan(p *plan.Node, n int) bool {
+	var small [1]uint64
+	seen := small[:]
+	if n > 64 {
+		seen = make([]uint64, (n+63)/64)
+	}
+	leaves, ok := checkTree(p, n, seen)
+	return ok && leaves == n
+}
+
+// checkTree counts p's leaves, marking each in seen, and fails on a missing
+// child, a leaf outside 0..n-1 or a leaf seen before.
+func checkTree(p *plan.Node, n int, seen []uint64) (int, bool) {
+	if p == nil {
+		return 0, false
+	}
+	if p.IsLeaf() {
+		id := p.RelID
+		if id < 0 || id >= n || seen[id/64]&(1<<(id%64)) != 0 {
+			return 0, false
+		}
+		seen[id/64] |= 1 << (id % 64)
+		return 1, true
+	}
+	l, ok := checkTree(p.Left, n, seen)
+	if !ok {
+		return 0, false
+	}
+	r, ok := checkTree(p.Right, n, seen)
+	return l + r, ok
 }
 
 func exportEntry(e *cached) Entry {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/plan"
 	"repro/internal/workload"
 )
 
@@ -120,5 +121,65 @@ func TestImportRejectsInvalidEntries(t *testing.T) {
 	}
 	if s.CacheLen() != 0 {
 		t.Errorf("invalid imports left %d cache entries", s.CacheLen())
+	}
+}
+
+// malformedPlans are plan trees no hit can remap for a 4-relation query:
+// every leaf must be one of relations 0..3, exactly once, and every inner
+// node needs two children.
+func malformedPlans() map[string]*plan.Node {
+	leaf := func(id int) *plan.Node { return &plan.Node{RelID: id} }
+	join := func(l, r *plan.Node) *plan.Node { return &plan.Node{Left: l, Right: r} }
+	return map[string]*plan.Node{
+		"leaf out of range": join(join(leaf(0), leaf(1)), join(leaf(2), leaf(99))),
+		"one-child node":    join(join(leaf(0), leaf(1)), &plan.Node{Left: join(leaf(2), leaf(3))}),
+		"duplicate leaf":    join(join(leaf(0), leaf(1)), join(leaf(2), leaf(2))),
+		"too few leaves":    join(join(leaf(0), leaf(1)), leaf(2)),
+	}
+}
+
+// TestImportRejectsMalformedPlan: a plan a hit would remap out of range, or
+// into a tree missing relations, is refused at Import, and the query it
+// was filed under stays a miss that plans every relation.
+func TestImportRejectsMalformedPlan(t *testing.T) {
+	q := genQuery(t, workload.KindChain, 4, 1)
+	key := FingerprintQuery(q).Key
+	for name, p := range malformedPlans() {
+		s := New(Config{Workers: 1})
+		if err := s.Import(Entry{Key: key, Plan: p}); err == nil {
+			t.Errorf("%s: imported without error", name)
+		}
+		if n := s.CacheLen(); n != 0 {
+			t.Errorf("%s: refused import left %d cache entries", name, n)
+		}
+		res, err := s.Optimize(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.CacheHit {
+			t.Errorf("%s: query hit the refused entry", name)
+		}
+		if err := res.Plan.Validate([]int{0, 1, 2, 3}); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		s.Close()
+	}
+
+	// A well-formed plan under the same key still imports, and the check
+	// allocates nothing up to 64 relations.
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	good := &plan.Node{
+		Left:  &plan.Node{Left: &plan.Node{RelID: 0}, Right: &plan.Node{RelID: 1}},
+		Right: &plan.Node{Left: &plan.Node{RelID: 2}, Right: &plan.Node{RelID: 3}},
+	}
+	if err := s.Import(Entry{Key: key, Plan: good}); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.Optimize(context.Background(), q); err != nil || !res.CacheHit {
+		t.Fatalf("well-formed import: hit=%v err=%v", res != nil && res.CacheHit, err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { validPlan(good, 4) }); allocs != 0 {
+		t.Errorf("validPlan allocates %v times per call, want 0", allocs)
 	}
 }

@@ -10,27 +10,15 @@ import (
 // LatencySet is the service's live latency distributions: end-to-end
 // request time split by outcome — cache hits and misses per backend, shed
 // rejections — plus the queue-wait distribution of cold requests. Every
-// histogram shares obs.Histogram's fixed bucket layout, so LatencySets
-// merge losslessly (Merge); the cluster coordinator sums its nodes' sets
-// and reports cluster-wide quantiles with a single node's error bound.
+// histogram shares obs.Histogram's fixed bucket layout, so an exported set
+// merges losslessly into another (Export, MergeExport); the cluster
+// coordinator folds every node's set this way and reports cluster-wide
+// quantiles with a single node's error bound.
 type LatencySet struct {
 	Hit       [numBackends]obs.Histogram
 	Miss      [numBackends]obs.Histogram
 	Shed      obs.Histogram
 	QueueWait obs.Histogram
-}
-
-// Merge adds other's observations into l, bucket-wise.
-func (l *LatencySet) Merge(other *LatencySet) {
-	if other == nil {
-		return
-	}
-	for i := 0; i < numBackends; i++ {
-		l.Hit[i].Merge(&other.Hit[i])
-		l.Miss[i].Merge(&other.Miss[i])
-	}
-	l.Shed.Merge(&other.Shed)
-	l.QueueWait.Merge(&other.QueueWait)
 }
 
 // Export renders the set's non-empty histograms in serializable form,
@@ -144,9 +132,8 @@ func (l *LatencySet) Quantiles() map[string]Quantiles {
 	return out
 }
 
-// WriteMetrics emits the set's histograms in exposition format; the cluster
-// coordinator calls it on its merged set so both binaries expose the same
-// series.
+// WriteMetrics emits the set's histograms in exposition format, as part of
+// WriteNodeMetrics.
 func (l *LatencySet) WriteMetrics(mw *obs.MetricsWriter) {
 	const reqHelp = "End-to-end request latency by outcome and backend."
 	for i, id := range backend.IDs() {

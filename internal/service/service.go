@@ -243,8 +243,7 @@ func (s *Service) Counters() *Counters { return &s.counters }
 // latency histograms — in Prometheus text exposition format.
 func (s *Service) WriteMetrics(w io.Writer) error {
 	mw := obs.NewMetricsWriter(w)
-	s.counters.writeMetrics(mw)
-	mw.Gauge("mpdp_cache_plans", "Plans resident in the cache.", nil, float64(s.cache.Len()))
+	WriteNodeMetrics(mw, s.counters.Snapshot(), s.cache.Len(), &s.counters.lat)
 	return mw.Flush()
 }
 
@@ -369,16 +368,20 @@ func (s *Service) Optimize(ctx context.Context, q *cost.Query) (*Result, error) 
 }
 
 // OptimizePrepared is Optimize for a query whose fingerprint the caller
-// already holds.
+// already holds. It refuses a fingerprint whose permutation or key does not
+// fit the query's relation count.
 func (s *Service) OptimizePrepared(ctx context.Context, p *Prepared) (*Result, error) {
 	start := time.Now()
 	if p == nil || emptyQuery(p.Query) {
 		s.counters.errors.Add(1)
 		return nil, errEmptyQuery
 	}
-	if len(p.Perm) != p.Query.N() {
+	// A hit remaps the cached plan through Perm, and Import holds every
+	// plan under a key to the relation count the key names: both must be
+	// the query's.
+	if n, ok := keyRelations(p.Key); len(p.Perm) != p.Query.N() || !ok || n != p.Query.N() {
 		s.counters.errors.Add(1)
-		return nil, fmt.Errorf("service: fingerprint of %d relations on a query of %d", len(p.Perm), p.Query.N())
+		return nil, fmt.Errorf("service: fingerprint of %d relations (key %.12q) on a query of %d", len(p.Perm), p.Key, p.Query.N())
 	}
 	return s.serveRequest(ctx, p, start)
 }

@@ -541,6 +541,7 @@ func TestOptimizePreparedSharesOptimizeCache(t *testing.T) {
 		"nil":               nil,
 		"no query":          {Fingerprint: p.Fingerprint},
 		"foreign perm size": {Query: q, Fingerprint: FingerprintQuery(genQuery(t, workload.KindChain, 4, 1))},
+		"foreign key size":  {Query: q, Fingerprint: Fingerprint{Key: FingerprintQuery(genQuery(t, workload.KindChain, 4, 1)).Key, Perm: p.Perm}},
 	} {
 		if _, err := s.OptimizePrepared(context.Background(), bad); err == nil {
 			t.Errorf("%s: OptimizePrepared accepted it", name)

@@ -213,9 +213,102 @@ func (c *Counters) Snapshot() Snapshot {
 	return s
 }
 
-// MergeLatencies adds this counter set's latency histograms into dst — the
-// cluster coordinator's rollup primitive.
-func (c *Counters) MergeLatencies(dst *LatencySet) { dst.Merge(&c.lat) }
+// SumSnapshots folds node snapshots into one, the cluster rollup: every
+// counter and gauge and every backend's counts sum, StatsEpoch is the
+// highest any node reports, HitRate is recomputed from the summed counts
+// and AvgHitMicros/AvgMissMicros are the node means weighted by their hit
+// and miss counts. Latency is left nil: quantiles do not sum, so callers
+// merge the nodes' histograms (LatencySet.MergeExport) instead.
+func SumSnapshots(snaps []Snapshot) Snapshot {
+	t := Snapshot{Backends: make(map[string]BackendCounts)}
+	var hitUS, missUS float64
+	for _, s := range snaps {
+		t.Requests += s.Requests
+		t.Hits += s.Hits
+		t.Misses += s.Misses
+		t.Coalesced += s.Coalesced
+		t.Fallbacks += s.Fallbacks
+		t.Errors += s.Errors
+		t.Canceled += s.Canceled
+		t.Shed += s.Shed
+		t.Queued += s.Queued
+		t.QueueDepth += s.QueueDepth
+		t.InFlight += s.InFlight
+		t.RouteDPCCP += s.RouteDPCCP
+		t.RouteMPDP += s.RouteMPDP
+		t.RouteMPDPGPU += s.RouteMPDPGPU
+		t.RouteIDP2 += s.RouteIDP2
+		t.RouteUnionDP += s.RouteUnionDP
+		t.EpochBumps += s.EpochBumps
+		t.StatsEpoch = max(t.StatsEpoch, s.StatsEpoch)
+		for id, bc := range s.Backends {
+			agg := t.Backends[id]
+			agg.Routed += bc.Routed
+			agg.Served += bc.Served
+			agg.Hits += bc.Hits
+			agg.Fallbacks += bc.Fallbacks
+			t.Backends[id] = agg
+		}
+		hitUS += s.AvgHitMicros * float64(s.Hits)
+		missUS += s.AvgMissMicros * float64(s.Misses)
+	}
+	if served := t.Hits + t.Misses + t.Coalesced; served > 0 {
+		t.HitRate = float64(t.Hits+t.Coalesced) / float64(served)
+	}
+	if t.Hits > 0 {
+		t.AvgHitMicros = hitUS / float64(t.Hits)
+	}
+	if t.Misses > 0 {
+		t.AvgMissMicros = missUS / float64(t.Misses)
+	}
+	return t
+}
+
+// WriteNodeMetrics emits every node metric family in Prometheus exposition
+// format: the counters and gauges of s, cachePlans as mpdp_cache_plans and
+// lat's histograms. It is the one writer of these families — a service
+// passes its own counters, the cluster coordinator the sum of its nodes
+// (SumSnapshots) and their merged histograms — so both binaries expose the
+// same series. Metric names are documented in OBSERVABILITY.md; the
+// golden-format test pins them.
+func WriteNodeMetrics(mw *obs.MetricsWriter, s Snapshot, cachePlans int, lat *LatencySet) {
+	mw.Counter("mpdp_requests_total", "Optimize calls accepted for processing.", nil, s.Requests)
+	mw.Counter("mpdp_cache_hits_total", "Requests served from the plan cache.", nil, s.Hits)
+	mw.Counter("mpdp_cache_misses_total", "Requests that ran an optimization.", nil, s.Misses)
+	mw.Counter("mpdp_coalesced_total", "Requests that piggybacked on an identical in-flight optimization.", nil, s.Coalesced)
+	mw.Counter("mpdp_fallbacks_total", "Exact optimizations that timed out and fell back to a heuristic.", nil, s.Fallbacks)
+	mw.Counter("mpdp_errors_total", "Requests that failed.", nil, s.Errors)
+	mw.Counter("mpdp_canceled_total", "Requests whose caller cancelled before a plan was produced.", nil, s.Canceled)
+	mw.Counter("mpdp_shed_total", "Requests rejected by admission control.", nil, s.Shed)
+	mw.Counter("mpdp_queued_total", "Requests that entered the worker queue.", nil, s.Queued)
+	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied.", nil, float64(s.QueueDepth))
+	mw.Gauge("mpdp_inflight", "Optimize calls in progress.", nil, float64(s.InFlight))
+
+	mw.Counter("mpdp_stats_epoch_bumps_total", "Catalog stats epoch advances.", nil, s.EpochBumps)
+	mw.Gauge("mpdp_stats_epoch", "Current catalog stats epoch.", nil, float64(s.StatsEpoch))
+
+	const routeHelp = "Routing decisions by algorithm."
+	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, s.RouteDPCCP)
+	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, s.RouteMPDP)
+	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, s.RouteMPDPGPU)
+	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, s.RouteIDP2)
+	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "uniondp"}, s.RouteUnionDP)
+
+	for _, id := range backend.IDs() {
+		b, ok := s.Backends[string(id)]
+		if !ok {
+			continue
+		}
+		l := obs.Labels{"backend": string(id)}
+		mw.Counter("mpdp_backend_routed_total", "Requests the router dispatched to each backend.", l, b.Routed)
+		mw.Counter("mpdp_backend_served_total", "Optimizations each backend completed.", l, b.Served)
+		mw.Counter("mpdp_backend_cache_hits_total", "Cache hits whose entry each backend produced.", l, b.Hits)
+		mw.Counter("mpdp_backend_fallbacks_total", "Budget overruns per backend.", l, b.Fallbacks)
+	}
+
+	lat.WriteMetrics(mw)
+	mw.Gauge("mpdp_cache_plans", "Plans resident in the cache.", nil, float64(cachePlans))
+}
 
 // ExportLatencies renders the latency histograms in serializable form, for
 // node-mode peers answering the coordinator's stats RPC.
@@ -277,48 +370,6 @@ func (c *Counters) observeRoute(alg core.Algorithm, id backend.ID) {
 	if b := c.slot(id); b != nil {
 		b.routed.Add(1)
 	}
-}
-
-// writeMetrics emits every counter, gauge and latency histogram in
-// Prometheus exposition format. Metric names are documented in
-// OBSERVABILITY.md; the golden-format test pins them.
-func (c *Counters) writeMetrics(mw *obs.MetricsWriter) {
-	mw.Counter("mpdp_requests_total", "Optimize calls accepted for processing.", nil, c.requests.Load())
-	mw.Counter("mpdp_cache_hits_total", "Requests served from the plan cache.", nil, c.hits.Load())
-	mw.Counter("mpdp_cache_misses_total", "Requests that ran an optimization.", nil, c.misses.Load())
-	mw.Counter("mpdp_coalesced_total", "Requests that piggybacked on an identical in-flight optimization.", nil, c.coalesced.Load())
-	mw.Counter("mpdp_fallbacks_total", "Exact optimizations that timed out and fell back to a heuristic.", nil, c.fallbacks.Load())
-	mw.Counter("mpdp_errors_total", "Requests that failed.", nil, c.errors.Load())
-	mw.Counter("mpdp_canceled_total", "Requests whose caller cancelled before a plan was produced.", nil, c.canceled.Load())
-	mw.Counter("mpdp_shed_total", "Requests rejected by admission control.", nil, c.shed.Load())
-	mw.Counter("mpdp_queued_total", "Requests that entered the worker queue.", nil, c.queued.Load())
-	mw.Gauge("mpdp_queue_depth", "Worker-queue slots occupied.", nil, float64(c.queueDepth.Load()))
-	mw.Gauge("mpdp_inflight", "Optimize calls in progress.", nil, float64(c.inflight.Load()))
-
-	mw.Counter("mpdp_stats_epoch_bumps_total", "Catalog stats epoch advances.", nil, c.epochBumps.Load())
-	mw.Gauge("mpdp_stats_epoch", "Current catalog stats epoch.", nil, float64(c.statsEpoch.Load()))
-
-	const routeHelp = "Routing decisions by algorithm."
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, c.routeDPCCP.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, c.routeMPDP.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, c.routeMPDPGPU.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, c.routeIDP2.Load())
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "uniondp"}, c.routeUnionDP.Load())
-
-	for _, id := range backend.IDs() {
-		i, ok := slotIdx(id)
-		if !ok {
-			continue
-		}
-		b := &c.backends[i]
-		l := obs.Labels{"backend": string(id)}
-		mw.Counter("mpdp_backend_routed_total", "Requests the router dispatched to each backend.", l, b.routed.Load())
-		mw.Counter("mpdp_backend_served_total", "Optimizations each backend completed.", l, b.served.Load())
-		mw.Counter("mpdp_backend_cache_hits_total", "Cache hits whose entry each backend produced.", l, b.hits.Load())
-		mw.Counter("mpdp_backend_fallbacks_total", "Budget overruns per backend.", l, b.fallbacks.Load())
-	}
-
-	c.lat.WriteMetrics(mw)
 }
 
 func (c *Counters) observeServed(id backend.ID) {
