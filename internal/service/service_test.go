@@ -177,6 +177,79 @@ func TestRouteCrossoverConfig(t *testing.T) {
 	}
 }
 
+// TestEachBandMovesOneBackend sends one query per router band through the
+// service. Each miss moves its band's backend by one routed and one served
+// request, and its algorithm's route counter by one, and nothing else.
+func TestEachBandMovesOneBackend(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	routeCount := func(snap Snapshot, alg core.Algorithm) uint64 {
+		switch alg {
+		case core.AlgDPCCP:
+			return snap.RouteDPCCP
+		case core.AlgMPDPParallel:
+			return snap.RouteMPDP
+		case core.AlgMPDPGPU:
+			return snap.RouteMPDPGPU
+		case core.AlgIDP2:
+			return snap.RouteIDP2
+		case core.AlgUnionDP:
+			return snap.RouteUnionDP
+		}
+		t.Fatalf("no route counter for %s", alg)
+		return 0
+	}
+	routed := []core.Algorithm{core.AlgDPCCP, core.AlgMPDPParallel, core.AlgMPDPGPU, core.AlgIDP2, core.AlgUnionDP}
+	for _, tc := range []struct {
+		kind workload.Kind
+		n    int
+		alg  core.Algorithm
+		bid  backend.ID
+	}{
+		{workload.KindChain, 8, core.AlgDPCCP, backend.CPUSeq},
+		{workload.KindStar, 14, core.AlgMPDPParallel, backend.CPUParallel},
+		{workload.KindChain, 40, core.AlgMPDPGPU, backend.GPU},
+		{workload.KindChain, 80, core.AlgIDP2, backend.Heuristic},
+		{workload.KindCycle, 80, core.AlgUnionDP, backend.Heuristic},
+	} {
+		q := genQuery(t, tc.kind, tc.n, 7)
+		alg, bid, _ := s.Route(q)
+		if alg != tc.alg || bid != tc.bid {
+			t.Fatalf("%s-%d: routed to %s on %s, want %s on %s", tc.kind, tc.n, alg, bid, tc.alg, tc.bid)
+		}
+		before := s.Counters().Snapshot()
+		res, err := s.Optimize(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s-%d: %v", tc.kind, tc.n, err)
+		}
+		if res.CacheHit || res.FellBack || res.Algorithm != alg || res.Backend != bid {
+			t.Fatalf("%s-%d: served %s on %s (hit %v, fell back %v), want a %s miss on %s",
+				tc.kind, tc.n, res.Algorithm, res.Backend, res.CacheHit, res.FellBack, alg, bid)
+		}
+		after := s.Counters().Snapshot()
+		for _, id := range backend.IDs() {
+			b, a := before.Backends[string(id)], after.Backends[string(id)]
+			var want uint64
+			if id == bid {
+				want = 1
+			}
+			if a.Routed-b.Routed != want || a.Served-b.Served != want {
+				t.Errorf("%s-%d: %s routed +%d served +%d, want +%d each",
+					tc.kind, tc.n, id, a.Routed-b.Routed, a.Served-b.Served, want)
+			}
+		}
+		for _, r := range routed {
+			var want uint64
+			if r == alg {
+				want = 1
+			}
+			if d := routeCount(after, r) - routeCount(before, r); d != want {
+				t.Errorf("%s-%d: route counter of %s moved by %d, want %d", tc.kind, tc.n, r, d, want)
+			}
+		}
+	}
+}
+
 func TestWarmCacheHitAndIsomorphicHit(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
