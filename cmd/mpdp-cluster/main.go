@@ -80,7 +80,6 @@ func main() {
 		cacheCap   = flag.Int("cache", 0, "plan-cache capacity per node (0 = 4096)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-query optimization budget")
 		gpuDevices = flag.Int("gpu-devices", 0, "simulated GPU devices per node (0 = 2)")
-		crossover  = flag.String("crossover", "", "JSON file with backend-crossover thresholds (empty = calibrated defaults)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		queueDepth = flag.Int("queue-depth", 0, "admission queue depth per node (0 = 4x workers)")
 		queueWait  = flag.Duration("queue-wait", 250*time.Millisecond, "max wait for a queue slot before a node sheds with 503 (0 = block indefinitely, <0 = shed immediately)")
@@ -111,20 +110,11 @@ func main() {
 			*workers = 1
 		}
 	}
-	var xover *backend.Crossover
-	if *crossover != "" {
-		x, err := backend.LoadCrossover(*crossover)
-		if err != nil {
-			log.Fatal(err)
-		}
-		xover = &x
-	}
 	svcCfg := service.Config{
 		Workers:       *workers,
 		QueueDepth:    *queueDepth,
 		CacheCapacity: *cacheCap,
 		Timeout:       *timeout,
-		Crossover:     xover,
 		GPU:           backend.GPUConfig{Devices: *gpuDevices},
 		Admission: service.Admission{
 			MaxQueueWait: *queueWait,

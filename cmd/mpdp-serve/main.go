@@ -136,7 +136,6 @@ func main() {
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-query optimization budget")
 		k          = flag.Int("k", 0, "sub-problem bound for IDP2/UnionDP (0 = 15)")
 		gpuDevices = flag.Int("gpu-devices", 0, "simulated GPU device count (0 = 2)")
-		crossover  = flag.String("crossover", "", "JSON file with backend-crossover thresholds (empty = calibrated defaults)")
 		explain    = flag.Bool("explain", false, "print the full plan tree in stdin mode")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		queueDepth = flag.Int("queue-depth", 0, "admission queue depth (0 = 4x workers)")
@@ -150,14 +149,6 @@ func main() {
 	)
 	flag.Parse()
 
-	var xover *backend.Crossover
-	if *crossover != "" {
-		x, err := backend.LoadCrossover(*crossover)
-		if err != nil {
-			log.Fatal(err)
-		}
-		xover = &x
-	}
 	slowCfg, closeSlow, err := httpapi.SlowConfigFromFlags(*slowMS, *slowPath)
 	if err != nil {
 		log.Fatal(err)
@@ -171,7 +162,6 @@ func main() {
 		Threads:       *threads,
 		Timeout:       *timeout,
 		K:             *k,
-		Crossover:     xover,
 		GPU:           backend.GPUConfig{Devices: *gpuDevices},
 		Admission: service.Admission{
 			MaxQueueWait: *queueWait,

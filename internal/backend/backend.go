@@ -1,26 +1,28 @@
-// Package backend abstracts *where* an optimization runs, separating the
-// execution substrate from the algorithm choice: the same MPDP enumeration
-// can execute on the sequential CPU path, the work-stealing CPU-parallel
-// driver, or the multi-device simulated GPU — and the heuristics form a
-// fourth, approximate substrate. The service router (internal/service)
-// picks an (algorithm, backend) pair per query from size, shape and the
-// crossover thresholds of this package; the serving layers report which
-// backend produced every plan.
+// Package backend names *where* an optimization runs. Every algorithm of
+// the core registry runs on exactly one execution substrate (Of): the
+// sequential exact enumerators on cpu-seq, the level-parallel CPU MPDP on
+// cpu-parallel, the *-gpu algorithms on the multi-device simulated GPU,
+// and the heuristics on heuristic, the one approximate substrate. The
+// substrates differ only in how core.Optimize executes the algorithm, so a
+// backend is a name plus the service's GPU device pool: Backend.Optimize
+// is one core.Optimize call. The service router (internal/service) picks
+// an algorithm per query from size, shape and the crossover thresholds of
+// this package; the serving layers report which backend produced every
+// plan.
 //
 // The backend split mirrors the paper's evaluation axes (CPU vs GPU,
-// sequential vs parallel, exact vs heuristic) and the device/backend
-// separation of multi-device accelerator simulators.
+// sequential vs parallel, exact vs heuristic).
 package backend
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/gpusim"
-	"repro/internal/plan"
 )
 
 // ID names an execution backend.
@@ -45,9 +47,25 @@ const (
 // IDs lists every backend, in routing-preference order.
 func IDs() []ID { return []ID{CPUSeq, CPUParallel, GPU, Heuristic} }
 
+// Of returns the backend that runs alg, and false for auto (a policy, not
+// an algorithm) and for names outside the registry.
+func Of(alg core.Algorithm) (ID, bool) {
+	switch alg {
+	case core.AlgDPSize, core.AlgDPSub, core.AlgDPCCP, core.AlgMPDP:
+		return CPUSeq, true
+	case core.AlgMPDPParallel:
+		return CPUParallel, true
+	case core.AlgDPSizeGPU, core.AlgDPSubGPU, core.AlgMPDPGPU:
+		return GPU, true
+	case core.AlgGOO, core.AlgIKKBZ, core.AlgLinDP, core.AlgIDP2, core.AlgUnionDP:
+		return Heuristic, true
+	}
+	return "", false
+}
+
 // Options configures one backend optimization; the fields mirror
 // core.Options minus the algorithm (passed separately) and the GPU device
-// model (owned by the GPU backend).
+// pool (owned by the Set).
 type Options struct {
 	Model   *cost.Model
 	Timeout time.Duration
@@ -59,65 +77,73 @@ type Options struct {
 	Workspace *dp.Workspace
 }
 
-// Result is one backend answer.
+// Result is one backend answer: core's result, stamped with the
+// algorithm that ran and the backend that ran it, Of(Algorithm). Its GPU
+// carries the multi-device work model when Backend == GPU.
 type Result struct {
-	Plan  *plan.Node
-	Stats dp.Stats
-	// Backend identifies the substrate that produced the plan.
-	Backend ID
-	// Algorithm is the algorithm that ran (it can differ from the request
-	// when a backend substitutes, which none currently do).
+	core.Result
+	Backend   ID
 	Algorithm core.Algorithm
-	// GPU carries the multi-device work model when Backend == GPU.
-	GPU     *gpusim.MultiStats
-	Elapsed time.Duration
 }
 
-// Backend is one execution substrate.
-type Backend interface {
-	// ID returns the backend's registry name.
-	ID() ID
-	// Supports reports whether the backend can execute alg.
-	Supports(alg core.Algorithm) bool
-	// Optimize plans q with alg. Cancelling ctx aborts the run promptly
-	// with the context's error. The run happens on the caller's goroutine
-	// and ends before Optimize returns. Implementations must be safe for
-	// concurrent use — the service worker pool calls them from many
-	// goroutines.
-	Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error)
+// GPUConfig tunes the simulated GPU backend: a pool of GTX 1080s running
+// the paper's full MPDP-GPU (fused pruning + CCC).
+type GPUConfig struct {
+	// Devices is the simulated device count (0: 2).
+	Devices int
 }
 
-// Set is the full backend lineup one service owns. Create with NewSet; it
-// holds no resources.
+// DeviceModel returns the device the GPU backend simulates, so callers
+// pricing a MultiStats — the service's trace decomposition — bill against
+// the same device.
+func (GPUConfig) DeviceModel() *gpusim.Device { return gpusim.GTX1080() }
+
+// Set is the backend lineup one service owns. Create with NewSet; it holds
+// no resources.
 type Set struct {
-	byID map[ID]Backend
+	gpu gpusim.Config
 }
 
-// NewSet builds the four standard backends; gpu configures the simulated
-// device pool.
+// NewSet builds the lineup; gpu configures the simulated device pool.
 func NewSet(gpu GPUConfig) *Set {
-	s := &Set{byID: make(map[ID]Backend, 4)}
-	for _, b := range []Backend{
-		newCPUSeq(), newCPUParallel(), newGPUBackend(gpu), newHeuristic(),
-	} {
-		s.byID[b.ID()] = b
+	if gpu.Devices <= 0 {
+		gpu.Devices = 2
 	}
-	return s
+	return &Set{gpu: gpusim.Config{Device: gpu.DeviceModel(), Devices: gpu.Devices, FusedPrune: true, CCC: true}}
 }
 
-// Get returns the backend with the given ID, or nil.
-func (s *Set) Get(id ID) Backend { return s.byID[id] }
-
-// For returns the backend that executes alg, following the registry's
-// algorithm→substrate mapping.
-func (s *Set) For(alg core.Algorithm) Backend {
-	for _, id := range IDs() {
-		if b := s.byID[id]; b != nil && b.Supports(alg) {
-			return b
-		}
-	}
-	return nil
-}
+// Get returns the backend with the given ID. A backend of an ID outside
+// the registry runs nothing.
+func (s *Set) Get(id ID) Backend { return Backend{id: id, gpu: &s.gpu} }
 
 // Deprecated: bench-compat; a Set holds nothing to release. No-op.
 func (s *Set) Close() {}
+
+// Backend is one execution substrate of a Set.
+type Backend struct {
+	id  ID
+	gpu *gpusim.Config
+}
+
+// Optimize plans q with alg, which must be one of this backend's
+// algorithms (Of(alg) == its ID). Cancelling ctx aborts the run promptly
+// with the context's error. The run happens on the caller's goroutine and
+// ends before Optimize returns; concurrent calls are safe.
+func (b Backend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm, opts Options) (*Result, error) {
+	if id, ok := Of(alg); !ok || id != b.id {
+		return nil, fmt.Errorf("backend: %s does not run %q", b.id, alg)
+	}
+	res, err := core.Optimize(ctx, q, core.Options{
+		Algorithm: alg,
+		Model:     opts.Model,
+		Timeout:   opts.Timeout,
+		Threads:   opts.Threads,
+		K:         opts.K,
+		GPU:       b.gpu,
+		Workspace: opts.Workspace,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Result: *res, Backend: b.id, Algorithm: alg}, nil
+}

@@ -32,18 +32,13 @@ func relEq(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestSetDispatch: every registered algorithm but auto is supported by
-// exactly one backend, and the mapping follows the substrate split. The
-// registry drives the loop, so a name added to or left in core without a
-// backend, or claimed by two, fails here.
+// TestSetDispatch: every registered algorithm but auto runs on exactly one
+// backend, the mapping follows the substrate split, and a backend refuses
+// every algorithm of another. The registry drives the loop, so a name added
+// to or left in core without a backend fails here.
 func TestSetDispatch(t *testing.T) {
 	s := NewSet(GPUConfig{})
-	for _, id := range IDs() {
-		if s.Get(id) == nil {
-			t.Fatalf("Get(%s) = nil", id)
-		}
-	}
-
+	q := genQuery(t, workload.KindChain, 5, 1)
 	want := map[core.Algorithm]ID{
 		core.AlgDPCCP:        CPUSeq,
 		core.AlgMPDP:         CPUSeq,
@@ -61,27 +56,29 @@ func TestSetDispatch(t *testing.T) {
 	}
 	seen := 0
 	for _, alg := range core.Algorithms() {
-		var claimed []ID
-		for _, id := range IDs() {
-			if s.Get(id).Supports(alg) {
-				claimed = append(claimed, id)
-			}
-		}
+		id, ok := Of(alg)
 		if alg == core.AlgAuto {
-			if len(claimed) != 0 {
-				t.Errorf("auto is a policy, not a backend algorithm; claimed by %v", claimed)
+			if ok {
+				t.Errorf("auto is a policy, not a backend algorithm; Of gives %s", id)
 			}
 			continue
 		}
 		seen++
-		id, ok := want[alg]
-		switch {
-		case !ok:
+		if w, named := want[alg]; !named {
 			t.Errorf("%s: registered, but this test does not say which backend runs it", alg)
-		case len(claimed) != 1 || claimed[0] != id:
-			t.Errorf("%s: claimed by %v, want exactly %s", alg, claimed, id)
-		case s.For(alg) != s.Get(id):
-			t.Errorf("%s: For resolves to %v, want %s", alg, s.For(alg), id)
+		} else if !ok || id != w {
+			t.Errorf("%s: Of gives %q, want %s", alg, id, w)
+		}
+		for _, other := range append(IDs(), "tpu") {
+			res, err := s.Get(other).Optimize(context.Background(), q, alg, Options{})
+			switch {
+			case other != id && err == nil:
+				t.Errorf("%s: %s ran it, but it belongs to %s", alg, other, id)
+			case other == id && err != nil:
+				t.Errorf("%s on %s: %v", alg, id, err)
+			case other == id && (res.Backend != id || res.Algorithm != alg):
+				t.Errorf("%s on %s: result stamped %s/%s", alg, id, res.Algorithm, res.Backend)
+			}
 		}
 	}
 	if seen != len(want) {

@@ -1,10 +1,6 @@
 package backend
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/gpusim"
@@ -12,8 +8,7 @@ import (
 
 // Crossover holds the router's backend-crossover thresholds: which
 // substrate plans a query of a given size and shape. The zero value of any
-// field selects the calibrated default (see Calibrate); a JSON file with
-// the same field names overrides them per deployment (LoadCrossover).
+// field selects the calibrated default (see Calibrate).
 //
 // The regimes, in increasing query size:
 //
@@ -78,49 +73,6 @@ func (c Crossover) WithDefaults() Crossover {
 		c.GPULimit = 64
 	}
 	return c
-}
-
-// Validate rejects threshold sets that would leave the router without a
-// monotone size ladder.
-func (c Crossover) Validate() error {
-	c = c.WithDefaults()
-	if c.SmallLimit < 1 || c.SmallLimit > c.CPUParallelLimit {
-		return fmt.Errorf("backend: small_limit %d must be in [1, cpu_parallel_limit=%d]",
-			c.SmallLimit, c.CPUParallelLimit)
-	}
-	if c.CPUParallelLimit > c.GPULimit {
-		return fmt.Errorf("backend: cpu_parallel_limit %d exceeds gpu_limit %d",
-			c.CPUParallelLimit, c.GPULimit)
-	}
-	if c.CliqueCPULimit < 1 || c.GPUCliqueLimit < c.CliqueCPULimit {
-		return fmt.Errorf("backend: gpu_clique_limit %d must be >= clique_cpu_limit %d >= 1",
-			c.GPUCliqueLimit, c.CliqueCPULimit)
-	}
-	if c.DenseEdgeFactor < 1 {
-		return fmt.Errorf("backend: dense_edge_factor %g must be >= 1", c.DenseEdgeFactor)
-	}
-	return nil
-}
-
-// LoadCrossover reads a Crossover from a JSON file; absent fields keep the
-// calibrated defaults. Unknown fields are rejected so a typo cannot
-// silently fall back to defaults.
-func LoadCrossover(path string) (Crossover, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Crossover{}, err
-	}
-	var c Crossover
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return Crossover{}, fmt.Errorf("backend: %s: %w", path, err)
-	}
-	c = c.WithDefaults()
-	if err := c.Validate(); err != nil {
-		return Crossover{}, fmt.Errorf("backend: %s: %w", path, err)
-	}
-	return c, nil
 }
 
 // cpuPairsPerSec is the calibration constant for real per-pair evaluation

@@ -1,8 +1,6 @@
 package backend
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -11,10 +9,7 @@ import (
 
 func TestDefaultCrossoverSane(t *testing.T) {
 	c := DefaultCrossover()
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.SmallLimit != 12 || c.CPUParallelLimit != 25 {
+	if c.SmallLimit != 12 || c.CPUParallelLimit != 25 || c.CliqueCPULimit != 14 || c.DenseEdgeFactor != 4 {
 		t.Errorf("paper limits drifted: %+v", c)
 	}
 	// The headline regime: the GPU band must open the 26..40+ range that
@@ -43,57 +38,5 @@ func TestCalibrateMonotone(t *testing.T) {
 	}
 	if c := Calibrate(nil, 0); c != base {
 		t.Errorf("nil device / zero budget should select the defaults: %+v", c)
-	}
-}
-
-func TestLoadCrossover(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "crossover.json")
-
-	// Partial override: present fields win, absent fields keep defaults.
-	if err := os.WriteFile(path, []byte(`{"gpu_limit": 48, "small_limit": 10}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadCrossover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.GPULimit != 48 || c.SmallLimit != 10 {
-		t.Errorf("overrides not applied: %+v", c)
-	}
-	if d := DefaultCrossover(); c.CPUParallelLimit != d.CPUParallelLimit || c.DenseEdgeFactor != d.DenseEdgeFactor {
-		t.Errorf("defaults not preserved: %+v", c)
-	}
-
-	// A typo'd field name must fail loudly, not silently use defaults.
-	if err := os.WriteFile(path, []byte(`{"gpu_limt": 48}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCrossover(path); err == nil {
-		t.Error("unknown field accepted")
-	}
-
-	// An inverted ladder must be rejected.
-	if err := os.WriteFile(path, []byte(`{"small_limit": 30, "cpu_parallel_limit": 20}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCrossover(path); err == nil {
-		t.Error("inverted thresholds accepted")
-	}
-
-	// gpu_limit beyond the bitset width clamps to 64.
-	if err := os.WriteFile(path, []byte(`{"gpu_limit": 100}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err = LoadCrossover(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.GPULimit != 64 {
-		t.Errorf("gpu_limit %d, want clamp to 64", c.GPULimit)
-	}
-
-	if _, err := LoadCrossover(filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file accepted")
 	}
 }

@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -95,4 +96,42 @@ func FuzzCatalogStats(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestOverflowingPlanIsInvalidQuery: a query whose plan estimate overflows
+// float64 is answered 422 invalid_query, on the miss and on the hit after
+// it. Inside a batch it is that item's error, and the finite item before it
+// keeps its response.
+func TestOverflowingPlanIsInvalidQuery(t *testing.T) {
+	const overflow = `{"relations":[{"name":"a","rows":1e308},{"name":"b","rows":1e308}],"edges":[{"a":0,"b":1,"sel":1}]}`
+	const small = `{"relations":[{"name":"a","rows":10},{"name":"b","rows":20}],"edges":[{"a":0,"b":1,"sel":0.1}]}`
+	bothEngines(t, func(t *testing.T, ts *httptest.Server) {
+		for _, try := range []string{"miss", "hit"} {
+			status, _, raw := post(t, ts, "/v1/optimize", "application/json", []byte(overflow))
+			var env Error
+			if err := json.Unmarshal(raw, &env); status != http.StatusUnprocessableEntity || err != nil || env.Code != CodeInvalidQuery {
+				t.Errorf("%s: status %d, body %q; want 422 %q", try, status, raw, CodeInvalidQuery)
+			}
+		}
+
+		status, _, raw := post(t, ts, "/v1/batch", "application/json", []byte(`{"queries":[`+small+`,`+overflow+`]}`))
+		var out BatchResponse
+		if err := json.Unmarshal(raw, &out); status != http.StatusOK || err != nil || len(out.Results) != 2 {
+			t.Fatalf("batch: status %d, body %q; want 200 with two results", status, raw)
+		}
+		if r := out.Results[0]; r.Error != nil || r.Response == nil || r.Response.Relations != 2 {
+			t.Errorf("finite item: %+v", r)
+		}
+		if r := out.Results[1]; r.Response != nil || r.Error == nil || r.Error.Code != CodeInvalidQuery {
+			t.Errorf("overflowing item: response %+v, error %+v; want %q", r.Response, r.Error, CodeInvalidQuery)
+		}
+	})
+
+	// Any other answer that does not encode is a 500 envelope, never a 200.
+	rec := httptest.NewRecorder()
+	(&API{}).ok(rec, "rid-1", math.Inf(1))
+	var env Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); rec.Code != http.StatusInternalServerError || err != nil || env.Code != CodeInternal || env.RequestID != "rid-1" {
+		t.Errorf("unencodable answer: status %d, body %q; want 500 %q", rec.Code, rec.Body, CodeInternal)
+	}
 }

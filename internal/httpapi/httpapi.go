@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -162,14 +163,16 @@ func (a *API) failEnv(w http.ResponseWriter, status int, e *Error) {
 
 // ok writes a 200 answer: encoding/json's bytes and the closing newline,
 // encoded into a recycled buffer and handed to the connection in one write.
+// An answer that does not encode is a 500 envelope, never a 200.
 func (a *API) ok(w http.ResponseWriter, rid string, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Request-Id", rid)
 	b := newBody()
 	if err := json.NewEncoder(&b.buf).Encode(body); err != nil {
-		b.buf.Reset()
-		b.buf.WriteString("{}\n")
+		b.Release()
+		a.fail(w, rid, http.StatusInternalServerError, CodeInternal, "encoding the answer", nil)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Request-Id", rid)
 	w.Write(b.Bytes())
 	b.Release()
 }
@@ -243,6 +246,14 @@ func (a *API) optimizeOne(ctx context.Context, p *service.Prepared, explain bool
 		return nil, e, status
 	}
 	res := ans.Result
+	if !finite(res.Plan.Cost) || !finite(res.Plan.Rows) {
+		return nil, &Error{
+			Code:      CodeInvalidQuery,
+			Message:   "plan estimate overflows",
+			Detail:    fmt.Sprintf("cost %g, rows %g", res.Plan.Cost, res.Plan.Rows),
+			RequestID: rid,
+		}, http.StatusUnprocessableEntity
+	}
 	resp := &Response{
 		Relations:   q.N(),
 		Edges:       len(q.G.Edges),
@@ -269,6 +280,8 @@ func (a *API) optimizeOne(ctx context.Context, p *service.Prepared, explain bool
 	}
 	return resp, nil, 0
 }
+
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // retryAfterOverloadMS is the back-off hint attached to shed and
 // unavailable responses. One second: long enough to drain a burst, short

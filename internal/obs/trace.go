@@ -25,8 +25,8 @@ const (
 	// PhaseCoalesceWait is a follower's wait on an identical in-flight
 	// optimization.
 	PhaseCoalesceWait = "coalesce_wait"
-	// PhaseRoute is shape detection plus the (algorithm, backend) routing
-	// decision.
+	// PhaseRoute is shape detection plus the routing decision: the
+	// algorithm, which names its backend.
 	PhaseRoute = "route"
 	// PhaseEnumerate is the backend optimization run itself — the DP
 	// enumeration (including any heuristic fallback retry).

@@ -39,16 +39,14 @@ type Config struct {
 	// Threads is passed to CPU-parallel optimizers (0: all cores).
 	Threads int
 	// Crossover sets the backend-crossover thresholds of the router (nil:
-	// backend.DefaultCrossover(), calibrated from the GPU device model;
-	// load deployment overrides with backend.LoadCrossover, which
-	// validates the ladder). Programmatic values are taken as-is: the
-	// router is a waterfall (small → cpu-parallel → gpu → heuristic), so
-	// an inverted ladder is well-defined and simply leaves the shadowed
-	// band empty (e.g. GPULimit < CPUParallelLimit disables the GPU
-	// band).
+	// backend.DefaultCrossover(), calibrated from the GPU device model).
+	// Values are taken as-is: the router is a waterfall (small →
+	// cpu-parallel → gpu → heuristic), so an inverted ladder is
+	// well-defined and simply leaves the shadowed band empty (e.g.
+	// GPULimit < CPUParallelLimit disables the GPU band).
 	Crossover *backend.Crossover
-	// GPU configures the simulated GPU backend: device model and device
-	// count (zero value: 2 × GTX 1080).
+	// GPU configures the simulated GPU backend's device count (zero
+	// value: 2 × GTX 1080).
 	GPU backend.GPUConfig
 	// K is the sub-problem bound for IDP2/UnionDP (0: 15).
 	K int
@@ -269,11 +267,13 @@ func (s *Service) BumpStatsEpoch() (old, cur uint64) {
 	return cur - 1, cur
 }
 
-// Route reports which (algorithm, backend) pair the adaptive router would
-// pick for q, given its size, detected shape and edge density.
+// Route reports which algorithm the adaptive router would pick for q,
+// given its size, detected shape and edge density, and the backend that
+// runs it.
 func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, Shape) {
 	shape := DetectShape(q.G)
-	alg, bid := s.route(q.N(), shape, len(q.G.Edges))
+	alg := s.route(q.N(), shape, len(q.G.Edges))
+	bid, _ := backend.Of(alg)
 	return alg, bid, shape
 }
 
@@ -289,13 +289,13 @@ func (s *Service) Crossover() backend.Crossover { return s.xover }
 // Cliques and dense general graphs (whose connected-set space explodes the
 // same way) cap the exact bands early, and everything beyond goes to the
 // shape's heuristic.
-func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.ID) {
+func (s *Service) route(n int, shape Shape, edges int) core.Algorithm {
 	x := &s.xover
 	if n <= x.SmallLimit && n <= 64 {
 		if shape == ShapeClique || shape == ShapeStar {
-			return core.AlgMPDPParallel, backend.CPUParallel
+			return core.AlgMPDPParallel
 		}
-		return core.AlgDPCCP, backend.CPUSeq
+		return core.AlgDPCCP
 	}
 	// Only literal cliques shrink the CPU-parallel band (its pre-backend
 	// contract); the density test additionally caps the new GPU band,
@@ -307,7 +307,7 @@ func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.
 		cpuLimit = x.CliqueCPULimit
 	}
 	if n <= cpuLimit && n <= 64 {
-		return core.AlgMPDPParallel, backend.CPUParallel
+		return core.AlgMPDPParallel
 	}
 	gpuLimit := x.GPULimit
 	if shape == ShapeClique || shape == ShapeStar ||
@@ -322,12 +322,12 @@ func (s *Service) route(n int, shape Shape, edges int) (core.Algorithm, backend.
 		gpuLimit = x.GPUCliqueLimit
 	}
 	if n <= gpuLimit && n <= 64 {
-		return core.AlgMPDPGPU, backend.GPU
+		return core.AlgMPDPGPU
 	}
 	if shape.IsTree() {
-		return core.AlgIDP2, backend.Heuristic
+		return core.AlgIDP2
 	}
-	return core.AlgUnionDP, backend.Heuristic
+	return core.AlgUnionDP
 }
 
 // Prepared is a compiled query together with its canonical fingerprint: the
@@ -719,8 +719,8 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 	}
 	routeDone := r.tr.StartSpan(obs.PhaseRoute)
 	shape := DetectShape(r.q.G)
-	alg, bid := s.route(r.q.N(), shape, len(r.q.G.Edges))
-	s.counters.observeRoute(alg, bid)
+	alg := s.route(r.q.N(), shape, len(r.q.G.Edges))
+	s.counters.observeRoute(alg)
 	routeDone()
 
 	ws := own
@@ -729,10 +729,10 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 	default:
 	}
 	enumDone := r.tr.StartSpan(obs.PhaseEnumerate)
-	res, usedAlg, usedBid, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, bid, shape, ws)
+	res, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, shape, ws)
 	enumDone()
 	if err == nil {
-		s.counters.observeServed(usedBid)
+		s.counters.observeServed(res.Backend)
 		// The GPU's modeled device time decomposes into Sim spans: launch,
 		// transfer, per-kernel cycles, memory — the paper's per-level cost
 		// breakdown, per request.
@@ -742,11 +742,11 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 			key:      r.fp.Key,
 			plan:     remapPlan(res.Plan, r.fp.Perm),
 			stats:    res.Stats,
-			alg:      usedAlg,
-			backend:  usedBid,
+			alg:      res.Algorithm,
+			backend:  res.Backend,
 			shape:    shape,
 			gpu:      res.GPU,
-			fellBack: usedAlg != alg,
+			fellBack: res.Algorithm != alg,
 			epoch:    s.StatsEpoch(),
 		}
 		s.cache.Put(r.fl.entry)
@@ -770,14 +770,14 @@ func (s *Service) finishFlight(r request) {
 	close(r.fl.done)
 }
 
-// optimizeWithFallback runs the routed algorithm on the routed backend
-// under the time budget; when an exact route times out it retries once
-// with the shape's heuristic under a fresh budget (the adaptive part of
-// adaptive routing: the router's crossover thresholds are estimates, the
-// budget is the contract). The fallback is charged to the backend that
+// optimizeWithFallback runs the routed algorithm on its backend under the
+// time budget; when an exact route times out it retries once with the
+// shape's heuristic under a fresh budget (the adaptive part of adaptive
+// routing: the router's crossover thresholds are estimates, the budget is
+// the contract). The fallback is charged to the backend that
 // timed out. Caller cancellation (ctx) aborts outright — a caller that
 // walked away gets no heuristic retry.
-func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, bid backend.ID, shape Shape, ws *dp.Workspace) (*backend.Result, core.Algorithm, backend.ID, error) {
+func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, shape Shape, ws *dp.Workspace) (*backend.Result, error) {
 	opts := backend.Options{
 		Model:     s.cfg.Model,
 		Timeout:   s.cfg.Timeout,
@@ -785,15 +785,15 @@ func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg c
 		K:         s.cfg.K,
 		Workspace: ws,
 	}
+	bid, _ := backend.Of(alg)
 	res, err := s.backends.Get(bid).Optimize(ctx, q, alg, opts)
 	if err == nil || !errors.Is(err, dp.ErrTimeout) || !alg.IsExact() {
-		return res, alg, bid, err
+		return res, err
 	}
 	s.counters.observeFallback(bid)
 	fb := core.AlgUnionDP
 	if shape.IsTree() {
 		fb = core.AlgIDP2
 	}
-	res, err = s.backends.Get(backend.Heuristic).Optimize(ctx, q, fb, opts)
-	return res, fb, backend.Heuristic, err
+	return s.backends.Get(backend.Heuristic).Optimize(ctx, q, fb, opts)
 }

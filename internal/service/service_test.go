@@ -217,6 +217,9 @@ func TestEachBandMovesOneBackend(t *testing.T) {
 		if alg != tc.alg || bid != tc.bid {
 			t.Fatalf("%s-%d: routed to %s on %s, want %s on %s", tc.kind, tc.n, alg, bid, tc.alg, tc.bid)
 		}
+		if of, _ := backend.Of(alg); bid != of {
+			t.Errorf("%s-%d: Route names %s, but %s runs on %s", tc.kind, tc.n, bid, alg, of)
+		}
 		before := s.Counters().Snapshot()
 		res, err := s.Optimize(context.Background(), q)
 		if err != nil {
@@ -402,8 +405,10 @@ func TestFallbackOnTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timeout fallback burns the budget twice")
 	}
-	// Force the router to hand a 16-clique to sequential DPCCP with a
-	// budget it cannot meet; the service must fall back to UnionDP.
+	// Widen the small band so the router hands a 16-clique to CPU-parallel
+	// MPDP with a budget it cannot meet; the service must fall back to
+	// UnionDP on the heuristic backend and charge the overrun to
+	// cpu-parallel.
 	s := New(Config{Crossover: &backend.Crossover{SmallLimit: 16}, Timeout: 150 * time.Millisecond, K: 8})
 	defer s.Close()
 	q := genQuery(t, workload.KindClique, 16, 2)
@@ -417,8 +422,15 @@ func TestFallbackOnTimeout(t *testing.T) {
 	if res.Algorithm != core.AlgUnionDP {
 		t.Errorf("fallback used %s, want uniondp-mpdp", res.Algorithm)
 	}
-	if snap := s.Counters().Snapshot(); snap.Fallbacks != 1 {
+	if res.Backend != backend.Heuristic {
+		t.Errorf("fallback served by %s, want heuristic", res.Backend)
+	}
+	snap := s.Counters().Snapshot()
+	if snap.Fallbacks != 1 {
 		t.Errorf("fallbacks = %d, want 1", snap.Fallbacks)
+	}
+	if got := snap.Backends[string(backend.CPUParallel)].Fallbacks; got != 1 {
+		t.Errorf("cpu-parallel fallbacks = %d, want 1", got)
 	}
 	if err := res.Plan.Validate(identity(16)); err != nil {
 		t.Errorf("fallback plan invalid: %v", err)

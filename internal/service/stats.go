@@ -354,7 +354,7 @@ func (c *Counters) observeQueueWait(d time.Duration) {
 	c.lat.QueueWait.Record(d)
 }
 
-func (c *Counters) observeRoute(alg core.Algorithm, id backend.ID) {
+func (c *Counters) observeRoute(alg core.Algorithm) {
 	switch alg {
 	case core.AlgDPCCP:
 		c.routeDPCCP.Add(1)
@@ -367,6 +367,7 @@ func (c *Counters) observeRoute(alg core.Algorithm, id backend.ID) {
 	case core.AlgUnionDP:
 		c.routeUnionDP.Add(1)
 	}
+	id, _ := backend.Of(alg)
 	if b := c.slot(id); b != nil {
 		b.routed.Add(1)
 	}
