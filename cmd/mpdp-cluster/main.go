@@ -136,11 +136,14 @@ func main() {
 		if *peers != "" {
 			log.Fatal("mpdp-cluster: -peers requires -transport=http")
 		}
+		tr = cluster.NewLocalTransport()
 	case "http":
 		tr = cluster.NewHTTPTransport()
 	default:
 		log.Fatalf("mpdp-cluster: unknown -transport=%s (local or http)", *transport)
 	}
+	// The admin kill/revive verbs cut and heal links in this fault model.
+	tr = cluster.NewFaultTransport(tr, 1)
 
 	slowCfg, closeSlow, err := httpapi.SlowConfigFromFlags(*slowMS, *slowPath)
 	if err != nil {

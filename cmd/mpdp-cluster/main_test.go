@@ -19,7 +19,12 @@ const testStatement = "SELECT r.id FROM release r, release_group rg, artist_cred
 
 func newTestFrontDoor(t *testing.T) *httptest.Server {
 	t.Helper()
-	c := cluster.New(cluster.Config{Nodes: 3, Replicas: 2, Service: service.Config{Workers: 2}})
+	c := cluster.New(cluster.Config{
+		Nodes:     3,
+		Replicas:  2,
+		Transport: cluster.NewFaultTransport(cluster.NewLocalTransport(), 1),
+		Service:   service.Config{Workers: 2},
+	})
 	t.Cleanup(c.Close)
 	ts := httptest.NewServer(newAPI(c, httpapi.Options{}).Mux())
 	t.Cleanup(ts.Close)
@@ -238,6 +243,76 @@ func TestFrontDoorAdminValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("remove unknown node = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFrontDoorKillNeedsFaultModel: the admin kill and revive verbs act
+// through the cluster's FaultTransport. Without one they answer 400 and
+// change nothing; with one the node is dead after FailureThreshold (2)
+// sweeps and alive again one sweep after the revive.
+func TestFrontDoorKillNeedsFaultModel(t *testing.T) {
+	frontDoor := func(tr cluster.Transport) (*cluster.Cluster, *httptest.Server) {
+		c := cluster.New(cluster.Config{Nodes: 3, Replicas: 2, Transport: tr, Service: service.Config{Workers: 1}})
+		t.Cleanup(c.Close)
+		ts := httptest.NewServer(newAPI(c, httpapi.Options{}).Mux())
+		t.Cleanup(ts.Close)
+		return c, ts
+	}
+	post := func(ts *httptest.Server, path string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// members returns /cluster's alive and dead lists.
+	members := func(ts *httptest.Server) (alive, dead []string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/cluster")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m struct {
+			Alive []string `json:"alive_nodes"`
+			Dead  []string `json:"dead_nodes"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Alive, m.Dead
+	}
+
+	c, ts := frontDoor(cluster.NewLocalTransport())
+	if code := post(ts, "/cluster/kill?node=node-1"); code != http.StatusBadRequest {
+		t.Errorf("kill without a FaultTransport = %d, want 400", code)
+	}
+	c.CheckHealth()
+	c.CheckHealth()
+	if alive, dead := members(ts); len(alive) != 3 || len(dead) != 0 {
+		t.Errorf("kill without a FaultTransport changed membership: alive %v dead %v", alive, dead)
+	}
+	if code := post(ts, "/cluster/revive?node=node-1"); code != http.StatusBadRequest {
+		t.Errorf("revive without a FaultTransport = %d, want 400", code)
+	}
+
+	c, ts = frontDoor(cluster.NewFaultTransport(cluster.NewLocalTransport(), 1))
+	if code := post(ts, "/cluster/kill?node=node-1"); code != http.StatusOK {
+		t.Fatalf("kill through a FaultTransport = %d, want 200", code)
+	}
+	c.CheckHealth()
+	c.CheckHealth()
+	if _, dead := members(ts); len(dead) != 1 || dead[0] != "node-1" {
+		t.Errorf("dead_nodes = %v after kill and two sweeps, want [node-1]", dead)
+	}
+	if code := post(ts, "/cluster/revive?node=node-1"); code != http.StatusOK {
+		t.Fatalf("revive = %d, want 200", code)
+	}
+	c.CheckHealth()
+	if alive, dead := members(ts); len(alive) != 3 || len(dead) != 0 {
+		t.Errorf("after revive and a sweep: alive %v dead %v, want all 3 alive", alive, dead)
 	}
 }
 

@@ -32,11 +32,12 @@ func main() {
 	// Server side: the same wiring as cmd/mpdp-cluster -transport=http, on
 	// an ephemeral port. The HTTP transport gives every node a real
 	// loopback TCP listener, so coordinator→node RPCs — including the
-	// failover traffic after the kill below — cross actual sockets.
+	// failover traffic after the kill below — cross actual sockets; the
+	// FaultTransport around it is what the kill cuts.
 	c := cluster.New(cluster.Config{
 		Nodes:     4,
 		Replicas:  2,
-		Transport: cluster.NewHTTPTransport(),
+		Transport: cluster.NewFaultTransport(cluster.NewHTTPTransport(), 1),
 		Service:   service.Config{Workers: 2},
 	})
 	defer c.Close()
@@ -119,7 +120,9 @@ func main() {
 	fmt.Printf("membership: alive=%v dead=%v (deaths=%d)\n\n",
 		snap.AliveNodes, snap.DeadNodes, snap.Deaths)
 
-	c.ReviveNode(victim)
+	if err := c.ReviveNode(victim); err != nil {
+		log.Fatal(err)
+	}
 	c.CheckHealth()
 	fmt.Printf("revived %s: alive=%v (rejoins=%d)\n",
 		victim, c.AliveNodes(), c.Snapshot().Rejoins)

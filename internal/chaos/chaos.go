@@ -409,10 +409,10 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 				id := nodeID(e.Node)
 				switch e.Kind {
 				case Kill:
-					c.KillNode(id)
+					ft.Cut(id)
 					setFaulted(id, true)
 				case Revive:
-					c.ReviveNode(id)
+					ft.Heal(id)
 					setFaulted(id, false)
 				case Partition:
 					ft.Partition(id, e.Dir, e.P)
@@ -442,12 +442,11 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 		Seed:     sched.Seed,
 	})
 
-	// Heal the world: clear every link fault, revive everyone, and keep
+	// Heal the world: clear every link fault, cuts included, and keep
 	// health-checking until the full membership is back (quarantines are
 	// bounded, so this converges).
 	ft.ClearAll()
 	for _, id := range nodes {
-		c.ReviveNode(id)
 		setFaulted(id, false)
 	}
 	healDeadline := time.Now().Add(5 * time.Second)

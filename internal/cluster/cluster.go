@@ -6,17 +6,17 @@
 // detection, failover to replicas, cache-aware rebalancing on ring
 // changes, and read-repair of plan-cache entries between replicas.
 //
-// Two transports carry the coordinator→node RPCs: LocalTransport is an
-// in-process simulator with injectable latency and failures, so every
-// distributed behaviour is deterministic and testable; HTTPTransport ships
-// the same RPCs as JSON over real TCP sockets, hosting in-process nodes on
-// loopback listeners or dialing remote node-mode peers (JoinPeer). The
-// FaultTransport middleware layers seeded asymmetric partitions, drops,
-// latency and slowdowns over either. Request-path calls go through a
-// guarded path: per-attempt timeouts carved from the caller's deadline,
-// retry with full-jitter backoff on transport faults, and a per-node
-// circuit breaker that routes around nodes that keep failing. See
-// CLUSTER.md for the design.
+// Two transports carry the coordinator→node RPCs: LocalTransport calls
+// in-process nodes directly; HTTPTransport ships the same RPCs as JSON over
+// real TCP sockets, hosting in-process nodes on loopback listeners or
+// dialing remote node-mode peers (JoinPeer). Neither simulates faults: the
+// FaultTransport middleware is the one fault model, layering seeded
+// crashes (KillNode), asymmetric partitions, drops, latency and slowdowns
+// over either, so every distributed behaviour is deterministic and
+// testable. Request-path calls go through a guarded path: per-attempt
+// timeouts carved from the caller's deadline, retry with full-jitter
+// backoff on transport faults, and a per-node circuit breaker that routes
+// around nodes that keep failing. See CLUSTER.md for the design.
 package cluster
 
 import (
@@ -55,8 +55,9 @@ type Config struct {
 	HealthInterval time.Duration
 	// Transport carries the coordinator→node RPCs (nil: a fresh
 	// LocalTransport). Pass an HTTPTransport to host nodes on real loopback
-	// sockets, or a FaultTransport wrapping either for chaos schedules.
-	// Close closes the transport along with the cluster.
+	// sockets. Wrap either in a FaultTransport to inject faults: KillNode
+	// and ReviveNode need one. Close closes the transport along with the
+	// cluster.
 	Transport Transport
 	// Retry tunes the guarded request path: per-attempt timeouts, retry
 	// count and backoff. Zero fields take RetryPolicy's defaults.
@@ -76,9 +77,6 @@ type Config struct {
 	FlapWindow     time.Duration
 	QuarantineBase time.Duration
 	QuarantineMax  time.Duration
-	// Latency, when non-nil, is installed as the LocalTransport's
-	// injectable latency model (ignored for other transports).
-	Latency func(to string, kind ReqKind) time.Duration
 	// Service configures each node's service.Service. Remember that every
 	// node gets its own worker pool: N nodes with default Workers hold
 	// N*GOMAXPROCS workers.
@@ -186,6 +184,9 @@ type Cluster struct {
 
 	breakersMu sync.Mutex
 	breakers   map[string]*breaker
+	// retiredOpens keeps the open transitions of removed nodes' breakers,
+	// so BreakerOpens never goes backwards.
+	retiredOpens uint64 // guarded by breakersMu
 
 	mu     sync.Mutex
 	ring   *ring
@@ -224,11 +225,6 @@ func New(cfg Config) *Cluster {
 	c.transport = cfg.Transport
 	if c.transport == nil {
 		c.transport = NewLocalTransport()
-	}
-	if cfg.Latency != nil {
-		if lt, ok := unwrapTransport[*LocalTransport](c.transport); ok {
-			lt.SetLatency(cfg.Latency)
-		}
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		// An attach failure (a transport that cannot listen) surfaces as a
@@ -303,8 +299,8 @@ func (c *Cluster) Close() {
 	}
 }
 
-// Transport returns the cluster's transport, for fault and latency
-// injection in tests and demos.
+// Transport returns the cluster's transport; under a FaultTransport, that
+// is where tests and demos inject faults.
 func (c *Cluster) Transport() Transport { return c.transport }
 
 // maintCtx bounds one background maintenance RPC (replication, rebalance,
@@ -680,28 +676,57 @@ func (c *Cluster) RemoveNode(id string) error {
 			ht.RemovePeer(id)
 		}
 	}
+	// A node that rejoins under the same ID starts healthy: no link fault
+	// and no breaker carried over from its previous membership.
+	if ft, ok := c.transport.(*FaultTransport); ok {
+		ft.Clear(id)
+	}
+	c.breakersMu.Lock()
+	if b := c.breakers[id]; b != nil {
+		_, opens := b.snapshot(time.Now())
+		c.retiredOpens += opens
+		delete(c.breakers, id)
+	}
+	c.breakersMu.Unlock()
 	if n != nil {
 		n.close()
 	}
 	return nil
 }
 
-// KillNode makes a node unreachable without any cleanup — a simulated
-// crash. The failure detector will declare it dead and rebalance. It is a
-// no-op on transports without fault control.
-func (c *Cluster) KillNode(id string) {
-	if fc, ok := c.transport.(FaultController); ok {
-		fc.Cut(id)
+// faults returns the cluster's fault model: its transport, when that is a
+// FaultTransport.
+func (c *Cluster) faults() (*FaultTransport, error) {
+	ft, ok := c.transport.(*FaultTransport)
+	if !ok {
+		return nil, fmt.Errorf("cluster: transport %T injects no faults (wrap it in a FaultTransport)", c.transport)
 	}
+	return ft, nil
 }
 
-// ReviveNode reconnects a killed node; the next health sweep rejoins it to
-// the ring (quarantine permitting) and rebalances warm entries back onto
-// it.
-func (c *Cluster) ReviveNode(id string) {
-	if fc, ok := c.transport.(FaultController); ok {
-		fc.Heal(id)
+// KillNode makes a node unreachable without any cleanup — a simulated
+// crash, cut in the cluster's FaultTransport. The failure detector will
+// declare it dead and rebalance. It fails when the transport is not a
+// FaultTransport.
+func (c *Cluster) KillNode(id string) error {
+	ft, err := c.faults()
+	if err != nil {
+		return err
 	}
+	ft.Cut(id)
+	return nil
+}
+
+// ReviveNode heals a killed node's link; the next health sweep rejoins it
+// to the ring (quarantine permitting) and rebalances warm entries back
+// onto it. It fails when the transport is not a FaultTransport.
+func (c *Cluster) ReviveNode(id string) error {
+	ft, err := c.faults()
+	if err != nil {
+		return err
+	}
+	ft.Heal(id)
+	return nil
 }
 
 // noteSuccess resets a node's consecutive-failure count.
@@ -1062,6 +1087,7 @@ func (c *Cluster) collectStats() (Snapshot, service.Snapshot, *service.LatencySe
 	}
 	now := time.Now()
 	c.breakersMu.Lock()
+	s.BreakerOpens = c.retiredOpens
 	if len(c.breakers) > 0 {
 		s.Breakers = make(map[string]string, len(c.breakers))
 		for id, b := range c.breakers {

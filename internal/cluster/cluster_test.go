@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -41,9 +43,10 @@ func relEq(a, b float64) bool {
 func newTestCluster(t *testing.T, nodes, replicas int) *Cluster {
 	t.Helper()
 	c := New(Config{
-		Nodes:    nodes,
-		Replicas: replicas,
-		Service:  service.Config{Workers: 2},
+		Nodes:     nodes,
+		Replicas:  replicas,
+		Transport: NewFaultTransport(NewLocalTransport(), 1),
+		Service:   service.Config{Workers: 2},
 	})
 	t.Cleanup(c.Close)
 	return c
@@ -437,6 +440,61 @@ func TestRemoveNodeMigratesEntries(t *testing.T) {
 	}
 }
 
+// TestRemoveNodeDropsBreaker: a node that leaves takes its circuit breaker
+// with it, so /metrics stops exporting its state and a peer rejoining under
+// the same ID inherits nothing; the cluster-wide open count still never
+// goes backwards.
+func TestRemoveNodeDropsBreaker(t *testing.T) {
+	c := newTestCluster(t, 3, 2)
+	for seed := int64(0); seed < 6; seed++ {
+		if _, err := c.Optimize(context.Background(), genQuery(t, workload.KindChain, 8, seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := ""
+	for id := range c.Snapshot().Breakers {
+		victim = id
+	}
+	if victim == "" {
+		t.Fatal("no breaker after six requests")
+	}
+	br := c.breakerFor(victim)
+	now := time.Now()
+	for i := 0; i < c.cfg.Breaker.Threshold; i++ {
+		br.record(false, now)
+	}
+	opens := c.Snapshot().BreakerOpens
+	if opens == 0 {
+		t.Fatal("setup: breaker did not open")
+	}
+	series := `mpdp_transport_breaker_state{node="` + victim + `"}`
+	var before bytes.Buffer
+	if err := c.WriteMetrics(&before); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(before.String(), series) {
+		t.Fatalf("setup: %s missing from /metrics", series)
+	}
+
+	if err := c.RemoveNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	s := c.Snapshot()
+	if st, ok := s.Breakers[victim]; ok {
+		t.Errorf("removed node %s keeps a %s breaker: %v", victim, st, s.Breakers)
+	}
+	if s.BreakerOpens < opens {
+		t.Errorf("breaker_opens went back from %d to %d", opens, s.BreakerOpens)
+	}
+	var after bytes.Buffer
+	if err := c.WriteMetrics(&after); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(after.String(), series) {
+		t.Errorf("%s still exported after RemoveNode", series)
+	}
+}
+
 func TestAllNodesDeadReturnsErrNoNodes(t *testing.T) {
 	c := newTestCluster(t, 2, 2)
 	for _, id := range c.AliveNodes() {
@@ -519,18 +577,17 @@ func TestClusterClosedAndBadQuery(t *testing.T) {
 }
 
 func TestInjectedLatencyIsApplied(t *testing.T) {
+	ft := NewFaultTransport(NewLocalTransport(), 1)
 	c := New(Config{
-		Nodes:    2,
-		Replicas: 1,
-		Service:  service.Config{Workers: 1},
-		Latency: func(to string, kind ReqKind) time.Duration {
-			if kind == ReqOptimize {
-				return 2 * time.Millisecond
-			}
-			return 0
-		},
+		Nodes:     2,
+		Replicas:  1,
+		Transport: ft,
+		Service:   service.Config{Workers: 1},
 	})
 	defer c.Close()
+	for _, id := range c.AliveNodes() {
+		ft.SetLatency(id, 2*time.Millisecond, 0)
+	}
 	q := genQuery(t, workload.KindChain, 5, 1)
 	if _, err := c.Optimize(context.Background(), q); err != nil {
 		t.Fatal(err)

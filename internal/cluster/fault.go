@@ -49,16 +49,16 @@ type linkFault struct {
 }
 
 // FaultTransport wraps any Transport with a seeded, deterministic fault
-// model — the superset of LocalTransport's bare Cut/Heal. Faults are
-// per-link and directional: asymmetric partitions (requests lost but
-// replies fine, or the reverse), probabilistic drops, injected latency
-// with jitter, and slow-node degradation. All decisions come from one
-// seeded RNG, so a chaos schedule replays the same fault pattern for the
-// same seed.
+// model — the only one in the cluster: the base transports simulate no
+// faults. Faults are per-link and directional: whole-node cuts (Cut/Heal,
+// what Cluster.KillNode and ReviveNode call), asymmetric partitions
+// (requests lost but replies fine, or the reverse), probabilistic drops,
+// injected latency with jitter, and slow-node degradation. All decisions
+// come from one seeded RNG, so a chaos schedule replays the same fault
+// pattern for the same seed.
 //
-// FaultTransport implements FaultController (whole-node Cut/Heal) and
-// passes node attachment through to the wrapped transport, so it can wrap
-// either LocalTransport or HTTPTransport inside a Cluster.
+// FaultTransport passes node attachment through to the wrapped transport,
+// so it can wrap either LocalTransport or HTTPTransport inside a Cluster.
 type FaultTransport struct {
 	base Transport
 
@@ -77,9 +77,6 @@ func NewFaultTransport(base Transport, seed int64) *FaultTransport {
 		links: make(map[string]*linkFault),
 	}
 }
-
-// Base returns the wrapped transport.
-func (f *FaultTransport) Base() Transport { return f.base }
 
 func (f *FaultTransport) link(id string) *linkFault {
 	l := f.links[id]

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/service"
@@ -178,22 +177,14 @@ func writeWireResponse(w http.ResponseWriter, resp *wireResponse) {
 // in-process nodes the transport hosts itself on loopback listeners
 // (attach) — the latter is how the failover and chaos suites exercise the
 // full wire path inside one test process, and how `mpdp-cluster
-// -transport=http` runs by default.
-//
-// Cut/Heal mirror LocalTransport's crash semantics from the coordinator's
-// viewpoint: calls to a cut peer fail with ErrUnreachable without touching
-// the socket, and a reply that lands after the cut is dropped, exactly as
-// a real crash loses in-flight responses.
+// -transport=http` runs by default. Like LocalTransport it simulates no
+// faults; wrap it in a FaultTransport for that.
 type HTTPTransport struct {
 	mu    sync.RWMutex
 	peers map[string]string // id -> base URL
-	cut   map[string]bool
 	local map[string]*nodeListener
 
 	client *http.Client
-
-	calls atomic.Uint64
-	fails atomic.Uint64
 }
 
 // nodeListener is one loopback listener hosting an in-process node.
@@ -207,7 +198,6 @@ type nodeListener struct {
 func NewHTTPTransport() *HTTPTransport {
 	return &HTTPTransport{
 		peers: make(map[string]string),
-		cut:   make(map[string]bool),
 		local: make(map[string]*nodeListener),
 		client: &http.Client{
 			Transport: &http.Transport{
@@ -233,37 +223,8 @@ func (t *HTTPTransport) SetPeer(id, addr string) {
 func (t *HTTPTransport) RemovePeer(id string) {
 	t.mu.Lock()
 	delete(t.peers, id)
-	delete(t.cut, id)
 	t.mu.Unlock()
 }
-
-// Peer returns the base URL registered for id.
-func (t *HTTPTransport) Peer(id string) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	addr, ok := t.peers[id]
-	return addr, ok
-}
-
-// Cut makes a node unreachable, simulating a crash or partition; Heal
-// reconnects it.
-func (t *HTTPTransport) Cut(id string) {
-	t.mu.Lock()
-	t.cut[id] = true
-	t.mu.Unlock()
-}
-
-// Heal reconnects a previously Cut node.
-func (t *HTTPTransport) Heal(id string) {
-	t.mu.Lock()
-	delete(t.cut, id)
-	t.mu.Unlock()
-}
-
-// Calls returns how many RPCs were attempted; Fails how many failed at the
-// transport layer.
-func (t *HTTPTransport) Calls() uint64 { return t.calls.Load() }
-func (t *HTTPTransport) Fails() uint64 { return t.fails.Load() }
 
 // attach implements nodeAttacher: it starts a real TCP listener on
 // loopback serving the node's RPC protocol and registers its address, so
@@ -310,13 +271,10 @@ func (t *HTTPTransport) Close() error {
 
 // Call dispatches one RPC over the wire.
 func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Response, error) {
-	t.calls.Add(1)
 	t.mu.RLock()
 	addr, ok := t.peers[to]
-	down := t.cut[to]
 	t.mu.RUnlock()
-	if !ok || down {
-		t.fails.Add(1)
+	if !ok {
 		return nil, fmt.Errorf("%w: %s (%s)", ErrUnreachable, to, req.Kind)
 	}
 
@@ -347,12 +305,10 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 			// cancellation, not a node fault.
 			return nil, ctx.Err()
 		}
-		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s: %v)", ErrUnreachable, to, req.Kind, err)
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s: status %d)", ErrUnreachable, to, req.Kind, hresp.StatusCode)
 	}
 	var wresp wireResponse
@@ -360,20 +316,9 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		t.fails.Add(1)
 		return nil, fmt.Errorf("%w: %s (%s: decode: %v)", ErrUnreachable, to, req.Kind, err)
 	}
 
-	// A cut that landed while the call was on the wire drops the reply,
-	// mirroring LocalTransport: the node did the work, the coordinator
-	// never learns.
-	t.mu.RLock()
-	down = t.cut[to]
-	t.mu.RUnlock()
-	if down {
-		t.fails.Add(1)
-		return nil, fmt.Errorf("%w: %s (%s reply lost)", ErrUnreachable, to, req.Kind)
-	}
 	if wresp.Err != nil {
 		return nil, wresp.Err.decode()
 	}

@@ -54,7 +54,7 @@ func TestClusterMetricsSumNodes(t *testing.T) {
 	c := New(Config{
 		Nodes:     3,
 		Replicas:  2,
-		Transport: NewHTTPTransport(),
+		Transport: NewFaultTransport(NewHTTPTransport(), 1),
 		Retry:     fastRetry,
 		Service:   service.Config{Workers: 2},
 	})

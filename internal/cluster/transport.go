@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cost"
@@ -127,15 +126,6 @@ type nodeAttacher interface {
 	attach(id string, h handler) (detach func(), err error)
 }
 
-// FaultController is the whole-node fault surface every cluster transport
-// supports: Cut makes a node unreachable (crash/partition), Heal reconnects
-// it. The FaultTransport middleware layers finer-grained faults (asymmetric
-// partitions, probabilistic drops, latency, slowdowns) over any Transport.
-type FaultController interface {
-	Cut(id string)
-	Heal(id string)
-}
-
 // sleepCtx waits for d or until ctx is cancelled, whichever comes first,
 // and reports whether the full duration elapsed. Injected latency and
 // retry backoff both use it so a cancelled caller is never parked on a
@@ -154,106 +144,41 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// LocalTransport is a deterministic in-process Transport, simulator style:
-// calls are direct function calls into the target node, with injectable
-// per-destination latency and injectable failures. Cutting a node models a
-// crash or partition — calls to it fail with ErrUnreachable, and a reply
-// from a call already in flight when the cut lands is dropped too, exactly
-// as a real crash loses responses that were on the wire.
+// LocalTransport is the in-process Transport: calls are direct function
+// calls into the target node. It simulates no faults; wrap it in a
+// FaultTransport for crashes, partitions and injected latency. A call to a
+// node that is not attached fails with ErrUnreachable.
 type LocalTransport struct {
 	mu    sync.RWMutex
 	nodes map[string]handler
-	cut   map[string]bool
-
-	// latency, when non-nil, returns the simulated delay for one call; the
-	// transport sleeps for it before dispatching. Deterministic functions
-	// give deterministic schedules.
-	latency func(to string, kind ReqKind) time.Duration
-
-	calls atomic.Uint64
-	fails atomic.Uint64
 }
 
 // NewLocalTransport returns an empty transport; nodes register as they
 // are created.
 func NewLocalTransport() *LocalTransport {
-	return &LocalTransport{nodes: make(map[string]handler), cut: make(map[string]bool)}
-}
-
-// SetLatency installs the injectable latency model (nil: no delay).
-func (t *LocalTransport) SetLatency(f func(to string, kind ReqKind) time.Duration) {
-	t.mu.Lock()
-	t.latency = f
-	t.mu.Unlock()
-}
-
-// register attaches a node under its ID.
-func (t *LocalTransport) register(id string, h handler) {
-	t.mu.Lock()
-	t.nodes[id] = h
-	t.mu.Unlock()
+	return &LocalTransport{nodes: make(map[string]handler)}
 }
 
 // attach implements nodeAttacher: in-process nodes dispatch by direct call.
+// The returned detach is a graceful leave; later calls to id fail.
 func (t *LocalTransport) attach(id string, h handler) (func(), error) {
-	t.register(id, h)
-	return func() { t.deregister(id) }, nil
-}
-
-// deregister detaches a node (graceful leave; subsequent calls fail).
-func (t *LocalTransport) deregister(id string) {
 	t.mu.Lock()
-	delete(t.nodes, id)
+	t.nodes[id] = h
 	t.mu.Unlock()
+	return func() {
+		t.mu.Lock()
+		delete(t.nodes, id)
+		t.mu.Unlock()
+	}, nil
 }
-
-// Cut makes a node unreachable, simulating a crash or partition.
-func (t *LocalTransport) Cut(id string) {
-	t.mu.Lock()
-	t.cut[id] = true
-	t.mu.Unlock()
-}
-
-// Heal reconnects a previously Cut node.
-func (t *LocalTransport) Heal(id string) {
-	t.mu.Lock()
-	delete(t.cut, id)
-	t.mu.Unlock()
-}
-
-// Calls returns how many RPCs were attempted; Fails how many failed at the
-// transport layer.
-func (t *LocalTransport) Calls() uint64 { return t.calls.Load() }
-func (t *LocalTransport) Fails() uint64 { return t.fails.Load() }
 
 // Call dispatches one RPC.
 func (t *LocalTransport) Call(ctx context.Context, to string, req Request) (*Response, error) {
-	t.calls.Add(1)
 	t.mu.RLock()
 	h, ok := t.nodes[to]
-	down := t.cut[to]
-	lat := t.latency
 	t.mu.RUnlock()
-
-	if lat != nil {
-		// The injected delay honours the caller's cancellation: a caller
-		// that gave up must not stay parked for the full simulated RTT.
-		if !sleepCtx(ctx, lat(to, req.Kind)) {
-			return nil, ctx.Err() // caller gave up, not a node fault
-		}
-	}
-	if !ok || down {
-		t.fails.Add(1)
+	if !ok {
 		return nil, fmt.Errorf("%w: %s (%s)", ErrUnreachable, to, req.Kind)
 	}
-	resp, err := h.handle(ctx, req)
-	// A cut that landed while the call was running drops the reply.
-	t.mu.RLock()
-	down = t.cut[to]
-	t.mu.RUnlock()
-	if down {
-		t.fails.Add(1)
-		return nil, fmt.Errorf("%w: %s (%s reply lost)", ErrUnreachable, to, req.Kind)
-	}
-	return resp, err
+	return h.handle(ctx, req)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,19 +36,21 @@ func (pingHandler) handle(context.Context, Request) (*Response, error) {
 	return &Response{}, nil
 }
 
-// TestLocalTransportLatencyHonorsCancel is the regression test for the
+// TestFaultLatencyHonorsCancel is the regression test for the
 // injected-latency sleep: a cancelled caller must not stay parked for the
-// full simulated delay, and its cancellation must not count as a transport
+// full simulated delay, and its cancellation must not count as an injected
 // fault.
-func TestLocalTransportLatencyHonorsCancel(t *testing.T) {
-	lt := NewLocalTransport()
-	lt.register("n", pingHandler{})
-	lt.SetLatency(func(string, ReqKind) time.Duration { return 10 * time.Second })
+func TestFaultLatencyHonorsCancel(t *testing.T) {
+	ft := NewFaultTransport(NewLocalTransport(), 1)
+	if _, err := ft.attach("n", pingHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	ft.SetLatency("n", 10*time.Second, 0)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := lt.Call(ctx, "n", Request{Kind: ReqPing})
+	_, err := ft.Call(ctx, "n", Request{Kind: ReqPing})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -55,8 +58,52 @@ func TestLocalTransportLatencyHonorsCancel(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("cancelled call took %v — parked on the injected latency timer", elapsed)
 	}
-	if got := lt.Fails(); got != 0 {
-		t.Errorf("caller cancellation counted as %d transport fail(s)", got)
+	if got := ft.Injected(); got != 0 {
+		t.Errorf("caller cancellation counted as %d injected fault(s)", got)
+	}
+}
+
+// TestCutInFlightDropsReply pins the crash semantics every base transport
+// gets from its FaultTransport: a cut that lands while the node is working
+// loses the reply, as a real crash loses the responses on the wire.
+func TestCutInFlightDropsReply(t *testing.T) {
+	bases := map[string]func() Transport{
+		"local": func() Transport { return NewLocalTransport() },
+		"http":  func() Transport { return NewHTTPTransport() },
+	}
+	for name, mk := range bases {
+		t.Run(name, func(t *testing.T) {
+			ft := NewFaultTransport(mk(), 1)
+			defer ft.Close()
+			entered, release := make(chan struct{}), make(chan struct{})
+			detach, err := ft.attach("n", handlerFunc(func(context.Context, Request) (*Response, error) {
+				close(entered)
+				<-release
+				return &Response{}, nil
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer detach()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			errc := make(chan error, 1)
+			go func() {
+				_, err := ft.Call(ctx, "n", Request{Kind: ReqPing})
+				errc <- err
+			}()
+			<-entered
+			ft.Cut("n")
+			close(release)
+			err = <-errc
+			if !errors.Is(err, ErrUnreachable) || !strings.Contains(err.Error(), "reply lost") {
+				t.Fatalf("err = %v, want ErrUnreachable (reply lost)", err)
+			}
+			if got := ft.Injected(); got != 1 {
+				t.Errorf("injected = %d, want 1", got)
+			}
+		})
 	}
 }
 
@@ -65,8 +112,8 @@ func TestLocalTransportLatencyHonorsCancel(t *testing.T) {
 // code, same behaviour, actual TCP in the second case.
 func TestFailoverBothTransports(t *testing.T) {
 	transports := map[string]func() Transport{
-		"local": func() Transport { return NewLocalTransport() },
-		"http":  func() Transport { return NewHTTPTransport() },
+		"local": func() Transport { return NewFaultTransport(NewLocalTransport(), 1) },
+		"http":  func() Transport { return NewFaultTransport(NewHTTPTransport(), 1) },
 	}
 	for name, mk := range transports {
 		t.Run(name, func(t *testing.T) {
@@ -191,6 +238,47 @@ func TestHTTPTransportChecksCarriedFingerprint(t *testing.T) {
 		if err := resp.Result.Plan.Validate([]int{0, 1, 2, 3, 4, 5, 6}); err != nil {
 			t.Errorf("%s permutation: %v", name, err)
 		}
+	}
+}
+
+// TestRejoinedPeerStartsHealthy: a remote peer that is killed, removed and
+// joined again under the same ID starts healthy — RemoveNode clears its link
+// in the FaultTransport, so the admitting ping and the requests after it
+// get through.
+func TestRejoinedPeerStartsHealthy(t *testing.T) {
+	ns := NewNodeServer("peer-0", service.Config{Workers: 1})
+	addr, err := ns.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ns.Close()
+
+	c := New(Config{
+		Nodes:     -1,
+		Replicas:  1,
+		Transport: NewFaultTransport(NewHTTPTransport(), 1),
+		Retry:     fastRetry,
+		Service:   service.Config{Workers: 1},
+	})
+	defer c.Close()
+	if err := c.JoinPeer("peer-0", addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillNode("peer-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveNode("peer-0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.JoinPeer("peer-0", addr); err != nil {
+		t.Fatalf("rejoin under the same ID: %v", err)
+	}
+	res, err := c.Optimize(context.Background(), genQuery(t, workload.KindChain, 6, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Node != "peer-0" || res.Failover {
+		t.Errorf("served by %s (failover %v), want peer-0 directly", res.Node, res.Failover)
 	}
 }
 
@@ -376,6 +464,7 @@ func TestBreakerSkipsAndRecovery(t *testing.T) {
 	c := New(Config{
 		Nodes:            2,
 		Replicas:         2,
+		Transport:        NewFaultTransport(NewLocalTransport(), 1),
 		FailureThreshold: 1000,
 		Retry: RetryPolicy{
 			MaxAttempts:    1,
@@ -488,6 +577,7 @@ func TestQuarantineFlappingNode(t *testing.T) {
 	c := New(Config{
 		Nodes:            3,
 		Replicas:         2,
+		Transport:        NewFaultTransport(NewLocalTransport(), 1),
 		FailureThreshold: 1,
 		FlapThreshold:    2,
 		FlapWindow:       time.Minute,

@@ -12,7 +12,8 @@ import (
 // shared mux: GET /cluster (membership and ring summary) and the POST
 // admin verbs /cluster/add, /cluster/remove?node=, /cluster/kill?node=,
 // /cluster/revive?node=. Both cmd/mpdp-cluster and the examples mount it,
-// so the admin wire surface has one definition too.
+// so the admin wire surface has one definition too. Kill and revive answer
+// 400 when the cluster's transport is not a FaultTransport.
 func MountClusterAdmin(a *API, c *cluster.Cluster) {
 	needNode := func(node string) error {
 		if node == "" {
@@ -65,14 +66,12 @@ func MountClusterAdmin(a *API, c *cluster.Cluster) {
 		if err := needNode(node); err != nil {
 			return "", err
 		}
-		c.KillNode(node)
-		return "killed " + node, nil
+		return "killed " + node, c.KillNode(node)
 	}))
 	a.Handle("/cluster/revive", op(func(node string) (string, error) {
 		if err := needNode(node); err != nil {
 			return "", err
 		}
-		c.ReviveNode(node)
-		return "revived " + node, nil
+		return "revived " + node, c.ReviveNode(node)
 	}))
 }
