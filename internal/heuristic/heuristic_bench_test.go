@@ -8,7 +8,9 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/cost"
+	"repro/internal/dp"
 	"repro/internal/graph"
+	"repro/internal/workload"
 )
 
 func benchSnowflake(n int) *cost.Query {
@@ -21,23 +23,51 @@ func benchSnowflake(n int) *cost.Query {
 	return q
 }
 
+// BenchmarkHeuristics times every large-query heuristic the router or the
+// benchmark's oracle runs, on the shapes of heuristic-large: snowflakes (the
+// tree route), a cycle-200 (a unicyclic graph, routed to IDP2) and a
+// MusicBrainz-56 (routed to LinDP). Each call borrows one warm workspace, as
+// a service worker's does.
 func BenchmarkHeuristics(b *testing.B) {
 	suite := []namedHeuristic{
 		{"GOO", GOO},
 		{"IKKBZ", IKKBZ},
+		{"LinDP", Adaptive},
 		{"IDP2", IDP2},
 		{"UnionDP", UnionDP},
 	}
+	type benchQuery struct {
+		name string
+		q    *cost.Query
+	}
+	var queries []benchQuery
 	for _, n := range []int{50, 200, 1000} {
-		q := benchSnowflake(n)
+		queries = append(queries, benchQuery{fmt.Sprintf("n=%d", n), benchSnowflake(n)})
+	}
+	for _, s := range []struct {
+		kind workload.Kind
+		n    int
+	}{{workload.KindCycle, 200}, {workload.KindMB, 56}} {
+		q, err := workload.Generate(s.kind, s.n, rand.New(rand.NewSource(int64(s.n))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, benchQuery{fmt.Sprintf("%s-%d", s.kind, s.n), q})
+	}
+	for _, bq := range queries {
 		for _, h := range suite {
-			if n == 1000 && h.name != "GOO" && h.name != "IDP2" && h.name != "UnionDP" {
-				continue // the large-query route: GOO seeds IDP2, UnionDP takes the cyclic ones
+			if bq.q.N() == 1000 && h.name == "IKKBZ" {
+				continue // not a route: n orders of an O(n) linearization each
 			}
-			b.Run(fmt.Sprintf("%s/n=%d", h.name, n), func(b *testing.B) {
+			b.Run(h.name+"/"+bq.name, func(b *testing.B) {
+				opt := Options{Threads: 1, Workspace: new(dp.Workspace)}
+				if _, err := h.f(bq.q, opt); err != nil { // warm the workspace
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
+				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p, err := h.f(q, Options{K: 10, Threads: 1})
+					p, err := h.f(bq.q, opt)
 					if err != nil {
 						b.Fatal(err)
 					}

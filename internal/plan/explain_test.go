@@ -109,6 +109,27 @@ func TestExplainMatchesFmtReference(t *testing.T) {
 			t.Fatalf("plan %d: Explain differs from the fmt reference:\n got:\n%s\nwant:\n%s", i, got, want.String())
 		}
 	}
+	// Plans of a thousand relations, left-deep (the deepest indentation
+	// there is) and bushy, named and unnamed: the texts a large query's
+	// EXPLAIN answers with.
+	names := make([]string, 1000)
+	for i := range names {
+		names[i] = fmt.Sprintf("rel_%d", i)
+	}
+	deep := leaf(0, float(), float())
+	for i := 1; i < 1000; i++ {
+		deep = join(deep, leaf(i, float(), float()))
+		deep.Op, deep.Rows, deep.Cost = Op(1+rng.Intn(4)), float(), float()
+	}
+	for _, p := range []*Node{deep, build(0, 1000)} {
+		for _, nm := range [][]string{nil, names} {
+			var want strings.Builder
+			fmtExplain(&want, p, nm, 0)
+			if got := p.Explain(nm); got != want.String() {
+				t.Fatalf("%d-relation plan of depth %d: Explain differs from the fmt reference", p.Size(), p.Depth())
+			}
+		}
+	}
 }
 
 // TestAppendFixedIsStrconv pins the renderer to strconv byte for byte, for
