@@ -21,6 +21,18 @@ func NewSet(n int) Set {
 	return Set{words: make([]uint64, (n+63)/64)}
 }
 
+// NewSets returns count empty sets able to hold indices [0, n), all in one
+// allocation.
+func NewSets(count, n int) []Set {
+	w := (n + 63) / 64
+	words := make([]uint64, count*w)
+	sets := make([]Set, count)
+	for i := range sets {
+		sets[i] = Set{words: words[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
 // SetOf returns a set of width n containing the given indices.
 func SetOf(n int, indices ...int) Set {
 	s := NewSet(n)

@@ -166,9 +166,18 @@ func (m *Model) MakeJoin(l, r *plan.Node, op plan.Op, rows, cost float64) *plan.
 // JoinWithRows is Join with a precomputed output cardinality, used by the
 // heuristic layer on large graphs where Mask sets are unavailable.
 func (m *Model) JoinWithRows(q *Query, l, r *plan.Node, outRows float64) *plan.Node {
+	n := new(plan.Node)
+	m.JoinInto(n, q, l, r, outRows)
+	return n
+}
+
+// JoinInto is JoinWithRows writing the join into dst, a node the caller
+// owns: a heuristic that knows how many joins it builds allocates them
+// together.
+func (m *Model) JoinInto(dst *plan.Node, q *Query, l, r *plan.Node, outRows float64) {
 	rightIndexed := r.IsLeaf() && q.Cat.Rels[r.RelID].HasPKIndex
 	op, cost := m.JoinCost(l, r, outRows, rightIndexed)
-	return &plan.Node{
+	*dst = plan.Node{
 		Set:   l.Set.Union(r.Set),
 		Left:  l,
 		Right: r,

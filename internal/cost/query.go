@@ -51,9 +51,10 @@ func (q *Query) SelBetweenSets(l, r bitset.Set) float64 {
 		l, r = r, l
 	}
 	l.ForEach(func(v int) {
-		for _, w := range q.G.Neighbors(v) {
+		sels := q.G.NeighborSels(v)
+		for j, w := range q.G.Neighbors(v) {
 			if r.Has(w) {
-				sel *= q.G.EdgeSel(v, w)
+				sel *= sels[j]
 			}
 		}
 	})

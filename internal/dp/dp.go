@@ -320,14 +320,15 @@ func (in *Input) leaves() ([]*plan.Node, error) {
 		return nil, errors.New("dp: empty query")
 	}
 	out := make([]*plan.Node, n)
+	nodes := make([]plan.Node, n)
 	for i := 0; i < n; i++ {
 		if in.Leaves != nil && in.Leaves[i] != nil {
-			l := *in.Leaves[i] // shallow copy so Set rewrite is local
-			l.Set = bitset.Single(i)
-			out[i] = &l
+			nodes[i] = *in.Leaves[i] // shallow copy so Set rewrite is local
+			nodes[i].Set = bitset.Single(i)
 		} else {
-			out[i] = in.M.Scan(in.Q, i)
+			nodes[i] = *in.M.Scan(in.Q, i)
 		}
+		out[i] = &nodes[i]
 	}
 	return out, nil
 }

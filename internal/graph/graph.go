@@ -30,9 +30,9 @@ type Graph struct {
 	Edges []Edge
 
 	adjList [][]int
-	selList [][]float64   // selList[v][j] is the selectivity of (v, adjList[v][j])
-	adjMask []bitset.Mask // valid only when N <= 64
-	selAt   map[[2]int]float64
+	selList [][]float64        // selList[v][j] is the selectivity of (v, adjList[v][j])
+	adjMask []bitset.Mask      // valid only when N <= 64
+	selAt   map[uint64]float64 // keyed by edgeKey
 
 	// adjSet is the adjacency as dynamic sets, built on first use under
 	// adjOnce: a finished graph is shared read-only between goroutines (one
@@ -50,8 +50,35 @@ func New(n int) *Graph {
 		adjList: make([][]int, n),
 		selList: make([][]float64, n),
 		adjMask: makeAdjMask(n),
-		selAt:   make(map[[2]int]float64),
+		selAt:   make(map[uint64]float64),
 	}
+}
+
+// Reset empties g to n vertices and no edges and keeps its memory, so that
+// a caller building one short-lived graph after another (a heuristic's
+// contracted sub-problems) allocates them once. Nothing may read the graph
+// it was before.
+func (g *Graph) Reset(n int) {
+	g.N = n
+	g.Edges = g.Edges[:0]
+	if cap(g.adjList) < n {
+		g.adjList, g.selList = make([][]int, n), make([][]float64, n)
+	}
+	g.adjList, g.selList = g.adjList[:n], g.selList[:n]
+	for v := range g.adjList {
+		g.adjList[v], g.selList[v] = g.adjList[v][:0], g.selList[v][:0]
+	}
+	if n <= 64 && cap(g.adjMask) >= n {
+		g.adjMask = g.adjMask[:n]
+		clear(g.adjMask)
+	} else {
+		g.adjMask = makeAdjMask(n)
+	}
+	if g.selAt == nil {
+		g.selAt = make(map[uint64]float64)
+	}
+	clear(g.selAt)
+	g.adjSet, g.adjOnce = nil, sync.Once{}
 }
 
 func makeAdjMask(n int) []bitset.Mask {
@@ -71,8 +98,8 @@ func (g *Graph) AddEdge(a, b int, sel float64) {
 	if a > b {
 		a, b = b, a
 	}
-	if old, ok := g.selAt[[2]int{a, b}]; ok {
-		g.selAt[[2]int{a, b}] = old * sel
+	if old, ok := g.selAt[edgeKey(a, b)]; ok {
+		g.selAt[edgeKey(a, b)] = old * sel
 		for i := range g.Edges {
 			if g.Edges[i].A == a && g.Edges[i].B == b {
 				g.Edges[i].Sel *= sel
@@ -90,7 +117,7 @@ func (g *Graph) AddEdge(a, b int, sel float64) {
 		}
 		return
 	}
-	g.selAt[[2]int{a, b}] = sel
+	g.selAt[edgeKey(a, b)] = sel
 	g.Edges = append(g.Edges, Edge{A: a, B: b, Sel: sel})
 	g.adjList[a] = append(g.adjList[a], b)
 	g.adjList[b] = append(g.adjList[b], a)
@@ -106,12 +133,16 @@ func (g *Graph) AddEdge(a, b int, sel float64) {
 	}
 }
 
+// edgeKey is the selAt key of the edge a < b: one word, which a map hashes
+// on its fast path.
+func edgeKey(a, b int) uint64 { return uint64(a)<<32 | uint64(uint32(b)) }
+
 // HasEdge reports whether (a, b) is an edge.
 func (g *Graph) HasEdge(a, b int) bool {
 	if a > b {
 		a, b = b, a
 	}
-	_, ok := g.selAt[[2]int{a, b}]
+	_, ok := g.selAt[edgeKey(a, b)]
 	return ok
 }
 
@@ -120,7 +151,7 @@ func (g *Graph) EdgeSel(a, b int) float64 {
 	if a > b {
 		a, b = b, a
 	}
-	if s, ok := g.selAt[[2]int{a, b}]; ok {
+	if s, ok := g.selAt[edgeKey(a, b)]; ok {
 		return s
 	}
 	return 1
@@ -128,6 +159,10 @@ func (g *Graph) EdgeSel(a, b int) float64 {
 
 // Neighbors returns the adjacency list of v. The caller must not modify it.
 func (g *Graph) Neighbors(v int) []int { return g.adjList[v] }
+
+// NeighborSels returns the selectivities of v's edges, in the order of
+// Neighbors(v). The caller must not modify it.
+func (g *Graph) NeighborSels(v int) []float64 { return g.selList[v] }
 
 // AdjMask returns the neighbourhood of v as a Mask. Valid only for N <= 64.
 func (g *Graph) AdjMask(v int) bitset.Mask { return g.adjMask[v] }

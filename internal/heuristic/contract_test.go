@@ -11,6 +11,15 @@ import (
 	"repro/internal/plan"
 )
 
+// newContractedProblem contracts q over the units, one per footprint.
+func newContractedProblem(q *cost.Query, groups []*plan.Node, sets []bitset.Set) *contractedProblem {
+	ids := make([]int, len(groups))
+	for i := range ids {
+		ids[i] = i
+	}
+	return newContractor(q).problem(groups, ids, unitOwners(q, sets))
+}
+
 func TestContractedProblemGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	q := randomQuery(8, 3, rng)

@@ -1,8 +1,6 @@
 package heuristic
 
 import (
-	"container/heap"
-
 	"repro/internal/cost"
 	"repro/internal/plan"
 )
@@ -18,31 +16,78 @@ type gooEdge struct {
 
 // gooHeap orders the live contracted edges by join cardinality, equal
 // cardinalities by base-edge order — the edge a scan of q.G.Edges for the
-// strictly smallest result meets first.
+// strictly smallest result meets first. Its sifts are container/heap's,
+// comparison for comparison, on the concrete type: through heap.Interface
+// they were half of GOO's time.
 type gooHeap []*gooEdge
 
-func (h gooHeap) Len() int { return len(h) }
-func (h gooHeap) Less(i, j int) bool {
+func (h gooHeap) less(i, j int) bool {
 	if h[i].rows != h[j].rows {
 		return h[i].rows < h[j].rows
 	}
 	return h[i].first < h[j].first
 }
-func (h gooHeap) Swap(i, j int) {
+
+func (h gooHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].pos, h[j].pos = i, j
 }
-func (h *gooHeap) Push(x any) {
-	e := x.(*gooEdge)
-	e.pos = len(*h)
-	*h = append(*h, e)
+
+func (h gooHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i, len(h))
+	}
 }
-func (h *gooHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	e.pos = -1
-	return e
+
+func (h gooHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h gooHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h gooHeap) fix(i int) {
+	if !h.down(i, len(h)) {
+		h.up(i)
+	}
+}
+
+// remove takes out the edge at i and returns the heap one shorter; heap.Pop
+// is remove(0).
+func (h gooHeap) remove(i int) gooHeap {
+	n := len(h) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	h[n].pos = -1
+	return h[:n]
 }
 
 // GOO is Greedy Operator Ordering (Fegaras [8]): starting from one unit per
@@ -64,10 +109,25 @@ func GOO(q *cost.Query, opt Options) (*plan.Node, error) {
 		return nil, errNoPlan
 	}
 	nodes, sets := baseScans(q, m)
+	joins := make(nodeSlab, 0, n-1)
 	estimate := func(e *gooEdge) {
 		e.rows = nodes[e.a].Rows * nodes[e.b].Rows * q.SelBetweenSets(sets[e.a], sets[e.b])
 	}
+	// Every unit's edge list starts as a full-capacity window of one
+	// array, so a list outgrowing its relation's degree moves out.
+	deg := make([]int, n+1)
+	for _, be := range q.G.Edges {
+		deg[be.A+1]++
+		deg[be.B+1]++
+	}
+	for v := 0; v < n; v++ {
+		deg[v+1] += deg[v]
+	}
+	lists := make([]*gooEdge, 2*len(q.G.Edges))
 	adj := make([][]*gooEdge, n)
+	for v := range adj {
+		adj[v] = lists[deg[v]:deg[v]:deg[v+1]]
+	}
 	edges := make([]gooEdge, len(q.G.Edges))
 	h := make(gooHeap, len(edges))
 	for i, be := range q.G.Edges { // A < B, no parallel edges (graph.AddEdge)
@@ -78,7 +138,7 @@ func GOO(q *cost.Query, opt Options) (*plan.Node, error) {
 		adj[e.a] = append(adj[e.a], e)
 		adj[e.b] = append(adj[e.b], e)
 	}
-	heap.Init(&h)
+	h.init()
 
 	// fused[x] is the edge already kept between the unit being merged and
 	// unit x; all nil between merges.
@@ -90,14 +150,17 @@ func GOO(q *cost.Query, opt Options) (*plan.Node, error) {
 		if len(h) == 0 {
 			return nil, ErrDisconnected
 		}
-		e := heap.Pop(&h).(*gooEdge)
+		e := h[0]
+		h = h.remove(0)
 		a, b := e.a, e.b
 		// Keep the smaller input on the right (build side preference).
 		l, r := nodes[a], nodes[b]
 		if l.Rows < r.Rows {
 			l, r = r, l
 		}
-		nodes[a], nodes[b] = m.JoinWithRows(q, l, r, e.rows), nil
+		j := joins.next()
+		m.JoinInto(j, q, l, r, e.rows)
+		nodes[a], nodes[b] = j, nil
 		sets[a].UnionWith(sets[b])
 
 		// b's edges become a's, the shorter list appended to the longer.
@@ -119,10 +182,10 @@ func GOO(q *cost.Query, opt Options) (*plan.Node, error) {
 				x = ce.b
 			}
 			if prev := fused[x]; prev != nil {
-				heap.Remove(&h, ce.pos)
+				h = h.remove(ce.pos)
 				if ce.first < prev.first {
 					prev.first = ce.first
-					heap.Fix(&h, prev.pos)
+					h.fix(prev.pos)
 				}
 				continue
 			}
@@ -133,7 +196,7 @@ func GOO(q *cost.Query, opt Options) (*plan.Node, error) {
 		for _, ce := range kept {
 			fused[ce.a], fused[ce.b] = nil, nil
 			estimate(ce)
-			heap.Fix(&h, ce.pos)
+			h.fix(ce.pos)
 		}
 		adj[a] = kept
 	}

@@ -87,7 +87,7 @@ func BenchmarkUnionDPPartitionPhase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := partitionUnits(q, Options{Model: m}, groups, sets, 15)
+		parts := partitionUnits(q, Options{Model: m}, groups, sets, unitOwners(q, sets), 15)
 		if len(parts) == 0 {
 			b.Fatal("no partitions")
 		}
@@ -96,17 +96,15 @@ func BenchmarkUnionDPPartitionPhase(b *testing.B) {
 
 func BenchmarkIKKBZLinearize(b *testing.B) {
 	q := benchSnowflake(100)
-	tree, err := spanningTree(q)
+	z, err := newIKKBZ(q)
 	if err != nil {
 		b.Fatal(err)
 	}
+	order := make([]int, q.N())
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		order := ikkbzLinearize(q, tree, rng.Intn(q.N()))
-		if len(order) != q.N() {
-			b.Fatal("incomplete order")
-		}
+		z.linearize(rng.Intn(q.N()), order)
 	}
 }

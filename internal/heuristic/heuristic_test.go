@@ -124,7 +124,7 @@ func TestUnionDPPartitionInvariants(t *testing.T) {
 	m := cost.DefaultModel()
 	groups, sets := baseScans(q, m)
 	k := 7
-	parts := partitionUnits(q, Options{Model: m, K: k}, groups, sets, k)
+	parts := partitionUnits(q, Options{Model: m, K: k}, groups, sets, unitOwners(q, sets), k)
 	covered := 0
 	for _, members := range parts {
 		if len(members) > k {
@@ -215,7 +215,7 @@ func TestIKKBZOptimalOnLeftDeepChainSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	best := bruteForceLeftDeepCout(q)
-	got := coutOfOrder(q, leftDeepOrder(p))
+	got := coutOfOrder(q, leftDeepOrder(p), make([]int32, q.N()))
 	if got > best*1.000001 {
 		t.Errorf("IKKBZ Cout %.4g worse than best left-deep %.4g", got, best)
 	}
@@ -241,7 +241,7 @@ func bruteForceLeftDeepCout(q *cost.Query) float64 {
 	rec = func(k int) {
 		if k == n {
 			if validOrder(q, perm) {
-				if c := coutOfOrder(q, perm); c < best {
+				if c := coutOfOrder(q, perm, make([]int32, n)); c < best {
 					best = c
 				}
 			}

@@ -1,7 +1,6 @@
 package heuristic
 
 import (
-	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/plan"
 )
@@ -10,6 +9,7 @@ import (
 // materialized temporaries); inner nodes mirror the current plan shape.
 type wnode struct {
 	left, right *wnode
+	parent      *wnode
 	unit        int // valid when leaf (left == right == nil)
 	cost, rows  float64
 	leaves      int
@@ -37,20 +37,41 @@ func IDP2(q *cost.Query, opt Options) (*plan.Node, error) {
 		return nil, err
 	}
 
-	// Units: initially the base relations.
-	units, sets := baseScans(q, m)
+	// Units: initially the base relations, whose plans are GOO's scans, then
+	// one temporary per window. unitOf names the unit holding each base
+	// relation; a unit's relations are a list threaded through nextRel,
+	// from firstRel to lastRel.
+	n := q.N()
+	units := make([]*plan.Node, n, 2*n)
+	unitOf := make([]int32, n)
+	nextRel := make([]int32, n)
+	firstRel := make([]int32, n, 2*n)
+	lastRel := make([]int32, n, 2*n)
+	for i := range unitOf {
+		unitOf[i], nextRel[i], firstRel[i], lastRel[i] = int32(i), -1, int32(i), int32(i)
+	}
 
 	// Convert the GOO plan into a working tree over unit ids.
+	wnodes := make([]wnode, 0, 2*n-1)
 	var convert func(p *plan.Node) *wnode
 	convert = func(p *plan.Node) *wnode {
+		wnodes = append(wnodes, wnode{cost: p.Cost, rows: p.Rows, leaves: 1})
+		w := &wnodes[len(wnodes)-1]
 		if p.IsLeaf() {
-			return &wnode{unit: p.RelID, cost: p.Cost, rows: p.Rows, leaves: 1}
+			w.unit = p.RelID
+			units[p.RelID] = p
+			return w
 		}
-		l, r := convert(p.Left), convert(p.Right)
-		return &wnode{left: l, right: r, cost: p.Cost, rows: p.Rows, leaves: l.leaves + r.leaves}
+		w.left, w.right = convert(p.Left), convert(p.Right)
+		w.left.parent, w.right.parent = w, w
+		w.leaves = w.left.leaves + w.right.leaves
+		return w
 	}
 	root := convert(initial)
 
+	ct := newContractor(q)
+	var unitIDs []int
+	refreshed := false
 	for !root.isLeaf() {
 		if opt.expired() {
 			// Acceptable-any-time property of IDP2 (§4.1): fall back to the
@@ -58,66 +79,69 @@ func IDP2(q *cost.Query, opt Options) (*plan.Node, error) {
 			return Recost(q, m, expandTree(root, units)), nil
 		}
 		// Select the most costly subtree with 2..k leaves.
-		var pick *wnode
-		var walk func(w *wnode)
-		walk = func(w *wnode) {
-			if w == nil || w.isLeaf() {
-				return
-			}
-			if w.leaves <= k && (pick == nil || w.cost > pick.cost) {
-				pick = w
-			}
-			walk(w.left)
-			walk(w.right)
-		}
-		walk(root)
+		pick := costliestWindow(root, k, nil)
 		if pick == nil {
 			// Every subtree exceeds k: optimize an arbitrary deepest join
 			// pair to guarantee progress.
 			pick = deepestSmallJoin(root)
 		}
-
-		// Gather the unit ids under the picked subtree.
-		var unitIDs []int
-		var gather func(w *wnode)
-		gather = func(w *wnode) {
-			if w.isLeaf() {
-				unitIDs = append(unitIDs, w.unit)
-				return
-			}
-			gather(w.left)
-			gather(w.right)
-		}
-		gather(pick)
-
-		subGroups := make([]*plan.Node, len(unitIDs))
-		subSets := make([]bitset.Set, len(unitIDs))
-		for i, id := range unitIDs {
-			subGroups[i] = units[id]
-			subSets[i] = sets[id]
-		}
-		c := newContractedProblem(q, subGroups, subSets)
-		opt2, _, err := opt.inner()(c, opt)
+		unitIDs = gatherUnits(pick, unitIDs[:0])
+		opt2, _, err := opt.inner()(ct.problem(units, unitIDs, unitOf), opt)
 		if err != nil {
 			return nil, err
 		}
 
-		// Materialize as a new unit (temporary table) and replace the
-		// subtree by a leaf referencing it.
-		mergedSet := bitset.NewSet(q.N())
-		for _, s := range subSets {
-			mergedSet.UnionWith(s)
-		}
+		// Materialize as a new unit (temporary table) holding the window's
+		// relations, and replace the subtree by a leaf referencing it.
+		id := int32(len(units))
 		units = append(units, opt2)
-		sets = append(sets, mergedSet)
+		first, last := firstRel[unitIDs[0]], lastRel[unitIDs[0]]
+		for _, u := range unitIDs[1:] {
+			nextRel[last] = firstRel[u]
+			last = lastRel[u]
+		}
+		firstRel, lastRel = append(firstRel, first), append(lastRel, last)
+		for r := first; r >= 0; r = nextRel[r] {
+			unitOf[r] = id
+		}
 		pick.left, pick.right = nil, nil
-		pick.unit = len(units) - 1
+		pick.unit = int(id)
 		pick.cost = opt2.Cost
 		pick.rows = opt2.Rows
 		pick.leaves = 1
-		refreshTree(root)
+		if refreshed {
+			// Only the window's ancestors change: every other join already
+			// holds what refreshTree would compute for it again.
+			for w := pick.parent; w != nil; w = w.parent {
+				w.cost = w.left.cost + w.right.cost + joinWork(w)
+				w.leaves = w.left.leaves + w.right.leaves
+			}
+		} else {
+			refreshTree(root) // GOO's costs become the ranking's
+			refreshed = true
+		}
 	}
 	return Recost(q, m, expandTree(root, units)), nil
+}
+
+// costliestWindow returns the most costly subtree of w with 2..k leaves,
+// the first in preorder among equals, or pick when none beats it.
+func costliestWindow(w *wnode, k int, pick *wnode) *wnode {
+	if w == nil || w.isLeaf() {
+		return pick
+	}
+	if w.leaves <= k && (pick == nil || w.cost > pick.cost) {
+		pick = w
+	}
+	return costliestWindow(w.right, k, costliestWindow(w.left, k, pick))
+}
+
+// gatherUnits appends the unit ids under w, left to right.
+func gatherUnits(w *wnode, ids []int) []int {
+	if w.isLeaf() {
+		return append(ids, w.unit)
+	}
+	return gatherUnits(w.right, gatherUnits(w.left, ids))
 }
 
 // deepestSmallJoin returns a deepest inner node joining two leaves (which

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/bitset"
 	"repro/internal/cost"
 	"repro/internal/graph"
 	"repro/internal/plan"
@@ -22,11 +21,18 @@ func IKKBZ(q *cost.Query, opt Options) (*plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return leftDeepPlan(q, opt.model(), order, nil)
+	if len(order) == 0 {
+		return nil, errNoPlan
+	}
+	return leftDeepPlan(q, opt.model(), order), nil
 }
 
 // IKKBZOrder returns the best IKKBZ linearization of the query: a
 // permutation of relation ids in join order. LinDP consumes this directly.
+//
+// Every root reuses the same flat buffers: the spanning tree, the BFS and
+// the chains live in arrays of n entries made once per call, so a call
+// allocates O(n) however many roots it tries.
 func IKKBZOrder(q *cost.Query, opt Options) ([]int, error) {
 	n := q.N()
 	if n == 0 {
@@ -35,216 +41,282 @@ func IKKBZOrder(q *cost.Query, opt Options) ([]int, error) {
 	if n == 1 {
 		return []int{0}, nil
 	}
-	span, err := spanningTree(q)
+	z, err := newIKKBZ(q)
 	if err != nil {
 		return nil, err
 	}
 	bestCout := math.Inf(1)
-	var best []int
+	order, best := make([]int, n), make([]int, n)
+	found := false
 	for root := 0; root < n; root++ {
 		if err := opt.expiredErr(); err != nil {
-			if best != nil {
+			if found {
 				return best, nil // degrade gracefully with what we have
 			}
 			return nil, err
 		}
-		order := ikkbzLinearize(q, span, root)
-		c := coutOfOrder(q, order)
-		if c < bestCout {
+		z.linearize(root, order)
+		if c := coutOfOrder(q, order, z.pos); c < bestCout {
 			bestCout = c
-			best = order
+			order, best = best, order
+			found = true
 		}
+	}
+	if !found {
+		return nil, nil
 	}
 	return best, nil
 }
 
-// spanningTree returns a minimum spanning tree of the join graph under
-// ascending edge selectivity (the most selective predicates are kept, as in
-// Neumann & Radke's adaptive optimizer). Tree graphs pass through
-// unchanged.
-func spanningTree(q *cost.Query) (*graph.Graph, error) {
+// ikkbz is the state IKKBZOrder's roots share. The spanning tree is held as
+// adjacency arrays (adj[adjAt[v]:adjAt[v+1]] lists v's tree neighbours in
+// the order graph.AddEdge would give them). A chain is a doubly linked list
+// of items, and an item, a run of relations with the classic T and C
+// aggregates under Cout — T(S1 S2) = T(S1)·T(S2), C(S1 S2) = C(S1) +
+// T(S1)·C(S2) — is named by its first relation, so every per-item and
+// per-relation field is an array indexed by relation.
+type ikkbz struct {
+	q      *cost.Query
+	adjAt  []int32
+	adj    []int32
+	adjSel []float64
+
+	parent    []int32   // BFS tree parent; -1 at the root, -2 unreached
+	parentSel []float64 // selectivity of the edge to the parent
+	bfs       []int32   // BFS order
+	cursor    []int32   // one per child chain being merged
+
+	t, c       []float64 // item aggregates
+	last       []int32   // last relation of the item
+	nextRel    []int32   // next relation of the same item, -1 after its last
+	next, prev []int32   // item list links, -1 at either end
+	chain      []int32   // first item of the chain of v's subtree, -1 if empty
+
+	pos []int32 // position of each relation in the order being costed
+}
+
+func newIKKBZ(q *cost.Query) (*ikkbz, error) {
+	n := q.N()
+	edges, err := spanningEdges(q)
+	if err != nil {
+		return nil, err
+	}
+	i32 := make([]int32, 12*n+1)
+	f64 := make([]float64, 3*n)
+	take := func(k int) []int32 { s := i32[:k:k]; i32 = i32[k:]; return s }
+	z := &ikkbz{
+		q: q, adjAt: take(n + 1), adj: take(2 * (n - 1)), parent: take(n), bfs: take(n),
+		cursor: take(n), last: take(n), nextRel: take(n), next: take(n), prev: take(n),
+		chain: take(n), pos: take(n),
+		adjSel: make([]float64, 2*(n-1)), parentSel: f64[:n:n], t: f64[n : 2*n : 2*n], c: f64[2*n:],
+	}
+	for _, e := range edges {
+		z.adjAt[e.A+1]++
+		z.adjAt[e.B+1]++
+	}
+	for v := 0; v < n; v++ {
+		z.adjAt[v+1] += z.adjAt[v]
+	}
+	fill := z.bfs // borrowed as the fill cursor until the first BFS
+	copy(fill, z.adjAt[:n])
+	for _, e := range edges {
+		z.adj[fill[e.A]], z.adjSel[fill[e.A]] = int32(e.B), e.Sel
+		fill[e.A]++
+		z.adj[fill[e.B]], z.adjSel[fill[e.B]] = int32(e.A), e.Sel
+		fill[e.B]++
+	}
+	return z, nil
+}
+
+// spanningEdges returns the edges of a minimum spanning tree of the join
+// graph under ascending edge selectivity (the most selective predicates are
+// kept, as in Neumann & Radke's adaptive optimizer), in the order they were
+// chosen. A tree graph is its own spanning tree.
+func spanningEdges(q *cost.Query) ([]graph.Edge, error) {
 	g := q.G
 	if g.IsTree() {
-		return g, nil
+		return g.Edges, nil
 	}
 	edges := make([]graph.Edge, len(g.Edges))
 	copy(edges, g.Edges)
 	sort.Slice(edges, func(i, j int) bool { return edges[i].Sel < edges[j].Sel })
 	uf := graph.NewUnionFind(g.N)
-	tree := graph.New(g.N)
-	added := 0
+	kept := edges[:0]
 	for _, e := range edges {
 		if uf.Same(e.A, e.B) {
 			continue
 		}
 		uf.Union(e.A, e.B)
-		tree.AddEdge(e.A, e.B, e.Sel)
-		added++
-		if added == g.N-1 {
+		kept = append(kept, e)
+		if len(kept) == g.N-1 {
 			break
 		}
 	}
-	if added != g.N-1 {
+	if len(kept) != g.N-1 {
 		return nil, ErrDisconnected
 	}
-	return tree, nil
+	return kept, nil
 }
 
-// ikkbzItem is a (possibly compound) chain element: the relations it
-// covers in order, with the classic T and C aggregates under Cout:
-// T(S1 S2) = T(S1)·T(S2), C(S1 S2) = C(S1) + T(S1)·C(S2).
-type ikkbzItem struct {
-	rels []int
-	t, c float64
-}
-
-func (it ikkbzItem) rank() float64 {
-	if it.c == 0 {
+func (z *ikkbz) rank(it int32) float64 {
+	if z.c[it] == 0 {
 		return 0
 	}
-	return (it.t - 1) / it.c
+	return (z.t[it] - 1) / z.c[it]
 }
 
-func mergeItems(a, b ikkbzItem) ikkbzItem {
-	return ikkbzItem{
-		rels: append(append([]int{}, a.rels...), b.rels...),
-		t:    a.t * b.t,
-		c:    a.c + a.t*b.c,
+// linearize writes the IKKBZ order for one root into order: children chains
+// are computed bottom-up, merged by ascending rank, and normalized by
+// compounding rank inversions.
+func (z *ikkbz) linearize(root int, order []int) {
+	for i := range z.parent {
+		z.parent[i] = -2
 	}
-}
-
-// ikkbzLinearize produces the IKKBZ order for one root over the spanning
-// tree: children chains are computed bottom-up, merged by ascending rank,
-// and normalized by compounding rank inversions.
-func ikkbzLinearize(q *cost.Query, tree *graph.Graph, root int) []int {
-	n := q.N()
-	parent := make([]int, n)
-	orderBFS := make([]int, 0, n)
-	for i := range parent {
-		parent[i] = -2
-	}
-	parent[root] = -1
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		orderBFS = append(orderBFS, v)
-		for _, w := range tree.Neighbors(v) {
-			if parent[w] == -2 {
-				parent[w] = v
-				queue = append(queue, w)
+	z.parent[root] = -1
+	bfs := append(z.bfs[:0], int32(root))
+	for h := 0; h < len(bfs); h++ {
+		v := bfs[h]
+		for j := z.adjAt[v]; j < z.adjAt[v+1]; j++ {
+			if w := z.adj[j]; z.parent[w] == -2 {
+				z.parent[w], z.parentSel[w] = v, z.adjSel[j]
+				bfs = append(bfs, w)
 			}
 		}
 	}
-
-	chains := make([][]ikkbzItem, n) // chain of v's subtree, excluding v for root handling
-	// Process in reverse BFS order (children before parents).
-	for i := len(orderBFS) - 1; i >= 0; i-- {
-		v := orderBFS[i]
-		var childChains [][]ikkbzItem
-		for _, w := range tree.Neighbors(v) {
-			if parent[w] == v {
-				childChains = append(childChains, chains[w])
-			}
-		}
-		merged := mergeChainsByRank(childChains)
-		if v == root {
-			chains[v] = merged
+	// Children before parents.
+	for i := len(bfs) - 1; i >= 0; i-- {
+		v := bfs[i]
+		head := z.mergeChildren(v)
+		if int(v) == root {
+			z.chain[v] = head
 			continue
 		}
-		t := tree.EdgeSel(v, parent[v]) * q.Rows(v)
-		self := ikkbzItem{rels: []int{v}, t: t, c: t}
-		chains[v] = normalizeChain(append([]ikkbzItem{self}, merged...))
+		t := z.parentSel[v] * z.q.Rows(int(v))
+		z.t[v], z.c[v], z.last[v], z.nextRel[v] = t, t, v, -1
+		z.next[v], z.prev[v] = head, -1
+		if head >= 0 {
+			z.prev[head] = v
+		}
+		z.chain[v] = v
+		z.normalize(v)
 	}
-
-	out := make([]int, 0, n)
-	out = append(out, root)
-	for _, it := range chains[root] {
-		out = append(out, it.rels...)
+	order[0] = root
+	k := 1
+	for it := z.chain[root]; it >= 0; it = z.next[it] {
+		for r := it; r >= 0; r = z.nextRel[r] {
+			order[k] = int(r)
+			k++
+		}
 	}
-	return out
 }
 
-// mergeChainsByRank merges rank-sorted chains into one rank-sorted chain
-// (precedence within each chain is preserved).
-func mergeChainsByRank(chains [][]ikkbzItem) []ikkbzItem {
-	var out []ikkbzItem
-	idx := make([]int, len(chains))
+// mergeChildren merges the rank-sorted chains of v's children, taken in
+// neighbour order, into one rank-sorted chain (precedence within each chain
+// is preserved; on equal ranks the earlier child's item goes first) and
+// returns its first item, or -1 when v has no children.
+func (z *ikkbz) mergeChildren(v int32) int32 {
+	cur := z.cursor[:0]
+	for j := z.adjAt[v]; j < z.adjAt[v+1]; j++ {
+		if w := z.adj[j]; z.parent[w] == v {
+			cur = append(cur, z.chain[w])
+		}
+	}
+	head, tail := int32(-1), int32(-1)
 	for {
 		best := -1
-		for ci, chain := range chains {
-			if idx[ci] >= len(chain) {
+		for ci, it := range cur {
+			if it < 0 {
 				continue
 			}
-			if best < 0 || chain[idx[ci]].rank() < chains[best][idx[best]].rank() {
+			if best < 0 || z.rank(it) < z.rank(cur[best]) {
 				best = ci
 			}
 		}
 		if best < 0 {
-			return out
+			return head
 		}
-		out = append(out, chains[best][idx[best]])
-		idx[best]++
+		it := cur[best]
+		cur[best] = z.next[it]
+		if tail >= 0 {
+			z.next[tail] = it
+		} else {
+			head = it
+		}
+		z.prev[it], z.next[it] = tail, -1
+		tail = it
 	}
 }
 
-// normalizeChain compounds adjacent rank inversions until ranks are
-// non-decreasing, preserving precedence order.
-func normalizeChain(chain []ikkbzItem) []ikkbzItem {
-	i := 0
-	for i < len(chain)-1 {
-		if chain[i].rank() > chain[i+1].rank() {
-			merged := mergeItems(chain[i], chain[i+1])
-			chain = append(chain[:i], append([]ikkbzItem{merged}, chain[i+2:]...)...)
-			if i > 0 {
-				i--
-			}
-		} else {
-			i++
+// normalize compounds adjacent rank inversions of the chain starting at
+// item head until ranks are non-decreasing, preserving precedence order:
+// an inverted pair becomes one item, and the scan steps back one item to
+// recheck the pair the merge created.
+func (z *ikkbz) normalize(head int32) {
+	it := head
+	for z.next[it] >= 0 {
+		nx := z.next[it]
+		if !(z.rank(it) > z.rank(nx)) {
+			it = nx
+			continue
+		}
+		z.t[it], z.c[it] = z.t[it]*z.t[nx], z.c[it]+z.t[it]*z.c[nx]
+		z.nextRel[z.last[it]] = nx
+		z.last[it] = z.last[nx]
+		z.next[it] = z.next[nx]
+		if z.next[nx] >= 0 {
+			z.prev[z.next[nx]] = it
+		}
+		if z.prev[it] >= 0 {
+			it = z.prev[it]
 		}
 	}
-	return chain
+}
+
+// prefixSel is the product of the selectivities of the edges joining v to
+// the relations before position k of an order whose positions pos holds,
+// multiplied in v's adjacency order — the product q.SelBetweenSets forms
+// between the prefix and {v}.
+func prefixSel(q *cost.Query, pos []int32, v, k int) float64 {
+	sel := 1.0
+	sels := q.G.NeighborSels(v)
+	for j, w := range q.G.Neighbors(v) {
+		if int(pos[w]) < k {
+			sel *= sels[j]
+		}
+	}
+	return sel
 }
 
 // coutOfOrder evaluates the Cout cost of a left-deep order: the sum of all
-// intermediate result sizes under the full join graph's selectivities.
-func coutOfOrder(q *cost.Query, order []int) float64 {
-	n := q.N()
-	set := bitset.NewSet(n)
-	set.Add(order[0])
+// intermediate result sizes under the full join graph's selectivities. pos
+// is scratch of q.N() entries.
+func coutOfOrder(q *cost.Query, order []int, pos []int32) float64 {
+	for k, v := range order {
+		pos[v] = int32(k)
+	}
 	rows := q.Rows(order[0])
 	total := 0.0
-	for _, v := range order[1:] {
-		single := bitset.SetOf(n, v)
-		rows = rows * q.Rows(v) * q.SelBetweenSets(set, single)
+	for k := 1; k < len(order); k++ {
+		v := order[k]
+		rows = rows * q.Rows(v) * prefixSel(q, pos, v, k)
 		total += rows
-		set.Add(v)
 	}
 	return total
 }
 
 // leftDeepPlan builds the left-deep plan following order, costed with the
-// real model. leaves optionally supplies custom unit plans per relation id.
-func leftDeepPlan(q *cost.Query, m *cost.Model, order []int, leaves []*plan.Node) (*plan.Node, error) {
-	if len(order) == 0 {
-		return nil, errNoPlan
+// real model.
+func leftDeepPlan(q *cost.Query, m *cost.Model, order []int) *plan.Node {
+	pos := make([]int32, q.N())
+	for k, v := range order {
+		pos[v] = int32(k)
 	}
-	leaf := func(i int) *plan.Node {
-		if leaves != nil && leaves[i] != nil {
-			return leaves[i]
-		}
-		return m.Scan(q, i)
-	}
-	n := q.N()
-	cur := leaf(order[0])
-	set := bitset.NewSet(n)
-	set.Add(order[0])
-	for _, v := range order[1:] {
-		r := leaf(v)
-		single := bitset.SetOf(n, v)
-		rows := cur.Rows * r.Rows * q.SelBetweenSets(set, single)
+	cur := m.Scan(q, order[0])
+	for k := 1; k < len(order); k++ {
+		v := order[k]
+		r := m.Scan(q, v)
+		rows := cur.Rows * r.Rows * prefixSel(q, pos, v, k)
 		cur = m.JoinWithRows(q, cur, r, rows)
-		set.Add(v)
 	}
-	return cur, nil
+	return cur
 }

@@ -1,7 +1,8 @@
 package heuristic
 
 import (
-	"repro/internal/bitset"
+	"math"
+
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/parallel"
@@ -21,91 +22,147 @@ func LinDP(q *cost.Query, opt Options) (*plan.Node, error) {
 	return linDPOverOrder(q, opt, order, nil)
 }
 
-// linDPOverOrder runs the interval DP over an explicit relation order.
+// linCell is the interval DP's entry for the relations at positions i..j
+// of the order: their join cardinality, and the cheapest plan's cost, operator
+// and split. won is k+1 when the plan joins i..k with k+1..j, -(k+1) when it
+// joins them the other way round, and 0 when no split joins the interval
+// without a cross product (and for single relations, which are leaves).
+type linCell struct {
+	rows, cost float64
+	lg         float64 // log2(max(rows, 2)), the merge join's term
+	won        int32
+	op         plan.Op
+}
+
+// linDPOverOrder runs the interval DP over an explicit relation order. It
+// keeps one flat triangle of cells and the leaf plans, and materializes only
+// the winning joins, once, at the end: candidates are costed from the
+// cells' scalars through the same cost.Model.JoinCostCore a node-built
+// candidate would be.
 func linDPOverOrder(q *cost.Query, opt Options, order []int, leaves []*plan.Node) (*plan.Node, error) {
 	m := opt.model()
 	nn := len(order)
 	if nn == 0 {
 		return nil, errNoPlan
 	}
-	leaf := func(i int) *plan.Node {
-		if leaves != nil && leaves[i] != nil {
-			return leaves[i]
+	leaf := make([]*plan.Node, nn)
+	for p, v := range order {
+		if leaves != nil && leaves[v] != nil {
+			leaf[p] = leaves[v]
+		} else {
+			leaf[p] = m.Scan(q, v)
 		}
-		return m.Scan(q, i)
 	}
+	pos := make([]int32, q.N())
+	for i := range pos {
+		pos[i] = -1
+	}
+	for p, v := range order {
+		pos[v] = int32(p)
+	}
+	// at(i, j) indexes the triangle 0 <= i <= j < nn row by row.
+	at := func(i, j int) int { return i*nn - i*(i-1)/2 + j - i }
+	cells := make([]linCell, nn*(nn+1)/2)
+	// reach[at(i, k)] is the lowest position past k that some relation at
+	// i..k has an edge to (nn when none): i..k and k+1..j are joined by an
+	// edge exactly when it is at most j.
+	reach := make([]int32, len(cells))
+	// lgi[p] is log2(rows + 2) of the leaf at p, the index nested loop's
+	// term, where that leaf has a usable index; indexed[p] says whether.
+	lgi := make([]float64, nn)
+	indexed := make([]bool, nn)
 
-	// Interval footprints and cardinalities: rows[i][j] is the join
-	// cardinality of relations order[i..j], computed incrementally.
-	sets := make([][]bitset.Set, nn)
-	rows := make([][]float64, nn)
+	// Interval cardinalities, grown one relation at a time in the order
+	// and with the selectivity product q.SelBetweenSets forms.
 	for i := 0; i < nn; i++ {
-		sets[i] = make([]bitset.Set, nn)
-		rows[i] = make([]float64, nn)
-		s := bitset.SetOf(q.N(), order[i])
-		sets[i][i] = s.Clone()
-		rows[i][i] = leaf(order[i]).Rows
+		c := &cells[at(i, i)]
+		c.rows, c.cost = leaf[i].Rows, leaf[i].Cost
+		if leaf[i].IsLeaf() && q.Cat.Rels[leaf[i].RelID].HasPKIndex {
+			indexed[i], lgi[i] = true, math.Log2(leaf[i].Rows+2)
+		}
 		for j := i + 1; j < nn; j++ {
 			v := order[j]
-			single := bitset.SetOf(q.N(), v)
-			rows[i][j] = rows[i][j-1] * leaf(v).Rows * q.SelBetweenSets(s, single)
-			s.Add(v)
-			sets[i][j] = s.Clone()
+			sel := 1.0
+			sels := q.G.NeighborSels(v)
+			for e, w := range q.G.Neighbors(v) {
+				if p := int(pos[w]); p >= i && p < j {
+					sel *= sels[e]
+				}
+			}
+			cells[at(i, j)].rows = cells[at(i, j-1)].rows * leaf[j].Rows * sel
+		}
+	}
+	for x := range cells {
+		if !m.DisableMerge {
+			cells[x].lg = math.Log2(plan.AtLeast(cells[x].rows, 2))
+		}
+	}
+	for k := 0; k < nn; k++ {
+		low := int32(nn)
+		for i := k; i >= 0; i-- {
+			for _, w := range q.G.Neighbors(order[i]) {
+				if p := pos[w]; int(p) > k && p < low {
+					low = p
+				}
+			}
+			reach[at(i, k)] = low
 		}
 	}
 
-	hasEdgeBetween := func(a, b bitset.Set) bool {
-		connected := false
-		a.ForEach(func(v int) {
-			if connected {
-				return
-			}
-			for _, w := range q.G.Neighbors(v) {
-				if b.Has(w) {
-					connected = true
-					return
-				}
-			}
-		})
-		return connected
-	}
-
-	table := make([][]*plan.Node, nn)
-	for i := range table {
-		table[i] = make([]*plan.Node, nn)
-		table[i][i] = leaf(order[i])
-	}
 	for length := 2; length <= nn; length++ {
 		if err := opt.expiredErr(); err != nil {
 			return nil, err
 		}
 		for i := 0; i+length-1 < nn; i++ {
 			j := i + length - 1
-			var best *plan.Node
+			ij := &cells[at(i, j)]
+			found := false
 			for k := i; k < j; k++ {
-				l, r := table[i][k], table[k+1][j]
-				if l == nil || r == nil {
+				l, r := &cells[at(i, k)], &cells[at(k+1, j)]
+				if (k > i && l.won == 0) || (k+1 < j && r.won == 0) || int(reach[at(i, k)]) > j {
 					continue
 				}
-				if !hasEdgeBetween(sets[i][k], sets[k+1][j]) {
-					continue
+				var rLgi, lLgi float64
+				if k+1 == j {
+					rLgi = lgi[j]
 				}
-				cand := m.JoinWithRows(q, l, r, rows[i][j])
-				if best == nil || cand.Cost < best.Cost {
-					best = cand
+				if k == i {
+					lLgi = lgi[i]
 				}
-				cand = m.JoinWithRows(q, r, l, rows[i][j])
-				if cand.Cost < best.Cost {
-					best = cand
+				op, c := m.JoinCostCore(l.rows, l.cost, l.lg, r.rows, r.cost, r.lg, rLgi, ij.rows, k+1 == j && indexed[j])
+				if !found || c < ij.cost {
+					ij.cost, ij.op, ij.won, found = c, op, int32(k+1), true
+				}
+				op, c = m.JoinCostCore(r.rows, r.cost, r.lg, l.rows, l.cost, l.lg, lLgi, ij.rows, k == i && indexed[i])
+				if c < ij.cost {
+					ij.cost, ij.op, ij.won = c, op, -int32(k+1)
 				}
 			}
-			table[i][j] = best
 		}
 	}
-	if table[0][nn-1] == nil {
+	if nn > 1 && cells[at(0, nn-1)].won == 0 {
 		return nil, errNoPlan
 	}
-	return table[0][nn-1], nil
+
+	joins := make([]plan.Node, 0, nn-1)
+	var build func(i, j int) *plan.Node
+	build = func(i, j int) *plan.Node {
+		if i == j {
+			return leaf[i]
+		}
+		c := &cells[at(i, j)]
+		k := int(c.won)
+		if k < 0 {
+			k = -k
+		}
+		l, r := build(i, k-1), build(k, j)
+		if c.won < 0 {
+			l, r = r, l
+		}
+		joins = append(joins, plan.Node{Set: l.Set.Union(r.Set), Left: l, Right: r, Op: c.op, Rows: c.rows, Cost: c.cost})
+		return &joins[len(joins)-1]
+	}
+	return build(0, nn-1), nil
 }
 
 // innerLinDP is the InnerDP that the adaptive baseline uses on contracted

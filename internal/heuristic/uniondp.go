@@ -20,7 +20,7 @@ func UnionDP(q *cost.Query, opt Options) (*plan.Node, error) {
 	opt = opt.withWorkspace()
 	m := opt.model()
 	groups, sets := baseScans(q, m)
-	p, err := unionDPRec(q, opt, groups, sets)
+	p, err := unionDPRec(q, opt, newContractor(q), groups, sets)
 	if err != nil {
 		return nil, err
 	}
@@ -28,7 +28,7 @@ func UnionDP(q *cost.Query, opt Options) (*plan.Node, error) {
 }
 
 // unionDPRec is one level of Algorithm 4 over the current composite units.
-func unionDPRec(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.Set) (*plan.Node, error) {
+func unionDPRec(q *cost.Query, opt Options, ct *contractor, groups []*plan.Node, sets []bitset.Set) (*plan.Node, error) {
 	k := opt.k()
 	if k < 2 {
 		k = 2
@@ -36,14 +36,18 @@ func unionDPRec(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.S
 	if err := opt.expiredErr(); err != nil {
 		return nil, err
 	}
+	owner := unitOwners(q, sets)
 	// Line 1: small enough — hand the whole problem to MPDP.
 	if len(groups) <= k {
-		c := newContractedProblem(q, groups, sets)
-		p, _, err := opt.inner()(c, opt)
+		all := make([]int, len(groups))
+		for i := range all {
+			all[i] = i
+		}
+		p, _, err := opt.inner()(ct.problem(groups, all, owner), opt)
 		return p, err
 	}
 
-	parts := partitionUnits(q, opt, groups, sets, k)
+	parts := partitionUnits(q, opt, groups, sets, owner, k)
 
 	// Lines 15-18: optimize each partition with MPDP, build composites.
 	var newGroups []*plan.Node
@@ -57,16 +61,11 @@ func unionDPRec(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.S
 			newSets = append(newSets, sets[members[0]])
 			continue
 		}
-		subGroups := make([]*plan.Node, len(members))
-		subSets := make([]bitset.Set, len(members))
 		merged := bitset.NewSet(q.N())
-		for i, gi := range members {
-			subGroups[i] = groups[gi]
-			subSets[i] = sets[gi]
+		for _, gi := range members {
 			merged.UnionWith(sets[gi])
 		}
-		c := newContractedProblem(q, subGroups, subSets)
-		p, _, err := opt.inner()(c, opt)
+		p, _, err := opt.inner()(ct.problem(groups, members, owner), opt)
 		if err != nil {
 			return nil, err
 		}
@@ -79,18 +78,18 @@ func unionDPRec(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.S
 		return nil, ErrDisconnected
 	}
 	// Line 20: recurse on the contracted graph G'.
-	return unionDPRec(q, opt, newGroups, newSets)
+	return unionDPRec(q, opt, ct, newGroups, newSets)
 }
 
 // partitionUnits is the partition phase (lines 5-14): edges are taken in
 // ascending (combined partition size, edge weight) order — weights are the
 // cost of joining the two endpoint units (line 6) so expensive joins become
 // cut edges — and endpoints are unioned while the merged partition stays
-// within k. Returns the partition as lists of unit indices.
-func partitionUnits(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.Set, k int) [][]int {
+// within k. owner maps each base relation to its unit. Returns the
+// partition as lists of unit indices.
+func partitionUnits(q *cost.Query, opt Options, groups []*plan.Node, sets []bitset.Set, owner []int32, k int) [][]int {
 	m := opt.model()
 	n := len(groups)
-	owner := unitOwners(q, sets)
 	type cEdge struct {
 		a, b   int
 		weight float64

@@ -106,3 +106,28 @@ func TestInnerDPsBorrow(t *testing.T) {
 		}
 	}
 }
+
+// TestIKKBZOrderAllocationBudget: every root of IKKBZOrder linearizes in
+// the same flat buffers, so a MusicBrainz-56 allocates a few arrays of 56
+// entries per call, where a chain merge per relation per root allocated
+// 1.7 MB.
+func TestIKKBZOrderAllocationBudget(t *testing.T) {
+	q, err := workload.Generate(workload.KindMB, 56, rand.New(rand.NewSource(56)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := IKKBZOrder(q, Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	const budget = 64 << 10
+	if got := res.AllocedBytesPerOp(); got > budget {
+		t.Errorf("IKKBZOrder on a MusicBrainz-56 allocates %d B per call, budget %d", got, budget)
+	} else {
+		t.Logf("%d B and %d allocations per call (budget %d B)", got, res.AllocsPerOp(), budget)
+	}
+}

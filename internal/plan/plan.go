@@ -6,6 +6,7 @@
 package plan
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -130,25 +131,27 @@ func (n *Node) String() string {
 
 // Explain renders an indented EXPLAIN-style tree using names[i] as the name
 // of relation i (nil names fall back to indices).
+//
+// The text is measured before it is written, so the returned string is the
+// call's one allocation at its exact size, however deep the plan: a first
+// walk renders every line's numbers into recycled scratch and adds up the
+// line lengths, a second writes the lines into a buffer of that size.
+// Indentation, which is most of a deep plan's text, is never buffered
+// twice.
 func (n *Node) Explain(names []string) string {
-	// Rendered into recycled scratch, so the returned string is the call's
-	// one allocation.
 	sp := explainScratch.Get().(*[]byte)
-	buf := n.explain((*sp)[:0], names, 0)
-	s := string(buf)
-	if cap(buf) <= maxPooledExplain {
-		*sp = buf
+	tails := *sp
+	size := 0
+	tails = n.explainSize(tails[:0], names, 0, &size)
+	var b strings.Builder
+	b.Grow(size)
+	n.explainWrite(&b, tails, names, 0)
+	if cap(tails) <= maxPooledExplain {
+		*sp = tails
 		explainScratch.Put(sp)
 	}
-	return s
+	return b.String()
 }
-
-// explainScratch recycles Explain's render buffers. One that a 1000-relation
-// plan grew past maxPooledExplain is dropped instead, so a rare huge plan
-// pins nothing.
-var explainScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-const maxPooledExplain = 64 << 10
 
 func (n *Node) write(b *strings.Builder, names []string) {
 	if n.IsLeaf() {
@@ -166,34 +169,88 @@ func (n *Node) write(b *strings.Builder, names []string) {
 	b.WriteByte(')')
 }
 
-// explain appends n's subtree to buf. It renders with strconv.Append*
-// rather than fmt: Explain runs on every /v1/explain answer, and fmt's
-// boxing of each operand was a tenth of a warm hit's CPU.
-func (n *Node) explain(buf []byte, names []string, indent int) []byte {
-	for i := 0; i < indent; i++ {
-		buf = append(buf, "  "...)
+// explainScratch recycles the numbers Explain renders in its first walk.
+// Scratch that a huge plan grew past maxPooledExplain is dropped instead, so
+// a rare huge plan pins nothing.
+var explainScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledExplain = 64 << 10
+
+// explainSize appends the tail of every line of n's subtree to tails, in
+// the order explainWrite writes the lines, and adds the subtree's text
+// length to size. A tail is a line's numbers and its end,
+// "  (rows=… cost=…)\n".
+//
+// It renders with strconv.Append* rather than fmt: Explain runs on every
+// /v1/explain answer, and fmt's boxing of each operand was a tenth of a
+// warm hit's CPU.
+func (n *Node) explainSize(tails []byte, names []string, indent int, size *int) []byte {
+	start := len(tails)
+	tails = append(tails, "  (rows="...)
+	tails = appendFixed(tails, n.Rows, 0)
+	tails = append(tails, " cost="...)
+	tails = appendFixed(tails, n.Cost, 1)
+	tails = append(tails, ")\n"...)
+	*size += 2*indent + len(tails) - start
+	if !n.IsLeaf() {
+		*size += len(n.Op.String())
+		tails = n.Left.explainSize(tails, names, indent+1, size)
+		return n.Right.explainSize(tails, names, indent+1, size)
+	}
+	*size += len("Scan ")
+	if names != nil {
+		*size += len(names[n.RelID])
+	} else {
+		*size += 1 + decimalLen(n.RelID)
+	}
+	return tails
+}
+
+// explainWrite writes n's subtree, taking each line's tail from the front of
+// tails, and returns what is left of them.
+func (n *Node) explainWrite(b *strings.Builder, tails []byte, names []string, indent int) []byte {
+	for i := indent; i > 0; {
+		k := min(i, len(indentSpaces)/2)
+		b.WriteString(indentSpaces[:2*k])
+		i -= k
 	}
 	if n.IsLeaf() {
-		buf = append(buf, "Scan "...)
+		b.WriteString("Scan ")
 		if names != nil {
-			buf = append(buf, names[n.RelID]...)
+			b.WriteString(names[n.RelID])
 		} else {
-			buf = append(buf, 'R')
-			buf = strconv.AppendInt(buf, int64(n.RelID), 10)
+			var digits [20]byte
+			b.WriteByte('R')
+			b.Write(strconv.AppendInt(digits[:0], int64(n.RelID), 10))
 		}
 	} else {
-		buf = append(buf, n.Op.String()...)
+		b.WriteString(n.Op.String())
 	}
-	buf = append(buf, "  (rows="...)
-	buf = appendFixed(buf, n.Rows, 0)
-	buf = append(buf, " cost="...)
-	buf = appendFixed(buf, n.Cost, 1)
-	buf = append(buf, ")\n"...)
+	end := bytes.IndexByte(tails, '\n') + 1
+	b.Write(tails[:end])
+	tails = tails[end:]
 	if n.IsLeaf() {
-		return buf
+		return tails
 	}
-	buf = n.Left.explain(buf, names, indent+1)
-	return n.Right.explain(buf, names, indent+1)
+	tails = n.Left.explainWrite(b, tails, names, indent+1)
+	return n.Right.explainWrite(b, tails, names, indent+1)
+}
+
+// indentSpaces is written in slices, a deep line's indentation a few
+// writes long.
+const indentSpaces = "                                                                "
+
+// decimalLen is the length of v in decimal, a minus sign included.
+func decimalLen(v int) int {
+	l := 1
+	if v < 0 {
+		l++
+		v = -v
+	}
+	for ; v >= 10; v /= 10 {
+		l++
+	}
+	return l
 }
 
 // pow10 holds the powers of ten appendFixed counts integer digits against;
