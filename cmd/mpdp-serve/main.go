@@ -134,7 +134,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "optimization workers (0 = GOMAXPROCS)")
 		threads    = flag.Int("threads", 0, "CPU threads per optimization (0 = all)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-query optimization budget")
-		k          = flag.Int("k", 0, "sub-problem bound for IDP2/UnionDP (0 = 15)")
+		k          = flag.Int("k", 0, "sub-problem bound of IDP2's windows (0 = 15)")
 		gpuDevices = flag.Int("gpu-devices", 0, "simulated GPU device count (0 = 2)")
 		explain    = flag.Bool("explain", false, "print the full plan tree in stdin mode")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")

@@ -19,8 +19,8 @@ import (
 //	n ≤ GPULimit                   MPDP on the simulated GPU (clique and
 //	                               dense general graphs capped at
 //	                               GPUCliqueLimit)
-//	beyond                         heuristics (IDP2 for trees, UnionDP
-//	                               otherwise)
+//	beyond                         heuristics (IDP2 for trees and
+//	                               unicyclic graphs, LinDP otherwise)
 type Crossover struct {
 	// SmallLimit routes graphs of at most this many relations by shape:
 	// cliques and stars, whose levels are thick, to MPDP on cpu-parallel,

@@ -72,8 +72,8 @@ func TestColdMissLeavesNothingRunning(t *testing.T) {
 }
 
 // TestColdMissLargeQueryIsItsHeuristic pins what the service may add to a
-// large query: on a cycle-600 (route uniondp-mpdp) a served miss takes at
-// most twice what core.Optimize(AlgUnionDP) takes on the same query. A miss
+// large query: on a cycle-600 (route idp2-mpdp) a served miss takes at
+// most twice what core.Optimize(AlgIDP2) takes on the same query. A miss
 // canonicalises the query once, under its real statistics (under a
 // millisecond here); a second, statistics-blind labelling — on a cycle all
 // symmetry, so individualisation-refinement runs O(n²) — made the served
@@ -103,17 +103,17 @@ func TestColdMissLargeQueryIsItsHeuristic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.CacheHit || res.Algorithm != core.AlgUnionDP {
-			t.Fatalf("cycle-600 served with hit=%v by %s, want a miss routed to %s", res.CacheHit, res.Algorithm, core.AlgUnionDP)
+		if res.CacheHit || res.Algorithm != core.AlgIDP2 {
+			t.Fatalf("cycle-600 served with hit=%v by %s, want a miss routed to %s", res.CacheHit, res.Algorithm, core.AlgIDP2)
 		}
 	})
 	alone := floor(func(q *cost.Query) {
-		if _, err := core.Optimize(context.Background(), q, core.Options{Algorithm: core.AlgUnionDP}); err != nil {
+		if _, err := core.Optimize(context.Background(), q, core.Options{Algorithm: core.AlgIDP2}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if served > 2*alone {
-		t.Errorf("cycle-600 miss served in %v, UnionDP alone %v: more than 2x", served, alone)
+		t.Errorf("cycle-600 miss served in %v, IDP2 alone %v: more than 2x", served, alone)
 	}
-	t.Logf("served %v, UnionDP alone %v (%.2fx)", served, alone, float64(served)/float64(alone))
+	t.Logf("served %v, IDP2 alone %v (%.2fx)", served, alone, float64(served)/float64(alone))
 }

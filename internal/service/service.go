@@ -21,8 +21,8 @@ import (
 // Config tunes a Service. The zero value selects the defaults listed on
 // each field, which follow the regimes of the paper's evaluation: exact DP
 // for small graphs, CPU-parallel MPDP for medium ones, GPU-MPDP for large
-// trees and sparse cyclic graphs up to the bitset width, IDP2/UnionDP
-// beyond.
+// trees and sparse cyclic graphs up to the bitset width, and beyond that
+// IDP2 for trees and unicyclic graphs, the adaptive LinDP for the rest.
 type Config struct {
 	// CacheShards is the plan-cache shard count (0: 16; rounded up to a
 	// power of two).
@@ -48,7 +48,8 @@ type Config struct {
 	// GPU configures the simulated GPU backend's device count (zero
 	// value: 2 × GTX 1080).
 	GPU backend.GPUConfig
-	// K is the sub-problem bound for IDP2/UnionDP (0: 15).
+	// K is the sub-problem bound of IDP2's windows (0: 15); a non-zero K
+	// also bounds the windows LinDP opens past 100 relations (0: 100).
 	K int
 	// Admission tunes admission control: queue-wait shedding, deadline-
 	// aware shedding and the node-level rate cap. The zero value keeps the
@@ -288,7 +289,7 @@ func (s *Service) Crossover() backend.Crossover { return s.xover }
 // and CCC for large trees and sparse cyclic graphs up to the bitset width.
 // Cliques and dense general graphs (whose connected-set space explodes the
 // same way) cap the exact bands early, and everything beyond goes to the
-// shape's heuristic.
+// graph's heuristic (heuristicFor).
 func (s *Service) route(n int, shape Shape, edges int) core.Algorithm {
 	x := &s.xover
 	if n <= x.SmallLimit && n <= 64 {
@@ -324,10 +325,24 @@ func (s *Service) route(n int, shape Shape, edges int) core.Algorithm {
 	if n <= gpuLimit && n <= 64 {
 		return core.AlgMPDPGPU
 	}
-	if shape.IsTree() {
+	return heuristicFor(n, edges)
+}
+
+// heuristicFor is the heuristic that plans a graph of n relations and the
+// given number of edges past the exact bands, and the one an exact route
+// that ran out of budget falls back to. A heuristic's cost follows the
+// graph's cyclic core. Trees and unicyclic graphs (at most n edges) go to
+// IDP2: its windows are chains there, and it reaches the optimum on cycles.
+// Every other graph (MusicBrainz walks, dense general graphs, cliques) goes
+// to the adaptive LinDP. There IDP2's windows are dense and cost an inner
+// DP each, while LinDP's interval DP stays O(n³). UnionDP plans neither:
+// it cost 12 to 7 400 times the optimum on the cycles and MusicBrainz
+// walks DESIGN.md tabulates ("The large-query route").
+func heuristicFor(n, edges int) core.Algorithm {
+	if edges <= n {
 		return core.AlgIDP2
 	}
-	return core.AlgUnionDP
+	return core.AlgLinDP
 }
 
 // Prepared is a compiled query together with its canonical fingerprint: the
@@ -729,7 +744,7 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 	default:
 	}
 	enumDone := r.tr.StartSpan(obs.PhaseEnumerate)
-	res, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, shape, ws)
+	res, err := s.optimizeWithFallback(r.fl.ctx, r.q, alg, ws)
 	enumDone()
 	if err == nil {
 		s.counters.observeServed(res.Backend)
@@ -772,12 +787,12 @@ func (s *Service) finishFlight(r request) {
 
 // optimizeWithFallback runs the routed algorithm on its backend under the
 // time budget; when an exact route times out it retries once with the
-// shape's heuristic under a fresh budget (the adaptive part of adaptive
+// graph's heuristic (heuristicFor) under a fresh budget (the adaptive part of adaptive
 // routing: the router's crossover thresholds are estimates, the budget is
 // the contract). The fallback is charged to the backend that
 // timed out. Caller cancellation (ctx) aborts outright — a caller that
 // walked away gets no heuristic retry.
-func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, shape Shape, ws *dp.Workspace) (*backend.Result, error) {
+func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, ws *dp.Workspace) (*backend.Result, error) {
 	opts := backend.Options{
 		Model:     s.cfg.Model,
 		Timeout:   s.cfg.Timeout,
@@ -791,9 +806,5 @@ func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg c
 		return res, err
 	}
 	s.counters.observeFallback(bid)
-	fb := core.AlgUnionDP
-	if shape.IsTree() {
-		fb = core.AlgIDP2
-	}
-	return s.backends.Get(backend.Heuristic).Optimize(ctx, q, fb, opts)
+	return s.backends.Get(backend.Heuristic).Optimize(ctx, q, heuristicFor(q.N(), len(q.G.Edges)), opts)
 }

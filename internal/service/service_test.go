@@ -96,7 +96,7 @@ func TestRouteThresholds(t *testing.T) {
 		// Beyond the CPU clique cap the GPU band picks cliques up, to its
 		// own cap; past that, the heuristics.
 		{workload.KindClique, 16, core.AlgMPDPGPU, backend.GPU},
-		{workload.KindClique, 20, core.AlgUnionDP, backend.Heuristic},
+		{workload.KindClique, 20, core.AlgLinDP, backend.Heuristic},
 		// The 26..GPULimit band used to be the heuristic fallback;
 		// bounded-degree trees and sparse cyclic graphs now stay exact on
 		// the simulated GPU.
@@ -108,7 +108,7 @@ func TestRouteThresholds(t *testing.T) {
 		{workload.KindStar, 40, core.AlgIDP2, backend.Heuristic},
 		// Past the bitset width exact enumeration is impossible anywhere.
 		{workload.KindStar, 70, core.AlgIDP2, backend.Heuristic},
-		{workload.KindCycle, 70, core.AlgUnionDP, backend.Heuristic},
+		{workload.KindCycle, 70, core.AlgIDP2, backend.Heuristic},
 	}
 	for _, tc := range tests {
 		q := genQuery(t, tc.kind, tc.n, 5)
@@ -152,8 +152,8 @@ func TestRouteDenseGeneralCapped(t *testing.T) {
 	// Past the CPU band, dense graphs skip the GPU band (capped at
 	// gpu_clique_limit) and go heuristic.
 	alg, bid, _ = s.Route(nearClique(30))
-	if alg != core.AlgUnionDP || bid != backend.Heuristic {
-		t.Errorf("dense general graph of 30 rels routed to %s on %s, want uniondp on heuristic",
+	if alg != core.AlgLinDP || bid != backend.Heuristic {
+		t.Errorf("dense general graph of 30 rels routed to %s on %s, want lindp on heuristic",
 			alg, bid)
 	}
 
@@ -172,7 +172,7 @@ func TestRouteCrossoverConfig(t *testing.T) {
 	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 30, 1)); alg != core.AlgMPDPGPU || bid != backend.GPU {
 		t.Errorf("cycle/30 under gpu_limit=30: %s on %s", alg, bid)
 	}
-	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 31, 1)); alg != core.AlgUnionDP || bid != backend.Heuristic {
+	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 31, 1)); alg != core.AlgIDP2 || bid != backend.Heuristic {
 		t.Errorf("cycle/31 over gpu_limit=30: %s on %s", alg, bid)
 	}
 }
@@ -193,13 +193,15 @@ func TestEachBandMovesOneBackend(t *testing.T) {
 			return snap.RouteMPDPGPU
 		case core.AlgIDP2:
 			return snap.RouteIDP2
+		case core.AlgLinDP:
+			return snap.RouteLinDP
 		case core.AlgUnionDP:
 			return snap.RouteUnionDP
 		}
 		t.Fatalf("no route counter for %s", alg)
 		return 0
 	}
-	routed := []core.Algorithm{core.AlgDPCCP, core.AlgMPDPParallel, core.AlgMPDPGPU, core.AlgIDP2, core.AlgUnionDP}
+	routed := []core.Algorithm{core.AlgDPCCP, core.AlgMPDPParallel, core.AlgMPDPGPU, core.AlgIDP2, core.AlgLinDP, core.AlgUnionDP}
 	for _, tc := range []struct {
 		kind workload.Kind
 		n    int
@@ -210,7 +212,8 @@ func TestEachBandMovesOneBackend(t *testing.T) {
 		{workload.KindStar, 14, core.AlgMPDPParallel, backend.CPUParallel},
 		{workload.KindChain, 40, core.AlgMPDPGPU, backend.GPU},
 		{workload.KindChain, 80, core.AlgIDP2, backend.Heuristic},
-		{workload.KindCycle, 80, core.AlgUnionDP, backend.Heuristic},
+		{workload.KindCycle, 80, core.AlgIDP2, backend.Heuristic},
+		{workload.KindMB, 56, core.AlgLinDP, backend.Heuristic},
 	} {
 		q := genQuery(t, tc.kind, tc.n, 7)
 		alg, bid, _ := s.Route(q)
@@ -407,7 +410,7 @@ func TestFallbackOnTimeout(t *testing.T) {
 	}
 	// Widen the small band so the router hands a 16-clique to CPU-parallel
 	// MPDP with a budget it cannot meet; the service must fall back to
-	// UnionDP on the heuristic backend and charge the overrun to
+	// LinDP on the heuristic backend and charge the overrun to
 	// cpu-parallel.
 	s := New(Config{Crossover: &backend.Crossover{SmallLimit: 16}, Timeout: 150 * time.Millisecond, K: 8})
 	defer s.Close()
@@ -419,8 +422,8 @@ func TestFallbackOnTimeout(t *testing.T) {
 	if !res.FellBack {
 		t.Error("expected heuristic fallback after exact timeout")
 	}
-	if res.Algorithm != core.AlgUnionDP {
-		t.Errorf("fallback used %s, want uniondp-mpdp", res.Algorithm)
+	if res.Algorithm != core.AlgLinDP {
+		t.Errorf("fallback used %s, want lindp", res.Algorithm)
 	}
 	if res.Backend != backend.Heuristic {
 		t.Errorf("fallback served by %s, want heuristic", res.Backend)
@@ -556,7 +559,7 @@ func TestLargeQueriesRouteToHeuristics(t *testing.T) {
 	}{
 		// Beyond the 64-relation bitset width no exact substrate applies.
 		{workload.KindSnowflake, 70, core.AlgIDP2},
-		{workload.KindCycle, 70, core.AlgUnionDP},
+		{workload.KindCycle, 70, core.AlgIDP2},
 	} {
 		q := genQuery(t, tc.kind, tc.n, 1)
 		res, err := s.Optimize(context.Background(), q)

@@ -36,6 +36,7 @@ type Counters struct {
 	routeMPDP    atomic.Uint64
 	routeMPDPGPU atomic.Uint64
 	routeIDP2    atomic.Uint64
+	routeLinDP   atomic.Uint64
 	routeUnionDP atomic.Uint64
 
 	// epochBumps counts stats-epoch advances and statsEpoch holds the
@@ -137,6 +138,7 @@ type Snapshot struct {
 	RouteMPDP    uint64 `json:"route_mpdp_cpu"`
 	RouteMPDPGPU uint64 `json:"route_mpdp_gpu"`
 	RouteIDP2    uint64 `json:"route_idp2"`
+	RouteLinDP   uint64 `json:"route_lindp"`
 	RouteUnionDP uint64 `json:"route_uniondp"`
 
 	// StatsEpoch is the current catalog stats epoch and EpochBumps how many
@@ -181,6 +183,7 @@ func (c *Counters) Snapshot() Snapshot {
 		RouteMPDP:    c.routeMPDP.Load(),
 		RouteMPDPGPU: c.routeMPDPGPU.Load(),
 		RouteIDP2:    c.routeIDP2.Load(),
+		RouteLinDP:   c.routeLinDP.Load(),
 		RouteUnionDP: c.routeUnionDP.Load(),
 
 		StatsEpoch: c.statsEpoch.Load(),
@@ -238,6 +241,7 @@ func SumSnapshots(snaps []Snapshot) Snapshot {
 		t.RouteMPDP += s.RouteMPDP
 		t.RouteMPDPGPU += s.RouteMPDPGPU
 		t.RouteIDP2 += s.RouteIDP2
+		t.RouteLinDP += s.RouteLinDP
 		t.RouteUnionDP += s.RouteUnionDP
 		t.EpochBumps += s.EpochBumps
 		t.StatsEpoch = max(t.StatsEpoch, s.StatsEpoch)
@@ -292,6 +296,7 @@ func WriteNodeMetrics(mw *obs.MetricsWriter, s Snapshot, cachePlans int, lat *La
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, s.RouteMPDP)
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, s.RouteMPDPGPU)
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, s.RouteIDP2)
+	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "lindp"}, s.RouteLinDP)
 	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "uniondp"}, s.RouteUnionDP)
 
 	for _, id := range backend.IDs() {
@@ -364,6 +369,8 @@ func (c *Counters) observeRoute(alg core.Algorithm) {
 		c.routeMPDPGPU.Add(1)
 	case core.AlgIDP2:
 		c.routeIDP2.Add(1)
+	case core.AlgLinDP:
+		c.routeLinDP.Add(1)
 	case core.AlgUnionDP:
 		c.routeUnionDP.Add(1)
 	}
