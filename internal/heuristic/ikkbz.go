@@ -101,14 +101,12 @@ func newIKKBZ(q *cost.Query) (*ikkbz, error) {
 	if err != nil {
 		return nil, err
 	}
-	i32 := make([]int32, 12*n+1)
-	f64 := make([]float64, 3*n)
-	take := func(k int) []int32 { s := i32[:k:k]; i32 = i32[k:]; return s }
 	z := &ikkbz{
-		q: q, adjAt: take(n + 1), adj: take(2 * (n - 1)), parent: take(n), bfs: take(n),
-		cursor: take(n), last: take(n), nextRel: take(n), next: take(n), prev: take(n),
-		chain: take(n), pos: take(n),
-		adjSel: make([]float64, 2*(n-1)), parentSel: f64[:n:n], t: f64[n : 2*n : 2*n], c: f64[2*n:],
+		q: q, adjAt: make([]int32, n+1), adj: make([]int32, 2*(n-1)), adjSel: make([]float64, 2*(n-1)),
+		parent: make([]int32, n), parentSel: make([]float64, n), bfs: make([]int32, 0, n),
+		cursor: make([]int32, 0, n), t: make([]float64, n), c: make([]float64, n),
+		last: make([]int32, n), nextRel: make([]int32, n), next: make([]int32, n), prev: make([]int32, n),
+		chain: make([]int32, n), pos: make([]int32, n),
 	}
 	for _, e := range edges {
 		z.adjAt[e.A+1]++
@@ -117,7 +115,7 @@ func newIKKBZ(q *cost.Query) (*ikkbz, error) {
 	for v := 0; v < n; v++ {
 		z.adjAt[v+1] += z.adjAt[v]
 	}
-	fill := z.bfs // borrowed as the fill cursor until the first BFS
+	fill := z.pos[:n] // borrowed as the fill cursor until the first order is costed
 	copy(fill, z.adjAt[:n])
 	for _, e := range edges {
 		z.adj[fill[e.A]], z.adjSel[fill[e.A]] = int32(e.B), e.Sel

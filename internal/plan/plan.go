@@ -197,11 +197,11 @@ func (n *Node) explainSize(tails []byte, names []string, indent int, size *int) 
 		tails = n.Left.explainSize(tails, names, indent+1, size)
 		return n.Right.explainSize(tails, names, indent+1, size)
 	}
-	*size += len("Scan ")
 	if names != nil {
-		*size += len(names[n.RelID])
+		*size += len("Scan ") + len(names[n.RelID])
 	} else {
-		*size += 1 + decimalLen(n.RelID)
+		var digits [20]byte
+		*size += len("Scan R") + len(strconv.AppendInt(digits[:0], int64(n.RelID), 10))
 	}
 	return tails
 }
@@ -209,10 +209,8 @@ func (n *Node) explainSize(tails []byte, names []string, indent int, size *int) 
 // explainWrite writes n's subtree, taking each line's tail from the front of
 // tails, and returns what is left of them.
 func (n *Node) explainWrite(b *strings.Builder, tails []byte, names []string, indent int) []byte {
-	for i := indent; i > 0; {
-		k := min(i, len(indentSpaces)/2)
-		b.WriteString(indentSpaces[:2*k])
-		i -= k
+	for i := 0; i < indent; i++ {
+		b.WriteString("  ")
 	}
 	if n.IsLeaf() {
 		b.WriteString("Scan ")
@@ -234,23 +232,6 @@ func (n *Node) explainWrite(b *strings.Builder, tails []byte, names []string, in
 	}
 	tails = n.Left.explainWrite(b, tails, names, indent+1)
 	return n.Right.explainWrite(b, tails, names, indent+1)
-}
-
-// indentSpaces is written in slices, a deep line's indentation a few
-// writes long.
-const indentSpaces = "                                                                "
-
-// decimalLen is the length of v in decimal, a minus sign included.
-func decimalLen(v int) int {
-	l := 1
-	if v < 0 {
-		l++
-		v = -v
-	}
-	for ; v >= 10; v /= 10 {
-		l++
-	}
-	return l
 }
 
 // pow10 holds the powers of ten appendFixed counts integer digits against;
