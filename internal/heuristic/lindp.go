@@ -92,8 +92,8 @@ func linDPOverOrder(q *cost.Query, opt Options, order []int, leaves []*plan.Node
 			cells[at(i, j)].rows = cells[at(i, j-1)].rows * leaf[j].Rows * sel
 		}
 	}
-	for x := range cells {
-		if !m.DisableMerge {
+	if !m.DisableMerge {
+		for x := range cells {
 			cells[x].lg = math.Log2(plan.AtLeast(cells[x].rows, 2))
 		}
 	}

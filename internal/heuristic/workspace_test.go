@@ -52,8 +52,11 @@ func TestHeuristicsOnAWorkspaceChangeNoPlan(t *testing.T) {
 // Threads 1:
 //
 //	                      before    no workspace   ceiling   warm workspace   ceiling
-//	IDP2    star-60     8 541 901      2 178 658   3 500 000         73 640   150 000
-//	UnionDP cycle-200   1 296 715        296 232     400 000        245 640   350 000
+//	IDP2    star-60     8 541 901      1 898 341   3 500 000         49 856   150 000
+//	UnionDP cycle-200   1 296 715        189 328     400 000        134 192   350 000
+//
+// (2 178 658 / 73 640 and 296 232 / 245 640 before the contracted problems,
+// GOO's and Recost's nodes and the splice copies came from one run's slabs.)
 //
 // "No workspace" is what bench/ and every direct caller get — the call's
 // private one — so a star-60 builds one star-15 table (1.5 MB direct) and one
