@@ -710,3 +710,62 @@ func TestPartitionChurnUnderLoad(t *testing.T) {
 	default:
 	}
 }
+
+// TestDetectorBoundsDeadOwnerCost pins that the failure detector alone
+// bounds what a dead owner costs the request path. With shipped defaults,
+// sequential requests for one key pay at most MaxAttempts transport faults
+// per request until the detector removes the owner from the ring, and none
+// after it. The bound is reached early: the first failover's replication
+// push to the dead owner fails too, which is the detector's second strike,
+// so one request's MaxAttempts faults are all the owner ever costs.
+func TestDetectorBoundsDeadOwnerCost(t *testing.T) {
+	ft := NewFaultTransport(NewLocalTransport(), 1)
+	c := New(Config{Nodes: 3, Replicas: 2, Transport: ft})
+	defer c.Close()
+	threshold, attempts := c.cfg.FailureThreshold, c.retry.MaxAttempts
+
+	q := genQuery(t, workload.KindChain, 7, 17)
+	if _, err := c.Optimize(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	owner := c.Owners(service.FingerprintQuery(q).Key)[0]
+	ft.Cut(owner)
+	send := func(i int) {
+		t.Helper()
+		res, err := c.Optimize(context.Background(), q)
+		if err != nil {
+			t.Fatalf("request %d after the cut failed: %v", i, err)
+		}
+		if res.Node == owner {
+			t.Fatalf("request %d answered by the cut owner %s", i, owner)
+		}
+	}
+	dead := func() bool {
+		for _, id := range c.Snapshot().DeadNodes {
+			if id == owner {
+				return true
+			}
+		}
+		return false
+	}
+
+	for i := 0; i < threshold; i++ {
+		send(i)
+	}
+	if !dead() {
+		t.Fatalf("owner %s not in dead_nodes after %d requests", owner, threshold)
+	}
+	fails := c.Snapshot().TransportFails
+	if fails != uint64(attempts) {
+		t.Errorf("transport_fails = %d once the owner is dead, want %d (one request's attempts)", fails, attempts)
+	}
+	if bound := uint64(threshold * attempts); fails > bound {
+		t.Errorf("transport_fails = %d, above FailureThreshold x MaxAttempts = %d", fails, bound)
+	}
+	for i := 0; i < 20; i++ {
+		send(threshold + i)
+	}
+	if got := c.Snapshot().TransportFails; got != fails {
+		t.Errorf("20 requests after the owner's removal added %d transport faults", got-fails)
+	}
+}
