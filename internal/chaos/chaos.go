@@ -15,7 +15,8 @@
 //     timers;
 //   - the guarded-transport counters reconcile with the injected faults:
 //     a storm with real faults must show failovers, retries, overflows or
-//     breaker skips, and a control run with no faults must show none.
+//     detector deaths, and a control run with no faults must show no
+//     failover.
 //
 // Schedules are pure data (Schedule, built by the named constructors)
 // and are deterministic given a seed: the same seed yields
@@ -138,7 +139,7 @@ func SlowFlapSchedule(seed int64, phase time.Duration) Schedule {
 
 // ControlSchedule injects nothing: the null hypothesis every chaos run is
 // compared against. Its reconciliation invariant is inverted — any
-// failover or breaker skip on a fault-free run is a bug.
+// failover on a fault-free run is a bug.
 func ControlSchedule(seed int64) Schedule {
 	return Schedule{Name: "control", Seed: seed}
 }
@@ -207,10 +208,10 @@ type Report struct {
 	GoroutinesBefore int
 	GoroutinesAfter  int
 
-	// Latency evidence for the breaker story: p99 of all served requests
+	// Latency evidence for the guarded path: p99 of all served requests
 	// during the storm and after heal, and p99 of warm hits served by
-	// healthy nodes during the storm (the population the breaker is
-	// supposed to protect).
+	// healthy nodes during the storm (the population retries, failover and
+	// the failure detector must shield from the faulty node).
 	StormP99       time.Duration
 	HealedP99      time.Duration
 	WarmHealthyP99 time.Duration
@@ -247,12 +248,12 @@ func (r *Report) Violations() []string {
 	if r.GoroutinesAfter > r.GoroutinesBefore {
 		badge("goroutines leaked: %d before, %d after heal", r.GoroutinesBefore, r.GoroutinesAfter)
 	}
-	guarded := r.Cluster.Failovers + r.Cluster.Overflows + r.Cluster.BreakerSkips + r.Cluster.Retries
+	guarded := r.Cluster.Failovers + r.Cluster.Overflows + r.Cluster.Retries
 	if r.LinkFaults > 0 && r.Injected == 0 {
 		badge("schedule declared link faults but the fault transport injected none")
 	}
 	// Reconciliation: every fault must leave a counter trace somewhere —
-	// the guarded path (failovers, retries, skips), the failure detector
+	// the guarded path (failovers, overflows, retries), the failure detector
 	// (deaths, quarantines) or the transport itself (injected). A storm
 	// that shows up nowhere means the instrumentation is lying.
 	evidence := guarded + r.Cluster.Deaths + r.Cluster.Quarantined + r.Injected
@@ -260,8 +261,8 @@ func (r *Report) Violations() []string {
 		badge("faults fired but left no counter trace (guarded path, detector and transport all zero)")
 	}
 	if r.Faults == 0 {
-		if r.Cluster.Failovers != 0 || r.Cluster.BreakerSkips != 0 {
-			badge("control run recorded %d failover(s) and %d breaker skip(s)", r.Cluster.Failovers, r.Cluster.BreakerSkips)
+		if r.Cluster.Failovers != 0 {
+			badge("control run recorded %d failover(s)", r.Cluster.Failovers)
 		}
 		if r.Unavailable != 0 || r.Timeouts != 0 {
 			badge("control run had %d unavailable and %d timeout(s)", r.Unavailable, r.Timeouts)
@@ -318,11 +319,6 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 			BaseBackoff: time.Millisecond,
 			MaxBackoff:  5 * time.Millisecond,
 		},
-		Breaker: cluster.BreakerConfig{
-			Threshold: 4,
-			Window:    200 * time.Millisecond,
-			OpenFor:   50 * time.Millisecond,
-		},
 		FlapThreshold:  2,
 		FlapWindow:     10 * time.Second,
 		QuarantineBase: 100 * time.Millisecond,
@@ -335,7 +331,7 @@ func Run(ctx context.Context, cfg Config, sched Schedule) *Report {
 
 	// faulted is the set of currently-degraded nodes, maintained by the
 	// event player and read by the measuring target: warm hits on nodes
-	// NOT in this set are the breaker's protected population.
+	// NOT in this set are the population the guarded path protects.
 	var faultedMu sync.Mutex
 	faulted := map[string]bool{}
 	setFaulted := func(id string, bad bool) {

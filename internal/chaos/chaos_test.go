@@ -44,11 +44,10 @@ func runAndCheck(t *testing.T, sched Schedule) *Report {
 		t.Error(v)
 	}
 	t.Logf("%s/seed=%d: offered=%d ok=%d shed=%d timeouts=%d unavailable=%d injected=%d "+
-		"failovers=%d overflows=%d breaker_skips=%d retries=%d storm_p99=%v healed_p99=%v "+
+		"failovers=%d overflows=%d retries=%d storm_p99=%v healed_p99=%v "+
 		"warm_healthy_p99=%v late_p99=%v/%v",
 		rep.Schedule, rep.Seed, rep.Offered, rep.OK, rep.Shed, rep.Timeouts, rep.Unavailable,
-		rep.Injected, rep.Cluster.Failovers, rep.Cluster.Overflows, rep.Cluster.BreakerSkips,
-		rep.Cluster.Retries, rep.StormP99, rep.HealedP99,
+		rep.Injected, rep.Cluster.Failovers, rep.Cluster.Overflows, rep.Cluster.Retries, rep.StormP99, rep.HealedP99,
 		rep.WarmHealthyP99, rep.Storm.Late.Quantile(0.99), rep.Healed.Late.Quantile(0.99))
 	return rep
 }
@@ -74,10 +73,7 @@ func TestChaosAsymmetricPartition(t *testing.T) {
 	}
 	// What protects the healthy replicas: the first calls into the cut link
 	// fail over, the failure detector takes the node out of the ring, and
-	// from then on a warm hit costs what it costs with no fault at all.
-	// (Breaker skips are logged, not asserted: two failed calls of three
-	// attempts each both trip the breaker and kill the node, so a skip
-	// needs a concurrent request to land in between — 0 or 1 a run.) The
+	// from then on a warm hit costs what it costs with no fault at all. The
 	// 5ms floor keeps sub-ms jitter on a quiet host from faking a
 	// regression.
 	if rep.Cluster.Failovers == 0 || rep.Cluster.Deaths == 0 {
@@ -100,7 +96,7 @@ func TestChaosSlowFlap(t *testing.T) {
 }
 
 // TestChaosControl is the null hypothesis: a fault-free run must show a
-// perfectly quiet guarded path — any failover, breaker skip, timeout or
+// perfectly quiet guarded path — any failover, timeout or
 // unavailable on it means the fault machinery leaks into healthy
 // operation.
 func TestChaosControl(t *testing.T) {

@@ -14,9 +14,10 @@
 // crashes (KillNode), asymmetric partitions, drops, latency and slowdowns
 // over either, so every distributed behaviour is deterministic and
 // testable. Request-path calls go through a guarded path: per-attempt
-// timeouts carved from the caller's deadline, retry with full-jitter
-// backoff on transport faults, and a per-node circuit breaker that routes
-// around nodes that keep failing. See CLUSTER.md for the design.
+// timeouts carved from the caller's deadline and retry with full-jitter
+// backoff on transport faults; an owner that still fails counts toward the
+// failure detector, and the request fails over to the next replica. See
+// CLUSTER.md for the design.
 package cluster
 
 import (
@@ -62,9 +63,6 @@ type Config struct {
 	// Retry tunes the guarded request path: per-attempt timeouts, retry
 	// count and backoff. Zero fields take RetryPolicy's defaults.
 	Retry RetryPolicy
-	// Breaker tunes the per-node circuit breakers. Zero fields take
-	// BreakerConfig's defaults.
-	Breaker BreakerConfig
 	// Seed seeds the coordinator's jitter RNG (0: 1); fault schedules get
 	// their own seed in NewFaultTransport.
 	Seed int64
@@ -120,7 +118,6 @@ func (c Config) withDefaults() Config {
 		c.QuarantineMax = 30 * time.Second
 	}
 	c.Retry = c.Retry.withDefaults()
-	c.Breaker = c.Breaker.withDefaults()
 	return c
 }
 
@@ -182,12 +179,6 @@ type Cluster struct {
 	callLatOK   obs.Histogram
 	callLatFail obs.Histogram
 
-	breakersMu sync.Mutex
-	breakers   map[string]*breaker
-	// retiredOpens keeps the open transitions of removed nodes' breakers,
-	// so BreakerOpens never goes backwards.
-	retiredOpens uint64 // guarded by breakersMu
-
 	mu     sync.Mutex
 	ring   *ring
 	nodes  map[string]*node  // in-process members
@@ -210,17 +201,16 @@ type Cluster struct {
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:      cfg,
-		retry:    cfg.Retry,
-		rng:      newLockedRand(cfg.Seed),
-		slog:     obs.NewSlowLog(cfg.Slow),
-		breakers: make(map[string]*breaker),
-		ring:     newRing(cfg.VirtualNodes),
-		nodes:    make(map[string]*node),
-		detach:   make(map[string]func()),
-		remote:   make(map[string]bool),
-		state:    make(map[string]*nodeState),
-		quit:     make(chan struct{}),
+		cfg:    cfg,
+		retry:  cfg.Retry,
+		rng:    newLockedRand(cfg.Seed),
+		slog:   obs.NewSlowLog(cfg.Slow),
+		ring:   newRing(cfg.VirtualNodes),
+		nodes:  make(map[string]*node),
+		detach: make(map[string]func()),
+		remote: make(map[string]bool),
+		state:  make(map[string]*nodeState),
+		quit:   make(chan struct{}),
 	}
 	c.transport = cfg.Transport
 	if c.transport == nil {
@@ -398,17 +388,15 @@ type sweepOutcome struct {
 	err            error   // non-nil: terminal error to surface as-is
 	sawUnreachable bool
 	sawShed        bool
-	skipped        int // owners bypassed because their breaker was open
 	lastErr        error
 }
 
 // sweep tries a key's owners in ring order through the guarded call path.
-// force pushes through open breakers — the all-owners-open fallback.
-func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace, owners []string, force bool) sweepOutcome {
+func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace, owners []string) sweepOutcome {
 	var out sweepOutcome
 	req := Request{Kind: ReqOptimize, Query: p.Query, Fingerprint: &p.Fingerprint}
 	for i, id := range owners {
-		resp, err := c.call(ctx, id, req, force)
+		resp, err := c.call(ctx, id, req)
 		switch {
 		case err == nil:
 			c.noteSuccess(id)
@@ -420,8 +408,6 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 					// overflow from a hot shard, not a failure.
 					c.counters.overflows.Add(1)
 				}
-				// Owners skipped on an open breaker were already counted
-				// under breaker_skips when the skip happened.
 			}
 			if !resp.Result.CacheHit || i > 0 {
 				// Fresh plan, or a failover hit whose earlier owners may
@@ -433,11 +419,6 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 			}
 			out.res = &Result{Result: resp.Result, Node: id, Failover: i > 0 && out.sawUnreachable}
 			return out
-		case errors.Is(err, ErrBreakerOpen):
-			// The breaker routed around this node without a call; the next
-			// replica holds the same warm entries.
-			out.skipped++
-			out.lastErr = err
 		case errors.Is(err, service.ErrOverloaded):
 			// The owner is alive but shedding load. Replicas hold the
 			// same warm entries, so overflowing to the next one spreads
@@ -498,13 +479,7 @@ func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Tra
 		if len(owners) == 0 {
 			break
 		}
-		out := c.sweep(ctx, p, tr, owners, false)
-		if out.res == nil && out.err == nil && out.skipped == len(owners) {
-			// Every owner's breaker is open. Breakers are an optimization —
-			// they may redirect traffic, never refuse it — so force a pass
-			// through them rather than fail the request.
-			out = c.sweep(ctx, p, tr, owners, true)
-		}
+		out := c.sweep(ctx, p, tr, owners)
 		if out.res != nil || out.err != nil {
 			return out.res, out.err
 		}
@@ -514,9 +489,8 @@ func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Tra
 		}
 		if !out.sawUnreachable {
 			// The sweep failed without a single unreachable owner — every
-			// owner shed or sat behind a breaker. The ring will not change,
-			// so another sweep would only hammer nodes that just asked for
-			// relief.
+			// owner shed. The ring will not change, so another sweep would
+			// only hammer nodes that just asked for relief.
 			break
 		}
 	}
@@ -536,7 +510,7 @@ func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Tra
 // replicate copies the cache entry under key from the node that just
 // served it to the remaining owners. Maintenance traffic uses the raw
 // transport — a failed replication is repaired by the next read, so it
-// earns neither retries nor breaker feeding.
+// earns no retries.
 func (c *Cluster) replicate(key, from string, owners []string) {
 	if len(owners) <= 1 {
 		return
@@ -677,17 +651,10 @@ func (c *Cluster) RemoveNode(id string) error {
 		}
 	}
 	// A node that rejoins under the same ID starts healthy: no link fault
-	// and no breaker carried over from its previous membership.
+	// carried over from its previous membership.
 	if ft, ok := c.transport.(*FaultTransport); ok {
 		ft.Clear(id)
 	}
-	c.breakersMu.Lock()
-	if b := c.breakers[id]; b != nil {
-		_, opens := b.snapshot(time.Now())
-		c.retiredOpens += opens
-		delete(c.breakers, id)
-	}
-	c.breakersMu.Unlock()
 	if n != nil {
 		n.close()
 	}
@@ -766,10 +733,10 @@ func (c *Cluster) noteFailure(id string) {
 // flapping, in which case re-entry waits out an exponentially growing
 // quarantine (Config.Flap*/Quarantine*), so a crash-looping node stops
 // churning the ring. Any membership change triggers a rebalance, which
-// re-warms a rejoining node's cache. Pings bypass the circuit breaker: the
-// health checker is how a dead node's recovery is noticed, so it must keep
-// probing nodes the request path has written off. The background checker
-// (Config.HealthInterval) calls this on a ticker; tests call it directly.
+// re-warms a rejoining node's cache. Pings use the raw transport and reach
+// dead members too: the health checker is how a dead node's recovery is
+// noticed. The background checker (Config.HealthInterval) calls this on a
+// ticker; tests call it directly.
 func (c *Cluster) CheckHealth() {
 	changed := false
 	for _, m := range c.members() {
@@ -1079,25 +1046,10 @@ func (c *Cluster) collectStats() (Snapshot, service.Snapshot, *service.LatencySe
 		Retries:        c.counters.retries.Load(),
 		TransportCalls: c.counters.transportCalls.Load(),
 		TransportFails: c.counters.transportFails.Load(),
-		BreakerSkips:   c.counters.breakerSkips.Load(),
-		BreakerForced:  c.counters.breakerForced.Load(),
 		Quarantined:    c.counters.quarantined.Load(),
 		Replicas:       c.cfg.Replicas,
 		PerNode:        make(map[string]NodeSnapshot),
 	}
-	now := time.Now()
-	c.breakersMu.Lock()
-	s.BreakerOpens = c.retiredOpens
-	if len(c.breakers) > 0 {
-		s.Breakers = make(map[string]string, len(c.breakers))
-		for id, b := range c.breakers {
-			state, opens := b.snapshot(now)
-			s.Breakers[id] = state.String()
-			s.BreakerOpens += opens
-		}
-	}
-	c.breakersMu.Unlock()
-
 	lat := &service.LatencySet{}
 	var snaps []service.Snapshot
 	for _, m := range c.members() {
@@ -1128,11 +1080,11 @@ func (c *Cluster) collectStats() (Snapshot, service.Snapshot, *service.LatencySe
 
 // WriteMetrics emits the cluster's live metrics in Prometheus text
 // exposition format: the coordinator's own counters (mpdp_cluster_*), the
-// guarded transport path (mpdp_transport_*: attempts, fails, retries,
-// breaker activity and per-node breaker state), and every node family
-// through the service's own writer: the node counters summed, the highest
-// stats epoch and the node latency histograms merged bucket-wise — one
-// scrape of the front door answers cluster-wide p50/p95/p99 per backend.
+// guarded transport path (mpdp_transport_*: attempts, fails, retries and
+// attempt latency), and every node family through the service's own
+// writer: the node counters summed, the highest stats epoch and the node
+// latency histograms merged bucket-wise — one scrape of the front door
+// answers cluster-wide p50/p95/p99 per backend.
 func (c *Cluster) WriteMetrics(w io.Writer) error {
 	s, nodes, lat := c.collectStats()
 	cachePlans := 0
@@ -1157,25 +1109,6 @@ func (c *Cluster) WriteMetrics(w io.Writer) error {
 	mw.Counter("mpdp_transport_calls_total", "Guarded request-path transport attempts.", nil, s.TransportCalls)
 	mw.Counter("mpdp_transport_fails_total", "Transport attempts that failed at the transport layer.", nil, s.TransportFails)
 	mw.Counter("mpdp_transport_retries_total", "Extra transport attempts after a fault.", nil, s.Retries)
-	mw.Counter("mpdp_transport_breaker_skips_total", "Owners bypassed without a call because their breaker was open.", nil, s.BreakerSkips)
-	mw.Counter("mpdp_transport_breaker_forced_total", "Calls pushed through an open breaker because every owner was open.", nil, s.BreakerForced)
-	mw.Counter("mpdp_transport_breaker_opens_total", "Circuit-breaker open transitions across all nodes.", nil, s.BreakerOpens)
-	const stateHelp = "Per-node circuit-breaker state: 0 closed, 1 open, 2 half-open."
-	bnodes := make([]string, 0, len(s.Breakers))
-	for id := range s.Breakers {
-		bnodes = append(bnodes, id)
-	}
-	sort.Strings(bnodes)
-	for _, id := range bnodes {
-		var v float64
-		switch s.Breakers[id] {
-		case "open":
-			v = 1
-		case "half_open":
-			v = 2
-		}
-		mw.Gauge("mpdp_transport_breaker_state", stateHelp, obs.Labels{"node": id}, v)
-	}
 	const attemptHelp = "Latency of guarded transport attempts by outcome."
 	mw.Histogram("mpdp_transport_attempt_seconds", attemptHelp, obs.Labels{"outcome": "ok"}, &c.callLatOK)
 	mw.Histogram("mpdp_transport_attempt_seconds", attemptHelp, obs.Labels{"outcome": "fail"}, &c.callLatFail)

@@ -1,12 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -437,61 +435,6 @@ func TestRemoveNodeMigratesEntries(t *testing.T) {
 		if res.Node == victim {
 			t.Errorf("query %d served by removed node", i)
 		}
-	}
-}
-
-// TestRemoveNodeDropsBreaker: a node that leaves takes its circuit breaker
-// with it, so /metrics stops exporting its state and a peer rejoining under
-// the same ID inherits nothing; the cluster-wide open count still never
-// goes backwards.
-func TestRemoveNodeDropsBreaker(t *testing.T) {
-	c := newTestCluster(t, 3, 2)
-	for seed := int64(0); seed < 6; seed++ {
-		if _, err := c.Optimize(context.Background(), genQuery(t, workload.KindChain, 8, seed)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	victim := ""
-	for id := range c.Snapshot().Breakers {
-		victim = id
-	}
-	if victim == "" {
-		t.Fatal("no breaker after six requests")
-	}
-	br := c.breakerFor(victim)
-	now := time.Now()
-	for i := 0; i < c.cfg.Breaker.Threshold; i++ {
-		br.record(false, now)
-	}
-	opens := c.Snapshot().BreakerOpens
-	if opens == 0 {
-		t.Fatal("setup: breaker did not open")
-	}
-	series := `mpdp_transport_breaker_state{node="` + victim + `"}`
-	var before bytes.Buffer
-	if err := c.WriteMetrics(&before); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(before.String(), series) {
-		t.Fatalf("setup: %s missing from /metrics", series)
-	}
-
-	if err := c.RemoveNode(victim); err != nil {
-		t.Fatal(err)
-	}
-	s := c.Snapshot()
-	if st, ok := s.Breakers[victim]; ok {
-		t.Errorf("removed node %s keeps a %s breaker: %v", victim, st, s.Breakers)
-	}
-	if s.BreakerOpens < opens {
-		t.Errorf("breaker_opens went back from %d to %d", opens, s.BreakerOpens)
-	}
-	var after bytes.Buffer
-	if err := c.WriteMetrics(&after); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(after.String(), series) {
-		t.Errorf("%s still exported after RemoveNode", series)
 	}
 }
 

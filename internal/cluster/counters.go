@@ -24,15 +24,10 @@ type counters struct {
 	canceled   atomic.Uint64
 
 	// The guarded-transport layer: retries counts extra attempts after a
-	// transport fault; breakerSkips counts owners skipped because their
-	// circuit breaker was open (distinct from failovers — the skip happens
-	// before any call is made); breakerForced counts calls pushed through an
-	// open breaker because every owner was open; transportCalls/Fails count
-	// individual attempts and their transport-level failures; quarantined
-	// counts ring re-entries deferred because the node was flapping.
+	// transport fault; transportCalls/Fails count individual attempts and
+	// their transport-level failures; quarantined counts ring re-entries
+	// deferred because the node was flapping.
 	retries        atomic.Uint64
-	breakerSkips   atomic.Uint64
-	breakerForced  atomic.Uint64
 	transportCalls atomic.Uint64
 	transportFails atomic.Uint64
 	quarantined    atomic.Uint64
@@ -79,17 +74,6 @@ type Snapshot struct {
 	Retries        uint64 `json:"retries"`
 	TransportCalls uint64 `json:"transport_calls"`
 	TransportFails uint64 `json:"transport_fails"`
-	// BreakerSkips counts owners bypassed without a call because their
-	// circuit breaker was open — routing went straight to the next replica.
-	// Distinct from Failovers (a call failed first) and Overflows (the node
-	// shed the request itself). BreakerForced counts calls pushed through an
-	// open breaker because every owner in the sweep was open; BreakerOpens
-	// sums closed→open transitions across all nodes.
-	BreakerSkips  uint64 `json:"breaker_skips"`
-	BreakerForced uint64 `json:"breaker_forced"`
-	BreakerOpens  uint64 `json:"breaker_opens"`
-	// Breakers maps each node to its breaker state (closed/open/half_open).
-	Breakers map[string]string `json:"breakers,omitempty"`
 	// Quarantined counts ring re-entries deferred because the node was
 	// flapping (repeated death/rejoin inside the flap window).
 	Quarantined uint64 `json:"quarantined"`

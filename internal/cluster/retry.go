@@ -111,181 +111,10 @@ func (r *lockedRand) durationN(d time.Duration) time.Duration {
 	return v
 }
 
-// ErrBreakerOpen is returned by the guarded call path when a node's
-// circuit breaker is open: the node has been failing hard enough that the
-// coordinator routes straight to the next replica instead of paying
-// another timeout. It is never surfaced to clients — the routing loop
-// falls through the breaker when every owner is open.
-var ErrBreakerOpen = errors.New("cluster: circuit breaker open")
-
-// BreakerConfig tunes the per-node circuit breaker. The breaker watches
-// transport-level failures within a sliding window: Threshold failures
-// inside Window open it, open calls skip the node entirely for OpenFor,
-// then one half-open probe decides between closing and re-opening. Unlike
-// a consecutive-failure counter it also catches lossy links, where
-// occasional successes would keep resetting the failure detector forever.
-type BreakerConfig struct {
-	// Threshold failures within Window open the breaker (0: 5).
-	Threshold int
-	// Window is the failure-counting window (0: 1s).
-	Window time.Duration
-	// OpenFor is how long an open breaker skips the node before allowing a
-	// half-open probe (0: 250ms).
-	OpenFor time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 5
-	}
-	if c.Window <= 0 {
-		c.Window = time.Second
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = 250 * time.Millisecond
-	}
-	return c
-}
-
-// BreakerState names a breaker's position; the values are stable (they are
-// exported as the mpdp_transport_breaker_state gauge).
-type BreakerState int
-
-const (
-	BreakerClosed BreakerState = iota
-	BreakerOpen
-	BreakerHalfOpen
-)
-
-func (s BreakerState) String() string {
-	switch s {
-	case BreakerOpen:
-		return "open"
-	case BreakerHalfOpen:
-		return "half_open"
-	}
-	return "closed"
-}
-
-// breaker is one node's circuit breaker. All methods are mutex-guarded;
-// the hot path is one lock round-trip per guarded call.
-type breaker struct {
-	mu  sync.Mutex
-	cfg BreakerConfig
-
-	state       BreakerState // guarded by mu
-	fails       int          // guarded by mu
-	windowStart time.Time    // guarded by mu
-	openedUntil time.Time    // guarded by mu
-	probing     bool         // guarded by mu
-
-	opens uint64 // cumulative closed/half-open → open transitions; guarded by mu
-}
-
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults()}
-}
-
-// allow reports whether a call may proceed. In the open state it flips to
-// half-open once OpenFor has passed and admits exactly one probe at a
-// time.
-func (b *breaker) allow(now time.Time) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return true
-	case BreakerOpen:
-		if now.Before(b.openedUntil) {
-			return false
-		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		return true
-	default: // half-open
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// record feeds one guarded-call outcome. ok means the node answered (even
-// with an application error); !ok is a transport-level fault.
-func (b *breaker) record(ok bool, now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.state = BreakerClosed
-		b.fails = 0
-		b.probing = false
-		return
-	}
-	if b.state == BreakerHalfOpen {
-		b.tripLocked(now)
-		return
-	}
-	if b.state == BreakerOpen {
-		return
-	}
-	if now.Sub(b.windowStart) > b.cfg.Window {
-		b.windowStart = now
-		b.fails = 0
-	}
-	b.fails++
-	if b.fails >= b.cfg.Threshold {
-		b.tripLocked(now)
-	}
-}
-
-// tripLocked opens the breaker; callers hold b.mu.
-func (b *breaker) tripLocked(now time.Time) {
-	b.state = BreakerOpen
-	b.openedUntil = now.Add(b.cfg.OpenFor)
-	b.fails = 0
-	b.probing = false
-	b.opens++
-}
-
-// snapshot returns the state and cumulative open count.
-func (b *breaker) snapshot(now time.Time) (BreakerState, uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	s := b.state
-	if s == BreakerOpen && !now.Before(b.openedUntil) {
-		s = BreakerHalfOpen // would probe on the next call
-	}
-	return s, b.opens
-}
-
-// breakerFor returns (creating if needed) the breaker of one node.
-func (c *Cluster) breakerFor(id string) *breaker {
-	c.breakersMu.Lock()
-	defer c.breakersMu.Unlock()
-	b := c.breakers[id]
-	if b == nil {
-		b = newBreaker(c.cfg.Breaker)
-		c.breakers[id] = b
-	}
-	return b
-}
-
 // call is the coordinator's guarded RPC path for request-serving calls:
-// circuit breaker, per-attempt deadline carve, retry with full-jitter
-// backoff on transport faults. force bypasses the breaker — the routing
-// loop uses it when every owner's breaker is open, so breakers can only
-// redirect traffic, never fail a request on their own.
-func (c *Cluster) call(ctx context.Context, id string, req Request, force bool) (*Response, error) {
-	br := c.breakerFor(id)
-	if !br.allow(time.Now()) {
-		if !force {
-			c.counters.breakerSkips.Add(1)
-			return nil, fmt.Errorf("%w: %s (%s)", ErrBreakerOpen, id, req.Kind)
-		}
-		c.counters.breakerForced.Add(1)
-	}
-
+// per-attempt deadline carve, retry with full-jitter backoff on transport
+// faults.
+func (c *Cluster) call(ctx context.Context, id string, req Request) (*Response, error) {
 	p := c.retry
 	var lastErr error
 	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
@@ -304,24 +133,22 @@ func (c *Cluster) call(ctx context.Context, id string, req Request, force bool) 
 		cancel()
 		if err == nil {
 			c.callLatOK.Record(elapsed)
-			br.record(true, time.Now())
 			return resp, nil
 		}
 		if ctx.Err() != nil {
-			// The caller is gone; neither the breaker nor the failure
-			// detector should learn anything from an abandoned call.
+			// The caller is gone; the failure detector should learn
+			// nothing from an abandoned call.
 			return nil, err
 		}
 		if attemptTimedOut && !errors.Is(err, ErrUnreachable) {
 			// Our own attempt timer fired: a lost reply or a wedged node.
 			// Reclassify as a transport fault so it is retried and feeds
-			// the breaker, unlike a caller-owned cancellation.
+			// the failure detector, unlike a caller-owned cancellation.
 			err = fmt.Errorf("%w: %s (%s attempt timeout after %v)", ErrUnreachable, id, req.Kind, elapsed)
 		}
 		if errors.Is(err, ErrUnreachable) {
 			c.callLatFail.Record(elapsed)
 			c.counters.transportFails.Add(1)
-			br.record(false, time.Now())
 			lastErr = err
 			continue
 		}
@@ -329,7 +156,6 @@ func (c *Cluster) call(ctx context.Context, id string, req Request, force bool) 
 		// query, propagated cancellation): the link works, and retrying a
 		// deterministic answer is pure waste.
 		c.callLatOK.Record(elapsed)
-		br.record(true, time.Now())
 		return nil, err
 	}
 	return nil, lastErr

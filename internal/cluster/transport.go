@@ -102,7 +102,7 @@ type Response struct {
 // ErrUnreachable is the transport-level failure: the node is partitioned,
 // crashed, its reply was lost, or the per-attempt timeout expired before
 // an answer arrived. It is the retryable error class — the coordinator's
-// retry/backoff and circuit-breaker machinery keys off it.
+// retry/backoff and the failure detector key off it.
 var ErrUnreachable = errors.New("cluster: node unreachable")
 
 // Transport delivers RPCs from the coordinator to nodes. The context

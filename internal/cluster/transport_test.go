@@ -368,7 +368,6 @@ func TestAsymmetricPartition(t *testing.T) {
 		Transport:        ft,
 		FailureThreshold: 1000, // keep the ring static: the fault, not the detector, is under test
 		Retry:            fastRetry,
-		Breaker:          BreakerConfig{Threshold: 1 << 30},
 		Service:          service.Config{Workers: 2},
 	})
 	defer c.Close()
@@ -438,7 +437,6 @@ func TestRetryRecoversLossyLink(t *testing.T) {
 			MaxBackoff:     2 * time.Millisecond,
 			AttemptTimeout: 5 * time.Second,
 		},
-		Breaker: BreakerConfig{Threshold: 1 << 30},
 		Service: service.Config{Workers: 2},
 	})
 	defer c.Close()
@@ -453,120 +451,6 @@ func TestRetryRecoversLossyLink(t *testing.T) {
 	}
 	if s := c.Snapshot(); s.Retries == 0 {
 		t.Error("retries = 0 on a 50% lossy link — retry path not exercised")
-	}
-}
-
-// TestBreakerSkipsAndRecovery drives the full breaker lifecycle: window
-// failures open it, open routes skip the node before any call (counted as
-// breaker_skips, not failovers), and after OpenFor a half-open probe
-// closes it again.
-func TestBreakerSkipsAndRecovery(t *testing.T) {
-	c := New(Config{
-		Nodes:            2,
-		Replicas:         2,
-		Transport:        NewFaultTransport(NewLocalTransport(), 1),
-		FailureThreshold: 1000,
-		Retry: RetryPolicy{
-			MaxAttempts:    1,
-			BaseBackoff:    time.Millisecond,
-			MaxBackoff:     2 * time.Millisecond,
-			AttemptTimeout: 5 * time.Second,
-		},
-		Breaker: BreakerConfig{Threshold: 2, Window: time.Minute, OpenFor: 40 * time.Millisecond},
-		Service: service.Config{Workers: 2},
-	})
-	defer c.Close()
-
-	q := genQuery(t, workload.KindStar, 8, 11)
-	res, err := c.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owner := res.Node
-
-	c.KillNode(owner)
-	// Two failed calls open the breaker (Threshold 2, one attempt each).
-	for i := 0; i < 2; i++ {
-		if _, err := c.Optimize(context.Background(), q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := c.Snapshot()
-	if s.Breakers[owner] != "open" {
-		t.Fatalf("breaker state = %q after %d failures, want open", s.Breakers[owner], 2)
-	}
-	if s.BreakerOpens == 0 {
-		t.Error("breaker_opens = 0 after a trip")
-	}
-	skipsBefore := s.BreakerSkips
-
-	// Open breaker: the next request skips the owner without a call.
-	res2, err := c.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Node == owner {
-		t.Fatal("open breaker did not route around the node")
-	}
-	if res2.Failover {
-		t.Error("breaker skip must not read as failover")
-	}
-	s = c.Snapshot()
-	if s.BreakerSkips <= skipsBefore {
-		t.Errorf("breaker_skips did not grow on an open-breaker route (%d -> %d)", skipsBefore, s.BreakerSkips)
-	}
-
-	// Heal, wait out OpenFor: the half-open probe succeeds and closes it.
-	c.ReviveNode(owner)
-	time.Sleep(60 * time.Millisecond)
-	res3, err := c.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Node != owner {
-		t.Errorf("half-open probe served by %s, want recovered owner %s", res3.Node, owner)
-	}
-	if s := c.Snapshot(); s.Breakers[owner] != "closed" {
-		t.Errorf("breaker state = %q after successful probe, want closed", s.Breakers[owner])
-	}
-}
-
-// TestBreakerForcedPass pins the no-lost-requests guarantee: when every
-// owner's breaker is open, the routing loop forces a call through rather
-// than failing the request — breakers redirect traffic, they never refuse
-// it.
-func TestBreakerForcedPass(t *testing.T) {
-	c := New(Config{
-		Nodes:            2,
-		Replicas:         1,
-		FailureThreshold: 1000,
-		Retry:            fastRetry,
-		Breaker:          BreakerConfig{Threshold: 2, Window: time.Minute, OpenFor: time.Hour},
-		Service:          service.Config{Workers: 2},
-	})
-	defer c.Close()
-
-	q := genQuery(t, workload.KindChain, 7, 13)
-	owner := c.Owners(service.FingerprintQuery(q).Key)[0]
-	// Trip the owner's breaker directly: the node itself is healthy, the
-	// breaker is just (wrongly) open for the next hour.
-	br := c.breakerFor(owner)
-	now := time.Now()
-	br.record(false, now)
-	br.record(false, now)
-	if st, _ := br.snapshot(time.Now()); st != BreakerOpen {
-		t.Fatalf("setup: breaker state = %v, want open", st)
-	}
-
-	res, err := c.Optimize(context.Background(), q)
-	if err != nil {
-		t.Fatalf("request lost behind an all-open breaker set: %v", err)
-	}
-	if res.Node != owner {
-		t.Errorf("forced pass served by %s, want sole owner %s", res.Node, owner)
-	}
-	if s := c.Snapshot(); s.BreakerForced == 0 {
-		t.Error("breaker_forced = 0 after a forced pass")
 	}
 }
 
@@ -646,7 +530,6 @@ func TestPartitionChurnUnderLoad(t *testing.T) {
 		Transport:        ft,
 		FailureThreshold: 50,
 		Retry:            fastRetry,
-		Breaker:          BreakerConfig{Threshold: 3, Window: time.Second, OpenFor: 10 * time.Millisecond},
 		Service:          service.Config{Workers: 2},
 	})
 	defer c.Close()

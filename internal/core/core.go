@@ -205,5 +205,5 @@ func gpuRun(in dp.Input, cfg gpusim.Config, algo gpusim.Algo) (*plan.Node, dp.St
 
 // Explain renders a plan as an indented operator tree with relation names.
 func Explain(q *cost.Query, p *plan.Node) string {
-	return p.Explain(q.Names())
+	return p.Explain(q)
 }

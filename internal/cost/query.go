@@ -26,6 +26,9 @@ func (q *Query) N() int { return q.G.N }
 // Rows returns the estimated base cardinality of relation i.
 func (q *Query) Rows(i int) float64 { return q.Cat.Rels[i].Rows }
 
+// Name returns relation i's name; it makes a Query a plan.Namer.
+func (q *Query) Name(i int) string { return q.Cat.Rels[i].Name }
+
 // Names returns the relation names indexed by relation id.
 func (q *Query) Names() []string {
 	names := make([]string, q.N())

@@ -249,30 +249,6 @@ func unitOwners(q *cost.Query, sets []bitset.Set) []int32 {
 	return owner
 }
 
-// connectedUnits reports whether, in the base graph, the union of the given
-// unit footprints induces a connected contracted graph (treating each unit
-// as internally connected).
-func connectedUnits(q *cost.Query, sets []bitset.Set) bool {
-	if len(sets) == 0 {
-		return false
-	}
-	uf := graph.NewUnionFind(len(sets))
-	owner := unitOwners(q, sets)
-	for _, e := range q.G.Edges {
-		ga, gb := owner[e.A], owner[e.B]
-		if ga >= 0 && gb >= 0 && ga != gb {
-			uf.Union(int(ga), int(gb))
-		}
-	}
-	root := uf.Find(0)
-	for i := 1; i < len(sets); i++ {
-		if uf.Find(i) != root {
-			return false
-		}
-	}
-	return true
-}
-
 // baseScans builds the initial units: one scan per base relation, the
 // scans in one allocation and the sets in another.
 func baseScans(q *cost.Query, m *cost.Model) ([]*plan.Node, []bitset.Set) {

@@ -92,31 +92,6 @@ func TestRecostProducesModelConsistentCosts(t *testing.T) {
 	}
 }
 
-func TestConnectedUnits(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	q := randomQuery(6, 0, rng) // a tree
-	_, sets := baseScans(q, cost.DefaultModel())
-	if !connectedUnits(q, sets) {
-		t.Error("full relation set must be connected")
-	}
-	// Two leaves of a tree that are not adjacent are disconnected as units.
-	var leafA, leafB int = -1, -1
-	for v := 0; v < 6 && leafB < 0; v++ {
-		if len(q.G.Neighbors(v)) == 1 {
-			if leafA < 0 {
-				leafA = v
-			} else if !q.G.HasEdge(leafA, v) {
-				leafB = v
-			}
-		}
-	}
-	if leafB >= 0 {
-		if connectedUnits(q, []bitset.Set{sets[leafA], sets[leafB]}) {
-			t.Errorf("units {%d} and {%d} reported connected", leafA, leafB)
-		}
-	}
-}
-
 func TestInnerMPDPMatchesDirectMPDPOnBaseUnits(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	m := cost.DefaultModel()

@@ -107,7 +107,7 @@ func TestHeuristicPins(t *testing.T) {
 				t.Fatalf("%s on %s: %v", h.name, pq.name, err)
 			}
 			lines = append(lines, fmt.Sprintf("%s %s cost=%016x explain=%016x bare=%016x tree=%016x",
-				pq.name, h.name, math.Float64bits(p.Cost), pinDigest(p.Explain(pq.q.Names())),
+				pq.name, h.name, math.Float64bits(p.Cost), pinDigest(p.Explain(pq.q)),
 				pinDigest(p.Explain(nil)), pinTreeDigest(p)))
 		}
 	}

@@ -16,22 +16,27 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/explain_*.golden from the current renderer")
 
+// nameList is a Namer over a slice indexed by relation id.
+type nameList []string
+
+func (s nameList) Name(i int) string { return s[i] }
+
 // explainCases are the plan shapes whose rendering is pinned byte for byte:
 // the benchmark re-parses every rendered plan, and clients diff them.
 func explainCases() map[string]struct {
 	plan  *Node
-	names []string
+	names Namer
 } {
 	op := func(o Op, l, r *Node, rows, cost float64) *Node {
 		n := join(l, r)
 		n.Op, n.Rows, n.Cost = o, rows, cost
 		return n
 	}
-	names := []string{"artist", "release", "release_group", "medium", "track"}
+	names := nameList{"artist", "release", "release_group", "medium", "track"}
 	a, b, c, d, e := leaf(0, 1e6, 4424.5), leaf(1, 2.5e6, 11061.95), leaf(2, 12, 0.05), leaf(3, 0.4, 1), leaf(4, 7e12, 1e15)
 	return map[string]struct {
 		plan  *Node
-		names []string
+		names Namer
 	}{
 		"leaf":       {leaf(1, 2.5e6, 11061.95), names},
 		"leaf_index": {leaf(3, 42, 0), nil},
@@ -125,7 +130,11 @@ func TestExplainMatchesFmtReference(t *testing.T) {
 		for _, nm := range [][]string{nil, names} {
 			var want strings.Builder
 			fmtExplain(&want, p, nm, 0)
-			if got := p.Explain(nm); got != want.String() {
+			var namer Namer
+			if nm != nil {
+				namer = nameList(nm)
+			}
+			if got := p.Explain(namer); got != want.String() {
 				t.Fatalf("%d-relation plan of depth %d: Explain differs from the fmt reference", p.Size(), p.Depth())
 			}
 		}
@@ -185,15 +194,16 @@ func TestExplainAllocatesOnlyItsString(t *testing.T) {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
 	p := leaf(0, 1234.5, 99.96)
-	names := []string{"r0"}
+	names := nameList{"r0"}
 	for i := 1; i < 14; i++ {
 		n := join(p, leaf(i, float64(i)*1e3+0.5, float64(i)*7.77))
 		n.Op, n.Rows, n.Cost = OpHashJoin, float64(i)*3.3e5, float64(i)*1e4+0.05
 		p = n
 		names = append(names, fmt.Sprintf("r%d", i))
 	}
-	p.Explain(names) // fills the pool
-	if got := testing.AllocsPerRun(200, func() { p.Explain(names) }); got > 1 {
+	var namer Namer = names
+	p.Explain(namer) // fills the pool
+	if got := testing.AllocsPerRun(200, func() { p.Explain(namer) }); got > 1 {
 		t.Errorf("Explain of a 14-relation plan allocates %v times, want <= 1", got)
 	}
 }

@@ -129,8 +129,14 @@ func (n *Node) String() string {
 	return b.String()
 }
 
-// Explain renders an indented EXPLAIN-style tree using names[i] as the name
-// of relation i (nil names fall back to indices).
+// Namer names the relations of a plan's query; *cost.Query is one.
+type Namer interface {
+	// Name returns relation i's name.
+	Name(i int) string
+}
+
+// Explain renders an indented EXPLAIN-style tree using names.Name(i) as the
+// name of relation i (a nil Namer falls back to indices).
 //
 // The text is measured before it is written, so the returned string is the
 // call's one allocation at its exact size, however deep the plan: a first
@@ -138,7 +144,7 @@ func (n *Node) String() string {
 // line lengths, a second writes the lines into a buffer of that size.
 // Indentation, which is most of a deep plan's text, is never buffered
 // twice.
-func (n *Node) Explain(names []string) string {
+func (n *Node) Explain(names Namer) string {
 	sp := explainScratch.Get().(*[]byte)
 	tails := *sp
 	size := 0
@@ -184,7 +190,7 @@ const maxPooledExplain = 64 << 10
 // It renders with strconv.Append* rather than fmt: Explain runs on every
 // /v1/explain answer, and fmt's boxing of each operand was a tenth of a
 // warm hit's CPU.
-func (n *Node) explainSize(tails []byte, names []string, indent int, size *int) []byte {
+func (n *Node) explainSize(tails []byte, names Namer, indent int, size *int) []byte {
 	start := len(tails)
 	tails = append(tails, "  (rows="...)
 	tails = appendFixed(tails, n.Rows, 0)
@@ -198,7 +204,7 @@ func (n *Node) explainSize(tails []byte, names []string, indent int, size *int) 
 		return n.Right.explainSize(tails, names, indent+1, size)
 	}
 	if names != nil {
-		*size += len("Scan ") + len(names[n.RelID])
+		*size += len("Scan ") + len(names.Name(n.RelID))
 	} else {
 		var digits [20]byte
 		*size += len("Scan R") + len(strconv.AppendInt(digits[:0], int64(n.RelID), 10))
@@ -208,14 +214,14 @@ func (n *Node) explainSize(tails []byte, names []string, indent int, size *int) 
 
 // explainWrite writes n's subtree, taking each line's tail from the front of
 // tails, and returns what is left of them.
-func (n *Node) explainWrite(b *strings.Builder, tails []byte, names []string, indent int) []byte {
+func (n *Node) explainWrite(b *strings.Builder, tails []byte, names Namer, indent int) []byte {
 	for i := 0; i < indent; i++ {
 		b.WriteString("  ")
 	}
 	if n.IsLeaf() {
 		b.WriteString("Scan ")
 		if names != nil {
-			b.WriteString(names[n.RelID])
+			b.WriteString(names.Name(n.RelID))
 		} else {
 			var digits [20]byte
 			b.WriteByte('R')

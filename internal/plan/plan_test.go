@@ -81,7 +81,7 @@ func TestStringAndExplain(t *testing.T) {
 	if s := p.String(); !strings.Contains(s, "R0") || !strings.Contains(s, "⋈") {
 		t.Errorf("String = %q", s)
 	}
-	e := p.Explain([]string{"orders", "lineitem"})
+	e := p.Explain(nameList{"orders", "lineitem"})
 	if !strings.Contains(e, "orders") || !strings.Contains(e, "HashJoin") {
 		t.Errorf("Explain = %q", e)
 	}
