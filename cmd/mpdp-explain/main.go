@@ -1,6 +1,7 @@
 // Command mpdp-explain generates one workload query, optimizes it with the
-// selected algorithm and prints the chosen plan, its cost and the paper's
-// instrumentation counters.
+// selected algorithm — by default auto, the algorithm the serving router
+// picks — and prints the algorithm that ran, the chosen plan, its cost and
+// the paper's instrumentation counters.
 //
 // Usage:
 //
@@ -26,7 +27,7 @@ func main() {
 	var (
 		kind    = flag.String("workload", "star", "workload family (star, snowflake, chain, cycle, clique, musicbrainz)")
 		rels    = flag.Int("rels", 12, "number of relations")
-		alg     = flag.String("algorithm", "auto", "optimizer (see core.Algorithms)")
+		alg     = flag.String("algorithm", "auto", "optimizer (see core.Algorithms; auto: the serving router's pick)")
 		seed    = flag.Int64("seed", 1, "workload seed")
 		timeout = flag.Duration("timeout", time.Minute, "optimization timeout")
 		k       = flag.Int("k", 0, "sub-problem bound for IDP/UnionDP (0 = default 15)")
@@ -68,7 +69,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	fmt.Printf("workload=%s rels=%d algorithm=%s\n", *kind, q.N(), *alg)
+	fmt.Printf("workload=%s rels=%d algorithm=%s\n", *kind, q.N(), res.Algorithm)
 	fmt.Printf("plan cost: %.4g   output rows: %.4g\n", res.Plan.Cost, res.Plan.Rows)
 	fmt.Printf("optimization wall time: %v\n", res.Elapsed)
 	if res.GPU != nil {

@@ -5,10 +5,9 @@
 // and the heuristics on heuristic, the one approximate substrate. The
 // substrates differ only in how core.Optimize executes the algorithm, so a
 // backend is a name plus the service's GPU device pool: Backend.Optimize
-// is one core.Optimize call. The service router (internal/service) picks
-// an algorithm per query from size, shape and the crossover thresholds of
-// this package; the serving layers report which backend produced every
-// plan.
+// is one core.Optimize call. The router (core.Route) picks an algorithm
+// per query from size, shape and its calibrated ladder; the serving layers
+// report which backend produced every plan.
 //
 // The backend split mirrors the paper's evaluation axes (CPU vs GPU,
 // sequential vs parallel, exact vs heuristic).
@@ -77,13 +76,12 @@ type Options struct {
 	Workspace *dp.Workspace
 }
 
-// Result is one backend answer: core's result, stamped with the
-// algorithm that ran and the backend that ran it, Of(Algorithm). Its GPU
-// carries the multi-device work model when Backend == GPU.
+// Result is one backend answer: core's result, stamped with the backend
+// that ran it, Of(Algorithm). Its GPU carries the multi-device work model
+// when Backend == GPU.
 type Result struct {
 	core.Result
-	Backend   ID
-	Algorithm core.Algorithm
+	Backend ID
 }
 
 // GPUConfig tunes the simulated GPU backend: a pool of GTX 1080s running
@@ -145,5 +143,5 @@ func (b Backend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Result: *res, Backend: b.id, Algorithm: alg}, nil
+	return &Result{Result: *res, Backend: b.id}, nil
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -389,6 +390,7 @@ type sweepOutcome struct {
 	sawUnreachable bool
 	sawShed        bool
 	lastErr        error
+	down           []string // owners this sweep found unreachable
 }
 
 // sweep tries a key's owners in ring order through the guarded call path.
@@ -414,7 +416,7 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 				// lack the entry: push it to the other owners
 				// (replication doubling as read-repair).
 				repDone := tr.StartSpan(obs.PhaseReplicate)
-				c.replicate(p.Key, id, owners)
+				c.replicate(p.Key, id, owners, out.down)
 				repDone()
 			}
 			out.res = &Result{Result: resp.Result, Node: id, Failover: i > 0 && out.sawUnreachable}
@@ -433,6 +435,7 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 			// way this node cannot answer and a replica can.
 			out.lastErr = err
 			out.sawUnreachable = true
+			out.down = append(out.down, id)
 			c.noteFailure(id)
 		default:
 			// The node answered and rejected the query; replicas are
@@ -508,10 +511,12 @@ func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Tra
 }
 
 // replicate copies the cache entry under key from the node that just
-// served it to the remaining owners. Maintenance traffic uses the raw
+// served it to the remaining owners, skipping the ones the request just
+// found unreachable (down): the request already counted their failure,
+// and a push would only wait on them. Maintenance traffic uses the raw
 // transport — a failed replication is repaired by the next read, so it
 // earns no retries.
-func (c *Cluster) replicate(key, from string, owners []string) {
+func (c *Cluster) replicate(key, from string, owners, down []string) {
 	if len(owners) <= 1 {
 		return
 	}
@@ -523,7 +528,7 @@ func (c *Cluster) replicate(key, from string, owners []string) {
 	}
 	req := Request{Kind: ReqImport, Entries: resp.Entries}
 	for _, id := range owners {
-		if id == from {
+		if id == from || slices.Contains(down, id) {
 			continue
 		}
 		ictx, icancel := c.maintCtx()

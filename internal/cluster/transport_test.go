@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -598,9 +599,10 @@ func TestPartitionChurnUnderLoad(t *testing.T) {
 // bounds what a dead owner costs the request path. With shipped defaults,
 // sequential requests for one key pay at most MaxAttempts transport faults
 // per request until the detector removes the owner from the ring, and none
-// after it. The bound is reached early: the first failover's replication
-// push to the dead owner fails too, which is the detector's second strike,
-// so one request's MaxAttempts faults are all the owner ever costs.
+// after it. Each request is one strike — a failover's replication push
+// skips the owner the request just found unreachable — so the owner dies
+// after FailureThreshold requests, having cost FailureThreshold x
+// MaxAttempts faults.
 func TestDetectorBoundsDeadOwnerCost(t *testing.T) {
 	ft := NewFaultTransport(NewLocalTransport(), 1)
 	c := New(Config{Nodes: 3, Replicas: 2, Transport: ft})
@@ -639,8 +641,8 @@ func TestDetectorBoundsDeadOwnerCost(t *testing.T) {
 		t.Fatalf("owner %s not in dead_nodes after %d requests", owner, threshold)
 	}
 	fails := c.Snapshot().TransportFails
-	if fails != uint64(attempts) {
-		t.Errorf("transport_fails = %d once the owner is dead, want %d (one request's attempts)", fails, attempts)
+	if want := uint64(threshold * attempts); fails != want {
+		t.Errorf("transport_fails = %d once the owner is dead, want %d (each request's attempts)", fails, want)
 	}
 	if bound := uint64(threshold * attempts); fails > bound {
 		t.Errorf("transport_fails = %d, above FailureThreshold x MaxAttempts = %d", fails, bound)
@@ -650,5 +652,35 @@ func TestDetectorBoundsDeadOwnerCost(t *testing.T) {
 	}
 	if got := c.Snapshot().TransportFails; got != fails {
 		t.Errorf("20 requests after the owner's removal added %d transport faults", got-fails)
+	}
+}
+
+// TestOneFailoverIsOneStrike: a request that fails over past a cut owner
+// counts one strike against it, not two — the failover's replication push
+// skips the owner — so with FailureThreshold above one the owner is still
+// a ring member afterwards.
+func TestOneFailoverIsOneStrike(t *testing.T) {
+	ft := NewFaultTransport(NewLocalTransport(), 1)
+	c := New(Config{Nodes: 3, Replicas: 2, Transport: ft})
+	defer c.Close()
+	if c.cfg.FailureThreshold < 2 {
+		t.Fatalf("FailureThreshold = %d; the test needs at least 2", c.cfg.FailureThreshold)
+	}
+	q := genQuery(t, workload.KindChain, 7, 17)
+	if _, err := c.Optimize(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	owner := c.Owners(service.FingerprintQuery(q).Key)[0]
+	ft.Cut(owner)
+	res, err := c.Optimize(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Failover {
+		t.Fatalf("request after the cut served by %s without a failover", res.Node)
+	}
+	if snap := c.Snapshot(); !slices.Contains(snap.AliveNodes, owner) {
+		t.Errorf("owner %s left alive_nodes after one failed-over request: alive %v, dead %v",
+			owner, snap.AliveNodes, snap.DeadNodes)
 	}
 }

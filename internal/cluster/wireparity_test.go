@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/service"
 	"repro/internal/workload"
 )
@@ -106,7 +107,7 @@ func TestWireRoundTripAllFields(t *testing.T) {
 			Key:       "n5|0:1,1:2;s1",
 			Algorithm: "mpdp",
 			Backend:   "cpu-seq",
-			Shape:     service.ShapeChain,
+			Shape:     core.ShapeChain,
 			FellBack:  true,
 			Epoch:     3,
 			Hits:      9,

@@ -3,10 +3,12 @@
 // this repository — the sequential exact algorithms (DPSize, DPSub, DPCCP,
 // MPDP), the CPU-parallel MPDP, the GPU-model ones (DPSize-GPU, DPSub-GPU,
 // MPDP-GPU) and the heuristics (GOO, IKKBZ, LinDP/adaptive, IDP2-MPDP,
-// UnionDP-MPDP) — plus the paper's recommended automatic policy (exact MPDP
-// up to the raised fall-back limit of 25 relations, UnionDP beyond it). Each
-// registered algorithm has its reason to exist on file in DESIGN.md's
-// "Experiment index": a router band, an experiment or a test's reference.
+// UnionDP-MPDP) — plus AlgAuto, the one routing policy (Route): the
+// calibrated ladder of exact bands, MPDP past the paper's raised fall-back
+// limit of 25 relations on the GPU model, IDP2 or LinDP beyond. The service
+// serves every request by the same Route. Each registered algorithm has its
+// reason to exist on file in DESIGN.md's "Experiment index": a router band,
+// an experiment or a test's reference.
 package core
 
 import (
@@ -44,7 +46,7 @@ const (
 	AlgLinDP   Algorithm = "lindp" // adaptive LinDP of Neumann & Radke
 	AlgIDP2    Algorithm = "idp2-mpdp"
 	AlgUnionDP Algorithm = "uniondp-mpdp"
-	AlgAuto    Algorithm = "auto" // MPDP up to 25 rels, UnionDP beyond
+	AlgAuto    Algorithm = "auto" // the algorithm Route picks
 )
 
 // Algorithms lists every registered optimizer name.
@@ -89,9 +91,9 @@ type Options struct {
 	Model *cost.Model
 	// Timeout bounds optimization time (0: unlimited).
 	Timeout time.Duration
-	// Threads is the worker count of parallel.MPDP: AlgMPDPParallel, and
-	// the inner MPDP runs of AlgIDP2, AlgUnionDP, AlgLinDP and of AlgAuto
-	// past FallbackLimit (0: all cores). The other algorithms ignore it.
+	// Threads is the worker count of parallel.MPDP: AlgMPDPParallel, the
+	// inner MPDP runs of AlgIDP2, AlgUnionDP and AlgLinDP, and whichever of
+	// these AlgAuto routes to (0: all cores). The other algorithms ignore it.
 	Threads int
 	// K is the sub-problem bound for IDP/UnionDP (0: 15, the paper default).
 	K int
@@ -104,28 +106,29 @@ type Options struct {
 	// alias it: callers must copy the tree before the workspace's next
 	// optimization. Long-lived workers keep one each; no plan depends on it.
 	Workspace *dp.Workspace
-	// FallbackLimit is the relation count up to which Auto plans exactly
-	// (0: 25, the paper's raised heuristic-fall-back limit).
-	FallbackLimit int
 }
 
 // Result is the outcome of one optimization.
 type Result struct {
-	Plan    *plan.Node
-	Stats   dp.Stats
-	Elapsed time.Duration
+	// Algorithm is the algorithm that ran: the one Options named, or the
+	// one Route picked for AlgAuto.
+	Algorithm Algorithm
+	Plan      *plan.Node
+	Stats     dp.Stats
+	Elapsed   time.Duration
 	// GPU carries the device work model for the *-gpu algorithms;
 	// GPU.SimTimeMS is the modeled device time (see internal/gpusim).
 	GPU *gpusim.MultiStats
 }
 
-// Optimize plans the query with the selected algorithm. The context is
+// Optimize plans the query with the selected algorithm, or with the one
+// Route picks when that is AlgAuto (the default). The context is
 // checked cooperatively throughout the enumeration: cancelling it aborts an
 // in-flight run promptly with the context's error, independently of (and in
 // addition to) Options.Timeout. A nil ctx means context.Background().
 func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error) {
-	if opts.Algorithm == "" {
-		opts.Algorithm = AlgAuto
+	if opts.Algorithm == "" || opts.Algorithm == AlgAuto {
+		opts.Algorithm, _ = Route(q)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -152,7 +155,7 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 	}
 
 	start := time.Now()
-	res := &Result{}
+	res := &Result{Algorithm: opts.Algorithm}
 	var err error
 	switch opts.Algorithm {
 	case AlgDPSize:
@@ -178,16 +181,6 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		res.Plan, err = heuristic.IDP2(q, hOpt)
 	case AlgUnionDP:
 		res.Plan, err = heuristic.UnionDP(q, hOpt)
-	case AlgAuto:
-		limit := opts.FallbackLimit
-		if limit == 0 {
-			limit = 25
-		}
-		if q.N() <= limit {
-			res.Plan, res.Stats, res.GPU, err = gpuRun(in, gcfg, gpusim.AlgoMPDP)
-		} else {
-			res.Plan, err = heuristic.UnionDP(q, hOpt)
-		}
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", opts.Algorithm)
 	}

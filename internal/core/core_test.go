@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cost"
 	"repro/internal/leaktest"
 	"repro/internal/workload"
 )
@@ -58,30 +59,34 @@ func TestGPUAlgorithmsReportDeviceStats(t *testing.T) {
 	}
 }
 
+// TestAutoPolicySwitchesAtFallbackLimit: auto runs the algorithm Route
+// picks and reports it — exact through the ladder's bands, the GPU model
+// past the paper's fall-back limit of 25 relations, a heuristic beyond.
 func TestAutoPolicySwitchesAtFallbackLimit(t *testing.T) {
-	small := workload.Star(8, rand.New(rand.NewSource(3)))
-	res, err := Optimize(context.Background(), small, Options{Algorithm: AlgAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU == nil {
-		t.Error("Auto below the fall-back limit must plan exactly (GPU MPDP)")
-	}
-	big := workload.Snowflake(40, rand.New(rand.NewSource(4)))
-	res, err = Optimize(context.Background(), big, Options{Algorithm: AlgAuto, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU != nil {
-		t.Error("Auto above the fall-back limit must use the heuristic")
-	}
-	// A custom limit flips the decision.
-	res, err = Optimize(context.Background(), small, Options{Algorithm: AlgAuto, FallbackLimit: 4, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GPU != nil {
-		t.Error("lowered fall-back limit ignored")
+	for _, tc := range []struct {
+		q    *cost.Query
+		want Algorithm
+	}{
+		{workload.Chain(8, rand.New(rand.NewSource(3))), AlgDPCCP},
+		{workload.Star(8, rand.New(rand.NewSource(3))), AlgMPDPParallel},
+		{workload.Cycle(25, rand.New(rand.NewSource(4))), AlgMPDPParallel},
+		{workload.Cycle(30, rand.New(rand.NewSource(4))), AlgMPDPGPU},
+		{workload.Cycle(60, rand.New(rand.NewSource(4))), AlgIDP2},
+		{workload.MusicBrainzQuery(60, rand.New(rand.NewSource(4))), AlgLinDP},
+	} {
+		if got, _ := Route(tc.q); got != tc.want {
+			t.Fatalf("%d relations: Route picks %s, want %s", tc.q.N(), got, tc.want)
+		}
+		res, err := Optimize(context.Background(), tc.q, Options{Algorithm: AlgAuto, Timeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != tc.want {
+			t.Errorf("%d relations: auto ran %s, want %s", tc.q.N(), res.Algorithm, tc.want)
+		}
+		if (res.GPU != nil) != (tc.want == AlgMPDPGPU) {
+			t.Errorf("%d relations: %s reported GPU stats %v", tc.q.N(), res.Algorithm, res.GPU)
+		}
 	}
 }
 

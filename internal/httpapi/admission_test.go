@@ -33,7 +33,7 @@ func TestShedUnderCancellation(t *testing.T) {
 	launch := func(n int) (cancel context.CancelFunc, done chan error) {
 		ctx, c := context.WithCancel(context.Background())
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/optimize",
-			strings.NewReader(workload.CliqueSQL(n)))
+			strings.NewReader(workload.NearCliqueSQL(n)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -495,7 +495,7 @@ func (a *API) handleFingerprint(w http.ResponseWriter, r *http.Request) {
 		Fingerprint: p.Key,
 		Relations:   p.Query.N(),
 		Edges:       len(p.Query.G.Edges),
-		Shape:       string(service.DetectShape(p.Query.G)),
+		Shape:       string(core.DetectShape(p.Query.G)),
 	})
 }
 

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/service"
 	"repro/internal/workload"
@@ -115,25 +114,24 @@ func contains(ss []string, want string) bool {
 	return false
 }
 
-// wedgeConfig is a one-worker service on which workload.CliqueSQL of
+// wedgeConfig is a one-worker service on which workload.NearCliqueSQL of
 // workload.WedgeRelations relations is still enumerating, exactly, when a
-// test is over: both CPU exact bands are lifted past the clique (the
-// default router hands cliques beyond 14 relations to a heuristic, which
-// finishes at once), the enumeration is pinned to one thread so that the
-// minute it needs does not shrink with the host's core count, and no
-// budget expires.
+// test is over: the router plans a dense general graph of up to 25
+// relations exactly on MPDP-CPU (a full clique past 14 relations goes to a
+// heuristic, which finishes at once), the enumeration is pinned to one
+// thread so that the minute it needs does not shrink with the host's core
+// count, and no budget expires.
 func wedgeConfig() service.Config {
 	return service.Config{
-		Workers:   1,
-		Threads:   1,
-		Crossover: &backend.Crossover{CPUParallelLimit: 64, CliqueCPULimit: 64},
-		Timeout:   time.Hour,
+		Workers: 1,
+		Threads: 1,
+		Timeout: time.Hour,
 	}
 }
 
 // TestClientDisconnectCancelsInFlightOptimization is the satellite
-// regression test: a clique forced onto the exact CPU-parallel route costs
-// 3^20 join pairs; aborting the HTTP request must cancel that enumeration
+// regression test: a near-clique on the exact CPU-parallel route costs
+// about 3^20 join pairs; aborting the HTTP request must cancel that enumeration
 // promptly, free the worker, and account the cancellation in the counters.
 func TestClientDisconnectCancelsInFlightOptimization(t *testing.T) {
 	// One worker, so a leak would wedge the pool.
@@ -144,7 +142,7 @@ func TestClientDisconnectCancelsInFlightOptimization(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/optimize",
-		strings.NewReader(workload.CliqueSQL(workload.WedgeRelations)))
+		strings.NewReader(workload.NearCliqueSQL(workload.WedgeRelations)))
 	if err != nil {
 		t.Fatal(err)
 	}

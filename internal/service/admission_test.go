@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/workload"
 )
 
@@ -90,17 +89,17 @@ func TestImmediateShedWhenQueueFull(t *testing.T) {
 	svc := New(Config{
 		Workers:    1,
 		QueueDepth: 1,
-		Crossover:  &backend.Crossover{CPUParallelLimit: 64, CliqueCPULimit: 64},
 		Timeout:    time.Hour,
 		Admission:  Admission{MaxQueueWait: -1},
 	})
 	defer svc.Close()
 
-	// A clique-17, planned exactly on cpu-parallel, holds the worker for
-	// seconds (3^17 csg-cmp pairs) until its context is cancelled; anything costed in milliseconds lets the
-	// queue drain between two polls of this test.
+	// A near-clique of 17 relations, planned exactly on cpu-parallel, holds
+	// the worker for seconds (about 3^17 csg-cmp pairs) until its context is
+	// cancelled; anything costed in milliseconds lets the queue drain
+	// between two polls of this test.
 	big := func(seed int64) func() {
-		q := workload.Clique(17, rand.New(rand.NewSource(seed)))
+		q := withEdges(workload.Clique(17, rand.New(rand.NewSource(seed))), 0, 16, false)
 		ctx, cancel := context.WithCancel(context.Background())
 		go svc.Optimize(ctx, q)
 		return cancel

@@ -22,7 +22,7 @@ type cached struct {
 	stats    dp.Stats
 	alg      core.Algorithm
 	backend  backend.ID
-	shape    Shape
+	shape    core.Shape
 	gpu      *gpusim.MultiStats // device work model when backend == gpu
 	fellBack bool
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/workload"
 )
 
@@ -34,13 +35,13 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePutRefreshesExisting(t *testing.T) {
 	c := NewCache(1, 2)
-	c.Put(&cached{key: "k", shape: ShapeChain})
-	c.Put(&cached{key: "k", shape: ShapeStar})
+	c.Put(&cached{key: "k", shape: core.ShapeChain})
+	c.Put(&cached{key: "k", shape: core.ShapeStar})
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 	e, ok := c.Get("k")
-	if !ok || e.shape != ShapeStar {
+	if !ok || e.shape != core.ShapeStar {
 		t.Errorf("refresh lost the newest entry: %+v ok=%v", e, ok)
 	}
 }

@@ -13,9 +13,9 @@ import (
 // the DPCCP optimum, to a bound of its own on the shapes the router sends
 // past the exact band, seeds 1-3. Each bound sits about 1 % above the worst
 // of the three ratios. The heuristics are deterministic, so a bound that
-// breaks means a plan changed. The table is why heuristicFor routes as it
-// does: IDP2 stays within 1.33x on cycles and chains, where LinDP reaches
-// 8.2x on a cycle-64; LinDP stays within 1.08x on MusicBrainz walks; UnionDP
+// breaks means a plan changed. The table is why core.HeuristicFor routes
+// as it does: IDP2 stays within 1.33x on cycles and chains, where LinDP
+// reaches 8.2x on a cycle-64; LinDP stays within 1.08x on MusicBrainz walks; UnionDP
 // is 12-7 400x everywhere but on stars. Each shape is also routed, at a
 // size past the exact band, to the heuristic its row says.
 func TestHeuristicOverOptimum(t *testing.T) {

@@ -14,15 +14,17 @@ import (
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/gpusim"
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
 // Config tunes a Service. The zero value selects the defaults listed on
-// each field, which follow the regimes of the paper's evaluation: exact DP
-// for small graphs, CPU-parallel MPDP for medium ones, GPU-MPDP for large
-// trees and sparse cyclic graphs up to the bitset width, and beyond that
-// IDP2 for trees and unicyclic graphs, the adaptive LinDP for the rest.
+// each field. Routing has no setting: every request takes core.Route, the
+// ladder calibrated for the paper's evaluation — exact DP for small graphs,
+// CPU-parallel MPDP for medium ones, GPU-MPDP for large trees and sparse
+// cyclic graphs up to the bitset width, and beyond that IDP2 for trees and
+// unicyclic graphs, the adaptive LinDP for the rest.
 type Config struct {
 	// CacheShards is the plan-cache shard count (0: 16; rounded up to a
 	// power of two).
@@ -38,13 +40,6 @@ type Config struct {
 	QueueDepth int
 	// Threads is passed to CPU-parallel optimizers (0: all cores).
 	Threads int
-	// Crossover sets the backend-crossover thresholds of the router (nil:
-	// backend.DefaultCrossover(), calibrated from the GPU device model).
-	// Values are taken as-is: the router is a waterfall (small →
-	// cpu-parallel → gpu → heuristic), so an inverted ladder is
-	// well-defined and simply leaves the shadowed band empty (e.g.
-	// GPULimit < CPUParallelLimit disables the GPU band).
-	Crossover *backend.Crossover
 	// GPU configures the simulated GPU backend's device count (zero
 	// value: 2 × GTX 1080).
 	GPU backend.GPUConfig
@@ -90,15 +85,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// crossover resolves the router thresholds: the Crossover field, or the
-// calibrated defaults.
-func (c Config) crossover() backend.Crossover {
-	if c.Crossover != nil {
-		return c.Crossover.WithDefaults()
-	}
-	return backend.DefaultCrossover()
-}
-
 // Result is one service answer. Plan is always a private copy in the
 // caller's relation-index space; callers may mutate it freely.
 type Result struct {
@@ -108,7 +94,7 @@ type Result struct {
 	// cpu-parallel, gpu, heuristic); cache hits report the backend of the
 	// original optimization.
 	Backend backend.ID
-	Shape   Shape
+	Shape   core.Shape
 	Stats   dp.Stats
 	// GPU carries the multi-device work model when Backend == gpu. It is
 	// shared with the cache entry: treat as read-only.
@@ -173,7 +159,6 @@ type request struct {
 // package comment. Create with New, release with Close.
 type Service struct {
 	cfg      Config
-	xover    backend.Crossover
 	backends *backend.Set
 	cache    *Cache
 	counters Counters
@@ -198,7 +183,6 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		xover:    cfg.crossover(),
 		backends: backend.NewSet(cfg.GPU),
 		cache:    NewCache(cfg.CacheShards, cfg.CacheCapacity),
 		slog:     obs.NewSlowLog(cfg.Slow),
@@ -252,6 +236,9 @@ func (s *Service) CacheLen() int { return s.cache.Len() }
 // Deprecated: bench-compat; remove with the probes. Always 0.
 func (s *Service) SubCacheLen() int { return 0 }
 
+// Deprecated: bench-compat; use core.DetectShape.
+func DetectShape(g *graph.Graph) core.Shape { return core.DetectShape(g) }
+
 // StatsEpoch returns the current catalog stats epoch (starts at 1).
 func (s *Service) StatsEpoch() uint64 { return s.counters.statsEpoch.Load() }
 
@@ -268,82 +255,12 @@ func (s *Service) BumpStatsEpoch() (old, cur uint64) {
 	return cur - 1, cur
 }
 
-// Route reports which algorithm the adaptive router would pick for q,
-// given its size, detected shape and edge density, and the backend that
-// runs it.
-func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, Shape) {
-	shape := DetectShape(q.G)
-	alg := s.route(q.N(), shape, len(q.G.Edges))
+// Route reports the algorithm core.Route picks for q, the backend that
+// runs it and q's shape: the route a miss on q takes.
+func (s *Service) Route(q *cost.Query) (core.Algorithm, backend.ID, core.Shape) {
+	alg, shape := core.Route(q)
 	bid, _ := backend.Of(alg)
 	return alg, bid, shape
-}
-
-// Crossover returns the resolved router thresholds.
-func (s *Service) Crossover() backend.Crossover { return s.xover }
-
-// route walks the crossover ladder (see backend.Crossover): for small
-// graphs, CPU-parallel MPDP on cliques and stars, where every set is one
-// block or a tree and the levels are thick, and sequential DPCCP on the
-// rest; CPU-parallel MPDP to the paper's fall-back limit, then — where the
-// pre-GPU router gave up and went heuristic — GPU-MPDP with fused pruning
-// and CCC for large trees and sparse cyclic graphs up to the bitset width.
-// Cliques and dense general graphs (whose connected-set space explodes the
-// same way) cap the exact bands early, and everything beyond goes to the
-// graph's heuristic (heuristicFor).
-func (s *Service) route(n int, shape Shape, edges int) core.Algorithm {
-	x := &s.xover
-	if n <= x.SmallLimit && n <= 64 {
-		if shape == ShapeClique || shape == ShapeStar {
-			return core.AlgMPDPParallel
-		}
-		return core.AlgDPCCP
-	}
-	// Only literal cliques shrink the CPU-parallel band (its pre-backend
-	// contract); the density test additionally caps the new GPU band,
-	// where a dense general graph's connected-set lattice explodes like a
-	// clique's. Dense graphs of 17..25 relations therefore still get the
-	// exact CPU-parallel route they always had.
-	cpuLimit := x.CPUParallelLimit
-	if shape == ShapeClique && x.CliqueCPULimit < cpuLimit {
-		cpuLimit = x.CliqueCPULimit
-	}
-	if n <= cpuLimit && n <= 64 {
-		return core.AlgMPDPParallel
-	}
-	gpuLimit := x.GPULimit
-	if shape == ShapeClique || shape == ShapeStar ||
-		(shape == ShapeGeneral && float64(edges) > x.DenseEdgeFactor*float64(n)) {
-		// Cliques and dense graphs explode the candidate-pair space;
-		// stars explode the *lattice* instead — a hub of degree d has
-		// 2^d connected supersets, so a star past ~26 relations is
-		// mathematically guaranteed to overflow the memo cap before the
-		// GPU run finishes enumerating. All three skip to the clique cap
-		// (stars ≤ the CPU band never reach here, so in practice stars
-		// route heuristically beyond 25 — the pre-backend behaviour).
-		gpuLimit = x.GPUCliqueLimit
-	}
-	if n <= gpuLimit && n <= 64 {
-		return core.AlgMPDPGPU
-	}
-	return heuristicFor(n, edges)
-}
-
-// heuristicFor is the heuristic that plans a graph of n relations and the
-// given number of edges past the exact bands, and the one an exact route
-// that ran out of budget falls back to. A heuristic's cost follows the
-// graph's cyclic core. Trees and unicyclic graphs (at most n edges) go to
-// IDP2: its windows are chains there, and it comes within 1.33 times the
-// optimum on every cycle DESIGN.md tabulates, where LinDP reaches 8.2.
-// Every other graph (MusicBrainz walks, dense general graphs, cliques) goes
-// to the adaptive LinDP. There IDP2's windows are dense and cost an inner
-// DP each, while LinDP's interval DP stays O(n³). UnionDP plans neither:
-// it cost 12 to 7 400 times the optimum on the cycles and MusicBrainz
-// walks DESIGN.md tabulates ("The large-query route").
-func heuristicFor(n, edges int) core.Algorithm {
-	if edges <= n {
-		return core.AlgIDP2
-	}
-	return core.AlgLinDP
 }
 
 // Prepared is a compiled query together with its canonical fingerprint: the
@@ -734,8 +651,7 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 		return
 	}
 	routeDone := r.tr.StartSpan(obs.PhaseRoute)
-	shape := DetectShape(r.q.G)
-	alg := s.route(r.q.N(), shape, len(r.q.G.Edges))
+	alg, shape := core.Route(r.q)
 	s.counters.observeRoute(alg)
 	routeDone()
 
@@ -788,11 +704,11 @@ func (s *Service) finishFlight(r request) {
 
 // optimizeWithFallback runs the routed algorithm on its backend under the
 // time budget; when an exact route times out it retries once with the
-// graph's heuristic (heuristicFor) under a fresh budget (the adaptive part of adaptive
-// routing: the router's crossover thresholds are estimates, the budget is
-// the contract). The fallback is charged to the backend that
-// timed out. Caller cancellation (ctx) aborts outright — a caller that
-// walked away gets no heuristic retry.
+// graph's heuristic (core.HeuristicFor) under a fresh budget (the adaptive
+// part of adaptive routing: the router's crossover thresholds are
+// estimates, the budget is the contract). The fallback is charged to the
+// backend that timed out. Caller cancellation (ctx) aborts outright — a
+// caller that walked away gets no heuristic retry.
 func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, ws *dp.Workspace) (*backend.Result, error) {
 	opts := backend.Options{
 		Model:     s.cfg.Model,
@@ -807,5 +723,5 @@ func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg c
 		return res, err
 	}
 	s.counters.observeFallback(bid)
-	return s.backends.Get(backend.Heuristic).Optimize(ctx, q, heuristicFor(q.N(), len(q.G.Edges)), opts)
+	return s.backends.Get(backend.Heuristic).Optimize(ctx, q, core.HeuristicFor(q), opts)
 }

@@ -57,7 +57,7 @@ func TestRouterMatchesDPCCPSmall(t *testing.T) {
 				t.Errorf("%s/%d: service cost %g, DPCCP cost %g", kind, n, res.Plan.Cost, want)
 			}
 			want := core.AlgDPCCP
-			if shape := DetectShape(q.G); shape == ShapeClique || shape == ShapeStar {
+			if shape := core.DetectShape(q.G); shape == core.ShapeClique || shape == core.ShapeStar {
 				want = core.AlgMPDPParallel // a 4-relation walk may be a star too
 				mpdp++
 			}
@@ -127,14 +127,12 @@ func TestRouteThresholds(t *testing.T) {
 func TestRouteDenseGeneralCapped(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
-	x := s.Crossover()
 
 	// A near-clique: clique minus one edge is still ShapeGeneral but far
-	// denser than DenseEdgeFactor allows.
+	// denser than the ladder's dense-edge factor allows.
 	nearClique := func(n int) *cost.Query {
-		q := genQuery(t, workload.KindClique, n, 3)
-		q.G.Edges = q.G.Edges[:len(q.G.Edges)-1]
-		if shape := DetectShape(q.G); shape != ShapeGeneral {
+		q := withEdges(genQuery(t, workload.KindClique, n, 3), 0, n-1, false)
+		if shape := core.DetectShape(q.G); shape != core.ShapeGeneral {
 			t.Fatalf("clique minus an edge detected as %s, want general", shape)
 		}
 		return q
@@ -142,7 +140,7 @@ func TestRouteDenseGeneralCapped(t *testing.T) {
 
 	// Inside the CPU band, density must not downgrade exactness: the
 	// pre-backend router planned these exactly with parallel MPDP.
-	n := x.GPUCliqueLimit + 2 // 18 by default, within cpu_parallel_limit
+	n := 18 // two past the GPU clique cap, within the CPU band
 	alg, bid, _ := s.Route(nearClique(n))
 	if alg != core.AlgMPDPParallel || bid != backend.CPUParallel {
 		t.Errorf("dense general graph of %d rels routed to %s on %s, want mpdp-cpu on cpu-parallel",
@@ -162,18 +160,6 @@ func TestRouteDenseGeneralCapped(t *testing.T) {
 	alg, bid, _ = s.Route(sparse)
 	if alg != core.AlgMPDPGPU || bid != backend.GPU {
 		t.Errorf("sparse cycle of 30 rels routed to %s on %s, want mpdp-gpu on gpu", alg, bid)
-	}
-}
-
-// TestRouteCrossoverConfig: config-loaded thresholds move the band edges.
-func TestRouteCrossoverConfig(t *testing.T) {
-	s := New(Config{Crossover: &backend.Crossover{GPULimit: 30}})
-	defer s.Close()
-	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 30, 1)); alg != core.AlgMPDPGPU || bid != backend.GPU {
-		t.Errorf("cycle/30 under gpu_limit=30: %s on %s", alg, bid)
-	}
-	if alg, bid, _ := s.Route(genQuery(t, workload.KindCycle, 31, 1)); alg != core.AlgIDP2 || bid != backend.Heuristic {
-		t.Errorf("cycle/31 over gpu_limit=30: %s on %s", alg, bid)
 	}
 }
 
@@ -408,13 +394,13 @@ func TestFallbackOnTimeout(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timeout fallback burns the budget twice")
 	}
-	// Widen the small band so the router hands a 16-clique to CPU-parallel
-	// MPDP with a budget it cannot meet; the service must fall back to
-	// LinDP on the heuristic backend and charge the overrun to
+	// The router hands a 16-relation near-clique, a dense general graph, to
+	// CPU-parallel MPDP with a budget it cannot meet; the service must fall
+	// back to LinDP on the heuristic backend and charge the overrun to
 	// cpu-parallel.
-	s := New(Config{Crossover: &backend.Crossover{SmallLimit: 16}, Timeout: 150 * time.Millisecond, K: 8})
+	s := New(Config{Timeout: 150 * time.Millisecond, K: 8})
 	defer s.Close()
-	q := genQuery(t, workload.KindClique, 16, 2)
+	q := withEdges(genQuery(t, workload.KindClique, 16, 2), 0, 15, false)
 	res, err := s.Optimize(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +512,7 @@ func TestHubHeavyGPUBandFallsBackWithinBudget(t *testing.T) {
 	s := New(Config{Timeout: 300 * time.Millisecond, K: 8})
 	defer s.Close()
 	q := hubTreeQuery(t, 40)
-	if shape := DetectShape(q.G); shape != ShapeTree {
+	if shape := core.DetectShape(q.G); shape != core.ShapeTree {
 		t.Fatalf("precondition: hub tree detected as %s, want tree", shape)
 	}
 	start := time.Now()

@@ -128,7 +128,18 @@ func CycleSQL(n int) string {
 // and 3^n valid join pairs, and every exact enumerator has to cost each of
 // those pairs, so — unlike a big cycle, which only the subset-unranking
 // enumerators choke on — no exact route finishes it quickly.
-func CliqueSQL(n int) string {
+func CliqueSQL(n int) string { return cliqueSQL(n, n) }
+
+// NearCliqueSQL renders CliqueSQL's clique minus the join of its first and
+// last alias: two equivalence classes on different columns, a0…a(n−2) on
+// id and a1…a(n−1) on c. The router plans it as a dense general graph,
+// exactly on MPDP-CPU up to 25 relations, where it sends a clique of more
+// than 14 to a heuristic; its enumeration costs a clique's.
+func NearCliqueSQL(n int) string { return cliqueSQL(n, n-1) }
+
+// cliqueSQL renders n aliases of artist, a0…a(k−1) equated along a chain
+// on id and, when k < n, a(n−k)…a(n−1) along a chain on c.
+func cliqueSQL(n, k int) string {
 	var b strings.Builder
 	b.WriteString("SELECT a0.id FROM ")
 	for i := 0; i < n; i++ {
@@ -138,19 +149,22 @@ func CliqueSQL(n int) string {
 		fmt.Fprintf(&b, "artist a%d", i)
 	}
 	b.WriteString(" WHERE ")
-	for i := 1; i < n; i++ {
+	for i := 1; i < k; i++ {
 		if i > 1 {
 			b.WriteString(" AND ")
 		}
 		fmt.Fprintf(&b, "a%d.id = a%d.id", i-1, i)
 	}
+	for i := n - k + 1; k < n && i < n; i++ {
+		fmt.Fprintf(&b, " AND a%d.c = a%d.c", i-1, i)
+	}
 	return b.String()
 }
 
-// WedgeRelations is the clique size at which CliqueSQL outlasts any test
-// that cancels it: 3.5 billion pairs, about a minute on one thread (pin
-// the run to one, or the minute shrinks with the host's cores), while the
-// level drivers' pre-sized DP table stays near 130 MB. At 24 relations that
-// table is 2.4 GB, and allocating it is the one stretch of a run that does
-// not poll for cancellation.
+// WedgeRelations is the size at which CliqueSQL and NearCliqueSQL outlast
+// any test that cancels them: 3.5 billion pairs, about a minute on one
+// thread (pin the run to one, or the minute shrinks with the host's
+// cores), while the level drivers' pre-sized DP table stays near 130 MB.
+// At 24 relations that table is 2.4 GB, and allocating it is the one
+// stretch of a run that does not poll for cancellation.
 const WedgeRelations = 20

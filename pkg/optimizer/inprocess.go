@@ -6,16 +6,17 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpusim"
-	"repro/internal/service"
 )
 
 // inProcess runs the algorithms directly in the caller's process.
 type inProcess struct{}
 
 // InProcess returns the library driver: every Optimize call runs the
-// selected algorithm (default AlgAuto) synchronously in this process, with
-// no cache and no routing. It is the driver with full per-call control:
-// WithAlgorithm, WithThreads, WithGPUDevices and friends all apply.
+// selected algorithm synchronously in this process, with no cache. The
+// default, AlgAuto, is the serving router (core.Route), and the result
+// names the algorithm it picked. It is the driver with full per-call
+// control: WithAlgorithm, WithThreads, WithGPUDevices and friends all
+// apply.
 func InProcess() Optimizer { return inProcess{} }
 
 func (inProcess) Close() error { return nil }
@@ -44,15 +45,12 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	out := &Result{
 		Cost:        res.Plan.Cost,
 		Rows:        res.Plan.Rows,
-		Algorithm:   o.algorithm,
+		Algorithm:   Algorithm(res.Algorithm),
 		Fingerprint: q.prepared().Key,
-		Shape:       string(service.DetectShape(q.q.G)),
+		Shape:       string(core.DetectShape(q.q.G)),
 		Elapsed:     time.Since(start),
 		Evaluated:   res.Stats.Evaluated,
 		CCPPairs:    res.Stats.CCP,
-	}
-	if out.Algorithm == "" {
-		out.Algorithm = AlgAuto
 	}
 	if res.GPU != nil {
 		out.GPUDevices = res.GPU.Devices

@@ -56,7 +56,8 @@ const (
 	AlgLinDP   Algorithm = "lindp"
 	AlgIDP2    Algorithm = "idp2-mpdp"
 	AlgUnionDP Algorithm = "uniondp-mpdp"
-	// AlgAuto picks the paper's recommended policy for the query size.
+	// AlgAuto runs the algorithm the serving router picks for the query's
+	// size and shape; results name the algorithm that ran.
 	AlgAuto Algorithm = "auto"
 )
 
@@ -89,13 +90,13 @@ type Result struct {
 	// Cost and Rows of the chosen plan under the paper's cost model.
 	Cost float64
 	Rows float64
-	// Algorithm that produced the plan and the execution Backend it ran on
-	// (cpu-seq, cpu-parallel, gpu, heuristic; empty for InProcess runs of
-	// explicitly chosen algorithms).
+	// Algorithm that produced the plan (never AlgAuto) and the execution
+	// Backend it ran on (cpu-seq, cpu-parallel, gpu, heuristic; empty for
+	// InProcess).
 	Algorithm Algorithm
 	Backend   string
 	// Shape is the detected join-graph shape (chain, star, clique, tree,
-	// general; empty for InProcess).
+	// general).
 	Shape string
 	// Fingerprint is the canonical join-graph fingerprint: the cache
 	// identity shared by isomorphic queries with identical statistics.

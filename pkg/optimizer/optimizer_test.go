@@ -265,8 +265,10 @@ func TestServerRoutedRejectsAlgorithm(t *testing.T) {
 // TestCancelInFlightExactOptimization is the acceptance criterion at SDK
 // level: cancelling the context of an in-flight exact optimization returns
 // promptly — well under the remaining enumeration time — on both local
-// drivers. The query is the clique of workload.CliqueSQL, which no exact
-// enumerator finishes in under a minute on one thread.
+// drivers. The query is the clique of workload.CliqueSQL (the served
+// driver's router plans the near-clique of workload.NearCliqueSQL exactly
+// instead), which no exact enumerator finishes in under a minute on one
+// thread.
 func TestCancelInFlightExactOptimization(t *testing.T) {
 	const relations = workload.WedgeRelations
 	q, err := CompileSQL(workload.CliqueSQL(relations))
@@ -297,9 +299,18 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 	})
 
 	t.Run("served", func(t *testing.T) {
-		// ExactLimit 64 keeps the clique on the exact CPU-parallel route;
-		// one thread, so the run does not shorten with the host's cores.
-		s := Served(ServedConfig{Workers: 1, Threads: 1, ExactLimit: 64, Timeout: time.Hour})
+		// The router sends a full clique of this size to a heuristic, and a
+		// near-clique to the exact CPU-parallel route; one thread, so the
+		// run does not shorten with the host's cores.
+		q, err := CompileSQL(workload.NearCliqueSQL(relations))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Relations() != relations || q.Joins() != relations*(relations-1)/2-1 {
+			t.Fatalf("NearCliqueSQL(%d) bound to %d relations and %d joins, want a clique minus one join",
+				relations, q.Relations(), q.Joins())
+		}
+		s := Served(ServedConfig{Workers: 1, Threads: 1, Timeout: time.Hour})
 		defer s.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {
@@ -307,7 +318,7 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 			cancel()
 		}()
 		start := time.Now()
-		_, err := s.Optimize(ctx, q)
+		_, err = s.Optimize(ctx, q)
 		elapsed := time.Since(start)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
@@ -320,6 +331,43 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 			t.Fatalf("worker wedged after cancellation: %v", err)
 		}
 	})
+}
+
+// TestInProcessAutoNamesTheRoutedAlgorithm: InProcess's default runs the
+// algorithm the served router picks, and its result names that algorithm,
+// as Served's does; an explicit choice is named as given.
+func TestInProcessAutoNamesTheRoutedAlgorithm(t *testing.T) {
+	s := Served(ServedConfig{Workers: 1})
+	defer s.Close()
+	for _, tc := range []struct {
+		q    *Query
+		want Algorithm
+	}{
+		{Cycle(60, 1), AlgIDP2},
+		{Chain(8, 1), AlgDPCCP},
+	} {
+		res, err := InProcess().Optimize(context.Background(), tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served, err := s.Optimize(context.Background(), tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Algorithm != tc.want || served.Algorithm != tc.want {
+			t.Errorf("%d relations: InProcess ran %s, Served %s, want %s", tc.q.Relations(), res.Algorithm, served.Algorithm, tc.want)
+		}
+		if res.Cost != served.Cost {
+			t.Errorf("%d relations: InProcess cost %g, Served %g", tc.q.Relations(), res.Cost, served.Cost)
+		}
+	}
+	res, err := InProcess().Optimize(context.Background(), Chain(8, 1), WithAlgorithm(AlgMPDP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Algorithm != AlgMPDP {
+		t.Errorf("WithAlgorithm(mpdp) ran %s", res.Algorithm)
+	}
 }
 
 // TestExplainAcrossDrivers: WithExplain renders the plan everywhere.

@@ -25,14 +25,11 @@ type ServedConfig struct {
 	Timeout time.Duration
 	// Threads is the CPU parallelism per optimization (0: all cores).
 	Threads int
-	// K is the sub-problem bound for IDP2/UnionDP (0: 15).
+	// K is the sub-problem bound of IDP2's windows (0: 15); a non-zero K
+	// also bounds the windows LinDP opens past 100 relations (0: 100).
 	K int
 	// GPUDevices is the simulated GPU device count (0: 2).
 	GPUDevices int
-	// ExactLimit, when non-zero, overrides the CPU-parallel crossover for
-	// every shape, cliques included (mainly for tests that need to force
-	// long exact runs).
-	ExactLimit int
 }
 
 // served wraps a service.Service.
@@ -53,9 +50,7 @@ func Served(cfg ServedConfig) Optimizer {
 		Timeout:       cfg.Timeout,
 		Threads:       cfg.Threads,
 		K:             cfg.K,
-		// Zero limits keep the calibrated defaults.
-		Crossover: &backend.Crossover{CPUParallelLimit: cfg.ExactLimit, CliqueCPULimit: cfg.ExactLimit},
-		GPU:       backend.GPUConfig{Devices: cfg.GPUDevices},
+		GPU:           backend.GPUConfig{Devices: cfg.GPUDevices},
 	})}
 }
 
