@@ -6,8 +6,9 @@
 // three instrumentation counters. The lines in testdata/bitidentity.golden
 // were generated at the commit before the DP table was rebuilt (PR 17) — the
 // larger trees and the IDP2 rows at the commit before Algorithm 2's kernel
-// was rebuilt — and must not change when the table or the pruning order
-// does. An evaluator change may move one field alone, evaluated=, of the
+// was rebuilt, the stars with their hub elsewhere than relation 0 and the
+// IDP2 star-200 at the commit before stars got their own lattice — and must
+// not change when the table or the pruning order does. An evaluator change may move one field alone, evaluated=, of the
 // rows of the enumerator it changed, and only by examining a different
 // number of candidate pairs: cost, explain, tree, ccp and sets are the plan
 // and the census, and stay byte-identical on every row. The CPU MPDP rows'
@@ -28,9 +29,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
+	"repro/internal/graph"
 	"repro/internal/heuristic"
 	"repro/internal/parallel"
 	"repro/internal/plan"
@@ -103,7 +106,41 @@ func bitIdentityCases(t *testing.T) []bitIdentityCase {
 	// where the unit is still a plain scan — which no graph above does.
 	out = append(out,
 		bitIdentityCase{name: "star-60", q: generate(workload.KindStar, 60), large: true},
-		bitIdentityCase{name: "snowflake-60", q: generate(workload.KindSnowflake, 60), large: true})
+		bitIdentityCase{name: "snowflake-60", q: generate(workload.KindSnowflake, 60), large: true},
+		bitIdentityCase{name: "star-200", q: generate(workload.KindStar, 200), large: true})
+	// Stars whose hub is not relation 0, so that the edges to the dimensions
+	// numbered below it are listed hub-second (graph.AddEdge keeps A < B).
+	out = append(out,
+		bitIdentityCase{name: "star-hub7-14", q: hubAt(generate(workload.KindStar, 14), 7)},
+		bitIdentityCase{name: "star-hub16-17", q: hubAt(generate(workload.KindStar, 17), 16)})
+	return out
+}
+
+// hubAt moves relation 0 of the star q, its hub, to index hub and the
+// relation there to 0, and takes the primary-key index off every third
+// dimension, so that both index-nested-loop rules are exercised.
+func hubAt(q *cost.Query, hub int) *cost.Query {
+	n := q.N()
+	to := func(v int) int {
+		switch v {
+		case 0:
+			return hub
+		case hub:
+			return 0
+		}
+		return v
+	}
+	out := &cost.Query{G: graph.New(n)}
+	out.Cat.Rels = make([]catalog.Relation, n)
+	for v, r := range q.Cat.Rels {
+		if v != 0 && v%3 == 0 {
+			r.HasPKIndex = false
+		}
+		out.Cat.Rels[to(v)] = r
+	}
+	for _, e := range q.G.Edges {
+		out.G.AddEdge(to(e.A), to(e.B), e.Sel)
+	}
 	return out
 }
 
