@@ -7,7 +7,11 @@
 // scheme drives the level-synchronous CPU-parallel variants here.
 package combinat
 
-import "repro/internal/bitset"
+import (
+	"math/bits"
+
+	"repro/internal/bitset"
+)
 
 // MaxN is the largest universe size supported by the precomputed binomial
 // table. 64 covers every Mask-width query the exact optimizers accept.
@@ -74,15 +78,13 @@ func Rank(m bitset.Mask) uint64 {
 // NextCombination returns the colexicographically next k-subset after m
 // using Gosper's hack, or 0 when m is the last k-subset representable in 64
 // bits. It allows cheap sequential iteration without repeated unranking.
+// Gosper divides by the lowest set bit of m; a shift by its index is the
+// same quotient without the division.
 func NextCombination(m bitset.Mask) bitset.Mask {
-	if m == 0 {
-		return 0
-	}
 	u := uint64(m)
-	c := u & (^u + 1)
-	r := u + c
-	if r == 0 {
+	r := u + u&-u
+	if u == 0 || r == 0 {
 		return 0
 	}
-	return bitset.Mask(((r ^ u) >> 2 / c) | r)
+	return bitset.Mask(r | (r^u)>>2>>bits.TrailingZeros64(u))
 }

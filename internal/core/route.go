@@ -242,6 +242,13 @@ func Route(q *cost.Query) (Algorithm, Shape) {
 // UnionDP plans neither: it cost 12 to 7 400 times the optimum on the
 // cycles and MusicBrainz walks DESIGN.md tabulates ("The large-query
 // route").
+//
+// Those cycles have at most 64 relations. Past that the case for IDP2 on
+// cycles is open: on heuristic-large's cycle-100s and cycle-200s (seed 3)
+// 17 of 95 IDP2 answers cost more than 1.1 times the cheaper of LinDP and
+// GOO, the worst 3.45, and 4 under 0.75; with generated statistics (seeds
+// 1–4, k = 15) IDP2 ÷ LinDP is 1.00–2.11 on cycle-200 and 0.90–1.08 on
+// cycle-100. The rule stays until evidence at those sizes decides it.
 func HeuristicFor(q *cost.Query) Algorithm {
 	if len(q.G.Edges) <= q.N() {
 		return AlgIDP2

@@ -31,17 +31,26 @@ func DPCCP(in Input) (*plan.Node, Stats, error) {
 	ok := ccpPairs(in.Q.G, dl, func(s1, s2 bitset.Mask) {
 		stats.Evaluated += 2
 		stats.CCP += 2
-		i1, i2 := tab.MustSlot(s1), tab.MustSlot(s2)
-		l, r := side{cost: tab.CostAt(i1)}, side{cost: tab.CostAt(i2)}
 		union := s1.Union(s2)
-		cur, known := tab.Cost(union)
+		var i1, i2, iu int
+		var known bool
+		if tab.Direct() { // the table may change layout as it grows: asked per pair
+			i1, i2 = tab.MustDirectSlot(s1), tab.MustDirectSlot(s2)
+			iu, known = tab.DirectSlot(union)
+		} else {
+			i1, i2 = tab.MustSlot(s1), tab.MustSlot(s2)
+			iu, known = tab.Slot(union)
+		}
+		l, r := side{cost: tab.CostAt(i1)}, side{cost: tab.CostAt(i2)}
+		var cur float64
 		if !known {
 			stats.ConnectedSets++
-		}
-		// Child-cost lower bound: when both orientations provably cost at
-		// least the incumbent (see bestWin.hopeless), skip selectivity and
-		// operator costing outright — the stored plan cannot change.
-		if known {
+		} else {
+			// Child-cost lower bound: when both orientations provably cost
+			// at least the incumbent (see bestWin.hopeless), skip
+			// selectivity and operator costing outright — the stored plan
+			// cannot change.
+			cur = tab.CostAt(iu)
 			inc := bestWin{Winner: Winner{Found: true, Cost: cur}}
 			if inc.hopeless(l.cost, r.cost, tab.IsLeaf(s2)) && inc.hopeless(r.cost, l.cost, tab.IsLeaf(s1)) {
 				return

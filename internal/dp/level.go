@@ -94,30 +94,36 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 
 // Levels is the level barrier of the level-synchronous drivers — the CPU
 // counterpart of the paper's one-kernel-per-level structure (§5), shared by
-// RunLevels and the GPU model (gpusim.Run, one worker per device). Run
-// evaluates the connected sets of one size and returns once all of them are
-// in the table, so every set of the next size finds its children.
+// RunLevels, the star lattice (runStar) and the GPU model (gpusim.Run, one
+// worker per device). Run evaluates the connected sets of one size and
+// returns once all of them are stored, so every set of the next size finds
+// its children.
 //
-// Before any worker joins, the caller claims every set of the level in the
-// table (plan.Table.Claim), serially. Each worker then owns a contiguous
-// share of the level in census order and drains it from its own end a chunk
-// at a time (fanOut); a worker whose share is empty steals chunks from the
-// far end of another's. Every set has exactly one producer: the worker that
+// The unit of work is an index range of a level: the barrier knows how many
+// sets each level has and hands out ranges of their indices, and the
+// level's work (levelWork) says what a range is. On the census path
+// (NewLevels) it is a run of one census bucket, whose sets the caller claims
+// in the table (plan.Table.Claim), serially, before any worker joins; on a
+// star it is a run of ranks, which the worker unranks. Each worker owns a
+// contiguous share of the level and drains it from its own end a chunk at a
+// time (fanOut); a worker whose share is empty steals chunks from the far
+// end of another's. Every set has exactly one producer: the worker that
 // drew it writes its winner straight into the set's own slot
-// (plan.Table.PutAt) and counts into its own Stats, and the barrier only
-// folds the counts. That is race-free without an atomic per set: a level's
-// evaluators read only strictly smaller sets, stored by earlier levels; keys
-// and presence bits do not change while the workers run, and a worker's join
-// is the happens-before edge from the claims; a worker writes only the lanes
-// of the slots of the sets it drew; and the table is pre-sized from the
-// census, so no claim grows it. Plans and counters are the same bits at any
-// worker count, and no plan node exists until Finish.
+// (plan.Table.PutAt) or lanes and counts into its own Stats, and the barrier
+// only folds the counts. That is race-free without an atomic per set: a
+// level's evaluators read only strictly smaller sets, stored by earlier
+// levels; keys and presence bits do not change while the workers run, and a
+// worker's join is the happens-before edge from the claims; a worker writes
+// only the lanes of the slots of the sets it drew; and the table is
+// pre-sized from the census, so no claim grows it. Plans and counters are
+// the same bits at any worker count, and no plan node exists until the run
+// builds its tree.
 //
 // The calling goroutine is worker 0. The helpers are goroutines started
-// once per run, by NewLevels, and only if some level has minSetsPerWorker
-// sets for each of two workers. Between levels a helper spins on the level
-// word for spinBudget, then parks until the caller opens a level it is
-// needed in. A level is open from the moment the caller publishes it until
+// once per run, when the barrier is built, and only if some level has
+// minSetsPerWorker sets for each of two workers. Between levels a helper
+// spins on the level word for spinBudget, then parks until the caller opens
+// a level it is needed in. A level is open from the moment the caller publishes it until
 // the caller has drained its own share: a helper that arrives after that
 // touches nothing, and Run returns once every helper that did join has left.
 // Helpers are retired after the last level with two sets or more; Close
@@ -127,15 +133,14 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 // so the deadline poll interval counts candidate pairs across levels; the
 // scratches are the input's workspace's (Workspace).
 type Levels struct {
-	in       Input
-	evaluate SetEvaluator
-	buckets  [][]bitset.Mask
-	workers  []levelWorker
-	last     int  // the largest size with two sets or more: helpers retire after it
-	live     bool // helpers are started and not retired
-	spawned  int  // helpers started
-	gen      uint32
-	wg       sync.WaitGroup
+	work    levelWork
+	census  censusWork // the work of NewLevels' runs
+	workers []levelWorker
+	last    int  // the largest size with two sets or more: helpers retire after it
+	live    bool // helpers are started and not retired
+	spawned int  // helpers started
+	gen     uint32
+	wg      sync.WaitGroup
 
 	// pairsPerSet is the previous level's evaluated pairs per set, the
 	// estimate the next level's schedule starts from.
@@ -143,12 +148,76 @@ type Levels struct {
 
 	// The level being run: written by the caller before it opens the level,
 	// read by a helper only once it has joined.
-	tab    *plan.Table
-	sets   []bitset.Mask
 	chunk  int
 	active int
 
 	level atomic.Uint64 // generation<<32 | closed | helpers inside
+}
+
+// levelWork is what the barrier shares out: the sets of each level,
+// numbered from 0 in an order the work fixes, and what a worker does with an
+// index range of them. The barrier sees nothing but counts and ranges, so
+// the census of RunLevels and the star lattice, which unranks its sets,
+// share one pool of helpers and one schedule.
+type levelWork interface {
+	// sets returns how many sets the level of the given size has.
+	sets(size int) int
+	// open readies the level of the given size before any worker joins it.
+	// It is serial, and tab is the one Levels.Run was handed.
+	open(tab *plan.Table, size int)
+	// evaluate evaluates sets [lo, hi) of the open level as worker lw, stores
+	// their winners, and returns its counters; it stops at the first error.
+	evaluate(lw *levelWorker, lo, hi int) (Stats, error)
+}
+
+// censusWork is the census path's level: the sets of one census bucket,
+// claimed in the table before the workers join, each evaluated by a
+// SetEvaluator and its winner written into its own slot (plan.Table.PutAt).
+type censusWork struct {
+	in        Input
+	evaluator SetEvaluator
+	buckets   [][]bitset.Mask
+	tab       *plan.Table
+	level     []bitset.Mask
+}
+
+func (c *censusWork) sets(size int) int { return len(c.buckets[size]) }
+
+func (c *censusWork) open(tab *plan.Table, size int) {
+	c.tab, c.level = tab, c.buckets[size]
+	for _, s := range c.level {
+		tab.Claim(s)
+	}
+}
+
+// evaluate: a set that evaluates without error to no winner is a broken
+// evaluator — a connected set of two relations or more always has a split
+// — and panics, like a missing child does in MustSlot, rather than leave a
+// claimed slot unwritten for the next level to read.
+//
+//mpdp:hotpath
+func (c *censusWork) evaluate(lw *levelWorker, lo, hi int) (Stats, error) {
+	// Locals, so that the loop touches nothing of c but the sets.
+	in, evaluate, tab := c.in, c.evaluator, c.tab
+	direct := tab.Direct()
+	var stats Stats
+	for _, s := range c.level[lo:hi] {
+		win, st, err := evaluate(in, tab, s, lw.dl, lw.sc)
+		stats.Add(st)
+		if err != nil {
+			return stats, err
+		}
+		if !win.Found {
+			panic("dp: a connected set was evaluated to no plan")
+		}
+		if direct {
+			tab.PutAt(tab.MustDirectSlot(s), win)
+		} else {
+			tab.PutAt(tab.MustSlot(s), win)
+		}
+		stats.ConnectedSets++
+	}
+	return stats, nil
 }
 
 // The level word: the generation of the level last opened, whether the
@@ -181,23 +250,32 @@ type levelWorker struct {
 // the census, so that the helpers' first wake overlaps seeding the table,
 // and defer Close.
 func NewLevels(in Input, evaluate SetEvaluator, buckets [][]bitset.Mask, workers int) *Levels {
-	l := &Levels{
-		in: in, evaluate: evaluate, buckets: buckets,
-		workers: make([]levelWorker, max(workers, 1)),
-	}
+	l := new(Levels)
+	l.census = censusWork{in: in, evaluator: evaluate, buckets: buckets}
+	l.start(in, &l.census, len(buckets)-1, workers)
+	return l
+}
+
+// start readies l to run work's levels, of sizes up to top, with at most
+// workers workers, and starts the helpers if some level is thick enough to
+// share.
+func (l *Levels) start(in Input, work levelWork, top, workers int) {
+	l.work = work
+	l.workers = make([]levelWorker, max(workers, 1))
 	thick := false
-	for size, sets := range buckets {
-		if len(sets) >= 2 {
+	for size := 0; size <= top; size++ {
+		sets := work.sets(size)
+		if sets >= 2 {
 			l.last = size
 		}
-		thick = thick || len(sets) >= 2*minSetsPerWorker
+		thick = thick || sets >= 2*minSetsPerWorker
 	}
 	for w := range l.workers {
 		l.workers[w].dl = in.NewDeadline()
 		l.workers[w].sc = in.Workspace.Scratch(w)
 	}
 	if !thick || len(l.workers) == 1 {
-		return l
+		return
 	}
 	l.live = true
 	l.spawned = len(l.workers) - 1
@@ -206,7 +284,6 @@ func NewLevels(in Input, evaluate SetEvaluator, buckets [][]bitset.Mask, workers
 		l.workers[w].wake = make(chan struct{}, 1)
 		go l.help(w)
 	}
-	return l
 }
 
 // Close retires the helpers, if they still run, and joins them. Once it has
@@ -217,25 +294,24 @@ func (l *Levels) Close() {
 }
 
 // Run evaluates every connected set of the given size, stores the winners
-// in tab and returns the level's folded counters. On error (budget or
+// (in tab on the census path; the star lattice keeps its own lanes and is
+// handed nil) and returns the level's folded counters. On error (budget or
 // cancellation) the counters are those of the sets whose evaluation
 // finished, and the table is left with the level claimed and only partly
 // written: the run is over, and the table is good for nothing but the Reset
 // of the next one.
 func (l *Levels) Run(tab *plan.Table, size int) (Stats, error) {
-	sets := l.buckets[size]
-	for _, s := range sets {
-		tab.Claim(s)
-	}
-	active, chunk := 1, max(len(sets), 1)
+	sets := l.work.sets(size)
+	l.work.open(tab, size)
+	active, chunk := 1, max(sets, 1)
 	if l.live {
-		active, chunk = fanOut(len(sets), max(size-1, l.pairsPerSet), len(l.workers))
+		active, chunk = fanOut(sets, max(size-1, l.pairsPerSet), len(l.workers))
 	}
-	l.tab, l.sets, l.chunk, l.active = tab, sets, chunk, active
+	l.chunk, l.active = chunk, active
 	for w := range l.workers[:active] {
 		lw := &l.workers[w]
 		lw.stats, lw.err = Stats{}, nil
-		lw.share.Store(uint64((w+1)*len(sets)/active)<<32 | uint64(w*len(sets)/active))
+		lw.share.Store(uint64((w+1)*sets/active)<<32 | uint64(w*sets/active))
 	}
 	if active > 1 {
 		l.open()
@@ -253,8 +329,8 @@ func (l *Levels) Run(tab *plan.Table, size int) (Stats, error) {
 			failed = l.workers[w].err
 		}
 	}
-	if len(sets) > 0 {
-		l.pairsPerSet = int(stats.Evaluated / uint64(2*len(sets)))
+	if sets > 0 {
+		l.pairsPerSet = int(stats.Evaluated / uint64(2*sets))
 	}
 	if size >= l.last {
 		l.retire()
@@ -404,20 +480,15 @@ func (l *Levels) draw(w int) (lo, hi int) {
 }
 
 // drain is one worker's part of a level: it draws chunks of set indices
-// until none are left, evaluates each set it drew and writes the winner into
-// that set's claimed slot. A worker whose evaluation fails (its deadline
-// tripped) stores and counts nothing for that set and empties every share,
-// so its siblings stop once the chunk they hold is done. A set that
-// evaluates without error to no winner is a broken evaluator — a connected
-// set of two relations or more always has a split — and panics, like a
-// missing child does in MustSlot, rather than leave a claimed slot
-// unwritten for the next level to read.
+// until none are left and has the level's work evaluate each chunk. A worker
+// whose evaluation fails (its deadline tripped) empties every share, so its
+// siblings stop once the chunk they hold is done; the sets of its chunk
+// that it had finished are counted and stored, the one it failed in is not.
 //
 //mpdp:hotpath
 func (l *Levels) drain(w int) {
 	lw := &l.workers[w]
-	// Locals, so that the loop touches nothing of l but the shares.
-	in, evaluate, tab, sets := l.in, l.evaluate, l.tab, l.sets
+	work := l.work
 	var stats Stats
 	var err error
 	for err == nil {
@@ -425,19 +496,9 @@ func (l *Levels) drain(w int) {
 		if lo == hi {
 			break
 		}
-		for i := lo; i < hi && err == nil; i++ {
-			var win Winner
-			var st Stats
-			win, st, err = evaluate(in, tab, sets[i], lw.dl, lw.sc)
-			stats.Add(st)
-			if err == nil {
-				if !win.Found {
-					panic("dp: a connected set was evaluated to no plan")
-				}
-				tab.PutAt(tab.MustSlot(sets[i]), win)
-				stats.ConnectedSets++
-			}
-		}
+		var st Stats
+		st, err = work.evaluate(lw, lo, hi)
+		stats.Add(st)
 	}
 	if err != nil {
 		for v := range l.workers[:l.active] {

@@ -28,10 +28,10 @@ func MPDPTree(in Input) (*plan.Node, Stats, error) {
 // structure keeps DPSub's parallelizability.
 //
 // When the whole join graph is a tree, MPDP runs Algorithm 2 instead
-// (MPDPEvaluator). It runs the level driver at one worker.
+// (MPDPEvaluator), over the star lattice when the tree is a star. It runs
+// at one worker (RunMPDP).
 func MPDP(in Input) (*plan.Node, Stats, error) {
-	in, evaluate := MPDPEvaluator(in)
-	return RunLevels(in, evaluate, 1)
+	return RunMPDP(in, 1)
 }
 
 // MPDPGeneral runs Algorithm 3 regardless of graph shape. Exported so tests
@@ -87,6 +87,7 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 	g := in.Q.G
 	var bw bestWin
 	w, bs := &sc.walk, &sc.Blocks
+	direct := tab.Direct()
 	for i, block := range sc.blocks(g, s) {
 		if block.Count() == 2 {
 			// A bridge: its two endpoints are the block's only pair, valid
@@ -114,7 +115,13 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 			}
 			rb := block.Diff(lb)
 			stats.Evaluated++
-			ri, ok := tab.Slot(rb)
+			var ri, li int
+			var ok bool
+			if direct {
+				ri, ok = tab.DirectSlot(rb)
+			} else {
+				ri, ok = tab.Slot(rb)
+			}
 			if !ok {
 				continue
 			}
@@ -125,11 +132,17 @@ func EvaluateSetMPDP(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc 
 			if !whole {
 				left = bs.Side(i, lb)
 				right = s.Diff(left)
-				if right != rb {
-					ri = tab.MustSlot(right)
-				}
 			}
-			li := tab.MustSlot(left)
+			switch {
+			case direct && right != rb:
+				ri, li = tab.MustDirectSlot(right), tab.MustDirectSlot(left)
+			case direct:
+				li = tab.MustDirectSlot(left)
+			case right != rb:
+				ri, li = tab.MustSlot(right), tab.MustSlot(left)
+			default:
+				li = tab.MustSlot(left)
+			}
 			l, r := side{cost: tab.CostAt(li)}, side{cost: tab.CostAt(ri)}
 			h1 := bw.hopeless(l.cost, r.cost, tab.IsLeaf(right))
 			b2 := childBound(r.cost, l.cost, tab.IsLeaf(left))
@@ -242,7 +255,12 @@ func joinCost(q *cost.Query, m *cost.Model, tab *plan.Table, l, r side, right bi
 //
 //mpdp:hotpath
 func costBothWays(q *cost.Query, m *cost.Model, tab *plan.Table, bw *bestWin, left, right bitset.Mask, sel float64) {
-	li, ri := tab.MustSlot(left), tab.MustSlot(right)
+	var li, ri int
+	if tab.Direct() {
+		li, ri = tab.MustDirectSlot(left), tab.MustDirectSlot(right)
+	} else {
+		li, ri = tab.MustSlot(left), tab.MustSlot(right)
+	}
 	l, r := side{cost: tab.CostAt(li)}, side{cost: tab.CostAt(ri)}
 	h1, h2 := bw.hopeless(l.cost, r.cost, tab.IsLeaf(right)), bw.hopeless(r.cost, l.cost, tab.IsLeaf(left))
 	if h1 && h2 {

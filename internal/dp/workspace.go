@@ -9,7 +9,7 @@ import (
 // Workspace is the memory one enumeration borrows instead of allocating:
 // the DP table's arrays, the connected-set census and the frame stack of the
 // walk that fills it, the per-worker evaluator scratch, Algorithm 2's edge
-// index and the arena of the returned plan tree.
+// index, the star lattice's lanes and the arena of the returned plan tree.
 // Whoever runs enumerations one after another — a service worker, a
 // heuristic that calls the exact DP once per sub-problem — owns one and
 // hands it to every run through Input.Workspace; the second run then
@@ -40,13 +40,15 @@ type Workspace struct {
 	censusWalk csgWalk
 	scratch    []*Scratch
 	cuts       []graph.TreeCut
+	star       starLattice
 	nodes      plan.Arena
 	warm       bool // keeps up to warmRetainSlots, not retainSlots
 }
 
 // retainSlots bounds what a workspace keeps between runs: at most this many
-// table slots and census masks (a level's winners take no memory of their
-// own: the level workers write them into the table's slots). 2^16 slots is
+// table slots, census masks and star-lattice sets (26 B of lanes each; a
+// level's winners take no memory of their own: the level workers write them
+// into the table's slots or the lattice's lanes). 2^16 slots is
 // every table a k ≤ 16 inner DP or an exact query of at most 16 relations
 // can build — a star-16 direct-addresses exactly that many, 2.6 MB of
 // lanes, a hashed one 3.1 MB, the census 0.5 MB. A run that needs more
@@ -105,6 +107,9 @@ func (w *Workspace) trim() {
 	}
 	if censusCap(w.census) > w.retained() {
 		w.census = nil
+	}
+	if w.star.capacity() > w.retained() {
+		w.star = starLattice{}
 	}
 }
 

@@ -120,25 +120,34 @@ func TestWorkspaceSurvivesAbortedRun(t *testing.T) {
 // retainedBytes is an upper bound on what w keeps alive once its next run
 // has begun: a table never holds more than its slot capacity in any of its
 // arrays (8 B cost, 40 B cold record and, hashed, an 8 B key per slot; a
-// presence bit when direct), and the arena is rewound to one chunk of 512
-// nodes (plan.Arena.Reset; TestArenaResetRecyclesChunks holds it to that).
+// presence bit when direct), the star lattice holds 26 B of lanes per set,
+// and the arena is rewound to one chunk of 512 nodes (plan.Arena.Reset;
+// TestArenaResetRecyclesChunks holds it to that).
 func (w *Workspace) retainedBytes() int {
 	slots := w.tab.Cap()
 	return slots*(8+40+8) + slots/8 +
 		censusCap(w.census)*8 +
+		w.star.capacity()*starLaneBytes +
 		512*int(unsafe.Sizeof(plan.Node{}))
 }
+
+// starLaneBytes is what the star lattice keeps per set: cost, rows and
+// log-rows, the split and the operator.
+const starLaneBytes = 8 + 8 + 8 + 1 + 1
 
 // retainBytes is retainedBytes of a workspace at the retention bound.
 const retainBytes = retainSlots*(8+40+8) + retainSlots/8 +
 	retainSlots*8 +
+	retainSlots*starLaneBytes +
 	512*int(unsafe.Sizeof(plan.Node{}))
 
 // TestWorkspaceRetentionBound: a run larger than the retention bound gets
 // the memory it needs and the workspace has let go of it when the run
-// returns, so a worker that served one star-17 does not sit on a 6 MB table
-// until its next request. A run that dies before Finish keeps what it had
-// until the next run begins, which is when anyone could use it again.
+// returns, so a worker that served one star-17 on the census path does not
+// sit on a 6 MB table until its next request. A run that dies before Finish
+// keeps what it had until the next run begins, which is when anyone could
+// use it again. (MPDP takes a star to the lattice, whose lanes of a star-17
+// fit the bound: TestStarLatticeWorkspace.)
 func TestWorkspaceRetentionBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	ws := new(Workspace)
@@ -149,7 +158,7 @@ func TestWorkspaceRetentionBound(t *testing.T) {
 	}
 
 	big := Input{Q: topoQuery(graph.Star(17), rng), M: cost.DefaultModel()} // 2^16 + 16 sets
-	want, st, err := MPDP(big)
+	want, st, err := MPDPTree(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestWorkspaceRetentionBound(t *testing.T) {
 		t.Fatalf("a star-17 has %d connected sets, within the retention bound: the test needs a larger query", st.ConnectedSets)
 	}
 	big.Workspace = ws
-	got, _, err := MPDP(big)
+	got, _, err := MPDPTree(big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,12 +209,12 @@ const warmRetainBytes = warmRetainSlots*(8+40+8) + warmRetainSlots/8 +
 	warmRetainSlots*8 +
 	512*int(unsafe.Sizeof(plan.Node{}))
 
-// runBytes runs MPDP on in and returns its plan and the bytes it allocated.
-func runBytes(t *testing.T, in Input) (*plan.Node, uint64) {
+// runBytes runs f on in and returns its plan and the bytes it allocated.
+func runBytes(t *testing.T, f Func, in Input) (*plan.Node, uint64) {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	best, _, err := MPDP(in)
+	best, _, err := f(in)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -214,10 +223,11 @@ func runBytes(t *testing.T, in Input) (*plan.Node, uint64) {
 }
 
 // TestWarmWorkspaceKeepsStar17: a warm workspace keeps a star-17's table
-// (2^17 direct slots) and census when the run has built its tree, so the
-// next star-17, under other statistics, allocates its base plans and little
-// else; a plain workspace lets both go (TestWorkspaceRetentionBound) and the
-// next one allocates them again.
+// (2^17 direct slots) and census when the census path (MPDPTree) has built
+// its tree, so the next star-17, under other statistics, allocates its base
+// plans and little else; a plain workspace lets both go
+// (TestWorkspaceRetentionBound) and the next one allocates them again. The
+// star lattice's lanes follow the same rule: TestStarLatticeWorkspace.
 func TestWarmWorkspaceKeepsStar17(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	m := cost.DefaultModel()
@@ -225,12 +235,12 @@ func TestWarmWorkspaceKeepsStar17(t *testing.T) {
 	var warmBytes, plainBytes uint64
 	for round := 0; round < 3; round++ {
 		q := topoQuery(graph.Star(17), rng)
-		want, _, err := MPDP(Input{Q: q, M: m})
+		want, _, err := MPDPTree(Input{Q: q, M: m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, ws := range []*Workspace{warm, plain} {
-			got, bytes := runBytes(t, Input{Q: q, M: m, Workspace: ws})
+			got, bytes := runBytes(t, MPDPTree, Input{Q: q, M: m, Workspace: ws})
 			if err := sameTree(got, want); err != nil {
 				t.Fatalf("round %d, warm=%v: %v", round, ws.warm, err)
 			}
@@ -256,13 +266,13 @@ func TestWarmWorkspaceKeepsStar17(t *testing.T) {
 	}
 }
 
-// TestWarmWorkspaceDropsStar19: a star-19 direct-addresses 2^19 slots,
-// past the warm bound; the warm workspace lets its table and census go at
-// Finish, as a plain one does past retainSlots.
+// TestWarmWorkspaceDropsStar19: a star-19 on the census path (MPDPTree)
+// direct-addresses 2^19 slots, past the warm bound; the warm workspace lets
+// its table and census go at Finish, as a plain one does past retainSlots.
 func TestWarmWorkspaceDropsStar19(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	in := Input{Q: topoQuery(graph.Star(19), rng), M: cost.DefaultModel()}
-	want, st, err := MPDP(in)
+	want, st, err := MPDPTree(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +280,7 @@ func TestWarmWorkspaceDropsStar19(t *testing.T) {
 		t.Fatalf("a star-19 has %d connected sets, within the warm bound: the test needs a larger query", st.ConnectedSets)
 	}
 	in.Workspace = NewWarmWorkspace()
-	got, _, err := MPDP(in)
+	got, _, err := MPDPTree(in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,11 +191,14 @@ func levelHelpers(settle time.Duration) (headers []string) {
 // TestHelpersJoinedOnEveryPath: helpers live as long as the run, not as long
 // as a level, and the driver defers Close. On success, on a deadline that
 // expires mid-run and on a context cancelled mid-run, at 1, 2 and 4 workers,
-// no helper goroutine outlives the driver MPDP runs (dp.RunLevels with
+// no helper goroutine outlives the census driver (dp.RunLevels with
 // Algorithm 2's evaluator on a tree; the wrapper below only stalls or cancels
-// it at its 2 000th set). The count has a positive control: the helper of a
-// thick barrier at two workers, open, is counted, so a helper the count no
-// longer recognises fails the test instead of passing it.
+// it at its 2 000th set), nor the star lattice MPDP runs on a star, which
+// has no evaluator to wrap: its budget passes, or its context is cancelled,
+// before it begins, and it stops at its workers' first deadline poll, a few
+// levels in. The count has a positive control: the helper of a thick
+// barrier at two workers, open, is counted, so a helper the count no longer
+// recognises fails the test instead of passing it.
 func TestHelpersJoinedOnEveryPath(t *testing.T) {
 	q := shapedQuery(graph.Star(14), rand.New(rand.NewSource(26))) // levels of up to 1 716 sets
 	m := cost.DefaultModel()
@@ -242,6 +245,30 @@ func TestHelpersJoinedOnEveryPath(t *testing.T) {
 			}
 			if left := levelHelpers(time.Second); len(left) != 0 {
 				t.Errorf("%d workers, %s: %d helpers outlived the run: %v", workers, mode, len(left), left)
+			}
+		}
+	}
+
+	star := shapedQuery(graph.Star(17), rand.New(rand.NewSource(28)))
+	for _, workers := range []int{1, 2, 4} {
+		for _, mode := range []string{"success", "deadline", "cancelled"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			in := dp.Input{Q: star, M: m, Ctx: ctx, Threads: workers}
+			var want error
+			switch mode {
+			case "deadline":
+				in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
+			case "cancelled":
+				want = context.Canceled
+				cancel()
+			}
+			p, st, err := MPDP(in)
+			cancel()
+			if !errors.Is(err, want) || (err == nil) != (p != nil) || err != nil && st.ConnectedSets <= uint64(star.N()) {
+				t.Errorf("star lattice, %d workers, %s: plan %v after %d sets, err %v; want %v", workers, mode, p != nil, st.ConnectedSets, err, want)
+			}
+			if left := levelHelpers(time.Second); len(left) != 0 {
+				t.Errorf("star lattice, %d workers, %s: %d helpers outlived the run: %v", workers, mode, len(left), left)
 			}
 		}
 	}

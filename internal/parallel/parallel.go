@@ -28,10 +28,9 @@ func threads(in dp.Input) int {
 // independently (block discovery, block-level CCP enumeration, grow, and
 // costing all run inside the worker — the whole inner loop is parallel).
 // The per-level barrier mirrors the GPU kernel-per-level structure of §5.
-// It picks its evaluator as dp.MPDP does (dp.MPDPEvaluator).
+// It runs dp.RunMPDP, dp.MPDP's driver, at Input.Threads workers.
 func MPDP(in dp.Input) (*plan.Node, dp.Stats, error) {
-	in, evaluate := dp.MPDPEvaluator(in)
-	return dp.RunLevels(in, evaluate, threads(in))
+	return dp.RunMPDP(in, threads(in))
 }
 
 // DPSubParallel is the CPU-parallel DPSub, provided for completeness (the

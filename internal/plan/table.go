@@ -231,10 +231,38 @@ func (t *Table) Slot(s bitset.Mask) (int, bool) {
 		i := t.slot(s)
 		return i, t.keys[i] != 0
 	}
+	return t.DirectSlot(s)
+}
+
+// Direct reports whether the table is direct-addressed, so that a loop may
+// probe it with DirectSlot and MustDirectSlot. A table keeps its layout
+// while no new set is inserted: a level's sets are claimed before its
+// workers probe, and DPCCP, which inserts as it goes, asks again per pair.
+//
+//mpdp:hotpath
+func (t *Table) Direct() bool { return t.keys == nil }
+
+// DirectSlot is Slot on a direct-addressed table (Direct), small enough for
+// the compiler to inline into the DP loops, where Slot, which also holds
+// the hash layout's probe, is a call per operand.
+//
+//mpdp:hotpath
+func (t *Table) DirectSlot(s bitset.Mask) (int, bool) {
 	if uint64(s) >= uint64(len(t.cost)) {
 		return 0, false
 	}
 	return int(s), t.present[s>>6]>>(s&63)&1 != 0
+}
+
+// MustDirectSlot is MustSlot on a direct-addressed table (Direct), inlined
+// like DirectSlot: a set the DP invariant says is stored and is not panics.
+//
+//mpdp:hotpath
+func (t *Table) MustDirectSlot(s bitset.Mask) int {
+	if uint64(s) >= uint64(len(t.cost)) || t.present[s>>6]>>(s&63)&1 == 0 {
+		panic(errMissing)
+	}
+	return int(s)
 }
 
 // single reports whether s names at most one relation.
@@ -266,10 +294,13 @@ func (t *Table) LeafLogIdx(s bitset.Mask) float64 {
 func (t *Table) MustSlot(s bitset.Mask) int {
 	i, ok := t.Slot(s)
 	if !ok {
-		panic("plan: DP table is missing a connected set the enumeration invariant guarantees")
+		panic(errMissing)
 	}
 	return i
 }
+
+// errMissing is the panic of a probe the DP invariant guarantees to hit.
+const errMissing = "plan: DP table is missing a connected set the enumeration invariant guarantees"
 
 // CostAt reads the cost lane of slot i — all a candidate pair touches
 // before the child-cost bound decides whether it is costed.

@@ -290,13 +290,25 @@ func (m *tableModel) checkEntry(t *testing.T, tab *Table, s bitset.Mask) {
 	if ok != stored || vok != stored || cok != stored || iok != stored || tab.Has(s) != stored {
 		t.Fatalf("%v: Get/View/Cost/Slot/Has = %v/%v/%v/%v/%v, stored = %v", s, ok, vok, cok, iok, tab.Has(s), stored)
 	}
+	// The direct layout's inlined probes answer as Slot and MustSlot do.
+	if tab.Direct() {
+		if di, dok := tab.DirectSlot(s); dok != iok || dok && di != i {
+			t.Fatalf("%v: DirectSlot = %d, %v; Slot = %d, %v", s, di, dok, i, iok)
+		}
+	}
 	if !stored {
 		if tab.IsLeaf(s) {
 			t.Fatalf("%v: absent set reported as a leaf", s)
 		}
 		mustPanic(t, "MustSlot of an absent set", func() { tab.MustSlot(s) })
 		mustPanic(t, "MustView of an absent set", func() { tab.MustView(s) })
+		if tab.Direct() {
+			mustPanic(t, "MustDirectSlot of an absent set", func() { tab.MustDirectSlot(s) })
+		}
 		return
+	}
+	if tab.Direct() && tab.MustDirectSlot(s) != i {
+		t.Fatalf("%v: MustDirectSlot = %d, Slot = %d", s, tab.MustDirectSlot(s), i)
 	}
 	wantRight := bitset.Mask(0)
 	if want.left != 0 {
