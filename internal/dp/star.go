@@ -30,7 +30,7 @@ func RunMPDP(in Input, workers int) (*plan.Node, Stats, error) {
 // census's way, which refuses it as it always has.
 func starHub(g *graph.Graph) (int, bool) {
 	n := g.N
-	if n < 2 || n > 64 || len(g.Edges) != n-1 || 1<<(n-1)+n-1 > maxConnectedSets {
+	if n < 2 || n > 64 || len(g.Edges) != n-1 || uint64(1)<<(n-1)+uint64(n-1) > maxConnectedSets {
 		return 0, false
 	}
 	for _, v := range [2]int{g.Edges[0].A, g.Edges[0].B} {
@@ -117,9 +117,9 @@ type starDim struct {
 	hubFirst bool // the edge lists the hub as A: the hub side is offered on the left first
 }
 
-// base describes leaf, the prepared plan of relation rel, as plan.Table's
-// PutBase stores it.
-func base(q *cost.Query, leaf *plan.Node, rel int) starDim {
+// starBase describes leaf, the prepared plan of relation rel, as
+// plan.Table's PutBase stores it.
+func starBase(q *cost.Query, leaf *plan.Node, rel int) starDim {
 	d := starDim{side: side{rows: leaf.Rows, cost: leaf.Cost, lg: math.Log2(plan.AtLeast(leaf.Rows, 2))}, rel: rel, leaf: leaf.IsLeaf()}
 	if d.leaf {
 		d.lgi = math.Log2(leaf.Rows + 2)
@@ -145,11 +145,11 @@ func (s *starLattice) seed(in Input, leaves []*plan.Node, hub int) {
 	s.m, s.hub = in.M, hub
 	s.dims = s.dims[:0]
 	for _, e := range in.Q.G.Edges {
-		d := base(in.Q, leaves[e.A^e.B^hub], e.A^e.B^hub)
+		d := starBase(in.Q, leaves[e.A^e.B^hub], e.A^e.B^hub)
 		d.sel, d.hubFirst = e.Sel, e.A == hub
 		s.dims = append(s.dims, d)
 	}
-	s.hubOp = base(in.Q, leaves[hub], hub)
+	s.hubOp = starBase(in.Q, leaves[hub], hub)
 	size := 1 << s.width
 	if cap(s.cost) < size {
 		s.cost, s.rows, s.lg = make([]float64, size), make([]float64, size), make([]float64, size)

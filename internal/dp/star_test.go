@@ -155,6 +155,7 @@ func TestStarLatticeTakesOnlyStars(t *testing.T) {
 		{"star-14 hub 13", star(14, 13), 13, true},
 		{"star-26", star(26, 5), 5, true},
 		{"star-27", star(27, 0), 0, false},
+		{"star-64", star(64, 63), 0, false},
 		{"chain-4", graph.Chain(4), 0, false},
 		{"relation", graph.New(1), 0, false},
 	} {
