@@ -156,7 +156,6 @@ func main() {
 		VirtualNodes:   *vnodes,
 		HealthInterval: *health,
 		Transport:      tr,
-		Slow:           slowCfg,
 		Service:        svcCfg,
 	})
 	defer c.Close()
@@ -166,10 +165,13 @@ func main() {
 		}
 	}
 
-	api := newAPI(c, httpapi.Options{Quota: httpapi.QuotaConfig{
-		RatePerSec: *quotaRate,
-		Burst:      *quotaBurst,
-	}})
+	api := newAPI(c, httpapi.Options{
+		Quota: httpapi.QuotaConfig{
+			RatePerSec: *quotaRate,
+			Burst:      *quotaBurst,
+		},
+		Slow: slowCfg,
+	})
 	httpapi.StartDebugServer(*debugAddr)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

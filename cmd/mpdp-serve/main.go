@@ -143,17 +143,12 @@ func main() {
 		nodeRate   = flag.Float64("node-rate", 0, "admitted requests/sec for this instance, 0 = uncapped")
 		quotaRate  = flag.Float64("quota-rate", 0, "per-tenant requests/sec quota on HTTP endpoints, 0 = disabled")
 		quotaBurst = flag.Float64("quota-burst", 0, "per-tenant quota burst (0 = quota-rate/4, min 1)")
-		slowMS     = flag.Float64("slow-query-ms", 0, "log requests slower than this many ms as JSON lines (0 = off; the /v1/debug/slow ring is always on)")
+		slowMS     = flag.Float64("slow-query-ms", 0, "HTTP mode: log requests slower than this many ms as JSON lines (0 = off; the /v1/debug/slow ring is always on)")
 		slowPath   = flag.String("slow-query-log", "", "slow-query log destination (empty = stderr)")
 		debugAddr  = flag.String("debug-addr", "", "serve pprof and expvar on this separate address (e.g. localhost:6060)")
 	)
 	flag.Parse()
 
-	slowCfg, closeSlow, err := httpapi.SlowConfigFromFlags(*slowMS, *slowPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer closeSlow()
 	svc := service.New(service.Config{
 		CacheShards:   *shards,
 		CacheCapacity: *cacheCap,
@@ -167,7 +162,6 @@ func main() {
 			MaxQueueWait: *queueWait,
 			RatePerSec:   *nodeRate,
 		},
-		Slow: slowCfg,
 	})
 	defer svc.Close()
 	expvar.Publish("optimizer", svc.Counters())
@@ -181,12 +175,18 @@ func main() {
 		return
 	}
 
+	slowCfg, closeSlow, err := httpapi.SlowConfigFromFlags(*slowMS, *slowPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer closeSlow()
 	api := httpapi.New(httpapi.ServiceEngine(svc), httpapi.Options{
 		MaxStatementBytes: maxStatementBytes,
 		Quota: httpapi.QuotaConfig{
 			RatePerSec: *quotaRate,
 			Burst:      *quotaBurst,
 		},
+		Slow: slowCfg,
 	})
 	api.Handle("/debug/vars", expvar.Handler())
 

@@ -159,11 +159,6 @@ func (s Set) Disjoint(o Set) bool {
 	return true
 }
 
-// Intersects reports whether s ∩ o ≠ ∅.
-//
-//mpdp:hotpath
-func (s Set) Intersects(o Set) bool { return !s.Disjoint(o) }
-
 // SubsetOf reports whether s ⊆ o.
 //
 //mpdp:hotpath

@@ -80,11 +80,6 @@ type Config struct {
 	// node gets its own worker pool: N nodes with default Workers hold
 	// N*GOMAXPROCS workers.
 	Service service.Config
-	// Slow configures the coordinator's slow-request ring and slow-query
-	// log. The coordinator sees the whole request (routing, failover,
-	// replication) where a node sees only its own serve, so the cluster
-	// front door logs here rather than per node.
-	Slow obs.SlowConfig
 }
 
 func (c Config) withDefaults() Config {
@@ -173,7 +168,6 @@ type Cluster struct {
 	retry     RetryPolicy
 	rng       *lockedRand
 	counters  counters
-	slog      *obs.SlowLog
 
 	// callLatOK/callLatFail are the guarded transport path's per-attempt
 	// latency distributions, by outcome.
@@ -205,7 +199,6 @@ func New(cfg Config) *Cluster {
 		cfg:    cfg,
 		retry:  cfg.Retry,
 		rng:    newLockedRand(cfg.Seed),
-		slog:   obs.NewSlowLog(cfg.Slow),
 		ring:   newRing(cfg.VirtualNodes),
 		nodes:  make(map[string]*node),
 		detach: make(map[string]func()),
@@ -332,57 +325,6 @@ func (c *Cluster) Optimize(ctx context.Context, q *cost.Query) (*Result, error) 
 	return c.OptimizePrepared(ctx, service.Prepare(q))
 }
 
-// OptimizePrepared is Optimize for a query whose fingerprint the caller
-// already holds: the carried key picks the owners and travels on to the
-// serving node, so the request is not canonicalised again anywhere.
-func (c *Cluster) OptimizePrepared(ctx context.Context, p *service.Prepared) (*Result, error) {
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	// The coordinator is the top of the request path for direct callers
-	// (the bench harness, the SDK's in-process driver): give them a trace
-	// too, so the slow-query log always carries a phase breakdown. Callers
-	// arriving through httpapi already attached one.
-	tr := obs.FromContext(ctx)
-	if tr == nil {
-		tr = obs.NewTrace("")
-		ctx = obs.WithTrace(ctx, tr)
-	}
-	res, err := c.optimize(ctx, p, tr)
-	if !errors.Is(err, ErrClosed) {
-		c.observeSlow(tr, p.Query, res, start, err)
-	}
-	return res, err
-}
-
-// observeSlow feeds one finished front-door request into the coordinator's
-// slow-request ring and slow-query log.
-func (c *Cluster) observeSlow(tr *obs.Trace, q *cost.Query, res *Result, start time.Time, err error) {
-	e := obs.SlowEntry{
-		RequestID: tr.RequestID(),
-		WallUS:    float64(time.Since(start).Nanoseconds()) / 1e3,
-		Spans:     tr.Spans(),
-	}
-	if q != nil {
-		e.Relations = q.N()
-	}
-	if res != nil {
-		e.Node = res.Node
-		e.Shape = string(res.Shape)
-		e.Algorithm = string(res.Algorithm)
-		e.Backend = string(res.Backend)
-		e.CacheHit = res.CacheHit
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	c.slog.Observe(e)
-}
-
-// SlowLog returns the coordinator's slow-request ring (never nil).
-func (c *Cluster) SlowLog() *obs.SlowLog { return c.slog }
-
 // sweepOutcome is what one pass over a key's owners produced.
 type sweepOutcome struct {
 	res            *Result // non-nil: a node served the request
@@ -454,9 +396,15 @@ func (c *Cluster) sweep(ctx context.Context, p *service.Prepared, tr *obs.Trace,
 	return out
 }
 
-// optimize is Optimize's body; the wrapper owns the trace and the slow-log
-// observation.
-func (c *Cluster) optimize(ctx context.Context, p *service.Prepared, tr *obs.Trace) (*Result, error) {
+// OptimizePrepared is Optimize for a query whose fingerprint the caller
+// already holds: the carried key picks the owners and travels on to the
+// serving node, so the request is not canonicalised again anywhere. A trace
+// on ctx (the HTTP front door attaches one) records the replicate spans.
+func (c *Cluster) OptimizePrepared(ctx context.Context, p *service.Prepared) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	tr := obs.FromContext(ctx)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -715,21 +663,26 @@ func (c *Cluster) noteSuccess(id string) {
 func (c *Cluster) noteFailure(id string) {
 	c.mu.Lock()
 	st := c.state[id]
-	if st == nil || st.dead {
-		c.mu.Unlock()
-		return
+	died := st != nil && c.strike(id, st)
+	c.mu.Unlock()
+	if died {
+		c.rebalance()
 	}
+}
+
+// strike counts one failed call against a node. At FailureThreshold
+// consecutive failures it declares a live node dead and takes it off the
+// ring, reporting true; the caller then rebalances. Callers hold c.mu.
+func (c *Cluster) strike(id string, st *nodeState) bool {
 	st.fails++
-	if st.fails < c.cfg.FailureThreshold {
-		c.mu.Unlock()
-		return
+	if st.dead || st.fails < c.cfg.FailureThreshold {
+		return false
 	}
 	st.dead = true
 	st.noteDeath(time.Now(), c.cfg.FlapWindow)
 	c.ring.remove(id)
 	c.counters.deaths.Add(1)
-	c.mu.Unlock()
-	c.rebalance()
+	return true
 }
 
 // CheckHealth pings every member once, applying the failure detector to
@@ -760,15 +713,8 @@ func (c *Cluster) CheckHealth() {
 			if st.dead && c.tryRejoin(id, st) {
 				changed = true
 			}
-		} else {
-			st.fails++
-			if !st.dead && st.fails >= c.cfg.FailureThreshold {
-				st.dead = true
-				st.noteDeath(time.Now(), c.cfg.FlapWindow)
-				c.ring.remove(id)
-				c.counters.deaths.Add(1)
-				changed = true
-			}
+		} else if c.strike(id, st) {
+			changed = true
 		}
 		c.mu.Unlock()
 	}

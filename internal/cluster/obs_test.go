@@ -114,57 +114,3 @@ func within(got, want, rel float64) bool {
 	}
 	return math.Abs(got-want) <= rel*math.Max(math.Abs(got), math.Abs(want))
 }
-
-// TestClusterSlowLogRecordsNodeAndTrace checks the coordinator's slow ring:
-// every request lands in it (the ring is always on), stamped with the
-// serving node and, when the caller attached a trace, the request id and
-// phase spans including the coordinator's replicate span.
-func TestClusterSlowLogRecordsNodeAndTrace(t *testing.T) {
-	c := newTestCluster(t, 2, 2)
-	tr := obs.NewTrace("rid-slow-7")
-	ctx := obs.WithTrace(context.Background(), tr)
-	if _, err := c.Optimize(ctx, genQuery(t, workload.KindChain, 10, 1)); err != nil {
-		t.Fatal(err)
-	}
-	entries := c.SlowLog().Slowest(0)
-	if len(entries) != 1 {
-		t.Fatalf("slow ring has %d entries, want 1", len(entries))
-	}
-	e := entries[0]
-	if e.RequestID != "rid-slow-7" {
-		t.Errorf("slow entry request_id = %q, want rid-slow-7", e.RequestID)
-	}
-	if e.Node == "" {
-		t.Error("slow entry has no node")
-	}
-	if e.WallUS <= 0 {
-		t.Errorf("slow entry wall_us = %g", e.WallUS)
-	}
-	if len(e.Spans) == 0 {
-		t.Error("slow entry has no spans")
-	}
-	hasReplicate := false
-	for _, s := range e.Spans {
-		if s.Phase == obs.PhaseReplicate {
-			hasReplicate = true
-		}
-	}
-	if !hasReplicate {
-		t.Errorf("miss with replication recorded no replicate span: %+v", e.Spans)
-	}
-
-	// Without a caller trace the coordinator mints one, so the slow entry
-	// still gets a phase breakdown (just no request id).
-	if _, err := c.Optimize(context.Background(), genQuery(t, workload.KindChain, 11, 2)); err != nil {
-		t.Fatal(err)
-	}
-	entries = c.SlowLog().Slowest(0)
-	if len(entries) != 2 {
-		t.Fatalf("slow ring has %d entries, want 2", len(entries))
-	}
-	for _, e := range entries {
-		if len(e.Spans) == 0 {
-			t.Errorf("entry %q has no spans", e.RequestID)
-		}
-	}
-}

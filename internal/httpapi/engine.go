@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -42,8 +41,6 @@ type Engine interface {
 	// WriteMetrics emits the engine's live counters and latency histograms
 	// in Prometheus exposition format (the /metrics body).
 	WriteMetrics(w io.Writer) error
-	// SlowLog returns the engine's ring of slowest requests (never nil).
-	SlowLog() *obs.SlowLog
 	// CacheInfo summarizes the engine's plan cache(s), listing the topN
 	// hottest entries. Cluster engines aggregate over alive nodes.
 	CacheInfo(topN int) service.CacheInfo
@@ -81,8 +78,6 @@ func (e serviceEngine) Health() Health {
 
 func (e serviceEngine) WriteMetrics(w io.Writer) error { return e.svc.WriteMetrics(w) }
 
-func (e serviceEngine) SlowLog() *obs.SlowLog { return e.svc.SlowLog() }
-
 func (e serviceEngine) CacheInfo(topN int) service.CacheInfo { return e.svc.CacheInfo(topN) }
 
 func (e serviceEngine) Invalidate(key string) bool { return e.svc.Invalidate(key) }
@@ -110,8 +105,6 @@ func (e clusterEngine) Optimize(ctx context.Context, p *service.Prepared) (*Answ
 func (e clusterEngine) StatsJSON() string { return e.c.Snapshot().String() }
 
 func (e clusterEngine) WriteMetrics(w io.Writer) error { return e.c.WriteMetrics(w) }
-
-func (e clusterEngine) SlowLog() *obs.SlowLog { return e.c.SlowLog() }
 
 func (e clusterEngine) CacheInfo(topN int) service.CacheInfo { return e.c.CacheInfo(topN) }
 

@@ -57,6 +57,10 @@ type Options struct {
 	// Exhausted tenants get 429 quota_exceeded + Retry-After; other tenants
 	// are unaffected.
 	Quota QuotaConfig
+	// Slow configures the slow-request ring behind /v1/debug/slow and the
+	// JSON-lines slow-query log. The zero value keeps a default-sized ring
+	// with threshold logging disabled.
+	Slow obs.SlowConfig
 }
 
 func (o Options) withDefaults() Options {
@@ -78,6 +82,9 @@ type API struct {
 	engine Engine
 	opts   Options
 	quota  *quotas // nil when quotas are disabled
+	// slow holds the slowest requests this front door answered: the one
+	// slow log of a binary, single node or cluster.
+	slow   *obs.SlowLog
 	mux    *http.ServeMux
 	ridSeq atomic.Uint64
 	ridPfx string
@@ -95,7 +102,7 @@ type API struct {
 // New builds the API and its mux with the /v1 endpoints registered.
 func New(engine Engine, opts Options) *API {
 	opts = opts.withDefaults()
-	a := &API{engine: engine, opts: opts, mux: http.NewServeMux()}
+	a := &API{engine: engine, opts: opts, slow: obs.NewSlowLog(opts.Slow), mux: http.NewServeMux()}
 	a.stmts.Store(newStmtMemo(opts.Schema))
 	a.quota = newQuotas(a.opts.Quota)
 	var b [3]byte
@@ -237,10 +244,12 @@ func compile(wq *WireQuery, schema sql.Schema, rid string) (*service.Prepared, *
 }
 
 // optimizeOne plans one prepared statement and builds its response; on
-// failure it returns the envelope and status instead.
+// failure it returns the envelope and status instead. Every engine answer
+// but a shutdown is observed by the slow log, timed by the trace on ctx.
 func (a *API) optimizeOne(ctx context.Context, p *service.Prepared, explain bool, rid string) (*Response, *Error, int) {
 	q := p.Query
 	ans, err := a.engine.Optimize(ctx, p)
+	a.observeSlow(obs.FromContext(ctx), q.N(), ans, err)
 	if err != nil {
 		e, status := classify(err, rid)
 		return nil, e, status
@@ -279,6 +288,26 @@ func (a *API) optimizeOne(ctx context.Context, p *service.Prepared, explain bool
 		resp.Plan = core.Explain(q, res.Plan)
 	}
 	return resp, nil, 0
+}
+
+// observeSlow feeds one engine answer into the slow log. Its wall is the
+// trace's so far, the one ?trace=1 reports: compile included.
+func (a *API) observeSlow(tr *obs.Trace, relations int, ans *Answer, err error) {
+	if errors.Is(err, service.ErrClosed) || errors.Is(err, cluster.ErrClosed) {
+		return
+	}
+	e := obs.SlowEntry{RequestID: tr.RequestID(), WallUS: tr.WallUS(), Relations: relations}
+	if ans != nil {
+		e.Shape = string(ans.Shape)
+		e.Algorithm = string(ans.Algorithm)
+		e.Backend = string(ans.Backend)
+		e.Node = ans.Node
+		e.CacheHit = ans.CacheHit
+	}
+	if err != nil {
+		e.Error = err.Error()
+	}
+	a.slow.Observe(e, tr)
 }
 
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
@@ -370,8 +399,8 @@ func (a *API) serveOptimize(w http.ResponseWriter, r *http.Request, explain bool
 		a.failEnv(w, status, e)
 		return
 	}
-	// Every request gets a trace — it is how the request id reaches the
-	// engine's slow log — but the spans only travel back on ?trace=1.
+	// Every request gets a trace — its wall and spans are what the slow log
+	// keeps — but the spans only travel back on ?trace=1.
 	tr := obs.NewTrace(rid)
 	ctx := obs.WithTrace(r.Context(), tr)
 	compileDone := tr.StartSpan(obs.PhaseCompile)
@@ -558,7 +587,7 @@ func (a *API) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Flush() // a short scrape is the scraper's to flag, as above
 }
 
-// SlowResponse is the body of GET /v1/debug/slow: the engine's slowest
+// SlowResponse is the body of GET /v1/debug/slow: the front door's slowest
 // requests (slowest first) with their phase breakdowns, plus the
 // configured slow-query-log threshold (0 when threshold logging is off).
 type SlowResponse struct {
@@ -583,13 +612,12 @@ func (a *API) handleSlow(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	slog := a.engine.SlowLog()
-	entries := slog.Slowest(n)
+	entries := a.slow.Slowest(n)
 	if entries == nil {
 		entries = []obs.SlowEntry{}
 	}
 	a.ok(w, rid, &SlowResponse{
-		ThresholdMS: float64(slog.Threshold().Nanoseconds()) / 1e6,
+		ThresholdMS: float64(a.slow.Threshold().Nanoseconds()) / 1e6,
 		Slowest:     entries,
 	})
 }

@@ -244,3 +244,47 @@ func TestDebugSlowEndpoint(t *testing.T) {
 		t.Errorf("GET /v1/debug/slow?n=zero status = %d, want 400", resp2.StatusCode)
 	}
 }
+
+// TestClusterDebugSlowOneEntry checks the one slow log behind a cluster:
+// a request through the front door leaves exactly one /v1/debug/slow entry,
+// carrying the caller's X-Request-Id, the serving node, the front door's
+// trace wall (compile included, so never above the wall ?trace=1 reports
+// later) and the spans of every layer, the coordinator's replicate span
+// among them.
+func TestClusterDebugSlowOneEntry(t *testing.T) {
+	ts := newClusterServer(t)
+	q := workload.MusicBrainzQuery(10, rand.New(rand.NewSource(5)))
+	resp := postTraced(t, ts, FromQuery(q), "rid-slow-7")
+
+	got, err := http.Get(ts.URL + "/v1/debug/slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Body.Close()
+	var out SlowResponse
+	if err := json.NewDecoder(got.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Slowest) != 1 {
+		t.Fatalf("slow ring has %d entries after one request, want 1: %+v", len(out.Slowest), out.Slowest)
+	}
+	e := out.Slowest[0]
+	if e.RequestID != "rid-slow-7" {
+		t.Errorf("slow entry request_id = %q, want rid-slow-7", e.RequestID)
+	}
+	if e.Node == "" || e.Node != resp.Node {
+		t.Errorf("slow entry node = %q, want the serving node %q", e.Node, resp.Node)
+	}
+	if e.WallUS <= 0 || e.WallUS > resp.TraceWallUS {
+		t.Errorf("slow entry wall_us = %g, want in (0, %g]", e.WallUS, resp.TraceWallUS)
+	}
+	phases := make(map[string]bool)
+	for _, s := range e.Spans {
+		phases[s.Phase] = true
+	}
+	for _, want := range []string{obs.PhaseCompile, obs.PhaseCacheProbe, obs.PhaseReplicate} {
+		if !phases[want] {
+			t.Errorf("slow entry lacks a %s span: %+v", want, e.Spans)
+		}
+	}
+}

@@ -20,7 +20,7 @@
 //     (counters, gauges, histograms) so /metrics needs no client library.
 //   - SlowLog: a bounded in-memory ring of the slowest requests with their
 //     span breakdowns, plus an optional JSON-lines slow-query log above a
-//     latency threshold.
+//     latency threshold. The HTTP front door owns the one instance.
 //
 // See OBSERVABILITY.md for the span taxonomy and metric names.
 package obs

@@ -3,7 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 )
@@ -48,7 +48,6 @@ type SlowLog struct {
 
 	mu      sync.Mutex
 	entries []SlowEntry // sorted slowest-first, len <= topK
-	w       io.Writer
 	enc     *json.Encoder
 }
 
@@ -64,39 +63,49 @@ func NewSlowLog(cfg SlowConfig) *SlowLog {
 	if k < 0 {
 		k = 0
 	}
-	s := &SlowLog{topK: k, threshold: cfg.Threshold, w: cfg.Log}
+	s := &SlowLog{topK: k, threshold: cfg.Threshold}
 	if cfg.Log != nil {
 		s.enc = json.NewEncoder(cfg.Log)
 	}
 	return s
 }
 
-// Observe records one finished request. The entry's Time and Spans fields
-// may be left empty; Observe stamps Time itself. Safe on a nil receiver.
-func (s *SlowLog) Observe(e SlowEntry) {
+// Observe records one finished request traced by tr. Time and Spans are
+// filled in only when the entry is kept, by the ring or the threshold log:
+// Observe stamps Time and copies tr's spans then, so an entry below the
+// ring's floor costs a comparison and no allocation. Safe on a nil
+// receiver and a nil trace.
+func (s *SlowLog) Observe(e SlowEntry, tr *Trace) {
 	if s == nil {
 		return
 	}
-	wall := time.Duration(e.WallUS * float64(time.Microsecond))
-	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
+	logIt := s.enc != nil && s.threshold > 0 && time.Duration(e.WallUS*float64(time.Microsecond)) >= s.threshold
 
 	s.mu.Lock()
-	if s.topK > 0 && (len(s.entries) < s.topK || e.WallUS > s.entries[len(s.entries)-1].WallUS) {
-		s.entries = append(s.entries, e)
-		sort.SliceStable(s.entries, func(i, j int) bool {
-			return s.entries[i].WallUS > s.entries[j].WallUS
-		})
+	defer s.mu.Unlock()
+	n := len(s.entries)
+	ring := s.topK > 0 && (n < s.topK || e.WallUS > s.entries[n-1].WallUS)
+	if !ring && !logIt {
+		return
+	}
+	e.Time = time.Now().UTC().Format(time.RFC3339Nano)
+	e.Spans = tr.Spans()
+	if ring {
+		// Slowest first; an entry goes after those of equal wall time.
+		i := 0
+		for i < n && s.entries[i].WallUS >= e.WallUS {
+			i++
+		}
+		s.entries = slices.Insert(s.entries, i, e)
 		if len(s.entries) > s.topK {
 			s.entries = s.entries[:s.topK]
 		}
 	}
-	logIt := s.enc != nil && s.threshold > 0 && wall >= s.threshold
 	if logIt {
 		// Encode under the lock so concurrent entries cannot interleave
 		// within a line; the writer is typically an os.File or buffer.
 		_ = s.enc.Encode(e)
 	}
-	s.mu.Unlock()
 }
 
 // Slowest returns up to max entries, slowest first (all of them when

@@ -11,7 +11,7 @@ import (
 func TestSlowLogTopK(t *testing.T) {
 	s := NewSlowLog(SlowConfig{TopK: 3})
 	for _, us := range []float64{100, 900, 50, 700, 300, 800} {
-		s.Observe(SlowEntry{RequestID: "r", WallUS: us})
+		s.Observe(SlowEntry{RequestID: "r", WallUS: us}, nil)
 	}
 	got := s.Slowest(0)
 	if len(got) != 3 {
@@ -37,15 +37,16 @@ func TestSlowLogThresholdJSONL(t *testing.T) {
 		Threshold: 5 * time.Millisecond,
 		Log:       &sb,
 	})
-	s.Observe(SlowEntry{RequestID: "fast", WallUS: 1000})
+	tr := NewTrace("slow-1")
+	tr.ObserveSim(PhaseEnumerate, 11*time.Millisecond)
+	s.Observe(SlowEntry{RequestID: "fast", WallUS: 1000}, tr)
 	s.Observe(SlowEntry{
 		RequestID: "slow-1",
 		WallUS:    12000,
 		Relations: 20,
 		Backend:   "cpu-parallel",
-		Spans:     []Span{{Phase: PhaseEnumerate, DurUS: 11000}},
-	})
-	s.Observe(SlowEntry{RequestID: "slow-2", WallUS: 6000, Error: "deadline exceeded"})
+	}, tr)
+	s.Observe(SlowEntry{RequestID: "slow-2", WallUS: 6000, Error: "deadline exceeded"}, nil)
 
 	sc := bufio.NewScanner(strings.NewReader(sb.String()))
 	var lines []SlowEntry
@@ -72,13 +73,36 @@ func TestSlowLogThresholdJSONL(t *testing.T) {
 
 func TestSlowLogDisabled(t *testing.T) {
 	var nilLog *SlowLog
-	nilLog.Observe(SlowEntry{WallUS: 1})
+	nilLog.Observe(SlowEntry{WallUS: 1}, nil)
 	if got := nilLog.Slowest(0); got != nil {
 		t.Fatalf("nil SlowLog returned %+v", got)
 	}
 	off := NewSlowLog(SlowConfig{TopK: -1})
-	off.Observe(SlowEntry{WallUS: 99})
+	off.Observe(SlowEntry{WallUS: 99}, nil)
 	if got := off.Slowest(0); len(got) != 0 {
 		t.Fatalf("disabled SlowLog kept %+v", got)
+	}
+}
+
+// TestSlowLogBelowFloorAllocatesNothing holds the common request to its
+// cost: on a full ring, an entry faster than the ring's floor and under the
+// log threshold neither stamps a time nor copies its trace's spans.
+func TestSlowLogBelowFloorAllocatesNothing(t *testing.T) {
+	var sb strings.Builder
+	s := NewSlowLog(SlowConfig{TopK: 4, Threshold: time.Second, Log: &sb})
+	tr := NewTrace("fast")
+	tr.ObserveSince(PhaseCacheProbe, time.Now())
+	for _, us := range []float64{900, 800, 700, 600} {
+		s.Observe(SlowEntry{RequestID: "slow", WallUS: us}, tr)
+	}
+	fast := SlowEntry{RequestID: "fast", WallUS: 50, Shape: "chain", CacheHit: true}
+	if allocs := testing.AllocsPerRun(100, func() { s.Observe(fast, tr) }); allocs != 0 {
+		t.Errorf("Observe below the floor allocated %.0f times, want 0", allocs)
+	}
+	if got := s.Slowest(0); len(got) != 4 || got[3].WallUS != 600 || len(got[0].Spans) != 1 {
+		t.Errorf("ring = %+v, want the four slow entries with their span", got)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("entries under the threshold were logged: %q", sb.String())
 	}
 }

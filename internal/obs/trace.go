@@ -91,14 +91,6 @@ func (t *Trace) RequestID() string {
 	return t.requestID
 }
 
-// Begin returns the trace's start time (zero on nil traces).
-func (t *Trace) Begin() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // WallUS returns the microseconds elapsed since the trace started.
 func (t *Trace) WallUS() float64 {
 	if t == nil {

@@ -3,7 +3,6 @@ package service
 import (
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/obs"
 )
 
@@ -21,65 +20,48 @@ type LatencySet struct {
 	QueueWait obs.Histogram
 }
 
-// Export renders the set's non-empty histograms in serializable form,
-// keyed like Quantiles ("hit:<backend>", "miss:<backend>", "shed",
-// "queue_wait") — how a node-mode peer ships its distributions to the
-// coordinator.
-func (l *LatencySet) Export() map[string]obs.HistogramSnapshot {
-	out := make(map[string]obs.HistogramSnapshot)
-	for i, id := range backend.IDs() {
-		if i >= numBackends {
-			break
-		}
-		if l.Hit[i].Count() > 0 {
-			out["hit:"+string(id)] = l.Hit[i].Export()
-		}
-		if l.Miss[i].Count() > 0 {
-			out["miss:"+string(id)] = l.Miss[i].Export()
-		}
+// each calls fn on every histogram of the set with its export key, in one
+// fixed order: "hit:<backend>" and "miss:<backend>" per backend, then
+// "shed" and "queue_wait".
+func (l *LatencySet) each(fn func(key string, h *obs.Histogram)) {
+	for i, id := range backendIDs {
+		fn("hit:"+string(id), &l.Hit[i])
+		fn("miss:"+string(id), &l.Miss[i])
 	}
-	if l.Shed.Count() > 0 {
-		out["shed"] = l.Shed.Export()
-	}
-	if l.QueueWait.Count() > 0 {
-		out["queue_wait"] = l.QueueWait.Export()
-	}
+	fn("shed", &l.Shed)
+	fn("queue_wait", &l.QueueWait)
+}
+
+// nonEmpty maps the key of each of l's non-empty histograms to f of it (nil
+// when every histogram is empty).
+func nonEmpty[V any](l *LatencySet, f func(*obs.Histogram) V) map[string]V {
+	out := make(map[string]V)
+	l.each(func(key string, h *obs.Histogram) {
+		if h.Count() > 0 {
+			out[key] = f(h)
+		}
+	})
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
+// Export renders the set's non-empty histograms in serializable form,
+// keyed like Quantiles — how a node-mode peer ships its distributions to
+// the coordinator.
+func (l *LatencySet) Export() map[string]obs.HistogramSnapshot {
+	return nonEmpty(l, (*obs.Histogram).Export)
+}
+
 // MergeExport folds an exported set back into l, bucket-wise and lossless.
 // Unknown keys (a peer with a newer backend registry) are dropped.
 func (l *LatencySet) MergeExport(m map[string]obs.HistogramSnapshot) {
-	for key, snap := range m {
-		if h := l.histFor(key); h != nil {
+	l.each(func(key string, h *obs.Histogram) {
+		if snap, ok := m[key]; ok {
 			h.MergeSnapshot(snap)
 		}
-	}
-}
-
-// histFor resolves an export key to its histogram, nil when unknown.
-func (l *LatencySet) histFor(key string) *obs.Histogram {
-	switch key {
-	case "shed":
-		return &l.Shed
-	case "queue_wait":
-		return &l.QueueWait
-	}
-	for i, id := range backend.IDs() {
-		if i >= numBackends {
-			break
-		}
-		switch key {
-		case "hit:" + string(id):
-			return &l.Hit[i]
-		case "miss:" + string(id):
-			return &l.Miss[i]
-		}
-	}
-	return nil
+	})
 }
 
 // Quantiles is the JSON rendering of one latency distribution.
@@ -107,39 +89,13 @@ func quantilesOf(h *obs.Histogram) Quantiles {
 // Quantiles renders the non-empty distributions, keyed "hit:<backend>",
 // "miss:<backend>", "shed" and "queue_wait" — the `latency` object of
 // /v1/stats.
-func (l *LatencySet) Quantiles() map[string]Quantiles {
-	out := make(map[string]Quantiles)
-	for i, id := range backend.IDs() {
-		if i >= numBackends {
-			break
-		}
-		if l.Hit[i].Count() > 0 {
-			out["hit:"+string(id)] = quantilesOf(&l.Hit[i])
-		}
-		if l.Miss[i].Count() > 0 {
-			out["miss:"+string(id)] = quantilesOf(&l.Miss[i])
-		}
-	}
-	if l.Shed.Count() > 0 {
-		out["shed"] = quantilesOf(&l.Shed)
-	}
-	if l.QueueWait.Count() > 0 {
-		out["queue_wait"] = quantilesOf(&l.QueueWait)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (l *LatencySet) Quantiles() map[string]Quantiles { return nonEmpty(l, quantilesOf) }
 
 // WriteMetrics emits the set's histograms in exposition format, as part of
 // WriteNodeMetrics.
 func (l *LatencySet) WriteMetrics(mw *obs.MetricsWriter) {
 	const reqHelp = "End-to-end request latency by outcome and backend."
-	for i, id := range backend.IDs() {
-		if i >= numBackends {
-			break
-		}
+	for i, id := range backendIDs {
 		mw.Histogram("mpdp_request_seconds", reqHelp,
 			obs.Labels{"outcome": "hit", "backend": string(id)}, &l.Hit[i])
 		mw.Histogram("mpdp_request_seconds", reqHelp,

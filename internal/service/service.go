@@ -50,10 +50,6 @@ type Config struct {
 	// aware shedding and the node-level rate cap. The zero value keeps the
 	// legacy blocking backpressure.
 	Admission Admission
-	// Slow configures the slow-request ring surfaced at /v1/debug/slow and
-	// the JSON-lines slow-query log. The zero value keeps a default-sized
-	// ring with threshold logging disabled.
-	Slow obs.SlowConfig
 	// Timeout is the per-query optimization budget. An exact run that
 	// exceeds it falls back to the shape's heuristic with a fresh budget
 	// (0: 30s).
@@ -162,7 +158,6 @@ type Service struct {
 	backends *backend.Set
 	cache    *Cache
 	counters Counters
-	slog     *obs.SlowLog
 	// limiter is the node-level admission rate cap (nil: uncapped).
 	limiter *TokenBucket
 
@@ -185,7 +180,6 @@ func New(cfg Config) *Service {
 		cfg:      cfg,
 		backends: backend.NewSet(cfg.GPU),
 		cache:    NewCache(cfg.CacheShards, cfg.CacheCapacity),
-		slog:     obs.NewSlowLog(cfg.Slow),
 		inflight: make(map[string]*flight),
 		reqs:     make(chan request, cfg.QueueDepth),
 		warm:     newWarm(),
@@ -297,7 +291,7 @@ func (s *Service) Optimize(ctx context.Context, q *cost.Query) (*Result, error) 
 		s.counters.errors.Add(1)
 		return nil, errEmptyQuery
 	}
-	return s.serveRequest(ctx, Prepare(q), start)
+	return s.optimize(ctx, Prepare(q), start)
 }
 
 // OptimizePrepared is Optimize for a query whose fingerprint the caller
@@ -316,54 +310,21 @@ func (s *Service) OptimizePrepared(ctx context.Context, p *Prepared) (*Result, e
 		s.counters.errors.Add(1)
 		return nil, fmt.Errorf("service: fingerprint of %d relations (key %.12q) on a query of %d", len(p.Perm), p.Key, p.Query.N())
 	}
-	return s.serveRequest(ctx, p, start)
+	return s.optimize(ctx, p, start)
 }
 
 var errEmptyQuery = errors.New("service: empty query")
 
 func emptyQuery(q *cost.Query) bool { return q == nil || q.G == nil || q.N() == 0 }
 
-// serveRequest owns the in-flight gauge and the slow-log observation around
-// optimize; start is when the caller entered the service.
-func (s *Service) serveRequest(ctx context.Context, p *Prepared, start time.Time) (*Result, error) {
+// optimize is the body of both entry points: probe, coalesce or enqueue;
+// start is when the caller entered the service.
+func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.counters.inflight.Add(1)
-	res, err := s.optimize(ctx, p, start)
-	s.counters.inflight.Add(-1)
-	if !errors.Is(err, ErrClosed) {
-		s.observeSlow(obs.FromContext(ctx), p.Query, res, start, err)
-	}
-	return res, err
-}
-
-// observeSlow feeds one finished request into the slow-request ring and the
-// slow-query log.
-func (s *Service) observeSlow(tr *obs.Trace, q *cost.Query, res *Result, start time.Time, err error) {
-	e := obs.SlowEntry{
-		RequestID: tr.RequestID(),
-		WallUS:    float64(time.Since(start).Nanoseconds()) / 1e3,
-		Relations: q.N(),
-		Spans:     tr.Spans(),
-	}
-	if res != nil {
-		e.Shape = string(res.Shape)
-		e.Algorithm = string(res.Algorithm)
-		e.Backend = string(res.Backend)
-		e.CacheHit = res.CacheHit
-	}
-	if err != nil {
-		e.Error = err.Error()
-	}
-	s.slog.Observe(e)
-}
-
-// SlowLog returns the service's slow-request ring (never nil).
-func (s *Service) SlowLog() *obs.SlowLog { return s.slog }
-
-// optimize is the body of both entry points: probe, coalesce or enqueue.
-func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*Result, error) {
+	defer s.counters.inflight.Add(-1)
 	q, fp := p.Query, p.Fingerprint
 	tr := obs.FromContext(ctx)
 	s.counters.requests.Add(1)

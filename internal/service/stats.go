@@ -32,12 +32,8 @@ type Counters struct {
 	queueDepth atomic.Int64
 	inflight   atomic.Int64
 
-	routeDPCCP   atomic.Uint64
-	routeMPDP    atomic.Uint64
-	routeMPDPGPU atomic.Uint64
-	routeIDP2    atomic.Uint64
-	routeLinDP   atomic.Uint64
-	routeUnionDP atomic.Uint64
+	// route counts routing decisions, indexed like routed.
+	route [len(routed)]atomic.Uint64
 
 	// epochBumps counts stats-epoch advances and statsEpoch holds the
 	// current epoch (starts at 1).
@@ -72,31 +68,44 @@ type backendCounters struct {
 // counters.
 const numBackends = 4
 
-// backendSlot derives each ID's counter slot from its position in the
-// backend registry — one source of truth, no hand-maintained switch.
-var backendSlot = func() map[backend.ID]int {
-	m := make(map[backend.ID]int, len(backend.IDs()))
-	for i, id := range backend.IDs() {
-		m[id] = i
-	}
-	return m
-}()
+// backendIDs is the backend registry in counter-slot order: slot i counts
+// backendIDs[i]. The conversion panics at start-up on a registry shorter
+// than the counter array.
+var backendIDs = [numBackends]backend.ID(backend.IDs())
 
-// slot returns the counters of id, or nil for unknown IDs (e.g. entries
-// imported from a peer without backend identity) — callers skip nil, which
-// keeps the per-backend hit sum ≤ total hits and makes every path,
-// including Snapshot, panic-free by construction.
+// slotOf returns id's counter slot, or -1 for unknown IDs (e.g. entries
+// imported from a peer without backend identity). Callers skip -1, which
+// keeps the per-backend hit sum ≤ total hits.
+func slotOf(id backend.ID) int {
+	for i, b := range backendIDs {
+		if b == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// slot returns the counters of id, or nil for unknown IDs.
 func (c *Counters) slot(id backend.ID) *backendCounters {
-	if i, ok := slotIdx(id); ok {
+	if i := slotOf(id); i >= 0 {
 		return &c.backends[i]
 	}
 	return nil
 }
 
-// slotIdx resolves a backend's counter-array index.
-func slotIdx(id backend.ID) (int, bool) {
-	i, ok := backendSlot[id]
-	return i, ok && i < numBackends
+// routed is every algorithm core.Route can name, in mpdp_route_total's
+// order: its label there and its Snapshot field.
+var routed = [...]struct {
+	alg   core.Algorithm
+	label string
+	count func(*Snapshot) *uint64
+}{
+	{core.AlgDPCCP, "dpccp", func(s *Snapshot) *uint64 { return &s.RouteDPCCP }},
+	{core.AlgMPDPParallel, "mpdp_cpu", func(s *Snapshot) *uint64 { return &s.RouteMPDP }},
+	{core.AlgMPDPGPU, "mpdp_gpu", func(s *Snapshot) *uint64 { return &s.RouteMPDPGPU }},
+	{core.AlgIDP2, "idp2", func(s *Snapshot) *uint64 { return &s.RouteIDP2 }},
+	{core.AlgLinDP, "lindp", func(s *Snapshot) *uint64 { return &s.RouteLinDP }},
+	{core.AlgUnionDP, "uniondp", func(s *Snapshot) *uint64 { return &s.RouteUnionDP }},
 }
 
 // BackendCounts is the snapshot of one backend's counters.
@@ -168,34 +177,28 @@ type Snapshot struct {
 // not one consistent cut, which is fine for monitoring.
 func (c *Counters) Snapshot() Snapshot {
 	s := Snapshot{
-		Requests:     c.requests.Load(),
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Coalesced:    c.coalesced.Load(),
-		Fallbacks:    c.fallbacks.Load(),
-		Errors:       c.errors.Load(),
-		Canceled:     c.canceled.Load(),
-		Shed:         c.shed.Load(),
-		Queued:       c.queued.Load(),
-		QueueDepth:   c.queueDepth.Load(),
-		InFlight:     c.inflight.Load(),
-		RouteDPCCP:   c.routeDPCCP.Load(),
-		RouteMPDP:    c.routeMPDP.Load(),
-		RouteMPDPGPU: c.routeMPDPGPU.Load(),
-		RouteIDP2:    c.routeIDP2.Load(),
-		RouteLinDP:   c.routeLinDP.Load(),
-		RouteUnionDP: c.routeUnionDP.Load(),
+		Requests:   c.requests.Load(),
+		Hits:       c.hits.Load(),
+		Misses:     c.misses.Load(),
+		Coalesced:  c.coalesced.Load(),
+		Fallbacks:  c.fallbacks.Load(),
+		Errors:     c.errors.Load(),
+		Canceled:   c.canceled.Load(),
+		Shed:       c.shed.Load(),
+		Queued:     c.queued.Load(),
+		QueueDepth: c.queueDepth.Load(),
+		InFlight:   c.inflight.Load(),
 
 		StatsEpoch: c.statsEpoch.Load(),
 		EpochBumps: c.epochBumps.Load(),
 
 		Backends: make(map[string]BackendCounts, numBackends),
 	}
-	for _, id := range backend.IDs() {
-		b := c.slot(id)
-		if b == nil {
-			continue
-		}
+	for i, r := range routed {
+		*r.count(&s) = c.route[i].Load()
+	}
+	for i, id := range backendIDs {
+		b := &c.backends[i]
 		s.Backends[string(id)] = BackendCounts{
 			Routed:    b.routed.Load(),
 			Served:    b.served.Load(),
@@ -203,17 +206,24 @@ func (c *Counters) Snapshot() Snapshot {
 			Fallbacks: b.fallbacks.Load(),
 		}
 	}
+	s.deriveRates(float64(c.hitNanos.Load()), float64(c.missNanos.Load()), 1e3)
+	s.Latency = c.lat.Quantiles()
+	return s
+}
+
+// deriveRates sets HitRate from the counts, and AvgHitMicros and
+// AvgMissMicros from the total hit and miss time, given in units of
+// 1/perMicro µs.
+func (s *Snapshot) deriveRates(hitTotal, missTotal, perMicro float64) {
 	if served := s.Hits + s.Misses + s.Coalesced; served > 0 {
 		s.HitRate = float64(s.Hits+s.Coalesced) / float64(served)
 	}
 	if s.Hits > 0 {
-		s.AvgHitMicros = float64(c.hitNanos.Load()) / float64(s.Hits) / 1e3
+		s.AvgHitMicros = hitTotal / float64(s.Hits) / perMicro
 	}
 	if s.Misses > 0 {
-		s.AvgMissMicros = float64(c.missNanos.Load()) / float64(s.Misses) / 1e3
+		s.AvgMissMicros = missTotal / float64(s.Misses) / perMicro
 	}
-	s.Latency = c.lat.Quantiles()
-	return s
 }
 
 // SumSnapshots folds node snapshots into one, the cluster rollup: every
@@ -237,12 +247,9 @@ func SumSnapshots(snaps []Snapshot) Snapshot {
 		t.Queued += s.Queued
 		t.QueueDepth += s.QueueDepth
 		t.InFlight += s.InFlight
-		t.RouteDPCCP += s.RouteDPCCP
-		t.RouteMPDP += s.RouteMPDP
-		t.RouteMPDPGPU += s.RouteMPDPGPU
-		t.RouteIDP2 += s.RouteIDP2
-		t.RouteLinDP += s.RouteLinDP
-		t.RouteUnionDP += s.RouteUnionDP
+		for _, r := range routed {
+			*r.count(&t) += *r.count(&s)
+		}
 		t.EpochBumps += s.EpochBumps
 		t.StatsEpoch = max(t.StatsEpoch, s.StatsEpoch)
 		for id, bc := range s.Backends {
@@ -256,15 +263,7 @@ func SumSnapshots(snaps []Snapshot) Snapshot {
 		hitUS += s.AvgHitMicros * float64(s.Hits)
 		missUS += s.AvgMissMicros * float64(s.Misses)
 	}
-	if served := t.Hits + t.Misses + t.Coalesced; served > 0 {
-		t.HitRate = float64(t.Hits+t.Coalesced) / float64(served)
-	}
-	if t.Hits > 0 {
-		t.AvgHitMicros = hitUS / float64(t.Hits)
-	}
-	if t.Misses > 0 {
-		t.AvgMissMicros = missUS / float64(t.Misses)
-	}
+	t.deriveRates(hitUS, missUS, 1)
 	return t
 }
 
@@ -291,15 +290,11 @@ func WriteNodeMetrics(mw *obs.MetricsWriter, s Snapshot, cachePlans int, lat *La
 	mw.Counter("mpdp_stats_epoch_bumps_total", "Catalog stats epoch advances.", nil, s.EpochBumps)
 	mw.Gauge("mpdp_stats_epoch", "Current catalog stats epoch.", nil, float64(s.StatsEpoch))
 
-	const routeHelp = "Routing decisions by algorithm."
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "dpccp"}, s.RouteDPCCP)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_cpu"}, s.RouteMPDP)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "mpdp_gpu"}, s.RouteMPDPGPU)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "idp2"}, s.RouteIDP2)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "lindp"}, s.RouteLinDP)
-	mw.Counter("mpdp_route_total", routeHelp, obs.Labels{"algorithm": "uniondp"}, s.RouteUnionDP)
+	for _, r := range routed {
+		mw.Counter("mpdp_route_total", "Routing decisions by algorithm.", obs.Labels{"algorithm": r.label}, *r.count(&s))
+	}
 
-	for _, id := range backend.IDs() {
+	for _, id := range backendIDs {
 		b, ok := s.Backends[string(id)]
 		if !ok {
 			continue
@@ -336,7 +331,7 @@ func (c *Counters) observeQueued() {
 func (c *Counters) observeHit(d time.Duration, id backend.ID) {
 	c.hits.Add(1)
 	c.hitNanos.Add(uint64(d))
-	if i, ok := slotIdx(id); ok {
+	if i := slotOf(id); i >= 0 {
 		c.backends[i].hits.Add(1)
 		c.lat.Hit[i].Record(d)
 	}
@@ -345,7 +340,7 @@ func (c *Counters) observeHit(d time.Duration, id backend.ID) {
 func (c *Counters) observeMiss(d time.Duration, id backend.ID) {
 	c.misses.Add(1)
 	c.missNanos.Add(uint64(d))
-	if i, ok := slotIdx(id); ok {
+	if i := slotOf(id); i >= 0 {
 		c.lat.Miss[i].Record(d)
 	}
 }
@@ -360,19 +355,11 @@ func (c *Counters) observeQueueWait(d time.Duration) {
 }
 
 func (c *Counters) observeRoute(alg core.Algorithm) {
-	switch alg {
-	case core.AlgDPCCP:
-		c.routeDPCCP.Add(1)
-	case core.AlgMPDPParallel:
-		c.routeMPDP.Add(1)
-	case core.AlgMPDPGPU:
-		c.routeMPDPGPU.Add(1)
-	case core.AlgIDP2:
-		c.routeIDP2.Add(1)
-	case core.AlgLinDP:
-		c.routeLinDP.Add(1)
-	case core.AlgUnionDP:
-		c.routeUnionDP.Add(1)
+	for i := range routed {
+		if routed[i].alg == alg {
+			c.route[i].Add(1)
+			break
+		}
 	}
 	id, _ := backend.Of(alg)
 	if b := c.slot(id); b != nil {
