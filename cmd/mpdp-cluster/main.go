@@ -74,7 +74,6 @@ func main() {
 		httpAddr   = flag.String("http", ":8080", "HTTP front-door address")
 		nodes      = flag.Int("nodes", 4, "initial node count")
 		replicas   = flag.Int("replicas", 2, "copies of each plan-cache entry (owner included)")
-		vnodes     = flag.Int("vnodes", 0, "virtual nodes per ring member (0 = 64)")
 		health     = flag.Duration("health", time.Second, "health-sweep interval (0 disables)")
 		workers    = flag.Int("workers", 0, "optimization workers per node (0 = GOMAXPROCS/nodes)")
 		cacheCap   = flag.Int("cache", 0, "plan-cache capacity per node (0 = 4096)")
@@ -153,7 +152,6 @@ func main() {
 	c := cluster.New(cluster.Config{
 		Nodes:          *nodes,
 		Replicas:       *replicas,
-		VirtualNodes:   *vnodes,
 		HealthInterval: *health,
 		Transport:      tr,
 		Service:        svcCfg,

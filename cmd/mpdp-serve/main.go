@@ -49,9 +49,6 @@ import (
 	"repro/internal/sql"
 )
 
-// maxStatementBytes bounds one SQL statement on either protocol.
-const maxStatementBytes = 1 << 20
-
 // stdinServer drives the line protocol; the HTTP surface is the shared
 // internal/httpapi mux.
 type stdinServer struct {
@@ -60,7 +57,8 @@ type stdinServer struct {
 	explain bool
 }
 
-// readLine reads one newline-terminated line of at most maxStatementBytes.
+// readLine reads one newline-terminated line of at most
+// httpapi.MaxStatementBytes, the bound HTTP bodies share.
 // Longer lines are discarded to the next newline and reported as tooLong,
 // so one oversized statement yields one error, not a dead server.
 func readLine(r *bufio.Reader) (line string, tooLong bool, err error) {
@@ -70,7 +68,7 @@ func readLine(r *bufio.Reader) (line string, tooLong bool, err error) {
 		if err != nil {
 			return b.String(), false, err
 		}
-		if b.Len()+len(chunk) > maxStatementBytes {
+		if b.Len()+len(chunk) > httpapi.MaxStatementBytes {
 			for pref {
 				if _, pref, err = r.ReadLine(); err != nil {
 					break
@@ -96,7 +94,7 @@ func (s *stdinServer) serveStdin(in io.Reader, out io.Writer) error {
 			return err
 		}
 		if tooLong {
-			fmt.Fprintf(out, "error: statement exceeds %d bytes\n", maxStatementBytes)
+			fmt.Fprintf(out, "error: statement exceeds %d bytes\n", httpapi.MaxStatementBytes)
 			continue
 		}
 		line := strings.TrimSpace(raw)
@@ -181,7 +179,6 @@ func main() {
 	}
 	defer closeSlow()
 	api := httpapi.New(httpapi.ServiceEngine(svc), httpapi.Options{
-		MaxStatementBytes: maxStatementBytes,
 		Quota: httpapi.QuotaConfig{
 			RatePerSec: *quotaRate,
 			Burst:      *quotaBurst,

@@ -20,7 +20,7 @@ func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	svc := service.New(service.Config{Workers: 2})
 	t.Cleanup(svc.Close)
-	api := httpapi.New(httpapi.ServiceEngine(svc), httpapi.Options{MaxStatementBytes: maxStatementBytes})
+	api := httpapi.New(httpapi.ServiceEngine(svc), httpapi.Options{})
 	ts := httptest.NewServer(api.Mux())
 	t.Cleanup(ts.Close)
 	return ts
@@ -74,7 +74,7 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 		decodeEnvelope(t, resp, http.StatusBadRequest, httpapi.CodeBadRequest)
 
 		// 413: oversized statement
-		huge := strings.Repeat("x", maxStatementBytes+1)
+		huge := strings.Repeat("x", httpapi.MaxStatementBytes+1)
 		resp, err = http.Post(ts.URL+path, "text/plain", strings.NewReader(huge))
 		if err != nil {
 			t.Fatal(err)

@@ -77,45 +77,6 @@ func TestNextSubsetEnumeratesAllSubsets(t *testing.T) {
 	}
 }
 
-func TestDepositExtractRoundTrip(t *testing.T) {
-	f := func(src uint64, mask uint64) bool {
-		m := Mask(mask)
-		k := m.Count()
-		src &= (1 << uint(k)) - 1 // only the low k bits matter
-		dep := Deposit(src, m)
-		if !dep.SubsetOf(m) {
-			return false
-		}
-		return Extract(dep, m) == src
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDepositMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 200; trial++ {
-		mask := Mask(rng.Uint64())
-		src := rng.Uint64()
-		got := Deposit(src, mask)
-		// Naive PDEP.
-		var want Mask
-		bit := 0
-		for i := 0; i < 64; i++ {
-			if mask.Has(i) {
-				if src&(1<<uint(bit)) != 0 {
-					want = want.Add(i)
-				}
-				bit++
-			}
-		}
-		if got != want {
-			t.Fatalf("Deposit(%x, %x) = %v, want %v", src, uint64(mask), got, want)
-		}
-	}
-}
-
 func TestMaskElementsForEachAgree(t *testing.T) {
 	f := func(a uint64) bool {
 		m := Mask(a)

@@ -4,8 +4,9 @@
 // the heuristic layer, which must address graphs with 1000+ relations.
 //
 // The paper (§2.2.1, §5) represents all relation sets and adjacency lists as
-// bitmap sets; subset enumeration relies on the parallel-bit-deposit (PDEP)
-// instruction, which Deposit reimplements in portable Go.
+// bitmap sets; where the paper expands a dense subset rank with the
+// parallel-bit-deposit (PDEP) instruction, the star lattice unranks its
+// subsets with package combinat instead.
 package bitset
 
 import (
@@ -156,39 +157,4 @@ func (m Mask) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Deposit implements PDEP (parallel bit deposit): the low bits of src are
-// scattered, in order, to the positions of the set bits of mask. It is the
-// software equivalent of the x86 BMI2 PDEP instruction the paper uses to
-// expand a dense local subset rank into a sparse relation mask (§2.2.1).
-//
-//mpdp:hotpath
-func Deposit(src uint64, mask Mask) Mask {
-	var out Mask
-	bit := uint64(1)
-	for mm := mask; mm != 0; mm &= mm - 1 {
-		if src&bit != 0 {
-			out |= mm.LowestBit()
-		}
-		bit <<= 1
-	}
-	return out
-}
-
-// Extract implements PEXT (parallel bit extract), the inverse of Deposit:
-// the bits of src at the positions selected by mask are gathered into the
-// low bits of the result.
-//
-//mpdp:hotpath
-func Extract(src, mask Mask) uint64 {
-	var out uint64
-	bit := uint64(1)
-	for mm := mask; mm != 0; mm &= mm - 1 {
-		if src&mm.LowestBit() != 0 {
-			out |= bit
-		}
-		bit <<= 1
-	}
-	return out
 }

@@ -44,9 +44,6 @@ type Config struct {
 	// Replicas is the number of nodes that hold each key, owner included
 	// (0: 2). Clamped to the live node count when the cluster is smaller.
 	Replicas int
-	// VirtualNodes is the number of ring points per node (0: 64). More
-	// points smooth key distribution at the price of a larger ring.
-	VirtualNodes int
 	// FailureThreshold is the number of consecutive failed RPCs (requests
 	// or pings) after which a node is declared dead and removed from the
 	// ring (0: 2).
@@ -91,9 +88,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 2
-	}
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
 	}
 	if c.FailureThreshold <= 0 {
 		c.FailureThreshold = 2
@@ -199,7 +193,7 @@ func New(cfg Config) *Cluster {
 		cfg:    cfg,
 		retry:  cfg.Retry,
 		rng:    newLockedRand(cfg.Seed),
-		ring:   newRing(cfg.VirtualNodes),
+		ring:   newRing(),
 		nodes:  make(map[string]*node),
 		detach: make(map[string]func()),
 		remote: make(map[string]bool),

@@ -53,7 +53,7 @@ func newTestCluster(t *testing.T, nodes, replicas int) *Cluster {
 // --- ring ------------------------------------------------------------------
 
 func TestRingOwnersDistinctAndStable(t *testing.T) {
-	r := newRing(64)
+	r := newRing()
 	for _, id := range []string{"a", "b", "c", "d"} {
 		r.add(id)
 	}
@@ -85,7 +85,7 @@ func TestRingOwnersDistinctAndStable(t *testing.T) {
 // TestRingRemovalMovesMinimalKeys checks the consistent-hashing property:
 // removing one of four nodes must not move keys whose owner survives.
 func TestRingRemovalMovesMinimalKeys(t *testing.T) {
-	r := newRing(64)
+	r := newRing()
 	nodes := []string{"a", "b", "c", "d"}
 	for _, id := range nodes {
 		r.add(id)
@@ -112,7 +112,7 @@ func TestRingRemovalMovesMinimalKeys(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r := newRing(64)
+	r := newRing()
 	nodes := []string{"a", "b", "c", "d"}
 	for _, id := range nodes {
 		r.add(id)

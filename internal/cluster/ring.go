@@ -6,7 +6,11 @@ import (
 	"strconv"
 )
 
-// ring is a consistent-hash ring over node IDs. Each node owns VirtualNodes
+// virtualNodes is the number of ring points per node. More points smooth
+// key distribution at the price of a larger ring.
+const virtualNodes = 64
+
+// ring is a consistent-hash ring over node IDs. Each node owns virtualNodes
 // points on a 64-bit circle; a key is owned by the first node point at or
 // after the key's hash, and its replicas are the next distinct nodes
 // clockwise. Virtual nodes keep ownership near-uniform, and consistent
@@ -16,7 +20,6 @@ import (
 // The ring is a value-style structure guarded by the Cluster's mutex; it
 // does no locking of its own.
 type ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
 	member map[string]bool
 }
@@ -26,8 +29,8 @@ type ringPoint struct {
 	node string
 }
 
-func newRing(vnodes int) *ring {
-	return &ring{vnodes: vnodes, member: make(map[string]bool)}
+func newRing() *ring {
+	return &ring{member: make(map[string]bool)}
 }
 
 func hashString(s string) uint64 {
@@ -54,7 +57,7 @@ func (r *ring) add(node string) {
 		return
 	}
 	r.member[node] = true
-	for v := 0; v < r.vnodes; v++ {
+	for v := 0; v < virtualNodes; v++ {
 		r.points = append(r.points, ringPoint{hashString(node + "#" + strconv.Itoa(v)), node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })

@@ -124,8 +124,10 @@ type Result struct {
 // Optimize plans the query with the selected algorithm, or with the one
 // Route picks when that is AlgAuto (the default). The context is
 // checked cooperatively throughout the enumeration: cancelling it aborts an
-// in-flight run promptly with the context's error, independently of (and in
-// addition to) Options.Timeout. A nil ctx means context.Background().
+// in-flight run promptly with the context's cause. Options.Timeout is a
+// deadline on that context whose cause is dp.ErrTimeout; a caller's own
+// cancellation or deadline that comes first keeps the caller's cause. A nil
+// ctx means context.Background().
 func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error) {
 	if opts.Algorithm == "" || opts.Algorithm == AlgAuto {
 		opts.Algorithm, _ = Route(q)
@@ -137,17 +139,14 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 	if m == nil {
 		m = cost.DefaultModel()
 	}
-	var deadline time.Time
 	if opts.Timeout > 0 {
-		deadline = time.Now().Add(opts.Timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeoutCause(ctx, opts.Timeout, dp.ErrTimeout)
+		defer cancel()
 	}
-	in := dp.Input{
-		Q: q, M: m, Ctx: ctx, Workspace: opts.Workspace, Deadline: deadline,
-		Threads: opts.Threads,
-	}
+	in := dp.Input{Q: q, M: m, Ctx: ctx, Workspace: opts.Workspace, Threads: opts.Threads}
 	hOpt := heuristic.Options{
-		Model: m, K: opts.K, Ctx: ctx, Deadline: deadline, Threads: opts.Threads,
-		Workspace: opts.Workspace,
+		Model: m, K: opts.K, Ctx: ctx, Threads: opts.Threads, Workspace: opts.Workspace,
 	}
 	gcfg := gpusim.DefaultConfig()
 	if opts.GPU != nil {

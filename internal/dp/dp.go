@@ -28,7 +28,6 @@ package dp
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/bitset"
 	"repro/internal/cost"
@@ -81,10 +80,12 @@ type Input struct {
 	Q *cost.Query
 	M *cost.Model
 
-	// Ctx, when non-nil, carries caller cancellation: the enumerators abort
-	// with the context's error as soon as their deadline checker observes
-	// Done. A nil Ctx means "never cancelled" (context.Background semantics
-	// without the interface call on the hot path).
+	// Ctx, when non-nil, carries the time budget and caller cancellation:
+	// the enumerators abort with context.Cause as soon as their deadline
+	// checker observes Done, so a budget set as
+	// context.WithTimeoutCause(ctx, d, ErrTimeout) returns ErrTimeout. A
+	// nil Ctx means "never cancelled" (context.Background semantics without
+	// the interface call on the hot path).
 	Ctx context.Context
 
 	// Leaves optionally overrides the base plans for each relation; the
@@ -100,10 +101,6 @@ type Input struct {
 	// begins. Long-lived callers keep one per worker.
 	// When nil the run allocates all of it afresh. No result depends on it.
 	Workspace *Workspace
-
-	// Deadline, when non-zero, bounds the optimization time; algorithms
-	// return ErrTimeout once it passes.
-	Deadline time.Time
 
 	// Threads is the worker count of parallel.MPDP and
 	// parallel.DPSubParallel, which run RunLevels at it (0: GOMAXPROCS).
@@ -137,29 +134,22 @@ type Func func(in Input) (*plan.Node, Stats, error)
 // split of the set plus its costing); see plan.Winner.
 type Winner = plan.Winner
 
-// Deadline is a cheap cooperative budget checker: Expired polls the clock
-// and the caller's context only every few thousand iterations. It trips on
-// whichever comes first — the wall-clock budget (ErrTimeout) or context
-// cancellation (the context's error); Err reports which.
+// Deadline is a cheap cooperative budget checker: Expired polls the
+// caller's context only every few thousand iterations, and Err reports its
+// cause — ErrTimeout for a budget set with that cause, the caller's own
+// cancellation or deadline otherwise.
 type Deadline struct {
-	at   time.Time
 	done <-chan struct{}
 	ctx  context.Context
 	err  error
 	left int // calls of Expired until the next poll
 }
 
-// NewDeadline wraps at; the zero time means "no deadline".
-func NewDeadline(at time.Time) *Deadline {
-	return &Deadline{at: at, left: deadlinePollInterval}
-}
-
-// NewDeadline builds the checker for this input: the wall-clock budget plus
-// the caller's cancellation context. Every driver creates its per-worker
-// checkers through this so that caller cancellation reaches every
-// enumeration loop.
+// NewDeadline builds the checker for this input's context. Every driver
+// creates its per-worker checkers through this so that the budget and
+// caller cancellation reach every enumeration loop.
 func (in *Input) NewDeadline() *Deadline {
-	d := &Deadline{at: in.Deadline, ctx: in.Ctx, left: deadlinePollInterval}
+	d := &Deadline{ctx: in.Ctx, left: deadlinePollInterval}
 	if in.Ctx != nil {
 		d.done = in.Ctx.Done()
 	}
@@ -168,11 +158,11 @@ func (in *Input) NewDeadline() *Deadline {
 
 const deadlinePollInterval = 8192
 
-// Expired reports whether the budget is exhausted or the caller cancelled,
-// polling sparsely. Once it returns true it keeps returning true and Err
-// returns the cause. The enumerators call it once per candidate pair, so
-// the fast path is one decrement and one branch; whether there is anything
-// to poll at all is the slow path's business.
+// Expired reports whether the context is done, polling sparsely. Once it
+// returns true it keeps returning true and Err returns the cause. The
+// enumerators call it once per candidate pair, so the fast path is one
+// decrement and one branch; whether there is anything to poll at all is the
+// slow path's business.
 //
 //mpdp:hotpath
 func (d *Deadline) Expired() bool {
@@ -193,9 +183,6 @@ func (d *Deadline) poll() bool {
 		default:
 		}
 	}
-	if d.err == nil && !d.at.IsZero() && time.Now().After(d.at) {
-		d.err = ErrTimeout
-	}
 	if d.err != nil {
 		d.left = 0 // the next call polls again: tripped is sticky
 		return true
@@ -204,22 +191,13 @@ func (d *Deadline) poll() bool {
 	return false
 }
 
-// Err returns why the deadline tripped: ErrTimeout for the wall-clock
-// budget, the context's cancellation error otherwise. Callers use it as the
-// return value after Expired reported true; if the checker never tripped
-// (e.g. a sibling worker's did), it re-derives the cause, defaulting to
+// Err returns why the deadline tripped: the context's cause. Callers use it
+// as the return value after Expired reported true; if the checker never
+// tripped (e.g. a sibling worker's did), it polls once more, defaulting to
 // ErrTimeout.
 func (d *Deadline) Err() error {
-	if d.err != nil {
+	if d.poll() {
 		return d.err
-	}
-	if d.done != nil {
-		select {
-		case <-d.done:
-			d.err = context.Cause(d.ctx)
-			return d.err
-		default:
-		}
 	}
 	return ErrTimeout
 }

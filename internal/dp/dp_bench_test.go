@@ -70,7 +70,7 @@ func BenchmarkConnectedSetEnumeration(b *testing.B) {
 		b.Run(fmt.Sprintf("star-%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				buckets := connectedSetsBySize(q.G, NewDeadline(noDeadline()), nil)
+				buckets := connectedSetsBySize(q.G, new(Deadline), nil)
 				if buckets == nil {
 					b.Fatal("enumeration aborted")
 				}
@@ -85,7 +85,7 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		count := uint64(0)
-		ccpPairs(q.G, NewDeadline(noDeadline()), func(_, _ bitset.Mask) { count++ })
+		ccpPairs(q.G, new(Deadline), func(_, _ bitset.Mask) { count++ })
 		if count == 0 {
 			b.Fatal("no pairs")
 		}

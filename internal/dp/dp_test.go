@@ -287,9 +287,9 @@ func TestCustomLeavesRespected(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	q := topoQuery(graph.Clique(16), rng)
-	deadline := timeNowMinusForever()
+	spent := spentBudget()
 	for _, alg := range allAlgorithms {
-		_, _, err := alg.f(Input{Q: q, M: cost.DefaultModel(), Deadline: deadline})
+		_, _, err := alg.f(Input{Q: q, M: cost.DefaultModel(), Ctx: spent})
 		if err != ErrTimeout {
 			t.Errorf("%s: got %v, want ErrTimeout", alg.name, err)
 		}
@@ -317,7 +317,9 @@ func testStarQuery(t *testing.T, n int) *cost.Query {
 // graphs up to 41 relations here, where a non-aborting walk takes hours).
 func TestConnectedBucketsHonorsDeadline(t *testing.T) {
 	q := testStarQuery(t, 30)
-	in := Input{Q: q, M: cost.DefaultModel(), Deadline: time.Now().Add(30 * time.Millisecond)}
+	ctx, cancel := context.WithTimeoutCause(context.Background(), 30*time.Millisecond, ErrTimeout)
+	defer cancel()
+	in := Input{Q: q, M: cost.DefaultModel(), Ctx: ctx}
 	start := time.Now()
 	_, err := ConnectedBuckets(in)
 	elapsed := time.Since(start)
@@ -376,14 +378,18 @@ func TestDeadlinePollsSparselyAndStaysTripped(t *testing.T) {
 	cause := errors.New("caller went away")
 	ctx, cancel := context.WithCancelCause(context.Background())
 	cancel(cause)
+	past, stopPast := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stopPast()
+	budgeted, stopBudget := context.WithTimeoutCause(past, time.Hour, ErrTimeout)
+	defer stopBudget()
 	for _, tc := range []struct {
 		name string
 		dl   *Deadline
 		want error
 	}{
-		{"past wall clock", NewDeadline(timeNowMinusForever()), ErrTimeout},
+		{"spent budget", (&Input{Ctx: spentBudget()}).NewDeadline(), ErrTimeout},
 		{"cancelled context", (&Input{Ctx: ctx}).NewDeadline(), cause},
-		{"both: the context is asked first", (&Input{Ctx: ctx, Deadline: timeNowMinusForever()}).NewDeadline(), cause},
+		{"the caller's deadline comes first", (&Input{Ctx: budgeted}).NewDeadline(), context.DeadlineExceeded},
 	} {
 		for i := 1; i < deadlinePollInterval; i++ {
 			if tc.dl.Expired() {
@@ -402,9 +408,9 @@ func TestDeadlinePollsSparselyAndStaysTripped(t *testing.T) {
 	live, stop := context.WithCancel(context.Background())
 	defer stop()
 	for name, dl := range map[string]*Deadline{
-		"no deadline":  NewDeadline(noDeadline()),
+		"no context":   (&Input{}).NewDeadline(),
 		"zero value":   {},
-		"live context": (&Input{Ctx: live, Deadline: time.Now().Add(time.Hour)}).NewDeadline(),
+		"live context": (&Input{Ctx: live}).NewDeadline(),
 	} {
 		for i := 0; i < 3*deadlinePollInterval; i++ {
 			if dl.Expired() {

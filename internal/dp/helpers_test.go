@@ -1,18 +1,19 @@
 package dp
 
 import (
+	"context"
 	"time"
 
 	"repro/internal/plan"
 )
 
-// timeNowMinusForever returns a deadline that is already long past.
-func timeNowMinusForever() time.Time {
-	return time.Now().Add(-time.Hour)
+// spentBudget returns a context whose time budget ran out an hour ago: its
+// cause is ErrTimeout, as core.Optimize sets it.
+func spentBudget() context.Context {
+	ctx, cancel := context.WithTimeoutCause(context.Background(), -time.Hour, ErrTimeout)
+	cancel() // already done: the cause stays ErrTimeout
+	return ctx
 }
-
-// noDeadline returns the zero time (no deadline).
-func noDeadline() time.Time { return time.Time{} }
 
 // referenceLevels is the plain per-set loop the level driver (RunLevels)
 // must agree with at any worker count: the census, then every set of every

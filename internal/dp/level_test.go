@@ -278,7 +278,7 @@ func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 				// Past once the census is taken: the level workers' first
 				// poll, 8 192 pairs into a worker's share (in the sixth level
 				// on one worker), trips it.
-				in.Deadline, want = time.Now().Add(-time.Second), ErrTimeout
+				in.Ctx, want = spentBudget(), ErrTimeout
 			}
 			levels := NewLevels(in, evaluate, buckets, workers)
 			tab := prep.Seed(BucketCount(buckets))

@@ -281,7 +281,7 @@ func TestCensusMatchesBruteForce(t *testing.T) {
 			}
 		}
 		for _, w := range []*Workspace{nil, ws} {
-			buckets := connectedSetsBySize(g, NewDeadline(noDeadline()), w)
+			buckets := connectedSetsBySize(g, new(Deadline), w)
 			if len(buckets) != n+1 || len(buckets[0]) != 0 {
 				t.Fatalf("trial %d: %d buckets, bucket 0 holds %d", trial, len(buckets), len(buckets[0]))
 			}
@@ -309,7 +309,7 @@ func TestCensusAllocatesNothingOnAWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, g := range []*graph.Graph{graph.Star(12), graph.Clique(10), graph.RandomConnected(14, 8, rng)} {
 		ws := new(Workspace)
-		dl := NewDeadline(noDeadline())
+		dl := new(Deadline)
 		connectedSetsBySize(g, dl, ws)
 		if allocs := testing.AllocsPerRun(5, func() { connectedSetsBySize(g, dl, ws) }); allocs != 0 {
 			t.Errorf("%d relations, %d edges: a recycled census allocates %.0f times", g.N, len(g.Edges), allocs)

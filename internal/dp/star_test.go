@@ -192,7 +192,7 @@ func TestStarLatticeStopsMidLevel(t *testing.T) {
 			var want error
 			switch mode {
 			case "deadline":
-				in.Deadline, want = time.Now().Add(-time.Second), ErrTimeout
+				in.Ctx, want = spentBudget(), ErrTimeout
 			case "cancelled":
 				want = errors.New("stop")
 				in.Ctx = ctx

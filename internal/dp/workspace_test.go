@@ -109,8 +109,11 @@ func TestWorkspaceSurvivesAbortedRun(t *testing.T) {
 	// Out of budget wherever the clock says: every enumerator, table
 	// growth and the census walk included.
 	for _, alg := range allAlgorithms {
-		in := Input{Q: big, M: cost.DefaultModel(), Deadline: time.Now().Add(2 * time.Millisecond), Workspace: ws}
-		if _, _, err := alg.f(in); !errors.Is(err, ErrTimeout) {
+		ctx, cancel := context.WithTimeoutCause(context.Background(), 2*time.Millisecond, ErrTimeout)
+		in := Input{Q: big, M: cost.DefaultModel(), Ctx: ctx, Workspace: ws}
+		_, _, err := alg.f(in)
+		cancel()
+		if !errors.Is(err, ErrTimeout) {
 			t.Fatalf("%s: err = %v, want ErrTimeout (a clique-13 does not finish in 2 ms)", alg.name, err)
 		}
 		checkAgainstFresh(t, "after "+alg.name+" ran out of budget", next[2], ws)

@@ -291,6 +291,8 @@ func TestMultiJoinsItsHelpers(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
+	spent, stop := context.WithTimeoutCause(context.Background(), -time.Second, dp.ErrTimeout)
+	stop() // already done: the cause stays dp.ErrTimeout
 	for _, q := range []*cost.Query{multiQuery(t, workload.KindStar, 14, 27), multiQuery(t, workload.KindClique, 12, 27)} {
 		for _, devices := range []int{1, 2, 4} {
 			for _, mode := range []string{"success", "deadline", "cancelled"} {
@@ -307,7 +309,7 @@ func TestMultiJoinsItsHelpers(t *testing.T) {
 				var want error
 				switch mode {
 				case "deadline": // past once the census is taken: a worker's first poll trips it
-					in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
+					in.Ctx, want = spent, dp.ErrTimeout
 				case "cancelled":
 					in.Ctx, want = cancelled, context.Canceled
 				}

@@ -140,7 +140,6 @@ func innerMPDP(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error) 
 		M:         opt.model(),
 		Leaves:    c.leafWrappers(),
 		Ctx:       opt.Ctx,
-		Deadline:  opt.Deadline,
 		Threads:   opt.Threads,
 		Workspace: opt.Workspace,
 	}

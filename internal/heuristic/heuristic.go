@@ -13,7 +13,6 @@ package heuristic
 import (
 	"context"
 	"errors"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/dp"
@@ -27,10 +26,9 @@ type Options struct {
 	// K bounds the sub-problem size handed to the exact algorithm (the k of
 	// IDP and UnionDP). Zero selects the paper's default of 15.
 	K int
-	// Deadline, when non-zero, bounds optimization time.
-	Deadline time.Time
-	// Ctx, when non-nil, carries caller cancellation; the heuristics abort
-	// with the context's error between contraction steps.
+	// Ctx, when non-nil, carries the time budget and caller cancellation;
+	// the heuristics abort with the context's cause between contraction
+	// steps.
 	Ctx context.Context
 	// Threads is the CPU parallelism for inner MPDP calls (0 = all cores).
 	Threads int
@@ -74,21 +72,19 @@ func (o Options) expired() bool {
 	return o.expiredErr() != nil
 }
 
-// expiredErr returns nil while the run may continue, the context's error
-// once the caller cancelled, and ErrTimeout once the wall-clock budget
-// passed.
+// expiredErr returns nil while the run may continue and the context's
+// cause once it is done: ErrTimeout for a spent budget, the caller's own
+// error otherwise.
 func (o Options) expiredErr() error {
-	if o.Ctx != nil {
-		select {
-		case <-o.Ctx.Done():
-			return context.Cause(o.Ctx)
-		default:
-		}
+	if o.Ctx == nil {
+		return nil
 	}
-	if !o.Deadline.IsZero() && time.Now().After(o.Deadline) {
-		return ErrTimeout
+	select {
+	case <-o.Ctx.Done():
+		return context.Cause(o.Ctx)
+	default:
+		return nil
 	}
-	return nil
 }
 
 // withWorkspace gives the call a private workspace when the caller handed

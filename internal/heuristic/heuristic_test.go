@@ -1,6 +1,7 @@
 package heuristic
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -177,7 +178,9 @@ func TestHeuristicsScaleToLargeQueries(t *testing.T) {
 	for _, e := range g.Edges {
 		q.G.AddEdge(e.A, e.B, 1/math.Max(cat.Rels[e.B].Rows, 2))
 	}
-	opt := Options{K: 10, Deadline: time.Now().Add(60 * time.Second), Threads: 4}
+	ctx, cancel := context.WithTimeoutCause(context.Background(), 60*time.Second, ErrTimeout)
+	defer cancel()
+	opt := Options{K: 10, Ctx: ctx, Threads: 4}
 	for _, h := range []namedHeuristic{{"GOO", GOO}, {"IDP2", IDP2}, {"UnionDP", UnionDP}, {"Adaptive", Adaptive}} {
 		start := time.Now()
 		p, err := h.f(q, opt)
@@ -280,7 +283,9 @@ func validOrder(q *cost.Query, order []int) bool {
 func TestHeuristicTimeoutRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	q := randomQuery(30, 10, rng)
-	opt := Options{Deadline: time.Now().Add(-time.Second), K: 10}
+	spent, stop := context.WithTimeoutCause(context.Background(), -time.Second, ErrTimeout)
+	stop() // already done: the cause stays ErrTimeout
+	opt := Options{Ctx: spent, K: 10}
 	// Heuristics either return ErrTimeout or degrade to an any-time answer;
 	// they must not run long.
 	for _, h := range allHeuristics {

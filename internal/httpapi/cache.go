@@ -84,7 +84,7 @@ func (a *API) handleCatalogStats(w http.ResponseWriter, r *http.Request) {
 	if !a.requirePOST(w, r, rid) {
 		return
 	}
-	body, e, status := a.readBody(r, rid, int64(a.opts.MaxStatementBytes), "request")
+	body, e, status := a.readBody(r, rid, int64(a.maxStmt), "request")
 	if e != nil {
 		a.failEnv(w, status, e)
 		return

@@ -44,16 +44,18 @@ import (
 // reported when the client disconnected before its optimization finished.
 const StatusClientClosedRequest = 499
 
+// Request limits. SQL statements bind against sql.MusicBrainzSchema().
+const (
+	// MaxStatementBytes bounds one request body and one batch statement.
+	MaxStatementBytes = 1 << 20
+	// MaxBatch bounds the statements per /v1/batch request.
+	MaxBatch = 64
+)
+
 // Options tunes an API.
 type Options struct {
-	// Schema binds SQL statements (nil: sql.MusicBrainzSchema()).
-	Schema sql.Schema
-	// MaxStatementBytes bounds one request body (0: 1MiB).
-	MaxStatementBytes int
-	// MaxBatch bounds the statements per /v1/batch request (0: 64).
-	MaxBatch int
 	// Quota, when RatePerSec is positive, rate-limits the optimization
-	// endpoints per tenant (identified by the Quota.Header request header).
+	// endpoints per tenant (identified by the TenantHeader request header).
 	// Exhausted tenants get 429 quota_exceeded + Retry-After; other tenants
 	// are unaffected.
 	Quota QuotaConfig
@@ -63,25 +65,14 @@ type Options struct {
 	Slow obs.SlowConfig
 }
 
-func (o Options) withDefaults() Options {
-	if o.Schema == nil {
-		o.Schema = sql.MusicBrainzSchema()
-	}
-	if o.MaxStatementBytes == 0 {
-		o.MaxStatementBytes = 1 << 20
-	}
-	if o.MaxBatch == 0 {
-		o.MaxBatch = 64
-	}
-	return o
-}
-
 // API serves the versioned HTTP surface over an Engine. Create with New;
 // the zero value is not usable.
 type API struct {
 	engine Engine
-	opts   Options
-	quota  *quotas // nil when quotas are disabled
+	// maxStmt and maxBatch are MaxStatementBytes and MaxBatch; a test
+	// lowers them.
+	maxStmt, maxBatch int
+	quota             *quotas // nil when quotas are disabled
 	// slow holds the slowest requests this front door answered: the one
 	// slow log of a binary, single node or cluster.
 	slow   *obs.SlowLog
@@ -101,10 +92,11 @@ type API struct {
 
 // New builds the API and its mux with the /v1 endpoints registered.
 func New(engine Engine, opts Options) *API {
-	opts = opts.withDefaults()
-	a := &API{engine: engine, opts: opts, slow: obs.NewSlowLog(opts.Slow), mux: http.NewServeMux()}
-	a.stmts.Store(newStmtMemo(opts.Schema))
-	a.quota = newQuotas(a.opts.Quota)
+	a := &API{
+		engine: engine, maxStmt: MaxStatementBytes, maxBatch: MaxBatch,
+		quota: newQuotas(opts.Quota), slow: obs.NewSlowLog(opts.Slow), mux: http.NewServeMux(),
+	}
+	a.stmts.Store(newStmtMemo(sql.MusicBrainzSchema()))
 	var b [3]byte
 	if _, err := crand.Read(b[:]); err == nil {
 		a.ridPfx = hex.EncodeToString(b[:])
@@ -202,7 +194,7 @@ func (a *API) readBody(r *http.Request, rid string, limit int64, what string) (*
 // readStatement reads one statement-sized body and reports whether it is a
 // JSON wire query (anything else is SQL text).
 func (a *API) readStatement(r *http.Request, rid string) (body *Body, isJSON bool, e *Error, status int) {
-	body, e, status = a.readBody(r, rid, int64(a.opts.MaxStatementBytes), "request")
+	body, e, status = a.readBody(r, rid, int64(a.maxStmt), "request")
 	return body, strings.Contains(r.Header.Get("Content-Type"), "json"), e, status
 }
 
@@ -337,7 +329,7 @@ func (a *API) checkQuota(r *http.Request, rid string, n float64) *Error {
 	if a.quota == nil {
 		return nil
 	}
-	tenant := r.Header.Get(a.quota.cfg.Header)
+	tenant := r.Header.Get(TenantHeader)
 	ok, retryAfter := a.quota.allow(tenant, n)
 	if ok {
 		return nil
@@ -430,7 +422,7 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// The per-statement bound applies per statement; the batch body may
 	// hold MaxBatch of them (plus JSON framing slack).
-	maxBody := int64(a.opts.MaxStatementBytes)*int64(a.opts.MaxBatch) + (1 << 20)
+	maxBody := int64(a.maxStmt)*int64(a.maxBatch) + (1 << 20)
 	body, e, status := a.readBody(r, rid, maxBody, "batch body")
 	if e != nil {
 		a.failEnv(w, status, e)
@@ -448,9 +440,9 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 		a.fail(w, rid, http.StatusUnprocessableEntity, CodeInvalidQuery, "empty batch", nil)
 		return
 	}
-	if total > a.opts.MaxBatch {
+	if total > a.maxBatch {
 		a.fail(w, rid, http.StatusRequestEntityTooLarge, CodeTooLarge,
-			fmt.Sprintf("batch of %d exceeds the limit of %d", total, a.opts.MaxBatch), nil)
+			fmt.Sprintf("batch of %d exceeds the limit of %d", total, a.maxBatch), nil)
 		return
 	}
 	// A batch charges its tenant one token per statement — otherwise
@@ -475,10 +467,10 @@ func (a *API) handleBatch(w http.ResponseWriter, r *http.Request) {
 	schema := a.stmts.Load().schema
 	var wg sync.WaitGroup
 	for i, wq := range wqs {
-		if len(wq.SQL) > a.opts.MaxStatementBytes {
+		if len(wq.SQL) > a.maxStmt {
 			out.Results[i] = BatchItem{Error: &Error{
 				Code:      CodeTooLarge,
-				Message:   fmt.Sprintf("statement exceeds %d bytes", a.opts.MaxStatementBytes),
+				Message:   fmt.Sprintf("statement exceeds %d bytes", a.maxStmt),
 				RequestID: rid,
 			}}
 			continue

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/service"
+	"repro/internal/sql"
 	"repro/internal/workload"
 )
 
@@ -214,7 +215,7 @@ func TestStructuredWireQueryRoundTrip(t *testing.T) {
 
 	// The structured path: serialize the same bound query.
 	wq := &WireQuery{SQL: testStatement}
-	q, err := wq.ToQuery(Options{}.withDefaults().Schema)
+	q, err := wq.ToQuery(sql.MusicBrainzSchema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +350,8 @@ func (c *countingBody) Read(p []byte) (int, error) {
 func TestBodyLimits(t *testing.T) {
 	svc := service.New(service.Config{Workers: 2})
 	defer svc.Close()
-	api := New(ServiceEngine(svc), Options{MaxStatementBytes: 256, MaxBatch: 2})
+	api := New(ServiceEngine(svc), Options{})
+	api.maxStmt, api.maxBatch = 256, 2
 	const stmtLimit, batchLimit = 256, 256*2 + 1<<20
 	endpoints := []struct {
 		path  string

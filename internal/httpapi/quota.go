@@ -7,11 +7,20 @@ import (
 	"repro/internal/service"
 )
 
+// Tenancy. Requests without the TenantHeader share the anonymous tenant
+// "" — multi-tenant deployments should make the header mandatory at their
+// edge.
+const (
+	// TenantHeader names the tenant-identifying request header.
+	TenantHeader = "X-Tenant"
+	// MaxTenants bounds the tracked tenant buckets. At the bound, requests
+	// from unseen tenants are denied rather than letting a tenant-spraying
+	// client grow the map without limit.
+	MaxTenants = 10000
+)
+
 // QuotaConfig tunes per-tenant request quotas on the optimization
-// endpoints. The zero value disables quotas entirely. Tenants are
-// identified by a request header (Header); requests without the header
-// share the anonymous tenant "" — multi-tenant deployments should make the
-// header mandatory at their edge.
+// endpoints. The zero value disables quotas entirely.
 type QuotaConfig struct {
 	// RatePerSec is each tenant's sustained request budget. Zero or
 	// negative disables quotas. Batch requests charge one token per
@@ -20,28 +29,6 @@ type QuotaConfig struct {
 	// Burst is each tenant's token-bucket capacity (0: RatePerSec/4,
 	// minimum 1) — also the largest batch a tenant can submit at once.
 	Burst float64
-	// Header names the tenant-identifying request header ("": "X-Tenant").
-	Header string
-	// MaxTenants bounds the tracked tenant buckets (0: 10000). At the
-	// bound, requests from unseen tenants are denied rather than letting a
-	// tenant-spraying client grow the map without limit.
-	MaxTenants int
-}
-
-func (q QuotaConfig) withDefaults() QuotaConfig {
-	if q.Header == "" {
-		q.Header = "X-Tenant"
-	}
-	if q.MaxTenants == 0 {
-		q.MaxTenants = 10000
-	}
-	if q.RatePerSec > 0 && q.Burst <= 0 {
-		q.Burst = q.RatePerSec / 4
-		if q.Burst < 1 {
-			q.Burst = 1
-		}
-	}
-	return q
 }
 
 // quotas holds one token bucket per tenant. Buckets are created on first
@@ -57,7 +44,9 @@ func newQuotas(cfg QuotaConfig) *quotas {
 	if cfg.RatePerSec <= 0 {
 		return nil
 	}
-	cfg = cfg.withDefaults()
+	if cfg.Burst <= 0 {
+		cfg.Burst = max(cfg.RatePerSec/4, 1)
+	}
 	return &quotas{cfg: cfg, byTen: make(map[string]*service.TokenBucket)}
 }
 
@@ -67,7 +56,7 @@ func (qs *quotas) allow(tenant string, n float64) (ok bool, retryAfter time.Dura
 	qs.mu.Lock()
 	b := qs.byTen[tenant]
 	if b == nil {
-		if len(qs.byTen) >= qs.cfg.MaxTenants {
+		if len(qs.byTen) >= MaxTenants {
 			qs.denied++
 			qs.mu.Unlock()
 			return false, time.Second
@@ -94,7 +83,7 @@ func (qs *quotas) snapshot() quotaSnapshot {
 		Denied:     qs.denied,
 		RatePerSec: qs.cfg.RatePerSec,
 		Burst:      qs.cfg.Burst,
-		Header:     qs.cfg.Header,
+		Header:     TenantHeader,
 	}
 }
 

@@ -10,9 +10,6 @@ import (
 
 // SlowConfig configures a serving layer's SlowLog.
 type SlowConfig struct {
-	// TopK bounds the in-memory ring of slowest requests (0 = default 32,
-	// negative = disabled).
-	TopK int
 	// Threshold is the latency at or above which a request is written to
 	// Log as a JSON line. Zero disables threshold logging.
 	Threshold time.Duration
@@ -38,32 +35,24 @@ type SlowEntry struct {
 	Spans     []Span  `json:"spans,omitempty"`
 }
 
-// SlowLog keeps the top-K slowest requests seen (by wall time) and streams
-// entries over a threshold to a JSON-lines writer. Observe is cheap for the
-// common fast request: one comparison under a mutex against the current
-// K-th slowest.
+// SlowLog keeps the SlowTopK slowest requests seen (by wall time) and
+// streams entries over a threshold to a JSON-lines writer. Observe is cheap
+// for the common fast request: one comparison under a mutex against the
+// current SlowTopK-th slowest.
 type SlowLog struct {
-	topK      int
 	threshold time.Duration
 
 	mu      sync.Mutex
-	entries []SlowEntry // sorted slowest-first, len <= topK
+	entries []SlowEntry // sorted slowest-first, len <= SlowTopK
 	enc     *json.Encoder
 }
 
-const defaultSlowTopK = 32
+// SlowTopK bounds the in-memory ring of slowest requests.
+const SlowTopK = 32
 
-// NewSlowLog builds a SlowLog from cfg. It never returns nil; a fully
-// disabled config yields a log that ignores observations.
+// NewSlowLog builds a SlowLog from cfg. It never returns nil.
 func NewSlowLog(cfg SlowConfig) *SlowLog {
-	k := cfg.TopK
-	if k == 0 {
-		k = defaultSlowTopK
-	}
-	if k < 0 {
-		k = 0
-	}
-	s := &SlowLog{topK: k, threshold: cfg.Threshold}
+	s := &SlowLog{threshold: cfg.Threshold}
 	if cfg.Log != nil {
 		s.enc = json.NewEncoder(cfg.Log)
 	}
@@ -84,7 +73,7 @@ func (s *SlowLog) Observe(e SlowEntry, tr *Trace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.entries)
-	ring := s.topK > 0 && (n < s.topK || e.WallUS > s.entries[n-1].WallUS)
+	ring := n < SlowTopK || e.WallUS > s.entries[n-1].WallUS
 	if !ring && !logIt {
 		return
 	}
@@ -97,8 +86,8 @@ func (s *SlowLog) Observe(e SlowEntry, tr *Trace) {
 			i++
 		}
 		s.entries = slices.Insert(s.entries, i, e)
-		if len(s.entries) > s.topK {
-			s.entries = s.entries[:s.topK]
+		if len(s.entries) > SlowTopK {
+			s.entries = s.entries[:SlowTopK]
 		}
 	}
 	if logIt {

@@ -9,20 +9,22 @@ import (
 )
 
 func TestSlowLogTopK(t *testing.T) {
-	s := NewSlowLog(SlowConfig{TopK: 3})
-	for _, us := range []float64{100, 900, 50, 700, 300, 800} {
+	s := NewSlowLog(SlowConfig{})
+	// 1..SlowTopK+3 µs, interleaved so that no arrival order is sorted.
+	for i := 0; i < SlowTopK+3; i++ {
+		us := float64((i*11)%(SlowTopK+3) + 1)
 		s.Observe(SlowEntry{RequestID: "r", WallUS: us}, nil)
 	}
 	got := s.Slowest(0)
-	if len(got) != 3 {
-		t.Fatalf("kept %d entries, want 3", len(got))
+	if len(got) != SlowTopK {
+		t.Fatalf("kept %d entries, want %d", len(got), SlowTopK)
 	}
-	for i, want := range []float64{900, 800, 700} {
-		if got[i].WallUS != want {
+	for i := range got {
+		if want := float64(SlowTopK + 3 - i); got[i].WallUS != want {
 			t.Fatalf("entry %d = %v us, want %v (slowest-first)", i, got[i].WallUS, want)
 		}
 	}
-	if got := s.Slowest(2); len(got) != 2 || got[0].WallUS != 900 {
+	if got := s.Slowest(2); len(got) != 2 || got[0].WallUS != SlowTopK+3 {
 		t.Fatalf("Slowest(2) = %+v", got)
 	}
 	if s.Slowest(0)[0].Time == "" {
@@ -32,11 +34,7 @@ func TestSlowLogTopK(t *testing.T) {
 
 func TestSlowLogThresholdJSONL(t *testing.T) {
 	var sb strings.Builder
-	s := NewSlowLog(SlowConfig{
-		TopK:      4,
-		Threshold: 5 * time.Millisecond,
-		Log:       &sb,
-	})
+	s := NewSlowLog(SlowConfig{Threshold: 5 * time.Millisecond, Log: &sb})
 	tr := NewTrace("slow-1")
 	tr.ObserveSim(PhaseEnumerate, 11*time.Millisecond)
 	s.Observe(SlowEntry{RequestID: "fast", WallUS: 1000}, tr)
@@ -77,11 +75,6 @@ func TestSlowLogDisabled(t *testing.T) {
 	if got := nilLog.Slowest(0); got != nil {
 		t.Fatalf("nil SlowLog returned %+v", got)
 	}
-	off := NewSlowLog(SlowConfig{TopK: -1})
-	off.Observe(SlowEntry{WallUS: 99}, nil)
-	if got := off.Slowest(0); len(got) != 0 {
-		t.Fatalf("disabled SlowLog kept %+v", got)
-	}
 }
 
 // TestSlowLogBelowFloorAllocatesNothing holds the common request to its
@@ -89,18 +82,18 @@ func TestSlowLogDisabled(t *testing.T) {
 // log threshold neither stamps a time nor copies its trace's spans.
 func TestSlowLogBelowFloorAllocatesNothing(t *testing.T) {
 	var sb strings.Builder
-	s := NewSlowLog(SlowConfig{TopK: 4, Threshold: time.Second, Log: &sb})
+	s := NewSlowLog(SlowConfig{Threshold: time.Second, Log: &sb})
 	tr := NewTrace("fast")
 	tr.ObserveSince(PhaseCacheProbe, time.Now())
-	for _, us := range []float64{900, 800, 700, 600} {
-		s.Observe(SlowEntry{RequestID: "slow", WallUS: us}, tr)
+	for i := 0; i < SlowTopK; i++ {
+		s.Observe(SlowEntry{RequestID: "slow", WallUS: float64(900 - i)}, tr)
 	}
 	fast := SlowEntry{RequestID: "fast", WallUS: 50, Shape: "chain", CacheHit: true}
 	if allocs := testing.AllocsPerRun(100, func() { s.Observe(fast, tr) }); allocs != 0 {
 		t.Errorf("Observe below the floor allocated %.0f times, want 0", allocs)
 	}
-	if got := s.Slowest(0); len(got) != 4 || got[3].WallUS != 600 || len(got[0].Spans) != 1 {
-		t.Errorf("ring = %+v, want the four slow entries with their span", got)
+	if got := s.Slowest(0); len(got) != SlowTopK || got[SlowTopK-1].WallUS != 900-SlowTopK+1 || len(got[0].Spans) != 1 {
+		t.Errorf("ring = %+v, want the %d slow entries with their span", got, SlowTopK)
 	}
 	if sb.Len() != 0 {
 		t.Errorf("entries under the threshold were logged: %q", sb.String())

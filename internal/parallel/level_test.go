@@ -220,14 +220,19 @@ func TestHelpersJoinedOnEveryPath(t *testing.T) {
 
 	for _, workers := range []int{1, 2, 4} {
 		for _, mode := range []string{"success", "deadline", "cancelled"} {
-			ctx, cancel := context.WithCancel(context.Background())
-			in := dp.Input{Q: q, M: m, Ctx: ctx, Threads: workers, Deadline: time.Now().Add(time.Minute)}
+			budget := time.Minute
+			if mode == "deadline" {
+				budget = 200 * time.Millisecond
+			}
+			caller, cancel := context.WithCancel(context.Background())
+			ctx, stop := context.WithTimeoutCause(caller, budget, dp.ErrTimeout)
+			in := dp.Input{Q: q, M: m, Ctx: ctx, Threads: workers}
 			var calls atomic.Int64
 			evaluate := func(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
 				if calls.Add(1) == 2000 {
 					switch mode {
 					case "deadline":
-						time.Sleep(time.Until(in.Deadline) + time.Millisecond)
+						time.Sleep(budget + time.Millisecond)
 					case "cancelled":
 						cancel()
 					}
@@ -235,11 +240,9 @@ func TestHelpersJoinedOnEveryPath(t *testing.T) {
 				return dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
 			}
 			want := map[string]error{"success": nil, "deadline": dp.ErrTimeout, "cancelled": context.Canceled}[mode]
-			if mode == "deadline" {
-				in.Deadline = time.Now().Add(200 * time.Millisecond)
-			}
 			p, _, err := dp.RunLevels(in.ForTree(), evaluate, threads(in))
 			cancel()
+			stop()
 			if !errors.Is(err, want) || (err == nil) != (p != nil) {
 				t.Errorf("%d workers, %s: plan %v, err %v; want %v", workers, mode, p != nil, err, want)
 			}
@@ -257,7 +260,7 @@ func TestHelpersJoinedOnEveryPath(t *testing.T) {
 			var want error
 			switch mode {
 			case "deadline":
-				in.Deadline, want = time.Now().Add(-time.Second), dp.ErrTimeout
+				in.Ctx, want = spentBudget(), dp.ErrTimeout
 			case "cancelled":
 				want = context.Canceled
 				cancel()

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,12 +97,20 @@ func TestParallelMPDPCountersMatchSequential(t *testing.T) {
 	}
 }
 
+// spentBudget returns a context whose time budget ran out a second ago: its
+// cause is dp.ErrTimeout, as core.Optimize sets it.
+func spentBudget() context.Context {
+	ctx, cancel := context.WithTimeoutCause(context.Background(), -time.Second, dp.ErrTimeout)
+	cancel() // already done: the cause stays dp.ErrTimeout
+	return ctx
+}
+
 func TestParallelTimeout(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := randomQuery(18, 30, rng)
-	deadline := time.Now().Add(-time.Second)
+	spent := spentBudget()
 	for _, alg := range parallelAlgorithms {
-		_, _, err := alg.f(dp.Input{Q: q, M: cost.DefaultModel(), Deadline: deadline, Threads: 4})
+		_, _, err := alg.f(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: spent, Threads: 4})
 		if err != dp.ErrTimeout {
 			t.Errorf("%s: got %v, want ErrTimeout", alg.name, err)
 		}

@@ -26,22 +26,9 @@ type Admission struct {
 	// instance with a token bucket — the per-node capacity guard a
 	// deployment sizes to what one node can serve. All requests count
 	// against it, cache hits included: the cap models the node, not the
-	// optimizer.
+	// optimizer. The bucket holds a quarter second of requests, and at
+	// least one.
 	RatePerSec float64
-	// Burst is the token-bucket capacity (0: RatePerSec/4, minimum 1).
-	// Bigger bursts absorb arrival jitter at the price of a larger
-	// momentary overshoot.
-	Burst float64
-}
-
-func (a Admission) withDefaults() Admission {
-	if a.RatePerSec > 0 && a.Burst <= 0 {
-		a.Burst = a.RatePerSec / 4
-		if a.Burst < 1 {
-			a.Burst = 1
-		}
-	}
-	return a
 }
 
 // TokenBucket is a mutex-guarded token bucket: Allow admits a request iff

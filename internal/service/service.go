@@ -77,7 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.Model == nil {
 		c.Model = cost.DefaultModel()
 	}
-	c.Admission = c.Admission.withDefaults()
 	return c
 }
 
@@ -187,7 +186,7 @@ func New(cfg Config) *Service {
 	}
 	s.counters.statsEpoch.Store(1)
 	if cfg.Admission.RatePerSec > 0 {
-		s.limiter = NewTokenBucket(cfg.Admission.RatePerSec, cfg.Admission.Burst)
+		s.limiter = NewTokenBucket(cfg.Admission.RatePerSec, cfg.Admission.RatePerSec/4)
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
