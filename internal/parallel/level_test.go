@@ -232,7 +232,7 @@ func TestHelpersJoinedOnEveryPath(t *testing.T) {
 				if calls.Add(1) == 2000 {
 					switch mode {
 					case "deadline":
-						time.Sleep(budget + time.Millisecond)
+						<-in.Ctx.Done() // stall until the budget has run out
 					case "cancelled":
 						cancel()
 					}
