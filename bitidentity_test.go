@@ -7,8 +7,9 @@
 // were generated at the commit before the DP table was rebuilt (PR 17) — the
 // larger trees and the IDP2 rows at the commit before Algorithm 2's kernel
 // was rebuilt, the stars with their hub elsewhere than relation 0 and the
-// IDP2 star-200 at the commit before stars got their own lattice — and must
-// not change when the table or the pruning order does. An evaluator change may move one field alone, evaluated=, of the
+// IDP2 star-200 at the commit before stars got their own lattice, the
+// snowflake-28, snowflake-34 and permuted snowflake-23 at the commit before
+// spiders did — and must not change when the table or the pruning order does. An evaluator change may move one field alone, evaluated=, of the
 // rows of the enumerator it changed, and only by examining a different
 // number of candidate pairs: cost, explain, tree, ccp and sets are the plan
 // and the census, and stay byte-identical on every row. The CPU MPDP rows'
@@ -25,6 +26,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -50,13 +52,16 @@ var updateBitIdentity = flag.Bool("update-bitidentity", false, "rewrite testdata
 // GPU model as well — the level barrier the service's gpu route reaches,
 // with MPDP's evaluator on trees and cyclic graphs alike, so a wide graph's
 // multi-device row equals its one-device row — and large the ones only a
-// heuristic takes.
+// heuristic takes. only, when set, names the enumerators the case runs on
+// instead: the ones that finish a large spider in seconds, where DPCCP
+// takes minutes over the two passes.
 type bitIdentityCase struct {
 	name      string
 	q         *cost.Query
 	baselines bool
 	wide      bool
 	large     bool
+	only      []string
 }
 
 func bitIdentityCases(t *testing.T) []bitIdentityCase {
@@ -113,6 +118,15 @@ func bitIdentityCases(t *testing.T) []bitIdentityCase {
 	out = append(out,
 		bitIdentityCase{name: "star-hub7-14", q: hubAt(generate(workload.KindStar, 14), 7)},
 		bitIdentityCase{name: "star-hub16-17", q: hubAt(generate(workload.KindStar, 17), 16)})
+	// Snowflakes are spiders, a hub with chain arms: the served GPU band's
+	// snowflake-28, a relabelled snowflake-23 whose hub is not relation 0 and
+	// whose arms' edges interleave in g.Edges, and the snowflake-34 rung.
+	out = append(out,
+		bitIdentityCase{name: "snowflake-28", q: generate(workload.KindSnowflake, 28), wide: true,
+			only: []string{"MPDP", "MPDP-CPU-1", "MPDP-CPU-2", "MPDP-GPU", "MPDP-GPU-2"}},
+		bitIdentityCase{name: "snowflake-perm-23", q: shuffledEdges(workload.PermuteQuery(generate(workload.KindSnowflake, 23),
+			rand.New(rand.NewSource(23)).Perm(23)), rand.New(rand.NewSource(24))), wide: true},
+		bitIdentityCase{name: "snowflake-34", q: generate(workload.KindSnowflake, 34), only: []string{"MPDP", "MPDP-GPU"}})
 	return out
 }
 
@@ -142,6 +156,17 @@ func hubAt(q *cost.Query, hub int) *cost.Query {
 		out.G.AddEdge(to(e.A), to(e.B), e.Sel)
 	}
 	return out
+}
+
+// shuffledEdges is q with its join edges listed in a random order, so that
+// the edges of one arm of a spider no longer sit together in g.Edges.
+func shuffledEdges(q *cost.Query, rng *rand.Rand) *cost.Query {
+	g := graph.New(q.N())
+	for _, i := range rng.Perm(len(q.G.Edges)) {
+		e := q.G.Edges[i]
+		g.AddEdge(e.A, e.B, e.Sel)
+	}
+	return &cost.Query{Cat: q.Cat, G: g}
 }
 
 // randomTreeEdges is a random recursive tree under a random relabelling, so
@@ -246,12 +271,13 @@ func bitIdentityLines(t *testing.T, rows []bitIdentityRow, ws *dp.Workspace) []s
 
 func TestBitIdentityAcrossEnumerators(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every enumerator on 25 join graphs, twice")
+		t.Skip("runs every enumerator on 28 join graphs, twice")
 	}
 	var rows []bitIdentityRow
 	for _, tc := range bitIdentityCases(t) {
 		for i, alg := range bitIdentityAlgs {
-			if alg.baseline && !tc.baselines || alg.wide && !tc.wide || alg.large != tc.large {
+			if alg.baseline && !tc.baselines || alg.wide && !tc.wide || alg.large != tc.large ||
+				tc.only != nil && !slices.Contains(tc.only, alg.name) {
 				continue
 			}
 			rows = append(rows, bitIdentityRow{tc, i})

@@ -34,8 +34,9 @@ func (r deviceModelRow) label() string {
 }
 
 // deviceModelRows is the grid: every algorithm with both §5 enhancements and
-// with neither on seven join graphs, and MPDP on one, two and three devices
-// on a tree, a cycle and a MusicBrainz walk.
+// with neither on seven join graphs, MPDP on one, two and three devices on a
+// tree, a cycle and a MusicBrainz walk, and on one and two devices on the
+// served GPU band's snowflake-28.
 func deviceModelRows() []deviceModelRow {
 	graphs := []struct {
 		kind workload.Kind
@@ -61,6 +62,11 @@ func deviceModelRows() []deviceModelRow {
 			cfg.Devices = devices
 			rows = append(rows, deviceModelRow{g.kind, g.n, AlgoMPDP, cfg})
 		}
+	}
+	for devices := 1; devices <= 2; devices++ {
+		cfg := DefaultConfig()
+		cfg.Devices = devices
+		rows = append(rows, deviceModelRow{workload.KindSnowflake, 28, AlgoMPDP, cfg})
 	}
 	return rows
 }
