@@ -5,8 +5,8 @@
 //
 // The paper (§2.2.1, §5) represents all relation sets and adjacency lists as
 // bitmap sets; where the paper expands a dense subset rank with the
-// parallel-bit-deposit (PDEP) instruction, the star lattice unranks its
-// subsets with package combinat instead.
+// parallel-bit-deposit (PDEP) instruction, the spider lattice of package dp
+// unranks its sets by a count table of bounded compositions instead.
 package bitset
 
 import (

@@ -1,17 +1,9 @@
-// Package combinat implements the combinatorial number system used by the
-// vertex-based enumerators (DPSub, MPDP) to map a dense rank in
-// [0, C(n,k)) to the rank-th k-subset of an n-element universe and back.
-//
-// The GPU workflow of the paper (§5, "Unrank") assigns each device thread a
-// rank and lets it materialize its own subset with no coordination; the same
-// scheme drives the level-synchronous CPU-parallel variants here.
+// Package combinat holds the binomial coefficients of the combinatorial
+// number system. The GPU workflow of the paper (§5, "Unrank") assigns each
+// device thread a rank in [0, C(n, k)) and lets it materialize the rank-th
+// k-subset with no coordination; the device model (package gpusim) bills
+// that kernel's C(n, k) candidates per level from this table.
 package combinat
-
-import (
-	"math/bits"
-
-	"repro/internal/bitset"
-)
 
 // MaxN is the largest universe size supported by the precomputed binomial
 // table. 64 covers every Mask-width query the exact optimizers accept.
@@ -40,51 +32,4 @@ func Binomial(n, k int) uint64 {
 		return 0
 	}
 	return binom[n][k]
-}
-
-// Unrank returns the rank-th k-subset of {0, ..., n-1} in colexicographic
-// order as a Mask. rank must be in [0, C(n,k)).
-//
-// Colexicographic unranking proceeds from the largest candidate element
-// downward: element c is included iff rank >= C(c, remaining), mirroring the
-// combinadic decomposition rank = C(c_k, k) + C(c_{k-1}, k-1) + ... + C(c_1, 1).
-func Unrank(rank uint64, n, k int) bitset.Mask {
-	var m bitset.Mask
-	c := n - 1
-	for i := k; i >= 1; i-- {
-		for Binomial(c, i) > rank {
-			c--
-		}
-		m = m.Add(c)
-		rank -= Binomial(c, i)
-		c--
-	}
-	return m
-}
-
-// Rank is the inverse of Unrank: it returns the colexicographic rank of the
-// k-subset m (with k = m.Count()) among the k-subsets of any sufficiently
-// large universe.
-func Rank(m bitset.Mask) uint64 {
-	var rank uint64
-	i := 1
-	m.ForEach(func(c int) {
-		rank += Binomial(c, i)
-		i++
-	})
-	return rank
-}
-
-// NextCombination returns the colexicographically next k-subset after m
-// using Gosper's hack, or 0 when m is the last k-subset representable in 64
-// bits. It allows cheap sequential iteration without repeated unranking.
-// Gosper divides by the lowest set bit of m; a shift by its index is the
-// same quotient without the division.
-func NextCombination(m bitset.Mask) bitset.Mask {
-	u := uint64(m)
-	r := u + u&-u
-	if u == 0 || r == 0 {
-		return 0
-	}
-	return bitset.Mask(r | (r^u)>>2>>bits.TrailingZeros64(u))
 }

@@ -1,10 +1,6 @@
 package combinat
 
-import (
-	"testing"
-
-	"repro/internal/bitset"
-)
+import "testing"
 
 func TestBinomialSmallValues(t *testing.T) {
 	cases := []struct {
@@ -28,64 +24,6 @@ func TestBinomialPascalIdentity(t *testing.T) {
 			if Binomial(n, k) != Binomial(n-1, k-1)+Binomial(n-1, k) {
 				t.Fatalf("Pascal identity fails at (%d, %d)", n, k)
 			}
-		}
-	}
-}
-
-func TestUnrankCoversAllSubsetsExactlyOnce(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{5, 2}, {8, 3}, {10, 5}, {12, 1}, {6, 6}} {
-		seen := map[bitset.Mask]bool{}
-		total := Binomial(tc.n, tc.k)
-		for r := uint64(0); r < total; r++ {
-			m := Unrank(r, tc.n, tc.k)
-			if m.Count() != tc.k {
-				t.Fatalf("Unrank(%d, %d, %d) has %d bits", r, tc.n, tc.k, m.Count())
-			}
-			if !m.SubsetOf(bitset.Full(tc.n)) {
-				t.Fatalf("Unrank escaped the universe: %v", m)
-			}
-			if seen[m] {
-				t.Fatalf("duplicate subset %v at rank %d", m, r)
-			}
-			seen[m] = true
-		}
-		if uint64(len(seen)) != total {
-			t.Fatalf("(%d choose %d): got %d distinct subsets, want %d", tc.n, tc.k, len(seen), total)
-		}
-	}
-}
-
-func TestRankIsInverseOfUnrank(t *testing.T) {
-	for _, tc := range []struct{ n, k int }{{7, 3}, {10, 4}, {15, 2}} {
-		total := Binomial(tc.n, tc.k)
-		for r := uint64(0); r < total; r++ {
-			if got := Rank(Unrank(r, tc.n, tc.k)); got != r {
-				t.Fatalf("Rank(Unrank(%d)) = %d", r, got)
-			}
-		}
-	}
-}
-
-func TestUnrankColexOrder(t *testing.T) {
-	// Colexicographic order: ranks increase with the numeric value of the
-	// mask for fixed k.
-	prev := bitset.Mask(0)
-	for r := uint64(0); r < Binomial(9, 4); r++ {
-		m := Unrank(r, 9, 4)
-		if r > 0 && uint64(m) <= uint64(prev) {
-			t.Fatalf("not colex-ordered at rank %d: %v after %v", r, m, prev)
-		}
-		prev = m
-	}
-}
-
-func TestNextCombinationMatchesUnrank(t *testing.T) {
-	n, k := 10, 4
-	m := Unrank(0, n, k)
-	for r := uint64(1); r < Binomial(n, k); r++ {
-		m = NextCombination(m)
-		if want := Unrank(r, n, k); m != want {
-			t.Fatalf("NextCombination at rank %d: %v, want %v", r, m, want)
 		}
 	}
 }

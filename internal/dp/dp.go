@@ -20,9 +20,9 @@
 // reads the cold records of the same slots and is costed from their
 // scalars (joinCost). On a tree the pair itself costs one AND: Algorithm 2
 // reads an edge index built once per run (Input.ForTree) instead of walking
-// the graph. On a star MPDP needs neither census nor table: the star lattice
-// (RunMPDP) unranks each level and keeps the DP in flat lanes indexed by
-// the subset of dimensions.
+// the graph. On a spider — a star, a chain, a snowflake — MPDP needs neither
+// census nor table: the spider lattice (RunMPDP) unranks each level and
+// keeps the DP in flat lanes indexed by each arm's depth.
 package dp
 
 import (

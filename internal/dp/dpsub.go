@@ -12,7 +12,7 @@ import (
 // conditions of §2.1. Highly parallelizable, but EvaluatedCounter can
 // exceed CCPCounter by orders of magnitude (Fig. 4).
 func DPSub(in Input) (*plan.Node, Stats, error) {
-	return RunLevels(in, EvaluateSetDPSub, 1)
+	return RunLevels(in, EvaluateSetDPSub, 1, nil)
 }
 
 // EvaluateSetDPSub performs the per-set body of Algorithm 1 (lines 8-23):

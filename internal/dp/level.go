@@ -16,8 +16,10 @@ import (
 // (Levels) with evaluate and at most workers workers, then Finish. The
 // sequential enumerators of this package run it at one worker, the
 // CPU-parallel ones (package parallel) at Input.Threads; plans and counters
-// are the same bits at any count.
-func RunLevels(in Input, evaluate SetEvaluator, workers int) (*plan.Node, Stats, error) {
+// are the same bits at any count. When perLevel is non-nil it has an entry
+// per size up to the relation count, and perLevel[size] receives what the
+// level of that size counted.
+func RunLevels(in Input, evaluate SetEvaluator, workers int, perLevel []Stats) (*plan.Node, Stats, error) {
 	var stats Stats
 	prep, err := Prepare(in)
 	if err != nil {
@@ -31,24 +33,26 @@ func RunLevels(in Input, evaluate SetEvaluator, workers int) (*plan.Node, Stats,
 	defer levels.Close()
 	tab := prep.Seed(BucketCount(buckets))
 	stats.ConnectedSets = uint64(in.Q.N())
-	for size := 2; size <= in.Q.N(); size++ {
-		st, err := levels.Run(tab, size)
-		stats.Add(st)
-		if err != nil {
-			return nil, stats, err
-		}
+	if err := levels.runAll(tab, in.Q.N(), &stats, perLevel); err != nil {
+		return nil, stats, err
 	}
 	return Finish(in, tab, prep.Leaves, &stats)
 }
 
-// MPDPEvaluator is MPDP's choice of set evaluator, made once for every
-// driver: Algorithm 2 (EvaluateSetMPDPTree, on the input readied by ForTree)
-// when the join graph is a tree, Algorithm 3 (EvaluateSetMPDP) otherwise.
-func MPDPEvaluator(in Input) (Input, SetEvaluator) {
-	if in.Q.G.IsTree() {
-		return in.ForTree(), EvaluateSetMPDPTree
+// runAll runs the levels of sizes 2 to n, folding their counters into stats
+// and, when perLevel is non-nil, storing each in perLevel[size].
+func (l *Levels) runAll(tab *plan.Table, n int, stats *Stats, perLevel []Stats) error {
+	for size := 2; size <= n; size++ {
+		st, err := l.Run(tab, size)
+		stats.Add(st)
+		if perLevel != nil {
+			perLevel[size] = st
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return in, EvaluateSetMPDP
+	return nil
 }
 
 // minSetsPerWorker is the no-helpers-yet gate: a run starts its helpers only
@@ -94,8 +98,9 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 
 // Levels is the level barrier of the level-synchronous drivers — the CPU
 // counterpart of the paper's one-kernel-per-level structure (§5), shared by
-// RunLevels, the star lattice (runStar) and the GPU model (gpusim.Run, one
-// worker per device). Run evaluates the connected sets of one size and
+// RunLevels and the spider lattice (runSpider), whichever of them MPDP
+// runs on (RunMPDP): dp.MPDP at one worker, parallel.MPDP at Input.Threads
+// and the GPU model (gpusim.Run) at one worker per device. Run evaluates the connected sets of one size and
 // returns once all of them are stored, so every set of the next size finds
 // its children.
 //
@@ -104,7 +109,7 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 // level's work (levelWork) says what a range is. On the census path
 // (NewLevels) it is a run of one census bucket, whose sets the caller claims
 // in the table (plan.Table.Claim), serially, before any worker joins; on a
-// star it is a run of ranks, which the worker unranks. Each worker owns a
+// spider it is a run of ranks, which the worker unranks. Each worker owns a
 // contiguous share of the level and drains it from its own end a chunk at a
 // time (fanOut); a worker whose share is empty steals chunks from the far
 // end of another's. Every set has exactly one producer: the worker that
@@ -157,7 +162,7 @@ type Levels struct {
 // levelWork is what the barrier shares out: the sets of each level,
 // numbered from 0 in an order the work fixes, and what a worker does with an
 // index range of them. The barrier sees nothing but counts and ranges, so
-// the census of RunLevels and the star lattice, which unranks its sets,
+// the census of RunLevels and the spider lattice, which unranks its sets,
 // share one pool of helpers and one schedule.
 type levelWork interface {
 	// sets returns how many sets the level of the given size has.
@@ -294,7 +299,7 @@ func (l *Levels) Close() {
 }
 
 // Run evaluates every connected set of the given size, stores the winners
-// (in tab on the census path; the star lattice keeps its own lanes and is
+// (in tab on the census path; the spider lattice keeps its own lanes and is
 // handed nil) and returns the level's folded counters. On error (budget or
 // cancellation) the counters are those of the sets whose evaluation
 // finished, and the table is left with the level claimed and only partly

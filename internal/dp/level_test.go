@@ -21,8 +21,10 @@ import (
 
 // runMPDP is MPDP at the given worker count, as parallel.MPDP runs it.
 func runMPDP(in Input, workers int) (*plan.Node, Stats, error) {
-	in, evaluate := MPDPEvaluator(in)
-	return RunLevels(in, evaluate, workers)
+	if in.Q.G.IsTree() {
+		return RunLevels(in.ForTree(), EvaluateSetMPDPTree, workers, nil)
+	}
+	return RunLevels(in, EvaluateSetMPDP, workers, nil)
 }
 
 // sameRun reports the first difference of a run from the reference run:
@@ -84,9 +86,9 @@ func TestLevelsMatchReference(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(12))
 	general := func(in Input) (*plan.Node, Stats, error) { return referenceLevels(in, EvaluateSetMPDP) }
-	generalAt := func(in Input, w int) (*plan.Node, Stats, error) { return RunLevels(in, EvaluateSetMPDP, w) }
+	generalAt := func(in Input, w int) (*plan.Node, Stats, error) { return RunLevels(in, EvaluateSetMPDP, w, nil) }
 	dpsub := func(in Input) (*plan.Node, Stats, error) { return referenceLevels(in, EvaluateSetDPSub) }
-	dpsubAt := func(in Input, w int) (*plan.Node, Stats, error) { return RunLevels(in, EvaluateSetDPSub, w) }
+	dpsubAt := func(in Input, w int) (*plan.Node, Stats, error) { return RunLevels(in, EvaluateSetDPSub, w, nil) }
 	m := cost.DefaultModel()
 	for _, tc := range []struct {
 		name  string

@@ -15,7 +15,7 @@ import (
 // enumerated directly with no CCP checking at all and EvaluatedCounter
 // meets the CCPCounter lower bound (Theorem 3).
 func MPDPTree(in Input) (*plan.Node, Stats, error) {
-	return RunLevels(in.ForTree(), EvaluateSetMPDPTree, 1)
+	return RunLevels(in.ForTree(), EvaluateSetMPDPTree, 1, nil)
 }
 
 // MPDP is the paper's general algorithm (Algorithm 3): a hybrid of vertex-
@@ -27,17 +27,17 @@ func MPDPTree(in Input) (*plan.Node, Stats, error) {
 // drops from O(2^|S|) to O(B · 2^maxBlock) while the level-synchronous
 // structure keeps DPSub's parallelizability.
 //
-// When the whole join graph is a tree, MPDP runs Algorithm 2 instead
-// (MPDPEvaluator), over the star lattice when the tree is a star. It runs
-// at one worker (RunMPDP).
+// When the whole join graph is a tree, MPDP runs Algorithm 2 instead, over
+// the spider lattice when the tree is a spider. It runs at one worker
+// (RunMPDP).
 func MPDP(in Input) (*plan.Node, Stats, error) {
-	return RunMPDP(in, 1)
+	return RunMPDP(in, 1, nil)
 }
 
 // MPDPGeneral runs Algorithm 3 regardless of graph shape. Exported so tests
 // and benches can exercise the block machinery on trees too.
 func MPDPGeneral(in Input) (*plan.Node, Stats, error) {
-	return RunLevels(in, EvaluateSetMPDP, 1)
+	return RunLevels(in, EvaluateSetMPDP, 1, nil)
 }
 
 // EvaluateSetMPDP performs the per-set body of Algorithm 3 (lines 4-23):

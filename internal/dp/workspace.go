@@ -9,7 +9,7 @@ import (
 // Workspace is the memory one enumeration borrows instead of allocating:
 // the DP table's arrays, the connected-set census and the frame stack of the
 // walk that fills it, the per-worker evaluator scratch, Algorithm 2's edge
-// index, the star lattice's lanes and the arena of the returned plan tree.
+// index, the spider lattice's lanes and the arena of the returned plan tree.
 // Whoever runs enumerations one after another — a service worker, a
 // heuristic that calls the exact DP once per sub-problem — owns one and
 // hands it to every run through Input.Workspace; the second run then
@@ -40,18 +40,19 @@ type Workspace struct {
 	censusWalk csgWalk
 	scratch    []*Scratch
 	cuts       []graph.TreeCut
-	star       starLattice
+	spider     spiderLattice
 	nodes      plan.Arena
 	warm       bool // keeps up to warmRetainSlots, not retainSlots
 }
 
 // retainSlots bounds what a workspace keeps between runs: at most this many
-// table slots, census masks and star-lattice sets (26 B of lanes each; a
-// level's winners take no memory of their own: the level workers write them
-// into the table's slots or the lattice's lanes). 2^16 slots is
+// table slots, census masks and spider-lattice hub sets (26 B of lanes
+// each; a level's winners take no memory of their own: the level workers
+// write them into the table's slots or the lattice's lanes). 2^16 slots is
 // every table a k ≤ 16 inner DP or an exact query of at most 16 relations
 // can build — a star-16 direct-addresses exactly that many, 2.6 MB of
-// lanes, a hashed one 3.1 MB, the census 0.5 MB. A run that needs more
+// lanes, a hashed one 3.1 MB, the census 0.5 MB; a snowflake-26's lattice
+// is 31 250 hub sets, 0.8 MB. A run that needs more
 // lasts tens of milliseconds, allocates as it did without a workspace, and
 // lets go of it as soon as its tree is built (trim): uncapped, six service
 // workers that had each seen one star-18 pinned 12.6 MB apiece (peak heap
@@ -64,8 +65,8 @@ const retainSlots = 1 << 16
 
 // warmRetainSlots is the bound of a warm workspace (NewWarmWorkspace):
 // 2^18 table slots and as many census masks, about 15 MB, which is a
-// star-18's direct table or a hashed one of up to 2^17 sets (snowflake-28
-// and -30). A service owns exactly one and lends it to a worker's run
+// star-18's direct table or a hashed one of up to 2^17 sets, or a lattice of
+// 2^18 hub sets, 6.8 MB (a snowflake-28 has 62 500, a snowflake-34 781 250). A service owns exactly one and lends it to a worker's run
 // whenever no other run has it, so a large exact miss reuses the previous
 // one's table and census instead of allocating them again, while resident
 // memory grows by one such table per service and not one per worker.
@@ -108,8 +109,8 @@ func (w *Workspace) trim() {
 	if censusCap(w.census) > w.retained() {
 		w.census = nil
 	}
-	if w.star.capacity() > w.retained() {
-		w.star = starLattice{}
+	if cap(w.spider.cost) > w.retained() {
+		w.spider = spiderLattice{}
 	}
 }
 

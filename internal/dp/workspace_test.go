@@ -99,7 +99,7 @@ func TestWorkspaceSurvivesAbortedRun(t *testing.T) {
 					return Winner{}, Stats{}, context.Cause(ctx)
 				}
 				return alg(in, tab, s, dl, sc)
-			}, 1)
+			}, 1, nil)
 		if !errors.Is(err, stop) || st.ConnectedSets == 0 {
 			t.Fatalf("evaluator %d: err = %v after %d sets, want the cancellation mid-run", i, err, st.ConnectedSets)
 		}
@@ -130,7 +130,7 @@ func (w *Workspace) retainedBytes() int {
 	slots := w.tab.Cap()
 	return slots*(8+40+8) + slots/8 +
 		censusCap(w.census)*8 +
-		w.star.capacity()*starLaneBytes +
+		cap(w.spider.cost)*starLaneBytes +
 		512*int(unsafe.Sizeof(plan.Node{}))
 }
 
@@ -191,7 +191,7 @@ func TestWorkspaceRetentionBound(t *testing.T) {
 			return Winner{}, Stats{}, context.Cause(ctx)
 		}
 		return EvaluateSetMPDPTree(in, tab, s, dl, sc)
-	}, 1)
+	}, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the cancellation", err)
 	}
@@ -314,7 +314,7 @@ func TestWarmWorkspaceAfterCancelledRun(t *testing.T) {
 				return Winner{}, Stats{}, context.Cause(ctx)
 			}
 			return EvaluateSetMPDPTree(in, tab, s, dl, sc)
-		}, 1)
+		}, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want the cancellation", err)
 	}

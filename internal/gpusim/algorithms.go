@@ -1,7 +1,6 @@
 package gpusim
 
 import (
-	"repro/internal/bitset"
 	"repro/internal/combinat"
 	"repro/internal/dp"
 	"repro/internal/graph"
@@ -63,16 +62,17 @@ type levelTotals struct {
 // completes when the slowest device does. The paper ports only MPDP to
 // multi-GPU, so DPSub and DPSize always run on one device.
 //
-// Every algorithm costs its pairs for real through MPDP's evaluator behind
-// the level barrier (evaluateLevels), so the returned plan is exactly the
-// optimal one, the same bits as dp.MPDP's. The algorithm decides only what
-// the levels are billed — the quantity a lockstep device would burn cycles
-// on, derived arithmetically:
+// Every algorithm costs its pairs for real through MPDP behind the level
+// barrier, one worker per device — on a tree dp.MPDP's own driver
+// (dp.RunMPDP), on any other graph Algorithm 3 over the census (runCensus) —
+// so the plan is exactly dp.MPDP's. The algorithm decides only what each
+// level is billed, the work a lockstep device would burn cycles on, derived
+// arithmetically from the level's sets and pairs:
 //
 //   - MPDP unranks and filters the C(n, k) candidate sets of level k, then
 //     a warp runs Find-Blocks on each set and examines every proper subset
-//     of every block (dp.UnrankedPairs; on a tree, the pairs Algorithm 2
-//     examines).
+//     of every block (dp.UnrankedPairs; on a tree, where every block is a
+//     bridge, the pairs Algorithm 2 examines).
 //   - DPSub unranks and filters the same sets and examines all 2^k subsets
 //     of each.
 //   - DPSize has no unrank or filter kernels: it pairs the memoized plans of
@@ -85,88 +85,84 @@ func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, 
 	}
 	mstats := MultiStats{Devices: ndev, PerDevice: make([]Stats, ndev)}
 
-	prep, err := dp.Prepare(in)
-	if err != nil {
-		return nil, astats, mstats, err
-	}
-	buckets, err := dp.ConnectedBuckets(in)
-	if err != nil {
-		return nil, astats, mstats, err
-	}
-	// The simulator shares the CPU enumerators' SoA table: the §5 GPU memo
-	// layout (open addressing on Murmur3) on sparse censuses, direct
-	// addressing on dense ones. The device model bills the paper's unrank
-	// volume arithmetically and does not see the difference.
-	sets := dp.BucketCount(buckets)
-	tab := prep.Seed(sets)
-	astats.ConnectedSets = uint64(sets)
-
-	totals, err := evaluateLevels(in, tab, buckets, algo, ndev)
-	if err != nil {
-		return nil, astats, mstats, err
-	}
-	for _, lt := range totals {
-		astats.Evaluated += lt.evalCand
-		astats.CCP += lt.valid
-	}
-	mstats.bill(cfg, algo, totals)
-
-	best, astats, err := dp.Finish(in, tab, prep.Leaves, &astats)
-	return best, astats, mstats, err
-}
-
-// evaluateLevels evaluates every connected set, level by level, behind the
-// level barrier of the CPU enumerators (dp.Levels), one worker per device,
-// with MPDP's evaluator (dp.MPDPEvaluator): same-level sets only read
-// strictly smaller entries, so each worker writing its sets' winners into
-// their own claimed slots as it goes preserves the sequential semantics
-// exactly. It returns each level's work as algo bills it, indexed by set
-// size.
-func evaluateLevels(in dp.Input, tab *plan.Table, buckets [][]bitset.Mask, algo Algo, ndev int) ([]levelTotals, error) {
 	n := in.Q.N()
-	in, evaluate := dp.MPDPEvaluator(in)
-	// On a tree every block is a bridge, so the evaluator's pairs are the
-	// device's: no block search to bill them by.
-	isTree := in.Q.G.IsTree()
-	levels := dp.NewLevels(in, evaluate, buckets, ndev)
-	defer levels.Close()
-	dl := in.NewDeadline()
-	var bsc graph.BlockScratch
-
+	levels := make([]dp.Stats, n+1)
+	var best *plan.Node
+	var err error
+	if in.Q.G.IsTree() {
+		best, _, err = dp.RunMPDP(in, ndev, levels)
+	} else {
+		best, err = runCensus(in, ndev, levels, algo == AlgoMPDP)
+	}
+	if err != nil {
+		return nil, astats, mstats, err
+	}
+	levels[1].ConnectedSets = uint64(n)
 	totals := make([]levelTotals, n+1)
 	for size := 2; size <= n; size++ {
-		st, err := levels.Run(tab, size)
-		if err != nil {
-			return nil, err
-		}
 		lt := &totals[size]
-		lt.sets, lt.valid = uint64(len(buckets[size])), st.CCP
+		lt.sets, lt.valid = levels[size].ConnectedSets, levels[size].CCP
 		switch algo {
 		case AlgoMPDP:
 			lt.unranked = combinat.Binomial(n, size)
-			if isTree {
-				lt.evalCand = st.Evaluated
-				break
-			}
-			// A warp unranks every proper subset of every block in
-			// lockstep, whatever the CPU evaluator skipped to find the
-			// same valid pairs.
-			for _, s := range buckets[size] {
-				if dl.Expired() {
-					return nil, dl.Err()
-				}
-				lt.evalCand += dp.UnrankedPairs(in.Q.G, s, &bsc)
-			}
+			lt.evalCand = levels[size].Evaluated
 		case AlgoDPSub:
 			lt.unranked = combinat.Binomial(n, size)
 			lt.evalCand = lt.sets << uint(size)
 		case AlgoDPSize:
 			for s1 := 1; s1 < size; s1++ {
-				lt.evalCand += uint64(len(buckets[s1])) * uint64(len(buckets[size-s1]))
+				lt.evalCand += levels[s1].ConnectedSets * levels[size-s1].ConnectedSets
 			}
 		}
+		astats.Evaluated += lt.evalCand
+		astats.CCP += lt.valid
+		astats.ConnectedSets += lt.sets
 	}
-	return totals, nil
+	astats.ConnectedSets += uint64(n)
+	mstats.bill(cfg, algo, totals)
+	return best, astats, mstats, nil
+}
+
+// runCensus runs Algorithm 3 on the census of in, behind the level barrier
+// at one worker per device, and stores each level's counters in levels. With
+// unranked set a level's Evaluated is instead what a warp examines, every
+// proper subset of every block of each set (dp.UnrankedPairs).
+func runCensus(in dp.Input, ndev int, levels []dp.Stats, unranked bool) (*plan.Node, error) {
+	prep, err := dp.Prepare(in)
+	if err != nil {
+		return nil, err
+	}
+	buckets, err := dp.ConnectedBuckets(in)
+	if err != nil {
+		return nil, err
+	}
+	// The simulator shares the CPU enumerators' SoA table: the §5 GPU memo
+	// layout (open addressing on Murmur3) on sparse censuses, direct
+	// addressing on dense ones. The device model bills the paper's unrank
+	// volume arithmetically and does not see the difference.
+	tab := prep.Seed(dp.BucketCount(buckets))
+	barrier := dp.NewLevels(in, dp.EvaluateSetMPDP, buckets, ndev)
+	defer barrier.Close()
+	dl := in.NewDeadline()
+	var bsc graph.BlockScratch
+	var stats dp.Stats
+	for size := 2; size < len(buckets); size++ {
+		if levels[size], err = barrier.Run(tab, size); err != nil {
+			return nil, err
+		}
+		if !unranked {
+			continue
+		}
+		levels[size].Evaluated = 0
+		for _, s := range buckets[size] {
+			if dl.Expired() {
+				return nil, dl.Err()
+			}
+			levels[size].Evaluated += dp.UnrankedPairs(in.Q.G, s, &bsc)
+		}
+	}
+	best, _, err := dp.Finish(in, tab, prep.Leaves, &stats)
+	return best, err
 }
 
 // bill splits every level's index spaces evenly across the devices

@@ -265,11 +265,11 @@ func TestWorkspaceChangesNoDeviceModel(t *testing.T) {
 }
 
 // TestMultiJoinsItsHelpers: every run is behind the shared level barrier,
-// whose helpers live for the run and are joined by the Close
-// evaluateLevels defers. On a tree (star-14, levels of up to 1 716 sets) and
-// a general graph (clique-12, up to 924), on success, on an expired deadline
-// and on a cancelled context, at 1, 2 and 4 devices, no helper goroutine
-// outlives evaluateLevels. The count has a positive control: while a thick
+// whose helpers live for the run and are joined by the Close its driver
+// defers. On a tree (star-14, the spider lattice, levels of up to 1 716
+// sets) and a general graph (clique-12, the census, up to 924), on success,
+// on an expired deadline and on a cancelled context, at 1, 2 and 4 devices,
+// no helper goroutine outlives Run. The count has a positive control: while a thick
 // barrier at two workers is open, its helper is counted, so a helper the
 // count no longer recognises fails the test instead of passing it.
 func TestMultiJoinsItsHelpers(t *testing.T) {
@@ -297,23 +297,16 @@ func TestMultiJoinsItsHelpers(t *testing.T) {
 		for _, devices := range []int{1, 2, 4} {
 			for _, mode := range []string{"success", "deadline", "cancelled"} {
 				in := dp.Input{Q: q, M: cost.DefaultModel()}
-				prep, err := dp.Prepare(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				buckets, err := dp.ConnectedBuckets(in)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tab := prep.Seed(dp.BucketCount(buckets))
 				var want error
 				switch mode {
-				case "deadline": // past once the census is taken: a worker's first poll trips it
+				case "deadline": // the census polls too rarely to see it: a worker's first poll trips it
 					in.Ctx, want = spent, dp.ErrTimeout
 				case "cancelled":
 					in.Ctx, want = cancelled, context.Canceled
 				}
-				_, err = evaluateLevels(in, tab, buckets, AlgoMPDP, devices)
+				cfg := DefaultConfig()
+				cfg.Devices = devices
+				_, _, _, err := Run(in, cfg, AlgoMPDP)
 				if !errors.Is(err, want) {
 					t.Errorf("%d relations, %d devices, %s: err %v, want %v", q.N(), devices, mode, err, want)
 				}

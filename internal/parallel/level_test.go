@@ -240,7 +240,7 @@ func TestHelpersJoinedOnEveryPath(t *testing.T) {
 				return dp.EvaluateSetMPDPTree(in, tab, s, dl, sc)
 			}
 			want := map[string]error{"success": nil, "deadline": dp.ErrTimeout, "cancelled": context.Canceled}[mode]
-			p, _, err := dp.RunLevels(in.ForTree(), evaluate, threads(in))
+			p, _, err := dp.RunLevels(in.ForTree(), evaluate, threads(in), nil)
 			cancel()
 			stop()
 			if !errors.Is(err, want) || (err == nil) != (p != nil) {

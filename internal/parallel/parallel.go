@@ -30,12 +30,12 @@ func threads(in dp.Input) int {
 // The per-level barrier mirrors the GPU kernel-per-level structure of §5.
 // It runs dp.RunMPDP, dp.MPDP's driver, at Input.Threads workers.
 func MPDP(in dp.Input) (*plan.Node, dp.Stats, error) {
-	return dp.RunMPDP(in, threads(in))
+	return dp.RunMPDP(in, threads(in), nil)
 }
 
 // DPSubParallel is the CPU-parallel DPSub, provided for completeness (the
 // paper omits it from the graphs because it is dominated by its GPU
 // variant).
 func DPSubParallel(in dp.Input) (*plan.Node, dp.Stats, error) {
-	return dp.RunLevels(in, dp.EvaluateSetDPSub, threads(in))
+	return dp.RunLevels(in, dp.EvaluateSetDPSub, threads(in), nil)
 }
