@@ -98,11 +98,11 @@ func fanOut(sets, pairsPerSet, workers int) (active, chunk int) {
 
 // Levels is the level barrier of the level-synchronous drivers — the CPU
 // counterpart of the paper's one-kernel-per-level structure (§5), shared by
-// RunLevels and the spider lattice (runSpider), whichever of them MPDP
-// runs on (RunMPDP): dp.MPDP at one worker, parallel.MPDP at Input.Threads
-// and the GPU model (gpusim.Run) at one worker per device. Run evaluates the connected sets of one size and
-// returns once all of them are stored, so every set of the next size finds
-// its children.
+// RunLevels and the spider lattice (runSpider), whichever of them MPDP runs
+// on (RunMPDP): dp.MPDP at one worker, parallel.MPDP at Input.Threads and
+// the GPU model (gpusim.Run) at one worker per device. Run evaluates the
+// connected sets of one size and returns once all of them are stored, so
+// every set of the next size finds its children.
 //
 // The unit of work is an index range of a level: the barrier knows how many
 // sets each level has and hands out ranges of their indices, and the

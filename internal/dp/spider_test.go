@@ -132,9 +132,8 @@ func starSets(n int) (sets, pairs uint64) {
 
 // TestStarLatticeMatchesMPDPTree: the spider lattice on a star, its radix-2
 // case, is Algorithm 2 by other means — no census, no table, unranked levels
-// — so it must return
-// what the census path (MPDPTree, EvaluateSetMPDPTree behind RunLevels at
-// one worker) returns: the same tree node for node, cost and cardinality
+// — so it must return what the census path (MPDPTree, EvaluateSetMPDPTree
+// behind RunLevels at one worker) returns: the same tree node for node, cost and cardinality
 // bits included, and the same counters, which on a star are closed-form:
 // 2^(n−1) + n − 1 connected sets and 2 pairs per edge of each. Random stars
 // of 2 to 18 relations, the hub anywhere, edges in any order and either
@@ -242,9 +241,21 @@ func TestStarLatticeTakesOnlyStars(t *testing.T) {
 // for bit.
 func TestStarLatticeStopsMidLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	m := cost.DefaultModel()
 	failing := topoQuery(graph.Star(17), rng)
-	after := []*cost.Query{topoQuery(graph.Star(13), rng), failing, topoQuery(graph.Clique(9), rng)}
+	sets, _ := starSets(failing.N())
+	checkStopsMidLevel(t, failing, uint64(failing.N())+16+120+560+1, sets,
+		[]*cost.Query{topoQuery(graph.Star(13), rng), failing, topoQuery(graph.Clique(9), rng)})
+}
+
+// checkStopsMidLevel runs failing at 1, 2 and 4 workers on one workspace,
+// once with its budget spent and once with its context cancelled before the
+// run began: each must return no plan and the census path's error, having
+// counted at least early and fewer than all connected sets, with no helper
+// left running, and the runs of after that follow on the same workspace
+// must be the census path's bit for bit.
+func checkStopsMidLevel(t *testing.T, failing *cost.Query, early, all uint64, after []*cost.Query) {
+	t.Helper()
+	m := cost.DefaultModel()
 	ws := new(Workspace)
 	for _, workers := range []int{1, 2, 4} {
 		for _, mode := range []string{"deadline", "cancelled"} {
@@ -266,9 +277,8 @@ func TestStarLatticeStopsMidLevel(t *testing.T) {
 			if !errors.Is(err, want) || !errors.Is(censusErr, want) || p != nil {
 				t.Fatalf("%s: plan %v, err %v, census path %v; want no plan and %v", what, p != nil, err, censusErr, want)
 			}
-			sets, _ := starSets(failing.N())
-			if st.ConnectedSets <= uint64(failing.N())+16+120+560 || st.ConnectedSets >= sets {
-				t.Errorf("%s: the stopped run counts %d connected sets: it did not stop past the third level and before the last", what, st.ConnectedSets)
+			if st.ConnectedSets < early || st.ConnectedSets >= all {
+				t.Errorf("%s: the stopped run counts %d connected sets, want at least %d and fewer than all %d", what, st.ConnectedSets, early, all)
 			}
 			if left := levelHelpers(time.Second); len(left) != 0 {
 				t.Fatalf("%s: %d helpers outlived the run: %v", what, len(left), left)
@@ -456,7 +466,6 @@ func TestSpiderLatticeTakesOnlySpiders(t *testing.T) {
 // the failed query among them, are the census path's bit for bit.
 func TestSpiderLatticeStopsMidLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	m := cost.DefaultModel()
 	failing := topoQuery(graph.SnowflakeN(26, 4), rng)
 	var lat spiderLattice
 	if !lat.layout(failing.G, 0) {
@@ -466,47 +475,6 @@ func TestSpiderLatticeStopsMidLevel(t *testing.T) {
 	for size := 2; size <= failing.N(); size++ {
 		all += uint64(lat.sets(size))
 	}
-	after := []*cost.Query{topoQuery(graph.SnowflakeN(20, 4), rng), failing, topoQuery(graph.Clique(9), rng)}
-	ws := new(Workspace)
-	for _, workers := range []int{1, 2, 4} {
-		for _, mode := range []string{"deadline", "cancelled"} {
-			ctx, cancel := context.WithCancelCause(context.Background())
-			in := Input{Q: failing, M: m, Workspace: ws}
-			var want error
-			switch mode {
-			case "deadline":
-				in.Ctx, want = spentBudget(), ErrTimeout
-			case "cancelled":
-				want = errors.New("stop")
-				in.Ctx = ctx
-				cancel(want)
-			}
-			_, _, censusErr := MPDPTree(in)
-			p, st, err := RunMPDP(in, workers, nil)
-			cancel(nil)
-			what := fmt.Sprintf("%d workers, %s", workers, mode)
-			if !errors.Is(err, want) || !errors.Is(censusErr, want) || p != nil {
-				t.Fatalf("%s: plan %v, err %v, census path %v; want no plan and %v", what, p != nil, err, censusErr, want)
-			}
-			if st.ConnectedSets < early || st.ConnectedSets >= all {
-				t.Errorf("%s: the stopped run counts %d connected sets, want at least the first two levels' %d and fewer than all %d", what, st.ConnectedSets, early, all)
-			}
-			if left := levelHelpers(time.Second); len(left) != 0 {
-				t.Fatalf("%s: %d helpers outlived the run: %v", what, len(left), left)
-			}
-			for _, q := range after {
-				want, wantStats, err := referenceMPDP(Input{Q: q, M: m})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, gotStats, err := RunMPDP(Input{Q: q, M: m, Workspace: ws}, workers, nil)
-				if err != nil {
-					t.Fatalf("after %s: %v", what, err)
-				}
-				if d := sameRun(got, gotStats, want, wantStats); d != nil {
-					t.Errorf("after %s, %d relations: %v", what, q.N(), d)
-				}
-			}
-		}
-	}
+	checkStopsMidLevel(t, failing, early, all,
+		[]*cost.Query{topoQuery(graph.SnowflakeN(20, 4), rng), failing, topoQuery(graph.Clique(9), rng)})
 }
