@@ -35,8 +35,10 @@ func (r deviceModelRow) label() string {
 
 // deviceModelRows is the grid: every algorithm with both §5 enhancements and
 // with neither on seven join graphs, MPDP on one, two and three devices on a
-// tree, a cycle and a MusicBrainz walk, and on one and two devices on the
-// served GPU band's snowflake-28.
+// tree, a cycle and a MusicBrainz walk, on one and two devices on the served
+// GPU band's snowflake-28, and on several devices on two cyclic graphs whose
+// levels are thick enough to start helpers (clique-12, musicbrainz-20), so
+// their volumes are summed across level workers.
 func deviceModelRows() []deviceModelRow {
 	graphs := []struct {
 		kind workload.Kind
@@ -67,6 +69,15 @@ func deviceModelRows() []deviceModelRow {
 		cfg := DefaultConfig()
 		cfg.Devices = devices
 		rows = append(rows, deviceModelRow{workload.KindSnowflake, 28, AlgoMPDP, cfg})
+	}
+	for _, g := range []struct {
+		kind    workload.Kind
+		n       int
+		devices int
+	}{{workload.KindClique, 12, 2}, {workload.KindClique, 12, 4}, {workload.KindMB, 20, 2}} {
+		cfg := DefaultConfig()
+		cfg.Devices = g.devices
+		rows = append(rows, deviceModelRow{g.kind, g.n, AlgoMPDP, cfg})
 	}
 	return rows
 }

@@ -23,8 +23,8 @@ type routePin struct {
 // routePins walks every band edge of the calibrated ladder (GTX 1080, 5 s
 // budget): the small band at 12/13, the clique caps at 14/15 and 16/17,
 // dense general graphs at 18, 25/26 and 30, the CPU band at 25/26, the GPU
-// band at 41/42, and past it the heuristic split between graphs of n and of
-// n+1 edges.
+// band at 41/42 and at its dense-edge cap (4n edges, then 4n+1), and past it
+// the heuristic split between graphs of n and of n+1 edges.
 var routePins = []routePin{
 	{"chain", 12, 1, core.AlgDPCCP, backend.CPUSeq},
 	{"cycle", 12, 1, core.AlgDPCCP, backend.CPUSeq},
@@ -60,6 +60,9 @@ var routePins = []routePin{
 	{"cycle", 42, 1, core.AlgIDP2, backend.Heuristic},
 	{"cycle+chord", 42, 1, core.AlgLinDP, backend.Heuristic},
 
+	{"circulant", 30, 1, core.AlgMPDPGPU, backend.GPU},
+	{"circulant+chord", 30, 1, core.AlgLinDP, backend.Heuristic},
+
 	{"cycle", 70, 1, core.AlgIDP2, backend.Heuristic},
 	{"cycle+chord", 70, 1, core.AlgLinDP, backend.Heuristic},
 }
@@ -77,8 +80,11 @@ func TestRoutePins(t *testing.T) {
 }
 
 // pinQuery builds a row's query: a workload family, a clique minus the
-// edge between its first and last relation ("near-clique"), or a cycle
-// plus the chord between relations 0 and 2 ("cycle+chord").
+// edge between its first and last relation ("near-clique"), a cycle plus
+// the chord between relations 0 and 2 ("cycle+chord"), a cycle whose every
+// relation also joins the three after the next around it, 4n edges
+// ("circulant", for n > 8), or that plus the chord between relations 0 and
+// n/2 ("circulant+chord").
 func pinQuery(t testing.TB, row routePin) *cost.Query {
 	t.Helper()
 	switch row.family {
@@ -86,6 +92,17 @@ func pinQuery(t testing.TB, row routePin) *cost.Query {
 		return withEdges(genQuery(t, workload.KindClique, row.n, row.seed), 0, row.n-1, false)
 	case "cycle+chord":
 		return withEdges(genQuery(t, workload.KindCycle, row.n, row.seed), 0, 2, true)
+	case "circulant", "circulant+chord":
+		q := genQuery(t, workload.KindCycle, row.n, row.seed)
+		for d := 2; d <= 4; d++ {
+			for v := 0; v < row.n; v++ {
+				q = withEdges(q, v, (v+d)%row.n, true)
+			}
+		}
+		if row.family == "circulant+chord" {
+			q = withEdges(q, 0, row.n/2, true)
+		}
+		return q
 	}
 	return genQuery(t, workload.Kind(row.family), row.n, row.seed)
 }
