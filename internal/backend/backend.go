@@ -6,7 +6,7 @@
 // substrates differ only in how core.Optimize executes the algorithm, so a
 // backend is a name plus the service's GPU device pool: Backend.Optimize
 // is one core.Optimize call. The router (core.Route) picks an algorithm
-// per query from size, shape and its calibrated ladder; the serving layers
+// per query from size, shape and its constant ladder; the serving layers
 // report which backend produced every plan.
 //
 // The backend split mirrors the paper's evaluation axes (CPU vs GPU,

@@ -3,8 +3,8 @@
 // this repository — the sequential exact algorithms (DPSize, DPSub, DPCCP,
 // MPDP), the CPU-parallel MPDP, the GPU-model ones (DPSize-GPU, DPSub-GPU,
 // MPDP-GPU) and the heuristics (GOO, IKKBZ, LinDP/adaptive, IDP2-MPDP,
-// UnionDP-MPDP) — plus AlgAuto, the one routing policy (Route): the
-// calibrated ladder of exact bands, MPDP past the paper's raised fall-back
+// UnionDP-MPDP) — plus AlgAuto, the one routing policy (Route): a
+// constant ladder of exact bands, MPDP past the paper's raised fall-back
 // limit of 25 relations on the GPU model, IDP2 or LinDP beyond. The service
 // serves every request by the same Route. Each registered algorithm has its
 // reason to exist on file in DESIGN.md's "Experiment index": a router band,
@@ -169,7 +169,9 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		res.Plan, res.Stats, err = parallel.MPDP(in)
 	case AlgDPSizeGPU, AlgDPSubGPU, AlgMPDPGPU:
 		algo, _ := opts.Algorithm.GPUAlgo()
-		res.Plan, res.Stats, res.GPU, err = gpuRun(in, gcfg, algo)
+		var gs gpusim.MultiStats
+		res.Plan, res.Stats, gs, err = gpusim.Run(in, gcfg, algo)
+		res.GPU = &gs
 	case AlgGOO:
 		res.Plan, err = heuristic.GOO(q, hOpt)
 	case AlgIKKBZ:
@@ -188,11 +190,6 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		return nil, err
 	}
 	return res, nil
-}
-
-func gpuRun(in dp.Input, cfg gpusim.Config, algo gpusim.Algo) (*plan.Node, dp.Stats, *gpusim.MultiStats, error) {
-	p, st, gs, err := gpusim.Run(in, cfg, algo)
-	return p, st, &gs, err
 }
 
 // Explain renders a plan as an indented operator tree with relation names.

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/cost"
-	"repro/internal/gpusim"
 	"repro/internal/graph"
 )
 
@@ -59,9 +56,8 @@ func DetectShape(g *graph.Graph) Shape {
 	}
 }
 
-// crossover holds the router's thresholds: which algorithm, and so which
-// substrate, plans a query of a given size and shape. The regimes, in
-// increasing query size:
+// The router's ladder: which algorithm, and so which substrate, plans a
+// query of a given size and shape. The regimes, in increasing query size:
 //
 //	n ≤ smallLimit                 MPDP-CPU for cliques and stars,
 //	                               sequential DPCCP otherwise
@@ -71,115 +67,44 @@ func DetectShape(g *graph.Graph) Shape {
 //	                               graphs capped at gpuCliqueLimit)
 //	beyond                         heuristics (IDP2 for trees and
 //	                               unicyclic graphs, LinDP otherwise)
-type crossover struct {
+//
+// The two GPU caps are sized for the paper's GTX 1080 device model
+// (gpusim.GTX1080) and a 5-second per-query compute budget.
+const (
 	// smallLimit routes graphs of at most this many relations by shape:
 	// cliques and stars, whose levels are thick, to MPDP-CPU, and every
 	// other shape to sequential DPCCP — on their thin levels a parallel
-	// substrate has nothing to share.
-	smallLimit int
+	// substrate has nothing to share. Below 12 sequential DPCCP wins on
+	// sparse shapes in the paper's evaluation.
+	smallLimit = 12
 	// cpuParallelLimit routes graphs of at most this many relations to
 	// MPDP-CPU (the paper's raised fall-back limit of 25).
-	cpuParallelLimit int
+	cpuParallelLimit = 25
 	// cliqueCPULimit lowers cpuParallelLimit for clique-shaped graphs,
 	// whose enumeration cost grows as 3^n.
-	cliqueCPULimit int
+	cliqueCPULimit = 14
 	// gpuLimit routes trees and sparse cyclic graphs of at most this many
 	// relations to MPDP-GPU instead of the heuristics — the paper's
 	// headline regime, exact plans at sizes CPU enumerators cannot touch.
-	// At most 64 (the exact enumerators' bitset width).
-	gpuLimit int
+	// MPDP-GPU unranks the full C(n,k) candidate space at every level, 2^n
+	// lattice points per run (the massively-parallel design of §5): 2^41
+	// candidates at 6 warp-cycles each (unrank 2, connectivity filter 4) on
+	// the GTX 1080 model, plus four kernel launches and one host↔device
+	// transfer per level, take 3.2 s and fit the budget; 2^42 take 6.4 s.
+	gpuLimit = 41
 	// gpuCliqueLimit caps the GPU route for clique-shaped and dense
-	// general graphs (see denseEdgeFactor).
-	gpuCliqueLimit int
+	// general graphs (see denseEdgeFactor). Every subset of a clique is
+	// connected, so its 3^n valid pairs are costed for real whatever the
+	// substrate: 3^16 pairs at 25 M pairs per second (the reciprocal of
+	// exact-dense's dp.ns_per_ccp_pair, rounded down) take 1.7 s and fit the
+	// budget; 3^17 take 5.2 s.
+	gpuCliqueLimit = 16
 	// denseEdgeFactor classifies a general (cyclic, non-clique) graph as
 	// dense when it has more than denseEdgeFactor × n edges; dense graphs
 	// use gpuCliqueLimit instead of gpuLimit, since their connected-set
 	// space explodes the same way a clique's does.
-	denseEdgeFactor float64
-}
-
-// ladder is the one routing ladder: the thresholds calibrated for the
-// paper's GTX 1080 device model and a 5-second per-query compute budget.
-var ladder = calibrate(gpusim.GTX1080(), 5*time.Second)
-
-// cpuPairsPerSec is the calibration constant for real per-pair evaluation
-// throughput: candidate joins costed per second per core by the shared
-// set evaluators (the reciprocal of dp.ns_per_ccp_pair on the benchmark's
-// exact-dense workload, rounded down; see bench/README.md).
-const cpuPairsPerSec = 25e6
-
-// calibrate derives the crossover thresholds from the device's work model
-// and a per-query compute budget, instead of hard-coding magic sizes:
-//
-//   - gpuLimit: MPDP-GPU unranks the full C(n,k) candidate space at every
-//     level — 2^n lattice points per run, the massively-parallel design of
-//     §5 — so the largest exact-GPU query is where the modeled unrank +
-//     filter time (6 warp-cycles per candidate) plus per-level overhead
-//     (kernel launches + host↔device transfer) still fits the budget.
-//   - gpuCliqueLimit: on cliques every subset is connected, so the 3^n
-//     valid pairs are *costed for real* whatever the substrate; the cap is
-//     where real evaluation at cpuPairsPerSec fits the budget.
-//   - smallLimit and cpuParallelLimit follow the paper's evaluation (12
-//     and 25): below 12 sequential DPCCP wins on sparse shapes (chains,
-//     cycles, MusicBrainz walks), while cliques and stars, whose every set
-//     is one block or a tree, already go to MPDP-CPU — and 25 is the
-//     paper's raised fall-back limit for the CPU-parallel enumerator.
-//
-// A faster device raises gpuLimit; the budget raises both GPU caps.
-func calibrate(dev *gpusim.Device, budget time.Duration) crossover {
-	if dev == nil {
-		dev = gpusim.GTX1080()
-	}
-	if budget <= 0 {
-		budget = 5 * time.Second
-	}
-	budgetSec := budget.Seconds()
-
-	// Warp instructions retired per second, and the per-level fixed cost:
-	// the ~4 kernel launches of Algorithm 5 plus one host↔device round
-	// trip.
-	throughput := float64(dev.SMCount*dev.SchedulersPerSM) * dev.ClockGHz * 1e9
-	levelOverheadSec := (4*dev.KernelLaunchUS + dev.LevelTransferUS) * 1e-6
-
-	const unrankFilterCycles = 6 // unrank (2) + connectivity filter (4) per candidate
-
-	gpuLimit := 0
-	for n := 1; n <= 64; n++ {
-		candidates := 1.0 // 2^n lattice points, accumulated to avoid overflow
-		for i := 0; i < n; i++ {
-			candidates *= 2
-		}
-		sec := candidates*unrankFilterCycles/float64(dev.WarpSize)/throughput +
-			float64(n-1)*levelOverheadSec
-		if sec > budgetSec {
-			break
-		}
-		gpuLimit = n
-	}
-	if gpuLimit < 26 {
-		gpuLimit = 26 // never below the CPU band, even on a toy device
-	}
-
-	gpuClique := 0
-	for n, pairs := 1, 3.0; n <= 24; n, pairs = n+1, pairs*3 {
-		if pairs/cpuPairsPerSec > budgetSec {
-			break
-		}
-		gpuClique = n
-	}
-	if gpuClique < 15 {
-		gpuClique = 15
-	}
-
-	return crossover{
-		smallLimit:       12,
-		cpuParallelLimit: 25,
-		cliqueCPULimit:   14,
-		gpuLimit:         gpuLimit,
-		gpuCliqueLimit:   gpuClique,
-		denseEdgeFactor:  4,
-	}
-}
+	denseEdgeFactor = 4
+)
 
 // Route picks the algorithm that plans q — the policy AlgAuto runs and the
 // service serves every request by — from q's size, detected shape and edge
@@ -190,13 +115,13 @@ func calibrate(dev *gpusim.Device, budget time.Duration) crossover {
 // sequential DPCCP on the rest; MPDP-CPU to the paper's fall-back limit,
 // then — where the pre-GPU router gave up and went heuristic — MPDP-GPU
 // with fused pruning and CCC for large trees and sparse cyclic graphs up to
-// the bitset width. Cliques and dense general graphs (whose connected-set
+// gpuLimit relations. Cliques and dense general graphs (whose connected-set
 // space explodes the same way) cap the exact bands early, and everything
 // beyond goes to the graph's heuristic (HeuristicFor).
 func Route(q *cost.Query) (Algorithm, Shape) {
 	shape := DetectShape(q.G)
-	n, edges, x := q.N(), len(q.G.Edges), &ladder
-	if n <= x.smallLimit {
+	n, edges := q.N(), len(q.G.Edges)
+	if n <= smallLimit {
 		if shape == ShapeClique || shape == ShapeStar {
 			return AlgMPDPParallel, shape
 		}
@@ -206,16 +131,16 @@ func Route(q *cost.Query) (Algorithm, Shape) {
 	// caps the GPU band only, where a dense general graph's connected-set
 	// lattice explodes like a clique's. Dense graphs of 17..25 relations
 	// therefore still get the exact CPU-parallel route.
-	cpuLimit := x.cpuParallelLimit
+	cpuLimit := cpuParallelLimit
 	if shape == ShapeClique {
-		cpuLimit = x.cliqueCPULimit
+		cpuLimit = cliqueCPULimit
 	}
 	if n <= cpuLimit {
 		return AlgMPDPParallel, shape
 	}
-	gpuLimit := x.gpuLimit
+	exactLimit := gpuLimit
 	if shape == ShapeClique || shape == ShapeStar ||
-		(shape == ShapeGeneral && float64(edges) > x.denseEdgeFactor*float64(n)) {
+		(shape == ShapeGeneral && edges > denseEdgeFactor*n) {
 		// Cliques and dense graphs explode the candidate-pair space;
 		// stars explode the *lattice* instead — a hub of degree d has
 		// 2^d connected supersets, so a star past ~26 relations is
@@ -223,9 +148,9 @@ func Route(q *cost.Query) (Algorithm, Shape) {
 		// GPU run finishes enumerating. All three skip to the clique cap
 		// (stars ≤ the CPU band never reach here, so in practice stars
 		// route heuristically beyond 25).
-		gpuLimit = x.gpuCliqueLimit
+		exactLimit = gpuCliqueLimit
 	}
-	if n <= gpuLimit {
+	if n <= exactLimit {
 		return AlgMPDPGPU, shape
 	}
 	return HeuristicFor(q), shape

@@ -87,11 +87,17 @@ func TestScanCost(t *testing.T) {
 	}
 }
 
+// join is the node path's join of l and r at the cardinality the DPs
+// compute, SelBetween over the two sides.
+func join(m *Model, q *Query, l, r *plan.Node) *plan.Node {
+	return m.JoinWithRows(q, l, r, l.Rows*r.Rows*q.SelBetween(l.Set, r.Set))
+}
+
 func TestJoinCostIncludesChildren(t *testing.T) {
 	q := testQuery()
 	m := DefaultModel()
 	l, r := m.Scan(q, 0), m.Scan(q, 1)
-	j := m.Join(q, l, r)
+	j := join(m, q, l, r)
 	if j.Cost < l.Cost {
 		t.Errorf("join cost %v below left child %v", j.Cost, l.Cost)
 	}
@@ -103,33 +109,14 @@ func TestJoinCostIncludesChildren(t *testing.T) {
 	}
 }
 
-func TestJoinEvalAgreesWithJoin(t *testing.T) {
-	q := testQuery()
-	m := DefaultModel()
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 50; trial++ {
-		a, b := rng.Intn(4), rng.Intn(4)
-		if a == b {
-			continue
-		}
-		l, r := m.Scan(q, a), m.Scan(q, b)
-		op, rows, c := m.JoinEval(q, l, r)
-		j := m.Join(q, l, r)
-		if j.Op != op || j.Rows != rows || j.Cost != c {
-			t.Fatalf("JoinEval (%v, %v, %v) != Join (%v, %v, %v)", op, rows, c, j.Op, j.Rows, j.Cost)
-		}
-	}
-}
-
 func TestIndexNestLoopRequiresIndexAndLeaf(t *testing.T) {
 	q := testQuery()
 	m := DefaultModel()
 	big, idxRel := m.Scan(q, 0), m.Scan(q, 2) // rel 2 has a PK index
-	op, _, _ := m.JoinEval(q, big, idxRel)
-	_ = op // operator choice depends on numbers; verify the restricted model
 	restricted := *m
 	restricted.DisableNestLoop = true
-	opR, _, costR := restricted.JoinEval(q, big, idxRel)
+	j := join(&restricted, q, big, idxRel)
+	opR, costR := j.Op, j.Cost
 	if opR == 0 {
 		t.Error("unexpected scan op")
 	}
@@ -151,9 +138,9 @@ func TestOperatorChoiceMonotoneInModel(t *testing.T) {
 	noAll := noNL
 	noAll.DisableMerge = true
 	l, r := full.Scan(q, 1), full.Scan(q, 2)
-	_, _, cFull := full.JoinEval(q, l, r)
-	_, _, cNoNL := noNL.JoinEval(q, l, r)
-	_, _, cHash := noAll.JoinEval(q, l, r)
+	cFull := join(full, q, l, r).Cost
+	cNoNL := join(&noNL, q, l, r).Cost
+	cHash := join(&noAll, q, l, r).Cost
 	if cFull > cNoNL+1e-12 || cNoNL > cHash+1e-12 {
 		t.Errorf("costs not monotone: %v, %v, %v", cFull, cNoNL, cHash)
 	}
@@ -163,11 +150,11 @@ func TestCout(t *testing.T) {
 	q := testQuery()
 	m := DefaultModel()
 	l, r := m.Scan(q, 1), m.Scan(q, 2)
-	j := m.Join(q, l, r)
+	j := join(m, q, l, r)
 	if got := Cout(j); got != j.Rows {
 		t.Errorf("Cout = %v, want %v", got, j.Rows)
 	}
-	j2 := m.Join(q, j, m.Scan(q, 3))
+	j2 := join(m, q, j, m.Scan(q, 3))
 	if got := Cout(j2); math.Abs(got-(j.Rows+j2.Rows)) > 1e-9 {
 		t.Errorf("Cout = %v, want %v", got, j.Rows+j2.Rows)
 	}
@@ -216,7 +203,8 @@ func TestJoinEvalEntryMatchesNodePath(t *testing.T) {
 				r = &plan.Node{Set: bitset.MaskOf(2, 3), Left: m.Scan(q, 2), Right: m.Scan(q, 3),
 					Rows: rng.Float64() * 1e8, Cost: rng.Float64() * 1e6}
 			}
-			opN, rowsN, costN := m.JoinEval(q, l, r)
+			j := join(m, q, l, r)
+			opN, rowsN, costN := j.Op, j.Rows, j.Cost
 			opE, rowsE, costE := m.JoinEvalEntry(q, entryOf(l), entryOf(r))
 			if opN != opE || rowsN != rowsE || costN != costE {
 				t.Fatalf("trial %d: node path (%v, %v, %v) != entry path (%v, %v, %v)",

@@ -121,27 +121,10 @@ func (m *Model) JoinCostCore(lRows, lCost, lLg, rRows, rCost, rLg, rLgi, outRows
 	return bestOp, bestCost
 }
 
-// Join builds the best join node over l and r for query q. The caller
-// guarantees l and r are connected, disjoint relation sets (a CCP pair).
-// Valid for queries of <= 64 relations (uses Mask sets).
-func (m *Model) Join(q *Query, l, r *plan.Node) *plan.Node {
-	op, rows, cost := m.JoinEval(q, l, r)
-	return m.MakeJoin(l, r, op, rows, cost)
-}
-
-// JoinEval is the allocation-free core of Join: it returns the cheapest
-// operator, output cardinality and total cost of l ⋈ r. The DP inner loops
-// call it per candidate pair and materialize a node only for the winner.
-func (m *Model) JoinEval(q *Query, l, r *plan.Node) (plan.Op, float64, float64) {
-	outRows := l.Rows * r.Rows * q.SelBetween(l.Set, r.Set)
-	rightIndexed := r.IsLeaf() && q.Cat.Rels[r.RelID].HasPKIndex
-	op, cost := m.JoinCost(l, r, outRows, rightIndexed)
-	return op, outRows, cost
-}
-
-// JoinEvalEntry is the value-typed JoinEval over DP table entries: it costs
-// l ⋈ r from the (set, rows, cost, leaf) views alone, allocation-free and
-// bit-identical to the node-based path. The entries' memoized log2 terms
+// JoinEvalEntry costs l ⋈ r over DP table entries: the cheapest operator,
+// output cardinality and total cost from the (set, rows, cost, leaf) views
+// alone, allocation-free and bit-identical to the node-based path
+// (JoinWithRows at the same cardinality). The entries' memoized log2 terms
 // (computed once per stored sub-plan) feed the same shared arithmetic the
 // node path uses. DPSize and DPSub call it once per candidate pair.
 func (m *Model) JoinEvalEntry(q *Query, l, r plan.Entry) (plan.Op, float64, float64) {
@@ -151,20 +134,9 @@ func (m *Model) JoinEvalEntry(q *Query, l, r plan.Entry) (plan.Op, float64, floa
 	return op, outRows, cost
 }
 
-// MakeJoin materializes a join node from a JoinEval result.
-func (m *Model) MakeJoin(l, r *plan.Node, op plan.Op, rows, cost float64) *plan.Node {
-	return &plan.Node{
-		Set:   l.Set.Union(r.Set),
-		Left:  l,
-		Right: r,
-		Op:    op,
-		Rows:  rows,
-		Cost:  cost,
-	}
-}
-
-// JoinWithRows is Join with a precomputed output cardinality, used by the
-// heuristic layer on large graphs where Mask sets are unavailable.
+// JoinWithRows builds the best join node over l and r, producing outRows
+// tuples: the node path of the heuristic layer, which knows the output
+// cardinality of its joins on graphs too large for Mask sets.
 func (m *Model) JoinWithRows(q *Query, l, r *plan.Node, outRows float64) *plan.Node {
 	n := new(plan.Node)
 	m.JoinInto(n, q, l, r, outRows)

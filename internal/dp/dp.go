@@ -11,7 +11,7 @@
 // The DP hot path is allocation-free in steady state: the memo is the
 // struct-of-arrays plan.Table (direct-addressed when the census is dense,
 // the paper's §5 Murmur3 open addressing when it is sparse), and plan trees
-// are materialized only once per run, at Finish, from an arena. Table,
+// are materialized only once per run, at its end, from an arena. Table,
 // census and arena are borrowed from the caller's Workspace when it hands
 // one in, so a run that follows another allocates next to nothing. Every
 // evaluator prunes before it fetches: a candidate pair finds each child's
@@ -102,10 +102,10 @@ type Input struct {
 	// When nil the run allocates all of it afresh. No result depends on it.
 	Workspace *Workspace
 
-	// Threads is the worker count of parallel.MPDP and
-	// parallel.DPSubParallel, which run RunLevels at it (0: GOMAXPROCS).
-	// Nothing in this package reads it — MPDP, DPSub, DPCCP and DPSize are
-	// sequential — and neither does the GPU model (gpusim.Run).
+	// Threads is the worker count of parallel.MPDP, which runs RunMPDP at
+	// it (0: GOMAXPROCS). Nothing in this package reads it — MPDP, DPSub,
+	// DPCCP and DPSize are sequential — and neither does the GPU model
+	// (gpusim.Run).
 	Threads int
 
 	// cuts is Algorithm 2's edge index of Q.G, set by ForTree.
@@ -118,7 +118,7 @@ type Input struct {
 // once per run. The index is built here, per run, and not cached on the
 // graph, which concurrent requests share; it is the workspace's memory when
 // the input has one, and read-only once built, so the level workers of one
-// run share it. A query past the mask width gets none: Prepare refuses it
+// run share it. A query past the mask width gets none: the run refuses it
 // before any set is evaluated.
 func (in Input) ForTree() Input {
 	if in.Q.N() <= 64 {
@@ -222,36 +222,36 @@ type Scratch struct {
 // counters agree exactly across variants.
 type SetEvaluator func(in Input, tab *plan.Table, s bitset.Mask, dl *Deadline, sc *Scratch) (Winner, Stats, error)
 
-// Prepared holds the common setup of an optimization run.
-type Prepared struct {
-	Leaves []*plan.Node
+// prepared holds the common setup of an optimization run.
+type prepared struct {
+	leaves []*plan.Node
 	ws     *Workspace
 }
 
-// Prepare validates the input and materializes the per-relation base plans.
+// prepare validates the input and materializes the per-relation base plans.
 // It is the first thing every driver calls, so it is also where a run
 // begins on the input's workspace: the previous run's plan tree and census
-// are dead from here on. The DP table itself is created by Seed once the
+// are dead from here on. The DP table itself is created by seed once the
 // driver knows (or has bounded) the number of connected sets the run will
 // store.
-func Prepare(in Input) (*Prepared, error) {
+func prepare(in Input) (*prepared, error) {
 	leaves, err := in.leaves()
 	if err != nil {
 		return nil, err
 	}
 	in.Workspace.begin()
-	return &Prepared{Leaves: leaves, ws: in.Workspace}, nil
+	return &prepared{leaves: leaves, ws: in.Workspace}, nil
 }
 
-// Seed returns the run's struct-of-arrays DP table, empty, pre-sized for
+// seed returns the run's struct-of-arrays DP table, empty, pre-sized for
 // hint connected sets (including the base relations) and seeded with the
 // base entries.
-func (p *Prepared) Seed(hint int) *plan.Table {
-	if hint < len(p.Leaves) {
-		hint = len(p.Leaves)
+func (p *prepared) seed(hint int) *plan.Table {
+	if hint < len(p.leaves) {
+		hint = len(p.leaves)
 	}
-	tab := p.ws.table(len(p.Leaves), hint)
-	for i, leaf := range p.Leaves {
+	tab := p.ws.table(len(p.leaves), hint)
+	for i, leaf := range p.leaves {
 		tab.PutBase(bitset.Single(i), leaf)
 	}
 	return tab
@@ -271,7 +271,7 @@ func ConnectedBuckets(in Input) ([][]bitset.Mask, error) {
 }
 
 // BucketCount sums the sizes of connected-set buckets, the exact pre-size
-// for Seed.
+// of a census run's table.
 func BucketCount(buckets [][]bitset.Mask) int {
 	total := 0
 	for _, b := range buckets {
@@ -280,14 +280,17 @@ func BucketCount(buckets [][]bitset.Mask) int {
 	return total
 }
 
-// Finish materializes the full-query plan from the recorded splits — the
-// single point where a run's winning tree becomes plan nodes, and the end of
-// the run: tab and the census are dead when it returns, and a workspace
-// lets go of them if they were larger than it retains.
-func Finish(in Input, tab *plan.Table, leaves []*plan.Node, stats *Stats) (*plan.Node, Stats, error) {
-	best, err := finish(in, tab, leaves)
+// finish materializes the full-query plan from the recorded splits — the
+// single point where a census run's winning tree becomes plan nodes, and
+// the end of the run: tab and the census are dead when it returns, and a
+// workspace lets go of them if they were larger than it retains.
+func finish(in Input, tab *plan.Table, leaves []*plan.Node, stats *Stats) (*plan.Node, Stats, error) {
+	best := tab.Build(bitset.Full(in.Q.N()), leaves, in.Workspace.arena())
 	in.Workspace.trim()
-	return best, *stats, err
+	if best == nil {
+		return nil, *stats, ErrDisconnected
+	}
+	return best, *stats, nil
 }
 
 // leaves materializes the per-relation base plans.
@@ -311,14 +314,4 @@ func (in *Input) leaves() ([]*plan.Node, error) {
 		out[i] = &nodes[i]
 	}
 	return out, nil
-}
-
-// finish extracts the full-query plan from the table.
-func finish(in Input, tab *plan.Table, leaves []*plan.Node) (*plan.Node, error) {
-	full := bitset.Full(in.Q.N())
-	best := tab.Build(full, leaves, in.Workspace.arena())
-	if best == nil {
-		return nil, ErrDisconnected
-	}
-	return best, nil
 }

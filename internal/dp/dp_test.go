@@ -76,7 +76,7 @@ func bruteForce(q *cost.Query, m *cost.Model) *plan.Node {
 			if l == nil || r == nil {
 				continue
 			}
-			if j := m.Join(q, l, r); b == nil || j.Cost < b.Cost {
+			if j := m.JoinWithRows(q, l, r, l.Rows*r.Rows*q.SelBetween(lb, rb)); b == nil || j.Cost < b.Cost {
 				b = j
 			}
 		}

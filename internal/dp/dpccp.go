@@ -12,7 +12,7 @@ import (
 // which is what limits its parallelizability.
 func DPCCP(in Input) (*plan.Node, Stats, error) {
 	var stats Stats
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -20,7 +20,7 @@ func DPCCP(in Input) (*plan.Node, Stats, error) {
 
 	// DPCCP discovers connected sets while enumerating, so the table is
 	// sized by the capped heuristic and grows on demand.
-	tab := prep.Seed(plan.TableSizeHint(n))
+	tab := prep.seed(plan.TableSizeHint(n))
 	stats.ConnectedSets = uint64(n)
 
 	// Walk the csg-cmp pairs in the canonical order of [24] — children
@@ -71,7 +71,7 @@ func DPCCP(in Input) (*plan.Node, Stats, error) {
 	if !ok {
 		return nil, stats, dl.Err()
 	}
-	return Finish(in, tab, prep.Leaves, &stats)
+	return finish(in, tab, prep.leaves, &stats)
 }
 
 // CCPCount runs only the csg-cmp enumeration and returns the query's

@@ -12,14 +12,14 @@ import (
 // size classes, most of which overlap or are not connected.
 func DPSize(in Input) (*plan.Node, Stats, error) {
 	var stats Stats
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		return nil, stats, err
 	}
 	n := in.Q.N()
 	dl := in.NewDeadline()
 
-	tab := prep.Seed(plan.TableSizeHint(n))
+	tab := prep.seed(plan.TableSizeHint(n))
 	bySize := make([][]bitset.Mask, n+1)
 	for i := 0; i < n; i++ {
 		bySize[1] = append(bySize[1], bitset.Single(i))
@@ -59,5 +59,5 @@ func DPSize(in Input) (*plan.Node, Stats, error) {
 		}
 	}
 
-	return Finish(in, tab, prep.Leaves, &stats)
+	return finish(in, tab, prep.leaves, &stats)
 }

@@ -18,12 +18,12 @@ func spentBudget() context.Context {
 // referenceLevels is the plain per-set loop the level driver (RunLevels)
 // must agree with at any worker count: the census, then every set of every
 // level in census order, evaluated on the calling goroutine and stored with
-// Put, then Finish. It shares nothing with Levels — no claims, no shares, no
+// Put, then finish. It shares nothing with Levels — no claims, no shares, no
 // in-place writes — so it can tell a defect of the driver from one of the
 // evaluators.
 func referenceLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error) {
 	var stats Stats
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -31,7 +31,7 @@ func referenceLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error)
 	if err != nil {
 		return nil, stats, err
 	}
-	tab := prep.Seed(BucketCount(buckets))
+	tab := prep.seed(BucketCount(buckets))
 	stats.ConnectedSets = uint64(in.Q.N())
 	dl, sc := in.NewDeadline(), new(Scratch)
 	for _, sets := range buckets[2:] {
@@ -47,7 +47,7 @@ func referenceLevels(in Input, evaluate SetEvaluator) (*plan.Node, Stats, error)
 			}
 		}
 	}
-	return Finish(in, tab, prep.Leaves, &stats)
+	return finish(in, tab, prep.leaves, &stats)
 }
 
 // referenceMPDP is MPDP over referenceLevels, with its own choice of

@@ -13,7 +13,7 @@ import (
 // RunLevels is the one whole-run driver of the level-synchronous
 // enumerators — MPDP in both of its forms and DPSub — at any worker count:
 // the census, the table seeded from it, every level behind the barrier
-// (Levels) with evaluate and at most workers workers, then Finish. The
+// (Levels) with evaluate and at most workers workers, then finish. The
 // sequential enumerators of this package run it at one worker, the
 // CPU-parallel ones (package parallel) at Input.Threads; plans and counters
 // are the same bits at any count. When perLevel is non-nil it has an entry
@@ -21,7 +21,7 @@ import (
 // level of that size counted.
 func RunLevels(in Input, evaluate SetEvaluator, workers int, perLevel []Stats) (*plan.Node, Stats, error) {
 	var stats Stats
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -31,12 +31,12 @@ func RunLevels(in Input, evaluate SetEvaluator, workers int, perLevel []Stats) (
 	}
 	levels := NewLevels(in, evaluate, buckets, workers)
 	defer levels.Close()
-	tab := prep.Seed(BucketCount(buckets))
+	tab := prep.seed(BucketCount(buckets))
 	stats.ConnectedSets = uint64(in.Q.N())
 	if err := levels.runAll(tab, in.Q.N(), &stats, perLevel); err != nil {
 		return nil, stats, err
 	}
-	return Finish(in, tab, prep.Leaves, &stats)
+	return finish(in, tab, prep.leaves, &stats)
 }
 
 // runAll runs the levels of sizes 2 to n, folding their counters into stats

@@ -45,7 +45,7 @@ func sameRun(got *plan.Node, gotStats Stats, want *plan.Node, wantStats Stats) e
 // returns it for inspection together with the folded counters.
 func runBarrier(t *testing.T, in Input, evaluate SetEvaluator, workers int) (*Levels, Stats) {
 	t.Helper()
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func runBarrier(t *testing.T, in Input, evaluate SetEvaluator, workers int) (*Le
 	}
 	levels := NewLevels(in, evaluate, buckets, workers)
 	defer levels.Close()
-	tab := prep.Seed(BucketCount(buckets))
+	tab := prep.seed(BucketCount(buckets))
 	stats := Stats{ConnectedSets: uint64(in.Q.N())}
 	for size := 2; size <= in.Q.N(); size++ {
 		st, err := levels.Run(tab, size)
@@ -267,7 +267,7 @@ func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 				return win, st, err
 			}
 			in := Input{Q: failing, M: m, Ctx: ctx, Workspace: ws}.ForTree()
-			prep, err := Prepare(in)
+			prep, err := prepare(in)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -283,7 +283,7 @@ func TestLevelsFailedRunLeavesTheWorkspaceAlone(t *testing.T) {
 				in.Ctx, want = spentBudget(), ErrTimeout
 			}
 			levels := NewLevels(in, evaluate, buckets, workers)
-			tab := prep.Seed(BucketCount(buckets))
+			tab := prep.seed(BucketCount(buckets))
 			var stats Stats
 			err = nil
 			for size := 2; size <= failing.N() && err == nil; size++ {
@@ -498,7 +498,7 @@ func TestHelpersParkWhenTheCallerStalls(t *testing.T) {
 	}
 	ws := new(Workspace)
 	in := Input{Q: q, M: m, Workspace: ws}.ForTree()
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +525,7 @@ func TestHelpersParkWhenTheCallerStalls(t *testing.T) {
 	if levels.spawned != 3 {
 		t.Fatalf("star-14 at 4 workers started %d helpers, want 3", levels.spawned)
 	}
-	tab := prep.Seed(BucketCount(buckets))
+	tab := prep.seed(BucketCount(buckets))
 	stats := Stats{ConnectedSets: uint64(q.N())}
 	for size := 2; size <= q.N(); size++ {
 		if size == 7 {
@@ -563,7 +563,7 @@ func TestHelpersParkWhenTheCallerStalls(t *testing.T) {
 			t.Errorf("no parked helper woke for the level after the stall")
 		}
 	}
-	got, gotStats, err := Finish(in, tab, prep.Leaves, &stats)
+	got, gotStats, err := finish(in, tab, prep.leaves, &stats)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func spiderHub(g *graph.Graph) (int, bool) {
 // materializes (maxConnectedSets) goes the census's way, which refuses it.
 func runSpider(in Input, hub, workers int, perLevel []Stats) (*plan.Node, Stats, error) {
 	var stats Stats
-	prep, err := Prepare(in)
+	prep, err := prepare(in)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -73,12 +73,12 @@ func runSpider(in Input, hub, workers int, perLevel []Stats) (*plan.Node, Stats,
 	var levels Levels
 	levels.start(in, lat, n, workers)
 	defer levels.Close()
-	lat.seed(in, prep.Leaves)
+	lat.seed(in, prep.leaves)
 	stats.ConnectedSets = uint64(n)
 	if err := levels.runAll(nil, n, &stats, perLevel); err != nil {
 		return nil, stats, err
 	}
-	best := lat.buildHub(len(lat.cost)-1, bitset.Full(n), prep.Leaves, in.Workspace.arena())
+	best := lat.buildHub(len(lat.cost)-1, bitset.Full(n), prep.leaves, in.Workspace.arena())
 	in.Workspace.trim()
 	return best, stats, nil
 }

@@ -15,7 +15,7 @@ import (
 // hands it to every run through Input.Workspace; the second run then
 // allocates its base plans and little else.
 //
-// A run is everything between one driver's Prepare and its return. What a
+// A run is everything between one driver's prepare and its return. What a
 // run hands back aliases the workspace — the plan tree its arena, the
 // buckets of ConnectedBuckets its census — and stays valid until the
 // workspace's next run begins, so an owner copies what it keeps (the
@@ -88,7 +88,7 @@ func (w *Workspace) retained() int {
 
 // begin starts a run: the arena is rewound (to one chunk: plan.Arena.Reset)
 // — the previous run's tree dies here — and whatever a run that never
-// reached Finish left above the retention bound is dropped.
+// reached finish left above the retention bound is dropped.
 func (w *Workspace) begin() {
 	if w == nil {
 		return
@@ -97,7 +97,7 @@ func (w *Workspace) begin() {
 	w.nodes.Reset()
 }
 
-// trim drops what exceeds the retention bound. Finish calls it once the
+// trim drops what exceeds the retention bound. A run's driver calls it once the
 // tree is built, when table and census are dead.
 func (w *Workspace) trim() {
 	if w == nil {

@@ -147,7 +147,7 @@ const retainBytes = retainSlots*(8+40+8) + retainSlots/8 +
 // TestWorkspaceRetentionBound: a run larger than the retention bound gets
 // the memory it needs and the workspace has let go of it when the run
 // returns, so a worker that served one star-17 on the census path does not
-// sit on a 6 MB table until its next request. A run that dies before Finish
+// sit on a 6 MB table until its next request. A run that dies before finish
 // keeps what it had until the next run begins, which is when anyone could
 // use it again. (MPDP takes a star to the lattice, whose lanes of a star-17
 // fit the bound: TestStarLatticeWorkspace.)
@@ -271,7 +271,7 @@ func TestWarmWorkspaceKeepsStar17(t *testing.T) {
 
 // TestWarmWorkspaceDropsStar19: a star-19 on the census path (MPDPTree)
 // direct-addresses 2^19 slots, past the warm bound; the warm workspace lets
-// its table and census go at Finish, as a plain one does past retainSlots.
+// its table and census go at finish, as a plain one does past retainSlots.
 func TestWarmWorkspaceDropsStar19(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	in := Input{Q: topoQuery(graph.Star(19), rng), M: cost.DefaultModel()}

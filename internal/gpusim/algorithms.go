@@ -1,9 +1,9 @@
 package gpusim
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/combinat"
 	"repro/internal/dp"
-	"repro/internal/graph"
 	"repro/internal/plan"
 )
 
@@ -64,10 +64,13 @@ type levelTotals struct {
 //
 // Every algorithm costs its pairs for real through MPDP behind the level
 // barrier, one worker per device — on a tree dp.MPDP's own driver
-// (dp.RunMPDP), on any other graph Algorithm 3 over the census (runCensus) —
-// so the plan is exactly dp.MPDP's. The algorithm decides only what each
-// level is billed, the work a lockstep device would burn cycles on, derived
-// arithmetically from the level's sets and pairs:
+// (dp.RunMPDP), on any other graph Algorithm 3 over the census
+// (dp.RunLevels) — so the plan is exactly dp.MPDP's. The census path shares
+// the CPU enumerators' SoA table: the §5 GPU memo layout (open addressing
+// on Murmur3) on sparse censuses, direct addressing on dense ones; the bill
+// is arithmetic and does not see the difference. The algorithm decides only
+// what each level is billed, the work a lockstep device would burn cycles
+// on, derived arithmetically from the level's sets and pairs:
 //
 //   - MPDP unranks and filters the C(n, k) candidate sets of level k, then
 //     a warp runs Find-Blocks on each set and examines every proper subset
@@ -89,10 +92,13 @@ func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, 
 	levels := make([]dp.Stats, n+1)
 	var best *plan.Node
 	var err error
-	if in.Q.G.IsTree() {
+	switch {
+	case in.Q.G.IsTree():
 		best, _, err = dp.RunMPDP(in, ndev, levels)
-	} else {
-		best, err = runCensus(in, ndev, levels, algo == AlgoMPDP)
+	case algo == AlgoMPDP:
+		best, _, err = dp.RunLevels(in, evaluateUnranked, ndev, levels)
+	default:
+		best, _, err = dp.RunLevels(in, dp.EvaluateSetMPDP, ndev, levels)
 	}
 	if err != nil {
 		return nil, astats, mstats, err
@@ -123,46 +129,14 @@ func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, 
 	return best, astats, mstats, nil
 }
 
-// runCensus runs Algorithm 3 on the census of in, behind the level barrier
-// at one worker per device, and stores each level's counters in levels. With
-// unranked set a level's Evaluated is instead what a warp examines, every
-// proper subset of every block of each set (dp.UnrankedPairs).
-func runCensus(in dp.Input, ndev int, levels []dp.Stats, unranked bool) (*plan.Node, error) {
-	prep, err := dp.Prepare(in)
-	if err != nil {
-		return nil, err
-	}
-	buckets, err := dp.ConnectedBuckets(in)
-	if err != nil {
-		return nil, err
-	}
-	// The simulator shares the CPU enumerators' SoA table: the §5 GPU memo
-	// layout (open addressing on Murmur3) on sparse censuses, direct
-	// addressing on dense ones. The device model bills the paper's unrank
-	// volume arithmetically and does not see the difference.
-	tab := prep.Seed(dp.BucketCount(buckets))
-	barrier := dp.NewLevels(in, dp.EvaluateSetMPDP, buckets, ndev)
-	defer barrier.Close()
-	dl := in.NewDeadline()
-	var bsc graph.BlockScratch
-	var stats dp.Stats
-	for size := 2; size < len(buckets); size++ {
-		if levels[size], err = barrier.Run(tab, size); err != nil {
-			return nil, err
-		}
-		if !unranked {
-			continue
-		}
-		levels[size].Evaluated = 0
-		for _, s := range buckets[size] {
-			if dl.Expired() {
-				return nil, dl.Err()
-			}
-			levels[size].Evaluated += dp.UnrankedPairs(in.Q.G, s, &bsc)
-		}
-	}
-	best, _, err := dp.Finish(in, tab, prep.Leaves, &stats)
-	return best, err
+// evaluateUnranked is Algorithm 3's set evaluator with the device's volume
+// in place of the CPU's: the winner of dp.EvaluateSetMPDP, and as Evaluated
+// what a warp examines, every proper subset of every block of s
+// (dp.UnrankedPairs).
+func evaluateUnranked(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadline, sc *dp.Scratch) (dp.Winner, dp.Stats, error) {
+	win, st, err := dp.EvaluateSetMPDP(in, tab, s, dl, sc)
+	st.Evaluated = dp.UnrankedPairs(in.Q.G, s, &sc.Blocks)
+	return win, st, err
 }
 
 // bill splits every level's index spaces evenly across the devices

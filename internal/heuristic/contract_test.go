@@ -26,9 +26,12 @@ func TestContractedProblemGraph(t *testing.T) {
 	m := cost.DefaultModel()
 	groups, sets := baseScans(q, m)
 	// Merge {0,1} and {2,3} into composite units.
-	j01 := m.Join(q, groups[0], groups[1])
+	join := func(l, r *plan.Node) *plan.Node {
+		return m.JoinWithRows(q, l, r, l.Rows*r.Rows*q.SelBetween(l.Set, r.Set))
+	}
+	j01 := join(groups[0], groups[1])
 	s01 := bitset.SetOf(8, 0, 1)
-	j23 := m.Join(q, groups[2], groups[3])
+	j23 := join(groups[2], groups[3])
 	s23 := bitset.SetOf(8, 2, 3)
 	units := []*plan.Node{j01, j23, groups[4], groups[5], groups[6], groups[7]}
 	unitSets := []bitset.Set{s01, s23, sets[4], sets[5], sets[6], sets[7]}

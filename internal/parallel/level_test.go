@@ -68,7 +68,7 @@ func TestCancelledContextStopsThinRun(t *testing.T) {
 	}
 }
 
-// TestWorkspaceUnderLevelWorkers: every CPU-parallel driver on one workspace,
+// TestWorkspaceUnderLevelWorkers: the CPU-parallel MPDP on one workspace,
 // layouts and sizes changing under it, against its own run without one,
 // tree for tree.
 func TestWorkspaceUnderLevelWorkers(t *testing.T) {
@@ -77,23 +77,18 @@ func TestWorkspaceUnderLevelWorkers(t *testing.T) {
 	ws := new(dp.Workspace)
 	for _, g := range []*graph.Graph{graph.Star(12), graph.Cycle(14), graph.Clique(9), graph.RandomConnected(14, 0, rng), graph.Chain(2), graph.Star(13)} {
 		q := shapedQuery(g, rng)
-		for _, alg := range parallelAlgorithms {
-			if alg.name == "DPSubParallel" && g.N > 13 {
-				continue // 2^|S| subsets per set: minutes under the detector
+		for _, threads := range []int{1, 2} {
+			want, wantStats, err := MPDP(dp.Input{Q: q, M: m, Threads: threads})
+			if err != nil {
+				t.Fatalf("%d relations: %v", g.N, err)
 			}
-			for _, threads := range []int{1, 2} {
-				want, wantStats, err := alg.f(dp.Input{Q: q, M: m, Threads: threads})
-				if err != nil {
-					t.Fatalf("%s on %d relations: %v", alg.name, g.N, err)
-				}
-				got, gotStats, err := alg.f(dp.Input{Q: q, M: m, Threads: threads, Workspace: ws})
-				if err != nil {
-					t.Fatalf("%s on %d relations, on a workspace: %v", alg.name, g.N, err)
-				}
-				if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
-					t.Errorf("%s, %d threads, %d relations: on a workspace %+v cost %v, without %+v cost %v",
-						alg.name, threads, g.N, gotStats, got.Cost, wantStats, want.Cost)
-				}
+			got, gotStats, err := MPDP(dp.Input{Q: q, M: m, Threads: threads, Workspace: ws})
+			if err != nil {
+				t.Fatalf("%d relations, on a workspace: %v", g.N, err)
+			}
+			if gotStats != wantStats || math.Float64bits(got.Cost) != math.Float64bits(want.Cost) || got.Explain(nil) != want.Explain(nil) {
+				t.Errorf("%d threads, %d relations: on a workspace %+v cost %v, without %+v cost %v",
+					threads, g.N, gotStats, got.Cost, wantStats, want.Cost)
 			}
 		}
 	}
@@ -104,8 +99,7 @@ func TestWorkspaceUnderLevelWorkers(t *testing.T) {
 // another, must change nothing. At 1, 2, 3, 4 and 8 workers, plans (cost bits
 // and explain bytes) and counters are the sequential enumerator's, on hashed
 // tables — a snowflake-26 on Algorithm 2, a MusicBrainz-18 on the general
-// path — and direct ones (star-16, clique-13), and the same for the
-// level-parallel DPSub against dp.DPSub.
+// path — and direct ones (star-16, clique-13).
 func TestLevelsInPlaceBitIdentical(t *testing.T) {
 	gen := func(kind workload.Kind, n int) *cost.Query {
 		q, err := workload.Generate(kind, n, rand.New(rand.NewSource(2500+int64(n))))
@@ -116,27 +110,23 @@ func TestLevelsInPlaceBitIdentical(t *testing.T) {
 	}
 	m := cost.DefaultModel()
 	for _, tc := range []struct {
-		name     string
-		q        *cost.Query
-		seq, par dp.Func
+		name string
+		q    *cost.Query
 	}{
-		{"MPDP/snowflake-26", gen(workload.KindSnowflake, 26), dp.MPDP, MPDP},
-		{"MPDP/musicbrainz-18", gen(workload.KindMB, 18), dp.MPDP, MPDP},
-		{"MPDP/star-16", gen(workload.KindStar, 16), dp.MPDP, MPDP},
-		{"MPDP/clique-13", gen(workload.KindClique, 13), dp.MPDP, MPDP},
-		{"DPSub/star-13", gen(workload.KindStar, 13), dp.DPSub, DPSubParallel},
-		{"DPSub/musicbrainz-13", gen(workload.KindMB, 13), dp.DPSub, DPSubParallel},
-		{"DPSub/clique-11", gen(workload.KindClique, 11), dp.DPSub, DPSubParallel},
+		{"snowflake-26", gen(workload.KindSnowflake, 26)},
+		{"musicbrainz-18", gen(workload.KindMB, 18)},
+		{"star-16", gen(workload.KindStar, 16)},
+		{"clique-13", gen(workload.KindClique, 13)},
 	} {
-		if tc.name == "MPDP/musicbrainz-18" && tc.q.G.IsTree() {
+		if tc.name == "musicbrainz-18" && tc.q.G.IsTree() {
 			t.Fatalf("%s is a tree: the row no longer reaches the general evaluator", tc.name)
 		}
-		want, wantStats, err := tc.seq(dp.Input{Q: tc.q, M: m})
+		want, wantStats, err := dp.MPDP(dp.Input{Q: tc.q, M: m})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 4, 8} {
-			got, gotStats, err := tc.par(dp.Input{Q: tc.q, M: m, Threads: workers})
+			got, gotStats, err := MPDP(dp.Input{Q: tc.q, M: m, Threads: workers})
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", tc.name, workers, err)
 			}

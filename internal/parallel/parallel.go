@@ -1,9 +1,9 @@
 // Package parallel implements the paper's multi-core CPU MPDP: the
 // connected sets of each DP level are shared out among workers behind the
 // level barrier (dp.Levels), so that block discovery, block-level CCP
-// enumeration and costing all run in parallel, as in Fig. 12. Both entry
-// points run dp.RunLevels, the driver of the sequential enumerators, at
-// Input.Threads workers.
+// enumeration and costing all run in parallel, as in Fig. 12. MPDP runs
+// dp.RunMPDP, the driver of the sequential enumerator, at Input.Threads
+// workers.
 package parallel
 
 import (
@@ -31,11 +31,4 @@ func threads(in dp.Input) int {
 // It runs dp.RunMPDP, dp.MPDP's driver, at Input.Threads workers.
 func MPDP(in dp.Input) (*plan.Node, dp.Stats, error) {
 	return dp.RunMPDP(in, threads(in), nil)
-}
-
-// DPSubParallel is the CPU-parallel DPSub, provided for completeness (the
-// paper omits it from the graphs because it is dominated by its GPU
-// variant).
-func DPSubParallel(in dp.Input) (*plan.Node, dp.Stats, error) {
-	return dp.RunLevels(in, dp.EvaluateSetDPSub, threads(in), nil)
 }

@@ -29,14 +29,6 @@ func randomQuery(n, extraEdges int, rng *rand.Rand) *cost.Query {
 	return &cost.Query{Cat: cat, G: g2}
 }
 
-var parallelAlgorithms = []struct {
-	name string
-	f    dp.Func
-}{
-	{"MPDPParallel", MPDP},
-	{"DPSubParallel", DPSubParallel},
-}
-
 func TestParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := cost.DefaultModel()
@@ -48,18 +40,16 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, threads := range []int{1, 4, 0} {
-			for _, alg := range parallelAlgorithms {
-				p, st, err := alg.f(dp.Input{Q: q, M: m, Threads: threads})
-				if err != nil {
-					t.Fatalf("%s threads=%d: %v", alg.name, threads, err)
-				}
-				if math.Abs(p.Cost-ref.Cost) > 1e-6*math.Max(1, ref.Cost) {
-					t.Errorf("trial %d %s threads=%d: cost %.4f want %.4f",
-						trial, alg.name, threads, p.Cost, ref.Cost)
-				}
-				if st.CCP != refStats.CCP {
-					t.Errorf("trial %d %s: CCP=%d want %d", trial, alg.name, st.CCP, refStats.CCP)
-				}
+			p, st, err := MPDP(dp.Input{Q: q, M: m, Threads: threads})
+			if err != nil {
+				t.Fatalf("threads=%d: %v", threads, err)
+			}
+			if math.Abs(p.Cost-ref.Cost) > 1e-6*math.Max(1, ref.Cost) {
+				t.Errorf("trial %d threads=%d: cost %.4f want %.4f",
+					trial, threads, p.Cost, ref.Cost)
+			}
+			if st.CCP != refStats.CCP {
+				t.Errorf("trial %d: CCP=%d want %d", trial, st.CCP, refStats.CCP)
 			}
 		}
 	}
@@ -109,11 +99,8 @@ func TestParallelTimeout(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := randomQuery(18, 30, rng)
 	spent := spentBudget()
-	for _, alg := range parallelAlgorithms {
-		_, _, err := alg.f(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: spent, Threads: 4})
-		if err != dp.ErrTimeout {
-			t.Errorf("%s: got %v, want ErrTimeout", alg.name, err)
-		}
+	if _, _, err := MPDP(dp.Input{Q: q, M: cost.DefaultModel(), Ctx: spent, Threads: 4}); err != dp.ErrTimeout {
+		t.Errorf("got %v, want ErrTimeout", err)
 	}
 }
 
@@ -163,18 +150,13 @@ func TestTableLayoutsUnderLevelWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, alg := range parallelAlgorithms {
-			if alg.name == "DPSubParallel" && tc.g.N > 13 {
-				continue // 2^|S| subsets per set: minutes under the detector
-			}
-			p, st, err := alg.f(dp.Input{Q: q, M: m, Threads: 4})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", alg.name, tc.name, err)
-			}
-			if math.Abs(p.Cost-ref.Cost) > 1e-9*math.Max(1, ref.Cost) || st.CCP != refStats.CCP {
-				t.Errorf("%s on %s: cost %v over %d CCP pairs, sequential MPDP %v over %d",
-					alg.name, tc.name, p.Cost, st.CCP, ref.Cost, refStats.CCP)
-			}
+		p, st, err := MPDP(dp.Input{Q: q, M: m, Threads: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if math.Abs(p.Cost-ref.Cost) > 1e-9*math.Max(1, ref.Cost) || st.CCP != refStats.CCP {
+			t.Errorf("%s: cost %v over %d CCP pairs, sequential MPDP %v over %d",
+				tc.name, p.Cost, st.CCP, ref.Cost, refStats.CCP)
 		}
 	}
 }

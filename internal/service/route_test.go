@@ -20,8 +20,8 @@ type routePin struct {
 	bid    backend.ID
 }
 
-// routePins walks every band edge of the calibrated ladder (GTX 1080, 5 s
-// budget): the small band at 12/13, the clique caps at 14/15 and 16/17,
+// routePins walks every band edge of the router's ladder (sized for the GTX
+// 1080 model and a 5 s budget): the small band at 12/13, the clique caps at 14/15 and 16/17,
 // dense general graphs at 18, 25/26 and 30, the CPU band at 25/26, the GPU
 // band at 41/42 and at its dense-edge cap (4n edges, then 4n+1), and past it
 // the heuristic split between graphs of n and of n+1 edges.

@@ -20,10 +20,10 @@ import (
 )
 
 // Config tunes a Service. The zero value selects the defaults listed on
-// each field. Routing has no setting: every request takes core.Route, the
-// ladder calibrated for the paper's evaluation — exact DP for small graphs,
-// CPU-parallel MPDP for medium ones, GPU-MPDP for large trees and sparse
-// cyclic graphs up to the bitset width, and beyond that IDP2 for trees and
+// each field. Routing has no setting: every request takes core.Route, a
+// constant ladder sized for the paper's evaluation — exact DP for small
+// graphs, CPU-parallel MPDP for medium ones, GPU-MPDP for trees and sparse
+// cyclic graphs up to 41 relations, and beyond that IDP2 for trees and
 // unicyclic graphs, the adaptive LinDP for the rest.
 type Config struct {
 	// CacheShards is the plan-cache shard count (0: 16; rounded up to a
