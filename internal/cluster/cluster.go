@@ -128,9 +128,14 @@ var ErrNoNodes = errors.New("cluster: no alive nodes")
 // ErrClosed is returned by cluster operations after Close.
 var ErrClosed = errors.New("cluster: closed")
 
-// nodeState is the coordinator's health view of one node, including the
-// flap history behind the quarantine logic.
+// nodeState is everything the coordinator holds on one member: the
+// in-process node and its transport detach hook (both nil for a remote
+// peer joined via JoinPeer), and its health view, including the flap
+// history behind the quarantine logic.
 type nodeState struct {
+	n      *node
+	detach func()
+
 	fails int // consecutive failed RPCs
 	dead  bool
 
@@ -155,7 +160,9 @@ func (st *nodeState) pruneDeaths(now time.Time, window time.Duration) {
 }
 
 // Cluster is the coordinator plus its member nodes; create with New,
-// release with Close. All methods are safe for concurrent use.
+// release with Close. All methods are safe for concurrent use. The member
+// table, nodes, is the one record of who belongs: an ID is a member exactly
+// while it has an entry there, in-process node or remote peer.
 type Cluster struct {
 	cfg       Config
 	transport Transport
@@ -170,10 +177,7 @@ type Cluster struct {
 
 	mu     sync.Mutex
 	ring   *ring
-	nodes  map[string]*node  // in-process members
-	detach map[string]func() // their transport detach hooks
-	remote map[string]bool   // node-mode peers joined via JoinPeer
-	state  map[string]*nodeState
+	nodes  map[string]*nodeState
 	nextID int
 	closed bool
 
@@ -190,15 +194,12 @@ type Cluster struct {
 func New(cfg Config) *Cluster {
 	cfg = cfg.withDefaults()
 	c := &Cluster{
-		cfg:    cfg,
-		retry:  cfg.Retry,
-		rng:    newLockedRand(cfg.Seed),
-		ring:   newRing(),
-		nodes:  make(map[string]*node),
-		detach: make(map[string]func()),
-		remote: make(map[string]bool),
-		state:  make(map[string]*nodeState),
-		quit:   make(chan struct{}),
+		cfg:   cfg,
+		retry: cfg.Retry,
+		rng:   newLockedRand(cfg.Seed),
+		ring:  newRing(),
+		nodes: make(map[string]*nodeState),
+		quit:  make(chan struct{}),
 	}
 	c.transport = cfg.Transport
 	if c.transport == nil {
@@ -255,22 +256,18 @@ func (c *Cluster) Close() {
 		return
 	}
 	c.closed = true
-	nodes := make([]*node, 0, len(c.nodes))
-	detaches := make([]func(), 0, len(c.detach))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
-	for _, d := range c.detach {
-		detaches = append(detaches, d)
+	states := make([]*nodeState, 0, len(c.nodes))
+	for _, st := range c.nodes {
+		states = append(states, st)
 	}
 	c.mu.Unlock()
 	close(c.quit)
 	c.wg.Wait()
-	for _, d := range detaches {
-		d()
-	}
-	for _, n := range nodes {
-		n.close()
+	for _, st := range states {
+		if st.n != nil {
+			st.detach()
+			st.n.close()
+		}
 	}
 	if tc, ok := c.transport.(interface{ Close() error }); ok {
 		tc.Close()
@@ -512,9 +509,7 @@ func (c *Cluster) AddNode() (string, error) {
 		return "", err
 	}
 	c.mu.Lock()
-	c.nodes[id] = n
-	c.detach[id] = det
-	c.state[id] = &nodeState{}
+	c.nodes[id] = &nodeState{n: n, detach: det}
 	c.ring.add(id)
 	c.mu.Unlock()
 	c.rebalance()
@@ -535,7 +530,7 @@ func (c *Cluster) JoinPeer(id, addr string) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	if _, dup := c.nodes[id]; dup || c.remote[id] {
+	if _, dup := c.nodes[id]; dup {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: node %s already a member", id)
 	}
@@ -550,8 +545,7 @@ func (c *Cluster) JoinPeer(id, addr string) error {
 		return fmt.Errorf("cluster: peer %s at %s unreachable: %w", id, addr, err)
 	}
 	c.mu.Lock()
-	c.remote[id] = true
-	c.state[id] = &nodeState{}
+	c.nodes[id] = &nodeState{}
 	c.ring.add(id)
 	c.mu.Unlock()
 	c.rebalance()
@@ -564,19 +558,14 @@ func (c *Cluster) JoinPeer(id, addr string) error {
 // members.
 func (c *Cluster) RemoveNode(id string) error {
 	c.mu.Lock()
-	n, local := c.nodes[id]
-	isRemote := c.remote[id]
-	if !local && !isRemote {
+	st, ok := c.nodes[id]
+	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: unknown node %s", id)
 	}
-	wasDead := c.state[id].dead
+	wasDead := st.dead
 	c.ring.remove(id)
-	delete(c.state, id)
 	delete(c.nodes, id)
-	delete(c.remote, id)
-	det := c.detach[id]
-	delete(c.detach, id)
 	c.mu.Unlock()
 
 	if !wasDead {
@@ -589,21 +578,18 @@ func (c *Cluster) RemoveNode(id string) error {
 		cancel()
 		c.rebalanceMu.Unlock()
 	}
-	if det != nil {
-		det()
-	}
-	if isRemote {
-		if ht, ok := unwrapTransport[*HTTPTransport](c.transport); ok {
-			ht.RemovePeer(id)
-		}
+	if st.n != nil {
+		st.detach()
+	} else if ht, ok := unwrapTransport[*HTTPTransport](c.transport); ok {
+		ht.RemovePeer(id)
 	}
 	// A node that rejoins under the same ID starts healthy: no link fault
 	// carried over from its previous membership.
 	if ft, ok := c.transport.(*FaultTransport); ok {
 		ft.Clear(id)
 	}
-	if n != nil {
-		n.close()
+	if st.n != nil {
+		st.n.close()
 	}
 	return nil
 }
@@ -646,7 +632,7 @@ func (c *Cluster) ReviveNode(id string) error {
 // noteSuccess resets a node's consecutive-failure count.
 func (c *Cluster) noteSuccess(id string) {
 	c.mu.Lock()
-	if st := c.state[id]; st != nil && !st.dead {
+	if st := c.nodes[id]; st != nil && !st.dead {
 		st.fails = 0
 	}
 	c.mu.Unlock()
@@ -656,7 +642,7 @@ func (c *Cluster) noteSuccess(id string) {
 // failures declare the node dead, remove it from the ring and rebalance.
 func (c *Cluster) noteFailure(id string) {
 	c.mu.Lock()
-	st := c.state[id]
+	st := c.nodes[id]
 	died := st != nil && c.strike(id, st)
 	c.mu.Unlock()
 	if died {
@@ -697,7 +683,7 @@ func (c *Cluster) CheckHealth() {
 		_, err := c.transport.Call(ctx, id, Request{Kind: ReqPing})
 		cancel()
 		c.mu.Lock()
-		st := c.state[id]
+		st := c.nodes[id]
 		if st == nil { // removed concurrently
 			c.mu.Unlock()
 			continue
@@ -761,12 +747,9 @@ type member struct {
 func (c *Cluster) members() []member {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ms := make([]member, 0, len(c.nodes)+len(c.remote))
-	for id, n := range c.nodes {
-		ms = append(ms, member{id: id, n: n, dead: c.state[id].dead})
-	}
-	for id := range c.remote {
-		ms = append(ms, member{id: id, dead: c.state[id].dead})
+	ms := make([]member, 0, len(c.nodes))
+	for id, st := range c.nodes {
+		ms = append(ms, member{id: id, n: st.n, dead: st.dead})
 	}
 	sort.Slice(ms, func(i, j int) bool { return ms[i].id < ms[j].id })
 	return ms

@@ -33,7 +33,7 @@ func malformedImports(t testing.TB) map[string][]byte {
 	leaf := func(id int) *plan.Node { return &plan.Node{RelID: id} }
 	join := func(l, r *plan.Node) *plan.Node { return &plan.Node{Left: l, Right: r} }
 	body := func(p *plan.Node) []byte {
-		return rpcBody(t, wireRequest{Kind: ReqImport, Entries: []service.Entry{{Key: key, Plan: p}}})
+		return rpcBody(t, wireRequest{Request: Request{Kind: ReqImport, Entries: []service.Entry{{Key: key, Plan: p}}}})
 	}
 	return map[string][]byte{
 		"leaf out of range": body(join(join(leaf(0), leaf(1)), join(leaf(2), leaf(99)))),
@@ -85,17 +85,17 @@ func FuzzNodeRPC(f *testing.F) {
 		f.Add(body)
 	}
 	for _, req := range []wireRequest{
-		{Kind: ReqOptimize, Query: wire.FromQuery(q), Fingerprint: &fp},
-		{Kind: ReqOptimize, Query: wire.FromQuery(q), Fingerprint: &service.Fingerprint{Key: fp.Key, Perm: []int{3, 2, 1, 0}}},
-		{Kind: ReqImport, Entries: []service.Entry{{Key: fp.Key, Plan: &plan.Node{
+		{Request: Request{Kind: ReqOptimize, Fingerprint: &fp}, Query: wire.FromQuery(q)},
+		{Request: Request{Kind: ReqOptimize, Fingerprint: &service.Fingerprint{Key: fp.Key, Perm: []int{3, 2, 1, 0}}}, Query: wire.FromQuery(q)},
+		{Request: Request{Kind: ReqImport, Entries: []service.Entry{{Key: fp.Key, Plan: &plan.Node{
 			Left:  &plan.Node{Left: &plan.Node{RelID: 0}, Right: &plan.Node{RelID: 1}},
 			Right: &plan.Node{Left: &plan.Node{RelID: 2}, Right: &plan.Node{RelID: 3}},
-		}}}},
-		{Kind: ReqExport, Key: fp.Key},
-		{Kind: ReqStats},
-		{Kind: ReqCacheInfo, TopN: 3},
-		{Kind: ReqInvalidate, Key: fp.Key},
-		{Kind: ReqBumpEpoch},
+		}}}}},
+		{Request: Request{Kind: ReqExport, Key: fp.Key}},
+		{Request: Request{Kind: ReqStats}},
+		{Request: Request{Kind: ReqCacheInfo, TopN: 3}},
+		{Request: Request{Kind: ReqInvalidate, Key: fp.Key}},
+		{Request: Request{Kind: ReqBumpEpoch}},
 	} {
 		f.Add(rpcBody(f, req))
 	}

@@ -19,32 +19,22 @@ import (
 // RPCPath is the HTTP endpoint a node serves the cluster RPC protocol on.
 const RPCPath = "/cluster/rpc"
 
-// wireRequest is the JSON form of a Request. The query rides in the same
-// wire shape the public /v1 API uses (internal/wire), so statistics and
-// fingerprints survive the socket bit-for-bit; cache entries and results
-// marshal their native structs — both sides are this repository. Skew
-// between builds is absorbed by the decoder ignoring keys it does not know:
-// a peer from before the sub-plan memo was removed still sends sub_entries
-// and subs_dropped, and they fall away here.
+// wireRequest is the JSON form of a Request: the Request itself plus its
+// query in the same wire shape the public /v1 API uses (internal/wire), so
+// statistics and fingerprints survive the socket bit-for-bit; cache entries
+// and results marshal their native structs — both sides are this
+// repository. Skew between builds is absorbed by the decoder ignoring keys
+// it does not know: a peer from before the sub-plan memo was removed still
+// sends sub_entries and subs_dropped, and they fall away here.
 type wireRequest struct {
-	Kind        ReqKind              `json:"kind"`
-	Query       *wire.Query          `json:"query,omitempty"`
-	Fingerprint *service.Fingerprint `json:"fingerprint,omitempty"`
-	Key         string               `json:"key,omitempty"`
-	Entries     []service.Entry      `json:"entries,omitempty"`
-	TopN        int                  `json:"top_n,omitempty"`
+	Request
+	Query *wire.Query `json:"query,omitempty"`
 }
 
 // wireResponse is the JSON form of a Response or a node-side error.
 type wireResponse struct {
-	Result   *service.Result    `json:"result,omitempty"`
-	Entries  []service.Entry    `json:"entries,omitempty"`
-	Stats    *NodeStats         `json:"stats,omitempty"`
-	Info     *service.CacheInfo `json:"info,omitempty"`
-	OldEpoch uint64             `json:"old_epoch,omitempty"`
-	NewEpoch uint64             `json:"new_epoch,omitempty"`
-	Found    bool               `json:"found,omitempty"`
-	Err      *wireErr           `json:"err,omitempty"`
+	Response
+	Err *wireErr `json:"err,omitempty"`
 }
 
 // wireErr carries a node-side error across the socket with enough class
@@ -115,13 +105,7 @@ func nodeRPCHandler(h handler) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		req := Request{
-			Kind:        wreq.Kind,
-			Fingerprint: wreq.Fingerprint,
-			Key:         wreq.Key,
-			Entries:     wreq.Entries,
-			TopN:        wreq.TopN,
-		}
+		req := wreq.Request
 		if wreq.Query != nil {
 			q, err := wreq.Query.ToQuery(nil)
 			if err != nil {
@@ -140,15 +124,7 @@ func nodeRPCHandler(h handler) http.Handler {
 			writeWireResponse(w, &wireResponse{Err: encodeErr(err)})
 			return
 		}
-		writeWireResponse(w, &wireResponse{
-			Result:   resp.Result,
-			Entries:  resp.Entries,
-			Stats:    resp.Stats,
-			Info:     resp.Info,
-			OldEpoch: resp.OldEpoch,
-			NewEpoch: resp.NewEpoch,
-			Found:    resp.Found,
-		})
+		writeWireResponse(w, &wireResponse{Response: *resp})
 	})
 }
 
@@ -278,13 +254,7 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 		return nil, fmt.Errorf("%w: %s (%s)", ErrUnreachable, to, req.Kind)
 	}
 
-	wreq := wireRequest{
-		Kind:        req.Kind,
-		Fingerprint: req.Fingerprint,
-		Key:         req.Key,
-		Entries:     req.Entries,
-		TopN:        req.TopN,
-	}
+	wreq := wireRequest{Request: req}
 	if req.Query != nil {
 		wreq.Query = wire.FromQuery(req.Query)
 	}
@@ -322,15 +292,7 @@ func (t *HTTPTransport) Call(ctx context.Context, to string, req Request) (*Resp
 	if wresp.Err != nil {
 		return nil, wresp.Err.decode()
 	}
-	return &Response{
-		Result:   wresp.Result,
-		Entries:  wresp.Entries,
-		Stats:    wresp.Stats,
-		Info:     wresp.Info,
-		OldEpoch: wresp.OldEpoch,
-		NewEpoch: wresp.NewEpoch,
-		Found:    wresp.Found,
-	}, nil
+	return &wresp.Response, nil
 }
 
 // NodeServer hosts one optimizer node behind the cluster RPC protocol —

@@ -110,8 +110,10 @@ func TestClusterMetricsSumNodes(t *testing.T) {
 	ids := c.AliveNodes()
 	c.mu.Lock()
 	local := make(map[string]*service.Service, len(c.nodes))
-	for id, n := range c.nodes {
-		local[id] = n.svc
+	for id, st := range c.nodes {
+		if st.n != nil {
+			local[id] = st.n.svc
+		}
 	}
 	c.mu.Unlock()
 	local[ids[0]].BumpStatsEpoch()

@@ -64,39 +64,38 @@ func (k ReqKind) String() string {
 	return fmt.Sprintf("reqkind(%d)", int(k))
 }
 
-// Request is one message from the coordinator to a node.
-//
-// Every field here must also appear in the HTTP transport's wireRequest
-// (httptransport.go) — the wire-parity test in transport_test.go fails the
-// build when a field is added on one side only, which is how epochs are
-// kept from silently vanishing on the socket path.
+// Request is one message from the coordinator to a node. Its JSON tags
+// are the HTTP transport's socket keys: wireRequest (httptransport.go)
+// embeds it and adds only the query in its internal/wire form, so a field
+// added here travels on every transport at once.
 type Request struct {
-	Kind  ReqKind
-	Query *cost.Query
+	Kind ReqKind `json:"kind"`
+	// Query rides the socket as wireRequest.Query.
+	Query *cost.Query `json:"-"`
 	// Fingerprint is Query's canonical fingerprint on ReqOptimize, computed
 	// once at the front door; the node plans under it as given (nil: the
 	// node fingerprints Query itself).
-	Fingerprint *service.Fingerprint
-	Key         string
-	Entries     []service.Entry
+	Fingerprint *service.Fingerprint `json:"fingerprint,omitempty"`
+	Key         string               `json:"key,omitempty"`
+	Entries     []service.Entry      `json:"entries,omitempty"`
 	// TopN bounds the entry listing of ReqCacheInfo.
-	TopN int
+	TopN int `json:"top_n,omitempty"`
 }
 
-// Response is a node's answer. Like Request, its fields are mirrored by
-// wireResponse and pinned by the wire-parity test.
+// Response is a node's answer. Like Request it is its own JSON form:
+// wireResponse embeds it and adds only the node-side error.
 type Response struct {
-	Result  *service.Result
-	Entries []service.Entry
+	Result  *service.Result `json:"result,omitempty"`
+	Entries []service.Entry `json:"entries,omitempty"`
 	// Stats answers ReqStats.
-	Stats *NodeStats
+	Stats *NodeStats `json:"stats,omitempty"`
 	// Info answers ReqCacheInfo.
-	Info *service.CacheInfo
+	Info *service.CacheInfo `json:"info,omitempty"`
 	// OldEpoch and NewEpoch answer ReqBumpEpoch.
-	OldEpoch uint64
-	NewEpoch uint64
+	OldEpoch uint64 `json:"old_epoch,omitempty"`
+	NewEpoch uint64 `json:"new_epoch,omitempty"`
 	// Found answers ReqInvalidate: whether the entry existed.
-	Found bool
+	Found bool `json:"found,omitempty"`
 }
 
 // ErrUnreachable is the transport-level failure: the node is partitioned,

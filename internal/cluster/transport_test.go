@@ -381,7 +381,7 @@ func TestAsymmetricPartition(t *testing.T) {
 	owner := res.Node
 	ownerReqs := func() uint64 {
 		c.mu.Lock()
-		n := c.nodes[owner]
+		n := c.nodes[owner].n
 		c.mu.Unlock()
 		return n.svc.Counters().Snapshot().Requests
 	}

@@ -15,59 +15,12 @@ import (
 	"repro/internal/workload"
 )
 
-// These tests are the enforcement half of the comment on Request and
-// Response: the HTTP transport mirrors both structs field-by-field into
-// hand-written wire shapes, and history shows a field added on one side
-// only (epochs, once) silently vanishes on the socket path while
-// the in-process LocalTransport keeps working. Two guards close that gap:
-// TestWireStructFieldParity compares the field sets by reflection, and
+// Request and Response are their own JSON forms (wireRequest and
+// wireResponse embed them), so a field added to either travels the socket
+// with no hand-kept mirror to forget — epochs once vanished on the socket
+// path that way while the in-process LocalTransport kept working.
 // TestWireRoundTripAllFields pushes a fully-populated Request and Response
-// through a real loopback socket and checks nothing was dropped.
-
-// fieldParity asserts that every exported field of native exists in wire
-// with the identical type (unless listed in typeExempt, for fields that
-// deliberately change representation on the wire), and that wire has no
-// extra fields beyond wireOnly.
-func fieldParity(t *testing.T, native, wire reflect.Type, typeExempt, wireOnly map[string]bool) {
-	t.Helper()
-	wireFields := make(map[string]reflect.Type, wire.NumField())
-	for i := 0; i < wire.NumField(); i++ {
-		f := wire.Field(i)
-		wireFields[f.Name] = f.Type
-	}
-	for i := 0; i < native.NumField(); i++ {
-		f := native.Field(i)
-		wt, ok := wireFields[f.Name]
-		if !ok {
-			t.Errorf("%s.%s has no counterpart in %s: the HTTP transport drops it", native.Name(), f.Name, wire.Name())
-			continue
-		}
-		if !typeExempt[f.Name] && wt != f.Type {
-			t.Errorf("%s.%s is %v on the wire but %v natively", native.Name(), f.Name, wt, f.Type)
-		}
-		delete(wireFields, f.Name)
-	}
-	for name := range wireFields {
-		if !wireOnly[name] {
-			t.Errorf("%s.%s has no counterpart in %s: dead wire field or missing native field", wire.Name(), name, native.Name())
-		}
-	}
-}
-
-// TestWireStructFieldParity pins the field sets of Request/wireRequest and
-// Response/wireResponse against each other. Adding a field to one struct
-// without its mirror fails here before any behavioural test can be fooled
-// by the LocalTransport (which copies structs wholesale).
-func TestWireStructFieldParity(t *testing.T) {
-	fieldParity(t,
-		reflect.TypeOf(Request{}), reflect.TypeOf(wireRequest{}),
-		map[string]bool{"Query": true}, // *cost.Query rides as *wire.Query
-		nil)
-	fieldParity(t,
-		reflect.TypeOf(Response{}), reflect.TypeOf(wireResponse{}),
-		nil,
-		map[string]bool{"Err": true}) // node-side errors have no native field
-}
+// through a real loopback socket and checks nothing was dropped or changed.
 
 // handlerFunc adapts a function to the node handler interface.
 type handlerFunc func(context.Context, Request) (*Response, error)

@@ -8,13 +8,11 @@ import (
 	"repro/internal/service"
 )
 
-// Answer is one engine result: the service-level result plus the routing
-// information only a cluster front door has.
-type Answer struct {
-	*service.Result
-	Node     string
-	Failover bool
-}
+// Answer is one engine result: the coordinator's own result type, the
+// service-level result plus the routing information only a cluster front
+// door has (Node and Failover stay zero on a single-node engine), so a
+// cluster answer reaches the handlers as the coordinator returned it.
+type Answer = cluster.Result
 
 // Health is an engine's liveness view.
 type Health struct {
@@ -29,7 +27,8 @@ type Health struct {
 // Engine abstracts what the shared HTTP surface serves: a single
 // optimizer-as-a-service instance (mpdp-serve) or a whole cluster behind
 // its coordinator (mpdp-cluster). Both binaries mount the same API over
-// their engine, which is what keeps the two wire surfaces identical.
+// their engine, which is what keeps the two wire surfaces identical; both
+// answer in the coordinator's Result, so neither re-wraps a cluster answer.
 type Engine interface {
 	// Optimize plans a prepared statement under the fingerprint it carries;
 	// ctx carries the HTTP client's cancellation.
@@ -95,11 +94,7 @@ type clusterEngine struct{ c *cluster.Cluster }
 func ClusterEngine(c *cluster.Cluster) Engine { return clusterEngine{c: c} }
 
 func (e clusterEngine) Optimize(ctx context.Context, p *service.Prepared) (*Answer, error) {
-	res, err := e.c.OptimizePrepared(ctx, p)
-	if err != nil {
-		return nil, err
-	}
-	return &Answer{Result: res.Result, Node: res.Node, Failover: res.Failover}, nil
+	return e.c.OptimizePrepared(ctx, p)
 }
 
 func (e clusterEngine) StatsJSON() string { return e.c.Snapshot().String() }
