@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cost"
 	"repro/internal/graph"
+	"repro/internal/leaktest"
 	"repro/internal/workload"
 )
 
@@ -130,6 +131,9 @@ func BenchmarkCCPEnumeration(b *testing.B) {
 func TestDPTableBytesBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six one-second benchmarks")
+	}
+	if leaktest.RaceEnabled() {
+		t.Skip("the race build allocates the make in append(s[:0], make([]T, n)...): spiderLattice.layout's three resets put MPDP/star-16/warm at 5 392 B and 10 allocations per run, 7 without -race")
 	}
 	topo := func(g *graph.Graph) *cost.Query { return topoQuery(g, rand.New(rand.NewSource(17))) }
 	gen := func(kind workload.Kind, n int) *cost.Query {
