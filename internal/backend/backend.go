@@ -91,11 +91,6 @@ type GPUConfig struct {
 	Devices int
 }
 
-// DeviceModel returns the device the GPU backend simulates, so callers
-// pricing a MultiStats — the service's trace decomposition — bill against
-// the same device.
-func (GPUConfig) DeviceModel() *gpusim.Device { return gpusim.GTX1080() }
-
 // Set is the backend lineup one service owns. Create with NewSet; it holds
 // no resources.
 type Set struct {
@@ -107,7 +102,7 @@ func NewSet(gpu GPUConfig) *Set {
 	if gpu.Devices <= 0 {
 		gpu.Devices = 2
 	}
-	return &Set{gpu: gpusim.Config{Device: gpu.DeviceModel(), Devices: gpu.Devices, FusedPrune: true, CCC: true}}
+	return &Set{gpu: gpusim.Config{Devices: gpu.Devices, FusedPrune: true, CCC: true}}
 }
 
 // Get returns the backend with the given ID. A backend of an ID outside

@@ -144,7 +144,7 @@ func TestGPUMatchesDeviceModel(t *testing.T) {
 	}
 	for _, devices := range []int{1, 2, 4} {
 		gpu := NewSet(GPUConfig{Devices: devices}).Get(GPU)
-		cfg := gpusim.Config{Device: gpusim.GTX1080(), Devices: devices, FusedPrune: true, CCC: true}
+		cfg := gpusim.Config{Devices: devices, FusedPrune: true, CCC: true}
 		for _, q := range qs {
 			res, err := gpu.Optimize(context.Background(), q, core.AlgMPDPGPU, Options{Model: m, Workspace: new(dp.Workspace)})
 			if err != nil {

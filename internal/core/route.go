@@ -68,8 +68,8 @@ func DetectShape(g *graph.Graph) Shape {
 //	beyond                         heuristics (IDP2 for trees and
 //	                               unicyclic graphs, LinDP otherwise)
 //
-// The two GPU caps are sized for the paper's GTX 1080 device model
-// (gpusim.GTX1080) and a 5-second per-query compute budget.
+// The two GPU caps are sized for the paper's GTX 1080, the one device
+// gpusim bills, and a 5-second per-query compute budget.
 const (
 	// smallLimit routes graphs of at most this many relations by shape:
 	// cliques and stars, whose levels are thick, to MPDP-CPU, and every

@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/combinat"
 	"repro/internal/dp"
 	"repro/internal/plan"
 )
@@ -110,10 +109,10 @@ func Run(in dp.Input, cfg Config, algo Algo) (*plan.Node, dp.Stats, MultiStats, 
 		lt.sets, lt.valid = levels[size].ConnectedSets, levels[size].CCP
 		switch algo {
 		case AlgoMPDP:
-			lt.unranked = combinat.Binomial(n, size)
+			lt.unranked = binomial(n, size)
 			lt.evalCand = levels[size].Evaluated
 		case AlgoDPSub:
-			lt.unranked = combinat.Binomial(n, size)
+			lt.unranked = binomial(n, size)
 			lt.evalCand = lt.sets << uint(size)
 		case AlgoDPSize:
 			for s1 := 1; s1 < size; s1++ {
@@ -144,7 +143,7 @@ func evaluateUnranked(in dp.Input, tab *plan.Table, s bitset.Mask, dl *dp.Deadli
 // at candidate granularity, not whole sets), prices each device's share and
 // advances the wall clock by the slowest device.
 func (m *MultiStats) bill(cfg Config, algo Algo, totals []levelTotals) {
-	dev := cfg.device()
+	dev := &gtx1080
 	warp := float64(dev.WarpSize)
 	ndev := m.Devices
 	var wallSec float64
@@ -238,11 +237,42 @@ func (m *MultiStats) bill(cfg Config, algo Algo, totals []levelTotals) {
 // levelSeconds converts one level's work on one device into seconds: its
 // kernel launches, its per-level host↔device round trip, its warp cycles
 // and its global-memory transactions.
-func levelSeconds(d *Device, launches uint64, cycles float64, writes uint64) float64 {
+func levelSeconds(d *device, launches uint64, cycles float64, writes uint64) float64 {
 	return float64(launches)*d.KernelLaunchUS*1e-6 +
 		d.LevelTransferUS*1e-6 +
 		cycles/d.warpThroughput() +
 		float64(writes)/float64(d.WarpSize)*d.GlobalAccessNS*1e-9
+}
+
+// maxBinomialN is the largest universe the binomial table covers: every
+// Mask-width query the exact optimizers accept.
+const maxBinomialN = 64
+
+// binom[n][k] = C(n, k), saturated at the largest uint64 to avoid overflow
+// in the unreachable upper-right corner of the table.
+var binom [maxBinomialN + 1][maxBinomialN + 1]uint64
+
+func init() {
+	for n := 0; n <= maxBinomialN; n++ {
+		binom[n][0] = 1
+		for k := 1; k <= n; k++ {
+			sum := binom[n-1][k-1] + binom[n-1][k]
+			if sum < binom[n-1][k-1] { // overflow: saturate
+				sum = ^uint64(0)
+			}
+			binom[n][k] = sum
+		}
+	}
+}
+
+// binomial returns C(n, k) for 0 <= n <= maxBinomialN, out-of-range k 0:
+// the candidate sets of size k the Unrank kernel materializes over n
+// relations, one rank per device thread (§5).
+func binomial(n, k int) uint64 {
+	if k < 0 || k > n || n > maxBinomialN {
+		return 0
+	}
+	return binom[n][k]
 }
 
 // chunkShare is device d's share of total work items split near-evenly

@@ -23,9 +23,8 @@
 // of these work counts, not a property of the silicon.
 package gpusim
 
-// Device describes the simulated GPU's throughput-relevant parameters.
-type Device struct {
-	Name     string
+// device describes the simulated GPU's throughput-relevant parameters.
+type device struct {
 	WarpSize int
 	// SMCount × SchedulersPerSM warp instructions issue per clock.
 	SMCount         int
@@ -43,27 +42,26 @@ type Device struct {
 }
 
 // warpThroughput returns warp-cycles the device retires per second.
-func (d *Device) warpThroughput() float64 {
+func (d *device) warpThroughput() float64 {
 	return float64(d.SMCount*d.SchedulersPerSM) * d.ClockGHz * 1e9
 }
 
-// GTX1080 models the NVIDIA GeForce GTX 1080 used in §7.1.
-func GTX1080() *Device {
-	return &Device{
-		Name:            "GTX1080",
-		WarpSize:        32,
-		SMCount:         20,
-		SchedulersPerSM: 4,
-		ClockGHz:        1.61,
-		KernelLaunchUS:  5,
-		LevelTransferUS: 60,
-		GlobalAccessNS:  3,
-	}
+// gtx1080 is the one simulated device, the NVIDIA GeForce GTX 1080 used in
+// §7.1: Run bills every level on it and TraceInto and PhaseMS price a run's
+// counts on it.
+var gtx1080 = device{
+	WarpSize:        32,
+	SMCount:         20,
+	SchedulersPerSM: 4,
+	ClockGHz:        1.61,
+	KernelLaunchUS:  5,
+	LevelTransferUS: 60,
+	GlobalAccessNS:  3,
 }
 
-// Config selects the device and the §5 implementation enhancements.
+// Config selects the device count and the §5 implementation enhancements;
+// every device is a GTX 1080.
 type Config struct {
-	Device *Device
 	// Devices is the simulated device count each DP level is split across;
 	// 0 and 1 both mean a single device. Run honours it for MPDP and runs
 	// the DPSub and DPSize baselines on one device whatever it says.
@@ -79,14 +77,7 @@ type Config struct {
 
 // DefaultConfig is the paper's full MPDP-GPU configuration on the GTX 1080.
 func DefaultConfig() Config {
-	return Config{Device: GTX1080(), FusedPrune: true, CCC: true}
-}
-
-func (c Config) device() *Device {
-	if c.Device != nil {
-		return c.Device
-	}
-	return GTX1080()
+	return Config{FusedPrune: true, CCC: true}
 }
 
 func (c Config) deviceCount() int {
@@ -151,12 +142,12 @@ type Stats struct {
 	PhaseCycles [5]float64
 }
 
-// PhaseMS returns the modeled milliseconds spent in each phase's kernels on
-// the given device (compute only — launch and transfer overheads are global).
-func (s *Stats) PhaseMS(d *Device) [5]float64 {
+// PhaseMS returns the modeled milliseconds spent in each phase's kernels
+// (compute only — launch and transfer overheads are global).
+func (s *Stats) PhaseMS() [5]float64 {
 	var out [5]float64
 	for i, c := range s.PhaseCycles {
-		out[i] = c / d.warpThroughput() * 1e3
+		out[i] = c / gtx1080.warpThroughput() * 1e3
 	}
 	return out
 }

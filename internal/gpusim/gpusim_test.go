@@ -126,7 +126,7 @@ func TestEnhancementAblation(t *testing.T) {
 		{"MPDP-GPU cycle-16", AlgoMPDP, multiQuery(t, workload.KindCycle, 16, 33)},
 	} {
 		sim := func(fused, ccc bool) Stats {
-			cfg := Config{Device: GTX1080(), FusedPrune: fused, CCC: ccc}
+			cfg := Config{FusedPrune: fused, CCC: ccc}
 			_, _, gs, err := Run(dp.Input{Q: tc.q, M: cost.DefaultModel()}, cfg, tc.algo)
 			if err != nil {
 				t.Fatal(err)
@@ -163,8 +163,34 @@ func TestSmallQueryTransferOverheadDominates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	floor := float64(gs.Levels) * GTX1080().LevelTransferUS * 1e-3
+	floor := float64(gs.Levels) * gtx1080.LevelTransferUS * 1e-3
 	if gs.SimTimeMS < floor {
 		t.Errorf("sim time %.4fms below transfer floor %.4fms", gs.SimTimeMS, floor)
+	}
+}
+
+func TestBinomialSmallValues(t *testing.T) {
+	cases := []struct {
+		n, k int
+		want uint64
+	}{
+		{0, 0, 1}, {5, 0, 1}, {5, 5, 1}, {5, 2, 10}, {10, 3, 120},
+		{52, 5, 2598960}, {30, 15, 155117520},
+		{5, 6, 0}, {3, -1, 0}, {65, 2, 0},
+	}
+	for _, c := range cases {
+		if got := binomial(c.n, c.k); got != c.want {
+			t.Errorf("binomial(%d, %d) = %d, want %d", c.n, c.k, got, c.want)
+		}
+	}
+}
+
+func TestBinomialPascalIdentity(t *testing.T) {
+	for n := 2; n <= 40; n++ {
+		for k := 1; k < n; k++ {
+			if binomial(n, k) != binomial(n-1, k-1)+binomial(n-1, k) {
+				t.Fatalf("Pascal identity fails at (%d, %d)", n, k)
+			}
+		}
 	}
 }

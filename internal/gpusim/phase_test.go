@@ -23,7 +23,7 @@ func TestPhaseBreakdownSumsToTotal(t *testing.T) {
 	if math.Abs(sum-gs.WarpCycles) > 1e-9*math.Max(1, gs.WarpCycles) {
 		t.Errorf("phase cycles %v do not sum to total %v", sum, gs.WarpCycles)
 	}
-	ms := gs.PhaseMS(GTX1080())
+	ms := gs.PhaseMS()
 	if ms[PhaseEvaluate] <= 0 {
 		t.Error("evaluate phase must accrue time")
 	}
@@ -32,11 +32,11 @@ func TestPhaseBreakdownSumsToTotal(t *testing.T) {
 	}
 	// Unfused configuration does accrue prune time.
 	_, _, gs2, err := Run(dp.Input{Q: q, M: cost.DefaultModel()},
-		Config{Device: GTX1080(), FusedPrune: false, CCC: true}, AlgoMPDP)
+		Config{FusedPrune: false, CCC: true}, AlgoMPDP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gs2.PhaseMS(GTX1080())[PhasePrune] <= 0 {
+	if gs2.PhaseMS()[PhasePrune] <= 0 {
 		t.Error("unfused configuration must accrue prune-phase time")
 	}
 }

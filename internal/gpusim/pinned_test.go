@@ -51,7 +51,7 @@ func deviceModelRows() []deviceModelRow {
 	for _, g := range graphs {
 		for _, algo := range []Algo{AlgoMPDP, AlgoDPSub, AlgoDPSize} {
 			for _, on := range []bool{true, false} {
-				rows = append(rows, deviceModelRow{g.kind, g.n, algo, Config{Device: GTX1080(), FusedPrune: on, CCC: on}})
+				rows = append(rows, deviceModelRow{g.kind, g.n, algo, Config{FusedPrune: on, CCC: on}})
 			}
 		}
 	}

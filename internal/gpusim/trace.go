@@ -13,14 +13,12 @@ import (
 // them out of the request's wall decomposition; their durations sum to
 // the single-device equivalent of the run (per-device busy time), which for
 // a multi-device run exceeds the level-synchronous SimTimeMS exactly as
-// busy-time exceeds makespan. d nil means the default GTX 1080 model.
-func (m *MultiStats) TraceInto(tr *obs.Trace, d *Device) {
+// busy-time exceeds makespan.
+func (m *MultiStats) TraceInto(tr *obs.Trace) {
 	if m == nil || tr == nil {
 		return
 	}
-	if d == nil {
-		d = GTX1080()
-	}
+	d := &gtx1080
 	simMS := func(phase string, ms float64) {
 		if ms > 0 {
 			tr.ObserveSim(phase, time.Duration(ms*float64(time.Millisecond)))
@@ -38,7 +36,7 @@ func (m *MultiStats) TraceInto(tr *obs.Trace, d *Device) {
 		}
 	}
 	simMS(obs.PhaseGPUTransfer, float64(levels)*d.LevelTransferUS*1e-3)
-	phaseMS := m.PhaseMS(d)
+	phaseMS := m.PhaseMS()
 	for p := 0; p < int(numPhases); p++ {
 		simMS("gpu_"+Phase(p).String(), phaseMS[p])
 	}

@@ -27,7 +27,7 @@ func TestTraceIntoDecomposesDeviceTime(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.NewTrace("gpu")
-		gs.TraceInto(tr, nil)
+		gs.TraceInto(tr)
 		spans := tr.Spans()
 		if len(spans) == 0 {
 			t.Fatalf("dev=%d: no spans", ndev)
@@ -75,6 +75,6 @@ func TestTraceIntoDecomposesDeviceTime(t *testing.T) {
 
 	// Nil receivers and nil traces are no-ops, not panics.
 	var nilStats *MultiStats
-	nilStats.TraceInto(obs.NewTrace(""), nil)
-	(&MultiStats{}).TraceInto(nil, nil)
+	nilStats.TraceInto(obs.NewTrace(""))
+	(&MultiStats{}).TraceInto(nil)
 }

@@ -132,7 +132,7 @@ func (s *nodeSlab) next() *plan.Node {
 	return &(*s)[len(*s)-1]
 }
 
-// innerMPDP is the default InnerDP: the paper's MPDP (CPU-parallel, at
+// innerMPDP is the default innerDP: the paper's MPDP (CPU-parallel, at
 // Options.Threads workers) on the contracted query.
 func innerMPDP(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error) {
 	in := dp.Input{

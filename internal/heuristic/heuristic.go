@@ -32,10 +32,10 @@ type Options struct {
 	Ctx context.Context
 	// Threads is the CPU parallelism for inner MPDP calls (0 = all cores).
 	Threads int
-	// Inner optionally overrides the exact algorithm used on contracted
-	// sub-problems (default: parallel MPDP). The adaptive LinDP baseline
-	// passes its linearized DP here.
-	Inner InnerDP
+	// innerDP overrides the exact algorithm used on contracted
+	// sub-problems (nil: parallel MPDP). Only Adaptive sets it, to its
+	// linearized DP above 100 relations.
+	innerDP innerDP
 	// Workspace, when non-nil, is the memory every exact inner DP of the
 	// call borrows (dp.Workspace); when nil, IDP2 and UnionDP use a
 	// private one for the call, so the second inner DP already runs on
@@ -43,10 +43,10 @@ type Options struct {
 	Workspace *dp.Workspace
 }
 
-// InnerDP optimizes a contracted sub-problem: groups are the current unit
+// innerDP optimizes a contracted sub-problem: groups are the current unit
 // plans and sets their base-relation footprints; the returned plan must join
 // exactly those units.
-type InnerDP func(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error)
+type innerDP func(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error)
 
 // ErrTimeout mirrors dp.ErrTimeout for the heuristic layer.
 var ErrTimeout = dp.ErrTimeout
@@ -96,9 +96,9 @@ func (o Options) withWorkspace() Options {
 	return o
 }
 
-func (o Options) inner() InnerDP {
-	if o.Inner != nil {
-		return o.Inner
+func (o Options) inner() innerDP {
+	if o.innerDP != nil {
+		return o.innerDP
 	}
 	return innerMPDP
 }

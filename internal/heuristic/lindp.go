@@ -165,11 +165,11 @@ func linDPOverOrder(q *cost.Query, opt Options, order []int, leaves []*plan.Node
 	return build(0, nn-1), nil
 }
 
-// innerLinDP is the InnerDP that the adaptive baseline uses on contracted
+// innerLinDP is the innerDP that the adaptive baseline uses on contracted
 // sub-problems: IKKBZ linearization + interval DP over the local query.
 func innerLinDP(c *contractedProblem, opt Options) (*plan.Node, dp.Stats, error) {
 	localOpt := opt
-	localOpt.Inner = nil
+	localOpt.innerDP = nil
 	order, err := IKKBZOrder(c.local, localOpt)
 	if err != nil {
 		return nil, dp.Stats{}, err
@@ -198,7 +198,7 @@ func Adaptive(q *cost.Query, opt Options) (*plan.Node, error) {
 		return LinDP(q, opt)
 	default:
 		idpOpt := opt
-		idpOpt.Inner = innerLinDP
+		idpOpt.innerDP = innerLinDP
 		if idpOpt.K == 0 {
 			idpOpt.K = 100
 		}

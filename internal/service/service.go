@@ -54,8 +54,6 @@ type Config struct {
 	// exceeds it falls back to the shape's heuristic with a fresh budget
 	// (0: 30s).
 	Timeout time.Duration
-	// Model is the cost model (nil: cost.DefaultModel()).
-	Model *cost.Model
 }
 
 func (c Config) withDefaults() Config {
@@ -73,9 +71,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.Model == nil {
-		c.Model = cost.DefaultModel()
 	}
 	return c
 }
@@ -154,6 +149,7 @@ type request struct {
 // package comment. Create with New, release with Close.
 type Service struct {
 	cfg      Config
+	model    *cost.Model // cost.DefaultModel(), built once: it allocates
 	backends *backend.Set
 	cache    *Cache
 	counters Counters
@@ -177,6 +173,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
+		model:    cost.DefaultModel(),
 		backends: backend.NewSet(cfg.GPU),
 		cache:    NewCache(cfg.CacheShards, cfg.CacheCapacity),
 		inflight: make(map[string]*flight),
@@ -628,7 +625,7 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 		// The GPU's modeled device time decomposes into Sim spans: launch,
 		// transfer, per-kernel cycles, memory — the paper's per-level cost
 		// breakdown, per request.
-		res.GPU.TraceInto(r.tr, s.cfg.GPU.DeviceModel())
+		res.GPU.TraceInto(r.tr)
 		matDone := r.tr.StartSpan(obs.PhaseMaterialize)
 		r.fl.entry = &cached{
 			key:      r.fp.Key,
@@ -671,7 +668,7 @@ func (s *Service) finishFlight(r request) {
 // caller that walked away gets no heuristic retry.
 func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg core.Algorithm, ws *dp.Workspace) (*backend.Result, error) {
 	opts := backend.Options{
-		Model:     s.cfg.Model,
+		Model:     s.model,
 		Timeout:   s.cfg.Timeout,
 		Threads:   s.cfg.Threads,
 		K:         s.cfg.K,
