@@ -28,7 +28,7 @@ type Health struct {
 // optimizer-as-a-service instance (mpdp-serve) or a whole cluster behind
 // its coordinator (mpdp-cluster). Both binaries mount the same API over
 // their engine, which is what keeps the two wire surfaces identical; both
-// answer in the coordinator's Result, so neither re-wraps a cluster answer.
+// answer with the coordinator's Result (Answer).
 type Engine interface {
 	// Optimize plans a prepared statement under the fingerprint it carries;
 	// ctx carries the HTTP client's cancellation.
