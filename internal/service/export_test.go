@@ -3,8 +3,13 @@ package service
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/backend"
+	"repro/internal/core"
+	"repro/internal/dp"
+	"repro/internal/gpusim"
 	"repro/internal/plan"
 	"repro/internal/workload"
 )
@@ -181,5 +186,87 @@ func TestImportRejectsMalformedPlan(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { validPlan(good, 4) }); allocs != 0 {
 		t.Errorf("validPlan allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestEntrySurvivesEveryCopy holds every field of an Entry through each path
+// that reads the cached record: Import stores it, ExportEntry and Export
+// return it, CacheInfo lists it and a hit answers with its provenance. The
+// fixture sets every field to a value no serve would produce, so a path that
+// drops or swaps a field fails here; a field added to Entry later must be
+// added to the fixture, or the reflect check below fails.
+func TestEntrySurvivesEveryCopy(t *testing.T) {
+	a := New(Config{})
+	defer a.Close()
+	b := New(Config{})
+	defer b.Close()
+
+	q := genQuery(t, workload.KindMB, 10, 5)
+	cold, err := a.Optimize(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := a.ExportEntry(cold.Key)
+	if !ok {
+		t.Fatalf("ExportEntry(%q) missed", cold.Key)
+	}
+	want.Stats = dp.Stats{Evaluated: 41, CCP: 37, ConnectedSets: 31, WarmSeeded: 29}
+	want.Algorithm = core.AlgMPDPGPU
+	want.Backend = backend.GPU
+	want.Shape = core.ShapeClique
+	want.GPU = &gpusim.MultiStats{Devices: 2, PerDevice: []gpusim.Stats{{}, {}}}
+	want.FellBack = true
+	want.Epoch = 23
+	want.Hits = 19
+	v := reflect.ValueOf(want)
+	for i := 0; i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("fixture leaves Entry.%s at its zero value", v.Type().Field(i).Name)
+		}
+	}
+
+	if err := b.Import(want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := b.ExportEntry(want.Key); !ok || !reflect.DeepEqual(got, want) {
+		t.Errorf("ExportEntry = %+v, %v; want %+v", got, ok, want)
+	}
+	if got := b.Export(); !reflect.DeepEqual(got, []Entry{want}) {
+		t.Errorf("Export = %+v, want [%+v]", got, want)
+	}
+
+	info := b.CacheInfo(1)
+	if len(info.Entries) != 1 {
+		t.Fatalf("CacheInfo lists %d entries, want 1", len(info.Entries))
+	}
+	if got, wantRow := info.Entries[0], (CacheEntryInfo{
+		Key:       want.Key,
+		Shape:     string(want.Shape),
+		Algorithm: string(want.Algorithm),
+		Backend:   string(want.Backend),
+		Relations: q.N(),
+		Hits:      want.Hits,
+		Epoch:     want.Epoch,
+		FellBack:  want.FellBack,
+	}); got != wantRow {
+		t.Errorf("CacheInfo row = %+v, want %+v", got, wantRow)
+	}
+
+	hit, err := b.OptimizePrepared(context.Background(), Prepare(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.CacheHit {
+		t.Fatal("imported entry did not serve a hit")
+	}
+	if hit.Key != want.Key || hit.Algorithm != want.Algorithm || hit.Backend != want.Backend ||
+		hit.Shape != want.Shape || hit.Stats != want.Stats || hit.GPU != want.GPU ||
+		hit.FellBack != want.FellBack || hit.Epoch != want.Epoch {
+		t.Errorf("hit provenance key=%.12q alg=%s backend=%s shape=%s stats=%+v gpu=%p fell_back=%v epoch=%d, want %.12q %s %s %s %+v %p %v %d",
+			hit.Key, hit.Algorithm, hit.Backend, hit.Shape, hit.Stats, hit.GPU, hit.FellBack, hit.Epoch,
+			want.Key, want.Algorithm, want.Backend, want.Shape, want.Stats, want.GPU, want.FellBack, want.Epoch)
+	}
+	if !relEq(hit.Plan.Cost, cold.Plan.Cost) {
+		t.Errorf("hit cost %g, want %g", hit.Plan.Cost, cold.Plan.Cost)
 	}
 }
