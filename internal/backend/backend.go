@@ -43,8 +43,10 @@ const (
 	Heuristic ID = "heuristic"
 )
 
-// IDs lists every backend, in routing-preference order.
-func IDs() []ID { return []ID{CPUSeq, CPUParallel, GPU, Heuristic} }
+// IDs is the backend registry, in routing-preference order. It is an
+// array, so len(IDs) is a constant: the service sizes its per-backend
+// counters and histograms with it.
+var IDs = [...]ID{CPUSeq, CPUParallel, GPU, Heuristic}
 
 // Of returns the backend that runs alg, and false for auto (a policy, not
 // an algorithm) and for names outside the registry.

@@ -69,7 +69,7 @@ func TestSetDispatch(t *testing.T) {
 		} else if !ok || id != w {
 			t.Errorf("%s: Of gives %q, want %s", alg, id, w)
 		}
-		for _, other := range append(IDs(), "tpu") {
+		for _, other := range append(IDs[:], "tpu") {
 			res, err := s.Get(other).Optimize(context.Background(), q, alg, Options{})
 			switch {
 			case other != id && err == nil:

@@ -4,34 +4,17 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/backend"
-	"repro/internal/core"
-	"repro/internal/dp"
-	"repro/internal/gpusim"
-	"repro/internal/plan"
 )
 
-// cached is one plan-cache entry. The plan is stored in canonical index
-// space (see Fingerprint) and must be remapped through a query's
-// permutation before being handed out; entries are therefore immutable
-// (except the atomic hit counter) and safe to share across shards' readers.
+// cached is one plan-cache entry: the Entry it was served or imported as,
+// plus the live count of exact-key hits served from it (the embedded
+// Entry.Hits is never read here; exportEntry fills it from hits). The plan is
+// stored in canonical index space (see Fingerprint) and must be remapped
+// through a query's permutation before being handed out; entries are
+// therefore immutable (except the atomic hit counter) and safe to share
+// across shards' readers.
 type cached struct {
-	key      string
-	plan     *plan.Node
-	stats    dp.Stats
-	alg      core.Algorithm
-	backend  backend.ID
-	shape    core.Shape
-	gpu      *gpusim.MultiStats // device work model when backend == gpu
-	fellBack bool
-
-	// epoch is the catalog stats epoch when the entry was produced. Exact-
-	// key hits are sound at any epoch (the key embeds the statistics); the
-	// epoch is provenance: results carry it and the /v1/cache introspection
-	// surface shows which entries predate the last stats update.
-	epoch uint64
-	// hits counts exact-key cache hits served from this entry.
+	Entry
 	hits atomic.Uint64
 }
 
@@ -93,19 +76,19 @@ func (c *Cache) Get(key string) (*cached, bool) {
 // Put inserts (or refreshes) an entry, evicting the least-recently-used
 // entries of the shard while it is over capacity.
 func (c *Cache) Put(e *cached) {
-	s := c.shard(e.key)
+	s := c.shard(e.Key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[e.key]; ok {
+	if el, ok := s.items[e.Key]; ok {
 		el.Value = e
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.items[e.key] = s.ll.PushFront(e)
+	s.items[e.Key] = s.ll.PushFront(e)
 	for s.ll.Len() > s.cap {
 		back := s.ll.Back()
 		s.ll.Remove(back)
-		delete(s.items, back.Value.(*cached).key)
+		delete(s.items, back.Value.(*cached).Key)
 	}
 }
 

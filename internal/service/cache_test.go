@@ -12,7 +12,7 @@ import (
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(1, 3)
-	put := func(k string) { c.Put(&cached{key: k}) }
+	put := func(k string) { c.Put(&cached{Entry: Entry{Key: k}}) }
 	put("a")
 	put("b")
 	put("c")
@@ -35,13 +35,13 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCachePutRefreshesExisting(t *testing.T) {
 	c := NewCache(1, 2)
-	c.Put(&cached{key: "k", shape: core.ShapeChain})
-	c.Put(&cached{key: "k", shape: core.ShapeStar})
+	c.Put(&cached{Entry: Entry{Key: "k", Shape: core.ShapeChain}})
+	c.Put(&cached{Entry: Entry{Key: "k", Shape: core.ShapeStar}})
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 	e, ok := c.Get("k")
-	if !ok || e.shape != core.ShapeStar {
+	if !ok || e.Shape != core.ShapeStar {
 		t.Errorf("refresh lost the newest entry: %+v ok=%v", e, ok)
 	}
 }
@@ -68,7 +68,7 @@ func TestCacheConcurrent(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				k := fmt.Sprintf("key-%d", (w*31+i)%128)
 				if i%3 == 0 {
-					c.Put(&cached{key: k})
+					c.Put(&cached{Entry: Entry{Key: k}})
 				} else {
 					c.Get(k)
 				}
@@ -87,7 +87,7 @@ func TestCacheConcurrent(t *testing.T) {
 func TestCacheProbeDoesNotAllocate(t *testing.T) {
 	c := NewCache(16, 64)
 	key := FingerprintQuery(genQuery(t, workload.KindCycle, 14, 1)).Key
-	c.Put(&cached{key: key})
+	c.Put(&cached{Entry: Entry{Key: key}})
 	if n := testing.AllocsPerRun(100, func() {
 		if _, ok := c.Get(key); !ok {
 			t.Fatal("entry missing")

@@ -10,14 +10,14 @@ import (
 	"repro/internal/plan"
 )
 
-// Entry is one plan-cache entry in exportable form: the canonical
-// fingerprint key and the plan in canonical index space, exactly as the
-// cache stores it. Entries exist so an external layer (cluster replication,
-// rebalancing, persistence) can move warm plans between Services without
-// re-optimizing; they are immutable by contract — the plan tree must never
-// be mutated after export, since Import shares it rather than copying
-// (Optimize hands every caller a private remapped copy, so sharing the
-// canonical tree is safe).
+// Entry is the record the plan cache stores for one plan (cached embeds
+// it) and the form it is exported and imported in: the canonical
+// fingerprint key and the plan in canonical index space. Entries exist so
+// an external layer (cluster replication, rebalancing, persistence) can
+// move warm plans between Services without re-optimizing; they are
+// immutable by contract — the plan tree must never be mutated after
+// export, since Import shares it rather than copying (Optimize hands every
+// caller a private remapped copy, so sharing the canonical tree is safe).
 type Entry struct {
 	// Key is the canonical fingerprint (see FingerprintQuery); an Entry is
 	// only valid for the Service-external query it was fingerprinted from.
@@ -31,9 +31,13 @@ type Entry struct {
 	Shape    core.Shape
 	GPU      *gpusim.MultiStats // device work model when Backend == gpu
 	FellBack bool
-	// Epoch is the catalog stats epoch the plan was produced under, Hits
-	// the exact-key hit count served so far; both travel with the entry so
-	// replication preserves staleness provenance and popularity.
+	// Epoch is the catalog stats epoch the plan was produced under. Exact-
+	// key hits are sound at any epoch (the key embeds the statistics); the
+	// epoch is provenance that results and /v1/cache show. Hits is the
+	// exact-key hit count served so far. Both travel with the entry so
+	// replication preserves staleness provenance and popularity. Inside
+	// the cache Hits is never read: the live count is cached.hits, which
+	// Import starts from it and every export reads.
 	Epoch uint64
 	Hits  uint64
 }
@@ -91,19 +95,9 @@ func (s *Service) Import(e Entry) error {
 	if !validPlan(e.Plan, n) {
 		return fmt.Errorf("service: import entry %q: plan is not a join tree over relations 0..%d", e.Key, n-1)
 	}
-	c := &cached{
-		key:      e.Key,
-		plan:     e.Plan,
-		stats:    e.Stats,
-		alg:      e.Algorithm,
-		backend:  e.Backend,
-		shape:    e.Shape,
-		gpu:      e.GPU,
-		fellBack: e.FellBack,
-		epoch:    e.Epoch,
-	}
-	if c.epoch == 0 {
-		c.epoch = s.StatsEpoch()
+	c := &cached{Entry: e}
+	if c.Epoch == 0 {
+		c.Epoch = s.StatsEpoch()
 	}
 	c.hits.Store(e.Hits)
 	s.cache.Put(c)
@@ -165,16 +159,7 @@ func checkTree(p *plan.Node, n int, seen []uint64) (int, bool) {
 }
 
 func exportEntry(e *cached) Entry {
-	return Entry{
-		Key:       e.key,
-		Plan:      e.plan,
-		Stats:     e.stats,
-		Algorithm: e.alg,
-		Backend:   e.backend,
-		Shape:     e.shape,
-		GPU:       e.gpu,
-		FellBack:  e.fellBack,
-		Epoch:     e.epoch,
-		Hits:      e.hits.Load(),
-	}
+	out := e.Entry
+	out.Hits = e.hits.Load()
+	return out
 }

@@ -41,14 +41,14 @@ func (s *Service) CacheInfo(topN int) CacheInfo {
 	}
 	for _, e := range s.cache.Export() {
 		info.Entries = append(info.Entries, CacheEntryInfo{
-			Key:       e.key,
-			Shape:     string(e.shape),
-			Algorithm: string(e.alg),
-			Backend:   string(e.backend),
-			Relations: e.plan.Size(),
+			Key:       e.Key,
+			Shape:     string(e.Shape),
+			Algorithm: string(e.Algorithm),
+			Backend:   string(e.Backend),
+			Relations: e.Plan.Size(),
 			Hits:      e.hits.Load(),
-			Epoch:     e.epoch,
-			FellBack:  e.fellBack,
+			Epoch:     e.Epoch,
+			FellBack:  e.FellBack,
 		})
 	}
 	sort.SliceStable(info.Entries, func(i, j int) bool {

@@ -3,6 +3,7 @@ package service
 import (
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/obs"
 )
 
@@ -14,8 +15,8 @@ import (
 // coordinator folds every node's set this way and reports cluster-wide
 // quantiles with a single node's error bound.
 type LatencySet struct {
-	Hit       [numBackends]obs.Histogram
-	Miss      [numBackends]obs.Histogram
+	Hit       [len(backend.IDs)]obs.Histogram
+	Miss      [len(backend.IDs)]obs.Histogram
 	Shed      obs.Histogram
 	QueueWait obs.Histogram
 }
@@ -24,7 +25,7 @@ type LatencySet struct {
 // fixed order: "hit:<backend>" and "miss:<backend>" per backend, then
 // "shed" and "queue_wait".
 func (l *LatencySet) each(fn func(key string, h *obs.Histogram)) {
-	for i, id := range backendIDs {
+	for i, id := range backend.IDs {
 		fn("hit:"+string(id), &l.Hit[i])
 		fn("miss:"+string(id), &l.Miss[i])
 	}
@@ -95,7 +96,7 @@ func (l *LatencySet) Quantiles() map[string]Quantiles { return nonEmpty(l, quant
 // WriteNodeMetrics.
 func (l *LatencySet) WriteMetrics(mw *obs.MetricsWriter) {
 	const reqHelp = "End-to-end request latency by outcome and backend."
-	for i, id := range backendIDs {
+	for i, id := range backend.IDs {
 		mw.Histogram("mpdp_request_seconds", reqHelp,
 			obs.Labels{"outcome": "hit", "backend": string(id)}, &l.Hit[i])
 		mw.Histogram("mpdp_request_seconds", reqHelp,

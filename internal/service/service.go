@@ -350,7 +350,7 @@ func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*
 			res := resultFrom(e, inv, 0, true, false)
 			done()
 			res.Elapsed = time.Since(start)
-			s.counters.observeHit(res.Elapsed, e.backend)
+			s.counters.observeHit(res.Elapsed, e.Backend)
 			return res, nil
 		}
 
@@ -423,7 +423,7 @@ func (s *Service) optimize(ctx context.Context, p *Prepared, start time.Time) (*
 	if joined {
 		s.counters.coalesced.Add(1)
 	} else {
-		s.counters.observeMiss(res.Elapsed, fl.entry.backend)
+		s.counters.observeMiss(res.Elapsed, fl.entry.Backend)
 	}
 	return res, nil
 }
@@ -543,18 +543,18 @@ func (s *Service) abandon(key string, fl *flight, cause error) {
 
 func resultFrom(e *cached, inv []int, elapsed time.Duration, hit, coalesced bool) *Result {
 	return &Result{
-		Plan:      remapPlan(e.plan, inv),
-		Algorithm: e.alg,
-		Backend:   e.backend,
-		Shape:     e.shape,
-		Stats:     e.stats,
-		GPU:       e.gpu,
+		Plan:      remapPlan(e.Plan, inv),
+		Algorithm: e.Algorithm,
+		Backend:   e.Backend,
+		Shape:     e.Shape,
+		Stats:     e.Stats,
+		GPU:       e.GPU,
 		CacheHit:  hit,
 		Coalesced: coalesced,
-		FellBack:  e.fellBack,
+		FellBack:  e.FellBack,
 		Elapsed:   elapsed,
-		Key:       e.key,
-		Epoch:     e.epoch,
+		Key:       e.Key,
+		Epoch:     e.Epoch,
 	}
 }
 
@@ -627,17 +627,17 @@ func (s *Service) serve(r request, own *dp.Workspace) {
 		// breakdown, per request.
 		res.GPU.TraceInto(r.tr)
 		matDone := r.tr.StartSpan(obs.PhaseMaterialize)
-		r.fl.entry = &cached{
-			key:      r.fp.Key,
-			plan:     remapPlan(res.Plan, r.fp.Perm),
-			stats:    res.Stats,
-			alg:      res.Algorithm,
-			backend:  res.Backend,
-			shape:    shape,
-			gpu:      res.GPU,
-			fellBack: res.Algorithm != alg,
-			epoch:    s.StatsEpoch(),
-		}
+		r.fl.entry = &cached{Entry: Entry{
+			Key:       r.fp.Key,
+			Plan:      remapPlan(res.Plan, r.fp.Perm),
+			Stats:     res.Stats,
+			Algorithm: res.Algorithm,
+			Backend:   res.Backend,
+			Shape:     shape,
+			GPU:       res.GPU,
+			FellBack:  res.Algorithm != alg,
+			Epoch:     s.StatsEpoch(),
+		}}
 		s.cache.Put(r.fl.entry)
 		matDone()
 	} else {

@@ -219,7 +219,7 @@ func TestEachBandMovesOneBackend(t *testing.T) {
 				tc.kind, tc.n, res.Algorithm, res.Backend, res.CacheHit, res.FellBack, alg, bid)
 		}
 		after := s.Counters().Snapshot()
-		for _, id := range backend.IDs() {
+		for _, id := range backend.IDs {
 			b, a := before.Backends[string(id)], after.Backends[string(id)]
 			var want uint64
 			if id == bid {

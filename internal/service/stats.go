@@ -40,11 +40,11 @@ type Counters struct {
 	epochBumps atomic.Uint64
 	statsEpoch atomic.Uint64
 
-	// Per-backend accounting, indexed by slot: where the router
-	// sent requests, which substrate actually served them (fallbacks
-	// land on heuristic), which substrate's plans the cache re-served,
-	// and which substrate blew the budget.
-	backends [numBackends]backendCounters
+	// Per-backend accounting, indexed by slot: which substrate actually
+	// served requests (fallbacks land on heuristic), which substrate's
+	// plans the cache re-served, and which substrate blew the budget. Where
+	// the router sent requests is route, summed per backend by Snapshot.
+	backends [len(backend.IDs)]backendCounters
 
 	hitNanos  atomic.Uint64
 	missNanos atomic.Uint64
@@ -57,27 +57,16 @@ type Counters struct {
 
 // backendCounters is one substrate's slice of the instrumentation.
 type backendCounters struct {
-	routed    atomic.Uint64
 	served    atomic.Uint64
 	hits      atomic.Uint64
 	fallbacks atomic.Uint64
 }
 
-// numBackends is the counter-array capacity; TestBackendSlotCoversRegistry
-// pins it to len(backend.IDs()) so a new backend cannot silently lose its
-// counters.
-const numBackends = 4
-
-// backendIDs is the backend registry in counter-slot order: slot i counts
-// backendIDs[i]. The conversion panics at start-up on a registry shorter
-// than the counter array.
-var backendIDs = [numBackends]backend.ID(backend.IDs())
-
-// slotOf returns id's counter slot, or -1 for unknown IDs (e.g. entries
+// slotOf returns id's counter slot (slot i counts backend.IDs[i]), or -1 for unknown IDs (e.g. entries
 // imported from a peer without backend identity). Callers skip -1, which
 // keeps the per-backend hit sum ≤ total hits.
 func slotOf(id backend.ID) int {
-	for i, b := range backendIDs {
+	for i, b := range backend.IDs {
 		if b == id {
 			return i
 		}
@@ -110,7 +99,8 @@ var routed = [...]struct {
 
 // BackendCounts is the snapshot of one backend's counters.
 type BackendCounts struct {
-	// Routed counts requests the router dispatched to this backend.
+	// Routed counts requests the router dispatched to this backend: the
+	// sum of the route counts of the algorithms it runs (backend.Of).
 	Routed uint64 `json:"routed"`
 	// Served counts optimizations this backend completed (a heuristic
 	// fallback run counts for heuristic, not for the backend that timed
@@ -192,19 +182,23 @@ func (c *Counters) Snapshot() Snapshot {
 		StatsEpoch: c.statsEpoch.Load(),
 		EpochBumps: c.epochBumps.Load(),
 
-		Backends: make(map[string]BackendCounts, numBackends),
+		Backends: make(map[string]BackendCounts, len(backend.IDs)),
 	}
-	for i, r := range routed {
-		*r.count(&s) = c.route[i].Load()
-	}
-	for i, id := range backendIDs {
+	for i, id := range backend.IDs {
 		b := &c.backends[i]
 		s.Backends[string(id)] = BackendCounts{
-			Routed:    b.routed.Load(),
 			Served:    b.served.Load(),
 			Hits:      b.hits.Load(),
 			Fallbacks: b.fallbacks.Load(),
 		}
+	}
+	for i, r := range routed {
+		n := c.route[i].Load()
+		*r.count(&s) = n
+		id, _ := backend.Of(r.alg)
+		b := s.Backends[string(id)]
+		b.Routed += n
+		s.Backends[string(id)] = b
 	}
 	s.deriveRates(float64(c.hitNanos.Load()), float64(c.missNanos.Load()), 1e3)
 	s.Latency = c.lat.Quantiles()
@@ -294,7 +288,7 @@ func WriteNodeMetrics(mw *obs.MetricsWriter, s Snapshot, cachePlans int, lat *La
 		mw.Counter("mpdp_route_total", "Routing decisions by algorithm.", obs.Labels{"algorithm": r.label}, *r.count(&s))
 	}
 
-	for _, id := range backendIDs {
+	for _, id := range backend.IDs {
 		b, ok := s.Backends[string(id)]
 		if !ok {
 			continue
@@ -360,10 +354,6 @@ func (c *Counters) observeRoute(alg core.Algorithm) {
 			c.route[i].Add(1)
 			break
 		}
-	}
-	id, _ := backend.Of(alg)
-	if b := c.slot(id); b != nil {
-		b.routed.Add(1)
 	}
 }
 

@@ -8,10 +8,12 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/dp"
 	"repro/internal/workload"
@@ -31,6 +33,12 @@ func TestCancelledGPURequestFreesItsWorker(t *testing.T) {
 	defer s.Close()
 	m := cost.DefaultModel()
 	gpu := s.counters.slot(backend.GPU)
+	var gpuRoute *atomic.Uint64
+	for i, r := range routed {
+		if r.alg == core.AlgMPDPGPU {
+			gpuRoute = &s.counters.route[i]
+		}
+	}
 	// The same snowflake every round: a run that finished would have cached
 	// it, and the next round would never reach the worker.
 	gpuQ := genQuery(t, workload.KindSnowflake, 34, 900)
@@ -50,13 +58,13 @@ func TestCancelledGPURequestFreesItsWorker(t *testing.T) {
 		}
 
 		ctx, cancel := context.WithCancel(context.Background())
-		routed, served := gpu.routed.Load(), gpu.served.Load()
+		routed, served := gpuRoute.Load(), gpu.served.Load()
 		gone := make(chan error, 1)
 		go func() {
 			_, err := s.Optimize(ctx, gpuQ)
 			gone <- err
 		}()
-		for start := time.Now(); gpu.routed.Load() == routed; runtime.Gosched() {
+		for start := time.Now(); gpuRoute.Load() == routed; runtime.Gosched() {
 			if time.Since(start) > 10*time.Second {
 				t.Fatalf("round %d: the worker never picked the gpu request up", round)
 			}
