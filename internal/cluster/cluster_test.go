@@ -25,6 +25,23 @@ func genQuery(t testing.TB, kind workload.Kind, n int, seed int64) *cost.Query {
 	return q
 }
 
+// localServices returns the service of every in-process member by node ID
+// (a remote peer has none), reading the member table under c.mu with a
+// deferred unlock: a panic in the read must not leave the mutex held, or
+// the test's deferred c.Close blocks on it and the package hangs instead
+// of failing.
+func localServices(c *Cluster) map[string]*service.Service {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	local := make(map[string]*service.Service, len(c.nodes))
+	for id, st := range c.nodes {
+		if st.n != nil {
+			local[id] = st.n.svc
+		}
+	}
+	return local
+}
+
 // permuteQuery relabels q's relations through perm (perm[old] = new): the
 // same join problem written by a different client.
 func permuteQuery(q *cost.Query, perm []int) *cost.Query {

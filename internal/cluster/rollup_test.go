@@ -108,14 +108,7 @@ func TestClusterMetricsSumNodes(t *testing.T) {
 	// One node a stats epoch ahead, so the epoch's maximum differs from
 	// its sum.
 	ids := c.AliveNodes()
-	c.mu.Lock()
-	local := make(map[string]*service.Service, len(c.nodes))
-	for id, st := range c.nodes {
-		if st.n != nil {
-			local[id] = st.n.svc
-		}
-	}
-	c.mu.Unlock()
+	local := localServices(c)
 	local[ids[0]].BumpStatsEpoch()
 	c.KillNode(ids[1])
 

@@ -380,10 +380,7 @@ func TestAsymmetricPartition(t *testing.T) {
 	}
 	owner := res.Node
 	ownerReqs := func() uint64 {
-		c.mu.Lock()
-		n := c.nodes[owner].n
-		c.mu.Unlock()
-		return n.svc.Counters().Snapshot().Requests
+		return localServices(c)[owner].Counters().Snapshot().Requests
 	}
 
 	// Request direction: the owner must not see the call at all.
