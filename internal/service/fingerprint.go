@@ -12,6 +12,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync/atomic"
 
 	"repro/internal/cost"
 )
@@ -30,6 +31,12 @@ type Fingerprint struct {
 	Perm []int
 }
 
+// labellings counts the canonical labellings (FingerprintQuery calls) the
+// process has run. A served miss runs exactly one; a second one once made a
+// large symmetric query cost 9.6x its enumeration, and the cold-miss test
+// holds the count.
+var labellings atomic.Uint64
+
 // FingerprintQuery computes the canonical fingerprint of q.
 //
 // Canonicalization is colour refinement (1-WL) seeded with each relation's
@@ -42,6 +49,7 @@ type Fingerprint struct {
 // canonicalization miss on a pathological symmetric graph can only cost a
 // cache miss, never a wrong plan.
 func FingerprintQuery(q *cost.Query) Fingerprint {
+	labellings.Add(1)
 	n := q.N()
 	g := q.G
 
