@@ -7,12 +7,11 @@ import (
 )
 
 // cached is one plan-cache entry: the Entry it was served or imported as,
-// plus the live count of exact-key hits served from it (the embedded
-// Entry.Hits is never read here; exportEntry fills it from hits). The plan is
-// stored in canonical index space (see Fingerprint) and must be remapped
-// through a query's permutation before being handed out; entries are
-// therefore immutable (except the atomic hit counter) and safe to share
-// across shards' readers.
+// plus the live count of exact-key hits served from it. The plan is stored
+// in canonical index space (see Fingerprint) and must be remapped through a
+// query's permutation before being handed out; entries are therefore
+// immutable (except the atomic hit counter) and safe to share across
+// shards' readers.
 type cached struct {
 	Entry
 	hits atomic.Uint64

@@ -31,10 +31,8 @@ type Fingerprint struct {
 	Perm []int
 }
 
-// labellings counts the canonical labellings (FingerprintQuery calls) the
-// process has run. A served miss runs exactly one; a second one once made a
-// large symmetric query cost 9.6x its enumeration, and the cold-miss test
-// holds the count.
+// labellings counts canonical labellings (FingerprintQuery calls). A served
+// miss runs exactly one, and the cold-miss test holds it to that.
 var labellings atomic.Uint64
 
 // FingerprintQuery computes the canonical fingerprint of q.
