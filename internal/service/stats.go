@@ -62,9 +62,10 @@ type backendCounters struct {
 	fallbacks atomic.Uint64
 }
 
-// slotOf returns id's counter slot (slot i counts backend.IDs[i]), or -1 for unknown IDs (e.g. entries
-// imported from a peer without backend identity). Callers skip -1, which
-// keeps the per-backend hit sum ≤ total hits.
+// slotOf returns id's counter slot (slot i counts backend.IDs[i]), or -1
+// for unknown IDs (e.g. entries imported from a peer without backend
+// identity). Callers skip -1, which keeps the per-backend hit sum ≤ total
+// hits.
 func slotOf(id backend.ID) int {
 	for i, b := range backend.IDs {
 		if b == id {
