@@ -55,7 +55,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/cluster"
 	"repro/internal/httpapi"
 	"repro/internal/service"
@@ -78,7 +77,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "optimization workers per node (0 = GOMAXPROCS/nodes)")
 		cacheCap   = flag.Int("cache", 0, "plan-cache capacity per node (0 = 4096)")
 		timeout    = flag.Duration("timeout", 30*time.Second, "per-query optimization budget")
-		gpuDevices = flag.Int("gpu-devices", 0, "simulated GPU devices per node (0 = 2)")
 		drain      = flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight requests")
 		queueDepth = flag.Int("queue-depth", 0, "admission queue depth per node (0 = 4x workers)")
 		queueWait  = flag.Duration("queue-wait", 250*time.Millisecond, "max wait for a queue slot before a node sheds with 503 (0 = block indefinitely, <0 = shed immediately)")
@@ -114,7 +112,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		CacheCapacity: *cacheCap,
 		Timeout:       *timeout,
-		GPU:           backend.GPUConfig{Devices: *gpuDevices},
 		Admission: service.Admission{
 			MaxQueueWait: *queueWait,
 			RatePerSec:   *nodeRate,

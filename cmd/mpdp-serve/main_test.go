@@ -169,7 +169,7 @@ var expvarSeq atomic.Int64
 // with the backend identified in the response, and /debug/vars (expvar)
 // reports the GPU route.
 func TestLargeCyclicQueryServedExactlyByGPU(t *testing.T) {
-	svc := service.New(service.Config{Workers: 2, GPU: backend.GPUConfig{Devices: 2}})
+	svc := service.New(service.Config{Workers: 2})
 	t.Cleanup(svc.Close)
 	varName := fmt.Sprintf("optimizer-gpu-test-%d", expvarSeq.Add(1))
 	expvar.Publish(varName, svc.Counters())

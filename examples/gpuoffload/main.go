@@ -1,18 +1,17 @@
 // Gpuoffload: the GPU execution model of §5 through the public SDK — the
 // simulated device times of MPDP vs the DPSub/DPSize baselines on a
 // snowflake query, then the multi-device scheduler: a 40-relation cycle
-// (which no CPU enumerator's band touches) served exactly by the GPU
-// backend of the Served driver, swept across 1/2/4/8 simulated devices.
+// (which no CPU enumerator's band touches) routed exactly to the GPU
+// backend, swept across 1/2/4/8 simulated devices.
 //
 //	go run ./examples/gpuoffload [-rels 18]
 package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"log"
-
-	"flag"
 
 	"repro/pkg/optimizer"
 )
@@ -53,15 +52,13 @@ func main() {
 
 	// The multi-device scheduler on a query no CPU enumerator's band can
 	// touch: a 40-relation cycle, whose 2^40 unrank lattice is compute-
-	// bound. Each Served driver routes it to its GPU backend with N
+	// bound. The router sends it to the GPU backend, here run with N
 	// simulated devices; more devices shorten the level-synchronous wall.
 	cyc := optimizer.Cycle(40, 7)
-	fmt.Println("\n40-relation cycle, level-partitioned across N devices (Served driver):")
+	fmt.Println("\n40-relation cycle, level-partitioned across N devices:")
 	var cost40 float64
 	for _, ndev := range []int{1, 2, 4, 8} {
-		svc := optimizer.Served(optimizer.ServedConfig{Workers: 2, GPUDevices: ndev})
-		res, err := svc.Optimize(context.Background(), cyc)
-		svc.Close()
+		res, err := opt.Optimize(context.Background(), cyc, optimizer.WithGPUDevices(ndev))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -65,13 +65,12 @@ func Of(alg core.Algorithm) (ID, bool) {
 }
 
 // Options configures one backend optimization; the fields mirror
-// core.Options minus the algorithm (passed separately) and the GPU device
-// pool (owned by the Set).
+// core.Options minus the algorithm (passed separately), the GPU device
+// pool (owned by the Set) and the settings every backend runs at their
+// defaults: all cores and IDP2's k = 15.
 type Options struct {
 	Model   *cost.Model
 	Timeout time.Duration
-	Threads int
-	K       int
 	// Workspace, when non-nil, is the memory the run borrows (see
 	// core.Options.Workspace); the caller must not start another run on it
 	// before it is done with Result.Plan.
@@ -132,8 +131,6 @@ func (b Backend) Optimize(ctx context.Context, q *cost.Query, alg core.Algorithm
 		Algorithm: alg,
 		Model:     opts.Model,
 		Timeout:   opts.Timeout,
-		Threads:   opts.Threads,
-		K:         opts.K,
 		GPU:       b.gpu,
 		Workspace: opts.Workspace,
 	})

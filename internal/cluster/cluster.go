@@ -860,16 +860,16 @@ func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 			agg.StatsEpoch = info.StatsEpoch
 		}
 		for _, e := range info.Entries {
-			m, ok := byKey[e.Key]
+			m, ok := byKey[e.Fingerprint]
 			if !ok {
-				byKey[e.Key] = e
+				byKey[e.Fingerprint] = e
 				continue
 			}
 			m.Hits += e.Hits
 			if e.Epoch > m.Epoch {
 				m.Epoch = e.Epoch
 			}
-			byKey[e.Key] = m
+			byKey[e.Fingerprint] = m
 		}
 	}
 	for _, e := range byKey {
@@ -879,7 +879,7 @@ func (c *Cluster) CacheInfo(topN int) service.CacheInfo {
 		if agg.Entries[i].Hits != agg.Entries[j].Hits {
 			return agg.Entries[i].Hits > agg.Entries[j].Hits
 		}
-		return agg.Entries[i].Key < agg.Entries[j].Key
+		return agg.Entries[i].Fingerprint < agg.Entries[j].Fingerprint
 	})
 	if topN >= 0 && len(agg.Entries) > topN {
 		agg.Entries = agg.Entries[:topN]

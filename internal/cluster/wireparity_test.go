@@ -81,14 +81,14 @@ func TestWireRoundTripAllFields(t *testing.T) {
 			Shards:     16,
 			StatsEpoch: 3,
 			Entries: []service.CacheEntryInfo{{
-				Key:       "n5|0:1,1:2;s1",
-				Shape:     "chain",
-				Algorithm: "mpdp",
-				Backend:   "cpu-seq",
-				Relations: 5,
-				Hits:      9,
-				Epoch:     3,
-				FellBack:  true,
+				Fingerprint: "n5|0:1,1:2;s1",
+				Shape:       "chain",
+				Algorithm:   "mpdp",
+				Backend:     "cpu-seq",
+				Relations:   5,
+				Hits:        9,
+				Epoch:       3,
+				FellBack:    true,
 			}},
 		},
 		OldEpoch: 2,

@@ -76,7 +76,7 @@ func TestCacheControlSurface(t *testing.T) {
 		}
 		found := false
 		for _, e := range info.Entries {
-			if e.Key == fp {
+			if e.Fingerprint == fp {
 				found = true
 				if e.Epoch != 1 {
 					t.Errorf("entry epoch = %d, want 1", e.Epoch)

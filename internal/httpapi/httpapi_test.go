@@ -119,13 +119,11 @@ func contains(ss []string, want string) bool {
 // workload.WedgeRelations relations is still enumerating, exactly, when a
 // test is over: the router plans a dense general graph of up to 25
 // relations exactly on MPDP-CPU (a full clique past 14 relations goes to a
-// heuristic, which finishes at once), the enumeration is pinned to one
-// thread so that the minute it needs does not shrink with the host's core
-// count, and no budget expires.
+// heuristic, which finishes at once) on all cores, where the minute it
+// needs on one still lasts seconds, and no budget expires.
 func wedgeConfig() service.Config {
 	return service.Config{
 		Workers: 1,
-		Threads: 1,
 		Timeout: time.Hour,
 	}
 }

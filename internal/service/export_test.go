@@ -240,14 +240,14 @@ func TestEntrySurvivesEveryCopy(t *testing.T) {
 		t.Fatalf("CacheInfo lists %d entries, want 1", len(info.Entries))
 	}
 	if got, wantRow := info.Entries[0], (CacheEntryInfo{
-		Key:       want.Key,
-		Shape:     string(want.Shape),
-		Algorithm: string(want.Algorithm),
-		Backend:   string(want.Backend),
-		Relations: q.N(),
-		Hits:      want.Hits,
-		Epoch:     want.Epoch,
-		FellBack:  want.FellBack,
+		Fingerprint: want.Key,
+		Shape:       string(want.Shape),
+		Algorithm:   string(want.Algorithm),
+		Backend:     string(want.Backend),
+		Relations:   q.N(),
+		Hits:        want.Hits,
+		Epoch:       want.Epoch,
+		FellBack:    want.FellBack,
 	}); got != wantRow {
 		t.Errorf("CacheInfo row = %+v, want %+v", got, wantRow)
 	}

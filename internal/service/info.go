@@ -5,14 +5,17 @@ import "sort"
 // CacheEntryInfo describes one plan-cache entry for the /v1/cache control
 // surface.
 type CacheEntryInfo struct {
-	Key       string `json:"fingerprint"`
-	Shape     string `json:"shape"`
-	Algorithm string `json:"algorithm"`
-	Backend   string `json:"backend"`
-	Relations int    `json:"relations"`
-	Hits      uint64 `json:"hits"`
-	Epoch     uint64 `json:"epoch"`
-	FellBack  bool   `json:"fell_back"`
+	// Fingerprint is the canonical cache identity.
+	Fingerprint string `json:"fingerprint"`
+	Shape       string `json:"shape"`
+	Algorithm   string `json:"algorithm"`
+	Backend     string `json:"backend"`
+	Relations   int    `json:"relations"`
+	// Hits counts exact-fingerprint cache hits served from the entry.
+	Hits uint64 `json:"hits"`
+	// Epoch is the catalog stats epoch the plan was costed under.
+	Epoch    uint64 `json:"epoch"`
+	FellBack bool   `json:"fell_back"`
 }
 
 // CacheInfo is the plan-cache summary for the /v1/cache control surface.
@@ -41,21 +44,21 @@ func (s *Service) CacheInfo(topN int) CacheInfo {
 	}
 	for _, e := range s.cache.Export() {
 		info.Entries = append(info.Entries, CacheEntryInfo{
-			Key:       e.Key,
-			Shape:     string(e.Shape),
-			Algorithm: string(e.Algorithm),
-			Backend:   string(e.Backend),
-			Relations: e.Plan.Size(),
-			Hits:      e.hits.Load(),
-			Epoch:     e.Epoch,
-			FellBack:  e.FellBack,
+			Fingerprint: e.Key,
+			Shape:       string(e.Shape),
+			Algorithm:   string(e.Algorithm),
+			Backend:     string(e.Backend),
+			Relations:   e.Plan.Size(),
+			Hits:        e.hits.Load(),
+			Epoch:       e.Epoch,
+			FellBack:    e.FellBack,
 		})
 	}
 	sort.SliceStable(info.Entries, func(i, j int) bool {
 		if info.Entries[i].Hits != info.Entries[j].Hits {
 			return info.Entries[i].Hits > info.Entries[j].Hits
 		}
-		return info.Entries[i].Key < info.Entries[j].Key
+		return info.Entries[i].Fingerprint < info.Entries[j].Fingerprint
 	})
 	if len(info.Entries) > topN {
 		info.Entries = info.Entries[:topN]

@@ -24,11 +24,10 @@ import (
 // constant ladder sized for the paper's evaluation — exact DP for small
 // graphs, CPU-parallel MPDP for medium ones, GPU-MPDP for trees and sparse
 // cyclic graphs up to 41 relations, and beyond that IDP2 for trees and
-// unicyclic graphs, the adaptive LinDP for the rest.
+// unicyclic graphs, the adaptive LinDP for the rest. Every route runs at
+// core.Optimize's defaults — all cores, IDP2's k = 15 and LinDP's window
+// of 100 — and the GPU band on the backend's pool of two devices.
 type Config struct {
-	// CacheShards is the plan-cache shard count (0: 16; rounded up to a
-	// power of two).
-	CacheShards int
 	// CacheCapacity is the total number of cached plans (0: 4096).
 	CacheCapacity int
 	// Deprecated: bench-compat; remove with the probes. Ignored.
@@ -38,14 +37,6 @@ type Config struct {
 	// QueueDepth bounds the pending-request queue; enqueueing blocks when
 	// full, applying backpressure to callers (0: 4 * Workers).
 	QueueDepth int
-	// Threads is passed to CPU-parallel optimizers (0: all cores).
-	Threads int
-	// GPU configures the simulated GPU backend's device count (zero
-	// value: 2 × GTX 1080).
-	GPU backend.GPUConfig
-	// K is the sub-problem bound of IDP2's windows (0: 15); a non-zero K
-	// also bounds the windows LinDP opens past 100 relations (0: 100).
-	K int
 	// Admission tunes admission control: queue-wait shedding, deadline-
 	// aware shedding and the node-level rate cap. The zero value keeps the
 	// legacy blocking backpressure.
@@ -56,10 +47,10 @@ type Config struct {
 	Timeout time.Duration
 }
 
+// cacheShards is the plan cache's shard count.
+const cacheShards = 16
+
 func (c Config) withDefaults() Config {
-	if c.CacheShards == 0 {
-		c.CacheShards = 16
-	}
 	if c.CacheCapacity == 0 {
 		c.CacheCapacity = 4096
 	}
@@ -174,8 +165,8 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		model:    cost.DefaultModel(),
-		backends: backend.NewSet(cfg.GPU),
-		cache:    NewCache(cfg.CacheShards, cfg.CacheCapacity),
+		backends: backend.NewSet(backend.GPUConfig{}),
+		cache:    NewCache(cacheShards, cfg.CacheCapacity),
 		inflight: make(map[string]*flight),
 		reqs:     make(chan request, cfg.QueueDepth),
 		warm:     newWarm(),
@@ -670,8 +661,6 @@ func (s *Service) optimizeWithFallback(ctx context.Context, q *cost.Query, alg c
 	opts := backend.Options{
 		Model:     s.model,
 		Timeout:   s.cfg.Timeout,
-		Threads:   s.cfg.Threads,
-		K:         s.cfg.K,
 		Workspace: ws,
 	}
 	bid, _ := backend.Of(alg)

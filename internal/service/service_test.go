@@ -338,7 +338,7 @@ func TestCoalescingSharesOneOptimization(t *testing.T) {
 // mix of repeated and isomorphically-renamed queries; with -race this is
 // the service's concurrency regression test.
 func TestConcurrentHammer(t *testing.T) {
-	s := New(Config{CacheShards: 4, CacheCapacity: 64})
+	s := New(Config{CacheCapacity: 64})
 	defer s.Close()
 
 	kinds := []workload.Kind{workload.KindChain, workload.KindStar, workload.KindCycle, workload.KindMB}
@@ -398,7 +398,7 @@ func TestFallbackOnTimeout(t *testing.T) {
 	// CPU-parallel MPDP with a budget it cannot meet; the service must fall
 	// back to LinDP on the heuristic backend and charge the overrun to
 	// cpu-parallel.
-	s := New(Config{Timeout: 150 * time.Millisecond, K: 8})
+	s := New(Config{Timeout: 150 * time.Millisecond})
 	defer s.Close()
 	q := withEdges(genQuery(t, workload.KindClique, 16, 2), 0, 15, false)
 	res, err := s.Optimize(context.Background(), q)
@@ -432,7 +432,7 @@ func TestFallbackOnTimeout(t *testing.T) {
 // plans, cost-identical to a direct CPU enumeration, with the backend
 // identity and device work model on the result.
 func TestGPUBandServesExactPlans(t *testing.T) {
-	s := New(Config{GPU: backend.GPUConfig{Devices: 2}})
+	s := New(Config{})
 	defer s.Close()
 	for _, tc := range []struct {
 		kind workload.Kind
@@ -509,7 +509,7 @@ func hubTreeQuery(t *testing.T, n int) *cost.Query {
 // answers within the same order of magnitude as the budget — not hours
 // later.
 func TestHubHeavyGPUBandFallsBackWithinBudget(t *testing.T) {
-	s := New(Config{Timeout: 300 * time.Millisecond, K: 8})
+	s := New(Config{Timeout: 300 * time.Millisecond})
 	defer s.Close()
 	q := hubTreeQuery(t, 40)
 	if shape := core.DetectShape(q.G); shape != core.ShapeTree {
@@ -536,7 +536,7 @@ func TestHubHeavyGPUBandFallsBackWithinBudget(t *testing.T) {
 }
 
 func TestLargeQueriesRouteToHeuristics(t *testing.T) {
-	s := New(Config{K: 6})
+	s := New(Config{})
 	defer s.Close()
 	for _, tc := range []struct {
 		kind workload.Kind

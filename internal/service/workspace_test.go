@@ -152,7 +152,7 @@ func TestWarmWorkspaceSequentialMisses(t *testing.T) {
 // star-17 table a worker, had the workers kept theirs, is over it.
 func TestWarmWorkspaceConcurrentMisses(t *testing.T) {
 	const workers = 4
-	s := New(Config{Workers: workers, Threads: 1})
+	s := New(Config{Workers: workers})
 	defer s.Close()
 	qs := make([]*cost.Query, 2*workers)
 	for i := range qs {
@@ -203,7 +203,7 @@ func TestColdSoakPlateaus(t *testing.T) {
 		cacheCap = 128
 		planSlot = 16 << 10 // a cached plan of ≤ 28 relations, its key and entry
 	)
-	s := New(Config{Workers: workers, CacheCapacity: cacheCap, CacheShards: 4})
+	s := New(Config{Workers: workers, CacheCapacity: cacheCap})
 	defer s.Close()
 	optimize := func(q *cost.Query) error {
 		res, err := s.Optimize(context.Background(), q)

@@ -163,8 +163,8 @@ func cliqueSQL(n, k int) string {
 
 // WedgeRelations is the size at which CliqueSQL and NearCliqueSQL outlast
 // any test that cancels them: 3.5 billion pairs, about a minute on one
-// thread (pin the run to one, or the minute shrinks with the host's
-// cores), while the level drivers' pre-sized DP table stays near 130 MB.
+// thread and still seconds on all of a small host's cores, while the level
+// drivers' pre-sized DP table stays near 130 MB.
 // At 24 relations that table is 2.4 GB, and allocating it is the one
 // stretch of a run that does not poll for cancellation.
 const WedgeRelations = 20

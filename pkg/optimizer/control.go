@@ -20,31 +20,16 @@ import (
 // has no cache, so it implements none of this — assert to CacheController
 // to discover support at runtime.
 
-// CacheEntryInfo describes one cached plan.
-type CacheEntryInfo struct {
-	// Fingerprint is the canonical cache identity (see Result.Fingerprint).
-	Fingerprint string `json:"fingerprint"`
-	Shape       string `json:"shape"`
-	Algorithm   string `json:"algorithm"`
-	Backend     string `json:"backend"`
-	Relations   int    `json:"relations"`
-	// Hits counts exact-fingerprint cache hits served from the entry.
-	Hits uint64 `json:"hits"`
-	// Epoch is the catalog stats epoch the plan was costed under.
-	Epoch    uint64 `json:"epoch"`
-	FellBack bool   `json:"fell_back"`
-}
+// CacheEntryInfo describes one cached plan: its canonical fingerprint (see
+// Result.Fingerprint), shape, algorithm, backend and size, the exact-
+// fingerprint hits served from it, and the catalog stats epoch it was
+// costed under.
+type CacheEntryInfo = service.CacheEntryInfo
 
 // CacheInfo summarizes a driver's plan cache: plan count and capacity,
 // the current stats epoch, and the hottest entries. A Remote
 // driver pointed at a cluster receives the ring-wide aggregate.
-type CacheInfo struct {
-	Plans      int              `json:"plans"`
-	Capacity   int              `json:"capacity"`
-	Shards     int              `json:"shards"`
-	StatsEpoch uint64           `json:"stats_epoch"`
-	Entries    []CacheEntryInfo `json:"entries"`
-}
+type CacheInfo = service.CacheInfo
 
 // InvalidateResult reports one targeted invalidation.
 type InvalidateResult struct {
@@ -100,34 +85,12 @@ var (
 	_ CacheController = (*remote)(nil)
 )
 
-func cacheInfoFromService(info service.CacheInfo) *CacheInfo {
-	out := &CacheInfo{
-		Plans:      info.Plans,
-		Capacity:   info.Capacity,
-		Shards:     info.Shards,
-		StatsEpoch: info.StatsEpoch,
-		Entries:    make([]CacheEntryInfo, len(info.Entries)),
-	}
-	for i, e := range info.Entries {
-		out.Entries[i] = CacheEntryInfo{
-			Fingerprint: e.Key,
-			Shape:       e.Shape,
-			Algorithm:   e.Algorithm,
-			Backend:     e.Backend,
-			Relations:   e.Relations,
-			Hits:        e.Hits,
-			Epoch:       e.Epoch,
-			FellBack:    e.FellBack,
-		}
-	}
-	return out
-}
-
 // --- Served driver ---
 
 // CacheInfo implements CacheController on the in-process service.
 func (s *served) CacheInfo(_ context.Context, topN int) (*CacheInfo, error) {
-	return cacheInfoFromService(s.svc.CacheInfo(topN)), nil
+	info := s.svc.CacheInfo(topN)
+	return &info, nil
 }
 
 // Invalidate implements CacheController on the in-process service.

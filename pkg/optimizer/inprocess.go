@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/gpusim"
 )
@@ -42,10 +43,12 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	if err != nil {
 		return nil, err
 	}
+	bid, _ := backend.Of(res.Algorithm)
 	out := &Result{
 		Cost:        res.Plan.Cost,
 		Rows:        res.Plan.Rows,
 		Algorithm:   Algorithm(res.Algorithm),
+		Backend:     string(bid),
 		Fingerprint: q.prepared().Key,
 		Shape:       string(core.DetectShape(q.q.G)),
 		Elapsed:     time.Since(start),

@@ -91,8 +91,7 @@ type Result struct {
 	Cost float64
 	Rows float64
 	// Algorithm that produced the plan (never AlgAuto) and the execution
-	// Backend it ran on (cpu-seq, cpu-parallel, gpu, heuristic; empty for
-	// InProcess).
+	// Backend it runs on (cpu-seq, cpu-parallel, gpu, heuristic).
 	Algorithm Algorithm
 	Backend   string
 	// Shape is the detected join-graph shape (chain, star, clique, tree,
@@ -131,32 +130,12 @@ type Result struct {
 }
 
 // TraceSpan is one phase of a traced request: where the time went between
-// the request entering the serving layer and its plan coming back. Spans
-// with Sim set report modeled GPU time, not wall time.
-type TraceSpan struct {
-	// Phase names the pipeline stage (compile, cache_probe, queue_wait,
-	// coalesce_wait, route, enumerate, materialize, replicate, gpu_*).
-	Phase string `json:"phase"`
-	// StartUS is the span's start relative to the trace's origin;
-	// DurUS its duration. Both in microseconds.
-	StartUS float64 `json:"start_us"`
-	DurUS   float64 `json:"dur_us"`
-	// Sim marks modeled (simulated-GPU) time that did not occupy the
-	// request's critical path wall-clock.
-	Sim bool `json:"sim,omitempty"`
-}
-
-// traceSpans converts the internal span slice into the SDK's stable shape.
-func traceSpans(spans []obs.Span) []TraceSpan {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]TraceSpan, len(spans))
-	for i, s := range spans {
-		out[i] = TraceSpan{Phase: s.Phase, StartUS: s.StartUS, DurUS: s.DurUS, Sim: s.Sim}
-	}
-	return out
-}
+// the request entering the serving layer and its plan coming back. Phase
+// names the pipeline stage (compile, cache_probe, queue_wait,
+// coalesce_wait, route, enumerate, materialize, replicate, gpu_*);
+// StartUS and DurUS are microseconds from the trace's origin; spans with
+// Sim set report modeled GPU time, not wall time.
+type TraceSpan = obs.Span
 
 // Optimizer is the single public optimization interface.
 type Optimizer interface {

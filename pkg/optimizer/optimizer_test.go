@@ -300,8 +300,8 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 
 	t.Run("served", func(t *testing.T) {
 		// The router sends a full clique of this size to a heuristic, and a
-		// near-clique to the exact CPU-parallel route; one thread, so the
-		// run does not shorten with the host's cores.
+		// near-clique to the exact CPU-parallel route, which on all cores
+		// still runs for seconds.
 		q, err := CompileSQL(workload.NearCliqueSQL(relations))
 		if err != nil {
 			t.Fatal(err)
@@ -310,7 +310,7 @@ func TestCancelInFlightExactOptimization(t *testing.T) {
 			t.Fatalf("NearCliqueSQL(%d) bound to %d relations and %d joins, want a clique minus one join",
 				relations, q.Relations(), q.Joins())
 		}
-		s := Served(ServedConfig{Workers: 1, Threads: 1, Timeout: time.Hour})
+		s := Served(ServedConfig{Workers: 1, Timeout: time.Hour})
 		defer s.Close()
 		ctx, cancel := context.WithCancel(context.Background())
 		go func() {

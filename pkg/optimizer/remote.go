@@ -153,7 +153,7 @@ func (r *remote) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		Node:        resp.Node,
 		Failover:    resp.Failover,
 		StatsEpoch:  resp.StatsEpoch,
-		Trace:       traceSpans(resp.Trace),
+		Trace:       resp.Trace,
 		TraceWallUS: resp.TraceWallUS,
 	}
 	return out, nil

@@ -5,31 +5,23 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
 
 // ServedConfig tunes the in-process service behind the Served driver. The
-// zero value selects the service defaults (see internal/service.Config).
+// zero value selects the service defaults (see internal/service.Config):
+// like the service's, its plans use all cores, IDP2's k = 15 and two
+// simulated GPUs, with no setting.
 type ServedConfig struct {
 	// Workers is the optimization worker-pool size (0: GOMAXPROCS).
 	Workers int
 	// CacheCapacity is the total number of cached plans (0: 4096).
 	CacheCapacity int
-	// CacheShards is the plan-cache shard count (0: 16).
-	CacheShards int
 	// Timeout is the per-query budget before the heuristic fallback
 	// (0: 30s).
 	Timeout time.Duration
-	// Threads is the CPU parallelism per optimization (0: all cores).
-	Threads int
-	// K is the sub-problem bound of IDP2's windows (0: 15); a non-zero K
-	// also bounds the windows LinDP opens past 100 relations (0: 100).
-	K int
-	// GPUDevices is the simulated GPU device count (0: 2).
-	GPUDevices int
 }
 
 // served wraps a service.Service.
@@ -46,11 +38,7 @@ func Served(cfg ServedConfig) Optimizer {
 	return &served{svc: service.New(service.Config{
 		Workers:       cfg.Workers,
 		CacheCapacity: cfg.CacheCapacity,
-		CacheShards:   cfg.CacheShards,
 		Timeout:       cfg.Timeout,
-		Threads:       cfg.Threads,
-		K:             cfg.K,
-		GPU:           backend.GPUConfig{Devices: cfg.GPUDevices},
 	})}
 }
 
@@ -104,7 +92,7 @@ func (s *served) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 		out.Explain = core.Explain(q.q, res.Plan)
 	}
 	if tr != nil {
-		out.Trace = traceSpans(tr.Spans())
+		out.Trace = tr.Spans()
 		out.TraceWallUS = tr.WallUS()
 	}
 	return out, nil
