@@ -681,3 +681,41 @@ func TestOneFailoverIsOneStrike(t *testing.T) {
 			owner, snap.AliveNodes, snap.DeadNodes)
 	}
 }
+
+// TestHealthSweepBoundsSlowMember pins that maintenance stays bounded: a
+// health sweep against a member slowed far past the 2 s maintenance bound
+// returns before the slowdown would end, strikes the member once, and the
+// member is dead after FailureThreshold sweeps.
+func TestHealthSweepBoundsSlowMember(t *testing.T) {
+	const slow = 10 * time.Second
+	ft := NewFaultTransport(NewLocalTransport(), 1)
+	c := New(Config{Nodes: 2, Replicas: 2, Transport: ft, Service: service.Config{Workers: 1}})
+	defer c.Close()
+	victim := c.AliveNodes()[0]
+	ft.Slow(victim, slow)
+	strikes := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.nodes[victim].fails
+	}
+
+	for sweep := 1; sweep <= c.cfg.FailureThreshold; sweep++ {
+		start := time.Now()
+		c.CheckHealth()
+		if elapsed := time.Since(start); elapsed >= slow {
+			t.Fatalf("sweep %d took %v, as long as the member's %v slowdown", sweep, elapsed, slow)
+		}
+		if sweep < c.cfg.FailureThreshold {
+			if got := strikes(); got != sweep {
+				t.Errorf("after sweep %d the slowed member has %d strikes, want %d", sweep, got, sweep)
+			}
+			if !slices.Contains(c.AliveNodes(), victim) {
+				t.Fatalf("slowed member %s left the ring after %d of %d sweeps", victim, sweep, c.cfg.FailureThreshold)
+			}
+		}
+	}
+	if snap := c.Snapshot(); !slices.Contains(snap.DeadNodes, victim) {
+		t.Errorf("slowed member %s not dead after %d sweeps: alive %v, dead %v",
+			victim, c.cfg.FailureThreshold, snap.AliveNodes, snap.DeadNodes)
+	}
+}
