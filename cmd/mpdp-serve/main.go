@@ -83,7 +83,6 @@ func main() {
 		},
 		Slow: slowCfg,
 	})
-	api.Handle("/debug/vars", expvar.Handler())
 
 	// SIGINT/SIGTERM drains in-flight optimizations instead of dropping
 	// them: Shutdown stops accepting, waits for active handlers up to the

@@ -1,7 +1,7 @@
-// Command queryzgen emits generated workload queries as JSON for
-// inspection: relations with statistics and the join graph with per-edge
-// selectivities. Useful for debugging workload generation and for feeding
-// external tools.
+// Command queryzgen emits generated workload queries in the /v1 wire form
+// (internal/wire): relations with statistics and the join graph with
+// per-edge selectivities, one JSON document per query. Each document can be
+// POSTed to /v1/optimize as is, with Content-Type: application/json.
 //
 // Usage:
 //
@@ -12,45 +12,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
-	"repro/internal/cost"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
-
-type jsonRelation struct {
-	Name  string  `json:"name"`
-	Rows  float64 `json:"rows"`
-	Pages float64 `json:"pages"`
-	Width int     `json:"width"`
-	PK    bool    `json:"pk_index"`
-}
-
-type jsonEdge struct {
-	A   int     `json:"a"`
-	B   int     `json:"b"`
-	Sel float64 `json:"selectivity"`
-}
-
-type jsonQuery struct {
-	Workload  string         `json:"workload"`
-	Relations []jsonRelation `json:"relations"`
-	Edges     []jsonEdge     `json:"edges"`
-}
-
-func toJSON(kind string, q *cost.Query) jsonQuery {
-	out := jsonQuery{Workload: kind}
-	for _, r := range q.Cat.Rels {
-		out.Relations = append(out.Relations, jsonRelation{
-			Name: r.Name, Rows: r.Rows, Pages: r.Pages, Width: r.Width, PK: r.HasPKIndex,
-		})
-	}
-	for _, e := range q.G.Edges {
-		out.Edges = append(out.Edges, jsonEdge{A: e.A, B: e.B, Sel: e.Sel})
-	}
-	return out
-}
 
 func main() {
 	var (
@@ -60,19 +28,24 @@ func main() {
 		seed  = flag.Int64("seed", 1, "generation seed")
 	)
 	flag.Parse()
+	if err := emit(os.Stdout, workload.Kind(*kind), *rels, *count, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "queryzgen:", err)
+		os.Exit(1)
+	}
+}
 
-	enc := json.NewEncoder(os.Stdout)
+// emit writes count generated queries to w, the i-th seeded with seed+i.
+func emit(w io.Writer, kind workload.Kind, rels, count int, seed int64) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	for i := 0; i < *count; i++ {
-		rng := rand.New(rand.NewSource(*seed + int64(i)))
-		q, err := workload.Generate(workload.Kind(*kind), *rels, rng)
+	for i := 0; i < count; i++ {
+		q, err := workload.Generate(kind, rels, rand.New(rand.NewSource(seed+int64(i))))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "queryzgen:", err)
-			os.Exit(2)
+			return err
 		}
-		if err := enc.Encode(toJSON(*kind, q)); err != nil {
-			fmt.Fprintln(os.Stderr, "queryzgen:", err)
-			os.Exit(1)
+		if err := enc.Encode(wire.FromQuery(q)); err != nil {
+			return err
 		}
 	}
+	return nil
 }

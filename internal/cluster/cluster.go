@@ -13,11 +13,11 @@
 // FaultTransport middleware is the one fault model, layering seeded
 // crashes (KillNode), asymmetric partitions, drops, latency and slowdowns
 // over either, so every distributed behaviour is deterministic and
-// testable. Request-path calls go through a guarded path: per-attempt
-// timeouts carved from the caller's deadline and retry with full-jitter
-// backoff on transport faults; an owner that still fails counts toward the
-// failure detector, and the request fails over to the next replica. See
-// CLUSTER.md for the design.
+// testable. Request-path calls go through a guarded path: retry with
+// full-jitter backoff on transport faults, each attempt under the caller's
+// own context, so a node may take its service's whole time budget; an
+// owner that still fails counts toward the failure detector, and the
+// request fails over to the next replica. See CLUSTER.md for the design.
 package cluster
 
 import (
@@ -58,8 +58,8 @@ type Config struct {
 	// and ReviveNode need one. Close closes the transport along with the
 	// cluster.
 	Transport Transport
-	// Retry tunes the guarded request path: per-attempt timeouts, retry
-	// count and backoff. Zero fields take RetryPolicy's defaults.
+	// Retry tunes the guarded request path: retry count and backoff. Zero
+	// fields take RetryPolicy's defaults.
 	Retry RetryPolicy
 	// Seed seeds the coordinator's jitter RNG (0: 1); fault schedules get
 	// their own seed in NewFaultTransport.
@@ -282,8 +282,9 @@ func (c *Cluster) Transport() Transport { return c.transport }
 // pings, drains): maintenance must not hang on a wedged socket, and it has
 // no caller deadline of its own to inherit.
 func (c *Cluster) maintCtx() (context.Context, context.CancelFunc) {
+	const maintTimeout = 2 * time.Second
 	//mpdpvet:ignore ctxfirst background maintenance has no caller context to inherit
-	return context.WithTimeout(context.Background(), c.retry.AttemptTimeout)
+	return context.WithTimeout(context.Background(), maintTimeout)
 }
 
 // Owners returns the nodes currently responsible for a canonical key,

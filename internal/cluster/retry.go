@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -12,17 +11,15 @@ import (
 // RetryPolicy tunes the coordinator's guarded RPC path for request-serving
 // calls. Each call gets up to MaxAttempts tries against one node before
 // the routing loop moves on to the next replica; only transport-level
-// faults (ErrUnreachable, including per-attempt timeouts) are retried — a
-// node that answered, even with an error, is never hammered again for the
-// same request. Between attempts the coordinator backs off exponentially
-// with full jitter: sleep ~ U[0, min(MaxBackoff, BaseBackoff·2^attempt)),
-// which decorrelates retry bursts from many concurrent callers.
+// faults (ErrUnreachable) are retried — a node that answered, even with an
+// error, is never hammered again for the same request. Between attempts
+// the coordinator backs off exponentially with full jitter: sleep ~
+// U[0, min(MaxBackoff, BaseBackoff·2^attempt)), which decorrelates retry
+// bursts from many concurrent callers.
 //
-// Per-attempt timeouts are carved from the caller's deadline budget: with
-// R remaining and k attempts left, an attempt gets R/k (floored at
-// MinAttemptTimeout so a tight deadline still makes real attempts, capped
-// at AttemptTimeout so a lost reply cannot pin a generous deadline on one
-// dead node). Callers without deadlines get AttemptTimeout per attempt.
+// An attempt has no timer of its own: it runs under the caller's context,
+// so a node may take its service's whole budget (service.Config.Timeout),
+// and a slow answer is an answer, not a fault.
 type RetryPolicy struct {
 	// MaxAttempts per node per request (0: 2 — one retry).
 	MaxAttempts int
@@ -30,13 +27,6 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps one backoff sleep (0: 50ms).
 	MaxBackoff time.Duration
-	// AttemptTimeout caps one attempt (0: 2s). Must comfortably exceed a
-	// cold optimization of the largest routine query — it exists to detect
-	// lost replies, not to police slow work.
-	AttemptTimeout time.Duration
-	// MinAttemptTimeout floors the carve so the last slice of a nearly
-	// spent deadline is still a real attempt (0: 100ms).
-	MinAttemptTimeout time.Duration
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -49,37 +39,7 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 50 * time.Millisecond
 	}
-	if p.AttemptTimeout <= 0 {
-		p.AttemptTimeout = 2 * time.Second
-	}
-	if p.MinAttemptTimeout <= 0 {
-		p.MinAttemptTimeout = 100 * time.Millisecond
-	}
 	return p
-}
-
-// attemptBudget returns the timeout for one attempt (attempt is 0-based),
-// carved from ctx's remaining deadline budget.
-func (p RetryPolicy) attemptBudget(ctx context.Context, attempt int) time.Duration {
-	per := p.AttemptTimeout
-	if dl, ok := ctx.Deadline(); ok {
-		rem := time.Until(dl)
-		left := p.MaxAttempts - attempt
-		if left < 1 {
-			left = 1
-		}
-		carved := rem / time.Duration(left)
-		if carved < p.MinAttemptTimeout {
-			carved = p.MinAttemptTimeout
-		}
-		if carved > rem {
-			carved = rem
-		}
-		if carved < per {
-			per = carved
-		}
-	}
-	return per
 }
 
 // backoff returns the full-jitter sleep before retry number attempt (1-based).
@@ -112,8 +72,8 @@ func (r *lockedRand) durationN(d time.Duration) time.Duration {
 }
 
 // call is the coordinator's guarded RPC path for request-serving calls:
-// per-attempt deadline carve, retry with full-jitter backoff on transport
-// faults.
+// retry with full-jitter backoff on transport faults, each attempt under
+// the caller's own context.
 func (c *Cluster) call(ctx context.Context, id string, req Request) (*Response, error) {
 	p := c.retry
 	var lastErr error
@@ -124,13 +84,10 @@ func (c *Cluster) call(ctx context.Context, id string, req Request) (*Response, 
 				return nil, ctx.Err()
 			}
 		}
-		actx, cancel := context.WithTimeout(ctx, p.attemptBudget(ctx, attempt))
 		start := time.Now()
 		c.counters.transportCalls.Add(1)
-		resp, err := c.transport.Call(actx, id, req)
+		resp, err := c.transport.Call(ctx, id, req)
 		elapsed := time.Since(start)
-		attemptTimedOut := actx.Err() != nil && ctx.Err() == nil
-		cancel()
 		if err == nil {
 			c.callLatOK.Record(elapsed)
 			return resp, nil
@@ -139,12 +96,6 @@ func (c *Cluster) call(ctx context.Context, id string, req Request) (*Response, 
 			// The caller is gone; the failure detector should learn
 			// nothing from an abandoned call.
 			return nil, err
-		}
-		if attemptTimedOut && !errors.Is(err, ErrUnreachable) {
-			// Our own attempt timer fired: a lost reply or a wedged node.
-			// Reclassify as a transport fault so it is retried and feeds
-			// the failure detector, unlike a caller-owned cancellation.
-			err = fmt.Errorf("%w: %s (%s attempt timeout after %v)", ErrUnreachable, id, req.Kind, elapsed)
 		}
 		if errors.Is(err, ErrUnreachable) {
 			c.callLatFail.Record(elapsed)

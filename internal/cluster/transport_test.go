@@ -24,11 +24,9 @@ func TestMain(m *testing.M) {
 // fastRetry keeps test-time backoff negligible without disabling the
 // machinery under test.
 var fastRetry = RetryPolicy{
-	MaxAttempts:       2,
-	BaseBackoff:       time.Millisecond,
-	MaxBackoff:        2 * time.Millisecond,
-	AttemptTimeout:    5 * time.Second,
-	MinAttemptTimeout: 50 * time.Millisecond,
+	MaxAttempts: 2,
+	BaseBackoff: time.Millisecond,
+	MaxBackoff:  2 * time.Millisecond,
 }
 
 type pingHandler struct{}
@@ -430,10 +428,9 @@ func TestRetryRecoversLossyLink(t *testing.T) {
 		Transport:        ft,
 		FailureThreshold: 1000,
 		Retry: RetryPolicy{
-			MaxAttempts:    4,
-			BaseBackoff:    time.Millisecond,
-			MaxBackoff:     2 * time.Millisecond,
-			AttemptTimeout: 5 * time.Second,
+			MaxAttempts: 4,
+			BaseBackoff: time.Millisecond,
+			MaxBackoff:  2 * time.Millisecond,
 		},
 		Service: service.Config{Workers: 2},
 	})
@@ -717,5 +714,63 @@ func TestHealthSweepBoundsSlowMember(t *testing.T) {
 	if snap := c.Snapshot(); !slices.Contains(snap.DeadNodes, victim) {
 		t.Errorf("slowed member %s not dead after %d sweeps: alive %v, dead %v",
 			victim, c.cfg.FailureThreshold, snap.AliveNodes, snap.DeadNodes)
+	}
+}
+
+// TestSlowAnswerIsNotADeadNode: with the shipped RetryPolicy, members
+// slowed past the 2 s maintenance bound still answer a request. The attempt
+// runs under the caller's context, so the slow owner is waited for once —
+// one transport call, no transport failure — and nobody is declared dead.
+func TestSlowAnswerIsNotADeadNode(t *testing.T) {
+	ft := NewFaultTransport(NewLocalTransport(), 1)
+	c := New(Config{Nodes: 2, Replicas: 2, Transport: ft, Service: service.Config{Workers: 1}})
+	defer c.Close()
+	for _, id := range c.AliveNodes() {
+		ft.Slow(id, 2500*time.Millisecond) // past the 2 s maintenance bound
+	}
+
+	res, err := c.Optimize(context.Background(), genQuery(t, workload.KindChain, 8, 5))
+	if err != nil {
+		t.Fatalf("request to slowed members failed: %v", err)
+	}
+	if res.Failover {
+		t.Errorf("served by %s after a failover", res.Node)
+	}
+	snap := c.Snapshot()
+	if snap.TransportCalls != 1 || snap.TransportFails != 0 || snap.Deaths != 0 {
+		t.Errorf("transport_calls=%d transport_fails=%d deaths=%d, want 1, 0 and 0",
+			snap.TransportCalls, snap.TransportFails, snap.Deaths)
+	}
+}
+
+// TestCallerDeadlineIsTheCallers: a request whose deadline ends before a
+// slowed owner answers returns the caller's context.DeadlineExceeded,
+// counted as canceled rather than as an error, and the owner takes no
+// strike: the caller gave up, the node did not fail.
+func TestCallerDeadlineIsTheCallers(t *testing.T) {
+	ft := NewFaultTransport(NewLocalTransport(), 1)
+	c := New(Config{Nodes: 2, Replicas: 2, Transport: ft, Service: service.Config{Workers: 1}})
+	defer c.Close()
+	q := genQuery(t, workload.KindChain, 8, 5)
+	owner := c.Owners(service.FingerprintQuery(q).Key)[0]
+	ft.Slow(owner, 5*time.Second)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := c.Optimize(ctx, q); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	snap := c.Snapshot()
+	if snap.Canceled != 1 || snap.Errors != 0 {
+		t.Errorf("canceled=%d errors=%d, want 1 and 0", snap.Canceled, snap.Errors)
+	}
+	if snap.TransportFails != 0 || snap.Deaths != 0 {
+		t.Errorf("transport_fails=%d deaths=%d, want 0 and 0", snap.TransportFails, snap.Deaths)
+	}
+	c.mu.Lock()
+	strikes := c.nodes[owner].fails
+	c.mu.Unlock()
+	if strikes != 0 {
+		t.Errorf("owner %s took %d strikes for the caller's deadline", owner, strikes)
 	}
 }

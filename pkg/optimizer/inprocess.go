@@ -16,8 +16,7 @@ type inProcess struct{}
 // selected algorithm synchronously in this process, with no cache. The
 // default, AlgAuto, is the serving router (core.Route), and the result
 // names the algorithm it picked. It is the driver with full per-call
-// control: WithAlgorithm, WithThreads, WithGPUDevices and friends all
-// apply.
+// control: WithAlgorithm, WithK, WithGPUDevices and friends all apply.
 func InProcess() Optimizer { return inProcess{} }
 
 func (inProcess) Close() error { return nil }
@@ -30,7 +29,6 @@ func (inProcess) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	copts := core.Options{
 		Algorithm: core.Algorithm(o.algorithm),
 		Timeout:   o.timeout,
-		Threads:   o.threads,
 		K:         o.k,
 	}
 	if o.gpuDev > 0 {

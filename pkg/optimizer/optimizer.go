@@ -147,16 +147,16 @@ type Optimizer interface {
 	Close() error
 }
 
-// ErrServerRouted is returned when WithAlgorithm is passed to a driver
-// whose algorithm choice is server-side (Served, Remote): the adaptive
-// router picks the algorithm and backend per query shape.
-var ErrServerRouted = errors.New("optimizer: algorithm selection is server-side for this driver; drop WithAlgorithm or use InProcess")
+// ErrServerRouted is returned when WithAlgorithm, WithK or WithGPUDevices
+// is passed to a driver whose planning choices are server-side (Served,
+// Remote): the adaptive router picks the algorithm and backend per query
+// shape, and the service fixes IDP2's k and the simulated device count.
+var ErrServerRouted = errors.New("optimizer: algorithm, k and GPU devices are server-side for this driver; drop WithAlgorithm, WithK and WithGPUDevices or use InProcess")
 
 // callOptions collects the per-call options.
 type callOptions struct {
 	algorithm Algorithm
 	timeout   time.Duration
-	threads   int
 	k         int
 	explain   bool
 	gpuDev    int
@@ -176,11 +176,8 @@ func WithAlgorithm(a Algorithm) Option { return func(o *callOptions) { o.algorit
 // applies instead; on Remote the timeout is enforced through the context.
 func WithTimeout(d time.Duration) Option { return func(o *callOptions) { o.timeout = d } }
 
-// WithThreads sets the CPU parallelism for the parallel algorithms (0:
-// all cores).
-func WithThreads(n int) Option { return func(o *callOptions) { o.threads = n } }
-
-// WithK bounds the sub-problem size of IDP2/UnionDP (0: 15).
+// WithK bounds the sub-problem size of IDP2/UnionDP (InProcess driver
+// only, like WithGPUDevices; 0: 15).
 func WithK(k int) Option { return func(o *callOptions) { o.k = k } }
 
 // WithExplain asks for the rendered plan tree in Result.Explain.
@@ -205,6 +202,12 @@ func WithStatsEpoch(epoch uint64) Option { return func(o *callOptions) { o.epoch
 // the server ships its spans back. InProcess has no serving pipeline and
 // ignores it.
 func WithTrace() Option { return func(o *callOptions) { o.trace = true } }
+
+// serverRouted reports whether the call sets a choice the serving drivers
+// leave to the server, which they refuse with ErrServerRouted.
+func (o callOptions) serverRouted() bool {
+	return o.algorithm != "" || o.k != 0 || o.gpuDev != 0
+}
 
 func applyOptions(opts []Option) callOptions {
 	var o callOptions

@@ -33,16 +33,10 @@ func newRemoteOverService(t *testing.T) Optimizer {
 
 func newRemoteOverCluster(t *testing.T) Optimizer {
 	t.Helper()
-	// A generous attempt timeout: under -race a cold 20-relation optimize
-	// can outlive the default 2s budget, and the reclassified timeout then
-	// cascades — the failure detector quarantines healthy nodes and the
-	// round-trip comes back 503. The test exercises correctness, not
-	// latency SLOs.
 	c := cluster.New(cluster.Config{
 		Nodes:    2,
 		Replicas: 2,
 		Service:  service.Config{Workers: 2},
-		Retry:    cluster.RetryPolicy{AttemptTimeout: 2 * time.Minute},
 	})
 	t.Cleanup(c.Close)
 	ts := httptest.NewServer(httpapi.New(httpapi.ClusterEngine(c), httpapi.Options{}).Mux())
@@ -245,17 +239,24 @@ func TestBuilderRejectsInvalidStatistics(t *testing.T) {
 	}
 }
 
-// TestServerRoutedRejectsAlgorithm: the serving drivers refuse per-call
-// algorithm selection instead of silently ignoring it.
-func TestServerRoutedRejectsAlgorithm(t *testing.T) {
+// TestServerRoutedRejectsInProcessOptions: the serving drivers refuse the
+// per-call choices the server makes — algorithm, IDP2's k, the simulated
+// device count — instead of silently ignoring them.
+func TestServerRoutedRejectsInProcessOptions(t *testing.T) {
 	s := Served(ServedConfig{Workers: 1})
 	defer s.Close()
-	if _, err := s.Optimize(context.Background(), Chain(5, 1), WithAlgorithm(AlgMPDP)); !errors.Is(err, ErrServerRouted) {
-		t.Errorf("Served with WithAlgorithm = %v, want ErrServerRouted", err)
+	drivers := map[string]Optimizer{"served": s, "remote": newRemoteOverService(t)}
+	opts := map[string]Option{
+		"WithAlgorithm":  WithAlgorithm(AlgMPDP),
+		"WithK":          WithK(6),
+		"WithGPUDevices": WithGPUDevices(2),
 	}
-	r := newRemoteOverService(t)
-	if _, err := r.Optimize(context.Background(), Chain(5, 1), WithAlgorithm(AlgMPDP)); !errors.Is(err, ErrServerRouted) {
-		t.Errorf("Remote with WithAlgorithm = %v, want ErrServerRouted", err)
+	for dname, drv := range drivers {
+		for oname, opt := range opts {
+			if _, err := drv.Optimize(context.Background(), Chain(5, 1), opt); !errors.Is(err, ErrServerRouted) {
+				t.Errorf("%s with %s = %v, want ErrServerRouted", dname, oname, err)
+			}
+		}
 	}
 	if _, err := InProcess().Optimize(context.Background(), Chain(5, 1), WithAlgorithm("bogus")); err == nil {
 		t.Error("InProcess accepted unknown algorithm")

@@ -97,7 +97,7 @@ func (e *RemoteError) terminal() bool {
 
 func (r *remote) Optimize(ctx context.Context, q *Query, opts ...Option) (*Result, error) {
 	o := applyOptions(opts)
-	if o.algorithm != "" {
+	if o.serverRouted() {
 		return nil, ErrServerRouted
 	}
 	if ctx == nil {

@@ -32,7 +32,8 @@ type served struct {
 // Served starts an in-process optimizer service and returns it as an
 // Optimizer: requests gain the canonical-fingerprint plan cache, request
 // coalescing and the adaptive (algorithm, backend) router. Algorithm
-// choice is the router's; WithAlgorithm is rejected with ErrServerRouted.
+// choice is the router's, and k and the device count are the service's;
+// WithAlgorithm, WithK and WithGPUDevices are rejected with ErrServerRouted.
 // Close shuts the worker pool down.
 func Served(cfg ServedConfig) Optimizer {
 	return &served{svc: service.New(service.Config{
@@ -49,7 +50,7 @@ func (s *served) Close() error {
 
 func (s *served) Optimize(ctx context.Context, q *Query, opts ...Option) (*Result, error) {
 	o := applyOptions(opts)
-	if o.algorithm != "" {
+	if o.serverRouted() {
 		return nil, ErrServerRouted
 	}
 	if o.epoch != 0 {
