@@ -18,11 +18,7 @@ func TestServedDefaultsPinned(t *testing.T) {
 	drv := Served(ServedConfig{})
 	defer drv.Close()
 
-	info, err := drv.(CacheController).CacheInfo(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shards != 16 || info.Capacity != 4096 {
+	if info := drv.(*served).svc.CacheInfo(0); info.Shards != 16 || info.Capacity != 4096 {
 		t.Errorf("cache: %d shards, capacity %d; want 16 and 4096", info.Shards, info.Capacity)
 	}
 

@@ -161,7 +161,6 @@ type callOptions struct {
 	explain   bool
 	gpuDev    int
 	trace     bool
-	epoch     uint64
 }
 
 // Option configures one Optimize call.
@@ -188,14 +187,6 @@ func WithExplain() Option { return func(o *callOptions) { o.explain = true } }
 // DP level across the devices; dpsub-gpu and dpsize-gpu always run on one,
 // and Result.GPUDevices reports the count the run used.
 func WithGPUDevices(n int) Option { return func(o *callOptions) { o.gpuDev = n } }
-
-// WithStatsEpoch asserts the catalog stats epoch the caller planned
-// against (as returned by CacheInfo or UpdateStats; epochs start at 1).
-// The serving drivers reject the optimization with ErrStaleEpoch when the
-// server's epoch has moved — statistics changed under the caller — which
-// makes read-then-optimize sequences deterministic in tests. InProcess has
-// no epoch and ignores it.
-func WithStatsEpoch(epoch uint64) Option { return func(o *callOptions) { o.epoch = epoch } }
 
 // WithTrace asks the serving drivers for the request's phase breakdown in
 // Result.Trace: Served records it in-process, Remote forwards ?trace=1 so

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -21,22 +19,19 @@ type RemoteConfig struct {
 	// Endpoints are the base URLs of mpdp-serve or mpdp-cluster servers
 	// (e.g. "http://10.0.0.1:8080"). At least one is required.
 	Endpoints []string
-	// HedgeDelay is how long to wait for the current endpoint before
-	// launching a hedged attempt on the next one (0: 2s; negative
-	// disables hedging — endpoints are then only tried on failure).
+	// Deprecated: bench-compat; ignored. Endpoints are tried one at a
+	// time, the next only when the current one fails.
 	HedgeDelay time.Duration
 	// HTTPClient overrides the transport (nil: http.DefaultClient).
 	HTTPClient *http.Client
 }
 
 // remote is the HTTP driver: it ships queries over the versioned /v1 wire
-// API with per-node hedging — if the first endpoint has not answered
-// within HedgeDelay, the same request is raced on the next endpoint and
-// the first response wins, which rides out slow or dead nodes without
-// waiting for a full timeout.
+// API to one endpoint at a time. A slow answer is waited for — an exact
+// optimization is seconds of real work on every server alike — and the
+// next endpoint is asked only when the current one fails.
 type remote struct {
 	endpoints []string
-	hedge     time.Duration
 	client    *http.Client
 	next      atomic.Uint64
 }
@@ -53,15 +48,11 @@ func Remote(cfg RemoteConfig) (Optimizer, error) {
 		}
 		eps[i] = strings.TrimRight(e, "/")
 	}
-	hedge := cfg.HedgeDelay
-	if hedge == 0 {
-		hedge = 2 * time.Second
-	}
 	client := cfg.HTTPClient
 	if client == nil {
 		client = http.DefaultClient
 	}
-	return &remote{endpoints: eps, hedge: hedge, client: client}, nil
+	return &remote{endpoints: eps, client: client}, nil
 }
 
 func (r *remote) Close() error {
@@ -116,24 +107,13 @@ func (r *remote) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	if o.explain {
 		path = "/v1/explain"
 	}
-	params := url.Values{}
 	if o.trace {
-		params.Set("trace", "1")
-	}
-	if o.epoch != 0 {
-		params.Set("epoch", strconv.FormatUint(o.epoch, 10))
-	}
-	if len(params) > 0 {
-		path += "?" + params.Encode()
+		path += "?trace=1"
 	}
 
 	start := time.Now()
-	resp, err := r.hedged(ctx, path, body)
+	resp, err := r.send(ctx, path, body)
 	if err != nil {
-		var re *RemoteError
-		if errors.As(err, &re) && re.Code == httpapi.CodeStaleEpoch {
-			return nil, fmt.Errorf("%w (%s)", ErrStaleEpoch, re.Message)
-		}
 		return nil, err
 	}
 	out := &Result{
@@ -159,104 +139,45 @@ func (r *remote) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	return out, nil
 }
 
-// outcome is one endpoint attempt's result.
-type outcome struct {
-	resp *httpapi.Response
-	err  error
-}
-
-// hedged races the request across endpoints: attempt i starts when
-// attempt i-1 has neither answered nor failed within the hedge delay (or
-// immediately when it failed). The first success cancels the rest.
-func (r *remote) hedged(ctx context.Context, path string, body []byte) (*httpapi.Response, error) {
+// send tries the endpoints one at a time, starting from a rotated one to
+// spread load: a transport error or a retryable answer moves to the next,
+// a terminal rejection or the caller's context ends the loop.
+func (r *remote) send(ctx context.Context, path string, body []byte) (*httpapi.Response, error) {
 	n := len(r.endpoints)
-	// Rotate the starting endpoint per request to spread load.
 	first := int(r.next.Add(1)-1) % n
-
-	if n == 1 || r.hedge <= 0 {
-		// Nothing can overlap — one endpoint, or endpoints tried only on
-		// failure — so the attempts run on the caller's goroutine, without
-		// the channel, goroutine and cancel context a race needs.
-		var errs []error
-		for i := 0; i < n; i++ {
-			out := r.call(ctx, r.endpoints[(first+i)%n], path, body)
-			if out.err == nil {
-				return out.resp, nil
-			}
-			if ctx.Err() != nil {
-				return nil, context.Cause(ctx)
-			}
-			var re *RemoteError
-			if errors.As(out.err, &re) && re.terminal() {
-				return nil, out.err
-			}
-			errs = append(errs, out.err)
-		}
-		return nil, errors.Join(errs...)
-	}
-
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := make(chan outcome, n)
-
-	launch := func(i int) {
-		ep := r.endpoints[(first+i)%n]
-		go func() { results <- r.call(hctx, ep, path, body) }()
-	}
-	launch(0)
-	launched, pending := 1, 1
-
-	timer := time.NewTimer(r.hedge)
-	defer timer.Stop()
-
 	var errs []error
-	for {
-		select {
-		case out := <-results:
-			if out.err == nil {
-				return out.resp, nil
-			}
-			pending--
-			errs = append(errs, out.err)
-			var re *RemoteError
-			if errors.As(out.err, &re) && re.terminal() {
-				return nil, out.err
-			}
-			if launched < n {
-				launch(launched)
-				launched++
-				pending++
-			} else if pending == 0 {
-				return nil, errors.Join(errs...)
-			}
-		case <-timer.C:
-			if launched < n {
-				launch(launched)
-				launched++
-				pending++
-				timer.Reset(r.hedge)
-			}
-		case <-ctx.Done():
+	for i := 0; i < n; i++ {
+		resp, err := r.call(ctx, r.endpoints[(first+i)%n], path, body)
+		if err == nil {
+			return resp, nil
+		}
+		if ctx.Err() != nil {
 			return nil, context.Cause(ctx)
 		}
+		var re *RemoteError
+		if errors.As(err, &re) && re.terminal() {
+			return nil, err
+		}
+		errs = append(errs, err)
 	}
+	return nil, errors.Join(errs...)
 }
 
 // call performs one POST against one endpoint.
-func (r *remote) call(ctx context.Context, endpoint, path string, body []byte) outcome {
+func (r *remote) call(ctx context.Context, endpoint, path string, body []byte) (*httpapi.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, endpoint+path, bytes.NewReader(body))
 	if err != nil {
-		return outcome{err: err}
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return outcome{err: fmt.Errorf("optimizer: %s: %w", endpoint, err)}
+		return nil, fmt.Errorf("optimizer: %s: %w", endpoint, err)
 	}
 	defer resp.Body.Close()
 	raw, err := readResponse(resp, endpoint)
 	if err != nil {
-		return outcome{err: err}
+		return nil, err
 	}
 	defer raw.Release() // both decoders copy every string out
 	// The answer crosses the socket on every hit: httpapi's own decoder takes
@@ -265,10 +186,10 @@ func (r *remote) call(ctx context.Context, endpoint, path string, body []byte) o
 	var wire httpapi.Response
 	if !httpapi.DecodeResponse(raw.Bytes(), &wire) {
 		if err := json.Unmarshal(raw.Bytes(), &wire); err != nil {
-			return outcome{err: fmt.Errorf("optimizer: %s: decoding response: %w", endpoint, err)}
+			return nil, fmt.Errorf("optimizer: %s: decoding response: %w", endpoint, err)
 		}
 	}
-	return outcome{resp: &wire}
+	return &wire, nil
 }
 
 // maxResponseBytes bounds one response body.

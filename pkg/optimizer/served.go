@@ -2,7 +2,6 @@ package optimizer
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -53,11 +52,6 @@ func (s *served) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	if o.serverRouted() {
 		return nil, ErrServerRouted
 	}
-	if o.epoch != 0 {
-		if cur := s.svc.StatsEpoch(); cur != o.epoch {
-			return nil, fmt.Errorf("%w (server %d, asserted %d)", ErrStaleEpoch, cur, o.epoch)
-		}
-	}
 	var tr *obs.Trace
 	if o.trace {
 		if ctx == nil {
@@ -98,7 +92,3 @@ func (s *served) Optimize(ctx context.Context, q *Query, opts ...Option) (*Resul
 	}
 	return out, nil
 }
-
-// Stats exposes the underlying service counters snapshot for
-// observability (hit rate, per-backend routing, cancellations).
-func (s *served) Stats() service.Snapshot { return s.svc.Counters().Snapshot() }
