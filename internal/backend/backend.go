@@ -88,7 +88,7 @@ type Result struct {
 // GPUConfig tunes the simulated GPU backend: a pool of GTX 1080s running
 // the paper's full MPDP-GPU (fused pruning + CCC).
 type GPUConfig struct {
-	// Devices is the simulated device count (0: 2).
+	// Devices is the simulated device count (0: core.GPUDevices).
 	Devices int
 }
 
@@ -101,7 +101,7 @@ type Set struct {
 // NewSet builds the lineup; gpu configures the simulated device pool.
 func NewSet(gpu GPUConfig) *Set {
 	if gpu.Devices <= 0 {
-		gpu.Devices = 2
+		gpu.Devices = core.GPUDevices
 	}
 	return &Set{gpu: gpusim.Config{Devices: gpu.Devices, FusedPrune: true, CCC: true}}
 }

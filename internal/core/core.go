@@ -49,6 +49,12 @@ const (
 	AlgAuto    Algorithm = "auto" // the algorithm Route picks
 )
 
+// GPUDevices is the simulated device count a *-gpu run models when no
+// device model is given: the serving backends' pool and the in-process
+// default are one value, so a query's GPU bill does not depend on the
+// driver that planned it.
+const GPUDevices = 2
+
 // Algorithms lists every registered optimizer name.
 func Algorithms() []Algorithm {
 	return []Algorithm{
@@ -98,7 +104,7 @@ type Options struct {
 	// K is the sub-problem bound for IDP/UnionDP (0: 15, the paper default).
 	K int
 	// GPU configures the device model for the *-gpu algorithms (nil:
-	// gpusim.DefaultConfig, one device).
+	// gpusim.DefaultConfig on GPUDevices devices).
 	GPU *gpusim.Config
 	// Workspace, when non-nil, is the memory the enumeration borrows
 	// instead of allocating (dp.Workspace): the exact algorithms run on it,
@@ -149,6 +155,7 @@ func Optimize(ctx context.Context, q *cost.Query, opts Options) (*Result, error)
 		Model: m, K: opts.K, Ctx: ctx, Threads: opts.Threads, Workspace: opts.Workspace,
 	}
 	gcfg := gpusim.DefaultConfig()
+	gcfg.Devices = GPUDevices
 	if opts.GPU != nil {
 		gcfg = *opts.GPU
 	}

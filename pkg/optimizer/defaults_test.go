@@ -12,7 +12,8 @@ import (
 // serves with the service's defaults — a 16-shard, 4096-plan cache, the
 // GPU band on two devices, and the core defaults (all cores, IDP2's
 // k = 15) everywhere else — so its plans are core.Optimize's at default
-// options, and its GPU work model is InProcess's on two devices.
+// options, and its GPU work model is InProcess's, whose default is the
+// same two devices.
 func TestServedDefaultsPinned(t *testing.T) {
 	ctx := context.Background()
 	drv := Served(ServedConfig{})
@@ -35,6 +36,14 @@ func TestServedDefaultsPinned(t *testing.T) {
 		math.Float64bits(got.GPUSimMS) != math.Float64bits(want.GPUSimMS) {
 		t.Errorf("cycle-40: %s on %d devices, %v ms simulated; want mpdp-gpu on 2, %v ms",
 			got.Algorithm, got.GPUDevices, got.GPUSimMS, want.GPUSimMS)
+	}
+	auto, err := InProcess().Optimize(ctx, cyc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.GPUDevices != 2 || math.Float64bits(auto.GPUSimMS) != math.Float64bits(got.GPUSimMS) {
+		t.Errorf("cycle-40 in process, no options: %d devices, %v ms simulated; served: 2, %v ms",
+			auto.GPUDevices, auto.GPUSimMS, got.GPUSimMS)
 	}
 
 	for _, tc := range []struct {

@@ -183,9 +183,10 @@ func WithK(k int) Option { return func(o *callOptions) { o.k = k } }
 func WithExplain() Option { return func(o *callOptions) { o.explain = true } }
 
 // WithGPUDevices sets the simulated device count for the *-gpu algorithms
-// (InProcess driver only; 0 keeps the default of one). mpdp-gpu splits each
-// DP level across the devices; dpsub-gpu and dpsize-gpu always run on one,
-// and Result.GPUDevices reports the count the run used.
+// (InProcess driver only; 0 keeps the default of two, the count the serving
+// drivers model). mpdp-gpu splits each DP level across the devices;
+// dpsub-gpu and dpsize-gpu always run on one, and Result.GPUDevices reports
+// the count the run used.
 func WithGPUDevices(n int) Option { return func(o *callOptions) { o.gpuDev = n } }
 
 // WithTrace asks the serving drivers for the request's phase breakdown in
