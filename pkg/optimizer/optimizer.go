@@ -11,7 +11,8 @@
 //     internal/service): canonical-fingerprint plan cache, request
 //     coalescing, adaptive (algorithm, backend) routing.
 //   - Remote talks to one or more mpdp-serve / mpdp-cluster servers over
-//     the versioned /v1 HTTP API, hedging across endpoints.
+//     the versioned /v1 HTTP API, one endpoint at a time, moving to the
+//     next only when one fails.
 //
 // Queries are built with NewQueryBuilder (or a shared Catalog), compiled
 // from SQL with CompileSQL, or generated with the workload constructors.

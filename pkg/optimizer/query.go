@@ -122,10 +122,9 @@ func (c *Catalog) Len() int { return c.cat.Len() }
 
 // UpdateStats replaces a relation's statistics in place. Queries already
 // built keep the statistics they were built with (builders copy relations
-// out of the catalog); only queries built afterwards see the update —
-// which is exactly the staleness boundary the servers' stats epoch tracks.
-// Pair it with CacheController.UpdateStats to tell a serving driver the
-// statistics moved.
+// out of the catalog). A query built afterwards carries the new statistics,
+// so its fingerprint is new and a serving driver misses and plans it
+// afresh. A server's stats epoch moves only through POST /v1/catalog/stats.
 func (c *Catalog) UpdateStats(r Rel, stats RelStats) error {
 	if int(r) < 0 || int(r) >= c.cat.Len() {
 		return fmt.Errorf("optimizer: unknown relation handle %d", r)
